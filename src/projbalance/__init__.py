@@ -6,9 +6,10 @@ Subpackage map:
 - quadrature: chart quadrature rules and integration
 - kahler:     Kahler structures from potentials, contraction, scalar curvature
 - sections:   model spaces, holomorphic section bases, jets
-- metrics:    bundle metric fields, curvature, Gram-induced FS metrics
+- metrics:    bundle metric fields, curvature, hyperplane weights, Grams
 - bergman:    L2 Grams, Bergman endomorphisms, expansion coefficients
-- balancing:  moment map, T-iteration, gradient flow, action spectra
+- balancing:  pulled-back metrics, moment map, T-iteration, gradient flow,
+              action spectra
 - cli:        batch experiment driver
 """
 

@@ -30,6 +30,14 @@ Contents, bottom to top:
   two-sided comparability of a metric against a reference, and decay-order
   classification of a moment sequence.
 
+Each geometric quantity has one routine.  `_pullback_data` is the package's
+only pull-back formula (the metric d d-bar log |u|^2 of a frame table and
+its volume density); `_fs_geometry` applies it at the rule nodes and
+`embedding_form_field` at arbitrary points.  `_l2_pairing` is the only L2
+pairing of a node table against the pulled-back volume; the moment pairs
+the frame, the T-step the raw basis values, and the density the frame
+again.
+
 All volumes are reduced by (2 pi)^dim as elsewhere in the package.
 """
 
@@ -44,7 +52,7 @@ from .bergman import adapted_total_rule
 from .errors import NumericalGuardError
 from .metrics import GramMatrix, make_gram
 from .quadrature import ChartRule
-from .sections import build_section_basis, riemann_roch_dimension, total_rule
+from .sections import build_section_basis, total_rule
 
 logger = logging.getLogger(__name__)
 
@@ -73,7 +81,6 @@ __all__ = [
     "r_bounded_check",
     "OrderVerdict",
     "almost_balanced_check",
-    "default_balance_tolerance",
 ]
 
 
@@ -184,11 +191,15 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
                 raise ValueError(
                     f"frame shape {frame.shape} does not match section "
                     f"count {basis.count}")
-            values = values @ frame
-            jet = np.einsum("npd,pq->nqd", jet, frame)
+            values, jet = _mix(values, jet, frame)
     return EmbeddingState(model=model, basis=basis, gram=gm,
                           transform=transform, rule=rule,
                           values=values, jet=jet, frame=frame)
+
+
+def _mix(values, jet, mat):
+    """Value and jet tables of the section family values @ mat."""
+    return values @ mat, np.einsum("npd,pq->nqd", jet, mat)
 
 
 def _pullback_data(u, du, dim):
@@ -215,12 +226,18 @@ def _pullback_data(u, du, dim):
 
 
 def _fs_geometry(state):
-    """Frame values, jets, kernel, pulled-back metric, and reduced volume
-    density at the rule nodes of a state."""
-    u = state.values @ state.transform
-    du = np.einsum("npd,pq->nqd", state.jet, state.transform)
+    """Frame values, jets, kernel, pulled-back metric, and the rule weights
+    times the reduced volume density, at the rule nodes of a state."""
+    u, du = _mix(state.values, state.jet, state.transform)
     kk, gfs, dens = _pullback_data(u, du, state.model.n)
-    return u, du, kk, gfs, dens
+    return u, du, kk, gfs, state.rule.weights * dens
+
+
+def _l2_pairing(table, kk, wq):
+    """L2 pairing of the columns of a node table against the pulled-back
+    volume: sum_n (wq_n / K_n) conj(table_np) table_nq, with K the kernel
+    and wq the weighted density returned by `_fs_geometry`."""
+    return np.einsum("n,np,nq->pq", wq / kk, np.conj(table), table)
 
 
 def embedding_form_field(state):
@@ -239,11 +256,8 @@ def embedding_form_field(state):
         vals = basis.eval_embedding(pts)
         jet = basis.eval_embedding_jet(pts)
         if frame is not None:
-            vals = vals @ frame
-            jet = np.einsum("npd,pq->nqd", jet, frame)
-        u = vals @ t
-        du = np.einsum("npd,pq->nqd", jet, t)
-        _, gfs, _ = _pullback_data(u, du, dim)
+            vals, jet = _mix(vals, jet, frame)
+        _, gfs, _ = _pullback_data(*_mix(vals, jet, t), dim)
         return gfs
 
     return field
@@ -279,10 +293,9 @@ def moment_map(state, rule=None):
     if rule is not None and rule is not state.rule:
         state = embedding_state(state.model, gram=state.gram.matrix,
                                 rule=rule, basis=state.basis)
-    u, _, kk, _, dens = _fs_geometry(state)
-    wq = state.rule.weights * dens
+    u, _, kk, _, wq = _fs_geometry(state)
     vol = float(wq.sum())
-    raw = np.einsum("n,np,nq->pq", wq / kk, np.conj(u), u)
+    raw = _l2_pairing(u, kk, wq)
     n = state.count
     dval = vol / n
     m = raw - dval * np.eye(n)
@@ -302,26 +315,29 @@ def t_map_step(state):
     points are exactly the balanced states; the det gauge removes the
     overall scale the embedding never sees.
     """
-    u, _, kk, _, dens = _fs_geometry(state)
-    wq = state.rule.weights * dens
+    _, _, kk, _, wq = _fs_geometry(state)
     vol = float(wq.sum())
-    v = state.values
-    raw = np.einsum("n,np,nq->pq", wq / kk, np.conj(v), v)
+    raw = _l2_pairing(state.values, kk, wq)
     newg = (state.count / vol) * raw
     newg = 0.5 * (newg + newg.conj().T)
     newg /= np.linalg.det(newg).real ** (1.0 / state.count)
     return embedding_state(state.model, gram=newg, state_cache=state)
 
 
+def _density_and_weights(state):
+    """Balanced density at the rule nodes and the weighted volume density
+    it is integrated against, from one geometry pass."""
+    u, _, kk, _, wq = _fs_geometry(state)
+    raw = _l2_pairing(u, kk, wq)
+    raw = 0.5 * (raw + raw.conj().T)
+    rho = np.einsum("pq,nq,np->n", np.linalg.inv(raw), np.conj(u), u).real
+    return rho / kk, wq
+
+
 def balanced_density(state):
     """Density of the state against its own pulled-back volume: the diagonal
     of the L2-inverse pairing, constant equal to N/V exactly at balance."""
-    u, _, kk, _, dens = _fs_geometry(state)
-    wq = state.rule.weights * dens
-    raw = np.einsum("n,np,nq->pq", wq / kk, np.conj(u), u)
-    raw = 0.5 * (raw + raw.conj().T)
-    rho = np.einsum("pq,nq,np->n", np.linalg.inv(raw), np.conj(u), u).real
-    return rho / kk
+    return _density_and_weights(state)[0]
 
 
 def balanced_density_stats(state):
@@ -331,13 +347,8 @@ def balanced_density_stats(state):
     identity under any same-rule pairing), volume, mean, variance, and the
     maximum deviation from the mean.  Variance and deviation measure how
     far the state sits from balance in the pointwise sense."""
-    u, _, kk, _, dens = _fs_geometry(state)
-    wq = state.rule.weights * dens
+    rho, wq = _density_and_weights(state)
     vol = float(wq.sum())
-    raw = np.einsum("n,np,nq->pq", wq / kk, np.conj(u), u)
-    raw = 0.5 * (raw + raw.conj().T)
-    rho = np.einsum("pq,nq,np->n", np.linalg.inv(raw), np.conj(u), u).real
-    rho = rho / kk
     mass = float((wq * rho).sum())
     mean = mass / vol
     variance = float((wq * (rho - mean) ** 2).sum() / vol)
@@ -501,8 +512,7 @@ def sigma_z_operator(state, generators=None):
     normalized by |u|.  Rank-deficient nodes (branch points of the chosen
     sub-system) are skipped with a warning."""
     gens = su_basis(state.count) if generators is None else np.asarray(generators)
-    u, du, kk, _, dens = _fs_geometry(state)
-    wq = state.rule.weights * dens
+    u, du, kk, _, wq = _fs_geometry(state)
     grad = np.einsum("npa,np->na", du, np.conj(u))
     tang = du - u[:, :, None] * (grad / kk[:, None])[:, None, :]
     # batched orthonormal frames for the tangent columns
@@ -579,16 +589,6 @@ class LambdaTable:
     ks: tuple
     estimates: tuple
     exponent: float
-
-
-def default_balance_tolerance(model, volume, count):
-    """Level-dependent moment tolerance min(0.1 V/N, n2 / (10 n1)), the
-    scale below which the subleading dimension term is resolved."""
-    info = riemann_roch_dimension(model)
-    eps = 0.1 * volume / count
-    if info["n2"] > 0.0:
-        eps = min(eps, info["n2"] / (10.0 * info["n1"]))
-    return eps
 
 
 def lambda_fit_exponent(ks, lambda_values):

@@ -308,12 +308,25 @@ def _fiber_geometry(metric, z, xi):
     return q, detwf, pairing
 
 
+def _fiber_measure(metric, model, z, rule, pts, jac2):
+    """Fiber measure (nb, nf) and dual pairing (nb, nf, r, r) at the nodes
+    `pts`, `jac2` from `_adapted_fiber_points`; the measure integrates the
+    pairing to the bundle metric."""
+    r = model.r
+    nb, nf = z.shape[0], rule.points.shape[0]
+    q, detwf, pairing = _fiber_geometry(
+        metric, z, pts[:, model.m:].reshape(nb, nf, r - 1))
+    meas = detwf / q * 2.0 ** (r - 1) \
+        * rule.weights[None, :] * jac2[:, None] / _volume_constant_exact(r)
+    return meas, pairing
+
+
 def push_forward_table(metric, kahler, model, z, rule=None):
     """Fiber averages of the dual pairing against every volume-coefficient
     weight f_j = E_j/E_m, for base points z."""
     z = np.asarray(z, dtype=complex)
     rule = _fiber_nodes(model, rule)
-    m, r = model.m, model.r
+    m = model.m
     nb, nf = z.shape[0], rule.points.shape[0]
     pts, jac2 = _adapted_fiber_points(metric, model, z, rule.points)
 
@@ -322,10 +335,9 @@ def push_forward_table(metric, kahler, model, z, rule=None):
     e = mixed_volume_coefficients(w, om, m).reshape(m + 1, nb, nf)
     f = e / e[m]
 
-    q, detwf, pairing = _fiber_geometry(
-        metric, z, pts[:, m:].reshape(nb, nf, r - 1))
-    meas = detwf / q * 2.0 ** (r - 1) \
-        * rule.weights[None, :] * jac2[:, None] / _volume_constant_exact(r)
+    # after hat_form_matrix: its temporaries are the memory peak, and the
+    # (nb, nf, r, r) pairing alive through them would raise it
+    meas, pairing = _fiber_measure(metric, model, z, rule, pts, jac2)
     m_tilde = np.einsum("jnf,nf,nfab->jnab", f, meas, pairing)
     h = metric.matrix(z)
     psi = np.stack([np.linalg.solve(h, m_tilde[j]) for j in range(m + 1)])
@@ -338,20 +350,14 @@ def fiber_push_forward(metric, kahler, model, z, weight=None, rule=None):
     0..m uses the volume-coefficient ratio E_j/E_m."""
     z = np.asarray(z, dtype=complex)
     rule = _fiber_nodes(model, rule)
-    r = model.r
-
     if weight is not None:
         if not 0 <= weight <= model.m:
             raise ValueError(f"weight index {weight} outside 0..{model.m}")
         table = push_forward_table(metric, kahler, model, z, rule=rule)
         return FiberAverage(g_tilde=table.m_tilde[weight], psi=table.psi[weight])
 
-    nb, nf = z.shape[0], rule.points.shape[0]
     pts, jac2 = _adapted_fiber_points(metric, model, z, rule.points)
-    q, detwf, pairing = _fiber_geometry(
-        metric, z, pts[:, model.m:].reshape(nb, nf, r - 1))
-    meas = detwf / q * 2.0 ** (r - 1) \
-        * rule.weights[None, :] * jac2[:, None] / _volume_constant_exact(r)
+    meas, pairing = _fiber_measure(metric, model, z, rule, pts, jac2)
     g_tilde = np.einsum("nf,nfab->nab", meas, pairing)
     return FiberAverage(g_tilde=g_tilde, psi=np.linalg.solve(metric.matrix(z), g_tilde))
 
@@ -474,7 +480,10 @@ def bergman_sweep(metric, kahler, model, ks, rule=None, fiber=None, guard=1e12):
 @dataclass(frozen=True)
 class DirectDensity:
     """Squared-norm sum of an orthonormalized section basis on the total
-    space, against the induced hyperplane weight at the twist level."""
+    space, against the induced hyperplane weight at the twist level.
+
+    `measure` is the level counting measure at the rule nodes, computed
+    once by `rho_direct`; `measure_density` evaluates it elsewhere."""
 
     model: object
     basis: object
@@ -483,6 +492,7 @@ class DirectDensity:
     metric: object
     kahler: object
     rule: object
+    measure: np.ndarray
 
     def density(self, pts):
         pts = np.asarray(pts, dtype=complex)
@@ -497,11 +507,10 @@ class DirectDensity:
         return level_volume_density(self.metric, self.kahler, self.model, pts)
 
     def total_mass(self):
-        dens = self.measure_density(self.rule.points)
-        return float(integrate(self.rule, self.density(self.rule.points) * dens))
+        return float(integrate(self.rule, self.density(self.rule.points) * self.measure))
 
     def volume(self):
-        return float(integrate(self.rule, self.measure_density(self.rule.points)))
+        return float(integrate(self.rule, self.measure))
 
 
 def rho_direct(metric, kahler, model, rule=None, guard=1e12):
@@ -520,7 +529,7 @@ def rho_direct(metric, kahler, model, rule=None, guard=1e12):
                  model.label, basis.count, gram.condition())
     return DirectDensity(model=model, basis=basis, gram=gram,
                          gram_inverse=t @ t.conj().T, metric=metric,
-                         kahler=kahler, rule=rule)
+                         kahler=kahler, rule=rule, measure=dens)
 
 
 def dual_point_projector(metric, z, lam):

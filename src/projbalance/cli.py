@@ -47,7 +47,8 @@ outputs (under --out, or the configured out_dir):
 
   report.json     schema 1; byte-identical across reruns of the same
                   configuration and seed except for the timestamp field
-  timings.json    wall-clock per phase, kept out of report.json
+  timings.json    run_seconds (wall clock of the whole run) and command,
+                  kept out of report.json
   checks.csv      name,k,value,reference,error,tolerance,passed,detail
 
 subcommand tables:

@@ -1,5 +1,9 @@
 """Kahler structures on affine charts, contraction operators, curvature.
 
+Every structure lives on the single affine chart C^m of its projective
+space.  The complement of that chart has measure zero for every model here,
+so all integration happens there and no other chart is represented.
+
 Conventions, fixed once for the whole package:
 
 - A (1,1)-form alpha is stored by its coefficient matrix A with
@@ -20,18 +24,11 @@ Derivatives of potentials are hand-coded for the built-in structures and
 centered finite differences with one Richardson step for user potentials.
 """
 
-import logging
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
 __all__ = [
-    "Chart",
-    "ChartAtlas",
-    "projective_space_atlas",
     "KahlerStructure",
     "FubiniStudy",
     "FlatChart",
@@ -48,54 +45,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-
-# ---------------------------------------------------------------------------
-# charts
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Chart:
-    label: str
-    dim: int
-    domain: str = "affine C^dim"
-
-
-@dataclass(frozen=True)
-class ChartAtlas:
-    """Charts of a model space with rational transition maps.
-
-    All integration happens on a single affine chart (the complement has
-    measure zero for every model here); the atlas records the covering and
-    lets tests certify that transitions are inverse-consistent.
-    Transitions map (n, dim) arrays to (n, dim) arrays; key (i, j) sends
-    chart i coordinates to chart j.
-    """
-
-    charts: tuple
-    transitions: dict = field(default_factory=dict)
-
-    def transition_roundtrip_error(self, i, j, pts):
-        fwd = self.transitions[(i, j)]
-        back = self.transitions[(j, i)]
-        return float(np.max(np.abs(back(fwd(pts)) - pts)))
-
-
-def projective_space_atlas(m):
-    """The two standard charts of P^m related by inversion in the first
-    coordinate (enough to certify transition consistency; integration only
-    ever uses chart 0)."""
-    charts = (Chart("z", m), Chart("w", m))
-
-    def invert(pts):
-        pts = np.asarray(pts, dtype=complex)
-        out = pts.copy()
-        out[:, 0] = 1.0 / pts[:, 0]
-        if m > 1:
-            out[:, 1:] = pts[:, 1:] / pts[:, 0:1]
-        return out
-
-    return ChartAtlas(charts, {(0, 1): invert, (1, 0): invert})
 
 
 # ---------------------------------------------------------------------------

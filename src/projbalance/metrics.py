@@ -1,4 +1,4 @@
-"""Bundle metrics, their curvature, induced Fubini-Study data, Gram tools.
+"""Bundle metrics, their curvature, the induced hyperplane weight, Gram tools.
 
 A bundle metric is an r x r positive Hermitian matrix field H(z) on the base
 chart, with pairing <u, v>_h = v* H u.  Curvature follows the Chern
@@ -14,6 +14,11 @@ slope a on the projective line.
 Derivative tables are hand-coded for the built-in families and generic
 central differences otherwise; the perturbed family propagates exact
 derivatives through the sum rule.
+
+`hat_weight` is the weight 1 / (lam H^{-1} lam*) that a bundle metric
+induces on the relative hyperplane line.  The metric a Gram matrix induces
+on a total space through its section basis, the pulled-back Fubini-Study
+form, is computed in one place: `balancing.embedding_form_field`.
 """
 
 import logging
@@ -39,13 +44,9 @@ __all__ = [
     "CallableBundleMetric",
     "curvature_matrix",
     "mean_curvature",
-    "CurvatureField",
-    "curvature",
     "hermitian_einstein_residual",
     "hat_weight",
     "hat_weight_homogeneous",
-    "InducedFSMetric",
-    "fs_from_gram",
 ]
 
 
@@ -287,26 +288,6 @@ def mean_curvature(metric, kahler, z):
     return lambda_contract(g, curvature_matrix(metric, z))
 
 
-@dataclass(frozen=True)
-class CurvatureField:
-    points: np.ndarray
-    form: np.ndarray       # (n, m, m, r, r) stack of iF
-    mean: np.ndarray       # (n, r, r) contraction against the Kahler form
-    hermiticity_defect: float
-
-
-def curvature(metric, kahler, z):
-    z = np.asarray(z, dtype=complex)
-    form = curvature_matrix(metric, z)
-    g = kahler.matrix(z)
-    mean = lambda_contract(g, form)
-    h = metric.matrix(z)
-    pairing = np.einsum("nij,njk->nik", h, mean)
-    defect = float(np.max(np.abs(pairing - np.conj(np.swapaxes(pairing, 1, 2))))) \
-        if mean.size else 0.0
-    return CurvatureField(z, form, mean, defect)
-
-
 def hermitian_einstein_residual(metric, kahler, rule):
     """Worst-node operator norm of (mean curvature - slope * I), with the
     slope estimated from the data: the volume-average of tr(mean)/r.
@@ -364,65 +345,3 @@ def hat_weight(metric, pts, model):
     xi = pts[:, model.m:]
     lam = np.concatenate([np.ones((pts.shape[0], 1), dtype=complex), xi], axis=1)
     return hat_weight_homogeneous(metric, z, lam)
-
-
-# ---------------------------------------------------------------------------
-# Gram-induced Fubini-Study metric
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InducedFSMetric:
-    """Metric data induced by a Gram matrix through a section basis.
-
-    density(p) is the squared norm of the point evaluation against a
-    G-orthonormal frame; kahler_form is its exact log-Hessian via section
-    jets (no finite differences)."""
-
-    gram: GramMatrix
-    basis: object
-    p: np.ndarray  # inverse Gram
-
-    def density(self, pts):
-        v = self.basis.eval_embedding(pts)
-        return np.einsum("ni,ij,nj->n", v, self.p, np.conj(v)).real
-
-    def log_density(self, pts):
-        return np.log(self.density(pts))
-
-    def section_norm2(self, w, pts):
-        """|w(p)|^2 in the induced metric for a coefficient vector w."""
-        v = self.basis.eval_embedding(pts)
-        num = np.abs(v @ np.asarray(w, dtype=complex)) ** 2
-        return num / self.density(pts)
-
-    def kahler_form(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        v = self.basis.eval_embedding(pts)
-        jet = self.basis.eval_embedding_jet(pts)       # (n, N, d)
-        u = np.einsum("ij,nj->ni", self.p, np.conj(v))  # P vbar
-        dd = np.einsum("nia,ij,njb->nab", jet, self.p, np.conj(jet))
-        dD = np.einsum("nia,ni->na", jet, u)
-        dens = np.einsum("ni,ni->n", v, u).real
-        return (dd / dens[:, None, None]
-                - dD[:, :, None] * np.conj(dD)[:, None, :] / dens[:, None, None] ** 2)
-
-    def volume_density(self, pts):
-        """Density of omega_G^d/d! against Lebesgue measure on the chart."""
-        g = self.kahler_form(pts)
-        det = np.linalg.det(g).real
-        if np.any(det <= 0):
-            raise NumericalGuardError("induced form degenerate at a node")
-        return det * 2.0 ** g.shape[1]
-
-
-def fs_from_gram(gram, basis):
-    if not isinstance(gram, GramMatrix):
-        gram = make_gram(gram)
-    if gram.n != basis.count:
-        raise ValueError("Gram size does not match the section count")
-    ev = np.linalg.eigvalsh(gram.matrix)
-    if ev[0] <= 0:
-        raise NumericalGuardError(
-            f"Gram not positive definite (smallest eigenvalue {ev[0]:.3e})"
-        )
-    return InducedFSMetric(gram, basis, np.linalg.inv(gram.matrix))

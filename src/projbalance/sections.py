@@ -23,7 +23,6 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from .kahler import ChartAtlas, projective_space_atlas
 from .quadrature import chart_rule, product_rule
 
 logger = logging.getLogger(__name__)
@@ -53,7 +52,6 @@ class ModelSpace:
     degrees: tuple
     k: int
     label: str
-    atlas: ChartAtlas = None
 
     @property
     def r(self):
@@ -91,16 +89,12 @@ def ProjectivePoint(r):
 
 def LineBundleSumOverP1(degrees, k):
     degrees = _validate(1, degrees, k)
-    return ModelSpace(
-        1, degrees, int(k),
-        f"p1-sum{degrees}-k{k}", atlas=projective_space_atlas(1),
-    )
+    return ModelSpace(1, degrees, int(k), f"p1-sum{degrees}-k{k}")
 
 
 def ProjectiveSpaceBase(m, degrees, k):
     degrees = _validate(m, degrees, k)
-    atlas = projective_space_atlas(m) if m >= 1 else None
-    return ModelSpace(int(m), degrees, int(k), f"p{m}-sum{degrees}-k{k}", atlas=atlas)
+    return ModelSpace(int(m), degrees, int(k), f"p{m}-sum{degrees}-k{k}")
 
 
 def TrivialBundleOverPm(m, r, k):

@@ -300,6 +300,15 @@ def joint_linearization_rows(seed, trials=5):
 _MomentSummary = namedtuple("_MomentSummary", "norm_op d volume count")
 
 
+def _solve(cfg, state):
+    """Balance `state` with the configured `[solver]` method."""
+    if cfg.method == "gradient-flow":
+        return bal.flow_iterate(state, tol=cfg.balance_tol,
+                                max_iter=cfg.max_iter, step=cfg.flow_step)
+    return bal.balance_iterate(state, tol=cfg.balance_tol,
+                               max_iter=cfg.max_iter)
+
+
 def balance_job(cfg, k):
     """Balance one level from the identity Gram and measure the result:
     trajectory, flat-density statistics, exact bookkeeping (mass equals the
@@ -316,12 +325,7 @@ def balance_job(cfg, k):
     kahler = build_kahler(cfg)
     state = bal.embedding_state(model, n_radial=cfg.n_radial)
     initial = bal.moment_map(state)
-    if cfg.method == "gradient-flow":
-        report = bal.flow_iterate(state, tol=cfg.balance_tol,
-                                  max_iter=cfg.max_iter, step=cfg.flow_step)
-    else:
-        report = bal.balance_iterate(state, tol=cfg.balance_tol,
-                                     max_iter=cfg.max_iter)
+    report = _solve(cfg, state)
     stats = bal.balanced_density_stats(report.state)
 
     direct = bg.rho_direct(
@@ -448,7 +452,7 @@ def expansion_job(cfg, k):
         metric, kahler, model,
         rule=bg.adapted_total_rule(metric, model, n_radial=cfg.n_radial))
     dens = direct.density(direct.rule.points)
-    measure = direct.measure_density(direct.rule.points)
+    measure = direct.measure
     vol = float(integrate(direct.rule, measure))
     mass = float(integrate(direct.rule, dens * measure))
     mean = mass / vol
@@ -558,12 +562,11 @@ def degenerate_expansion_rows(results):
 # ---------------------------------------------------------------------------
 
 def spectrum_job(cfg, k):
-    """Balance one level and estimate the smallest positive eigenvalue of
-    the normal-action operator."""
+    """Balance one level with the configured method and estimate the
+    smallest positive eigenvalue of the normal-action operator."""
     model = build_model(cfg, k)
     state = bal.embedding_state(model, n_radial=cfg.n_radial)
-    report = bal.balance_iterate(state, tol=cfg.balance_tol,
-                                 max_iter=cfg.max_iter)
+    report = _solve(cfg, state)
     op = bal.sigma_z_operator(report.state)
     est = bal.eig_estimate(op, k)
     logger.info("spectrum k=%d: lambda=%.6e kernel=%d converged=%s",

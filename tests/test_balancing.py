@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projbalance.errors import NumericalGuardError
-from projbalance.kahler import FubiniStudy
+from projbalance.kahler import FubiniStudy, complex_hessian, fs_matrix
 from projbalance.metrics import SplitBundleMetric, make_gram
 from projbalance.quadrature import ChartRule
 from projbalance.sections import (
@@ -484,6 +484,45 @@ class TestEmbeddingFormField:
         assert report.passes
         assert report.c_a_norm < 1e-12
         assert abs(report.min_ratio - 1.0) < 1e-10
+
+    def test_identity_gram_gives_fs_form(self):
+        # the full system of P^2 = P(C^3) with the identity Gram embeds it
+        # isometrically: the pulled-back form is the Fubini-Study form
+        state = bal.embedding_state(ProjectivePoint(3), n_radial=4)
+        rng = np.random.default_rng(30)
+        pts = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
+        got = bal.embedding_form_field(state)(pts)
+        assert np.max(np.abs(got - fs_matrix(pts))) < 1e-10
+
+    def test_gram_scaling_leaves_field_unchanged(self):
+        # c G rescales the kernel by 1/c, which d d-bar log does not see
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        g = a @ a.conj().T + np.eye(3)
+        model = LineBundleSumOverP1((0,), 2)
+        pts = rng.standard_normal((15, 1)) + 1j * rng.standard_normal((15, 1))
+        f1 = bal.embedding_form_field(
+            bal.embedding_state(model, gram=g, n_radial=4))(pts)
+        f3 = bal.embedding_form_field(
+            bal.embedding_state(model, gram=3.0 * g, n_radial=4))(pts)
+        assert np.max(np.abs(f3 - f1)) < 1e-10
+
+    def test_matches_log_kernel_hessian(self):
+        # exact jets against finite differences of log(v G^{-1} v^H)
+        rng = np.random.default_rng(32)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        g = a @ a.conj().T + 0.5 * np.eye(3)
+        state = bal.embedding_state(LineBundleSumOverP1((0,), 2), gram=g,
+                                    n_radial=4)
+        ginv = np.linalg.inv(g)
+
+        def log_kernel(q):
+            v = state.basis.eval_embedding(q)
+            return np.log(np.einsum("ni,ij,nj->n", v, ginv, np.conj(v)).real)
+
+        pts = rng.standard_normal((12, 1)) + 1j * rng.standard_normal((12, 1))
+        got = bal.embedding_form_field(state)(pts)
+        assert np.max(np.abs(got - complex_hessian(log_kernel, pts))) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -577,6 +577,26 @@ class TestRho:
     def test_twisted_volume_exposed(self, twisted_density):
         assert abs(twisted_density.volume() - (2.0 * math.pi + math.pi / 3.0)) < 1e-8
 
+    def test_level_measure_computed_once(self, twisted_metric, monkeypatch):
+        # rho_direct keeps the level measure it computed at its rule nodes;
+        # the mass and the volume read it instead of recomputing it
+        original = bg.level_volume_density
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bg, "level_volume_density", counted)
+        model = LineBundleSumOverP1((0, 1), 3)
+        rule = bg.adapted_total_rule(twisted_metric, model, n_radial=8)
+        rho = bg.rho_direct(twisted_metric, FS1, model, rule=rule)
+        rho.total_mass()
+        rho.volume()
+        assert len(calls) == 1
+        assert np.array_equal(
+            rho.measure, original(twisted_metric, FS1, model, rule.points))
+
     def test_direct_route_matches_closed_form(self, twisted_density):
         rng = np.random.default_rng(18)
         pts = random_total_points(rng, 200, twisted_density.model)

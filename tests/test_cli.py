@@ -13,7 +13,8 @@ import re
 
 import pytest
 
-from projbalance import cli
+from projbalance import balancing as bal
+from projbalance import cli, suites
 from projbalance.config import (
     ConfigError,
     ExperimentConfig,
@@ -500,3 +501,19 @@ class TestSpectrumRun:
         row = next(r for r in report["checks"]
                    if r["name"] == "spectrum-monotone")
         assert row["passed"] is True
+
+    def test_gradient_flow_method_runs_the_flow(self, monkeypatch):
+        original = bal.flow_iterate
+        calls = []
+
+        def recording(state, **kwargs):
+            calls.append(kwargs)
+            return original(state, **kwargs)
+
+        monkeypatch.setattr(bal, "flow_iterate", recording)
+        cfg = dataclasses.replace(parse_config_text(TINY_SPECTRUM),
+                                  method="gradient-flow", flow_step=0.5)
+        result = suites.spectrum_job(cfg, 2)
+        assert calls == [{"tol": cfg.balance_tol, "max_iter": cfg.max_iter,
+                          "step": 0.5}]
+        assert result["converged"]

@@ -1,4 +1,4 @@
-"""Bundle metrics, curvature, induced Fubini-Study data, Gram utilities.
+"""Bundle metrics, curvature, the induced hyperplane weight, Gram utilities.
 
 Oracles: quadrature degree integrals (Chern-Weil style), generic finite
 differences cross-checking the hand-coded derivative tables, and a scalar
@@ -11,16 +11,14 @@ import numpy as np
 import pytest
 
 from projbalance.errors import NumericalGuardError
-from projbalance.kahler import FlatChart, FubiniStudy, complex_hessian, fs_matrix, lambda_contract
+from projbalance.kahler import FlatChart, FubiniStudy, complex_hessian
 from projbalance.metrics import (
     CallableBundleMetric,
     ConstantBundleMetric,
     MatrixField,
     PerturbedBundleMetric,
     SplitBundleMetric,
-    curvature,
     curvature_matrix,
-    fs_from_gram,
     hat_weight,
     hat_weight_homogeneous,
     hermitian_einstein_residual,
@@ -29,7 +27,7 @@ from projbalance.metrics import (
     whitening_transform,
 )
 from projbalance.quadrature import chart_rule, integrate
-from projbalance.sections import LineBundleSumOverP1, ProjectivePoint, build_section_basis
+from projbalance.sections import LineBundleSumOverP1, ProjectivePoint
 
 
 class PolyField(MatrixField):
@@ -198,15 +196,6 @@ class TestPerturbedMetric:
         defect = np.max(np.abs(pairing - np.conj(np.swapaxes(pairing, 1, 2))))
         assert defect < 1e-9
 
-    def test_curvature_field_reports(self):
-        fs = FubiniStudy(1)
-        h = SplitBundleMetric(1, (0, 1))
-        z = np.array([[0.2 + 0.1j], [1.5 - 0.7j]])
-        cf = curvature(h, fs, z)
-        assert cf.form.shape == (2, 1, 1, 2, 2)
-        assert cf.mean.shape == (2, 2, 2)
-        assert cf.hermiticity_defect < 1e-10
-
 
 class TestHermitianEinsteinResidual:
     def test_flat_zero(self):
@@ -262,49 +251,3 @@ class TestHatWeight:
             hat_weight_homogeneous(
                 h, np.zeros((1, 0), dtype=complex), np.zeros((1, 2), dtype=complex)
             )
-
-
-class TestInducedFS:
-    def test_identity_gram_gives_fs_form(self):
-        sb = build_section_basis(ProjectivePoint(3))
-        fsm = fs_from_gram(make_gram(np.eye(3, dtype=complex)), sb)
-        rng = np.random.default_rng(30)
-        pts = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
-        assert np.max(np.abs(fsm.kahler_form(pts) - fs_matrix(pts))) < 1e-10
-
-    def test_scaling_and_unitary(self):
-        sb = build_section_basis(LineBundleSumOverP1((0,), 2))
-        rng = np.random.default_rng(31)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        g = a @ a.conj().T + np.eye(3)
-        pts = rng.standard_normal((15, 1)) + 1j * rng.standard_normal((15, 1))
-        fsm = fs_from_gram(make_gram(g), sb)
-        # scaling: density divides by c, section norms multiply by c, form fixed
-        fsc = fs_from_gram(make_gram(3.0 * g), sb)
-        assert np.allclose(fsc.density(pts), fsm.density(pts) / 3.0)
-        assert np.max(np.abs(fsc.kahler_form(pts) - fsm.kahler_form(pts))) < 1e-10
-        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        assert np.allclose(fsc.section_norm2(w, pts), 3.0 * fsm.section_norm2(w, pts))
-        # unitary rotation of basis and Gram leaves the density invariant
-        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        v = sb.eval_embedding(pts)
-        p1 = np.linalg.inv(g)
-        d_rot = np.einsum("ni,ij,nj->n", v @ q, np.linalg.inv(q.conj().T @ g @ q), np.conj(v @ q)).real
-        assert np.allclose(d_rot, fsm.density(pts))
-
-    def test_two_route_curvature(self):
-        sb = build_section_basis(LineBundleSumOverP1((0,), 2))
-        rng = np.random.default_rng(32)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        fsm = fs_from_gram(make_gram(a @ a.conj().T + 0.5 * np.eye(3)), sb)
-        pts = rng.standard_normal((12, 1)) + 1j * rng.standard_normal((12, 1))
-        route_a = fsm.kahler_form(pts)
-        route_b = complex_hessian(lambda q: np.log(fsm.density(q)), pts)
-        assert np.max(np.abs(route_a - route_b)) < 1e-8
-
-    def test_density_positive(self):
-        sb = build_section_basis(ProjectivePoint(2))
-        fsm = fs_from_gram(make_gram(np.eye(2, dtype=complex)), sb)
-        rng = np.random.default_rng(33)
-        pts = 10.0 * (rng.standard_normal((50, 1)) + 1j * rng.standard_normal((50, 1)))
-        assert np.min(fsm.density(pts)) > 0

@@ -10,7 +10,6 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from projbalance.kahler import projective_space_atlas
 from projbalance.quadrature import chart_rule, integrate
 from projbalance.sections import (
     LineBundleSumOverP1,
@@ -161,19 +160,3 @@ class TestJets:
             e[axis] = h
             fd = (sb.eval_embedding(pts + e) - sb.eval_embedding(pts - e)) / (2 * h)
             assert np.max(np.abs(fd - jet[:, :, axis])) < 1e-7
-
-
-class TestAtlas:
-    def test_transition_inverse_consistency(self):
-        rng = np.random.default_rng(15)
-        for m in (1, 2, 3):
-            atlas = projective_space_atlas(m)
-            pts = rng.standard_normal((40, m)) + 1j * rng.standard_normal((40, m))
-            # keep away from the inversion center
-            pts[:, 0] += 3.0
-            assert atlas.transition_roundtrip_error(0, 1, pts) < 1e-12
-
-    def test_models_carry_atlas(self):
-        ms = LineBundleSumOverP1((0, 1), 2)
-        assert ms.atlas is not None
-        assert ms.atlas.charts[0].dim == ms.m
