@@ -39,6 +39,8 @@ from .kahler import (
 )
 from .metrics import (
     MatrixField,
+    _base_runs,
+    _dual_pairing,
     curvature_matrix,
     hat_weight,
     hermitian_einstein_residual,
@@ -126,21 +128,24 @@ def hat_form_matrix(metric, model, pts):
     first.  Equals the complex Hessian of log(lam H^{-1} lam*) against the
     affine frame lam = (1, xi); the metric enters through its exact
     derivative tables and the fiber dependence is closed-form.
+
+    H^{-1}, its derivatives and their H^{-1} sandwiches depend on the base
+    point alone.  They are evaluated once per run of equal consecutive base
+    rows (`_base_runs`), so once per base node on a total-space rule, and
+    only their contractions with lam run at every node.
     """
     z, xi = _split_points(model, pts)
     n = pts.shape[0]
     m = model.m
     d = model.n
+    r = metric.r
 
-    h = metric.matrix(z)
-    p = np.linalg.inv(h)
-    lam = np.concatenate([np.ones((n, 1), dtype=complex), xi], axis=1)
-    u = np.einsum("nij,nj->ni", p, np.conj(lam))
-    q = np.einsum("ni,ni->n", lam, u).real
-
-    dh = metric.d_matrix(z)
+    first, sizes = _base_runs(z)
+    zb = z[first]
+    p = metric.inverse(zb)
+    dh = metric.d_matrix(zb)
     dbarh = np.conj(np.swapaxes(dh, -1, -2))
-    ddh = metric.dd_matrix(z)
+    ddh = metric.dd_matrix(zb)
     pdh = np.einsum("nij,najk,nkl->nail", p, dh, p)
     pdbh = np.einsum("nij,nbjk,nkl->nbil", p, dbarh, p)
     dp = -pdh
@@ -150,9 +155,16 @@ def hat_form_matrix(metric, model, pts):
         + np.einsum("naij,nbjk,nkl->nabil", pdh, dbarh, p)
     )
 
-    dplam = np.einsum("ni,naij,nj->na", lam, dp, np.conj(lam))
-    ddplam = np.einsum("ni,nabij,nj->nab", lam, ddp, np.conj(lam))
-    lamdp = np.einsum("nj,naji->nai", lam, dp)
+    lam = np.concatenate([np.ones((n, 1), dtype=complex), xi], axis=1)
+    p = np.repeat(p, sizes, axis=0)
+    u, q = _dual_pairing(p, lam)
+    # lam dP_a and lam ddP_ab at every node, one batched matmul
+    ops = np.concatenate([dp, ddp.reshape(len(first), m * m, r, r)], axis=1)
+    lamop = (lam[:, None, None, :] @ np.repeat(ops, sizes, axis=0))[:, :, 0]
+    oplam = np.einsum("nkj,nj->nk", lamop, np.conj(lam))
+    lamdp = lamop[:, :m]
+    dplam = oplam[:, :m]
+    ddplam = oplam[:, m:].reshape(n, m, m)
 
     w = np.empty((n, d, d), dtype=complex)
     w[:, :m, :m] = (
@@ -301,8 +313,7 @@ def _fiber_geometry(metric, z, xi):
     nb, nf = xi.shape[:2]
     lam = np.concatenate([np.ones((nb, nf, 1), dtype=complex), xi], axis=2)
     p = metric.inverse(z)
-    u = np.einsum("nij,nfj->nfi", p, np.conj(lam))
-    q = np.einsum("nfi,nfi->nf", lam, u).real
+    _, q = _dual_pairing(p[:, None], lam)
     detwf = np.linalg.det(p).real[:, None] / q ** metric.r
     pairing = np.einsum("nfa,nfb->nfab", np.conj(lam), lam)
     return q, detwf, pairing
@@ -389,7 +400,12 @@ def l2_gram(basis, rule, weight, metric_values=None):
     wq = rule.weights * weight
     if metric_values is None:
         v = basis.eval_embedding(rule.points)
-        g = np.einsum("n,ni,nj->ij", wq, np.conj(v), v)
+        # one weighted conjugate copy, then GEMM; a weight that blew up
+        # is reported by the guard below
+        a = np.conj(v)
+        with np.errstate(invalid="ignore", over="ignore"):
+            a *= wq[:, None]
+            g = a.T @ v
     else:
         c = basis.eval_components(rule.points)
         g = np.einsum("n,nia,nab,njb->ij", wq, np.conj(c), metric_values, c)
@@ -496,11 +512,13 @@ class DirectDensity:
 
     def density(self, pts):
         pts = np.asarray(pts, dtype=complex)
-        v = self.basis.eval_embedding(pts)
-        raw = np.einsum("np,pq,nq->n", v, self.gram_inverse, np.conj(v)).real
         z = pts[:, : self.model.m]
         scale = hat_weight(self.metric, pts, self.model) \
             * np.exp(-float(self.model.k) * self.kahler.potential(z))
+        v = self.basis.eval_embedding(pts)
+        a = v @ self.gram_inverse
+        # v is ours: conjugate it in place rather than hold a second copy
+        raw = np.einsum("nq,nq->n", a, np.conj(v, out=v)).real
         return raw * scale
 
     def measure_density(self, pts):
@@ -519,10 +537,13 @@ def rho_direct(metric, kahler, model, rule=None, guard=1e12):
     weight and the level counting measure."""
     rule = rule if rule is not None else adapted_total_rule(metric, model)
     basis = build_section_basis(model)
+    # hat weight first: the measure's per-node temporaries then reuse the
+    # heap that the weight's leave behind, which would otherwise stay
+    # resident under l2_gram's (n, N) tables and raise the peak memory
+    hw = hat_weight(metric, rule.points, model)
     dens = level_volume_density(metric, kahler, model, rule.points)
     z = rule.points[:, : model.m]
-    weight = dens * hat_weight(metric, rule.points, model) \
-        * np.exp(-float(model.k) * kahler.potential(z))
+    weight = dens * hw * np.exp(-float(model.k) * kahler.potential(z))
     gram = l2_gram(basis, rule, weight)
     t = gram.whitener(guard=guard)
     logger.debug("direct density %s: N=%d, Gram condition %.3e",
@@ -541,8 +562,7 @@ def dual_point_projector(metric, z, lam):
     lam = np.asarray(lam, dtype=complex)
     if np.any(np.max(np.abs(lam), axis=1) == 0.0):
         raise ValueError("zero covector has no dual point")
-    u = np.einsum("nij,nj->ni", metric.inverse(z), np.conj(lam))
-    q = np.einsum("ni,ni->n", lam, u).real
+    u, q = _dual_pairing(metric.inverse(z), lam)
     return np.einsum("na,nb->nab", u, lam) / q[:, None, None]
 
 

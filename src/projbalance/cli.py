@@ -47,8 +47,11 @@ outputs (under --out, or the configured out_dir):
 
   report.json     schema 1; byte-identical across reruns of the same
                   configuration and seed except for the timestamp field
-  timings.json    run_seconds (wall clock of the whole run) and command,
-                  kept out of report.json
+  timings.json    wall-clock seconds, kept out of report.json:
+                  run_seconds (the whole run), command, levels (per
+                  level: job_seconds, and solve_seconds for balance) and,
+                  for verify, phases (volume-constants, quadrature,
+                  round-trip, fiber-averages, joint-linearization)
   checks.csv      name,k,value,reference,error,tolerance,passed,detail
 
 subcommand tables:
@@ -127,31 +130,54 @@ def _load_config(args):
     return cfg
 
 
+def _timed(fn, *args):
+    """fn(*args) and the wall-clock seconds it took."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
+
+
 def _run_jobs(fn, cfg, ks, workers):
     """Run one job per level, in parallel when asked.  Results come back
-    in level order either way, so reports do not depend on scheduling."""
+    in level order either way, so reports do not depend on scheduling.
+    Also returns the timings of each level, {str(k): {"job_seconds": s}},
+    measured in the process that ran the job."""
     if workers <= 1 or len(ks) <= 1:
-        return [fn(cfg, k) for k in ks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(ks))) as pool:
-        futures = [pool.submit(fn, cfg, k) for k in ks]
-        return [f.result() for f in futures]
+        timed = [_timed(fn, cfg, k) for k in ks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(ks))) as pool:
+            futures = [pool.submit(_timed, fn, cfg, k) for k in ks]
+            timed = [f.result() for f in futures]
+    levels = {str(k): {"job_seconds": seconds}
+              for k, (_, seconds) in zip(ks, timed)}
+    return [result for result, _ in timed], levels
 
 
 def _run_verify(cfg, workers):
     checks = []
-    checks.extend(suites.volume_constant_rows())
-    checks.extend(suites.quadrature_rows(cfg.n_radial))
-    checks.extend(suites.round_trip_rows(cfg.seed))
-    checks.extend(suites.fiber_average_rows(cfg.n_radial))
-    for rows in _run_jobs(suites.density_route_job, cfg, cfg.ks, workers):
+    phases = {}
+
+    def phase(name, fn, *args):
+        rows, phases[name] = _timed(fn, *args)
         checks.extend(rows)
-    checks.extend(suites.joint_linearization_rows(cfg.seed))
+
+    phase("volume-constants", suites.volume_constant_rows)
+    phase("quadrature", suites.quadrature_rows, cfg.n_radial)
+    phase("round-trip", suites.round_trip_rows, cfg.seed)
+    phase("fiber-averages", suites.fiber_average_rows, cfg.n_radial)
+    per_level, levels = _run_jobs(suites.density_route_job, cfg, cfg.ks,
+                                  workers)
+    for rows in per_level:
+        checks.extend(rows)
+    phase("joint-linearization", suites.joint_linearization_rows, cfg.seed)
     results = {"levels": list(cfg.ks)}
-    return checks, results, []
+    return checks, results, [], {"phases": phases, "levels": levels}
 
 
 def _run_balance(cfg, workers):
-    per_level = _run_jobs(suites.balance_job, cfg, cfg.ks, workers)
+    per_level, levels = _run_jobs(suites.balance_job, cfg, cfg.ks, workers)
+    for res in per_level:
+        levels[str(res["k"])]["solve_seconds"] = res["wall_time"]
     checks = suites.balance_rows(cfg, per_level)
     checks.append(suites.almost_balanced_row(cfg, per_level))
     csvs = []
@@ -178,7 +204,7 @@ def _run_balance(cfg, workers):
     results = {"levels": [
         {key: value for key, value in res.items() if key != "wall_time"}
         for res in per_level]}
-    return checks, results, csvs
+    return checks, results, csvs, {"levels": levels}
 
 
 def _run_expansion(cfg, workers):
@@ -187,12 +213,13 @@ def _run_expansion(cfg, workers):
             f"expansion needs at least three levels, got "
             f"{cfg.k_min}..{cfg.k_max}")
     if cfg.kind == "point":
-        per_level = _run_jobs(suites.degenerate_expansion_job, cfg, cfg.ks,
-                              workers)
+        per_level, levels = _run_jobs(suites.degenerate_expansion_job, cfg,
+                                      cfg.ks, workers)
         checks = suites.degenerate_expansion_rows(per_level)
         table = []
     else:
-        per_level = _run_jobs(suites.expansion_job, cfg, cfg.ks, workers)
+        per_level, levels = _run_jobs(suites.expansion_job, cfg, cfg.ks,
+                                      workers)
         checks, table = suites.expansion_assemble(cfg, per_level)
     csvs = []
     if table:
@@ -212,7 +239,7 @@ def _run_expansion(cfg, workers):
     results = {"levels": [
         {key: value for key, value in res.items() if key != "vals"}
         for res in per_level]}
-    return checks, results, csvs
+    return checks, results, csvs, {"levels": levels}
 
 
 def _run_spectrum(cfg, workers):
@@ -220,7 +247,7 @@ def _run_spectrum(cfg, workers):
         raise ConfigError(
             f"moment-spectrum needs at least three levels, got "
             f"{cfg.k_min}..{cfg.k_max}")
-    per_level = _run_jobs(suites.spectrum_job, cfg, cfg.ks, workers)
+    per_level, levels = _run_jobs(suites.spectrum_job, cfg, cfg.ks, workers)
     checks, exponent = suites.spectrum_assemble(cfg, per_level)
     csvs = [("spectrum.csv",
              ["k", "lambda_z", "smallest_eig", "kernel_dim", "dimension",
@@ -230,7 +257,7 @@ def _run_spectrum(cfg, workers):
                str(res["converged"]).lower(), repr(res["final_norm_op"])]
               for res in per_level])]
     results = {"levels": per_level, "exponent": exponent}
-    return checks, results, csvs
+    return checks, results, csvs, {"levels": levels}
 
 
 _RUNNERS = {
@@ -264,7 +291,8 @@ def main(argv=None):
 
     t0 = time.perf_counter()
     try:
-        checks, results, csvs = _RUNNERS[args.command](cfg, args.workers)
+        checks, results, csvs, timings = _RUNNERS[args.command](
+            cfg, args.workers)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
@@ -275,7 +303,7 @@ def main(argv=None):
 
     report = reports.build_report(args.command, cfg, checks, results,
                                   repro=_repro(args.command, args, cfg))
-    timings = {"run_seconds": run_time, "command": args.command}
+    timings.update(run_seconds=run_time, command=args.command)
     path = reports.write_report(report, cfg.out_dir, timings=timings)
     reports.write_csv(cfg.out_dir, "checks.csv",
                       ["name", "k", "value", "reference", "error",

@@ -322,24 +322,53 @@ def hermitian_einstein_residual(metric, kahler, rule):
 # hat metric on the relative hyperplane line
 # ---------------------------------------------------------------------------
 
+def _base_runs(z):
+    """Runs of equal consecutive rows of the base points z (n, m): the row
+    where each run starts and the run lengths, found without a sort.  A
+    total-space rule lists the fiber nodes over one base node in one
+    block, so base-only data is evaluated once per block and broadcast
+    with `np.repeat(x, sizes, axis=0)`; points without repeated neighbours
+    (samples, a shuffle) are runs of length one."""
+    z = np.asarray(z)
+    starts = np.ones(z.shape[0], dtype=bool)
+    starts[1:] = np.any(z[1:] != z[:-1], axis=1)
+    first = np.flatnonzero(starts)
+    return first, np.diff(first, append=z.shape[0])
+
+
+def _dual_pairing(hinv, lam):
+    """u = H^{-1} lam* and the dual pairing q = lam H^{-1} lam* of the
+    covectors lam (..., r); hinv (..., r, r) broadcasts against lam's
+    leading axes."""
+    u = np.einsum("...ij,...j->...i", hinv, np.conj(lam))
+    q = np.einsum("...i,...i->...", lam, u).real
+    return u, q
+
+
 def hat_weight_homogeneous(metric, z, lam):
     """Weight of the induced metric on the relative hyperplane line at the
     covector lam over base point z: 1 / (lam H^{-1} lam*).
 
+    H^{-1} depends on the base point alone: it is evaluated once per run
+    of equal consecutive rows of z (`_base_runs`), so once per base node
+    on a total-space rule, and only the pairing runs at every row.
     Section values against the frame lam get squared norm |v|^2 * weight.
     """
     z = np.asarray(z, dtype=complex)
     lam = np.asarray(lam, dtype=complex)
     if np.any(np.max(np.abs(lam), axis=1) == 0.0):
         raise ValueError("zero covector has no induced weight")
-    hinv = metric.inverse(z)
-    q = np.einsum("ni,nij,nj->n", lam, hinv, np.conj(lam)).real
+    first, sizes = _base_runs(z)
+    hinv = np.repeat(metric.inverse(z[first]), sizes, axis=0)
+    _, q = _dual_pairing(hinv, lam)
     return 1.0 / q
 
 
 def hat_weight(metric, pts, model):
     """Chart version: pts are (z, xi) points of the projectivized dual and
-    the covector is the affine frame (1, xi)."""
+    the covector is the affine frame (1, xi).  As in
+    `hat_weight_homogeneous`, the metric is evaluated once per run of equal
+    consecutive base rows, so once per base node on a total-space rule."""
     pts = np.asarray(pts, dtype=complex)
     z = pts[:, : model.m]
     xi = pts[:, model.m:]

@@ -48,6 +48,7 @@ from projbalance.metrics import (
     PerturbedBundleMetric,
     SplitBundleMetric,
     curvature_matrix,
+    hat_weight,
     mean_curvature,
 )
 from projbalance.sections import (
@@ -122,6 +123,21 @@ def eta_killing(z):
 def profile_axis(z):
     q = 1.0 + np.abs(z[:, 0]) ** 2
     return (1.0 - np.abs(z[:, 0]) ** 2) / q
+
+
+def base_varying_metric(m, r):
+    """Split metric with degrees (0, 1, ..., 1) plus a Hermitian term whose
+    off-diagonal entry varies over the base, so H, dH and ddH differ from
+    one base node to the next; positive on the whole chart."""
+    def kfn(z):
+        q = 1.0 + np.sum(np.abs(z) ** 2, axis=1)
+        out = np.zeros((z.shape[0], r, r), dtype=complex)
+        out[:, 0, 1] = 0.3 * np.sum(z, axis=1) / q
+        out[:, 0, 0] = 0.2 / q
+        return out + np.conj(np.swapaxes(out, 1, 2))
+
+    split = SplitBundleMetric(m, (0,) + (1,) * (r - 1))
+    return PerturbedBundleMetric(split, MatrixField(m, r, fn=kfn), 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +255,31 @@ class TestHatForm:
         pts = random_total_points(rng, 30, model)
         w = bg.hat_form_matrix(twisted_metric, model, pts)
         assert np.max(np.abs(w - np.conj(np.swapaxes(w, 1, 2)))) < 1e-13
+
+    @pytest.mark.parametrize("model", [
+        LineBundleSumOverP1((0, 1), 3),
+        LineBundleSumOverP1((0, 1, 1), 3),
+        TrivialBundleOverPm(2, 2, 2),
+    ], ids=lambda model: model.label)
+    def test_base_runs_match_row_by_row(self, model):
+        # base-only data is evaluated once per run of equal base rows and
+        # broadcast over the run: rule order (runs of one base node), a
+        # shuffle (runs of length one) and one base node in two
+        # non-adjacent runs of different lengths must agree node by node
+        metric = base_varying_metric(model.m, model.r)
+        rule = bg.adapted_total_rule(metric, model, n_radial=4)
+        nf = fiber_rule(model, n_radial=4).points.shape[0]
+        blocks = rule.points.reshape(-1, nf, model.n)
+        nb = blocks.shape[0]
+        pts = blocks[[0, nb // 3, 2 * nb // 3, nb - 1]].reshape(-1, model.n)
+        perm = np.random.default_rng(8).permutation(pts.shape[0])
+        split = np.r_[0:3, nf:nf + 5, 3:5]
+        for fn in (lambda p: bg.hat_form_matrix(metric, model, p),
+                   lambda p: hat_weight(metric, p, model)):
+            whole = fn(pts)
+            scale = np.max(np.abs(whole))
+            assert np.max(np.abs(fn(pts[perm]) - whole[perm])) <= 1e-14 * scale
+            assert np.max(np.abs(fn(pts[split]) - whole[split])) <= 1e-14 * scale
 
 
 class TestVolumeCoefficients:
@@ -596,6 +637,27 @@ class TestRho:
         assert len(calls) == 1
         assert np.array_equal(
             rho.measure, original(twisted_metric, FS1, model, rule.points))
+
+    def test_metric_evaluated_once_per_base_node(self, monkeypatch):
+        # H and its derivative tables depend on the base point alone: the
+        # push-forward and the direct density pass the metric base nodes,
+        # never the fiber nodes above them
+        metric = base_varying_metric(1, 2)
+        model = LineBundleSumOverP1((0, 1), 3)
+        rule, fib = base_rule(model, n_radial=6), fiber_rule(model, n_radial=6)
+        total = bg.adapted_total_rule(metric, model, n_radial=6)
+        rows = {}
+        for name in ("matrix", "d_matrix", "dd_matrix", "inverse"):
+            def counted(z, name=name, method=getattr(metric, name)):
+                rows.setdefault(name, []).append(np.asarray(z).shape[0])
+                return method(z)
+            monkeypatch.setattr(metric, name, counted)
+        bg.push_forward_table(metric, FS1, model, rule.points, rule=fib)
+        bg.rho_direct(metric, FS1, model, rule=total)
+        assert set(rows) == {"matrix", "d_matrix", "dd_matrix", "inverse"}
+        nb = rule.points.shape[0]
+        assert total.points.shape[0] == nb * fib.points.shape[0]
+        assert max(max(calls) for calls in rows.values()) <= nb
 
     def test_direct_route_matches_closed_form(self, twisted_density):
         rng = np.random.default_rng(18)

@@ -324,6 +324,22 @@ class TestVerifyRun:
         assert json.loads(timings)["run_seconds"] > 0.0
         assert "run_seconds" not in (out / "report.json").read_text()
 
+    def test_timings_record_phases_and_levels(self, verify_run):
+        _, out = verify_run
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings) == {"command", "run_seconds", "phases", "levels"}
+        assert timings["command"] == "verify"
+        assert set(timings["phases"]) == {
+            "volume-constants", "quadrature", "round-trip", "fiber-averages",
+            "joint-linearization"}
+        assert timings["levels"].keys() == {"2", "3"}
+        assert all(level.keys() == {"job_seconds"}
+                   for level in timings["levels"].values())
+        seconds = list(timings["phases"].values()) + [
+            level["job_seconds"] for level in timings["levels"].values()]
+        assert all(s > 0.0 for s in seconds)
+        assert sum(seconds) <= timings["run_seconds"]
+
     def test_default_config_passes(self, tmp_path):
         rc = cli.main(["verify", "--out", str(tmp_path / "out")])
         assert rc == 0
@@ -408,6 +424,16 @@ class TestBalanceRun:
         assert [lv["k"] for lv in levels] == [2, 3, 4]
         assert all(lv["converged"] for lv in levels)
         assert all(lv["final_norm_op"] < 1e-8 for lv in levels)
+
+    def test_timings_keep_the_solve_time(self, balance_run):
+        _, out = balance_run
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings) == {"command", "run_seconds", "levels"}
+        assert timings["levels"].keys() == {"2", "3", "4"}
+        for level in timings["levels"].values():
+            assert level.keys() == {"job_seconds", "solve_seconds"}
+            assert 0.0 < level["solve_seconds"] <= level["job_seconds"]
+        assert "solve_seconds" not in (out / "report.json").read_text()
 
     def test_zero_iterations_flagged_not_failed(self, tmp_path):
         text = TINY_BALANCE.replace("k_max = 4", "k_max = 2")
