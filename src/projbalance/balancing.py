@@ -24,8 +24,11 @@ Contents, bottom to top:
   the result, and `embedding_form_field` exposes the pulled-back metric at
   arbitrary points for comparability probes;
 * `sigma_z_operator` integrates squared normal components of the su(N)
-  action fields; `eig_estimate` and `lambda_z_scaling` extract its smallest
-  positive eigenvalue and its growth exponent along a k-sweep;
+  action fields without forming them: with P the normal projector at a
+  node, the integrand (xi_a u)^H P (xi_b u) / |u|^2 is a fixed contraction
+  of the generators with one N^2 x N^2 node sum, a single GEMM;
+  `eig_estimate` and `lambda_z_scaling` extract its smallest positive
+  eigenvalue and its growth exponent along a k-sweep;
 * `r_bounded_check` and `almost_balanced_check` are the acceptance gates:
   two-sided comparability of a metric against a reference, and decay-order
   classification of a moment sequence.
@@ -38,6 +41,12 @@ pairing of a node table against the pulled-back volume; the moment pairs
 the frame, the T-step the raw basis values, and the density the frame
 again.
 
+A state makes one geometry pass for the moment and the T-step together:
+its memo `EmbeddingState._pairings` keeps the volume and both pairings (a
+scalar and two N x N matrices, no node table), so an iteration computes
+`_fs_geometry` once per state it visits.  The node sums are matrix
+products on BLAS.
+
 All volumes are reduced by (2 pi)^dim as elsewhere in the package.
 """
 
@@ -45,6 +54,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -117,6 +127,9 @@ class EmbeddingState:
     `transform` columns are a G-orthonormal frame: transform^H G transform
     is the identity.  `values` and `jet` are the basis tables at the rule
     nodes, cached so iteration steps only pay for the N x N linear algebra.
+    `_pairings` memoizes what the moment and the T-step read, so a state
+    costs one geometry pass however many of them ask; it is N x N data and
+    a scalar, never a node table, and a new state starts without it.
     """
 
     model: object
@@ -135,6 +148,14 @@ class EmbeddingState:
     @property
     def count(self):
         return self.basis.count
+
+    @cached_property
+    def _pairings(self):
+        """Volume, frame pairing and basis pairing from one geometry pass:
+        all that `moment_map` and `t_map_step` read."""
+        u, _, kk, _, wq = _fs_geometry(self)
+        return (float(wq.sum()), _l2_pairing(u, kk, wq),
+                _l2_pairing(self.values, kk, wq))
 
 
 def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
@@ -199,7 +220,7 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
 
 def _mix(values, jet, mat):
     """Value and jet tables of the section family values @ mat."""
-    return values @ mat, np.einsum("npd,pq->nqd", jet, mat)
+    return values @ mat, np.matmul(mat.T, jet)
 
 
 def _pullback_data(u, du, dim):
@@ -214,8 +235,8 @@ def _pullback_data(u, du, dim):
     kk = np.einsum("np,np->n", u, np.conj(u)).real
     if not np.all(np.isfinite(kk)) or np.any(kk <= 0.0):
         raise NumericalGuardError("embedding kernel vanished at a node")
-    grad = np.einsum("npa,np->na", du, np.conj(u))
-    amat = np.einsum("npa,npb->nab", du, np.conj(du))
+    grad = (np.conj(u)[:, None, :] @ du)[:, 0, :]
+    amat = np.swapaxes(du, 1, 2) @ np.conj(du)
     gfs = (amat / kk[:, None, None]
            - grad[:, :, None] * np.conj(grad)[:, None, :]
            / (kk ** 2)[:, None, None])
@@ -237,7 +258,8 @@ def _l2_pairing(table, kk, wq):
     """L2 pairing of the columns of a node table against the pulled-back
     volume: sum_n (wq_n / K_n) conj(table_np) table_nq, with K the kernel
     and wq the weighted density returned by `_fs_geometry`."""
-    return np.einsum("n,np,nq->pq", wq / kk, np.conj(table), table)
+    weighted = np.conj(table) * (wq / kk)[:, None]
+    return weighted.T @ table
 
 
 def embedding_form_field(state):
@@ -293,9 +315,7 @@ def moment_map(state, rule=None):
     if rule is not None and rule is not state.rule:
         state = embedding_state(state.model, gram=state.gram.matrix,
                                 rule=rule, basis=state.basis)
-    u, _, kk, _, wq = _fs_geometry(state)
-    vol = float(wq.sum())
-    raw = _l2_pairing(u, kk, wq)
+    vol, raw, _ = state._pairings
     n = state.count
     dval = vol / n
     m = raw - dval * np.eye(n)
@@ -315,9 +335,7 @@ def t_map_step(state):
     points are exactly the balanced states; the det gauge removes the
     overall scale the embedding never sees.
     """
-    _, _, kk, _, wq = _fs_geometry(state)
-    vol = float(wq.sum())
-    raw = _l2_pairing(state.values, kk, wq)
+    vol, _, raw = state._pairings
     newg = (state.count / vol) * raw
     newg = 0.5 * (newg + newg.conj().T)
     newg /= np.linalg.det(newg).real ** (1.0 / state.count)
@@ -330,7 +348,7 @@ def _density_and_weights(state):
     u, _, kk, _, wq = _fs_geometry(state)
     raw = _l2_pairing(u, kk, wq)
     raw = 0.5 * (raw + raw.conj().T)
-    rho = np.einsum("pq,nq,np->n", np.linalg.inv(raw), np.conj(u), u).real
+    rho = ((np.conj(u) @ np.linalg.inv(raw).T) * u).sum(axis=1).real
     return rho / kk, wq
 
 
@@ -509,11 +527,17 @@ def sigma_z_operator(state, generators=None):
     At each node the tangent space of the image is spanned by the jet
     columns projected off the cone direction u; the field of a Hermitian
     generator xi is xi u, projected off the cone and the tangent frame and
-    normalized by |u|.  Rank-deficient nodes (branch points of the chosen
-    sub-system) are skipped with a warning."""
+    normalized by |u|.  With P the normal projector I - u u^H / K - U U^H
+    (U an orthonormal tangent frame, K = |u|^2) the integrand is
+    (xi_a u)^H P (xi_b u) / K, so Q is a fixed contraction of one
+    N^2 x N^2 matrix M = sum_n (w_n / K_n) P_n (x) conj(u_n) u_n^T with
+    the flattened generators, and no field is ever formed.  Rank-deficient
+    nodes (branch points of the chosen sub-system) get weight zero, with a
+    warning."""
     gens = su_basis(state.count) if generators is None else np.asarray(generators)
     u, du, kk, _, wq = _fs_geometry(state)
-    grad = np.einsum("npa,np->na", du, np.conj(u))
+    nodes, nn = u.shape
+    grad = (np.conj(u)[:, None, :] @ du)[:, 0, :]
     tang = du - u[:, :, None] * (grad / kk[:, None])[:, None, :]
     # batched orthonormal frames for the tangent columns
     uf, sv, _ = np.linalg.svd(tang, full_matrices=False)
@@ -524,14 +548,20 @@ def sigma_z_operator(state, generators=None):
         logger.warning(
             "sigma_z_operator: skipped %d node(s) with rank-deficient "
             "embedding jet", skipped)
-    fields = np.einsum("gpq,nq->gnp", gens, u)
-    cone = np.einsum("gnp,np->gn", fields, np.conj(u)) / kk[None, :]
-    fields = fields - cone[:, :, None] * u[None, :, :]
-    coef = np.einsum("gnp,npj->gnj", fields, np.conj(uf))
-    fields = fields - np.einsum("gnj,npj->gnp", coef, uf)
-    fields = fields / np.sqrt(kk)[None, :, None]
     wq_valid = np.where(valid, wq, 0.0)
-    q = np.einsum("n,gnp,hnp->gh", wq_valid, np.conj(fields), fields)
+    scale = wq_valid / kk
+    proj = uf @ np.conj(np.swapaxes(uf, 1, 2))
+    proj += u[:, :, None] * (np.conj(u) / kk[:, None])[:, None, :]
+    proj *= -scale[:, None, None]
+    proj[:, np.arange(nn), np.arange(nn)] += scale[:, None]
+    cone = np.conj(u)[:, :, None] * u[:, None, :]
+    # M[(j, k), (i, l)] = sum_n scale_n P_njk conj(u_ni) u_nl, then Q_ab =
+    # sum conj(xi_a[j, i]) M[(j, k), (i, l)] xi_b[k, l]
+    m = proj.reshape(nodes, nn * nn).T @ cone.reshape(nodes, nn * nn)
+    m = m.reshape(nn, nn, nn, nn).transpose(0, 2, 1, 3).reshape(
+        nn * nn, nn * nn)
+    flat = gens.reshape(gens.shape[0], nn * nn)
+    q = np.conj(flat) @ m @ flat.T
     q = 0.5 * (q + q.conj().T)
     return SigmaZOperator(q_matrix=q, generators=gens, skipped=skipped,
                           samples=int(np.count_nonzero(valid)),

@@ -32,6 +32,8 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["build_parser", "main"]
 
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+
 _EPILOG = """\
 configuration file (every key optional; defaults depend on the subcommand):
 
@@ -110,6 +112,12 @@ def build_parser():
                          help="parallel per-level jobs (default 1)")
         cmd.add_argument("--seed", metavar="S", type=int, default=None,
                          help="seed override")
+        cmd.add_argument("--log-level", metavar="LEVEL", type=str.upper,
+                         default="WARNING", choices=_LOG_LEVELS,
+                         help="projbalance log level: "
+                              + ", ".join(_LOG_LEVELS)
+                              + " (default WARNING; INFO logs one line per "
+                                "finished level)")
     return parser
 
 
@@ -279,8 +287,7 @@ def _repro(command, args, cfg):
 
 
 def main(argv=None):
-    logging.basicConfig(level=logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -288,6 +295,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 3
+    logging.getLogger(__package__).setLevel(args.log_level)
 
     t0 = time.perf_counter()
     try:

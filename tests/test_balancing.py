@@ -22,6 +22,7 @@ Frozen facts the tests lean on, derived independently of the implementation:
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -346,6 +347,71 @@ class TestBalanceIterate:
             assert report.converged, f"k={k} failed to converge"
 
 
+def count_geometry_passes(monkeypatch):
+    """Record the state of every `_fs_geometry` call."""
+    seen = []
+    real = bal._fs_geometry
+
+    def counting(state):
+        seen.append(state)
+        return real(state)
+
+    monkeypatch.setattr(bal, "_fs_geometry", counting)
+    return seen
+
+
+class TestOneGeometryPassPerState:
+    def test_balance_iterate(self, monkeypatch):
+        state = p1xp1_state(3)
+        seen = count_geometry_passes(monkeypatch)
+        report = bal.balance_iterate(state, tol=1e-8)
+        assert report.converged and report.iterations > 10
+        assert len(seen) == report.iterations + 1
+        assert len({id(s) for s in seen}) == len(seen)
+
+    def test_flow_iterate_counts_line_search_candidates(self, monkeypatch):
+        # a long first step forces the halving search to reject candidates
+        rng = np.random.default_rng(71)
+        state = veronese_state(gram=random_spd(rng, 3, scale=1.0))
+        made = []
+        real_state = bal.embedding_state
+
+        def recording_state(*args, **kwargs):
+            made.append(real_state(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(bal, "embedding_state", recording_state)
+        seen = count_geometry_passes(monkeypatch)
+        report = bal.flow_iterate(state, tol=1e-8, max_iter=200, step=8.0)
+        assert report.converged
+        assert len(made) > report.iterations  # some candidates rejected
+        distinct = {id(s) for s in seen}
+        assert len(distinct) == len(seen)
+        assert distinct == {id(s) for s in [state] + made}
+
+    def test_states_differing_only_in_gram_never_share_a_memo(
+            self, monkeypatch):
+        rng = np.random.default_rng(73)
+        first = veronese_state(gram=random_spd(rng, 3))
+        second = bal.embedding_state(first.model, gram=random_spd(rng, 3),
+                                     state_cache=first)
+        seen = count_geometry_passes(monkeypatch)
+        m1 = bal.moment_map(first).matrix
+        m2 = bal.moment_map(second).matrix
+        bal.moment_map(first)
+        bal.t_map_step(second)
+        assert len(seen) == 2
+        assert np.max(np.abs(m1 - m2)) > 1e-3
+        for st, got in ((first, m1), (second, m2)):
+            want, _ = dense_moment_oracle(st)
+            assert np.max(np.abs(got - want)) < 1e-10
+        # a copy with another Gram starts without the memo of its source
+        third = replace(first, gram=second.gram, transform=second.transform)
+        m3 = bal.moment_map(third).matrix
+        assert len(seen) == 3
+        assert np.max(np.abs(m3 - m2)) < 1e-14
+
+
 class TestDensityStats:
     def test_mass_equals_section_count_even_unbalanced(self):
         # trace identity: same-rule pairing makes the integral exactly N
@@ -573,7 +639,57 @@ def dense_qz_oracle(state):
     return q
 
 
+def normal_field_oracle(state, generators):
+    """Q_z from the normal fields themselves, built per node and per
+    generator: the field xi u, its cone projection off u, its tangent
+    projection off a QR frame of the cone-projected jet columns, then the
+    |u|-normalization, paired against the weighted volume density."""
+    u, du, kk, _, wq = bal._fs_geometry(state)
+    q = np.zeros((len(generators), len(generators)), dtype=complex)
+    for node in range(u.shape[0]):
+        un, kn = u[node], kk[node]
+        tang = du[node] - np.outer(un, un.conj() @ du[node]) / kn
+        frame, _ = np.linalg.qr(tang)
+        fields = []
+        for xi in generators:
+            y = xi @ un
+            y = y - (un.conj() @ y) / kn * un
+            y = y - frame @ (frame.conj().T @ y)
+            fields.append(y / math.sqrt(kn))
+        fields = np.array(fields)
+        q += wq[node] * fields.conj() @ fields.T
+    return q
+
+
+def p1xp1_state(k, gram=None, n_radial=6):
+    return bal.embedding_state(TrivialBundleOverPm(1, 2, k), gram=gram,
+                               n_radial=n_radial)
+
+
 class TestSigmaZ:
+    def test_matches_normal_field_oracle(self):
+        rng = np.random.default_rng(67)
+        state = p1xp1_state(2, gram=random_spd(rng, 6), n_radial=4)
+        gens = bal.su_basis(6)
+        want = normal_field_oracle(state, gens)
+        got = bal.sigma_z_operator(state).q_matrix
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        subset = gens[[0, 3, 17, 30, 34]]
+        want = normal_field_oracle(state, subset)
+        got = bal.sigma_z_operator(state, generators=subset).q_matrix
+        assert got.shape == (5, 5)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_trace_is_normal_rank_times_volume(self):
+        # sum_a xi_a P xi_a = tr(P) I - P / N over a trace-orthonormal su(N)
+        # basis and P u = 0, so tr Q = (N - 1 - n) V = (2k - 1) k on P1 x P1
+        k = 2
+        report = bal.balance_iterate(p1xp1_state(k), tol=1e-9)
+        assert report.converged
+        op = bal.sigma_z_operator(report.state)
+        want = (2 * k - 1) * k
+        assert abs(np.trace(op.q_matrix).real - want) <= 1e-10 * want
+
     def test_full_system_has_zero_operator(self):
         state = bal.embedding_state(ProjectivePoint(3), n_radial=10)
         op = bal.sigma_z_operator(state)

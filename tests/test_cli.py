@@ -9,6 +9,7 @@ file formats, and the byte-level determinism of report.json.
 
 import dataclasses
 import json
+import logging
 import re
 
 import pytest
@@ -435,6 +436,15 @@ class TestBalanceRun:
             assert 0.0 < level["solve_seconds"] <= level["job_seconds"]
         assert "solve_seconds" not in (out / "report.json").read_text()
 
+    def test_seed_two_is_comparable_at_k5(self):
+        # the comparability points lie in the unit polydisc; drawn from an
+        # unbounded Gaussian, seed 2 put one at |z| = 3.9 and failed here
+        text = TINY_BALANCE.replace("n_radial = 10", "n_radial = 6")
+        cfg = dataclasses.replace(parse_config_text(text), seed=2)
+        res = suites.balance_job(cfg, 5)
+        assert res["comparable"]
+        assert res["comparable_c_a"] < cfg.r_bound
+
     def test_zero_iterations_flagged_not_failed(self, tmp_path):
         text = TINY_BALANCE.replace("k_max = 4", "k_max = 2")
         text += "\n[solver]\nbalance_tol = 1e-12\nmax_iter = 0\n"
@@ -527,14 +537,21 @@ class TestSpectrumRun:
         row = next(r for r in report["checks"]
                    if r["name"] == "spectrum-monotone")
         assert row["passed"] is True
+        levels = report["results"]["levels"]
+        assert [lv["k"] for lv in levels] == [1, 2, 3]
+        # O(1) on P^1 is a full linear system, balanced from the start
+        assert levels[0]["iterations"] == 0
+        assert all(lv["iterations"] > 0 for lv in levels[1:])
 
     def test_gradient_flow_method_runs_the_flow(self, monkeypatch):
         original = bal.flow_iterate
         calls = []
+        reports = []
 
         def recording(state, **kwargs):
             calls.append(kwargs)
-            return original(state, **kwargs)
+            reports.append(original(state, **kwargs))
+            return reports[-1]
 
         monkeypatch.setattr(bal, "flow_iterate", recording)
         cfg = dataclasses.replace(parse_config_text(TINY_SPECTRUM),
@@ -543,3 +560,41 @@ class TestSpectrumRun:
         assert calls == [{"tol": cfg.balance_tol, "max_iter": cfg.max_iter,
                           "step": 0.5}]
         assert result["converged"]
+        assert result["iterations"] == reports[0].iterations
+
+
+class TestLogLevel:
+    @pytest.fixture(autouse=True)
+    def restore_package_level(self):
+        logger = logging.getLogger("projbalance")
+        level = logger.level
+        yield
+        logger.setLevel(level)
+
+    @staticmethod
+    def level_lines(caplog):
+        return [rec.getMessage() for rec in caplog.records
+                if rec.name == "projbalance.suites"
+                and rec.levelno == logging.INFO]
+
+    def test_info_logs_one_line_per_level(self, tmp_path, caplog):
+        path = write_config(tmp_path, TINY_SPECTRUM)
+        assert cli.main(["moment-spectrum", "--config", path,
+                         "--out", str(tmp_path / "out"),
+                         "--log-level", "info"]) == 0
+        lines = self.level_lines(caplog)
+        assert [line.split(":")[0] for line in lines] == [
+            "spectrum k=1", "spectrum k=2", "spectrum k=3"]
+
+    def test_default_level_is_warning(self, tmp_path, caplog):
+        path = write_config(tmp_path, TINY_SPECTRUM)
+        assert cli.main(["moment-spectrum", "--config", path,
+                         "--out", str(tmp_path / "out")]) == 0
+        assert self.level_lines(caplog) == []
+        assert logging.getLogger("projbalance").level == logging.WARNING
+
+    def test_unknown_level_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, TINY_SPECTRUM)
+        assert cli.main(["moment-spectrum", "--config", path,
+                         "--log-level", "chatty"]) == 3
+        assert "--log-level" in capsys.readouterr().err
