@@ -27,8 +27,9 @@ Contents, bottom to top:
   action fields without forming them: with P the normal projector at a
   node, the integrand (xi_a u)^H P (xi_b u) / |u|^2 is a fixed contraction
   of the generators with one N^2 x N^2 node sum, a single GEMM;
-  `eig_estimate` and `lambda_z_scaling` extract its smallest positive
-  eigenvalue and its growth exponent along a k-sweep;
+  `eig_estimate` extracts its smallest positive eigenvalue and
+  `lambda_fit_exponent` the growth exponent of the reciprocal along a
+  k-sweep (the sweep itself is `suites.spectrum_job`);
 * `r_bounded_check` and `almost_balanced_check` are the acceptance gates:
   two-sided comparability of a metric against a reference, and decay-order
   classification of a moment sequence.
@@ -53,7 +54,7 @@ All volumes are reduced by (2 pi)^dim as elsewhere in the package.
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -84,9 +85,7 @@ __all__ = [
     "sigma_z_operator",
     "EigEstimate",
     "eig_estimate",
-    "LambdaTable",
     "lambda_fit_exponent",
-    "lambda_z_scaling",
     "RBoundedReport",
     "r_bounded_check",
     "OrderVerdict",
@@ -304,7 +303,7 @@ class MomentValue:
         return self.matrix.shape[0]
 
 
-def moment_map(state, rule=None):
+def moment_map(state):
     """Moment of an embedding state: the orthonormal-frame L2 Gram against
     the pulled-back volume, minus (V/N) times the identity.
 
@@ -312,9 +311,6 @@ def moment_map(state, rule=None):
     so tr(raw) is the volume itself; what remains measures the failure of
     the frame to be orthonormal in its own induced L2 structure.
     """
-    if rule is not None and rule is not state.rule:
-        state = embedding_state(state.model, gram=state.gram.matrix,
-                                rule=rule, basis=state.basis)
     vol, raw, _ = state._pairings
     n = state.count
     dval = vol / n
@@ -611,16 +607,6 @@ def eig_estimate(op, k, kernel_tol=1e-8):
                        k=int(k))
 
 
-@dataclass(frozen=True)
-class LambdaTable:
-    """Per-level spectral estimates along a k-sweep and the log-log growth
-    exponent of lambda_z over the levels where it is positive."""
-
-    ks: tuple
-    estimates: tuple
-    exponent: float
-
-
 def lambda_fit_exponent(ks, lambda_values):
     """Log-log growth slope of positive lambda values over their levels.
 
@@ -634,35 +620,6 @@ def lambda_fit_exponent(ks, lambda_values):
     lk = np.log([k for k, _ in usable])
     ll = np.log([lam for _, lam in usable])
     return float(np.polyfit(lk, ll, 1)[0])
-
-
-def lambda_z_scaling(model, ks, n_radial=12, tol=1e-9, max_iter=400):
-    """Balance the model at each level k and tabulate 1 / min-eig(Q_z).
-
-    Needs at least three levels for the growth fit.  Levels where the
-    operator vanishes identically (full linear systems) enter the table
-    with the 0.0 sentinel and are excluded from the fit.
-    """
-    ks = tuple(int(k) for k in ks)
-    if len(ks) < 3:
-        raise ValueError(
-            f"k grid needs at least three levels for a growth fit, got {ks}")
-    estimates = []
-    for k in ks:
-        mk = replace(model, k=k)
-        state = embedding_state(mk, n_radial=n_radial)
-        report = balance_iterate(state, tol=tol, max_iter=max_iter)
-        if not report.converged:
-            logger.warning(
-                "lambda_z_scaling: k=%d stopped at moment norm %.3e "
-                "(tolerance %.1e)", k, report.trajectory[-1][1], tol)
-        op = sigma_z_operator(report.state)
-        est = eig_estimate(op, k)
-        estimates.append(est)
-        logger.debug("lambda_z_scaling: k=%d lambda=%.6e kernel=%d",
-                     k, est.lambda_z, est.kernel_dim)
-    exponent = lambda_fit_exponent(ks, [e.lambda_z for e in estimates])
-    return LambdaTable(ks=ks, estimates=tuple(estimates), exponent=exponent)
 
 
 # ---------------------------------------------------------------------------

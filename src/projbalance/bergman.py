@@ -12,7 +12,8 @@ The chain implemented here, bottom to top:
   (`rho_direct` integrates on the total space, `rho_via_trace` contracts
   the endomorphism against a rank-one projector);
 * candidate first-correction fields (`a1_formula`, `a1_alternative`), the
-  sweep fitter (`expansion_fit`), and the joint linearization of the first
+  sweep fitter (`expansion_fit`, on the levels and the endomorphism
+  values each level produced), and the joint linearization of the first
   correction in a metric/form direction (`a11_apply`) together with the
   fourth-order scalar operator it contains (`lichnerowicz_apply`,
   `scalar_curvature_variation`).
@@ -341,9 +342,7 @@ def push_forward_table(metric, kahler, model, z, rule=None):
     nb, nf = z.shape[0], rule.points.shape[0]
     pts, jac2 = _adapted_fiber_points(metric, model, z, rule.points)
 
-    w = hat_form_matrix(metric, model, pts)
-    om = lifted_base_form(kahler, model, pts)
-    e = mixed_volume_coefficients(w, om, m).reshape(m + 1, nb, nf)
+    e = volume_coefficients(metric, kahler, model, pts).reshape(m + 1, nb, nf)
     f = e / e[m]
 
     # after hat_form_matrix: its temporaries are the memory peak, and the
@@ -452,10 +451,11 @@ def bergman_endomorphism(metric, kahler, model, rule=None, fiber=None, table=Non
     The Gram weights sections by the level metric (the fiber data pushed to
     the base), the degree-k potential weight, and the reduced base volume;
     the orthonormalization guard trips when the Gram condition number
-    exceeds `guard`.
+    exceeds `guard`.  The push-forward table does not depend on k: a sweep
+    builds it once on the base rule nodes and passes it as `table`;
+    without one it is built here on the `fiber` rule.
     """
     rule = rule if rule is not None else base_rule(model)
-    fiber = fiber if fiber is not None else fiber_rule(model)
     if table is None:
         table = push_forward_table(metric, kahler, model, rule.points, rule=fiber)
     elif not np.array_equal(table.points, rule.points):
@@ -479,14 +479,10 @@ def bergman_sweep(metric, kahler, model, ks, rule=None, fiber=None, guard=1e12):
     """Level endomorphisms across a twist grid, sharing the quadrature
     rules and the k-independent push-forward table."""
     rule = rule if rule is not None else base_rule(model)
-    fiber = fiber if fiber is not None else fiber_rule(model)
     table = push_forward_table(metric, kahler, model, rule.points, rule=fiber)
-    out = []
-    for k in ks:
-        level = replace(model, k=int(k))
-        out.append(bergman_endomorphism(
-            metric, kahler, level, rule=rule, fiber=fiber, table=table, guard=guard))
-    return out
+    return [bergman_endomorphism(metric, kahler, replace(model, k=int(k)),
+                                 rule=rule, table=table, guard=guard)
+            for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -620,17 +616,21 @@ class ExpansionFit:
     sup-norm defect at level ks[j] and residual_slope its log-log rate."""
 
     ks: np.ndarray
-    points: np.ndarray
     coefficients: np.ndarray
     residuals: np.ndarray
     residual_slope: float
 
 
-def expansion_fit(sweep, points, orders=2):
-    """Fit sum_i A_i k^(m-i), i = 1..orders-1, to a sweep of level
-    endomorphisms after subtracting the pinned k^m identity term."""
-    sweep = sorted(sweep, key=lambda b: b.k)
-    ks = np.array([b.k for b in sweep], dtype=float)
+def expansion_fit(ks, values, m, orders=2):
+    """Fit sum_i A_i k^(m-i), i = 1..orders-1, to level endomorphism values
+    after subtracting the pinned k^m identity term.
+
+    values[j] holds the endomorphism at level ks[j] on one fixed set of
+    points, shape (levels, n, r, r); m is the base dimension."""
+    ks = np.asarray(ks, dtype=float)
+    values = np.asarray(values)
+    if values.shape[0] != len(ks):
+        raise ValueError("values must hold one level per entry of ks")
     if len(ks) < 3:
         raise ValueError("expansion grid needs at least 3 levels")
     if len(np.unique(ks)) != len(ks):
@@ -638,10 +638,10 @@ def expansion_fit(sweep, points, orders=2):
     if orders < 2 or orders > len(ks):
         raise ValueError("orders must be between 2 and the number of levels")
 
-    points = np.asarray(points, dtype=complex)
-    m, r = sweep[0].model.m, sweep[0].model.r
-    vals = np.stack([b.endomorphism(points) for b in sweep])
-    y = vals - ks[:, None, None, None] ** m * np.eye(r)
+    order = np.argsort(ks, kind="stable")
+    ks, values = ks[order], values[order]
+    r = values.shape[-1]
+    y = values - ks[:, None, None, None] ** m * np.eye(r)
 
     design = ks[:, None] ** (m - np.arange(1, orders)[None, :])
     coef, *_ = np.linalg.lstsq(design, y.reshape(len(ks), -1), rcond=None)
@@ -651,8 +651,7 @@ def expansion_fit(sweep, points, orders=2):
     logger.debug("expansion fit: %d levels, orders=%d, residual slope %.3f",
                  len(ks), orders, slope)
     return ExpansionFit(
-        ks=ks, points=points,
-        coefficients=coef.reshape(orders - 1, points.shape[0], r, r),
+        ks=ks, coefficients=coef.reshape((orders - 1,) + values.shape[1:]),
         residuals=residuals, residual_slope=slope)
 
 

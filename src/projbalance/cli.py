@@ -19,6 +19,7 @@ checks passed, 1 at least one check failed, 2 a numerical guard tripped
 
 import argparse
 import dataclasses
+import functools
 import logging
 import sys
 import time
@@ -51,9 +52,11 @@ outputs (under --out, or the configured out_dir):
                   configuration and seed except for the timestamp field
   timings.json    wall-clock seconds, kept out of report.json:
                   run_seconds (the whole run), command, levels (per
-                  level: job_seconds, and solve_seconds for balance) and,
-                  for verify, phases (volume-constants, quadrature,
-                  round-trip, fiber-averages, joint-linearization)
+                  level: job_seconds, and solve_seconds for balance) and
+                  phases: for verify volume-constants, quadrature,
+                  round-trip, fiber-averages, push-forward-table and
+                  joint-linearization; for expansion off a point base,
+                  push-forward-table (built once, shared by the levels)
   checks.csv      name,k,value,reference,error,tolerance,passed,detail
 
 subcommand tables:
@@ -173,8 +176,11 @@ def _run_verify(cfg, workers):
     phase("quadrature", suites.quadrature_rows, cfg.n_radial)
     phase("round-trip", suites.round_trip_rows, cfg.seed)
     phase("fiber-averages", suites.fiber_average_rows, cfg.n_radial)
-    per_level, levels = _run_jobs(suites.density_route_job, cfg, cfg.ks,
-                                  workers)
+    table, phases["push-forward-table"] = _timed(suites.trace_route_table,
+                                                 cfg)
+    per_level, levels = _run_jobs(
+        functools.partial(suites.density_route_job, table=table), cfg,
+        cfg.ks, workers)
     for rows in per_level:
         checks.extend(rows)
     phase("joint-linearization", suites.joint_linearization_rows, cfg.seed)
@@ -220,14 +226,18 @@ def _run_expansion(cfg, workers):
         raise ConfigError(
             f"expansion needs at least three levels, got "
             f"{cfg.k_min}..{cfg.k_max}")
+    timings = {}
     if cfg.kind == "point":
         per_level, levels = _run_jobs(suites.degenerate_expansion_job, cfg,
                                       cfg.ks, workers)
         checks = suites.degenerate_expansion_rows(per_level)
         table = []
     else:
-        per_level, levels = _run_jobs(suites.expansion_job, cfg, cfg.ks,
-                                      workers)
+        push_forward, seconds = _timed(suites.trace_route_table, cfg)
+        timings["phases"] = {"push-forward-table": seconds}
+        per_level, levels = _run_jobs(
+            functools.partial(suites.expansion_job, table=push_forward),
+            cfg, cfg.ks, workers)
         checks, table = suites.expansion_assemble(cfg, per_level)
     csvs = []
     if table:
@@ -247,7 +257,7 @@ def _run_expansion(cfg, workers):
     results = {"levels": [
         {key: value for key, value in res.items() if key != "vals"}
         for res in per_level]}
-    return checks, results, csvs, {"levels": levels}
+    return checks, results, csvs, {**timings, "levels": levels}
 
 
 def _run_spectrum(cfg, workers):

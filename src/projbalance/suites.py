@@ -11,8 +11,15 @@ and writes the results out.  Rows share one shape:
 `passed` is None for informational rows (tables the run reports without
 judging); those never affect the exit code.  Per-level functions
 (`density_route_job`, `balance_job`, `expansion_job`, `spectrum_job`) are
-module-level and take only the configuration and the level, so a process
-pool can run them in parallel; everything they return is picklable.
+module-level and take the configuration and the level, so a process pool
+can run them in parallel; everything they return is picklable.
+
+The trace route's push-forward table does not depend on the level.  A run
+builds it once with `trace_route_table` and passes it to every
+`density_route_job` and `expansion_job` as `table`, into worker processes
+too.  The direct route's k-independent arrays (its adapted total rule,
+volume coefficients and hat weight) are sized by the total rule and stay
+per level: holding them across the sweep raises the peak memory.
 """
 
 import logging
@@ -49,6 +56,7 @@ __all__ = [
     "quadrature_rows",
     "round_trip_rows",
     "fiber_average_rows",
+    "trace_route_table",
     "density_route_job",
     "joint_linearization_rows",
     "balance_job",
@@ -184,15 +192,31 @@ def _sample_total_points(model, n_points, rng):
     return pts
 
 
-def density_route_job(cfg, k):
-    """Cross-check of the two density routes at one level: the total-chart
-    squared-norm sum against the trace of the base endomorphism, at random
-    sample points, plus the exact-mass bookkeeping row."""
-    model = build_model(cfg, k)
+def trace_route_table(cfg):
+    """The trace route's k-independent data for a sweep: the push-forward
+    table on the base rule nodes, or None on a point base, where no level
+    reads it."""
+    model = build_model(cfg)
     if model.m == 0:
-        return [_row("density-route", k=k,
-                     detail="point base: both routes coincide by "
-                            "construction, nothing to cross")]
+        return None
+    table = bg.push_forward_table(
+        build_metric(cfg), build_kahler(cfg), model,
+        base_rule(model, n_radial=cfg.n_radial).points,
+        rule=fiber_rule(model, n_radial=cfg.n_radial))
+    # the table outlives every level: copies made after the build's
+    # node-sized temporaries are freed keep its small arrays from pinning
+    # those on the heap (built in place, they kept about 21 MiB resident
+    # through some verify runs, depending on the process's heap layout)
+    return bg.PushForwardTable(points=table.points.copy(),
+                               m_tilde=table.m_tilde.copy(),
+                               psi=table.psi.copy())
+
+
+def _density_routes(cfg, k, table):
+    """Both density routes at one level, each on its own data: the direct
+    route on the adapted total rule, and the level endomorphism that the
+    trace route contracts, from the shared push-forward `table`."""
+    model = build_model(cfg, k)
     metric = build_metric(cfg)
     kahler = build_kahler(cfg)
     direct = bg.rho_direct(
@@ -200,8 +224,21 @@ def density_route_job(cfg, k):
         rule=bg.adapted_total_rule(metric, model, n_radial=cfg.n_radial))
     level = bg.bergman_endomorphism(
         metric, kahler, model,
-        rule=base_rule(model, n_radial=cfg.n_radial),
-        fiber=fiber_rule(model, n_radial=cfg.n_radial))
+        rule=base_rule(model, n_radial=cfg.n_radial), table=table)
+    return direct, level
+
+
+def density_route_job(cfg, k, table):
+    """Cross-check of the two density routes at one level: the total-chart
+    squared-norm sum against the trace of the base endomorphism, at random
+    sample points, plus the exact-mass bookkeeping row.  `table` is
+    `trace_route_table(cfg)`."""
+    model = build_model(cfg, k)
+    if model.m == 0:
+        return [_row("density-route", k=k,
+                     detail="point base: both routes coincide by "
+                            "construction, nothing to cross")]
+    direct, level = _density_routes(cfg, k, table)
     rng = np.random.default_rng(cfg.seed + 1009 * k)
     pts = _sample_total_points(model, cfg.n_points, rng)
     da = direct.density(pts)
@@ -433,27 +470,12 @@ def expansion_eval_points(cfg):
     return pts
 
 
-class _StoredLevel(namedtuple("_StoredLevel", "k model vals")):
-    """Adapter replaying precomputed endomorphism values into the fit."""
-
-    def endomorphism(self, pts):
-        return self.vals
-
-
-def expansion_job(cfg, k):
+def expansion_job(cfg, k, table):
     """One level of an expansion sweep: endomorphism values at the shared
-    sample points plus density-constancy statistics."""
-    model = build_model(cfg, k)
-    metric = build_metric(cfg)
-    kahler = build_kahler(cfg)
-    level = bg.bergman_endomorphism(
-        metric, kahler, model,
-        rule=base_rule(model, n_radial=cfg.n_radial),
-        fiber=fiber_rule(model, n_radial=cfg.n_radial))
+    sample points plus density-constancy statistics.  `table` is
+    `trace_route_table(cfg)`."""
+    direct, level = _density_routes(cfg, k, table)
     vals = level.endomorphism(expansion_eval_points(cfg))
-    direct = bg.rho_direct(
-        metric, kahler, model,
-        rule=bg.adapted_total_rule(metric, model, n_radial=cfg.n_radial))
     dens = direct.density(direct.rule.points)
     measure = direct.measure
     vol = float(integrate(direct.rule, measure))
@@ -464,7 +486,7 @@ def expansion_job(cfg, k):
     return {
         "k": int(k),
         "vals": vals,
-        "sections": int(riemann_roch_dimension(model)["N"]),
+        "sections": int(riemann_roch_dimension(direct.model)["N"]),
         "mass": mass,
         "volume": vol,
         "rho_mean": mean,
@@ -482,12 +504,12 @@ def expansion_assemble(cfg, results):
     pts = expansion_eval_points(cfg)
     metric = build_metric(cfg)
     kahler = build_kahler(cfg)
-    levels = [_StoredLevel(k=res["k"], model=build_model(cfg, res["k"]),
-                           vals=res["vals"]) for res in results]
-    orders = min(3, len(levels))
-    fit = bg.expansion_fit(levels, pts, orders=orders)
-    fitted = fit.coefficients[0]
     model = build_model(cfg)
+    orders = min(3, len(results))
+    fit = bg.expansion_fit([res["k"] for res in results],
+                           [res["vals"] for res in results], model.m,
+                           orders=orders)
+    fitted = fit.coefficients[0]
     alternative = bg.a1_alternative(
         metric, kahler, model, pts,
         rule=fiber_rule(model, n_radial=cfg.n_radial))

@@ -25,6 +25,8 @@ import numpy as np
 
 from projbalance import balancing as bal
 from projbalance import bergman as bg
+from projbalance import suites
+from projbalance.config import ExperimentConfig
 from projbalance.kahler import FubiniStudy, PerturbedKahler
 from projbalance.metrics import (
     ConstantBundleMetric,
@@ -180,7 +182,8 @@ def test_c05_flat_model_first_correction_closed_form():
                              fiber=fiber_rule(model, n_radial=16))
     pts = np.array([[0.0], [0.3 + 0.2j], [-0.7j], [1.1], [0.5 - 0.4j],
                     [-0.2 + 0.9j]], dtype=complex)
-    fit = bg.expansion_fit(sweep, pts, orders=2)
+    fit = bg.expansion_fit(ks, [b.endomorphism(pts) for b in sweep], model.m,
+                           orders=2)
     a1 = fit.coefficients[0]
     eye = np.eye(model.r)
     half_s = 0.5 * FS1.scalar_curvature(pts)[:, None, None] * eye
@@ -213,7 +216,8 @@ def test_c05_companion_split_model_first_correction():
                              fiber=fiber_rule(model, n_radial=20))
     pts = np.array([[0.0], [0.3 + 0.2j], [-0.7j], [1.1], [0.5 - 0.4j],
                     [-0.2 + 0.9j]], dtype=complex)
-    fit = bg.expansion_fit(sweep, pts, orders=3)
+    fit = bg.expansion_fit(ks, [b.endomorphism(pts) for b in sweep], model.m,
+                           orders=3)
     a1 = fit.coefficients[0]
     alternative = bg.a1_alternative(metric, FS1, model, pts,
                                     rule=fiber_rule(model, 20))
@@ -353,17 +357,21 @@ def test_c09_normal_spectrum_scaling():
     """Balanced full systems of increasing degree on the line: the
     smallest positive normal-action eigenvalue shrinks, its reciprocal
     grows monotonically with log-log slope at most 4.5 over levels 1..5.
-    Budget 10 minutes."""
+    Runs the moment-spectrum suite's per-level job and assembly.  Budget
+    10 minutes."""
     t0 = time.perf_counter()
-    table = bal.lambda_z_scaling(LineBundleSumOverP1((0,), 1),
-                                 ks=(1, 2, 3, 4, 5), n_radial=12, tol=1e-9)
-    lambdas = [est.lambda_z for est in table.estimates if est.lambda_z > 0.0]
+    cfg = ExperimentConfig(kind="p1-sum", degrees=(0,), k_min=1, k_max=5,
+                           n_radial=12, balance_tol=1e-9, max_iter=400)
+    results = [suites.spectrum_job(cfg, k) for k in cfg.ks]
+    rows, exponent = suites.spectrum_assemble(cfg, results)
+    lambdas = [res["lambda_z"] for res in results if res["lambda_z"] > 0.0]
     elapsed = time.perf_counter() - t0
-    assert not math.isnan(table.exponent), "no positive levels to fit"
-    assert table.exponent <= 4.5, f"growth exponent {table.exponent:.2f}"
+    assert not math.isnan(exponent), "no positive levels to fit"
+    assert exponent <= 4.5, f"growth exponent {exponent:.2f}"
     assert len(lambdas) >= 2
     assert all(b > a for a, b in zip(lambdas, lambdas[1:])), \
         f"lambda table not monotone: {lambdas}"
+    assert all(row["passed"] for row in rows), rows
     assert elapsed < 600.0, f"budget 10 min exceeded: {elapsed:.1f} s"
 
 

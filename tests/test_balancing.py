@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from projbalance.config import ExperimentConfig
 from projbalance.errors import NumericalGuardError
 from projbalance.kahler import FubiniStudy, complex_hessian, fs_matrix
 from projbalance.metrics import SplitBundleMetric, make_gram
@@ -44,6 +45,7 @@ from projbalance.sections import (
     total_rule,
 )
 from projbalance import balancing as bal
+from projbalance import suites
 
 logger = logging.getLogger(__name__)
 
@@ -747,33 +749,34 @@ class TestSigmaZ:
 # lambda_z scaling
 # ---------------------------------------------------------------------------
 
+def spectrum_sweep(ks, n_radial, **model):
+    """lambda_z per level and its growth exponent, from the moment-spectrum
+    suite's per-level job and assembly at balance tolerance 1e-9."""
+    cfg = ExperimentConfig(k_min=min(ks), k_max=max(ks), n_radial=n_radial,
+                           balance_tol=1e-9, max_iter=400, **model)
+    results = [suites.spectrum_job(cfg, k) for k in cfg.ks]
+    _, exponent = suites.spectrum_assemble(cfg, results)
+    return [res["lambda_z"] for res in results], exponent
+
+
 class TestLambdaZScaling:
     def test_point_base_constant_in_k(self):
-        table = bal.lambda_z_scaling(ProjectivePoint(2), ks=(1, 2, 3),
-                                     n_radial=8)
-        lam = np.array([e.lambda_z for e in table.estimates])
+        lam, _ = spectrum_sweep((1, 2, 3), 8, kind="point", rank=2)
+        lam = np.array(lam)
         assert np.max(np.abs(lam - lam[0])) < 1e-8 * max(1.0, abs(lam[0]))
 
     def test_projective_line_table(self):
-        model = LineBundleSumOverP1((0,), 1)
-        table = bal.lambda_z_scaling(model, ks=range(1, 6), n_radial=10)
-        lam = [e.lambda_z for e in table.estimates]
+        lam, exponent = spectrum_sweep(range(1, 6), 10, degrees=(0,))
         assert lam[0] == 0.0  # k=1: identity embedding, no normal directions
         used = np.array(lam[1:])
         assert np.all(np.diff(used) > 0.0)
-        assert table.exponent <= 4.5
+        assert exponent <= 4.5
 
     def test_doubling_quadrature_is_stable(self):
-        model = LineBundleSumOverP1((0,), 1)
-        t1 = bal.lambda_z_scaling(model, ks=(2, 3, 4), n_radial=10)
-        t2 = bal.lambda_z_scaling(model, ks=(2, 3, 4), n_radial=20)
-        l1 = np.array([e.lambda_z for e in t1.estimates])
-        l2 = np.array([e.lambda_z for e in t2.estimates])
+        l1, _ = spectrum_sweep((2, 3, 4), 10, degrees=(0,))
+        l2, _ = spectrum_sweep((2, 3, 4), 20, degrees=(0,))
+        l1, l2 = np.array(l1), np.array(l2)
         assert np.max(np.abs(l1 - l2) / l2) < 0.01
-
-    def test_grid_too_short(self):
-        with pytest.raises(ValueError, match="at least three"):
-            bal.lambda_z_scaling(LineBundleSumOverP1((0,), 1), ks=(2, 3))
 
     def test_fit_exponent_recovers_exact_power(self):
         ks = (1, 2, 3, 4)

@@ -775,18 +775,41 @@ class TestFirstCorrection:
 # expansion fit
 # ---------------------------------------------------------------------------
 
+def fit_sweep(sweep, pts, orders=2):
+    """Expansion fit of a list of level endomorphisms at `pts`."""
+    return bg.expansion_fit([b.k for b in sweep],
+                            [b.endomorphism(pts) for b in sweep],
+                            sweep[0].model.m, orders=orders)
+
+
 class TestExpansionFit:
     def test_short_grid_rejected(self, twisted_sweep):
         pts = np.array([[0.3]], dtype=complex)
         with pytest.raises(ValueError, match="at least 3"):
-            bg.expansion_fit(twisted_sweep[:2], pts)
+            fit_sweep(twisted_sweep[:2], pts)
+
+    def test_plain_arrays_in_any_level_order(self):
+        # B_k = k I + A exactly on a line base (m = 1): the fit recovers A
+        # whatever order the levels come in, and rejects repeated levels
+        # and values that do not match the levels
+        a = np.array([[[0.5, 0.1j], [-0.1j, 2.0]]])
+        ks = [5, 3, 4, 6]
+        vals = [k * np.eye(2) + a for k in ks]
+        fit = bg.expansion_fit(ks, vals, 1)
+        assert list(fit.ks) == [3, 4, 5, 6]
+        assert np.max(np.abs(fit.coefficients[0] - a)) < 1e-12
+        assert np.max(fit.residuals) < 1e-12
+        with pytest.raises(ValueError, match="repeated"):
+            bg.expansion_fit([3, 4, 4], vals[:3], 1)
+        with pytest.raises(ValueError, match="one level per entry"):
+            bg.expansion_fit(ks, vals[:3], 1)
 
     def test_point_base_returns_exact_leading_term(self):
         rng = np.random.default_rng(22)
         metric = ConstantBundleMetric(0, random_hermitian_pd(rng, 2))
         model = ProjectivePoint(2)
         sweep = bg.bergman_sweep(metric, FubiniStudy(0), model, [1, 2, 3, 4])
-        fit = bg.expansion_fit(sweep, np.zeros((1, 0), dtype=complex))
+        fit = fit_sweep(sweep, np.zeros((1, 0), dtype=complex))
         assert np.max(np.abs(fit.coefficients[0])) < 1e-10
         assert np.max(fit.residuals) < 1e-10
 
@@ -801,7 +824,7 @@ class TestExpansionFit:
             metric, FS1, model, range(2, 7),
             rule=base_rule(model, 14), fiber=fiber_rule(model, 14))
         z = np.array([[0.4 - 0.6j], [0.0]], dtype=complex)
-        fit = bg.expansion_fit(sweep, z)
+        fit = fit_sweep(sweep, z)
         assert np.max(np.abs(fit.coefficients[0] - np.eye(2))) < 1e-8
         assert np.max(fit.residuals) < 1e-8
         alt = bg.a1_alternative(metric, FS1, model, z, rule=fiber_rule(model, 14))
@@ -813,7 +836,7 @@ class TestExpansionFit:
     def test_twisted_three_term_fit_recovers_corrections(self, twisted_sweep):
         z = np.array([[0.31 + 0.12j], [-0.8]], dtype=complex)
         sweep = [b for b in twisted_sweep if b.k >= 4]
-        fit = bg.expansion_fit(sweep, z, orders=3)
+        fit = fit_sweep(sweep, z, orders=3)
         # B_k,aa = (k+a+1)/(1+psi_a/k) expands with corrections
         # A_j = (-1)^j (( a+1) psi_a^j - psi_a^(j+1)), psi = (1/3, 2/3)
         a1 = np.diag([2.0 / 3.0, 4.0 / 3.0])
@@ -825,7 +848,7 @@ class TestExpansionFit:
         # the fourth term absorbs the tail and tightens it by an order
         assert np.max(np.abs(fit.coefficients[1] - a2)) < 0.25 * np.max(np.abs(a2))
         assert np.max(fit.residuals) < 2e-3
-        fit4 = bg.expansion_fit(sweep, z, orders=4)
+        fit4 = fit_sweep(sweep, z, orders=4)
         assert np.max(np.abs(fit4.coefficients[1] - a2)) < 0.05 * np.max(np.abs(a2)) + 5e-3
         a3 = np.diag([2.0 / 27.0, 16.0 / 27.0])
         assert np.max(np.abs(fit4.coefficients[2] - a3)) < 0.35 * np.max(np.abs(a3))

@@ -15,6 +15,7 @@ import re
 import pytest
 
 from projbalance import balancing as bal
+from projbalance import bergman as bg
 from projbalance import cli, suites
 from projbalance.config import (
     ConfigError,
@@ -332,7 +333,7 @@ class TestVerifyRun:
         assert timings["command"] == "verify"
         assert set(timings["phases"]) == {
             "volume-constants", "quadrature", "round-trip", "fiber-averages",
-            "joint-linearization"}
+            "push-forward-table", "joint-linearization"}
         assert timings["levels"].keys() == {"2", "3"}
         assert all(level.keys() == {"job_seconds"}
                    for level in timings["levels"].values())
@@ -357,14 +358,19 @@ class TestDeterminism:
                          "--out", str(out)]) == 0
         assert normalized_report_bytes(out) == first
 
-    def test_workers_do_not_change_the_report(self, tmp_path):
-        path = write_config(tmp_path, TINY_SPECTRUM)
+    # verify and expansion send the shared push-forward table to the workers
+    @pytest.mark.parametrize("command, text", [
+        ("verify", TINY_VERIFY),
+        ("expansion", TINY_EXPANSION),
+        ("moment-spectrum", TINY_SPECTRUM),
+    ], ids=["verify", "expansion", "moment-spectrum"])
+    def test_workers_do_not_change_the_report(self, tmp_path, command, text):
+        path = write_config(tmp_path, text)
         out = tmp_path / "out"
-        assert cli.main(["moment-spectrum", "--config", path,
-                         "--out", str(out)]) == 0
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 0
         serial = normalized_report_bytes(out)
-        assert cli.main(["moment-spectrum", "--config", path,
-                         "--out", str(out), "--workers", "2"]) == 0
+        assert cli.main([command, "--config", path, "--out", str(out),
+                         "--workers", "2"]) == 0
         assert normalized_report_bytes(out) == serial
 
     def test_seed_override_reaches_the_report(self, tmp_path):
@@ -503,6 +509,13 @@ class TestExpansionRun:
         assert row["passed"] is True
         assert row["value"] <= 0.02
 
+    def test_timings_record_the_table_phase(self, expansion_run):
+        _, out = expansion_run
+        timings = json.loads((out / "timings.json").read_text())
+        assert set(timings) == {"command", "run_seconds", "phases", "levels"}
+        assert set(timings["phases"]) == {"push-forward-table"}
+        assert timings["levels"].keys() == {"4", "5", "6", "7", "8"}
+
     def test_point_base_uses_the_degenerate_path(self, tmp_path):
         text = "[model]\nkind = point\nrank = 3\n[sweep]\nk_min = 2\n" \
                "k_max = 4\n[quadrature]\nn_radial = 6\n"
@@ -516,6 +529,32 @@ class TestExpansionRun:
         assert "expansion-a1-vs-level-average" not in names
         assert not (out / "a1_table.csv").exists()
         assert (out / "density.csv").exists()
+
+
+class TestSharedPushForwardTable:
+    """The trace route's push-forward table does not depend on the level,
+    so a run builds it once for its whole sweep.  The other calls are the
+    fixed ones outside the sweep: the three weighted fiber averages of
+    `verify`, and `a1_alternative` in `expansion`."""
+
+    @pytest.mark.parametrize("command, text, fixed", [
+        ("verify", TINY_VERIFY, 3),
+        ("expansion", TINY_EXPANSION, 1),
+    ], ids=["verify", "expansion"])
+    def test_one_table_per_sweep(self, tmp_path, monkeypatch, command, text,
+                                 fixed):
+        original = bg.push_forward_table
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bg, "push_forward_table", counting)
+        path = write_config(tmp_path, text)
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1 + fixed
 
 
 class TestSpectrumRun:
