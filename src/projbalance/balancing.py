@@ -32,7 +32,10 @@ Contents, bottom to top:
   k-sweep (the sweep itself is `suites.spectrum_job`);
 * `r_bounded_check` and `almost_balanced_check` are the acceptance gates:
   two-sided comparability of a metric against a reference, and decay-order
-  classification of a moment sequence.
+  classification of a moment sequence.  The comparability check reads all
+  its finite differences from one table of field values on a lattice of
+  offsets around the nodes (`_comparability_stencil`: one row of weights
+  per multiset of directions), filled in blocks of at most 1,024 points.
 
 Each geometric quantity has one routine.  `_pullback_data` is the package's
 only pull-back formula (the metric d d-bar log |u|^2 of a frame table and
@@ -51,11 +54,13 @@ products on BLAS.
 All volumes are reduced by (2 pi)^dim as elsewhere in the package.
 """
 
+import itertools
 import logging
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -274,12 +279,12 @@ def embedding_form_field(state):
 
     def field(pts):
         pts = np.asarray(pts, dtype=complex)
-        vals = basis.eval_embedding(pts)
-        jet = basis.eval_embedding_jet(pts)
+        # rebinding `table` frees each stage's node tables before the next
+        table = basis.eval_embedding(pts), basis.eval_embedding_jet(pts)
         if frame is not None:
-            vals, jet = _mix(vals, jet, frame)
-        _, gfs, _ = _pullback_data(*_mix(vals, jet, t), dim)
-        return gfs
+            table = _mix(*table, frame)
+        table = _mix(*table, t)
+        return _pullback_data(*table, dim)[1]
 
     return field
 
@@ -642,10 +647,50 @@ class RBoundedReport:
     nodes: int
 
 
-def _directional_fd(fn, direction, h):
-    def diff(pts):
-        return (fn(pts + h * direction) - fn(pts - h * direction)) / (2.0 * h)
-    return diff
+# r_bounded_check splits the shifted points into the fewest equal blocks
+# of at most this many points (one offset per block at more nodes): the
+# field builds node tables for every point of a call, and one call on the
+# whole stencil raised the balance run's peak memory by about 9%
+_STENCIL_BLOCK_POINTS = 1024
+
+
+@lru_cache(maxsize=None)
+def _comparability_stencil(d, order):
+    """Lattice offsets and integer weights of every nested central
+    difference up to `order` along the 2d real directions of C^d.
+
+    Direction 2a is Re z_a and 2a+1 is Im z_a.  Mixed central differences
+    commute, so one row per multiset of directions suffices; a row holds
+    the expanded product of (S_dir - S_dir^-1) over the multiset, S the unit
+    lattice shift, to be divided by (2h)^level.  Returns the complex offsets
+    (n_offsets, d), the weight matrix (n_multisets, n_offsets) and the
+    level of each row; row 0 is the empty multiset (the field itself)."""
+    rows = []
+    for level in range(order + 1):
+        for dirs in itertools.combinations_with_replacement(range(2 * d),
+                                                            level):
+            terms = {(0,) * (2 * d): 1}
+            for axis in dirs:
+                shifted = defaultdict(int)
+                for off, c in terms.items():
+                    for sign in (1, -1):
+                        moved = list(off)
+                        moved[axis] += sign
+                        shifted[tuple(moved)] += sign * c
+                terms = shifted
+            rows.append((level, {off: c for off, c in terms.items() if c}))
+    lattice = sorted({off for _, terms in rows for off in terms})
+    index = {off: i for i, off in enumerate(lattice)}
+    weights = np.zeros((len(rows), len(lattice)))
+    for i, (_, terms) in enumerate(rows):
+        for off, c in terms.items():
+            weights[i, index[off]] = c
+    steps = np.array(lattice, dtype=float)
+    offsets = steps[:, 0::2] + 1j * steps[:, 1::2]
+    levels = np.array([level for level, _ in rows])
+    for arr in (offsets, weights, levels):
+        arr.flags.writeable = False
+    return offsets, weights, levels
 
 
 def r_bounded_check(candidate, reference, pts, r_bound, order=4, h=5e-2):
@@ -653,19 +698,34 @@ def r_bounded_check(candidate, reference, pts, r_bound, order=4, h=5e-2):
     `reference` at the given nodes.
 
     Both arguments are callables mapping (n, d) complex points to (n, m, m)
-    coefficient matrices.  The difference field is finite-differenced up to
-    `order` along every real coordinate direction; each derivative level is
-    measured in the reference-whitened operator norm with one factor of
-    ||g0^{-1/2}|| per derivative index.  The lower bound is the smallest
-    eigenvalue of the whitened candidate over the nodes.
+    coefficient matrices.  The difference field is central-differenced up
+    to `order` along every real coordinate direction, step `h`, and each
+    derivative is measured in the reference-whitened operator norm with one
+    factor of ||g0^{-1/2}|| per derivative index; `c_a_norm` is the largest
+    such norm over the nodes and derivatives.  The lower bound `min_ratio`
+    is the smallest eigenvalue of the whitened candidate over the nodes.
+
+    Every difference reads the lattice pts + h * offsets of
+    `_comparability_stencil` (321 offsets for d = 2 and order 4): each
+    field is evaluated there once, in equal blocks of at most
+    `_STENCIL_BLOCK_POINTS` points, plus once at the nodes, and all
+    derivatives come out of one contraction with the stencil weights.  One
+    derivative per multiset of directions is measured; the nested
+    differences of its orderings agree in exact arithmetic.
     """
     if order < 4:
         raise ValueError(
             f"comparability needs derivative order >= 4, got {order}")
     if r_bound <= 1.0:
         raise ValueError(f"bound must exceed 1, got {r_bound}")
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError(f"step h must be finite and positive, got {h}")
     pts = np.asarray(pts, dtype=complex)
-    d = pts.shape[1]
+    if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
+        raise ValueError(
+            f"pts must be a 2-D array (nodes, d) with at least one row and "
+            f"one column, got shape {pts.shape}")
+    n, d = pts.shape
     g0 = np.asarray(reference(pts))
     w0eigs, w0vecs = np.linalg.eigh(g0)
     if np.any(w0eigs <= 0.0):
@@ -674,27 +734,22 @@ def r_bounded_check(candidate, reference, pts, r_bound, order=4, h=5e-2):
         w0vecs.conj(), -1, -2)
     dirweight = 1.0 / np.sqrt(w0eigs[:, 0])
 
-    def whitened_opnorm(vals):
-        sand = np.einsum("nab,nbc,ncd->nad", w0, np.asarray(vals), w0)
-        return np.linalg.svd(sand, compute_uv=False)[:, 0]
+    offsets, weights, levels = _comparability_stencil(d, order)
+    blocks = -(-len(offsets) * n // _STENCIL_BLOCK_POINTS)
+    per_block = -(-len(offsets) // blocks)
+    table = np.empty((len(offsets),) + g0.shape, dtype=complex)
+    for start in range(0, len(offsets), per_block):
+        shifted = (pts[None, :, :] + h * offsets[start:start + per_block,
+                                                 None, :]).reshape(-1, d)
+        diff = np.asarray(candidate(shifted)) - np.asarray(reference(shifted))
+        table[start:start + per_block] = diff.reshape((-1,) + g0.shape)
+    # real weights against the real view: no complex copy of the weights
+    derivs = (weights @ table.reshape(len(offsets), -1).view(float)).view(
+        complex).reshape((len(weights),) + g0.shape)
+    derivs /= (2.0 * h) ** levels[:, None, None, None]
+    norms = np.linalg.svd(w0 @ derivs @ w0, compute_uv=False)[..., 0]
+    c_a = float(np.max(norms * dirweight ** levels[:, None]))
 
-    def delta(p):
-        return np.asarray(candidate(p)) - np.asarray(reference(p))
-
-    directions = []
-    for a in range(d):
-        e = np.zeros(d, dtype=complex)
-        e[a] = 1.0
-        directions.append(e.copy())
-        directions.append(1j * e)
-    c_a = float(np.max(whitened_opnorm(delta(pts))))
-    fns = [delta]
-    for level in range(1, order + 1):
-        fns = [_directional_fd(f, direction, h)
-               for f in fns for direction in directions]
-        for f in fns:
-            node_norms = whitened_opnorm(f(pts)) * dirweight ** level
-            c_a = max(c_a, float(np.max(node_norms)))
     gc = np.asarray(candidate(pts))
     wcand = np.einsum("nab,nbc,ncd->nad", w0, gc, w0)
     wcand = 0.5 * (wcand + np.swapaxes(wcand.conj(), -1, -2))
@@ -702,7 +757,7 @@ def r_bounded_check(candidate, reference, pts, r_bound, order=4, h=5e-2):
     margins = (r_bound - c_a, min_ratio - 1.0 / r_bound)
     return RBoundedReport(passes=bool(margins[0] >= 0.0 and margins[1] >= 0.0),
                           c_a_norm=c_a, min_ratio=min_ratio, margins=margins,
-                          order=int(order), nodes=int(pts.shape[0]))
+                          order=int(order), nodes=int(n))
 
 
 @dataclass(frozen=True)

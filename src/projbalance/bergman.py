@@ -304,8 +304,8 @@ def adapted_total_rule(metric, model, n_radial=24, n_angular=None):
 
 
 def _fiber_geometry(metric, z, xi):
-    """Dual pairing q, its rank-one kernel data, and the fiber volume
-    factor det(W_fib), for base points z (nb, m) and the fiber points
+    """Dual pairing q, the fiber volume factor det(W_fib), and the
+    covectors lam = (1, xi), for base points z (nb, m) and the fiber points
     above each of them, xi (nb, nf, r-1); outputs are shaped (nb, nf, ...).
 
     H^{-1} is evaluated once per base node.  The fiber block of the
@@ -316,21 +316,28 @@ def _fiber_geometry(metric, z, xi):
     p = metric.inverse(z)
     _, q = _dual_pairing(p[:, None], lam)
     detwf = np.linalg.det(p).real[:, None] / q ** metric.r
-    pairing = np.einsum("nfa,nfb->nfab", np.conj(lam), lam)
-    return q, detwf, pairing
+    return q, detwf, lam
 
 
 def _fiber_measure(metric, model, z, rule, pts, jac2):
-    """Fiber measure (nb, nf) and dual pairing (nb, nf, r, r) at the nodes
+    """Fiber measure (nb, nf) and covectors lam (nb, nf, r) at the nodes
     `pts`, `jac2` from `_adapted_fiber_points`; the measure integrates the
-    pairing to the bundle metric."""
+    dual pairing conj(lam) lam^T to the bundle metric."""
     r = model.r
     nb, nf = z.shape[0], rule.points.shape[0]
-    q, detwf, pairing = _fiber_geometry(
+    q, detwf, lam = _fiber_geometry(
         metric, z, pts[:, model.m:].reshape(nb, nf, r - 1))
     meas = detwf / q * 2.0 ** (r - 1) \
         * rule.weights[None, :] * jac2[:, None] / _volume_constant_exact(r)
-    return meas, pairing
+    return meas, lam
+
+
+def _pairing_average(weight, lam):
+    """sum_f weight[..., n, f] conj(lam[n, f, a]) lam[n, f, b]: the weighted
+    fiber sum of the dual pairing, one batched product per base node
+    without forming the (nb, nf, r, r) pairing."""
+    weighted = np.conj(lam) * weight[..., None]
+    return np.swapaxes(weighted, -1, -2) @ lam
 
 
 def push_forward_table(metric, kahler, model, z, rule=None):
@@ -346,9 +353,9 @@ def push_forward_table(metric, kahler, model, z, rule=None):
     f = e / e[m]
 
     # after hat_form_matrix: its temporaries are the memory peak, and the
-    # (nb, nf, r, r) pairing alive through them would raise it
-    meas, pairing = _fiber_measure(metric, model, z, rule, pts, jac2)
-    m_tilde = np.einsum("jnf,nf,nfab->jnab", f, meas, pairing)
+    # fiber tables alive through them would raise it
+    meas, lam = _fiber_measure(metric, model, z, rule, pts, jac2)
+    m_tilde = _pairing_average(f * meas, lam)
     h = metric.matrix(z)
     psi = np.stack([np.linalg.solve(h, m_tilde[j]) for j in range(m + 1)])
     return PushForwardTable(points=z, m_tilde=m_tilde, psi=psi)
@@ -367,8 +374,8 @@ def fiber_push_forward(metric, kahler, model, z, weight=None, rule=None):
         return FiberAverage(g_tilde=table.m_tilde[weight], psi=table.psi[weight])
 
     pts, jac2 = _adapted_fiber_points(metric, model, z, rule.points)
-    meas, pairing = _fiber_measure(metric, model, z, rule, pts, jac2)
-    g_tilde = np.einsum("nf,nfab->nab", meas, pairing)
+    meas, lam = _fiber_measure(metric, model, z, rule, pts, jac2)
+    g_tilde = _pairing_average(meas, lam)
     return FiberAverage(g_tilde=g_tilde, psi=np.linalg.solve(metric.matrix(z), g_tilde))
 
 

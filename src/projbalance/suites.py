@@ -235,6 +235,7 @@ def density_route_job(cfg, k, table):
     `trace_route_table(cfg)`."""
     model = build_model(cfg, k)
     if model.m == 0:
+        logger.info("verify k=%d: point base, no density routes to cross", k)
         return [_row("density-route", k=k,
                      detail="point base: both routes coincide by "
                             "construction, nothing to cross")]
@@ -246,9 +247,9 @@ def density_route_job(cfg, k, table):
     rel = float(np.max(np.abs(da - db) / np.abs(db)))
     n_sections = riemann_roch_dimension(model)["N"]
     mass = direct.total_mass()
-    logger.debug("density routes k=%d: rel err %.3e over %d points, "
-                 "mass defect %.3e", k, rel, cfg.n_points,
-                 abs(mass - n_sections))
+    logger.info("verify k=%d: density routes rel err %.3e over %d points, "
+                "mass defect %.3e", k, rel, cfg.n_points,
+                abs(mass - n_sections))
     return [
         _row("density-route", k=k, value=rel, reference=0.0, error=rel,
              tolerance=cfg.rho_tol, passed=bool(rel <= cfg.rho_tol),
@@ -483,6 +484,8 @@ def expansion_job(cfg, k, table):
     mean = mass / vol
     variance = float(integrate(direct.rule, (dens - mean) ** 2 * measure)
                      / vol)
+    logger.info("expansion k=%d: mass %.12g, density variance %.3e",
+                k, mass, variance)
     return {
         "k": int(k),
         "vals": vals,
@@ -557,6 +560,8 @@ def degenerate_expansion_job(cfg, k):
     model = build_model(cfg, k)
     state = bal.embedding_state(model, n_radial=cfg.n_radial)
     stats = bal.balanced_density_stats(state)
+    logger.info("expansion k=%d: point base, density max dev %.3e",
+                k, stats["max_dev"])
     return {
         "k": int(k),
         "sections": int(state.count),

@@ -820,6 +820,150 @@ class TestRBoundedCheck:
             bal.r_bounded_check(FS1.matrix, FS1.matrix, self._nodes(),
                                 r_bound=2.0, order=3)
 
+    @pytest.mark.parametrize("h", [0.0, -0.05, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="step h"):
+            bal.r_bounded_check(FS1.matrix, FS1.matrix, self._nodes(),
+                                r_bound=2.0, h=h)
+
+    @pytest.mark.parametrize("pts", [np.zeros((0, 1)), np.zeros(3),
+                                     np.zeros((2, 2, 1))],
+                             ids=["no-rows", "one-dim", "three-dim"])
+    def test_points_must_be_a_nonempty_table(self, pts):
+        with pytest.raises(ValueError, match="pts"):
+            bal.r_bounded_check(FS1.matrix, FS1.matrix, pts, r_bound=2.0)
+
+    def test_stencil_sizes(self):
+        # C^2 has 4 real directions: the offsets of all nested differences
+        # up to order 4 fill the l1 ball of radius 4 in Z^4 (321 points),
+        # and there are C(4 + 3, 3) multisets of each size up to 4 (70 rows,
+        # the empty one included)
+        offsets, weights, levels = bal._comparability_stencil(2, 4)
+        assert offsets.shape == (321, 2)
+        assert weights.shape == (70, 321)
+        assert np.bincount(levels).tolist() == [1, 4, 10, 20, 35]
+        steps = np.abs(offsets.real) + np.abs(offsets.imag)
+        assert np.max(steps.sum(axis=1)) == 4
+        # a difference of order >= 1 vanishes on constants
+        assert np.array_equal(weights.sum(axis=1), levels == 0)
+
+    def test_fourth_difference_of_quartic_is_exact(self):
+        # reference I, candidate I + eps (Re z1)^4 I: at the origin every
+        # difference is exact for this quartic, the largest is the fourth
+        # along Re z1, 4! eps, and the candidate equals the reference
+        eps = 1e-3
+
+        def reference(p):
+            return np.broadcast_to(np.eye(2, dtype=complex),
+                                   (p.shape[0], 2, 2)).copy()
+
+        def candidate(p):
+            bump = eps * p[:, 0].real ** 4
+            return reference(p) * (1.0 + bump)[:, None, None]
+
+        report = bal.r_bounded_check(candidate, reference,
+                                     np.zeros((1, 2), dtype=complex),
+                                     r_bound=2.0)
+        assert report.c_a_norm == pytest.approx(24.0 * eps, rel=1e-9)
+        assert report.min_ratio == pytest.approx(1.0, abs=1e-15)
+        assert report.passes
+
+    @staticmethod
+    def _unbalanced_fields():
+        # an unbalanced P^1 x P^1 state against its initial state, at 16
+        # points of the unit polydisc as in the balance suite
+        rng = np.random.default_rng(71)
+        initial = p1xp1_state(2, n_radial=4)
+        moved = p1xp1_state(2, gram=random_spd(rng, initial.count, 0.5),
+                            n_radial=4)
+        radius = np.sqrt(rng.uniform(size=(16, 2)))
+        angle = rng.uniform(0.0, 2.0 * math.pi, size=(16, 2))
+        return (bal.embedding_form_field(moved),
+                bal.embedding_form_field(initial),
+                radius * np.exp(1j * angle))
+
+    def test_matches_nested_differences(self):
+        candidate, reference, pts = self._unbalanced_fields()
+        got = bal.r_bounded_check(candidate, reference, pts, r_bound=1e3)
+        want = nested_r_bounded_check(candidate, reference, pts,
+                                      r_bound=1e3)
+        assert want.c_a_norm > 1.0
+        assert got.c_a_norm == pytest.approx(want.c_a_norm, rel=1e-9)
+        assert got.min_ratio == want.min_ratio
+        assert got.margins[1] == want.margins[1]
+        assert (got.passes, got.order, got.nodes) == (
+            want.passes, want.order, want.nodes)
+
+    def test_few_blocked_field_calls(self):
+        # 321 offsets x 16 points in blocks of 1024 points: 6 calls per
+        # field, plus one at the nodes; the nested form made 4,682
+        candidate, reference, pts = self._unbalanced_fields()
+        sizes = {"candidate": [], "reference": []}
+
+        def counted(name, field):
+            def call(p):
+                sizes[name].append(p.shape[0])
+                return field(p)
+            return call
+
+        bal.r_bounded_check(counted("candidate", candidate),
+                            counted("reference", reference), pts,
+                            r_bound=1e3)
+        bound = math.ceil(321 * 16 / 1024) + 2
+        for name, calls in sizes.items():
+            assert len(calls) <= bound, name
+            assert max(calls) <= 1024, name
+            assert sum(calls) == 322 * 16, name
+
+
+def nested_r_bounded_check(candidate, reference, pts, r_bound, order=4,
+                           h=5e-2):
+    """Oracle: the comparability check as nested central differences along
+    every ordered tuple of real directions, each difference a fresh pair of
+    field calls at shifted points."""
+    pts = np.asarray(pts, dtype=complex)
+    d = pts.shape[1]
+    g0 = np.asarray(reference(pts))
+    w0eigs, w0vecs = np.linalg.eigh(g0)
+    w0 = (w0vecs / np.sqrt(w0eigs)[:, None, :]) @ np.swapaxes(
+        w0vecs.conj(), -1, -2)
+    dirweight = 1.0 / np.sqrt(w0eigs[:, 0])
+
+    def whitened_opnorm(vals):
+        sand = np.einsum("nab,nbc,ncd->nad", w0, np.asarray(vals), w0)
+        return np.linalg.svd(sand, compute_uv=False)[:, 0]
+
+    def delta(p):
+        return np.asarray(candidate(p)) - np.asarray(reference(p))
+
+    def central(fn, direction):
+        def diff(p):
+            return (fn(p + h * direction) - fn(p - h * direction)) / (2.0 * h)
+        return diff
+
+    directions = []
+    for a in range(d):
+        e = np.zeros(d, dtype=complex)
+        e[a] = 1.0
+        directions.append(e.copy())
+        directions.append(1j * e)
+    c_a = float(np.max(whitened_opnorm(delta(pts))))
+    fns = [delta]
+    for level in range(1, order + 1):
+        fns = [central(f, direction) for f in fns for direction in directions]
+        for f in fns:
+            node_norms = whitened_opnorm(f(pts)) * dirweight ** level
+            c_a = max(c_a, float(np.max(node_norms)))
+    gc = np.asarray(candidate(pts))
+    wcand = np.einsum("nab,nbc,ncd->nad", w0, gc, w0)
+    wcand = 0.5 * (wcand + np.swapaxes(wcand.conj(), -1, -2))
+    min_ratio = float(np.min(np.linalg.eigvalsh(wcand)[:, 0]))
+    margins = (r_bound - c_a, min_ratio - 1.0 / r_bound)
+    return bal.RBoundedReport(
+        passes=bool(margins[0] >= 0.0 and margins[1] >= 0.0), c_a_norm=c_a,
+        min_ratio=min_ratio, margins=margins, order=int(order),
+        nodes=int(pts.shape[0]))
+
 
 # ---------------------------------------------------------------------------
 # almost-balanced order detection

@@ -625,6 +625,23 @@ class TestLogLevel:
         assert [line.split(":")[0] for line in lines] == [
             "spectrum k=1", "spectrum k=2", "spectrum k=3"]
 
+    @pytest.mark.parametrize("command, text, ks", [
+        ("verify", TINY_VERIFY, (2, 3)),
+        ("expansion", TINY_EXPANSION, (4, 5, 6, 7, 8)),
+        ("expansion", "[model]\nkind = point\nrank = 3\n[sweep]\n"
+                      "k_min = 2\nk_max = 4\n[quadrature]\nn_radial = 6\n",
+         (2, 3, 4)),
+    ], ids=["verify", "expansion", "expansion-point-base"])
+    def test_sweeps_log_one_line_per_level(self, tmp_path, caplog, command,
+                                           text, ks):
+        path = write_config(tmp_path, text)
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / "out"),
+                         "--log-level", "info"]) == 0
+        lines = self.level_lines(caplog)
+        assert [line.split(":")[0] for line in lines] == [
+            f"{command} k={k}" for k in ks]
+
     def test_default_level_is_warning(self, tmp_path, caplog):
         path = write_config(tmp_path, TINY_SPECTRUM)
         assert cli.main(["moment-spectrum", "--config", path,
