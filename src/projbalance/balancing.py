@@ -12,8 +12,9 @@ Contents, bottom to top:
 * `su_basis` builds trace-orthonormal Hermitian generators, the coordinate
   system for every moment and spectral quantity below;
 * `embedding_state` bundles a model, a section basis, a Gram matrix with its
-  orthonormalizing transform, a quadrature rule, and cached section values,
-  so the iteration loops never re-evaluate monomial tables;
+  orthonormalizing transform, a quadrature rule, and cached section values;
+  `EmbeddingState.with_gram` derives a state with another Gram that shares
+  every table, so the iteration loops never re-evaluate monomial tables;
 * `moment_map` integrates the frame pairings against the pulled-back volume
   and subtracts the balanced value V/N;
 * `t_map_step` and `gradient_flow_step` are the two solvers: the fixed-point
@@ -59,7 +60,7 @@ import logging
 import math
 import time
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -161,25 +162,44 @@ class EmbeddingState:
         return (float(wq.sum()), _l2_pairing(u, kk, wq),
                 _l2_pairing(self.values, kk, wq))
 
+    def with_gram(self, gram):
+        """The same embedding data under another Gram matrix: basis, rule,
+        frame and node tables are shared, and the memo starts empty."""
+        gm, transform = _orthonormalizing(gram, self.count)
+        return replace(self, gram=gm, transform=transform)
+
+
+def _orthonormalizing(gram, count):
+    """Validated Gram of a `count`-section family and its Hermitian inverse
+    root, the canonical transform: it carries no arbitrary unitary
+    freedom."""
+    gm = make_gram(gram)
+    if gm.n != count:
+        raise ValueError(
+            f"Gram size {gm.n} does not match section count {count}")
+    gm.whitener()  # positivity and conditioning guards
+    w, vv = np.linalg.eigh(gm.matrix)
+    transform = (vv / np.sqrt(w)[None, :]) @ vv.conj().T
+    defect = np.max(np.abs(
+        transform.conj().T @ gm.matrix @ transform - np.eye(gm.n)))
+    if defect > 1e-9:
+        raise NumericalGuardError(
+            f"orthonormalizing transform defect {defect:.2e}; "
+            "Gram matrix too ill-conditioned")
+    return gm, transform
+
 
 def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
-                    n_radial=14, state_cache=None, frame=None):
-    """Build an `EmbeddingState`, reusing cached section tables when possible.
+                    n_radial=14, frame=None):
+    """Build an `EmbeddingState`, evaluating the section tables at the rule
+    nodes.
 
     `rule` wins over `metric` (which requests the metric-adapted total rule)
     which wins over the plain product rule at the given radial order.
     `frame` replaces the raw basis by its mixture under an invertible matrix,
-    with the Gram then read in the mixed family's own basis.  `state_cache`
-    donates its basis, rule, frame, and value tables to a new state that
-    differs only in the Gram matrix, the common case inside solvers.
+    with the Gram then read in the mixed family's own basis.  A state that
+    differs only in the Gram comes from `EmbeddingState.with_gram`.
     """
-    if state_cache is not None:
-        if basis is None:
-            basis = state_cache.basis
-        if rule is None:
-            rule = state_cache.rule
-        if frame is None:
-            frame = state_cache.frame
     if basis is None:
         basis = build_section_basis(model)
     if rule is None:
@@ -189,34 +209,16 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
             rule = total_rule(model, n_radial=n_radial)
     if gram is None:
         gram = np.eye(basis.count)
-    gm = make_gram(gram)
-    if gm.n != basis.count:
-        raise ValueError(
-            f"Gram size {gm.n} does not match section count {basis.count}")
-    gm.whitener()  # positivity and conditioning guards
-    # canonical choice: the Hermitian inverse root, so the transform itself
-    # carries no arbitrary unitary freedom
-    w, vv = np.linalg.eigh(gm.matrix)
-    transform = (vv / np.sqrt(w)[None, :]) @ vv.conj().T
-    defect = np.max(np.abs(
-        transform.conj().T @ gm.matrix @ transform - np.eye(gm.n)))
-    if defect > 1e-9:
-        raise NumericalGuardError(
-            f"orthonormalizing transform defect {defect:.2e}; "
-            "Gram matrix too ill-conditioned")
-    if (state_cache is not None and state_cache.basis is basis
-            and state_cache.rule is rule and state_cache.frame is frame):
-        values, jet = state_cache.values, state_cache.jet
-    else:
-        values = basis.eval_embedding(rule.points)
-        jet = basis.eval_embedding_jet(rule.points)
-        if frame is not None:
-            frame = np.asarray(frame, dtype=complex)
-            if frame.shape != (basis.count, basis.count):
-                raise ValueError(
-                    f"frame shape {frame.shape} does not match section "
-                    f"count {basis.count}")
-            values, jet = _mix(values, jet, frame)
+    gm, transform = _orthonormalizing(gram, basis.count)
+    values = basis.eval_embedding(rule.points)
+    jet = basis.eval_embedding_jet(rule.points)
+    if frame is not None:
+        frame = np.asarray(frame, dtype=complex)
+        if frame.shape != (basis.count, basis.count):
+            raise ValueError(
+                f"frame shape {frame.shape} does not match section "
+                f"count {basis.count}")
+        values, jet = _mix(values, jet, frame)
     return EmbeddingState(model=model, basis=basis, gram=gm,
                           transform=transform, rule=rule,
                           values=values, jet=jet, frame=frame)
@@ -340,7 +342,7 @@ def t_map_step(state):
     newg = (state.count / vol) * raw
     newg = 0.5 * (newg + newg.conj().T)
     newg /= np.linalg.det(newg).real ** (1.0 / state.count)
-    return embedding_state(state.model, gram=newg, state_cache=state)
+    return state.with_gram(newg)
 
 
 def _density_and_weights(state):
@@ -493,7 +495,7 @@ def gradient_flow_step(state, step):
         newg = np.linalg.inv(t @ a2 @ t.conj().T)
         newg = 0.5 * (newg + newg.conj().T)
         newg /= np.linalg.det(newg).real ** (1.0 / state.count)
-        cand = embedding_state(state.model, gram=newg, state_cache=state)
+        cand = state.with_gram(newg)
         if moment_map(cand).norm_fro < base:
             return cand
         s *= 0.5

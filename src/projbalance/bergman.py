@@ -5,8 +5,9 @@ The chain implemented here, bottom to top:
 * the induced form on the projectivized dual (`hat_form_matrix`) and the
   volume coefficients of its k-scaled combination with the base form;
 * fiber averages of the dual pairing against those coefficient weights
-  (`fiber_push_forward`), which produce the level metric on the section
-  space (`level_metric_values`);
+  (`push_forward_table`, k-independent and built once per sweep, and the
+  single average `fiber_push_forward`); the table gives the level metric
+  on the section space at any k (`level_metric_values`);
 * weighted Grams (`l2_gram`), the level endomorphism field
   (`bergman_endomorphism`), and two independent density routes
   (`rho_direct` integrates on the total space, `rho_via_trace` contracts
@@ -28,7 +29,7 @@ means are taken against the reduced base measure.
 import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +69,6 @@ __all__ = [
     "l2_gram",
     "BergmanEndomorphism",
     "bergman_endomorphism",
-    "bergman_sweep",
     "DirectDensity",
     "rho_direct",
     "dual_point_projector",
@@ -204,18 +204,16 @@ def volume_coefficients(metric, kahler, model, pts):
     return mixed_volume_coefficients(w, om, model.m)
 
 
-def level_volume_density(metric, kahler, model, pts, k=None):
+def level_volume_density(metric, kahler, model, pts):
     """Reduced counting measure of the k-scaled combined form against the
-    coordinate Lebesgue measure on the total chart:
+    coordinate Lebesgue measure on the total chart, k = `model.k`:
 
         2^n (2 pi)^{-m} sum_j k^(j-m) E_j.
 
     At k -> infinity this tends to the product of the reduced base density
     and the fiber volume form."""
-    if k is None:
-        k = model.k
     e = volume_coefficients(metric, kahler, model, pts)
-    kpow = float(k) ** (np.arange(model.m + 1.0) - model.m)
+    kpow = float(model.k) ** (np.arange(model.m + 1.0) - model.m)
     dens = 2.0**model.n / (2.0 * math.pi) ** model.m * np.einsum("j,jn->n", kpow, e)
     if not np.all(np.isfinite(dens)) or np.any(dens <= 0.0):
         raise NumericalGuardError(
@@ -379,14 +377,11 @@ def fiber_push_forward(metric, kahler, model, z, weight=None, rule=None):
     return FiberAverage(g_tilde=g_tilde, psi=np.linalg.solve(metric.matrix(z), g_tilde))
 
 
-def level_metric_values(metric, kahler, model, z, k=None, rule=None, table=None):
-    """Level metric on the section space at base points:
+def level_metric_values(table, k):
+    """Level metric on the section space at the table's base points:
     sum_j k^(j-m) m_tilde[j], shape (n, r, r)."""
-    if k is None:
-        k = model.k
-    if table is None:
-        table = push_forward_table(metric, kahler, model, z, rule=rule)
-    kpow = float(k) ** (np.arange(model.m + 1.0) - model.m)
+    m = table.m_tilde.shape[0] - 1
+    kpow = float(k) ** (np.arange(m + 1.0) - m)
     return np.einsum("j,jnab->nab", kpow, table.m_tilde)
 
 
@@ -451,45 +446,30 @@ class BergmanEndomorphism:
         return np.einsum("nab,nbc->nac", bx, h) * scale[:, None, None]
 
 
-def bergman_endomorphism(metric, kahler, model, rule=None, fiber=None, table=None,
-                         guard=1e12):
-    """Assemble the level endomorphism for `model.k`.
+def bergman_endomorphism(metric, kahler, model, rule, table):
+    """Assemble the level endomorphism for `model.k` on the base `rule`.
 
     The Gram weights sections by the level metric (the fiber data pushed to
     the base), the degree-k potential weight, and the reduced base volume;
-    the orthonormalization guard trips when the Gram condition number
-    exceeds `guard`.  The push-forward table does not depend on k: a sweep
-    builds it once on the base rule nodes and passes it as `table`;
-    without one it is built here on the `fiber` rule.
+    the orthonormalization guard trips when the Gram is too ill-conditioned
+    to trust.  `table` is the k-independent `push_forward_table` on the
+    rule's nodes, built once per sweep and shared by its levels.
     """
-    rule = rule if rule is not None else base_rule(model)
-    if table is None:
-        table = push_forward_table(metric, kahler, model, rule.points, rule=fiber)
-    elif not np.array_equal(table.points, rule.points):
+    if not np.array_equal(table.points, rule.points):
         raise ValueError("push-forward table nodes differ from the base rule nodes")
 
     k = model.k
-    hk = level_metric_values(metric, kahler, model, rule.points, k=k, table=table)
+    hk = level_metric_values(table, k)
     weight = np.exp(-float(k) * kahler.potential(rule.points)) \
         * kahler.reduced_volume_density(rule.points)
     basis = build_section_basis(model)
     gram = l2_gram(basis, rule, weight, metric_values=hk)
-    t = gram.whitener(guard=guard)
+    t = gram.whitener()
     logger.debug("level endomorphism %s k=%d: N=%d, Gram condition %.3e",
                  model.label, k, basis.count, gram.condition())
     return BergmanEndomorphism(
         model=model, k=k, basis=basis, gram=gram, gram_inverse=t @ t.conj().T,
         metric=metric, kahler=kahler)
-
-
-def bergman_sweep(metric, kahler, model, ks, rule=None, fiber=None, guard=1e12):
-    """Level endomorphisms across a twist grid, sharing the quadrature
-    rules and the k-independent push-forward table."""
-    rule = rule if rule is not None else base_rule(model)
-    table = push_forward_table(metric, kahler, model, rule.points, rule=fiber)
-    return [bergman_endomorphism(metric, kahler, replace(model, k=int(k)),
-                                 rule=rule, table=table, guard=guard)
-            for k in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +514,7 @@ class DirectDensity:
         return float(integrate(self.rule, self.measure))
 
 
-def rho_direct(metric, kahler, model, rule=None, guard=1e12):
+def rho_direct(metric, kahler, model, rule=None):
     """Density route that never touches the fiber push-forward: Gram and
     evaluation both live on the total chart with the induced hyperplane
     weight and the level counting measure."""
@@ -548,7 +528,7 @@ def rho_direct(metric, kahler, model, rule=None, guard=1e12):
     z = rule.points[:, : model.m]
     weight = dens * hw * np.exp(-float(model.k) * kahler.potential(z))
     gram = l2_gram(basis, rule, weight)
-    t = gram.whitener(guard=guard)
+    t = gram.whitener()
     logger.debug("direct density %s: N=%d, Gram condition %.3e",
                  model.label, basis.count, gram.condition())
     return DirectDensity(model=model, basis=basis, gram=gram,

@@ -26,7 +26,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import reports, suites
-from .config import default_config, parse_config
+from .config import default_config, parse_config, validate_config
 from .errors import ConfigError, NumericalGuardError
 
 logger = logging.getLogger(__name__)
@@ -136,6 +136,7 @@ def _load_config(args):
         overrides["out_dir"] = args.out
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
+        validate_config(cfg)
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     return cfg

@@ -58,6 +58,7 @@ from .sections import (
 
 __all__ = [
     "ExperimentConfig",
+    "validate_config",
     "parse_config",
     "parse_config_text",
     "serialize_config",
@@ -212,11 +213,14 @@ def parse_config_text(text):
                     f"{raw!r} ({exc})") from exc
 
     cfg = ExperimentConfig(**values)
-    _validate(cfg, text)
+    validate_config(cfg, text)
     return cfg
 
 
-def _validate(cfg, text=""):
+def validate_config(cfg, text=""):
+    """Raise `ConfigError` on the first invalid field of `cfg`, naming its
+    section and key, and its line in `text` when given."""
+
     def fail(section, key, why):
         raise ConfigError(f"invalid value {_where(text, section, key)}: {why}")
 
@@ -233,6 +237,10 @@ def _validate(cfg, text=""):
              f"base dimension must be at least 1, got {cfg.base_dim}")
     if cfg.k_min < 1:
         fail("sweep", "k_min", f"levels start at 1, got {cfg.k_min}")
+    if cfg.kind == "p1-sum" and min(cfg.degrees) + cfg.k_min < 0:
+        fail("model", "degrees",
+             f"summand twist {min(cfg.degrees)} at level k_min {cfg.k_min} "
+             "gives an empty section space; need min(degrees) + k_min >= 0")
     if cfg.k_max < cfg.k_min:
         fail("sweep", "k_max",
              f"empty level range: k_max {cfg.k_max} < k_min {cfg.k_min}")
@@ -279,7 +287,7 @@ def serialize_config(cfg):
     """Canonical text for a configuration: fixed section and key order,
     every field written explicitly.  Parsing the result returns an equal
     `ExperimentConfig`."""
-    _validate(cfg)
+    validate_config(cfg)
     out = io.StringIO()
     current = None
     for section, key, field, _, fmt in _LAYOUT:

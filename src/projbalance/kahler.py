@@ -1,4 +1,4 @@
-"""Kahler structures on affine charts, contraction operators, curvature.
+"""Kahler structures on affine charts, the contraction, curvature.
 
 Every structure lives on the single affine chart C^m of its projective
 space.  The complement of that chart has measure zero for every model here,
@@ -38,8 +38,6 @@ __all__ = [
     "complex_hessian",
     "complex_gradient",
     "lambda_contract",
-    "lambda2_wedge",
-    "contract",
     "mixed_volume_coefficients",
     "fs_matrix",
 ]
@@ -96,12 +94,12 @@ def _real_hessian(fn, pts, h):
     return hess
 
 
-def complex_hessian(fn, pts, h=5e-3, richardson=True):
+def complex_hessian(fn, pts, h=5e-3):
     """Mixed complex Hessian d^2 f / dz^a dzbar^b of a scalar or matrix field.
 
     fn maps (k, m) complex points to (k, *tail) values; the result has shape
-    (n, m, m, *tail).  Central differences in the underlying real coordinates;
-    one Richardson step (h, h/2) by default.  The mixed-derivative identity
+    (n, m, m, *tail).  Central differences in the underlying real coordinates
+    with one Richardson step (h, h/2).  The mixed-derivative identity
     d_a dbar_b = (1/4)[(dx_a dx_b + dy_a dy_b) + i(dx_a dy_b - dy_a dx_b)]
     holds for complex-valued fields as well.
     """
@@ -110,9 +108,8 @@ def complex_hessian(fn, pts, h=5e-3, richardson=True):
     if m == 0:
         return np.zeros((pts.shape[0], 0, 0), dtype=complex)
     rh = _real_hessian(fn, pts, h)
-    if richardson:
-        rh2 = _real_hessian(fn, pts, h / 2.0)
-        rh = (4.0 * rh2 - rh) / 3.0
+    rh2 = _real_hessian(fn, pts, h / 2.0)
+    rh = (4.0 * rh2 - rh) / 3.0
     xx = rh[:, :m, :m]
     yy = rh[:, m:, m:]
     xy = rh[:, :m, m:]
@@ -120,9 +117,10 @@ def complex_hessian(fn, pts, h=5e-3, richardson=True):
     return 0.25 * ((xx + yy) + 1j * (xy - yx))
 
 
-def complex_gradient(fn, pts, h=5e-3, richardson=True):
+def complex_gradient(fn, pts, h=5e-3):
     """Holomorphic derivatives d f / dz^a of a scalar or matrix field,
-    shape (n, m, *tail); d/dz = (d/dx - i d/dy)/2 by central differences."""
+    shape (n, m, *tail); d/dz = (d/dx - i d/dy)/2 by central differences
+    with one Richardson step (h, h/2)."""
     pts = np.asarray(pts, dtype=complex)
     n, m = pts.shape
     if m == 0:
@@ -148,9 +146,7 @@ def complex_gradient(fn, pts, h=5e-3, richardson=True):
         return out
 
     g = one_step(h)
-    if richardson:
-        g = (4.0 * one_step(h / 2.0) - g) / 3.0
-    return g
+    return (4.0 * one_step(h / 2.0) - g) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -369,57 +365,6 @@ def lambda_contract(g, a):
     if a.ndim == 5:
         return np.einsum("nba,nabij->nij", ginv, a)
     raise ValueError("unsupported form shape")
-
-
-def lambda2_wedge(g, a, b):
-    """Second contraction of a wedge b against omega:
-
-        Lambda^2(a ^ b) = Lambda(a) Lambda(b) - tr(G^{-1} A G^{-1} B),
-
-    normalized so that a ^ b ^ omega^(m-2)/(m-2)! = Lambda^2(a^b) omega^m/m!.
-    a may be endomorphism-valued ((n, m, m, r, r)); b must be scalar-valued.
-    """
-    ginv = np.linalg.inv(g)
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if b.ndim != 3:
-        raise ValueError("second form must be scalar-valued")
-    lb = np.einsum("nba,nab->n", ginv, b)
-    if a.ndim == 3:
-        la = np.einsum("nba,nab->n", ginv, a)
-        cross = np.einsum("nxa,nay,nyb,nbx->n", ginv, a, ginv, b)
-        return la * lb - cross
-    if a.ndim == 5:
-        la = np.einsum("nba,nabij->nij", ginv, a)
-        cross = np.einsum("nxa,nayij,nyb,nbx->nij", ginv, a, ginv, b)
-        return la * lb[:, None, None] - cross
-    raise ValueError("unsupported form shape")
-
-
-def contract(g, forms):
-    """Iterated contraction Lambda^j(alpha_1 ^ ... ^ alpha_j) per node.
-
-    Normalization: alpha_1 ^ .. ^ alpha_j ^ omega^(m-j)/(m-j)! equals
-    contract(...) * omega^m/m!.  Closed forms for j <= 2; equal-form powers
-    of any order go through the determinant coefficient expansion.
-    """
-    forms = [np.asarray(f) for f in forms]
-    n, m = g.shape[0], g.shape[1]
-    forms = [f if f.ndim >= 3 else np.broadcast_to(f, (n,) + f.shape) for f in forms]
-    j = len(forms)
-    if j == 0:
-        return np.ones(n)
-    if j == 1:
-        return lambda_contract(g, forms[0])
-    if j == 2:
-        return lambda2_wedge(g, forms[0], forms[1])
-    if all(forms[i] is forms[0] or np.array_equal(forms[i], forms[0]) for i in range(j)):
-        # det(G + tA) = sum_j E_j t^j gives alpha^j ^ omega^(m-j) exactly:
-        # Lambda^j(alpha^j) = j! E_j / det G
-        coeffs = mixed_volume_coefficients(g, forms[0], j)
-        detg = np.linalg.det(g).real
-        return math.factorial(j) * coeffs[j] / detg
-    raise NotImplementedError("distinct-form contraction implemented for j <= 2")
 
 
 def mixed_volume_coefficients(w, omega, deg):

@@ -41,7 +41,6 @@ __all__ = [
     "ConstantBundleMetric",
     "SplitBundleMetric",
     "PerturbedBundleMetric",
-    "CallableBundleMetric",
     "curvature_matrix",
     "mean_curvature",
     "hermitian_einstein_residual",
@@ -71,8 +70,8 @@ class GramMatrix:
         ev = np.linalg.eigvalsh(self.matrix)
         return float(ev[-1] / ev[0]) if ev[0] > 0 else math.inf
 
-    def whitener(self, guard=1e12):
-        return whitening_transform(self.matrix, guard=guard)
+    def whitener(self):
+        return whitening_transform(self.matrix)
 
 
 def make_gram(a, hermitian_tol=1e-10):
@@ -84,11 +83,16 @@ def make_gram(a, hermitian_tol=1e-10):
     return GramMatrix(0.5 * (a + a.conj().T))
 
 
-def whitening_transform(gram, guard=1e12):
+# largest Gram condition number `whitening_transform` accepts
+_CONDITION_GUARD = 1e12
+
+
+def whitening_transform(gram):
     """T with T* G T = I, via Cholesky G = L L* and T = L^{-*}.
 
     Guards: eigenvalues must be positive and the condition number below
-    `guard`; otherwise the Gram cannot be trusted at this node budget.
+    `_CONDITION_GUARD`; otherwise the Gram cannot be trusted at this node
+    budget.
     """
     g = gram.matrix if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=complex)
     ev = np.linalg.eigvalsh(g)
@@ -97,9 +101,9 @@ def whitening_transform(gram, guard=1e12):
             f"Gram not positive definite (smallest eigenvalue {ev[0]:.3e})"
         )
     cond = ev[-1] / ev[0]
-    if cond > guard:
+    if cond > _CONDITION_GUARD:
         raise NumericalGuardError(
-            f"Gram condition number {cond:.3e} exceeds {guard:.1e}; "
+            f"Gram condition number {cond:.3e} exceeds {_CONDITION_GUARD:.1e}; "
             "increase the quadrature budget or lower k"
         )
     try:
@@ -228,9 +232,6 @@ class SplitBundleMetric(BundleMetricField):
         out[:, :, :, idx, idx] = diag
         return out
 
-    def mean_slope(self):
-        return float(np.mean(self._a))
-
 
 class PerturbedBundleMetric(BundleMetricField):
     """H_t = H_0 + t K for a Hermitian matrix field K; derivatives propagate
@@ -252,13 +253,6 @@ class PerturbedBundleMetric(BundleMetricField):
 
     def dd_matrix(self, z):
         return self.base.dd_matrix(z) + self.t * self.field.dd_matrix(z)
-
-
-class CallableBundleMetric(BundleMetricField):
-    """Metric from a plain closure; all derivatives generic FD."""
-
-    def __init__(self, m, r, fn, label="callable", fd_step=5e-3):
-        super().__init__(m, r, fn=fn, label=label, fd_step=fd_step)
 
 
 # ---------------------------------------------------------------------------

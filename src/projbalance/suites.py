@@ -369,8 +369,7 @@ def balance_job(cfg, k):
     direct = bg.rho_direct(
         metric, kahler, model,
         rule=bg.adapted_total_rule(metric, model, n_radial=cfg.n_radial))
-    ref_state = bal.embedding_state(model, gram=direct.gram.matrix,
-                                    state_cache=state)
+    ref_state = state.with_gram(direct.gram.matrix)
     reference = bal.moment_map(ref_state)
 
     # uniform on the unit polydisc |z_i| <= 1: a bounded domain, so the

@@ -20,6 +20,7 @@ and `TestExpansionFit::test_trivial_family_fits_exactly` in
 import math
 import time
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 
@@ -130,14 +131,16 @@ def test_c04_density_routes_cross():
     t0 = time.perf_counter()
     metric = SplitBundleMetric(1, (0, 1))
     worst = 0.0
+    model = LineBundleSumOverP1((0, 1), 3)
+    rule = base_rule(model, n_radial=16)
+    table = bg.push_forward_table(metric, FS1, model, rule.points,
+                                  rule=fiber_rule(model, n_radial=16))
     for k in range(3, 7):
         model = LineBundleSumOverP1((0, 1), k)
         direct = bg.rho_direct(
             metric, FS1, model,
             rule=bg.adapted_total_rule(metric, model, n_radial=16))
-        level = bg.bergman_endomorphism(
-            metric, FS1, model, rule=base_rule(model, n_radial=16),
-            fiber=fiber_rule(model, n_radial=16))
+        level = bg.bergman_endomorphism(metric, FS1, model, rule, table)
         rng = np.random.default_rng(1009 * k)
         pts = 0.9 * (rng.standard_normal((200, model.n))
                      + 1j * rng.standard_normal((200, model.n)))
@@ -149,6 +152,17 @@ def test_c04_density_routes_cross():
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-5, f"density routes disagree by {worst:.3e}"
     assert elapsed < 300.0, f"budget 5 min exceeded: {elapsed:.1f} s"
+
+
+def _level_sweep(metric, model, ks, n_radial):
+    """Level endomorphisms over `ks` from one push-forward table on the
+    base rule nodes, as the CLI sweeps build them."""
+    rule = base_rule(model, n_radial=n_radial)
+    table = bg.push_forward_table(metric, FS1, model, rule.points,
+                                  rule=fiber_rule(model, n_radial=n_radial))
+    return [bg.bergman_endomorphism(metric, FS1, replace(model, k=k), rule,
+                                    table)
+            for k in ks]
 
 
 def _level_sweep_residuals(sweep, pts, a1):
@@ -177,9 +191,7 @@ def test_c05_flat_model_first_correction_closed_form():
     model = TrivialBundleOverPm(1, 2, 4)
     metric = ConstantBundleMetric(1, np.eye(2))
     ks = tuple(range(4, 11))
-    sweep = bg.bergman_sweep(metric, FS1, model, ks,
-                             rule=base_rule(model, n_radial=16),
-                             fiber=fiber_rule(model, n_radial=16))
+    sweep = _level_sweep(metric, model, ks, n_radial=16)
     pts = np.array([[0.0], [0.3 + 0.2j], [-0.7j], [1.1], [0.5 - 0.4j],
                     [-0.2 + 0.9j]], dtype=complex)
     fit = bg.expansion_fit(ks, [b.endomorphism(pts) for b in sweep], model.m,
@@ -211,9 +223,7 @@ def test_c05_companion_split_model_first_correction():
     model = LineBundleSumOverP1((0, 1), 4)
     metric = SplitBundleMetric(1, (0, 1))
     ks = tuple(range(4, 11))
-    sweep = bg.bergman_sweep(metric, FS1, model, ks,
-                             rule=base_rule(model, n_radial=20),
-                             fiber=fiber_rule(model, n_radial=20))
+    sweep = _level_sweep(metric, model, ks, n_radial=20)
     pts = np.array([[0.0], [0.3 + 0.2j], [-0.7j], [1.1], [0.5 - 0.4j],
                     [-0.2 + 0.9j]], dtype=complex)
     fit = bg.expansion_fit(ks, [b.endomorphism(pts) for b in sweep], model.m,

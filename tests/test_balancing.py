@@ -156,6 +156,55 @@ class TestEmbeddingState:
         assert state.rule.points.shape == plain.points.shape
         assert not np.allclose(state.rule.points, plain.points)
 
+    def test_with_gram_shares_tables_and_starts_without_memo(self):
+        rng = np.random.default_rng(37)
+        first = veronese_state(gram=random_spd(rng, 3))
+        bal.moment_map(first)
+        assert "_pairings" in vars(first)
+        g = random_spd(rng, 3)
+        second = first.with_gram(g)
+        for name in ("model", "basis", "rule", "frame", "values", "jet"):
+            assert getattr(second, name) is getattr(first, name)
+        assert "_pairings" not in vars(second)
+        assert np.max(np.abs(second.gram.matrix - g)) < 1e-15
+        built = veronese_state(gram=g)
+        assert np.array_equal(second.transform, built.transform)
+
+    def test_with_gram_keeps_the_frame(self):
+        rng = np.random.default_rng(43)
+        u = random_unitary(rng, 3)
+        model = LineBundleSumOverP1((0,), 2)
+        g = random_spd(rng, 3)
+        framed = bal.embedding_state(model, gram=random_spd(rng, 3),
+                                     frame=u.conj().T, n_radial=12)
+        moved = framed.with_gram(g)
+        assert moved.frame is framed.frame
+        direct = bal.embedding_state(model, gram=g, frame=u.conj().T,
+                                     n_radial=12)
+        got = bal.moment_map(moved).matrix
+        want = bal.moment_map(direct).matrix
+        assert np.max(np.abs(got - want)) < 1e-14
+        assert np.max(np.abs(got)) > 1e-3
+
+    def test_with_gram_guards_match_embedding_state(self):
+        model = LineBundleSumOverP1((0,), 2)
+        state = veronese_state()
+        wrong_size = np.eye(4)
+        with pytest.raises(ValueError) as built:
+            bal.embedding_state(model, gram=wrong_size, n_radial=12)
+        with pytest.raises(ValueError) as derived:
+            state.with_gram(wrong_size)
+        assert str(derived.value) == str(built.value)
+        assert "does not match section count 3" in str(derived.value)
+
+        indefinite = np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(NumericalGuardError) as built:
+            bal.embedding_state(model, gram=indefinite, n_radial=12)
+        with pytest.raises(NumericalGuardError) as derived:
+            state.with_gram(indefinite)
+        assert str(derived.value) == str(built.value)
+        assert "not positive definite" in str(derived.value)
+
 
 # ---------------------------------------------------------------------------
 # moment map
@@ -312,8 +361,7 @@ class TestBalanceIterate:
             g = state.gram.matrix.copy()
             g[0, 0] *= 1.3
             g /= np.linalg.det(g).real ** (1.0 / g.shape[0])
-            return bal.embedding_state(
-                state.model, gram=g, rule=state.rule, state_cache=state)
+            return state.with_gram(g)
 
         monkeypatch.setattr(bal, "t_map_step", bad_step)
         report = bal.balance_iterate(veronese_state(), tol=1e-12,
@@ -330,8 +378,7 @@ class TestBalanceIterate:
             g = state.gram.matrix.copy()
             g[0, 0] *= 16.0
             g /= np.linalg.det(g).real ** (1.0 / g.shape[0])
-            return bal.embedding_state(
-                state.model, gram=g, rule=state.rule, state_cache=state)
+            return state.with_gram(g)
 
         monkeypatch.setattr(bal, "t_map_step", bad_step)
         report = bal.balance_iterate(veronese_state(), tol=1e-12,
@@ -376,13 +423,14 @@ class TestOneGeometryPassPerState:
         rng = np.random.default_rng(71)
         state = veronese_state(gram=random_spd(rng, 3, scale=1.0))
         made = []
-        real_state = bal.embedding_state
+        real_with_gram = bal.EmbeddingState.with_gram
 
-        def recording_state(*args, **kwargs):
-            made.append(real_state(*args, **kwargs))
+        def recording_with_gram(self, gram):
+            made.append(real_with_gram(self, gram))
             return made[-1]
 
-        monkeypatch.setattr(bal, "embedding_state", recording_state)
+        monkeypatch.setattr(bal.EmbeddingState, "with_gram",
+                            recording_with_gram)
         seen = count_geometry_passes(monkeypatch)
         report = bal.flow_iterate(state, tol=1e-8, max_iter=200, step=8.0)
         assert report.converged
@@ -395,8 +443,7 @@ class TestOneGeometryPassPerState:
             self, monkeypatch):
         rng = np.random.default_rng(73)
         first = veronese_state(gram=random_spd(rng, 3))
-        second = bal.embedding_state(first.model, gram=random_spd(rng, 3),
-                                     state_cache=first)
+        second = first.with_gram(random_spd(rng, 3))
         seen = count_geometry_passes(monkeypatch)
         m1 = bal.moment_map(first).matrix
         m2 = bal.moment_map(second).matrix

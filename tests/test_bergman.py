@@ -158,11 +158,20 @@ def twisted_rules():
     return base_rule(model, n_radial=14), fiber_rule(model, n_radial=14)
 
 
+def level_sweep(metric, kahler, model, ks, rule, fib=None):
+    """Level endomorphisms over `ks` from one push-forward table on the base
+    `rule` nodes (fiber rule `fib`), as the CLI sweeps build them."""
+    table = bg.push_forward_table(metric, kahler, model, rule.points, rule=fib)
+    return [bg.bergman_endomorphism(metric, kahler, replace(model, k=int(k)),
+                                    rule, table)
+            for k in ks]
+
+
 @pytest.fixture(scope="module")
 def twisted_sweep(twisted_metric, twisted_rules):
     rule, fib = twisted_rules
     model = LineBundleSumOverP1((0, 1), 2)
-    return bg.bergman_sweep(twisted_metric, FS1, model, range(2, 11), rule=rule, fiber=fib)
+    return level_sweep(twisted_metric, FS1, model, range(2, 11), rule, fib)
 
 
 @pytest.fixture(scope="module")
@@ -452,7 +461,9 @@ class TestLevelMetric:
     def test_twisted_closed_form(self, twisted_metric, twisted_rules):
         model = LineBundleSumOverP1((0, 1), 4)
         z = np.array([[0.0], [0.6 + 0.4j]], dtype=complex)
-        got = bg.level_metric_values(twisted_metric, FS1, model, z, rule=twisted_rules[1])
+        table = bg.push_forward_table(twisted_metric, FS1, model, z,
+                                      rule=twisted_rules[1])
+        got = bg.level_metric_values(table, model.k)
         h = twisted_metric.matrix(z)
         want = h * twisted_level_factors(4)[None, None, :]
         assert np.max(np.abs(got - want)) < 1e-9
@@ -461,7 +472,9 @@ class TestLevelMetric:
         model = TrivialBundleOverPm(1, 2, 5)
         metric = ConstantBundleMetric(1, np.eye(2))
         z = np.array([[0.3], [1.0 + 1.0j]], dtype=complex)
-        got = bg.level_metric_values(metric, FS1, model, z, rule=fiber_rule(model, 16))
+        table = bg.push_forward_table(metric, FS1, model, z,
+                                      rule=fiber_rule(model, 16))
+        got = bg.level_metric_values(table, model.k)
         assert np.max(np.abs(got - np.eye(2))) < 1e-9
 
 
@@ -514,15 +527,17 @@ class TestBergmanEndomorphism:
         rng = np.random.default_rng(13)
         model = ProjectivePoint(3)
         metric = ConstantBundleMetric(0, random_hermitian_pd(rng, 3))
-        out = bg.bergman_endomorphism(metric, FubiniStudy(0), model)
+        rule = base_rule(model)
+        table = bg.push_forward_table(metric, FubiniStudy(0), model, rule.points)
+        out = bg.bergman_endomorphism(metric, FubiniStudy(0), model, rule, table)
         b = out.endomorphism(np.zeros((1, 0), dtype=complex))
         assert np.max(np.abs(b[0] - np.eye(3))) < 1e-10
 
     def test_flat_trivial_closed_form(self):
         model = TrivialBundleOverPm(1, 2, 3)
         metric = ConstantBundleMetric(1, np.eye(2))
-        out = bg.bergman_endomorphism(
-            metric, FS1, model, rule=base_rule(model, 16), fiber=fiber_rule(model, 16))
+        [out] = level_sweep(metric, FS1, model, [model.k], base_rule(model, 16),
+                            fiber_rule(model, 16))
         rng = np.random.default_rng(14)
         z = 1.5 * (rng.standard_normal((40, 1)) + 1j * rng.standard_normal((40, 1)))
         b = out.endomorphism(z)
@@ -562,9 +577,24 @@ class TestBergmanEndomorphism:
     def test_condition_guard(self):
         model = LineBundleSumOverP1((0,), 45)
         metric = SplitBundleMetric(1, (0,))
+        rule = base_rule(model, 24)
+        table = bg.push_forward_table(metric, FS1, model, rule.points,
+                                      rule=fiber_rule(model, 8))
         with pytest.raises(NumericalGuardError, match="lower k"):
-            bg.bergman_endomorphism(
-                metric, FS1, model, rule=base_rule(model, 24), fiber=fiber_rule(model, 8))
+            bg.bergman_endomorphism(metric, FS1, model, rule, table)
+
+    def test_table_must_sit_on_the_rule_nodes(self, twisted_metric,
+                                              twisted_rules):
+        rule, fib = twisted_rules
+        model = LineBundleSumOverP1((0, 1), 4)
+        other = base_rule(model, 10)
+        table = bg.push_forward_table(twisted_metric, FS1, model,
+                                      other.points, rule=fib)
+        with pytest.raises(ValueError, match="differ from the base rule"):
+            bg.bergman_endomorphism(twisted_metric, FS1, model, rule, table)
+        shifted = replace(table, points=rule.points + 1e-3)
+        with pytest.raises(ValueError, match="differ from the base rule"):
+            bg.bergman_endomorphism(twisted_metric, FS1, model, rule, shifted)
 
     def test_k_sweep_matches_closed_form_rate(self, twisted_sweep):
         # sup-norm distance of k^{-1} B_k from I; the closed form gives
@@ -808,7 +838,8 @@ class TestExpansionFit:
         rng = np.random.default_rng(22)
         metric = ConstantBundleMetric(0, random_hermitian_pd(rng, 2))
         model = ProjectivePoint(2)
-        sweep = bg.bergman_sweep(metric, FubiniStudy(0), model, [1, 2, 3, 4])
+        sweep = level_sweep(metric, FubiniStudy(0), model, [1, 2, 3, 4],
+                            base_rule(model))
         fit = fit_sweep(sweep, np.zeros((1, 0), dtype=complex))
         assert np.max(np.abs(fit.coefficients[0])) < 1e-10
         assert np.max(fit.residuals) < 1e-10
@@ -820,9 +851,8 @@ class TestExpansionFit:
         # combination (3/2) I
         model = TrivialBundleOverPm(1, 2, 2)
         metric = ConstantBundleMetric(1, np.eye(2))
-        sweep = bg.bergman_sweep(
-            metric, FS1, model, range(2, 7),
-            rule=base_rule(model, 14), fiber=fiber_rule(model, 14))
+        sweep = level_sweep(metric, FS1, model, range(2, 7),
+                            base_rule(model, 14), fiber_rule(model, 14))
         z = np.array([[0.4 - 0.6j], [0.0]], dtype=complex)
         fit = fit_sweep(sweep, z)
         assert np.max(np.abs(fit.coefficients[0] - np.eye(2))) < 1e-8

@@ -225,6 +225,26 @@ class TestExitCodes:
         assert cli.main(["verify", "--config", path]) == 3
         assert "empty level range" in capsys.readouterr().err
 
+    def test_summand_twist_below_minus_k_min(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path, "[model]\nkind = p1-sum\ndegrees = -5,0\n\n"
+                      "[sweep]\nk_min = 3\nk_max = 5\n")
+        rc = cli.main(["expansion", "--config", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "[model] degrees" in err and "line 3" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        rc = cli.main(["verify", "--seed", "-1",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "[output] seed" in err
+        assert not (tmp_path / "out").exists()
+
     def test_workers_must_be_positive(self, tmp_path):
         path = write_config(tmp_path, TINY_SPECTRUM)
         rc = cli.main(["moment-spectrum", "--config", path, "--workers", "0",

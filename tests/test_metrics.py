@@ -13,7 +13,7 @@ import pytest
 from projbalance.errors import NumericalGuardError
 from projbalance.kahler import FlatChart, FubiniStudy, complex_hessian
 from projbalance.metrics import (
-    CallableBundleMetric,
+    BundleMetricField,
     ConstantBundleMetric,
     MatrixField,
     PerturbedBundleMetric,
@@ -99,7 +99,7 @@ class TestSplitMetric:
         rng = np.random.default_rng(22)
         for m, degrees in [(1, (0, 1, 3)), (2, (1, 2))]:
             exact = SplitBundleMetric(m, degrees)
-            fd = CallableBundleMetric(m, len(degrees), exact.matrix)
+            fd = BundleMetricField(m, len(degrees), fn=exact.matrix)
             z = 0.7 * (rng.standard_normal((20, m)) + 1j * rng.standard_normal((20, m)))
             assert np.max(np.abs(exact.d_matrix(z) - fd.d_matrix(z))) < 1e-7
             assert np.max(np.abs(exact.dd_matrix(z) - fd.dd_matrix(z))) < 1e-7
@@ -170,7 +170,7 @@ class TestPerturbedMetric:
         base = SplitBundleMetric(1, (0, 1))
         field = self._field()
         pert = PerturbedBundleMetric(base, field, 0.4)
-        fd = CallableBundleMetric(1, 2, pert.matrix)
+        fd = BundleMetricField(1, 2, fn=pert.matrix)
         rng = np.random.default_rng(26)
         z = 0.8 * (rng.standard_normal((12, 1)) + 1j * rng.standard_normal((12, 1)))
         assert np.max(np.abs(pert.matrix(z) - base.matrix(z) - 0.4 * field.matrix(z))) < 1e-14
