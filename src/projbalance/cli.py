@@ -41,7 +41,8 @@ configuration file (every key optional; defaults depend on the subcommand):
   [model]   kind (point | p1-sum | pm-trivial), degrees, rank, base_dim
   [sweep]   k_min, k_max, n_points
   [quadrature]  n_radial
-  [solver]  method (t-iteration | gradient-flow), balance_tol, max_iter,
+  [solver]  method (t-iteration: the T-iteration with safeguarded
+            Anderson mixing | gradient-flow), balance_tol, max_iter,
             flow_step
   [checks]  rho_tol, a1_rel_tol, order_q, r_bound, d_tol
   [output]  out_dir, seed
@@ -49,7 +50,10 @@ configuration file (every key optional; defaults depend on the subcommand):
 outputs (under --out, or the configured out_dir):
 
   report.json     schema 1; byte-identical across reruns of the same
-                  configuration and seed except for the timestamp field
+                  configuration and seed except for the timestamp field;
+                  balance and moment-spectrum levels record the solver
+                  iterations and fallback_steps (Anderson steps that
+                  took the plain T-step; 0 for gradient-flow)
   timings.json    wall-clock seconds, kept out of report.json:
                   run_seconds (the whole run), command, levels (per
                   level: job_seconds, and solve_seconds for balance) and

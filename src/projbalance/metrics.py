@@ -76,6 +76,10 @@ class GramMatrix:
 
 def make_gram(a, hermitian_tol=1e-10):
     a = np.asarray(a, dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise NumericalGuardError(
+            "Gram matrix has non-finite entries; increase the quadrature "
+            "budget or lower k")
     scale = max(np.max(np.abs(a)), 1.0)
     defect = np.max(np.abs(a - a.conj().T))
     if defect > hermitian_tol * scale:

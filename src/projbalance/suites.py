@@ -339,12 +339,16 @@ _MomentSummary = namedtuple("_MomentSummary", "norm_op d volume count")
 
 
 def _solve(cfg, state):
-    """Balance `state` with the configured `[solver]` method."""
+    """Balance `state` with the configured `[solver]` method.
+
+    `t-iteration` runs the Anderson-accelerated T-iteration; the plain one
+    (`anderson=False`) is kept as the reference the tests compare against.
+    """
     if cfg.method == "gradient-flow":
         return bal.flow_iterate(state, tol=cfg.balance_tol,
                                 max_iter=cfg.max_iter, step=cfg.flow_step)
     return bal.balance_iterate(state, tol=cfg.balance_tol,
-                               max_iter=cfg.max_iter)
+                               max_iter=cfg.max_iter, anderson=True)
 
 
 def balance_job(cfg, k):
@@ -381,15 +385,17 @@ def balance_job(cfg, k):
     comparable = bal.r_bounded_check(
         bal.embedding_form_field(report.state),
         bal.embedding_form_field(state), pts, r_bound=cfg.r_bound)
-    logger.info("balance k=%d: %d iterations, converged=%s, final norm %.3e",
-                k, report.iterations, report.converged,
-                report.trajectory[-1][1])
+    logger.info("balance k=%d: %d iterations (fallback_steps=%d), "
+                "converged=%s, final norm %.3e",
+                k, report.iterations, report.fallback_steps,
+                report.converged, report.trajectory[-1][1])
     return {
         "k": int(k),
         "count": int(state.count),
         "converged": bool(report.converged),
         "diverged": bool(report.diverged),
         "iterations": int(report.iterations),
+        "fallback_steps": int(report.fallback_steps),
         "trajectory": [[int(i), float(a), float(b)]
                        for i, a, b in report.trajectory],
         "final_norm_op": float(report.moment.norm_op),
@@ -598,8 +604,10 @@ def spectrum_job(cfg, k):
     report = _solve(cfg, state)
     op = bal.sigma_z_operator(report.state)
     est = bal.eig_estimate(op, k)
-    logger.info("spectrum k=%d: lambda=%.6e kernel=%d converged=%s",
-                k, est.lambda_z, est.kernel_dim, report.converged)
+    logger.info("spectrum k=%d: lambda=%.6e kernel=%d converged=%s, "
+                "%d iterations (fallback_steps=%d)",
+                k, est.lambda_z, est.kernel_dim, report.converged,
+                report.iterations, report.fallback_steps)
     return {
         "k": int(k),
         "lambda_z": float(est.lambda_z),
@@ -609,6 +617,7 @@ def spectrum_job(cfg, k):
         "samples": int(est.samples),
         "converged": bool(report.converged),
         "iterations": int(report.iterations),
+        "fallback_steps": int(report.fallback_steps),
         "final_norm_op": float(report.moment.norm_op),
     }
 

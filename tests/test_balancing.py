@@ -387,6 +387,54 @@ class TestBalanceIterate:
         assert report.diverged
         assert len(report.trajectory) >= 1
 
+    def test_divergence_flagged_anderson(self, monkeypatch):
+        # the Anderson twin: mixing cannot repair a map with no fixed point,
+        # so the ten-consecutive-rise exit still fires
+        def bad_step(state):
+            g = state.gram.matrix.copy()
+            g[0, 0] *= 1.3
+            g /= np.linalg.det(g).real ** (1.0 / g.shape[0])
+            return state.with_gram(g)
+
+        monkeypatch.setattr(bal, "t_map_step", bad_step)
+        report = bal.balance_iterate(veronese_state(), tol=1e-12,
+                                     max_iter=500, anderson=True)
+        assert not report.converged
+        assert report.diverged
+        assert report.iterations < 100
+        assert report.fallback_steps > 0
+
+    def test_guard_trip_mid_iteration_flags_divergence_anderson(
+            self, monkeypatch):
+        def bad_step(state):
+            g = state.gram.matrix.copy()
+            g[0, 0] *= 16.0
+            g /= np.linalg.det(g).real ** (1.0 / g.shape[0])
+            return state.with_gram(g)
+
+        monkeypatch.setattr(bal, "t_map_step", bad_step)
+        report = bal.balance_iterate(veronese_state(), tol=1e-12,
+                                     max_iter=500, anderson=True)
+        assert not report.converged
+        assert report.diverged
+        assert len(report.trajectory) >= 1
+
+    @pytest.mark.parametrize("anderson", [False, True])
+    def test_non_finite_step_flags_divergence(self, monkeypatch, anderson):
+        # a NaN Gram used to reach LAPACK and crash the run with a raw
+        # LinAlgError; now the Gram guard trips and the report is flagged
+        def nan_step(state):
+            return state.with_gram(np.full_like(state.gram.matrix, np.nan))
+
+        monkeypatch.setattr(bal, "t_map_step", nan_step)
+        rng = np.random.default_rng(43)
+        report = bal.balance_iterate(veronese_state(gram=random_spd(rng, 3)),
+                                     tol=1e-12, max_iter=50,
+                                     anderson=anderson)
+        assert report.diverged and not report.converged
+        assert report.iterations == 0
+        assert all(np.isfinite(row[1]) for row in report.trajectory)
+
     def test_hirzebruch_sweep_converges(self):
         metric = SplitBundleMetric(1, (0, 1))
         for k in (2, 3):
@@ -416,6 +464,16 @@ class TestOneGeometryPassPerState:
         report = bal.balance_iterate(state, tol=1e-8)
         assert report.converged and report.iterations > 10
         assert len(seen) == report.iterations + 1
+        assert len({id(s) for s in seen}) == len(seen)
+
+    def test_anderson_balance_iterate(self, monkeypatch):
+        # an accepted mixed step costs one pass, a fallback two
+        rng = np.random.default_rng(79)
+        state = p1xp1_state(4, gram=random_spd(rng, 10))
+        seen = count_geometry_passes(monkeypatch)
+        report = bal.balance_iterate(state, tol=1e-8, anderson=True)
+        assert report.converged
+        assert len(seen) == report.iterations + 1 + report.fallback_steps
         assert len({id(s) for s in seen}) == len(seen)
 
     def test_flow_iterate_counts_line_search_candidates(self, monkeypatch):
@@ -459,6 +517,104 @@ class TestOneGeometryPassPerState:
         m3 = bal.moment_map(third).matrix
         assert len(seen) == 3
         assert np.max(np.abs(m3 - m2)) < 1e-14
+
+
+class TestAnderson:
+    def test_solvers_agree_on_gauge_invariants(self):
+        # the balanced Gram is unique only up to SU(2) x SU(2), so compare
+        # what the automorphisms leave alone: the moment norm, the density
+        # and the normal spectrum
+        rng = np.random.default_rng(83)
+        g0 = random_spd(rng, 8)
+        out = []
+        for anderson in (False, True):
+            report = bal.balance_iterate(p1xp1_state(3, gram=g0), tol=1e-12,
+                                         max_iter=500, anderson=anderson)
+            assert report.converged and report.moment.norm_op < 1e-12
+            stats = bal.balanced_density_stats(report.state)
+            assert stats["max_dev"] < 1e-10
+            eigs = np.linalg.eigvalsh(
+                bal.sigma_z_operator(report.state).q_matrix)
+            out.append((report, stats, eigs))
+        (plain, plain_stats, plain_eigs), (mixed, mixed_stats,
+                                           mixed_eigs) = out
+        assert mixed.iterations < plain.iterations / 2
+        assert abs(mixed_stats["max_dev"] - plain_stats["max_dev"]) < 1e-10
+        assert abs(mixed_stats["mean"] - plain_stats["mean"]) < 1e-12
+        assert np.max(np.abs(mixed_eigs - plain_eigs)) < 1e-10 * plain_eigs[-1]
+
+    def test_plain_solver_reports_no_fallbacks(self):
+        report = bal.balance_iterate(p1xp1_state(2), tol=1e-8)
+        assert report.converged and report.fallback_steps == 0
+
+    def test_rising_mix_falls_back_to_the_plain_step(self, monkeypatch):
+        # an overshooting mix raises the moment norm every time, so every
+        # step is the plain T-step: the trajectory is the reference one,
+        # each mixing attempt is one counted fallback and one extra pass
+        rng = np.random.default_rng(89)
+        g0 = random_spd(rng, 6)
+        plain = bal.balance_iterate(p1xp1_state(2, gram=g0), tol=1e-8)
+        attempts = []
+
+        def overshoot(xs, gs):
+            attempts.append(len(xs))
+            return 3.0 * gs[-1]
+
+        monkeypatch.setattr(bal, "_anderson_mix", overshoot)
+        seen = count_geometry_passes(monkeypatch)
+        report = bal.balance_iterate(p1xp1_state(2, gram=g0), tol=1e-8,
+                                     anderson=True)
+        assert report.converged and not report.diverged
+        assert report.trajectory == plain.trajectory
+        assert report.fallback_steps == len(attempts) > 0
+        assert all(n == 2 for n in attempts)  # history cleared each time
+        # + 1 for the initial state
+        assert len(seen) == report.iterations + 1 + report.fallback_steps
+
+    def test_guard_tripping_mix_falls_back(self, monkeypatch):
+        rng = np.random.default_rng(97)
+        g0 = random_spd(rng, 6)
+        plain = bal.balance_iterate(p1xp1_state(2, gram=g0), tol=1e-8)
+        monkeypatch.setattr(bal, "_anderson_mix",
+                            lambda xs, gs: 1e3 * gs[-1])
+        report = bal.balance_iterate(p1xp1_state(2, gram=g0), tol=1e-8,
+                                     anderson=True)
+        assert report.converged and not report.diverged
+        assert report.trajectory == plain.trajectory
+        assert report.fallback_steps > 0
+
+    def test_history_holds_the_memory_depth(self, monkeypatch):
+        real = bal._anderson_mix
+        depths = []
+
+        def recording(xs, gs):
+            depths.append(len(xs))
+            return real(xs, gs)
+
+        monkeypatch.setattr(bal, "_anderson_mix", recording)
+        report = bal.balance_iterate(p1xp1_state(6), tol=1e-8,
+                                     anderson=True)
+        assert report.converged
+        assert max(depths) == bal._ANDERSON_MEMORY
+        assert report.iterations < 20
+
+    def test_mix_of_an_affine_map_is_its_fixed_point(self):
+        # traceless Hermitian 2 x 2 matrices form a 3-dimensional space, so
+        # a full history of 5 iterates spans it affinely; on an affine map
+        # the least-squares residual is then zero and the mix is the fixed
+        # point, wherever the iterates lie
+        rng = np.random.default_rng(101)
+
+        def traceless(a):
+            return a - np.trace(a) / 2 * np.eye(2)
+
+        b = traceless(random_spd(rng, 2, scale=1.0))
+        xs = np.stack([traceless(random_spd(rng, 2, scale=1.0))
+                       for _ in range(bal._ANDERSON_MEMORY)])
+        gs = 0.5 * xs + b
+        mixed = bal._anderson_mix(xs, gs)
+        assert np.array_equal(mixed, mixed.conj().T)
+        assert np.max(np.abs(mixed - 2.0 * b)) < 1e-12
 
 
 class TestDensityStats:

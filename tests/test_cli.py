@@ -378,12 +378,14 @@ class TestDeterminism:
                          "--out", str(out)]) == 0
         assert normalized_report_bytes(out) == first
 
-    # verify and expansion send the shared push-forward table to the workers
+    # verify and expansion send the shared push-forward table to the
+    # workers; balance and moment-spectrum run the Anderson solver there
     @pytest.mark.parametrize("command, text", [
         ("verify", TINY_VERIFY),
         ("expansion", TINY_EXPANSION),
+        ("balance", TINY_BALANCE),
         ("moment-spectrum", TINY_SPECTRUM),
-    ], ids=["verify", "expansion", "moment-spectrum"])
+    ], ids=["verify", "expansion", "balance", "moment-spectrum"])
     def test_workers_do_not_change_the_report(self, tmp_path, command, text):
         path = write_config(tmp_path, text)
         out = tmp_path / "out"
@@ -451,6 +453,15 @@ class TestBalanceRun:
         assert [lv["k"] for lv in levels] == [2, 3, 4]
         assert all(lv["converged"] for lv in levels)
         assert all(lv["final_norm_op"] < 1e-8 for lv in levels)
+
+    def test_levels_report_fallbacks(self, balance_run):
+        _, out = balance_run
+        levels = load_report(out)["results"]["levels"]
+        assert all(isinstance(lv["fallback_steps"], int)
+                   and 0 <= lv["fallback_steps"] <= lv["iterations"]
+                   for lv in levels)
+        # the summary table keeps its columns
+        assert "fallback_steps" not in header_of(out / "balance.csv")
 
     def test_timings_keep_the_solve_time(self, balance_run):
         _, out = balance_run
@@ -601,6 +612,9 @@ class TestSpectrumRun:
         # O(1) on P^1 is a full linear system, balanced from the start
         assert levels[0]["iterations"] == 0
         assert all(lv["iterations"] > 0 for lv in levels[1:])
+        assert levels[0]["fallback_steps"] == 0
+        assert all(0 <= lv["fallback_steps"] <= lv["iterations"]
+                   for lv in levels)
 
     def test_gradient_flow_method_runs_the_flow(self, monkeypatch):
         original = bal.flow_iterate
@@ -620,6 +634,26 @@ class TestSpectrumRun:
                           "step": 0.5}]
         assert result["converged"]
         assert result["iterations"] == reports[0].iterations
+
+    def test_t_iteration_method_runs_the_anderson_solver(self, monkeypatch):
+        original = bal.balance_iterate
+        calls = []
+        reports = []
+
+        def recording(state, **kwargs):
+            calls.append(kwargs)
+            reports.append(original(state, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(bal, "balance_iterate", recording)
+        cfg = parse_config_text(TINY_SPECTRUM)
+        assert cfg.method == "t-iteration"
+        result = suites.spectrum_job(cfg, 2)
+        assert calls == [{"tol": cfg.balance_tol, "max_iter": cfg.max_iter,
+                          "anderson": True}]
+        assert result["converged"]
+        assert result["iterations"] == reports[0].iterations
+        assert result["fallback_steps"] == reports[0].fallback_steps
 
 
 class TestLogLevel:

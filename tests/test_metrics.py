@@ -82,6 +82,17 @@ class TestGramUtilities:
         with pytest.raises(ValueError, match="[Hh]ermitian"):
             make_gram(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_make_gram_rejects_non_finite(self, bad):
+        # a NaN Gram used to raise a raw LinAlgError in whitener() and an
+        # inf diagonal passed it silently
+        g = np.eye(3, dtype=complex)
+        g[1, 1] = bad
+        with pytest.raises(NumericalGuardError, match="non-finite"):
+            make_gram(g)
+        with pytest.raises(NumericalGuardError, match="non-finite"):
+            make_gram(np.diag([bad, bad, bad]))
+
     def test_gram_certificate(self):
         g = make_gram(np.diag([2.0, 3.0]).astype(complex))
         assert abs(g.smallest_eigenvalue() - 2.0) < 1e-14
