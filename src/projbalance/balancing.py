@@ -11,10 +11,11 @@ Contents, bottom to top:
 
 * `su_basis` builds trace-orthonormal Hermitian generators, the coordinate
   system for every moment and spectral quantity below;
-* `embedding_state` bundles a model, a section basis, a Gram matrix with its
-  orthonormalizing transform, a quadrature rule, and cached section values;
-  `EmbeddingState.with_gram` derives a state with another Gram that shares
-  every table, so the iteration loops never re-evaluate monomial tables;
+* `embedding_state` bundles a model, a section basis, a Gram matrix, a
+  quadrature rule, and cached section values; `EmbeddingState.transform` is
+  derived from the Gram, and `EmbeddingState.with_gram` derives a state with
+  another Gram that shares every table, so the iteration loops never
+  re-evaluate monomial tables;
 * `moment_map` integrates the frame pairings against the pulled-back volume
   and subtracts the balanced value V/N;
 * `t_map_step` and `gradient_flow_step` are the two solvers: the fixed-point
@@ -46,9 +47,9 @@ Contents, bottom to top:
 Each geometric quantity has one routine.  `_pullback_data` is the package's
 only pull-back formula (the metric d d-bar log |u|^2 of a frame table and
 its volume density); `_fs_geometry` applies it at the rule nodes and
-`embedding_form_field` at arbitrary points.  `_l2_pairing` is the only L2
-pairing of a node table against the pulled-back volume; the moment pairs
-the frame, the T-step the raw basis values, and the density the frame
+`embedding_form_field` at arbitrary points.  `metrics.l2_pairing` is the
+only L2 pairing of a node table against the pulled-back volume; the moment
+pairs the frame, the T-step the raw basis values, and the density the frame
 again.
 
 A state makes one geometry pass for the moment and the T-step together:
@@ -73,7 +74,7 @@ import numpy as np
 
 from .bergman import adapted_total_rule
 from .errors import NumericalGuardError
-from .metrics import GramMatrix, make_gram
+from .metrics import GramMatrix, l2_pairing, make_gram
 from .quadrature import ChartRule
 from .sections import build_section_basis, total_rule
 
@@ -136,8 +137,10 @@ class EmbeddingState:
     against the embedding it induces.
 
     `transform` columns are a G-orthonormal frame: transform^H G transform
-    is the identity.  `values` and `jet` are the basis tables at the rule
-    nodes, cached so iteration steps only pay for the N x N linear algebra.
+    is the identity; it is the Gram's whitener, derived on each read, so no
+    copy with another Gram keeps a stale one.  `values` and `jet` are the
+    basis tables at the rule nodes, cached so iteration steps only pay for
+    the N x N linear algebra.
     `_pairings` memoizes what the moment and the T-step read, so a state
     costs one geometry pass however many of them ask; it is N x N data and
     a scalar, never a node table, and a new state starts without it.
@@ -146,7 +149,6 @@ class EmbeddingState:
     model: object
     basis: object
     gram: GramMatrix
-    transform: np.ndarray
     rule: ChartRule
     values: np.ndarray
     jet: np.ndarray
@@ -160,39 +162,41 @@ class EmbeddingState:
     def count(self):
         return self.basis.count
 
+    @property
+    def transform(self):
+        return self.gram.whitener()
+
     @cached_property
     def _pairings(self):
         """Volume, frame pairing and basis pairing from one geometry pass:
         all that `moment_map` and `t_map_step` read."""
         u, _, kk, _, wq = _fs_geometry(self)
-        return (float(wq.sum()), _l2_pairing(u, kk, wq),
-                _l2_pairing(self.values, kk, wq))
+        weights = wq / kk
+        return (float(wq.sum()), l2_pairing(u, weights),
+                l2_pairing(self.values, weights))
 
     def with_gram(self, gram):
         """The same embedding data under another Gram matrix: basis, rule,
         frame and node tables are shared, and the memo starts empty."""
-        gm, transform = _orthonormalizing(gram, self.count)
-        return replace(self, gram=gm, transform=transform)
+        return replace(self, gram=_orthonormalizing(gram, self.count))
 
 
 def _orthonormalizing(gram, count):
-    """Validated Gram of a `count`-section family and its Hermitian inverse
-    root, the canonical transform: it carries no arbitrary unitary
-    freedom."""
+    """Validated Gram of a `count`-section family whose whitener, the
+    canonical transform, passed the Gram guards and orthonormalizes it to
+    1e-9."""
     gm = make_gram(gram)
     if gm.n != count:
         raise ValueError(
             f"Gram size {gm.n} does not match section count {count}")
-    gm.whitener()  # positivity and conditioning guards
-    w, vv = np.linalg.eigh(gm.matrix)
-    transform = (vv / np.sqrt(w)[None, :]) @ vv.conj().T
+    transform = gm.whitener()
     defect = np.max(np.abs(
         transform.conj().T @ gm.matrix @ transform - np.eye(gm.n)))
     if not defect <= 1e-9:  # fails closed on NaN
         raise NumericalGuardError(
             f"orthonormalizing transform defect {defect:.2e}; "
             "Gram matrix too ill-conditioned")
-    return gm, transform
+    return gm
 
 
 def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
@@ -215,7 +219,7 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
             rule = total_rule(model, n_radial=n_radial)
     if gram is None:
         gram = np.eye(basis.count)
-    gm, transform = _orthonormalizing(gram, basis.count)
+    gm = _orthonormalizing(gram, basis.count)
     values = basis.eval_embedding(rule.points)
     jet = basis.eval_embedding_jet(rule.points)
     if frame is not None:
@@ -225,8 +229,7 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
                 f"frame shape {frame.shape} does not match section "
                 f"count {basis.count}")
         values, jet = _mix(values, jet, frame)
-    return EmbeddingState(model=model, basis=basis, gram=gm,
-                          transform=transform, rule=rule,
+    return EmbeddingState(model=model, basis=basis, gram=gm, rule=rule,
                           values=values, jet=jet, frame=frame)
 
 
@@ -264,14 +267,6 @@ def _fs_geometry(state):
     u, du = _mix(state.values, state.jet, state.transform)
     kk, gfs, dens = _pullback_data(u, du, state.model.n)
     return u, du, kk, gfs, state.rule.weights * dens
-
-
-def _l2_pairing(table, kk, wq):
-    """L2 pairing of the columns of a node table against the pulled-back
-    volume: sum_n (wq_n / K_n) conj(table_np) table_nq, with K the kernel
-    and wq the weighted density returned by `_fs_geometry`."""
-    weighted = np.conj(table) * (wq / kk)[:, None]
-    return weighted.T @ table
 
 
 def embedding_form_field(state):
@@ -355,7 +350,7 @@ def _density_and_weights(state):
     """Balanced density at the rule nodes and the weighted volume density
     it is integrated against, from one geometry pass."""
     u, _, kk, _, wq = _fs_geometry(state)
-    raw = _l2_pairing(u, kk, wq)
+    raw = l2_pairing(u, wq / kk)
     raw = 0.5 * (raw + raw.conj().T)
     rho = ((np.conj(u) @ np.linalg.inv(raw).T) * u).sum(axis=1).real
     return rho / kk, wq
@@ -407,10 +402,6 @@ class BalanceReport:
     tolerance: float
     wall_time: float
     fallback_steps: int = 0
-
-    @property
-    def final_gram(self):
-        return self.state.gram.matrix
 
 
 def _iterate(state, tol, max_iter, stepper, name):
@@ -678,10 +669,10 @@ class EigEstimate:
         return 1.0 / self.smallest if self.smallest > 0.0 else 0.0
 
 
-def eig_estimate(op, k, kernel_tol=1e-8):
+def eig_estimate(op, k):
     """Split the spectrum of Q_z into kernel and positive part.
 
-    Eigenvalues below kernel_tol times the largest one count as kernel
+    Eigenvalues below 1e-8 times the largest one count as kernel
     (stabilizer directions of the embedded image); the smallest survivor
     is the quantity whose reciprocal grows along k-sweeps.
     """
@@ -694,7 +685,7 @@ def eig_estimate(op, k, kernel_tol=1e-8):
         return EigEstimate(smallest=0.0, kernel_dim=int(eigs.size),
                            dimension=int(eigs.size), samples=op.samples,
                            k=int(k))
-    positive = eigs[eigs > kernel_tol * scale]
+    positive = eigs[eigs > 1e-8 * scale]
     kernel_dim = int(eigs.size - positive.size)
     smallest = float(positive[0]) if positive.size else 0.0
     return EigEstimate(smallest=smallest, kernel_dim=kernel_dim,

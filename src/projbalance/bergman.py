@@ -46,6 +46,7 @@ from .metrics import (
     curvature_matrix,
     hat_weight,
     hermitian_einstein_residual,
+    l2_pairing,
     make_gram,
     mean_curvature,
 )
@@ -94,7 +95,7 @@ def _volume_constant_exact(r):
 
 
 @functools.lru_cache(maxsize=None)
-def c_r_constant(r, n_radial=32):
+def c_r_constant(r):
     """Total mass of the unnormalized fiber density: the integral over
     C^(r-1) of (1 + |xi|^2)^(-(r+1)) against the coordinate measure
     prod_j |dxi_j ^ dxibar_j| = 2^(r-1) * Lebesgue.
@@ -107,7 +108,7 @@ def c_r_constant(r, n_radial=32):
         raise ValueError("rank must be a positive integer")
     if r == 1:
         return 1.0
-    u, w = radial_profile_rule(r - 1, n_radial=n_radial)
+    u, w = radial_profile_rule(r - 1, n_radial=32)
     vals = (1.0 + u.sum(axis=1)) ** (-(r + 1.0))
     return float(2.0 ** (r - 1) * np.sum(w * vals))
 
@@ -401,12 +402,9 @@ def l2_gram(basis, rule, weight, metric_values=None):
     wq = rule.weights * weight
     if metric_values is None:
         v = basis.eval_embedding(rule.points)
-        # one weighted conjugate copy, then GEMM; a weight that blew up
-        # is reported by the guard below
-        a = np.conj(v)
+        # a weight that blew up is reported by the guard below
         with np.errstate(invalid="ignore", over="ignore"):
-            a *= wq[:, None]
-            g = a.T @ v
+            g = l2_pairing(v, wq)
     else:
         c = basis.eval_components(rule.points)
         g = np.einsum("n,nia,nab,njb->ij", wq, np.conj(c), metric_values, c)
@@ -433,7 +431,6 @@ class BergmanEndomorphism:
     k: int
     basis: object
     gram: object
-    gram_inverse: np.ndarray
     metric: object
     kahler: object
 
@@ -441,7 +438,8 @@ class BergmanEndomorphism:
         z = np.asarray(z, dtype=complex)
         comps = self.basis.eval_components(z)
         h = self.metric.matrix(z)
-        bx = np.einsum("pq,npa,nqb->nab", self.gram_inverse, comps, np.conj(comps))
+        bx = np.einsum("pq,npa,nqb->nab", self.gram.inverse(), comps,
+                       np.conj(comps))
         scale = np.exp(-float(self.k) * self.kahler.potential(z))
         return np.einsum("nab,nbc->nac", bx, h) * scale[:, None, None]
 
@@ -464,12 +462,11 @@ def bergman_endomorphism(metric, kahler, model, rule, table):
         * kahler.reduced_volume_density(rule.points)
     basis = build_section_basis(model)
     gram = l2_gram(basis, rule, weight, metric_values=hk)
-    t = gram.whitener()
+    gram.guard()
     logger.debug("level endomorphism %s k=%d: N=%d, Gram condition %.3e",
                  model.label, k, basis.count, gram.condition())
-    return BergmanEndomorphism(
-        model=model, k=k, basis=basis, gram=gram, gram_inverse=t @ t.conj().T,
-        metric=metric, kahler=kahler)
+    return BergmanEndomorphism(model=model, k=k, basis=basis, gram=gram,
+                               metric=metric, kahler=kahler)
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +484,6 @@ class DirectDensity:
     model: object
     basis: object
     gram: object
-    gram_inverse: np.ndarray
     metric: object
     kahler: object
     rule: object
@@ -499,7 +495,7 @@ class DirectDensity:
         scale = hat_weight(self.metric, pts, self.model) \
             * np.exp(-float(self.model.k) * self.kahler.potential(z))
         v = self.basis.eval_embedding(pts)
-        a = v @ self.gram_inverse
+        a = v @ self.gram.inverse()
         # v is ours: conjugate it in place rather than hold a second copy
         raw = np.einsum("nq,nq->n", a, np.conj(v, out=v)).real
         return raw * scale
@@ -528,11 +524,10 @@ def rho_direct(metric, kahler, model, rule=None):
     z = rule.points[:, : model.m]
     weight = dens * hw * np.exp(-float(model.k) * kahler.potential(z))
     gram = l2_gram(basis, rule, weight)
-    t = gram.whitener()
+    gram.guard()
     logger.debug("direct density %s: N=%d, Gram condition %.3e",
                  model.label, basis.count, gram.condition())
-    return DirectDensity(model=model, basis=basis, gram=gram,
-                         gram_inverse=t @ t.conj().T, metric=metric,
+    return DirectDensity(model=model, basis=basis, gram=gram, metric=metric,
                          kahler=kahler, rule=rule, measure=dens)
 
 
@@ -646,12 +641,13 @@ def expansion_fit(ks, values, m, orders=2):
 # fourth-order operator and the joint linearization
 # ---------------------------------------------------------------------------
 
-def lichnerowicz_apply(kahler, eta_fn, z, t=1e-3):
+def lichnerowicz_apply(kahler, eta_fn, z):
     """Derivative of the scalar curvature along the potential deformation
     phi -> phi - t eta, by Richardson-extrapolated central differences in
     t.  This is the defining route; `scalar_curvature_variation` realizes
     the same operator through its expanded terms."""
     z = np.asarray(z, dtype=complex)
+    t = 1e-3
 
     def s_at(tv):
         return PerturbedKahler(kahler, eta_fn, tv).scalar_curvature(z)
@@ -661,16 +657,17 @@ def lichnerowicz_apply(kahler, eta_fn, z, t=1e-3):
     return (4.0 * d2 - d1) / 3.0
 
 
-def scalar_curvature_variation(kahler, eta_fn, z, h=2e-2, h_outer=4e-2):
+def scalar_curvature_variation(kahler, eta_fn, z):
     """Expanded form of the scalar-curvature derivative along -t eta:
 
         Delta(Delta eta) + tr(G^{-1} Hess(eta) G^{-1} Ric).
 
     Linear in eta by construction, unlike the difference-quotient route,
-    which picks up quadratic truncation terms.  The inner step is kept
+    which picks up quadratic truncation terms.  The inner step h is kept
     deliberately coarse: the outer stencil amplifies pointwise noise by
     h_outer^{-2}, and inner truncation error (linear in eta) is far less
     damaging than inner roundoff (not)."""
+    h, h_outer = 2e-2, 4e-2
     z = np.asarray(z, dtype=complex)
     g = kahler.matrix(z)
     ginv = np.linalg.inv(g)
@@ -721,7 +718,7 @@ def curvature_variation(metric, kfield, z):
     )
 
 
-def a11_apply(metric, kahler, model, phi_field, eta_fn, z, rule=None, he_tol=1e-6):
+def a11_apply(metric, kahler, model, phi_field, eta_fn, z, rule=None):
     """Joint linearization of the displayed first correction in the
     direction (h -> h(1 + t phi), omega -> omega - t i ddbar eta):
 
@@ -733,7 +730,7 @@ def a11_apply(metric, kahler, model, phi_field, eta_fn, z, rule=None, he_tol=1e-
 
     Preconditions, each reported by name when violated: phi self-adjoint
     for the metric with volume-mean-free trace, eta with zero volume mean,
-    the metric Hermite-Einstein to `he_tol`, and constant scalar curvature.
+    the metric Hermite-Einstein to 1e-6, and constant scalar curvature.
     """
     z = np.asarray(z, dtype=complex)
     rule = rule if rule is not None else base_rule(model)
@@ -757,9 +754,8 @@ def a11_apply(metric, kahler, model, phi_field, eta_fn, z, rule=None, he_tol=1e-
     if abs(eta_mean) > 1e-8:
         problems.append(f"volume mean of eta is {eta_mean:.2e}, want 0")
     he = hermitian_einstein_residual(metric, kahler, rule)
-    if he > he_tol:
-        problems.append(
-            f"Hermite-Einstein residual {he:.2e} exceeds {he_tol:g}")
+    if he > 1e-6:
+        problems.append(f"Hermite-Einstein residual {he:.2e} exceeds 1e-06")
     s_vals = kahler.scalar_curvature(zq)
     spread = float(np.max(s_vals) - np.min(s_vals))
     if spread > 1e-6 * (1.0 + abs(float(np.mean(s_vals)))):

@@ -102,19 +102,6 @@ class ExperimentConfig:
         return tuple(range(self.k_min, self.k_max + 1))
 
 
-def _parse_int(text):
-    return int(text.strip())
-
-
-def _parse_float(text):
-    value = float(text.strip())
-    return value
-
-
-def _parse_str(text):
-    return text.strip()
-
-
 def _parse_degrees(text):
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
@@ -126,32 +113,32 @@ def _fmt_degrees(value):
     return ",".join(str(v) for v in value)
 
 
-# (section, key) -> (field, parser, formatter); the tuple order is the
-# canonical serialization order.
+# (section, key, parser, formatter), the key naming the `ExperimentConfig`
+# field; the tuple order is the canonical serialization order.  configparser
+# strips values, and int and float accept surrounding whitespace anyway.
 _LAYOUT = (
-    ("model", "kind", "kind", _parse_str, str),
-    ("model", "degrees", "degrees", _parse_degrees, _fmt_degrees),
-    ("model", "rank", "rank", _parse_int, str),
-    ("model", "base_dim", "base_dim", _parse_int, str),
-    ("sweep", "k_min", "k_min", _parse_int, str),
-    ("sweep", "k_max", "k_max", _parse_int, str),
-    ("sweep", "n_points", "n_points", _parse_int, str),
-    ("quadrature", "n_radial", "n_radial", _parse_int, str),
-    ("solver", "method", "method", _parse_str, str),
-    ("solver", "balance_tol", "balance_tol", _parse_float, repr),
-    ("solver", "max_iter", "max_iter", _parse_int, str),
-    ("solver", "flow_step", "flow_step", _parse_float, repr),
-    ("checks", "rho_tol", "rho_tol", _parse_float, repr),
-    ("checks", "a1_rel_tol", "a1_rel_tol", _parse_float, repr),
-    ("checks", "order_q", "order_q", _parse_int, str),
-    ("checks", "r_bound", "r_bound", _parse_float, repr),
-    ("checks", "d_tol", "d_tol", _parse_float, repr),
-    ("output", "out_dir", "out_dir", _parse_str, str),
-    ("output", "seed", "seed", _parse_int, str),
+    ("model", "kind", str, str),
+    ("model", "degrees", _parse_degrees, _fmt_degrees),
+    ("model", "rank", int, str),
+    ("model", "base_dim", int, str),
+    ("sweep", "k_min", int, str),
+    ("sweep", "k_max", int, str),
+    ("sweep", "n_points", int, str),
+    ("quadrature", "n_radial", int, str),
+    ("solver", "method", str, str),
+    ("solver", "balance_tol", float, repr),
+    ("solver", "max_iter", int, str),
+    ("solver", "flow_step", float, repr),
+    ("checks", "rho_tol", float, repr),
+    ("checks", "a1_rel_tol", float, repr),
+    ("checks", "order_q", int, str),
+    ("checks", "r_bound", float, repr),
+    ("checks", "d_tol", float, repr),
+    ("output", "out_dir", str, str),
+    ("output", "seed", int, str),
 )
 
-_KNOWN = {(section, key): (field, parser)
-          for section, key, field, parser, _ in _LAYOUT}
+_KNOWN = {(section, key): parser for section, key, parser, _ in _LAYOUT}
 _SECTIONS = tuple(dict.fromkeys(section for section, *_ in _LAYOUT))
 
 
@@ -204,9 +191,8 @@ def parse_config_text(text):
             if (section, key) not in _KNOWN:
                 raise ConfigError(
                     f"unknown key {_where(text, section, key)}")
-            field, convert = _KNOWN[(section, key)]
             try:
-                values[field] = convert(raw)
+                values[key] = _KNOWN[(section, key)](raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value {_where(text, section, key)}: "
@@ -290,13 +276,13 @@ def serialize_config(cfg):
     validate_config(cfg)
     out = io.StringIO()
     current = None
-    for section, key, field, _, fmt in _LAYOUT:
+    for section, key, _, fmt in _LAYOUT:
         if section != current:
             if current is not None:
                 out.write("\n")
             out.write(f"[{section}]\n")
             current = section
-        out.write(f"{key} = {fmt(getattr(cfg, field))}\n")
+        out.write(f"{key} = {fmt(getattr(cfg, key))}\n")
     return out.getvalue()
 
 

@@ -310,17 +310,13 @@ class PotentialKahler(KahlerStructure):
     """Structure from a user-supplied potential; all derivatives by centered
     finite differences with Richardson extrapolation."""
 
-    def __init__(self, m, potential_fn, label="potential", h=5e-3):
+    def __init__(self, m, potential_fn, label="potential"):
         self.m = m
         self._fn = potential_fn
         self.label = label
-        self.h = h
 
     def potential(self, pts):
         return np.asarray(self._fn(np.asarray(pts, dtype=complex)), dtype=float)
-
-    def matrix(self, pts):
-        return complex_hessian(self._fn, np.asarray(pts, dtype=complex), h=self.h)
 
 
 class PerturbedKahler(KahlerStructure):
@@ -331,12 +327,11 @@ class PerturbedKahler(KahlerStructure):
     quantities of the deformed structure stay accurate for small t.
     """
 
-    def __init__(self, base, eta_fn, t, h=5e-3):
+    def __init__(self, base, eta_fn, t):
         self.base = base
         self.m = base.m
         self._eta = eta_fn
         self.t = float(t)
-        self.h = h
         self.label = f"{base.label} - {t:g}*eta"
 
     def potential(self, pts):
@@ -345,7 +340,7 @@ class PerturbedKahler(KahlerStructure):
 
     def matrix(self, pts):
         pts = np.asarray(pts, dtype=complex)
-        return self.base.matrix(pts) - self.t * complex_hessian(self._eta, pts, h=self.h)
+        return self.base.matrix(pts) - self.t * complex_hessian(self._eta, pts)
 
 
 # ---------------------------------------------------------------------------

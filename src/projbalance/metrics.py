@@ -19,11 +19,17 @@ derivatives through the sum rule.
 induces on the relative hyperplane line.  The metric a Gram matrix induces
 on a total space through its section basis, the pulled-back Fubini-Study
 form, is computed in one place: `balancing.embedding_form_field`.
+
+Gram tools: `l2_pairing` is the package's weighted node pairing, and
+`GramMatrix` is the only code that factors a Gram.  One eigendecomposition
+per Gram gives its guards, its whitener G^{-1/2}, its inverse and its
+condition number; nothing stores a copy beside the Gram.
 """
 
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +42,7 @@ __all__ = [
     "GramMatrix",
     "make_gram",
     "whitening_transform",
+    "l2_pairing",
     "MatrixField",
     "BundleMetricField",
     "ConstantBundleMetric",
@@ -53,9 +60,14 @@ __all__ = [
 # Gram matrices
 # ---------------------------------------------------------------------------
 
+# largest Gram condition number `GramMatrix.guard` accepts
+_CONDITION_GUARD = 1e12
+
+
 @dataclass(frozen=True)
 class GramMatrix:
-    """Hermitian positive definite inner-product matrix on a section space."""
+    """Hermitian positive definite inner-product matrix on a section space,
+    factored by one `np.linalg.eigh` on first use; every method reads it."""
 
     matrix: np.ndarray
 
@@ -63,18 +75,48 @@ class GramMatrix:
     def n(self):
         return self.matrix.shape[0]
 
+    @cached_property
+    def _eigh(self):
+        w, v = np.linalg.eigh(self.matrix)
+        w.flags.writeable = v.flags.writeable = False  # shared by callers
+        return w, v
+
     def smallest_eigenvalue(self):
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        return float(self._eigh[0][0])
 
     def condition(self):
-        ev = np.linalg.eigvalsh(self.matrix)
-        return float(ev[-1] / ev[0]) if ev[0] > 0 else math.inf
+        w = self._eigh[0]
+        return float(w[-1] / w[0]) if w[0] > 0 else math.inf
+
+    def guard(self):
+        """Eigendecomposition (w, v) of a Gram that can be trusted at this
+        node budget: positive spectrum, condition number at most
+        `_CONDITION_GUARD`.  Otherwise `NumericalGuardError`; both tests
+        fail closed on a NaN or infinite spectrum."""
+        w, v = self._eigh
+        if not w[0] > 0:
+            raise NumericalGuardError(
+                f"Gram not positive definite (smallest eigenvalue {w[0]:.3e})")
+        cond = w[-1] / w[0]
+        if not cond <= _CONDITION_GUARD:
+            raise NumericalGuardError(
+                f"Gram condition number {cond:.3e} exceeds "
+                f"{_CONDITION_GUARD:.1e}; increase the quadrature budget or "
+                "lower k")
+        return w, v
 
     def whitener(self):
-        return whitening_transform(self.matrix)
+        """The Hermitian inverse root G^{-1/2}: T with T* G T = I and no
+        arbitrary unitary freedom."""
+        w, v = self.guard()
+        return (v / np.sqrt(w)[None, :]) @ v.conj().T
+
+    def inverse(self):
+        w, v = self.guard()
+        return (v / w[None, :]) @ v.conj().T
 
 
-def make_gram(a, hermitian_tol=1e-10):
+def make_gram(a):
     a = np.asarray(a, dtype=complex)
     if not np.all(np.isfinite(a)):
         raise NumericalGuardError(
@@ -82,42 +124,26 @@ def make_gram(a, hermitian_tol=1e-10):
             "budget or lower k")
     scale = max(np.max(np.abs(a)), 1.0)
     defect = np.max(np.abs(a - a.conj().T))
-    if defect > hermitian_tol * scale:
+    if defect > 1e-10 * scale:
         raise ValueError(f"Gram matrix not Hermitian (defect {defect:.2e})")
     return GramMatrix(0.5 * (a + a.conj().T))
 
 
-# largest Gram condition number `whitening_transform` accepts
-_CONDITION_GUARD = 1e12
-
-
 def whitening_transform(gram):
-    """T with T* G T = I, via Cholesky G = L L* and T = L^{-*}.
+    """`GramMatrix.whitener` of a Gram given as a matrix or a `GramMatrix`."""
+    if not isinstance(gram, GramMatrix):
+        gram = GramMatrix(np.asarray(gram, dtype=complex))
+    return gram.whitener()
 
-    Guards: eigenvalues must be positive and the condition number below
-    `_CONDITION_GUARD`; otherwise the Gram cannot be trusted at this node
-    budget.
-    """
-    g = gram.matrix if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=complex)
-    ev = np.linalg.eigvalsh(g)
-    if ev[0] <= 0:
-        raise NumericalGuardError(
-            f"Gram not positive definite (smallest eigenvalue {ev[0]:.3e})"
-        )
-    cond = ev[-1] / ev[0]
-    if cond > _CONDITION_GUARD:
-        raise NumericalGuardError(
-            f"Gram condition number {cond:.3e} exceeds {_CONDITION_GUARD:.1e}; "
-            "increase the quadrature budget or lower k"
-        )
-    try:
-        ell = np.linalg.cholesky(g)
-        t = np.linalg.inv(ell).conj().T
-    except np.linalg.LinAlgError:
-        # borderline roundoff despite positive spectrum: eigen route
-        w, u = np.linalg.eigh(g)
-        t = u / np.sqrt(w)[None, :]
-    return t
+
+def l2_pairing(table, weights):
+    """Weighted pairing sum_n weights_n conj(table_np) table_nq of the
+    columns of a node table (n, N): one conjugate copy of the table,
+    weighted in place, then one GEMM.  The package's only L2 pairing of a
+    node table."""
+    a = np.conj(table)
+    a *= weights[:, None]
+    return a.T @ table
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +159,11 @@ class MatrixField:
     (n, m, m, r, r) holds d_a dbar_b K.
     """
 
-    def __init__(self, m, r, fn=None, label="field", fd_step=5e-3):
+    def __init__(self, m, r, fn=None, label="field"):
         self.m = m
         self.r = r
         self._fn = fn
         self.label = label
-        self.fd_step = fd_step
 
     def matrix(self, z):
         if self._fn is None:
@@ -149,13 +174,13 @@ class MatrixField:
         z = np.asarray(z, dtype=complex)
         if self.m == 0:
             return np.zeros((z.shape[0], 0, self.r, self.r), dtype=complex)
-        return complex_gradient(self.matrix, z, h=self.fd_step)
+        return complex_gradient(self.matrix, z)
 
     def dd_matrix(self, z):
         z = np.asarray(z, dtype=complex)
         if self.m == 0:
             return np.zeros((z.shape[0], 0, 0, self.r, self.r), dtype=complex)
-        return complex_hessian(self.matrix, z, h=self.fd_step)
+        return complex_hessian(self.matrix, z)
 
 
 class BundleMetricField(MatrixField):

@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import platform
-import sys
 from pathlib import Path
 
 import numpy as np

@@ -87,14 +87,13 @@ def ProjectivePoint(r):
     return ModelSpace(0, degrees, 0, f"point-rank{r}")
 
 
-def LineBundleSumOverP1(degrees, k):
-    degrees = _validate(1, degrees, k)
-    return ModelSpace(1, degrees, int(k), f"p1-sum{degrees}-k{k}")
-
-
 def ProjectiveSpaceBase(m, degrees, k):
     degrees = _validate(m, degrees, k)
     return ModelSpace(int(m), degrees, int(k), f"p{m}-sum{degrees}-k{k}")
+
+
+def LineBundleSumOverP1(degrees, k):
+    return ProjectiveSpaceBase(1, degrees, k)
 
 
 def TrivialBundleOverPm(m, r, k):

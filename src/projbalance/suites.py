@@ -90,11 +90,11 @@ def _check(name, value, reference, tolerance, *, k=None, detail=""):
 # verify suite
 # ---------------------------------------------------------------------------
 
-def volume_constant_rows(n_radial=32):
+def volume_constant_rows():
     """Fiber volume constants against their closed form, ranks 1 to 5."""
     rows = []
     for r in range(1, 6):
-        value = bg.c_r_constant(r, n_radial=n_radial)
+        value = bg.c_r_constant(r)
         want = (2.0 * math.pi) ** (r - 1) / math.factorial(r)
         rows.append(_check("volume-constant", value, want, 1e-8, k=None,
                            detail=f"rank {r}"))
@@ -124,7 +124,7 @@ def quadrature_rows(n_radial):
     return rows
 
 
-def round_trip_rows(seed, trials=10):
+def round_trip_rows(seed):
     """Fiber average of the induced pairing against the bundle metric it
     came from: exact for constant inputs, so this isolates quadrature and
     frame handling."""
@@ -135,7 +135,7 @@ def round_trip_rows(seed, trials=10):
         rule = fiber_rule(model, n_radial=18)
         z = np.zeros((1, 0), dtype=complex)
         worst = 0.0
-        for _ in range(trials):
+        for _ in range(10):
             a = 0.5 * (rng.standard_normal((r, r))
                        + 1j * rng.standard_normal((r, r)))
             h = a @ a.conj().T + np.eye(r)
@@ -148,7 +148,7 @@ def round_trip_rows(seed, trials=10):
         rows.append(_row(
             "metric-round-trip", value=worst, reference=0.0, error=worst,
             tolerance=1e-9, passed=bool(worst <= 1e-9),
-            detail=f"rank {r}, {trials} random Hermitian inputs"))
+            detail=f"rank {r}, 10 random Hermitian inputs"))
     return rows
 
 
@@ -279,7 +279,7 @@ def _profile_axis(z):
     return (1.0 - np.abs(z[:, 0]) ** 2) / q
 
 
-def joint_linearization_rows(seed, trials=5):
+def joint_linearization_rows(seed):
     """Joint first-order response against a Richardson difference quotient
     of the first-correction formula, on random direction pairs.
 
@@ -293,7 +293,7 @@ def joint_linearization_rows(seed, trials=5):
     z = np.array([[0.2 + 0.1j], [0.6 - 0.5j], [1.1]], dtype=complex)
     base = bg.a1_formula(metric, kahler, z)
     rows = []
-    for trial in range(trials):
+    for trial in range(5):
         aa = 0.5 * (rng.standard_normal((2, 2))
                     + 1j * rng.standard_normal((2, 2)))
         a = aa @ aa.conj().T - 1.4 * np.eye(2)

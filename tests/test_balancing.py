@@ -170,6 +170,16 @@ class TestEmbeddingState:
         built = veronese_state(gram=g)
         assert np.array_equal(second.transform, built.transform)
 
+    def test_transform_follows_a_replaced_gram(self):
+        # the transform is derived from the Gram, so a plain dataclass copy
+        # with another Gram cannot keep its source's frame
+        rng = np.random.default_rng(41)
+        state = veronese_state(gram=random_spd(rng, 3))
+        g = random_spd(rng, 3)
+        copied = replace(state, gram=make_gram(g))
+        assert np.array_equal(copied.transform, state.with_gram(g).transform)
+        assert not np.allclose(copied.transform, state.transform)
+
     def test_with_gram_keeps_the_frame(self):
         rng = np.random.default_rng(43)
         u = random_unitary(rng, 3)
@@ -513,7 +523,7 @@ class TestOneGeometryPassPerState:
             want, _ = dense_moment_oracle(st)
             assert np.max(np.abs(got - want)) < 1e-10
         # a copy with another Gram starts without the memo of its source
-        third = replace(first, gram=second.gram, transform=second.transform)
+        third = replace(first, gram=second.gram)
         m3 = bal.moment_map(third).matrix
         assert len(seen) == 3
         assert np.max(np.abs(m3 - m2)) < 1e-14

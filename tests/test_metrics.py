@@ -5,16 +5,21 @@ differences cross-checking the hand-coded derivative tables, and a scalar
 log-route for line-bundle curvature.
 """
 
+import collections
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from projbalance import balancing as bal
+from projbalance import bergman as bg
 from projbalance.errors import NumericalGuardError
 from projbalance.kahler import FlatChart, FubiniStudy, complex_hessian
 from projbalance.metrics import (
     BundleMetricField,
     ConstantBundleMetric,
+    GramMatrix,
     MatrixField,
     PerturbedBundleMetric,
     SplitBundleMetric,
@@ -27,7 +32,14 @@ from projbalance.metrics import (
     whitening_transform,
 )
 from projbalance.quadrature import chart_rule, integrate
-from projbalance.sections import LineBundleSumOverP1, ProjectivePoint
+from projbalance.sections import (
+    LineBundleSumOverP1,
+    ProjectivePoint,
+    base_rule,
+    build_section_basis,
+    fiber_rule,
+    total_rule,
+)
 
 
 class PolyField(MatrixField):
@@ -97,6 +109,95 @@ class TestGramUtilities:
         g = make_gram(np.diag([2.0, 3.0]).astype(complex))
         assert abs(g.smallest_eigenvalue() - 2.0) < 1e-14
         assert abs(g.condition() - 1.5) < 1e-14
+
+    @pytest.mark.parametrize("g", [
+        np.diag([np.inf, 1.0]),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    ], ids=["inf-diagonal", "nan-off-diagonal"])
+    def test_guards_fail_closed_on_a_non_finite_spectrum(self, g):
+        # an inf diagonal once whitened to [[0, 0], [0, 1]] and a NaN
+        # off-diagonal to an all-NaN matrix
+        with pytest.raises(NumericalGuardError, match="Gram"):
+            whitening_transform(g)
+        with pytest.raises(NumericalGuardError, match="Gram"):
+            GramMatrix(g.astype(complex)).inverse()
+
+    @pytest.mark.parametrize("grading", [1, -1], ids=["falling", "rising"])
+    def test_inverse_matches_lapack_at_condition_1e10(self, grading):
+        # a Gram of sections whose norms span five orders of magnitude, as
+        # monomial Grams at high level do
+        rng = np.random.default_rng(29)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        a = np.eye(6) + 0.3 * (a @ a.conj().T) / 6
+        d = np.logspace(0, -5, 6)[::grading]
+        g = make_gram(d[:, None] * a * d[None, :])
+        assert 1e9 < g.condition() < 1e11
+        want = np.linalg.inv(g.matrix)
+        got = g.inverse()
+        assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
+
+    def test_whitener_is_the_hermitian_inverse_root(self):
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        a = np.eye(6) + 0.3 * (a @ a.conj().T) / 6
+        d = np.logspace(0, -5, 6)
+        g = make_gram(d[:, None] * a * d[None, :])
+        t = g.whitener()
+        assert np.max(np.abs(t - t.conj().T)) < 1e-14 * np.max(np.abs(t))
+        assert np.max(np.abs(t.conj().T @ g.matrix @ t - np.eye(6))) < 1e-12
+        assert np.max(np.abs(t @ t - g.inverse())) < 1e-8 * np.max(
+            np.abs(g.inverse()))
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counts of the LAPACK factorizations a Gram could be given to."""
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh", "cholesky", "inv"):
+        def counting(*args, _real=getattr(np.linalg, name), _name=name,
+                     **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
+class TestOneFactorizationPerGram:
+    """Every quantity derived from a Gram reads one `np.linalg.eigh`."""
+
+    def test_embedding_states(self, factorizations):
+        model = LineBundleSumOverP1((0, 1), 2)
+        rule = total_rule(model, n_radial=6)
+        basis = build_section_basis(model)
+        n = basis.count
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g = np.eye(n) + 0.1 * a @ a.conj().T
+        factorizations.clear()
+        state = bal.embedding_state(model, gram=g, rule=rule, basis=basis)
+        state.transform
+        assert factorizations == {"eigh": 1}
+        moved = state.with_gram(np.eye(n))
+        moved.transform
+        moved.transform
+        assert factorizations == {"eigh": 2}
+
+    def test_level_endomorphism(self, factorizations, caplog):
+        caplog.set_level(logging.DEBUG, logger="projbalance.bergman")
+        model = LineBundleSumOverP1((0, 1), 3)
+        metric = SplitBundleMetric(1, (0, 1))
+        rule = base_rule(model, n_radial=8)
+        table = bg.push_forward_table(metric, FubiniStudy(1), model,
+                                      rule.points,
+                                      rule=fiber_rule(model, n_radial=8))
+        factorizations.clear()
+        out = bg.bergman_endomorphism(metric, FubiniStudy(1), model, rule,
+                                      table)
+        assert "Gram condition" in caplog.text
+        out.endomorphism(rule.points[:4])
+        out.gram.condition()
+        out.gram.smallest_eigenvalue()
+        assert factorizations == {"eigh": 1}
 
 
 class TestSplitMetric:

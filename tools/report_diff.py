@@ -1,0 +1,157 @@
+"""Compare the numbers of two projbalance run directories.
+
+    python tools/report_diff.py OLD_DIR NEW_DIR
+
+Reads `report.json` and every `*.csv` of both directories (`timings.json`
+holds wall-clock times and is skipped) and pairs their values field by
+field.  For each file it prints how many numbers it compared, how many
+moved, and the largest absolute and relative move with the field where it
+happened.  Fields that only echo the run itself are ignored: the report's
+`timestamp`, the `out_dir` line of its `config` echo, and the `--out`
+argument of each `repro` command line.
+
+Exit status 0 when at most numbers moved, 1 when a non-numeric field
+differs, a number turns non-finite on one side only, a file exists on one
+side only, or the two files differ in shape; each such difference is
+printed.  Exit status 2 on a usage error.  Standard library only.
+"""
+
+import csv
+import json
+import math
+import re
+import sys
+from pathlib import Path
+
+_OUT_ARG = re.compile(r" --out \S+")
+
+
+def _normalized(key, value):
+    """A string field with its echo of the output path removed."""
+    if key == "config":
+        return "\n".join(line for line in value.split("\n")
+                         if not line.startswith("out_dir"))
+    if key == "repro":
+        return _OUT_ARG.sub("", value)
+    return value
+
+
+def _number(value):
+    """The value as a float when it is a number (a CSV cell that parses as
+    one included), else None; booleans are not numbers."""
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, (int, float)):
+        return float(value)
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            return None
+    return None
+
+
+class FileDiff:
+    """Moves and non-numeric differences of one pair of files."""
+
+    def __init__(self, name):
+        self.name = name
+        self.compared = 0
+        self.moved = 0
+        self.max_abs = (0.0, None)
+        self.max_rel = (0.0, None)
+        self.mismatches = []
+
+    def leaf(self, path, old, new, key=None):
+        a, b = _number(old), _number(new)
+        if a is None or b is None:
+            if isinstance(old, str) and isinstance(new, str):
+                old, new = _normalized(key, old), _normalized(key, new)
+            if old != new:
+                self.mismatches.append(f"{path}: {old!r} -> {new!r}")
+            return
+        self.compared += 1
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            return
+        self.moved += 1
+        move = abs(a - b)
+        if not math.isfinite(move):
+            self.mismatches.append(f"{path}: {old!r} -> {new!r}")
+            return
+        rel = move / max(abs(a), abs(b))
+        if move > self.max_abs[0]:
+            self.max_abs = (move, path)
+        if rel > self.max_rel[0]:
+            self.max_rel = (rel, path)
+
+    def walk(self, path, old, new, key=None):
+        if isinstance(old, dict) and isinstance(new, dict):
+            for k in sorted(set(old) | set(new)):
+                where = f"{path}.{k}" if path else k
+                if k not in old or k not in new:
+                    self.mismatches.append(f"{where}: present on one side only")
+                elif not (path == "" and k == "timestamp"):
+                    self.walk(where, old[k], new[k], k)
+        elif isinstance(old, list) and isinstance(new, list):
+            if len(old) != len(new):
+                self.mismatches.append(
+                    f"{path}: {len(old)} entries -> {len(new)}")
+            for i, (a, b) in enumerate(zip(old, new)):
+                self.walk(f"{path}[{i}]", a, b, key)
+        else:
+            self.leaf(path, old, new, key)
+
+    def summary(self):
+        line = f"{self.name}: {self.compared} numbers, {self.moved} moved"
+        if self.moved:
+            line += (f", max abs {self.max_abs[0]:.3g} ({self.max_abs[1]}),"
+                     f" max rel {self.max_rel[0]:.3g} ({self.max_rel[1]})")
+        return line
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def diff_file(old_dir, new_dir, name):
+    diff = FileDiff(name)
+    old_path, new_path = Path(old_dir) / name, Path(new_dir) / name
+    if not old_path.is_file() or not new_path.is_file():
+        diff.mismatches.append("present on one side only")
+    elif name.endswith(".json"):
+        diff.walk("", json.loads(old_path.read_text(encoding="utf-8")),
+                  json.loads(new_path.read_text(encoding="utf-8")))
+    else:
+        old, new = _read_csv(old_path), _read_csv(new_path)
+        diff.walk("", {"rows": old}, {"rows": new})
+    return diff
+
+
+def diff_dirs(old_dir, new_dir):
+    names = {p.name for d in (old_dir, new_dir) for p in Path(d).iterdir()
+             if p.name == "report.json" or p.suffix == ".csv"}
+    return [diff_file(old_dir, new_dir, name) for name in sorted(names)]
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if len(argv) != 2:
+        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        return 2
+    old_dir, new_dir = argv
+    for d in (old_dir, new_dir):
+        if not Path(d).is_dir():
+            print(f"not a directory: {d}", file=sys.stderr)
+            return 2
+    status = 0
+    for diff in diff_dirs(old_dir, new_dir):
+        print(diff.summary())
+        for line in diff.mismatches:
+            print(f"  differs: {line}")
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
