@@ -21,15 +21,15 @@ Contents, bottom to top:
 * `t_map_step` and `gradient_flow_step` are the two solvers: the fixed-point
   update G -> (N/V) <s_i, s_j> and the line-searched exponential descent
   along the moment direction.  `balance_iterate` and `flow_iterate` drive
-  them with shared divergence detection.  `balance_iterate(anderson=True)`
-  accelerates the fixed point by type-II Anderson mixing of the last
-  `_ANDERSON_MEMORY` T-map images on the traceless log of the Gram, with
-  a safeguard that takes the plain step whenever the mix would raise the
-  moment norm.  The plain iteration is the library default and the
-  reference; `[solver] method = t-iteration` runs the accelerated one.
-  `balanced_density` and `balanced_density_stats` evaluate the density
-  whose constancy certifies the result, and `embedding_form_field` exposes
-  the pulled-back metric at arbitrary points for comparability probes;
+  them with shared divergence detection.  `balance_iterate` is the only
+  T-iteration driver: it accelerates the fixed point by type-II Anderson
+  mixing of the last `_ANDERSON_MEMORY` T-map images on the traceless log
+  of the Gram, with a safeguard that takes the plain T-step whenever the
+  mix would raise the moment norm.  The plain iteration, `t_map_step`
+  repeated, is the reference the tests compare against.
+  `balanced_density_stats` evaluates the density whose constancy
+  certifies the result, and `embedding_form_field` exposes the
+  pulled-back metric at arbitrary points for comparability probes;
 * `sigma_z_operator` integrates squared normal components of the su(N)
   action fields without forming them: with P the normal projector at a
   node, the integrand (xi_a u)^H P (xi_b u) / |u|^2 is a fixed contraction
@@ -87,7 +87,6 @@ __all__ = [
     "MomentValue",
     "moment_map",
     "t_map_step",
-    "balanced_density",
     "balanced_density_stats",
     "embedding_form_field",
     "BalanceReport",
@@ -346,30 +345,19 @@ def t_map_step(state):
     return state.with_gram(newg)
 
 
-def _density_and_weights(state):
-    """Balanced density at the rule nodes and the weighted volume density
-    it is integrated against, from one geometry pass."""
-    u, _, kk, _, wq = _fs_geometry(state)
-    raw = l2_pairing(u, wq / kk)
-    raw = 0.5 * (raw + raw.conj().T)
-    rho = ((np.conj(u) @ np.linalg.inv(raw).T) * u).sum(axis=1).real
-    return rho / kk, wq
-
-
-def balanced_density(state):
-    """Density of the state against its own pulled-back volume: the diagonal
-    of the L2-inverse pairing, constant equal to N/V exactly at balance."""
-    return _density_and_weights(state)[0]
-
-
 def balanced_density_stats(state):
-    """Summary of the state's density against its pulled-back volume.
+    """Summary of the state's density against its pulled-back volume: the
+    diagonal of the L2-inverse pairing, constant equal to N/V exactly at
+    balance.
 
     Returns mass (the integral, equal to the section count by the trace
     identity under any same-rule pairing), volume, mean, variance, and the
     maximum deviation from the mean.  Variance and deviation measure how
     far the state sits from balance in the pointwise sense."""
-    rho, wq = _density_and_weights(state)
+    u, _, kk, _, wq = _fs_geometry(state)
+    raw = l2_pairing(u, wq / kk)
+    raw = 0.5 * (raw + raw.conj().T)
+    rho = ((np.conj(u) @ np.linalg.inv(raw).T) * u).sum(axis=1).real / kk
     vol = float(wq.sum())
     mass = float((wq * rho).sum())
     mean = mass / vol
@@ -390,7 +378,7 @@ class BalanceReport:
     `trajectory` rows are (iteration, op norm, Frobenius norm) of the moment;
     `converged` holds exactly when the final op norm is below `tolerance`.
     `fallback_steps` counts the Anderson steps whose safeguard took the
-    plain T-step instead; it is 0 for the plain and flow solvers.
+    plain T-step instead; it is 0 for the flow solver.
     """
 
     iterations: int
@@ -451,16 +439,13 @@ def _iterate(state, tol, max_iter, stepper, name):
     return report
 
 
-def balance_iterate(state, tol=1e-8, max_iter=500, anderson=False):
+def balance_iterate(state, tol=1e-8, max_iter=500):
     """Drive the fixed-point update until the moment op norm drops below
     `tol`, the iteration budget runs out, or the trajectory diverges.
     Divergence yields a flagged partial report, not an exception.
 
-    With `anderson` each step mixes the recent T-map images
-    (`_AndersonMixer`); the plain iteration stays the reference."""
-    if not anderson:
-        return _iterate(state, tol, max_iter, lambda s: t_map_step(s),
-                        "balance iteration")
+    Each step mixes the recent T-map images (`_AndersonMixer`) and falls
+    back to the plain `t_map_step` when the mix does not help."""
     mixer = _AndersonMixer()
     report = _iterate(state, tol, max_iter, mixer,
                       "Anderson balance iteration")
@@ -728,6 +713,11 @@ class RBoundedReport:
     nodes: int
 
 
+# r_bounded_check bounds derivatives up to this order (the R-bounded set is
+# a C^4 condition), by central differences of this step
+_COMPARABILITY_ORDER = 4
+_COMPARABILITY_STEP = 5e-2
+
 # r_bounded_check splits the shifted points into the fewest equal blocks
 # of at most this many points (one offset per block at more nodes): the
 # field builds node tables for every point of a call, and one call on the
@@ -774,13 +764,14 @@ def _comparability_stencil(d, order):
     return offsets, weights, levels
 
 
-def r_bounded_check(candidate, reference, pts, r_bound, order=4, h=5e-2):
-    """Check that `candidate` stays within a two-sided C^order bound of
+def r_bounded_check(candidate, reference, pts, r_bound):
+    """Check that `candidate` stays within a two-sided C^4 bound of
     `reference` at the given nodes.
 
     Both arguments are callables mapping (n, d) complex points to (n, m, m)
     coefficient matrices.  The difference field is central-differenced up
-    to `order` along every real coordinate direction, step `h`, and each
+    to order `_COMPARABILITY_ORDER` (4) along every real coordinate
+    direction, step h = `_COMPARABILITY_STEP` (5e-2), and each
     derivative is measured in the reference-whitened operator norm with one
     factor of ||g0^{-1/2}|| per derivative index; `c_a_norm` is the largest
     such norm over the nodes and derivatives.  The lower bound `min_ratio`
@@ -794,13 +785,8 @@ def r_bounded_check(candidate, reference, pts, r_bound, order=4, h=5e-2):
     derivative per multiset of directions is measured; the nested
     differences of its orderings agree in exact arithmetic.
     """
-    if order < 4:
-        raise ValueError(
-            f"comparability needs derivative order >= 4, got {order}")
     if r_bound <= 1.0:
         raise ValueError(f"bound must exceed 1, got {r_bound}")
-    if not (np.isfinite(h) and h > 0.0):
-        raise ValueError(f"step h must be finite and positive, got {h}")
     pts = np.asarray(pts, dtype=complex)
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
         raise ValueError(
@@ -815,6 +801,7 @@ def r_bounded_check(candidate, reference, pts, r_bound, order=4, h=5e-2):
         w0vecs.conj(), -1, -2)
     dirweight = 1.0 / np.sqrt(w0eigs[:, 0])
 
+    order, h = _COMPARABILITY_ORDER, _COMPARABILITY_STEP
     offsets, weights, levels = _comparability_stencil(d, order)
     blocks = -(-len(offsets) * n // _STENCIL_BLOCK_POINTS)
     per_block = -(-len(offsets) // blocks)
@@ -838,7 +825,7 @@ def r_bounded_check(candidate, reference, pts, r_bound, order=4, h=5e-2):
     margins = (r_bound - c_a, min_ratio - 1.0 / r_bound)
     return RBoundedReport(passes=bool(margins[0] >= 0.0 and margins[1] >= 0.0),
                           c_a_norm=c_a, min_ratio=min_ratio, margins=margins,
-                          order=int(order), nodes=int(n))
+                          order=order, nodes=int(n))
 
 
 @dataclass(frozen=True)

@@ -251,12 +251,10 @@ class PushForwardTable:
     psi: np.ndarray
 
 
-def _fiber_nodes(model, rule):
-    rule = rule if rule is not None else fiber_rule(model)
+def _check_fiber_rule(model, rule):
     if rule.dim != model.fiber_dim:
         raise ValueError(
             f"fiber rule has dimension {rule.dim}, expected {model.fiber_dim}")
-    return rule
 
 
 def _adapted_fiber_points(metric, model, z, xi):
@@ -290,7 +288,7 @@ def _adapted_fiber_points(metric, model, z, xi):
     return pts, jac2
 
 
-def adapted_total_rule(metric, model, n_radial=24, n_angular=None):
+def adapted_total_rule(metric, model, n_radial, n_angular=None):
     """Quadrature on the total chart with the fiber factor in the
     metric-adapted frame at each base node.  Use this instead of the plain
     tensor rule whenever the integrand sees the dual pairing; the plain
@@ -339,11 +337,11 @@ def _pairing_average(weight, lam):
     return np.swapaxes(weighted, -1, -2) @ lam
 
 
-def push_forward_table(metric, kahler, model, z, rule=None):
+def push_forward_table(metric, kahler, model, z, rule):
     """Fiber averages of the dual pairing against every volume-coefficient
-    weight f_j = E_j/E_m, for base points z."""
+    weight f_j = E_j/E_m, for base points z, on the fiber `rule`."""
     z = np.asarray(z, dtype=complex)
-    rule = _fiber_nodes(model, rule)
+    _check_fiber_rule(model, rule)
     m = model.m
     nb, nf = z.shape[0], rule.points.shape[0]
     pts, jac2 = _adapted_fiber_points(metric, model, z, rule.points)
@@ -360,12 +358,12 @@ def push_forward_table(metric, kahler, model, z, rule=None):
     return PushForwardTable(points=z, m_tilde=m_tilde, psi=psi)
 
 
-def fiber_push_forward(metric, kahler, model, z, weight=None, rule=None):
-    """One fiber average.  weight None integrates the bare dual pairing,
-    returning the bundle metric itself up to quadrature error; weight j in
-    0..m uses the volume-coefficient ratio E_j/E_m."""
+def fiber_push_forward(metric, kahler, model, z, weight=None, *, rule):
+    """One fiber average on the fiber `rule`.  weight None integrates the
+    bare dual pairing, returning the bundle metric itself up to quadrature
+    error; weight j in 0..m uses the volume-coefficient ratio E_j/E_m."""
     z = np.asarray(z, dtype=complex)
-    rule = _fiber_nodes(model, rule)
+    _check_fiber_rule(model, rule)
     if weight is not None:
         if not 0 <= weight <= model.m:
             raise ValueError(f"weight index {weight} outside 0..{model.m}")
@@ -510,11 +508,10 @@ class DirectDensity:
         return float(integrate(self.rule, self.measure))
 
 
-def rho_direct(metric, kahler, model, rule=None):
+def rho_direct(metric, kahler, model, rule):
     """Density route that never touches the fiber push-forward: Gram and
-    evaluation both live on the total chart with the induced hyperplane
-    weight and the level counting measure."""
-    rule = rule if rule is not None else adapted_total_rule(metric, model)
+    evaluation both live on the total chart `rule` with the induced
+    hyperplane weight and the level counting measure."""
     basis = build_section_basis(model)
     # hat weight first: the measure's per-node temporaries then reuse the
     # heap that the weight's leave behind, which would otherwise stay
@@ -573,9 +570,10 @@ def a1_formula(metric, kahler, z):
             + ((r + 1.0) / (2.0 * r)) * s[:, None, None] * eye)
 
 
-def a1_alternative(metric, kahler, model, z, rule=None):
+def a1_alternative(metric, kahler, model, z, rule):
     """First correction realized by the level construction: mean curvature
-    plus (S/2) I, minus the subleading fiber average psi_{m-1}."""
+    plus (S/2) I, minus the subleading fiber average psi_{m-1} on the fiber
+    `rule`."""
     if model.m == 0:
         raise ValueError("needs a positive-dimensional base")
     z = np.asarray(z, dtype=complex)
@@ -718,7 +716,7 @@ def curvature_variation(metric, kfield, z):
     )
 
 
-def a11_apply(metric, kahler, model, phi_field, eta_fn, z, rule=None):
+def a11_apply(metric, kahler, model, phi_field, eta_fn, z, rule):
     """Joint linearization of the displayed first correction in the
     direction (h -> h(1 + t phi), omega -> omega - t i ddbar eta):
 
@@ -730,10 +728,11 @@ def a11_apply(metric, kahler, model, phi_field, eta_fn, z, rule=None):
 
     Preconditions, each reported by name when violated: phi self-adjoint
     for the metric with volume-mean-free trace, eta with zero volume mean,
-    the metric Hermite-Einstein to 1e-6, and constant scalar curvature.
+    the metric Hermite-Einstein to 1e-6, and constant scalar curvature;
+    the means and the Hermite-Einstein residual integrate on the base
+    `rule`.
     """
     z = np.asarray(z, dtype=complex)
-    rule = rule if rule is not None else base_rule(model)
     zq = rule.points
     dens = kahler.reduced_volume_density(zq)
     vol = integrate(rule, dens)

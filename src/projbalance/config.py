@@ -35,14 +35,15 @@ and falls back to its default, so an empty file is a valid configuration.
     seed = 0
 
 Parsing is strict: unknown sections or keys, unparseable values, empty
-level ranges, and nonpositive tolerances all raise `ConfigError` with the
-offending section, key, and line number.  `serialize_config` emits the
+level ranges, and nonpositive or non-finite tolerances all raise
+`ConfigError` with the offending section, key, and line number.  `serialize_config` emits the
 canonical text; parse -> serialize -> parse is the identity.
 """
 
 import configparser
 import dataclasses
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,17 +244,18 @@ def validate_config(cfg, text=""):
                          ("checks", "rho_tol"), ("checks", "a1_rel_tol"),
                          ("checks", "d_tol")):
         value = getattr(cfg, key)
-        if not value > 0.0:
-            fail(section, key, f"must be positive, got {value}")
+        if not 0.0 < value < math.inf:  # fails closed on NaN
+            fail(section, key, f"must be positive and finite, got {value}")
     if cfg.max_iter < 0:
         fail("solver", "max_iter",
              f"iteration budget cannot be negative, got {cfg.max_iter}")
     if cfg.order_q < 0:
         fail("checks", "order_q",
              f"decay order cannot be negative, got {cfg.order_q}")
-    if cfg.r_bound <= 1.0:
+    if not 1.0 < cfg.r_bound < math.inf:  # fails closed on NaN
         fail("checks", "r_bound",
-             f"comparability bound must exceed 1, got {cfg.r_bound}")
+             f"comparability bound must be finite and exceed 1, got "
+             f"{cfg.r_bound}")
     if cfg.seed < 0:
         fail("output", "seed", f"seed cannot be negative, got {cfg.seed}")
 

@@ -84,7 +84,7 @@ def _moduli_grid(dim, n_radial):
     return u.reshape(-1, dim), w.ravel()
 
 
-def chart_rule(dim, n_radial=24, n_angular=None):
+def chart_rule(dim, n_radial, n_angular=None):
     """Rule on C^dim integrating f against Lebesgue measure.
 
     dim = 0 returns the convention rule: one empty point with weight 1, so
@@ -115,7 +115,7 @@ def chart_rule(dim, n_radial=24, n_angular=None):
     return ChartRule(pts.reshape(n_u * n_angular**dim, dim), w.ravel())
 
 
-def radial_profile_rule(dim, n_radial=32):
+def radial_profile_rule(dim, n_radial):
     """Rule for integrands depending only on the moduli |z_i|^2.
 
     Returns nodes u (n, dim real >= 0) and weights such that

@@ -235,15 +235,15 @@ def riemann_roch_dimension(model):
 # quadrature, following the factor structure
 # ---------------------------------------------------------------------------
 
-def base_rule(model, n_radial=24, n_angular=None):
+def base_rule(model, n_radial, n_angular=None):
     return chart_rule(model.m, n_radial=n_radial, n_angular=n_angular)
 
 
-def fiber_rule(model, n_radial=24, n_angular=None):
+def fiber_rule(model, n_radial, n_angular=None):
     return chart_rule(model.fiber_dim, n_radial=n_radial, n_angular=n_angular)
 
 
-def total_rule(model, n_radial=24, n_angular=None):
+def total_rule(model, n_radial, n_angular=None):
     """Rule on the chart of the total space: tensor product of the base and
     fiber rules (the decay is per-factor, not joint, so a single joint radial
     rule over all m + r - 1 coordinates would converge slowly)."""

@@ -339,16 +339,14 @@ _MomentSummary = namedtuple("_MomentSummary", "norm_op d volume count")
 
 
 def _solve(cfg, state):
-    """Balance `state` with the configured `[solver]` method.
-
-    `t-iteration` runs the Anderson-accelerated T-iteration; the plain one
-    (`anderson=False`) is kept as the reference the tests compare against.
-    """
+    """Balance `state` with the configured `[solver]` method:
+    `t-iteration` runs the Anderson-accelerated T-iteration
+    (`balance_iterate`), `gradient-flow` the line-searched descent."""
     if cfg.method == "gradient-flow":
         return bal.flow_iterate(state, tol=cfg.balance_tol,
                                 max_iter=cfg.max_iter, step=cfg.flow_step)
     return bal.balance_iterate(state, tol=cfg.balance_tol,
-                               max_iter=cfg.max_iter, anderson=True)
+                               max_iter=cfg.max_iter)
 
 
 def balance_job(cfg, k):

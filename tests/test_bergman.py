@@ -158,7 +158,7 @@ def twisted_rules():
     return base_rule(model, n_radial=14), fiber_rule(model, n_radial=14)
 
 
-def level_sweep(metric, kahler, model, ks, rule, fib=None):
+def level_sweep(metric, kahler, model, ks, rule, fib):
     """Level endomorphisms over `ks` from one push-forward table on the base
     `rule` nodes (fiber rule `fib`), as the CLI sweeps build them."""
     table = bg.push_forward_table(metric, kahler, model, rule.points, rule=fib)
@@ -527,8 +527,9 @@ class TestBergmanEndomorphism:
         rng = np.random.default_rng(13)
         model = ProjectivePoint(3)
         metric = ConstantBundleMetric(0, random_hermitian_pd(rng, 3))
-        rule = base_rule(model)
-        table = bg.push_forward_table(metric, FubiniStudy(0), model, rule.points)
+        rule = base_rule(model, 12)
+        table = bg.push_forward_table(metric, FubiniStudy(0), model,
+                                      rule.points, rule=fiber_rule(model, 12))
         out = bg.bergman_endomorphism(metric, FubiniStudy(0), model, rule, table)
         b = out.endomorphism(np.zeros((1, 0), dtype=complex))
         assert np.max(np.abs(b[0] - np.eye(3))) < 1e-10
@@ -798,7 +799,9 @@ class TestFirstCorrection:
         metric = ConstantBundleMetric(0, np.eye(2))
         model = ProjectivePoint(2)
         with pytest.raises(ValueError, match="base"):
-            bg.a1_alternative(metric, FubiniStudy(0), model, np.zeros((1, 0), dtype=complex))
+            bg.a1_alternative(metric, FubiniStudy(0), model,
+                              np.zeros((1, 0), dtype=complex),
+                              rule=fiber_rule(model, 12))
 
 
 # ---------------------------------------------------------------------------
@@ -839,7 +842,7 @@ class TestExpansionFit:
         metric = ConstantBundleMetric(0, random_hermitian_pd(rng, 2))
         model = ProjectivePoint(2)
         sweep = level_sweep(metric, FubiniStudy(0), model, [1, 2, 3, 4],
-                            base_rule(model))
+                            base_rule(model, 24), fiber_rule(model, 24))
         fit = fit_sweep(sweep, np.zeros((1, 0), dtype=complex))
         assert np.max(np.abs(fit.coefficients[0])) < 1e-10
         assert np.max(fit.residuals) < 1e-10

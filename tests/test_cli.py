@@ -161,6 +161,20 @@ class TestConfigFiles:
         ("[model]\nkind = torus\n",
          "not one of point, p1-sum, pm-trivial"),
         ("[solver]\nbalance_tol = -1e-8\n", "must be positive"),
+        ("[solver]\nbalance_tol = inf\n",
+         "[solver] balance_tol (line 2): must be positive and finite"),
+        ("[solver]\nflow_step = inf\n",
+         "[solver] flow_step (line 2): must be positive and finite"),
+        ("[checks]\nrho_tol = inf\n",
+         "[checks] rho_tol (line 2): must be positive and finite"),
+        ("[checks]\na1_rel_tol = inf\n",
+         "[checks] a1_rel_tol (line 2): must be positive and finite"),
+        ("[checks]\nd_tol = inf\n",
+         "[checks] d_tol (line 2): must be positive and finite"),
+        ("[checks]\nr_bound = nan\n",
+         "[checks] r_bound (line 2): comparability bound must be finite"),
+        ("[checks]\nr_bound = inf\n",
+         "[checks] r_bound (line 2): comparability bound must be finite"),
         ("[solver]\nmethod = newton\n",
          "not one of t-iteration, gradient-flow"),
         ("[model]\nkind = point\nrank = 1\n", "rank"),
@@ -649,8 +663,7 @@ class TestSpectrumRun:
         cfg = parse_config_text(TINY_SPECTRUM)
         assert cfg.method == "t-iteration"
         result = suites.spectrum_job(cfg, 2)
-        assert calls == [{"tol": cfg.balance_tol, "max_iter": cfg.max_iter,
-                          "anderson": True}]
+        assert calls == [{"tol": cfg.balance_tol, "max_iter": cfg.max_iter}]
         assert result["converged"]
         assert result["iterations"] == reports[0].iterations
         assert result["fallback_steps"] == reports[0].fallback_steps

@@ -241,7 +241,7 @@ class TestContraction:
 class TestVolumes:
     def test_p1_volume_2pi(self):
         ks = FubiniStudy(1)
-        rule = chart_rule(1)
+        rule = chart_rule(1, n_radial=24)
         vol = integrate(rule, ks.volume_density(rule.points))
         assert abs(vol - 2 * math.pi) < 1e-10
 
@@ -264,7 +264,7 @@ class TestVolumes:
 
     def test_odd_integrand_vanishes(self):
         ks = FubiniStudy(1)
-        rule = chart_rule(1)
+        rule = chart_rule(1, n_radial=24)
         z = rule.points[:, 0]
         val = integrate(rule, z * ks.volume_density(rule.points))
         assert abs(val) < 1e-12

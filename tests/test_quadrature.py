@@ -32,13 +32,13 @@ def moment_oracle(p, q, D):
 class TestOneComplexDim:
     def test_basic_volume_weight(self):
         # I(0,0,3) = pi * 0! * 1! / 2! = pi/2
-        rule = chart_rule(1)
+        rule = chart_rule(1, n_radial=24)
         z = rule.points[:, 0]
         val = integrate(rule, (1.0 + np.abs(z) ** 2) ** -3.0)
         assert abs(val - math.pi / 2) < 1e-12
 
     def test_moment_family_exact(self):
-        rule = chart_rule(1)
+        rule = chart_rule(1, n_radial=24)
         z = rule.points[:, 0]
         for (p, q, D) in [(0, 0, 2), (1, 1, 4), (2, 2, 6), (3, 3, 8), (0, 0, 9)]:
             f = z**p * np.conj(z) ** q * (1.0 + np.abs(z) ** 2) ** float(-D)
@@ -46,7 +46,7 @@ class TestOneComplexDim:
             assert abs(val - moment_oracle(p, q, D)) < 1e-11, (p, q, D)
 
     def test_off_diagonal_moments_vanish(self):
-        rule = chart_rule(1)
+        rule = chart_rule(1, n_radial=24)
         z = rule.points[:, 0]
         for (p, q, D) in [(1, 0, 4), (2, 1, 6), (0, 3, 7)]:
             f = z**p * np.conj(z) ** q * (1.0 + np.abs(z) ** 2) ** float(-D)
@@ -55,7 +55,7 @@ class TestOneComplexDim:
     def test_fubini_study_volume_p1(self):
         # int_P1 omega_FS = 2 pi with omega = i ddbar log(1+|z|^2);
         # density against Lebesgue dA is 2 * (1+|z|^2)^-2.
-        rule = chart_rule(1)
+        rule = chart_rule(1, n_radial=24)
         z = rule.points[:, 0]
         vol = integrate(rule, 2.0 * (1.0 + np.abs(z) ** 2) ** -2.0)
         assert abs(vol - 2 * math.pi) < 1e-10
@@ -100,7 +100,7 @@ class TestHigherDim:
         assert abs(integrate(rule, f) - math.pi**2 / 24) < 1e-10
 
     def test_zero_dim_rule_is_single_unit_node(self):
-        rule = chart_rule(0)
+        rule = chart_rule(0, n_radial=8)
         assert rule.points.shape == (1, 0)
         assert integrate(rule, np.array([7.0])) == 7.0
 
@@ -118,7 +118,7 @@ class TestGuards:
             integrate(rule, bad)
 
     def test_certify_moments(self):
-        rule = chart_rule(1)
+        rule = chart_rule(1, n_radial=24)
         report = certify_moments(rule, degree=8, tol=1e-10)
         assert report["passed"]
         assert report["max_error"] < 1e-10
