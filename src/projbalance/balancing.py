@@ -18,15 +18,17 @@ Contents, bottom to top:
   re-evaluate monomial tables;
 * `moment_map` integrates the frame pairings against the pulled-back volume
   and subtracts the balanced value V/N;
-* `t_map_step` and `gradient_flow_step` are the two solvers: the fixed-point
-  update G -> (N/V) <s_i, s_j> and the line-searched exponential descent
-  along the moment direction.  `balance_iterate` and `flow_iterate` drive
-  them with shared divergence detection.  `balance_iterate` is the only
-  T-iteration driver: it accelerates the fixed point by type-II Anderson
-  mixing of the last `_ANDERSON_MEMORY` T-map images on the traceless log
-  of the Gram, with a safeguard that takes the plain T-step whenever the
-  mix would raise the moment norm.  The plain iteration, `t_map_step`
-  repeated, is the reference the tests compare against.
+* `t_map_step` is the fixed-point update G -> (N/V) <s_i, s_j>, and
+  `balance_iterate` is the balancing solver that every run uses: it
+  accelerates the fixed point by type-II Anderson mixing of the last
+  `_ANDERSON_MEMORY` T-map images on the traceless log of the Gram, with a
+  safeguard that takes the plain T-step whenever the mix would raise the
+  moment norm.  The plain iteration, `t_map_step` repeated, is the
+  reference the tests compare against.  `gradient_flow_step` (the
+  line-searched exponential descent along the moment direction) and its
+  driver `flow_iterate`, which shares the divergence detection, are a
+  second, independent route to the same fixed points: no run selects
+  them, and the tests use them to cross-check the T-iteration.
   `balanced_density_stats` evaluates the density whose constancy
   certifies the result, and `embedding_form_field` exposes the
   pulled-back metric at arbitrary points for comparability probes;
@@ -199,12 +201,13 @@ def _orthonormalizing(gram, count):
 
 
 def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
-                    n_radial=14, frame=None):
+                    n_radial=None, frame=None):
     """Build an `EmbeddingState`, evaluating the section tables at the rule
     nodes.
 
     `rule` wins over `metric` (which requests the metric-adapted total rule)
-    which wins over the plain product rule at the given radial order.
+    which wins over the plain product rule; both built rules take the
+    caller's `n_radial`, which is required when no `rule` is given.
     `frame` replaces the raw basis by its mixture under an invertible matrix,
     with the Gram then read in the mixed family's own basis.  A state that
     differs only in the Gram comes from `EmbeddingState.with_gram`.
@@ -212,6 +215,8 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
     if basis is None:
         basis = build_section_basis(model)
     if rule is None:
+        if n_radial is None:
+            raise ValueError("embedding_state needs a rule or n_radial")
         if metric is not None:
             rule = adapted_total_rule(metric, model, n_radial=n_radial)
         else:

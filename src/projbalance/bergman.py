@@ -51,7 +51,7 @@ from .metrics import (
     mean_curvature,
 )
 from .quadrature import ChartRule, integrate, radial_profile_rule
-from .sections import base_rule, build_section_basis, fiber_rule
+from .sections import affine_frame, base_rule, build_section_basis, fiber_rule
 
 logger = logging.getLogger(__name__)
 
@@ -157,7 +157,7 @@ def hat_form_matrix(metric, model, pts):
         + np.einsum("naij,nbjk,nkl->nabil", pdh, dbarh, p)
     )
 
-    lam = np.concatenate([np.ones((n, 1), dtype=complex), xi], axis=1)
+    lam = affine_frame(xi)
     p = np.repeat(p, sizes, axis=0)
     u, q = _dual_pairing(p, lam)
     # lam dP_a and lam ddP_ab at every node, one batched matmul
@@ -308,8 +308,7 @@ def _fiber_geometry(metric, z, xi):
     H^{-1} is evaluated once per base node.  The fiber block of the
     induced form is the complex Hessian of log(lam H^{-1} lam*) in xi, so
     det(W_fib) = det(H^{-1}) / q^r in closed form."""
-    nb, nf = xi.shape[:2]
-    lam = np.concatenate([np.ones((nb, nf, 1), dtype=complex), xi], axis=2)
+    lam = affine_frame(xi)
     p = metric.inverse(z)
     _, q = _dual_pairing(p[:, None], lam)
     detwf = np.linalg.det(p).real[:, None] / q ** metric.r
@@ -547,8 +546,7 @@ def rho_via_trace(bergman, pts):
     model = bergman.model
     pts = np.asarray(pts, dtype=complex)
     z, xi = _split_points(model, pts)
-    lam = np.concatenate([np.ones((pts.shape[0], 1), dtype=complex), xi], axis=1)
-    proj = dual_point_projector(bergman.metric, z, lam)
+    proj = dual_point_projector(bergman.metric, z, affine_frame(xi))
     b = bergman.endomorphism(z)
     return np.einsum("nab,nba->n", proj, b).real / _volume_constant_exact(model.r)
 

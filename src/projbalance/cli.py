@@ -41,10 +41,8 @@ configuration file (every key optional; defaults depend on the subcommand):
   [model]   kind (point | p1-sum | pm-trivial), degrees, rank, base_dim
   [sweep]   k_min, k_max, n_points
   [quadrature]  n_radial
-  [solver]  method (t-iteration: the T-iteration with safeguarded
-            Anderson mixing | gradient-flow), balance_tol, max_iter,
-            flow_step
-  [checks]  rho_tol, a1_rel_tol, order_q, r_bound, d_tol
+  [solver]  balance_tol (balancing runs the T-iteration with
+            safeguarded Anderson mixing)
   [output]  out_dir, seed
 
 outputs (under --out, or the configured out_dir):
@@ -53,7 +51,7 @@ outputs (under --out, or the configured out_dir):
                   configuration and seed except for the timestamp field;
                   balance and moment-spectrum levels record the solver
                   iterations and fallback_steps (Anderson steps that
-                  took the plain T-step; 0 for gradient-flow)
+                  took the plain T-step)
   timings.json    wall-clock seconds, kept out of report.json:
                   run_seconds (the whole run), command, levels (per
                   level: job_seconds, and solve_seconds for balance) and
@@ -153,6 +151,22 @@ def _timed(fn, *args):
     return out, time.perf_counter() - t0
 
 
+def _cell(value):
+    """One CSV cell: booleans as true/false, floats by repr (round-trip
+    exact), anything else as written."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return repr(value)
+    return value
+
+
+def _table(filename, header, records):
+    """A CSV table whose rows are the header's fields of each record."""
+    return filename, header, [[_cell(rec[c]) for c in header]
+                              for rec in records]
+
+
 def _run_jobs(fn, cfg, ks, workers):
     """Run one job per level, in parallel when asked.  Results come back
     in level order either way, so reports do not depend on scheduling.
@@ -199,27 +213,17 @@ def _run_balance(cfg, workers):
         levels[str(res["k"])]["solve_seconds"] = res["wall_time"]
     checks = suites.balance_rows(cfg, per_level)
     checks.append(suites.almost_balanced_row(cfg, per_level))
-    csvs = []
-    summary = []
-    for res in per_level:
-        csvs.append((f"trajectory_k{res['k']}.csv",
-                     ["iteration", "norm_op", "norm_fro"],
-                     [[i, repr(a), repr(b)] for i, a, b in res["trajectory"]]))
-        summary.append([res["k"], str(res["converged"]).lower(),
-                        str(res["diverged"]).lower(), res["iterations"],
-                        repr(res["final_norm_op"]),
-                        repr(res["initial_norm_op"]),
-                        repr(res["ref_norm_op"]), repr(res["d_value"]),
-                        repr(res["volume"]), res["count"],
-                        repr(res["trace_abs"]), repr(res["rho_mass"]),
-                        repr(res["rho_variance"]), repr(res["rho_max_dev"]),
-                        str(res["comparable"]).lower()])
-    csvs.append(("balance.csv",
-                 ["k", "converged", "diverged", "iterations",
-                  "final_norm_op", "initial_norm_op", "ref_norm_op",
-                  "d_value", "volume", "count", "trace_abs", "rho_mass",
-                  "rho_variance", "rho_max_dev", "comparable"],
-                 summary))
+    csvs = [(f"trajectory_k{res['k']}.csv",
+             ["iteration", "norm_op", "norm_fro"],
+             [[_cell(v) for v in row] for row in res["trajectory"]])
+            for res in per_level]
+    csvs.append(_table(
+        "balance.csv",
+        ["k", "converged", "diverged", "iterations", "final_norm_op",
+         "initial_norm_op", "ref_norm_op", "d_value", "volume", "count",
+         "trace_abs", "rho_mass", "rho_variance", "rho_max_dev",
+         "comparable"],
+        per_level))
     results = {"levels": [
         {key: value for key, value in res.items() if key != "wall_time"}
         for res in per_level]}
@@ -250,15 +254,12 @@ def _run_expansion(cfg, workers):
                      ["point", "row", "col", "fitted_re", "fitted_im",
                       "closed_re", "closed_im", "level_avg_re",
                       "level_avg_im"],
-                     [[row[0], row[1], row[2]] + [repr(v) for v in row[3:]]
-                      for row in table]))
-    csvs.append(("density.csv",
-                 ["k", "sections", "mass", "volume", "rho_mean",
-                  "rho_variance", "rho_max_dev"],
-                 [[res["k"], res["sections"], repr(res["mass"]),
-                   repr(res["volume"]), repr(res["rho_mean"]),
-                   repr(res["rho_variance"]), repr(res["rho_max_dev"])]
-                  for res in per_level]))
+                     [[_cell(v) for v in row] for row in table]))
+    csvs.append(_table(
+        "density.csv",
+        ["k", "sections", "mass", "volume", "rho_mean", "rho_variance",
+         "rho_max_dev"],
+        per_level))
     results = {"levels": [
         {key: value for key, value in res.items() if key != "vals"}
         for res in per_level]}
@@ -272,13 +273,11 @@ def _run_spectrum(cfg, workers):
             f"{cfg.k_min}..{cfg.k_max}")
     per_level, levels = _run_jobs(suites.spectrum_job, cfg, cfg.ks, workers)
     checks, exponent = suites.spectrum_assemble(cfg, per_level)
-    csvs = [("spectrum.csv",
-             ["k", "lambda_z", "smallest_eig", "kernel_dim", "dimension",
-              "samples", "converged", "final_norm_op"],
-             [[res["k"], repr(res["lambda_z"]), repr(res["smallest_eig"]),
-               res["kernel_dim"], res["dimension"], res["samples"],
-               str(res["converged"]).lower(), repr(res["final_norm_op"])]
-              for res in per_level])]
+    csvs = [_table(
+        "spectrum.csv",
+        ["k", "lambda_z", "smallest_eig", "kernel_dim", "dimension",
+         "samples", "converged", "final_norm_op"],
+        per_level)]
     results = {"levels": per_level, "exponent": exponent}
     return checks, results, csvs, {"levels": levels}
 

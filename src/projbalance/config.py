@@ -18,26 +18,21 @@ and falls back to its default, so an empty file is a valid configuration.
     n_radial = 16            ; radial nodes per complex coordinate
 
     [solver]
-    method = t-iteration     ; t-iteration | gradient-flow
-    balance_tol = 1e-08
-    max_iter = 400
-    flow_step = 1.0
-
-    [checks]
-    rho_tol = 1e-05          ; relative cross-route density tolerance
-    a1_rel_tol = 0.02        ; relative first-correction tolerance
-    order_q = 0              ; claimed decay order of the reference family
-    r_bound = 10000000.0     ; two-sided C^4 comparability bound
-    d_tol = 1e-08            ; tolerance on the moment constant d = V/N
+    balance_tol = 1e-08      ; moment norm at which balancing stops
 
     [output]
     out_dir = runs
     seed = 0
 
+Every run balances with the Anderson-accelerated T-iteration, and every
+check judges its rows against a fixed tolerance kept next to the row in
+`projbalance.suites`; neither is configured.
+
 Parsing is strict: unknown sections or keys, unparseable values, empty
 level ranges, and nonpositive or non-finite tolerances all raise
-`ConfigError` with the offending section, key, and line number.  `serialize_config` emits the
-canonical text; parse -> serialize -> parse is the identity.
+`ConfigError` with the offending section, key, and line number.
+`serialize_config` emits the canonical text; parse -> serialize -> parse is
+the identity.
 """
 
 import configparser
@@ -70,7 +65,6 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("point", "p1-sum", "pm-trivial")
-SOLVER_METHODS = ("t-iteration", "gradient-flow")
 
 
 @dataclass(frozen=True)
@@ -86,15 +80,7 @@ class ExperimentConfig:
     k_max: int = 6
     n_points: int = 200
     n_radial: int = 16
-    method: str = "t-iteration"
     balance_tol: float = 1e-8
-    max_iter: int = 400
-    flow_step: float = 1.0
-    rho_tol: float = 1e-5
-    a1_rel_tol: float = 0.02
-    order_q: int = 0
-    r_bound: float = 1e7
-    d_tol: float = 1e-8
     out_dir: str = "runs"
     seed: int = 0
 
@@ -126,15 +112,7 @@ _LAYOUT = (
     ("sweep", "k_max", int, str),
     ("sweep", "n_points", int, str),
     ("quadrature", "n_radial", int, str),
-    ("solver", "method", str, str),
     ("solver", "balance_tol", float, repr),
-    ("solver", "max_iter", int, str),
-    ("solver", "flow_step", float, repr),
-    ("checks", "rho_tol", float, repr),
-    ("checks", "a1_rel_tol", float, repr),
-    ("checks", "order_q", int, str),
-    ("checks", "r_bound", float, repr),
-    ("checks", "d_tol", float, repr),
     ("output", "out_dir", str, str),
     ("output", "seed", int, str),
 )
@@ -237,25 +215,9 @@ def validate_config(cfg, text=""):
     if cfg.n_radial < 4:
         fail("quadrature", "n_radial",
              f"need at least 4 radial nodes, got {cfg.n_radial}")
-    if cfg.method not in SOLVER_METHODS:
-        fail("solver", "method",
-             f"{cfg.method!r} is not one of {', '.join(SOLVER_METHODS)}")
-    for section, key in (("solver", "balance_tol"), ("solver", "flow_step"),
-                         ("checks", "rho_tol"), ("checks", "a1_rel_tol"),
-                         ("checks", "d_tol")):
-        value = getattr(cfg, key)
-        if not 0.0 < value < math.inf:  # fails closed on NaN
-            fail(section, key, f"must be positive and finite, got {value}")
-    if cfg.max_iter < 0:
-        fail("solver", "max_iter",
-             f"iteration budget cannot be negative, got {cfg.max_iter}")
-    if cfg.order_q < 0:
-        fail("checks", "order_q",
-             f"decay order cannot be negative, got {cfg.order_q}")
-    if not 1.0 < cfg.r_bound < math.inf:  # fails closed on NaN
-        fail("checks", "r_bound",
-             f"comparability bound must be finite and exceed 1, got "
-             f"{cfg.r_bound}")
+    if not 0.0 < cfg.balance_tol < math.inf:  # fails closed on NaN
+        fail("solver", "balance_tol",
+             f"must be positive and finite, got {cfg.balance_tol}")
     if cfg.seed < 0:
         fail("output", "seed", f"seed cannot be negative, got {cfg.seed}")
 

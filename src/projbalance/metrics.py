@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import NumericalGuardError
 from .kahler import complex_gradient, complex_hessian, lambda_contract
+from .sections import affine_frame
 
 logger = logging.getLogger(__name__)
 
@@ -393,7 +394,5 @@ def hat_weight(metric, pts, model):
     `hat_weight_homogeneous`, the metric is evaluated once per run of equal
     consecutive base rows, so once per base node on a total-space rule."""
     pts = np.asarray(pts, dtype=complex)
-    z = pts[:, : model.m]
-    xi = pts[:, model.m:]
-    lam = np.concatenate([np.ones((pts.shape[0], 1), dtype=complex), xi], axis=1)
-    return hat_weight_homogeneous(metric, z, lam)
+    return hat_weight_homogeneous(metric, pts[:, : model.m],
+                                  affine_frame(pts[:, model.m:]))

@@ -19,6 +19,7 @@ total space gets the tensor product of the two.
 import logging
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from itertools import product as _iproduct
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "LineBundleSumOverP1",
     "ProjectiveSpaceBase",
     "TrivialBundleOverPm",
+    "affine_frame",
     "build_section_basis",
     "riemann_roch_dimension",
     "base_rule",
@@ -102,6 +104,14 @@ def TrivialBundleOverPm(m, r, k):
     return ProjectiveSpaceBase(m, (0,) * r, k)
 
 
+def affine_frame(xi):
+    """The fiber covector lambda = (1, xi_1, ..., xi_{r-1}) of chart fiber
+    coordinates xi, shape (..., r-1) -> (..., r), for any leading axes."""
+    xi = np.asarray(xi, dtype=complex)
+    return np.concatenate(
+        [np.ones(xi.shape[:-1] + (1,), dtype=complex), xi], axis=-1)
+
+
 def _monomial_exponents(m, max_degree):
     """All exponent tuples beta in N^m with |beta| <= max_degree, graded
     lexicographic, as an (N, m) integer array."""
@@ -156,8 +166,7 @@ class SectionBasis:
     def eval_embedding(self, pts):
         """Values v_i(z, xi) on the affine chart of the total space, (n, N)."""
         z, xi = self._split(pts)
-        lam = np.concatenate([np.ones((z.shape[0], 1), dtype=complex), xi], axis=1)
-        return lam[:, self.summand] * self._monomials(z)
+        return affine_frame(xi)[:, self.summand] * self._monomials(z)
 
     def eval_embedding_homogeneous(self, z, lam):
         """Values against an arbitrary fiber frame lam of shape (n, r);
@@ -172,8 +181,7 @@ class SectionBasis:
         z, xi = self._split(pts)
         n = z.shape[0]
         m, r = self.model.m, self.model.r
-        lam = np.concatenate([np.ones((n, 1), dtype=complex), xi], axis=1)
-        coef = lam[:, self.summand]
+        coef = affine_frame(xi)[:, self.summand]
         mono = self._monomials(z)
         jet = np.zeros((n, self.count, m + r - 1), dtype=complex)
         for a in range(m):
@@ -202,32 +210,36 @@ def build_section_basis(model):
 
 
 def riemann_roch_dimension(model):
-    """Exact section count together with the leading polynomial data of
-    k -> N(k): N(k) = n1 k^m + n2 k^(m-1) + O(k^(m-2)).
+    """Exact section count N, the leading coefficients of
+    k -> N(k) = n1 k^m + n2 k^(m-1) + O(k^(m-2)), and the volume V of the
+    level's polarization L, all in integer arithmetic with one rounding.
 
-    n1 is r/m! exactly; n2 comes from exact interpolation of the count
-    polynomial (degree m in k), so no asymptotic fitting is involved.
+    N(k) sums C(k + a + m, m) = prod_{j=1..m} (k + a + j) / m! over the
+    summands, so n1 = r / m! and n2 = (m sum(a) + r C(m+1, 2)) / m!.
+
+    V is the degree of L over n!, n = m + r - 1 the dimension of the total
+    space: the leading coefficient of p -> h^0(L^p), the sum over
+    multisets gamma of p summands of C(sum_{i in gamma} (k + a_i) + m, m).
+    Since every k + a_i >= 0 that count is a polynomial of degree at most
+    n for every p >= 0, so V is its n-th difference at p = 0 over n!.  It
+    is the reduced volume that the balancing layer integrates: k on
+    P^1 x P^1 at level k, k + 1/2 on P(O + O(1)) over P^1.
     """
-    m, r = model.m, model.r
+    m, r, n = model.m, model.r, model.n
+    twists = [a + model.k for a in model.degrees]
 
-    def count(k):
-        return sum(math.comb(a + k + m, m) for a in model.degrees)
+    def power_count(p):
+        return sum(math.comb(sum(twists[i] for i in gamma) + m, m)
+                   for gamma in combinations_with_replacement(range(r), p))
 
-    n1 = r / math.factorial(m)
-    if m == 0:
-        return {"N": r, "n1": float(r), "n2": 0.0, "degree": 0}
-    # interpolate at m+1 twist levels where every summand count is a genuine
-    # dimension (a + k >= 0)
-    k0 = max(0, -min(model.degrees))
-    kvals = np.arange(k0, k0 + m + 1, dtype=float)
-    counts = np.array([count(int(k)) for k in kvals], dtype=float)
-    coeffs = np.linalg.solve(np.vander(kvals, m + 1, increasing=True), counts)
-    assert abs(coeffs[m] - n1) < 1e-9
     return {
-        "N": count(model.k),
-        "n1": n1,
-        "n2": float(coeffs[m - 1]),
+        "N": power_count(1),
+        "n1": r / math.factorial(m),
+        "n2": ((m * sum(model.degrees) + r * math.comb(m + 1, 2))
+               / math.factorial(m)),
         "degree": m,
+        "volume": sum((-1) ** (n - j) * math.comb(n, j) * power_count(j)
+                      for j in range(n + 1)) / math.factorial(n),
     }
 
 

@@ -371,7 +371,7 @@ def test_c09_normal_spectrum_scaling():
     10 minutes."""
     t0 = time.perf_counter()
     cfg = ExperimentConfig(kind="p1-sum", degrees=(0,), k_min=1, k_max=5,
-                           n_radial=12, balance_tol=1e-9, max_iter=400)
+                           n_radial=12, balance_tol=1e-9)
     results = [suites.spectrum_job(cfg, k) for k in cfg.ks]
     rows, exponent = suites.spectrum_assemble(cfg, results)
     lambdas = [res["lambda_z"] for res in results if res["lambda_z"] > 0.0]

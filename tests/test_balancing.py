@@ -161,11 +161,16 @@ class TestEmbeddingState:
         assert state.k == 2
         assert state.basis.count == 3
 
+    def test_built_rule_needs_n_radial(self):
+        with pytest.raises(ValueError, match="n_radial"):
+            bal.embedding_state(LineBundleSumOverP1((0,), 2))
+
     def test_non_hermitian_gram_rejected(self):
         model = LineBundleSumOverP1((0,), 2)
         bad = np.array([[1.0, 0.5], [0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
-            bal.embedding_state(model, gram=bad @ bad.T + np.eye(3) * 1j)
+            bal.embedding_state(model, gram=bad @ bad.T + np.eye(3) * 1j,
+                                n_radial=12)
 
     def test_metric_reference_builds_adapted_rule(self):
         model = LineBundleSumOverP1((0, 1), 2)
@@ -646,9 +651,13 @@ class TestDensityStats:
         assert stats["variance"] > 1e-6  # genuinely off balance
 
     def test_balanced_state_has_flat_density(self):
-        state = bal.embedding_state(ProjectivePoint(4), n_radial=8)
+        model = ProjectivePoint(4)
+        state = bal.embedding_state(model, n_radial=4)
         stats = bal.balanced_density_stats(state)
         assert abs(stats["mass"] - 4.0) < 1e-10
+        # the volume of O(1) on P^3, 1/6, from the exact degree count
+        assert riemann_roch_dimension(model)["volume"] == 1.0 / 6.0
+        assert abs(stats["volume"] - 1.0 / 6.0) < 1e-13
         assert stats["variance"] < 1e-20
         assert stats["max_dev"] < 1e-10
         mean_ref = state.count / stats["volume"]
@@ -990,7 +999,7 @@ def spectrum_sweep(ks, n_radial, **model):
     """lambda_z per level and its growth exponent, from the moment-spectrum
     suite's per-level job and assembly at balance tolerance 1e-9."""
     cfg = ExperimentConfig(k_min=min(ks), k_max=max(ks), n_radial=n_radial,
-                           balance_tol=1e-9, max_iter=400, **model)
+                           balance_tol=1e-9, **model)
     results = [suites.spectrum_job(cfg, k) for k in cfg.ks]
     _, exponent = suites.spectrum_assemble(cfg, results)
     return [res["lambda_z"] for res in results], exponent

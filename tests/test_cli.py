@@ -16,7 +16,7 @@ import pytest
 
 from projbalance import balancing as bal
 from projbalance import bergman as bg
-from projbalance import cli, suites
+from projbalance import cli, config, suites
 from projbalance.config import (
     ConfigError,
     ExperimentConfig,
@@ -104,6 +104,25 @@ balance_tol = 1e-9
 """
 
 
+# how the parse error of a file with a [checks] section on its first line
+# names it: the sections it expected, which no longer include [checks]
+UNKNOWN_CHECKS = ("[checks] (line 1); expected one of model, sweep, "
+                  "quadrature, solver, output")
+
+# keys that earlier configuration files could set, each with the error it
+# gets now
+REMOVED_KEYS = [
+    ("[solver]\nmethod = gradient-flow\n",
+     "unknown key [solver] method (line 2)"),
+    ("[solver]\nmax_iter = 400\n", "unknown key [solver] max_iter (line 2)"),
+    ("[solver]\nflow_step = 1.0\n",
+     "unknown key [solver] flow_step (line 2)"),
+] + [(f"[checks]\n{key} = {value}\n", "unknown section " + UNKNOWN_CHECKS)
+     for key, value in (("rho_tol", "1e-5"), ("a1_rel_tol", "0.02"),
+                        ("order_q", "0"), ("r_bound", "1e7"),
+                        ("d_tol", "1e-8"))]
+
+
 def write_config(tmp_path, text, name="run.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -163,26 +182,33 @@ class TestConfigFiles:
         ("[solver]\nbalance_tol = -1e-8\n", "must be positive"),
         ("[solver]\nbalance_tol = inf\n",
          "[solver] balance_tol (line 2): must be positive and finite"),
-        ("[solver]\nflow_step = inf\n",
-         "[solver] flow_step (line 2): must be positive and finite"),
-        ("[checks]\nrho_tol = inf\n",
-         "[checks] rho_tol (line 2): must be positive and finite"),
-        ("[checks]\na1_rel_tol = inf\n",
-         "[checks] a1_rel_tol (line 2): must be positive and finite"),
-        ("[checks]\nd_tol = inf\n",
-         "[checks] d_tol (line 2): must be positive and finite"),
-        ("[checks]\nr_bound = nan\n",
-         "[checks] r_bound (line 2): comparability bound must be finite"),
-        ("[checks]\nr_bound = inf\n",
-         "[checks] r_bound (line 2): comparability bound must be finite"),
+        # the single-valued solver keys and the [checks] section are
+        # constants of the code now: files that set them are rejected
+        ("[solver]\nflow_step = inf\n", "[solver] flow_step (line 2)"),
+        ("[checks]\nrho_tol = inf\n", UNKNOWN_CHECKS),
+        ("[checks]\na1_rel_tol = inf\n", UNKNOWN_CHECKS),
+        ("[checks]\nd_tol = inf\n", UNKNOWN_CHECKS),
+        ("[checks]\nr_bound = nan\n", UNKNOWN_CHECKS),
+        ("[checks]\nr_bound = inf\n", UNKNOWN_CHECKS),
         ("[solver]\nmethod = newton\n",
-         "not one of t-iteration, gradient-flow"),
+         "unknown key [solver] method (line 2)"),
         ("[model]\nkind = point\nrank = 1\n", "rank"),
     ])
     def test_bad_configs_name_the_problem(self, text, fragment):
         with pytest.raises(ConfigError) as err:
             parse_config_text(text)
         assert fragment in str(err.value)
+
+    def test_layout_is_documented(self):
+        docs = {"config module": config.__doc__, "--help epilog": cli._EPILOG}
+        for where, text in docs.items():
+            for section, key, *_ in config._LAYOUT:
+                assert f"[{section}]" in text, (where, section)
+                assert re.search(rf"\b{key}\b", text), (where, key)
+            assert "[checks]" not in text, where
+            for key in ("method", "max_iter", "flow_step", "rho_tol",
+                        "a1_rel_tol", "order_q", "r_bound", "d_tol"):
+                assert not re.search(rf"\b{key}\b", text), (where, key)
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -233,6 +259,17 @@ class TestExitCodes:
         assert cli.main(["verify", "--config", path]) == 3
         err = capsys.readouterr().err
         assert "[model] shiny" in err and "line 3" in err
+
+    @pytest.mark.parametrize("text, message", REMOVED_KEYS,
+                             ids=[text.split("\n")[1].split(" =")[0]
+                                  for text, _ in REMOVED_KEYS])
+    def test_removed_keys_exit_three(self, tmp_path, capsys, text, message):
+        path = write_config(tmp_path, text)
+        rc = cli.main(["balance", "--config", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_level_range(self, tmp_path, capsys):
         path = write_config(tmp_path, "[sweep]\nk_min = 9\nk_max = 4\n")
@@ -291,9 +328,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical guard" in err and "condition" in err
 
-    def test_failed_check_is_exit_one(self, tmp_path, capsys):
+    def test_failed_check_is_exit_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(suites, "_R_BOUND", 1.001)
         text = TINY_BALANCE.replace("k_max = 4", "k_max = 2")
-        text += "\n[checks]\nr_bound = 1.001\n"
         path = write_config(tmp_path, text)
         out = tmp_path / "out"
         rc = cli.main(["balance", "--config", path, "--out", str(out)])
@@ -494,11 +531,30 @@ class TestBalanceRun:
         cfg = dataclasses.replace(parse_config_text(text), seed=2)
         res = suites.balance_job(cfg, 5)
         assert res["comparable"]
-        assert res["comparable_c_a"] < cfg.r_bound
+        assert res["comparable_c_a"] < suites._R_BOUND
 
-    def test_zero_iterations_flagged_not_failed(self, tmp_path):
+    def test_almost_balanced_row_judges_d_against_the_volume(self,
+                                                             balance_run):
+        # d = V/N of the reference Gram against the exact degree count: a
+        # reference volume off by 1e-6 at one level fails the row
+        _, out = balance_run
+        cfg = parse_config_text(TINY_BALANCE)
+        levels = load_report(out)["results"]["levels"]
+        row = suites.almost_balanced_row(cfg, levels)
+        assert row["passed"] is True
+        assert row["error"] < 1e-12
+        drifted = [dict(level) for level in levels]
+        drifted[1]["ref_volume"] += 1e-6
+        drifted[1]["ref_d"] = drifted[1]["ref_volume"] / drifted[1]["count"]
+        row = suites.almost_balanced_row(cfg, drifted)
+        assert row["passed"] is False
+        assert row["error"] == pytest.approx(1e-6 / drifted[1]["count"],
+                                             rel=1e-6)
+
+    def test_zero_iterations_flagged_not_failed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(suites, "_MAX_ITER", 0)
         text = TINY_BALANCE.replace("k_max = 4", "k_max = 2")
-        text += "\n[solver]\nbalance_tol = 1e-12\nmax_iter = 0\n"
+        text += "\n[solver]\nbalance_tol = 1e-12\n"
         path = write_config(tmp_path, text)
         out = tmp_path / "out"
         rc = cli.main(["balance", "--config", path, "--out", str(out)])
@@ -630,25 +686,6 @@ class TestSpectrumRun:
         assert all(0 <= lv["fallback_steps"] <= lv["iterations"]
                    for lv in levels)
 
-    def test_gradient_flow_method_runs_the_flow(self, monkeypatch):
-        original = bal.flow_iterate
-        calls = []
-        reports = []
-
-        def recording(state, **kwargs):
-            calls.append(kwargs)
-            reports.append(original(state, **kwargs))
-            return reports[-1]
-
-        monkeypatch.setattr(bal, "flow_iterate", recording)
-        cfg = dataclasses.replace(parse_config_text(TINY_SPECTRUM),
-                                  method="gradient-flow", flow_step=0.5)
-        result = suites.spectrum_job(cfg, 2)
-        assert calls == [{"tol": cfg.balance_tol, "max_iter": cfg.max_iter,
-                          "step": 0.5}]
-        assert result["converged"]
-        assert result["iterations"] == reports[0].iterations
-
     def test_t_iteration_method_runs_the_anderson_solver(self, monkeypatch):
         original = bal.balance_iterate
         calls = []
@@ -661,9 +698,9 @@ class TestSpectrumRun:
 
         monkeypatch.setattr(bal, "balance_iterate", recording)
         cfg = parse_config_text(TINY_SPECTRUM)
-        assert cfg.method == "t-iteration"
         result = suites.spectrum_job(cfg, 2)
-        assert calls == [{"tol": cfg.balance_tol, "max_iter": cfg.max_iter}]
+        assert calls == [{"tol": cfg.balance_tol,
+                          "max_iter": suites._MAX_ITER}]
         assert result["converged"]
         assert result["iterations"] == reports[0].iterations
         assert result["fallback_steps"] == reports[0].fallback_steps

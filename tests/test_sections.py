@@ -5,6 +5,7 @@ Oracles: monomial dimension counts done by independent combinatorics
 evaluations against the analytic jets.
 """
 
+import math
 from itertools import product as iproduct
 
 import numpy as np
@@ -69,6 +70,24 @@ class TestDimensions:
         # exact second coefficient for split P^1 models: sum(a) + r
         info = riemann_roch_dimension(LineBundleSumOverP1((0, 1), 3))
         assert abs(info["n2"] - 3) < 1e-12
+
+    def test_polarization_volume(self):
+        # closed forms of c_1(L)^n / n!: sum_i (k + a_i) / r! over P^1 (the
+        # Segre degree), k^m / (m! (r-1)!) on P^m x P^(r-1), 1 / (r-1)! on
+        # a point base
+        cases = [(ProjectivePoint(r), 1 / math.factorial(r - 1))
+                 for r in (1, 2, 3, 4)]
+        for k in range(1, 6):
+            cases += [
+                (TrivialBundleOverPm(1, 2, k), float(k)),
+                (LineBundleSumOverP1((0, 1), k), k + 0.5),
+                (LineBundleSumOverP1((1, 2, 4), k), (3 * k + 7) / 6),
+                (TrivialBundleOverPm(2, 2, k), k ** 2 / 2),
+                (TrivialBundleOverPm(2, 3, k), k ** 2 / 4),
+            ]
+        for ms, want in cases:
+            got = riemann_roch_dimension(ms)["volume"]
+            assert abs(got - want) <= 1e-14 * want, ms.label
 
     def test_k_sweep_consistency(self):
         for k in range(0, 21):
