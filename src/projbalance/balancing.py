@@ -843,13 +843,14 @@ class OrderVerdict:
     order_target: float
 
 
-def almost_balanced_check(entries, q, expected_d=None, d_tol=1e-8):
+def almost_balanced_check(entries, q, expected_d, d_tol=1e-8):
     """Classify a sequence of (k, moment) pairs as almost balanced to
     order q.
 
     Requires at least three levels.  The pairing values D must match
-    volume/count (or the supplied expectations) to d_tol; the op norms must
-    decay at fitted order at least q + 1 - 0.3 in a log-log fit.  An exactly
+    `expected_d`, one exact V/N per level (V from
+    `sections.riemann_roch_dimension`), to d_tol; the op norms must decay
+    at fitted order at least q + 1 - 0.3 in a log-log fit.  An exactly
     vanishing sequence (norms below 1e-12) passes every order.
     """
     entries = list(entries)
@@ -860,14 +861,10 @@ def almost_balanced_check(entries, q, expected_d=None, d_tol=1e-8):
     if np.unique(ks).size != ks.size:
         raise ValueError("duplicate levels in the moment sequence")
     norms = np.array([mv.norm_op for _, mv in entries])
-    if expected_d is None:
-        defects = [abs(mv.d - mv.volume / mv.count) for _, mv in entries]
-    else:
-        expected_d = list(expected_d)
-        if len(expected_d) != len(entries):
-            raise ValueError("expected_d length does not match entries")
-        defects = [abs(mv.d - want)
-                   for (_, mv), want in zip(entries, expected_d)]
+    expected_d = list(expected_d)
+    if len(expected_d) != len(entries):
+        raise ValueError("expected_d length does not match entries")
+    defects = [abs(mv.d - want) for (_, mv), want in zip(entries, expected_d)]
     d_defect = float(max(defects))
     d_ok = d_defect <= d_tol
     if norms.max() < 1e-12:

@@ -51,11 +51,20 @@ from .metrics import (
     mean_curvature,
 )
 from .quadrature import ChartRule, integrate, radial_profile_rule
-from .sections import affine_frame, base_rule, build_section_basis, fiber_rule
+from .sections import (
+    affine_frame,
+    base_rule,
+    build_section_basis,
+    fiber_rule,
+    split_points,
+)
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "adapted_fiber_degree",
+    "adapted_fiber_rule",
+    "adapted_fiber_check",
     "adapted_total_rule",
     "c_r_constant",
     "hat_form_matrix",
@@ -117,13 +126,6 @@ def c_r_constant(r):
 # induced forms on the projectivized dual
 # ---------------------------------------------------------------------------
 
-def _split_points(model, pts):
-    pts = np.asarray(pts, dtype=complex)
-    if pts.ndim != 2 or pts.shape[1] != model.n:
-        raise ValueError(f"total-space points must have shape (n, {model.n})")
-    return pts[:, : model.m], pts[:, model.m:]
-
-
 def hat_form_matrix(metric, model, pts):
     """Coefficient stack (n, d, d) of the curvature form of the induced
     weight on the relative hyperplane line, d = m + r - 1, base directions
@@ -136,7 +138,7 @@ def hat_form_matrix(metric, model, pts):
     rows (`_base_runs`), so once per base node on a total-space rule, and
     only their contractions with lam run at every node.
     """
-    z, xi = _split_points(model, pts)
+    z, xi = split_points(model, pts)
     n = pts.shape[0]
     m = model.m
     d = model.n
@@ -189,7 +191,7 @@ def hat_form_matrix(metric, model, pts):
 def lifted_base_form(kahler, model, pts):
     """Pullback of the base form to the total chart: base block, zero fiber
     block, shape (n, d, d)."""
-    z, _ = _split_points(model, pts)
+    z, _ = split_points(model, pts)
     out = np.zeros((pts.shape[0], model.n, model.n), dtype=complex)
     out[:, : model.m, : model.m] = kahler.matrix(z)
     return out
@@ -288,13 +290,94 @@ def _adapted_fiber_points(metric, model, z, xi):
     return pts, jac2
 
 
-def adapted_total_rule(metric, model, n_radial, n_angular=None):
+def adapted_fiber_degree(model):
+    """Highest frequency, in any one fiber angle, of the integrands that
+    run on `adapted_fiber_rule`: m + 1 (derived there)."""
+    return model.m + 1
+
+
+def adapted_fiber_rule(model, n_radial):
+    """Fiber rule for integrands in the metric-adapted frame of
+    `_adapted_fiber_points`, with as many angles per fiber coordinate as
+    the degree argument below needs: `adapted_fiber_degree(model)` + 1 =
+    m + 2.  Every rule that goes through that frame is built here or by
+    `adapted_total_rule`; the plain `fiber_rule` keeps 2 n_radial + 1.
+
+    Why that is exact.  At a base node the adapted change
+    xi = xi0 + sqrt(kappa) w L^{-1} makes the dual pairing
+    q = kappa (1 + |w|^2), and lam = (1, xi) affine in w.  With
+    w_c = rho_c exp(i theta_c), a Hermitian quadratic lam A lam* has
+    frequencies -1, 0 and 1 in each theta_c, and q, its powers and the
+    Jacobian (constant per base node) have frequency 0.  The integrands:
+
+    * push-forward weight j: conj(lam_a) lam_b f_j times the fiber measure
+      det(W_fib) / q, a multiple of q^-(r+1).  The ratio f_j = E_j / E_m
+      is the t^j coefficient of det(S + t G) / det(G), where S is the
+      Schur complement of the fiber block of the induced form: the
+      horizontal curvature, whose entries are quadratics lam A lam* over
+      q.  So f_j is a sum of products of m - j of them, and the integrand
+      has frequency at most m - j + 1 <= m + 1;
+    * the direct route (`rho_direct` on `adapted_total_rule`): the Gram
+      and the mass pair two sections, each linear in lam, against the hat
+      weight 1/q and the level density sum_j k^(j-m) E_j, with
+      E_m a multiple of q^-r: frequency at most m + 1 again, and at most
+      m for the volume.
+
+    The trapezoid rule on n equispaced angles integrates exp(i p theta)
+    exactly for |p| < n (Trefethen & Weideman, SIAM Review 56, 2014), so
+    m + 2 angles per fiber coordinate leave only the radial error, which
+    the angles do not change.  One angle fewer is not enough: on a metric
+    whose off-diagonal part varies over the base, the push-forward table
+    then moves by 4e-3 to 0.8 of its largest entry.  A statistic quadratic
+    in the density, such as the variance `expansion_job` reports, has
+    degree m + 2; it is exact where the density is invariant under the
+    fiber rotations, as for every split metric.  `adapted_fiber_check`
+    tests the bound on the metric at hand.
+    """
+    n_angular = adapted_fiber_degree(model) + 1
+    return fiber_rule(model, n_radial, n_angular=n_angular)
+
+
+# relative move of a push-forward table under two more fiber angles beyond
+# which `adapted_fiber_check` rejects the degree bound: about 1e-14 when it
+# holds, 4e-3 or more one angle short of it
+_FIBER_CHECK_TOL = 1e-10
+
+
+def adapted_fiber_check(metric, kahler, model, table, n_radial):
+    """Self-estimate of `adapted_fiber_rule`: rebuild `table`, the
+    push-forward table on that rule, with two more angles per fiber
+    coordinate, and return the largest entry move relative to the largest
+    entry.  Both rules share their radial nodes, so the move is the angular
+    error alone.  A move above 1e-10 raises `NumericalGuardError` naming
+    the model and the degree that failed."""
+    degree = adapted_fiber_degree(model)
+    n_angular = degree + 1
+    finer = push_forward_table(
+        metric, kahler, model, table.points,
+        rule=fiber_rule(model, n_radial, n_angular=n_angular + 2))
+    scale = float(np.max(np.abs(table.m_tilde)))
+    move = float(np.max(np.abs(finer.m_tilde - table.m_tilde))) / scale
+    if not move <= _FIBER_CHECK_TOL:  # fails closed on NaN
+        raise NumericalGuardError(
+            f"adapted fiber rule on {model.label}: the push-forward table "
+            f"moved by {move:.2e} (relative) from {n_angular} to "
+            f"{n_angular + 2} angles per fiber coordinate, above "
+            f"{_FIBER_CHECK_TOL:g}; the rule assumes the fiber integrands "
+            f"are trigonometric polynomials of degree {degree} in each "
+            "fiber angle (bergman.adapted_fiber_degree), and the integrands "
+            "of this metric are not")
+    return move
+
+
+def adapted_total_rule(metric, model, n_radial):
     """Quadrature on the total chart with the fiber factor in the
-    metric-adapted frame at each base node.  Use this instead of the plain
-    tensor rule whenever the integrand sees the dual pairing; the plain
-    rule loses accuracy where the fiber decay scale shrinks."""
-    rb = base_rule(model, n_radial, n_angular)
-    rf = fiber_rule(model, n_radial, n_angular)
+    metric-adapted frame at each base node, on `adapted_fiber_rule`.  Use
+    this instead of the plain tensor rule whenever the integrand sees the
+    dual pairing; the plain rule loses accuracy where the fiber decay scale
+    shrinks."""
+    rb = base_rule(model, n_radial)
+    rf = adapted_fiber_rule(model, n_radial)
     pts, jac2 = _adapted_fiber_points(metric, model, rb.points, rf.points)
     w = (rb.weights[:, None] * rf.weights[None, :] * jac2[:, None]).ravel()
     return ChartRule(pts, w)
@@ -545,7 +628,7 @@ def rho_via_trace(bergman, pts):
     dual point projector and divide by the rank constant."""
     model = bergman.model
     pts = np.asarray(pts, dtype=complex)
-    z, xi = _split_points(model, pts)
+    z, xi = split_points(model, pts)
     proj = dual_point_projector(bergman.metric, z, affine_frame(xi))
     b = bergman.endomorphism(z)
     return np.einsum("nab,nba->n", proj, b).real / _volume_constant_exact(model.r)

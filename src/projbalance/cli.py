@@ -58,7 +58,8 @@ outputs (under --out, or the configured out_dir):
                   phases: for verify volume-constants, quadrature,
                   round-trip, fiber-averages, push-forward-table and
                   joint-linearization; for expansion off a point base,
-                  push-forward-table (built once, shared by the levels)
+                  push-forward-table (built once, shared by the levels,
+                  with the self-check of its adapted fiber rule)
   checks.csv      name,k,value,reference,error,tolerance,passed,detail
 
 subcommand tables:
@@ -195,14 +196,15 @@ def _run_verify(cfg, workers):
     phase("quadrature", suites.quadrature_rows, cfg.n_radial)
     phase("round-trip", suites.round_trip_rows, cfg.seed)
     phase("fiber-averages", suites.fiber_average_rows, cfg.n_radial)
-    table, phases["push-forward-table"] = _timed(suites.trace_route_table,
-                                                 cfg)
+    (table, fiber_row), phases["push-forward-table"] = _timed(
+        suites.trace_route_table, cfg)
     per_level, levels = _run_jobs(
         functools.partial(suites.density_route_job, table=table), cfg,
         cfg.ks, workers)
     for rows in per_level:
         checks.extend(rows)
     phase("joint-linearization", suites.joint_linearization_rows, cfg.seed)
+    checks.append(fiber_row)
     results = {"levels": list(cfg.ks)}
     return checks, results, [], {"phases": phases, "levels": levels}
 
@@ -213,6 +215,9 @@ def _run_balance(cfg, workers):
         levels[str(res["k"])]["solve_seconds"] = res["wall_time"]
     checks = suites.balance_rows(cfg, per_level)
     checks.append(suites.almost_balanced_row(cfg, per_level))
+    # the levels' direct routes run on the adapted fiber rule; its
+    # self-check needs the table, not the levels
+    checks.append(suites.trace_route_table(cfg)[1])
     csvs = [(f"trajectory_k{res['k']}.csv",
              ["iteration", "norm_op", "norm_fro"],
              [[_cell(v) for v in row] for row in res["trajectory"]])
@@ -242,12 +247,14 @@ def _run_expansion(cfg, workers):
         checks = suites.degenerate_expansion_rows(per_level)
         table = []
     else:
-        push_forward, seconds = _timed(suites.trace_route_table, cfg)
+        (push_forward, fiber_row), seconds = _timed(
+            suites.trace_route_table, cfg)
         timings["phases"] = {"push-forward-table": seconds}
         per_level, levels = _run_jobs(
             functools.partial(suites.expansion_job, table=push_forward),
             cfg, cfg.ks, workers)
         checks, table = suites.expansion_assemble(cfg, per_level)
+        checks.append(fiber_row)
     csvs = []
     if table:
         csvs.append(("a1_table.csv",

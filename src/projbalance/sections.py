@@ -36,6 +36,7 @@ __all__ = [
     "ProjectiveSpaceBase",
     "TrivialBundleOverPm",
     "affine_frame",
+    "split_points",
     "build_section_basis",
     "riemann_roch_dimension",
     "base_rule",
@@ -112,6 +113,15 @@ def affine_frame(xi):
         [np.ones(xi.shape[:-1] + (1,), dtype=complex), xi], axis=-1)
 
 
+def split_points(model, pts):
+    """Base coordinates z (n, m) and fiber coordinates xi (n, r-1) of chart
+    points (z, xi) of the model's total space, validated as (n, model.n)."""
+    pts = np.asarray(pts, dtype=complex)
+    if pts.ndim != 2 or pts.shape[1] != model.n:
+        raise ValueError(f"total-space points must have shape (n, {model.n})")
+    return pts[:, : model.m], pts[:, model.m:]
+
+
 def _monomial_exponents(m, max_degree):
     """All exponent tuples beta in N^m with |beta| <= max_degree, graded
     lexicographic, as an (N, m) integer array."""
@@ -142,13 +152,6 @@ class SectionBasis:
     def count(self):
         return self.summand.shape[0]
 
-    def _split(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        if pts.ndim != 2 or pts.shape[1] != self.model.n:
-            raise ValueError(f"points must have shape (n, {self.model.n})")
-        m = self.model.m
-        return pts[:, :m], pts[:, m:]
-
     def _monomials(self, z):
         # z: (n, m) -> (n, N); empty exponent rows give the constant 1
         return np.prod(z[:, None, :] ** self.exponents[None, :, :], axis=2)
@@ -165,7 +168,7 @@ class SectionBasis:
 
     def eval_embedding(self, pts):
         """Values v_i(z, xi) on the affine chart of the total space, (n, N)."""
-        z, xi = self._split(pts)
+        z, xi = split_points(self.model, pts)
         return affine_frame(xi)[:, self.summand] * self._monomials(z)
 
     def eval_embedding_homogeneous(self, z, lam):
@@ -178,7 +181,7 @@ class SectionBasis:
     def eval_embedding_jet(self, pts):
         """Exact holomorphic first derivatives, shape (n, N, m + r - 1) with
         the base directions first."""
-        z, xi = self._split(pts)
+        z, xi = split_points(self.model, pts)
         n = z.shape[0]
         m, r = self.model.m, self.model.r
         coef = affine_frame(xi)[:, self.summand]
@@ -247,19 +250,19 @@ def riemann_roch_dimension(model):
 # quadrature, following the factor structure
 # ---------------------------------------------------------------------------
 
-def base_rule(model, n_radial, n_angular=None):
-    return chart_rule(model.m, n_radial=n_radial, n_angular=n_angular)
+def base_rule(model, n_radial):
+    return chart_rule(model.m, n_radial=n_radial)
 
 
 def fiber_rule(model, n_radial, n_angular=None):
     return chart_rule(model.fiber_dim, n_radial=n_radial, n_angular=n_angular)
 
 
-def total_rule(model, n_radial, n_angular=None):
+def total_rule(model, n_radial):
     """Rule on the chart of the total space: tensor product of the base and
     fiber rules (the decay is per-factor, not joint, so a single joint radial
     rule over all m + r - 1 coordinates would converge slowly)."""
     return product_rule(
-        base_rule(model, n_radial, n_angular),
-        fiber_rule(model, n_radial, n_angular),
+        base_rule(model, n_radial),
+        fiber_rule(model, n_radial),
     )

@@ -20,6 +20,12 @@ builds it once with `trace_route_table` and passes it to every
 too.  The direct route's k-independent arrays (its adapted total rule,
 volume coefficients and hat weight) are sized by the total rule and stay
 per level: holding them across the sweep raises the peak memory.
+
+Every fiber integral in the metric-adapted frame runs on
+`bergman.adapted_fiber_rule`, whose angular grid is sized by the degree of
+its integrands.  `trace_route_table` checks that degree once per sweep, and
+`verify`, `expansion` and `balance` report the estimate as the
+informational `adapted-fiber-degree` row.
 """
 
 import logging
@@ -45,7 +51,6 @@ from .sections import (
     ProjectivePoint,
     TrivialBundleOverPm,
     base_rule,
-    fiber_rule,
     riemann_roch_dimension,
 )
 
@@ -132,7 +137,7 @@ def round_trip_rows(seed):
     rows = []
     for r in (2, 3):
         model = ProjectivePoint(r)
-        rule = fiber_rule(model, n_radial=18)
+        rule = bg.adapted_fiber_rule(model, n_radial=18)
         z = np.zeros((1, 0), dtype=complex)
         worst = 0.0
         for _ in range(10):
@@ -162,7 +167,8 @@ def fiber_average_rows(n_radial):
     metric = SplitBundleMetric(1, (0, 1))
     z = np.array([[0.0], [0.4 + 0.3j], [-1.1j]], dtype=complex)
     out = bg.fiber_push_forward(metric, FubiniStudy(1), model, z,
-                                weight=model.m, rule=fiber_rule(model, nr))
+                                weight=model.m,
+                                rule=bg.adapted_fiber_rule(model, nr))
     err = float(np.max(np.abs(out.psi - np.eye(2))))
     rows.append(_row("fiber-average-top", value=err, reference=0.0,
                      error=err, tolerance=1e-9, passed=bool(err <= 1e-9),
@@ -174,7 +180,7 @@ def fiber_average_rows(n_radial):
         z = np.array([[0.3 + 0.1j], [-0.8j], [1.4]], dtype=complex)
         out = bg.fiber_push_forward(metric, FubiniStudy(1), model, z,
                                     weight=model.m - 1,
-                                    rule=fiber_rule(model, nr))
+                                    rule=bg.adapted_fiber_rule(model, nr))
         mc = mean_curvature(metric, FubiniStudy(1), z)
         tr = np.einsum("naa->n", mc)[:, None, None]
         want = (tr * np.eye(2) + mc) / (model.r + 1.0)
@@ -193,23 +199,37 @@ def _sample_total_points(model, n_points, rng):
 
 
 def trace_route_table(cfg):
-    """The trace route's k-independent data for a sweep: the push-forward
-    table on the base rule nodes, or None on a point base, where no level
-    reads it."""
+    """The trace route's k-independent data for a sweep, and the one
+    self-check of the sweep's adapted fiber rule.
+
+    Returns the push-forward table on the base rule nodes and the adapted
+    fiber rule, and an informational `adapted-fiber-degree` row holding
+    `bg.adapted_fiber_check`'s estimate: the table's relative move under
+    two more fiber angles.  A move beyond the check's tolerance raises
+    `NumericalGuardError` before any level runs.  On a point base no level
+    reads the table; `balance` builds it for the row alone."""
     model = build_model(cfg)
-    if model.m == 0:
-        return None
+    metric = build_metric(cfg)
+    kahler = build_kahler(cfg)
     table = bg.push_forward_table(
-        build_metric(cfg), build_kahler(cfg), model,
+        metric, kahler, model,
         base_rule(model, n_radial=cfg.n_radial).points,
-        rule=fiber_rule(model, n_radial=cfg.n_radial))
+        rule=bg.adapted_fiber_rule(model, n_radial=cfg.n_radial))
+    move = bg.adapted_fiber_check(metric, kahler, model, table, cfg.n_radial)
+    degree = bg.adapted_fiber_degree(model)
+    row = _row("adapted-fiber-degree", value=move,
+               detail=f"relative move of the push-forward table from "
+                      f"{degree + 1} to {degree + 3} angles per fiber "
+                      f"coordinate, integrand degree {degree}; reported, "
+                      f"not judged")
     # the table outlives every level: copies made after the build's
     # node-sized temporaries are freed keep its small arrays from pinning
     # those on the heap (built in place, they kept about 21 MiB resident
     # through some verify runs, depending on the process's heap layout)
-    return bg.PushForwardTable(points=table.points.copy(),
-                               m_tilde=table.m_tilde.copy(),
-                               psi=table.psi.copy())
+    table = bg.PushForwardTable(points=table.points.copy(),
+                                m_tilde=table.m_tilde.copy(),
+                                psi=table.psi.copy())
+    return table, row
 
 
 def _density_routes(cfg, k, table):
@@ -533,7 +553,7 @@ def expansion_assemble(cfg, results):
     fitted = fit.coefficients[0]
     alternative = bg.a1_alternative(
         metric, kahler, model, pts,
-        rule=fiber_rule(model, n_radial=cfg.n_radial))
+        rule=bg.adapted_fiber_rule(model, n_radial=cfg.n_radial))
     closed = bg.a1_formula(metric, kahler, pts)
     scale = float(np.max(np.abs(alternative)))
     rel_fit = float(np.max(np.abs(fitted - alternative)) / scale)

@@ -356,7 +356,9 @@ def test_c08_decay_order_classification():
     for q in (1, 2, 3):
         entries = [(k, Summary(norm_op=float(k) ** -(q + 1), d=0.5,
                                volume=3.0, count=6)) for k in ks]
-        verdict = bal.almost_balanced_check(entries, q=q)
+        # the exact V/N of these entries: volume 3 over 6 sections
+        verdict = bal.almost_balanced_check(entries, q=q,
+                                            expected_d=[0.5] * len(entries))
         assert verdict.passes, f"order {q} sequence rejected"
         assert verdict.fitted_order >= q + 1 - 0.3
     elapsed = time.perf_counter() - t0

@@ -33,7 +33,7 @@ from projbalance.config import ExperimentConfig
 from projbalance.errors import NumericalGuardError
 from projbalance.kahler import FubiniStudy, complex_hessian, fs_matrix
 from projbalance.metrics import SplitBundleMetric, make_gram
-from projbalance.quadrature import ChartRule
+from projbalance.quadrature import ChartRule, product_rule
 from projbalance.sections import (
     LineBundleSumOverP1,
     ProjectivePoint,
@@ -42,9 +42,9 @@ from projbalance.sections import (
     base_rule,
     build_section_basis,
     riemann_roch_dimension,
-    total_rule,
 )
 from projbalance import balancing as bal
+from projbalance import bergman as bg
 from projbalance import suites
 
 logger = logging.getLogger(__name__)
@@ -176,7 +176,10 @@ class TestEmbeddingState:
         model = LineBundleSumOverP1((0, 1), 2)
         metric = SplitBundleMetric(1, (0, 1))
         state = bal.embedding_state(model, metric=metric, n_radial=8)
-        plain = total_rule(model, n_radial=8)
+        # the same base and fiber nodes, before the fiber moves to the
+        # metric-adapted frame
+        plain = product_rule(base_rule(model, n_radial=8),
+                             bg.adapted_fiber_rule(model, n_radial=8))
         assert state.rule.points.shape == plain.points.shape
         assert not np.allclose(state.rule.points, plain.points)
 
@@ -1217,16 +1220,23 @@ def synthetic_entries(q, ks=(2, 3, 4, 5, 6), d_fudge=0.0):
     return entries
 
 
+# V/N of the synthetic entries: volume 2 over 2 sections
+SYNTHETIC_D = [1.0] * 5
+
+
 class TestAlmostBalancedCheck:
     def test_detects_injected_order(self):
         entries = synthetic_entries(q=2)
-        assert bal.almost_balanced_check(entries, q=2).passes
-        assert not bal.almost_balanced_check(entries, q=3).passes
+        assert bal.almost_balanced_check(entries, q=2,
+                                         expected_d=SYNTHETIC_D).passes
+        assert not bal.almost_balanced_check(entries, q=3,
+                                             expected_d=SYNTHETIC_D).passes
 
     def test_each_injected_order_classified(self):
         for q in (1, 2, 3):
             entries = synthetic_entries(q=q)
-            verdict = bal.almost_balanced_check(entries, q=q)
+            verdict = bal.almost_balanced_check(entries, q=q,
+                                                expected_d=SYNTHETIC_D)
             assert verdict.passes
             assert abs(verdict.fitted_order - (q + 1)) < 0.05
 
@@ -1238,7 +1248,8 @@ class TestAlmostBalancedCheck:
                                  norm_op=0.0, norm_fro=0.0)
             entries.append((k, mv))
         for q in (1, 2, 3, 7):
-            assert bal.almost_balanced_check(entries, q=q).passes
+            assert bal.almost_balanced_check(entries, q=q,
+                                             expected_d=[1.0] * 3).passes
 
     def test_distortion_defect_fails(self):
         entries = synthetic_entries(q=2, d_fudge=1e-6)
@@ -1265,4 +1276,16 @@ class TestAlmostBalancedCheck:
 
     def test_too_few_levels(self):
         with pytest.raises(ValueError, match="at least three"):
-            bal.almost_balanced_check(synthetic_entries(q=1, ks=(2, 3)), q=1)
+            bal.almost_balanced_check(synthetic_entries(q=1, ks=(2, 3)), q=1,
+                                      expected_d=[1.0] * 2)
+
+    def test_expected_d_is_required(self):
+        # d = V/N is the quotient moment_map builds d from: defaulting the
+        # expectation to it would make the d-check read 0 whatever d is
+        with pytest.raises(TypeError, match="expected_d"):
+            bal.almost_balanced_check(synthetic_entries(q=1), q=1)
+
+    def test_expected_d_length_must_match(self):
+        with pytest.raises(ValueError, match="expected_d length"):
+            bal.almost_balanced_check(synthetic_entries(q=1), q=1,
+                                      expected_d=SYNTHETIC_D[:4])

@@ -54,6 +54,7 @@ from projbalance.metrics import (
 from projbalance.sections import (
     LineBundleSumOverP1,
     ProjectivePoint,
+    ProjectiveSpaceBase,
     TrivialBundleOverPm,
     base_rule,
     build_section_basis,
@@ -277,7 +278,7 @@ class TestHatForm:
         # non-adjacent runs of different lengths must agree node by node
         metric = base_varying_metric(model.m, model.r)
         rule = bg.adapted_total_rule(metric, model, n_radial=4)
-        nf = fiber_rule(model, n_radial=4).points.shape[0]
+        nf = bg.adapted_fiber_rule(model, n_radial=4).points.shape[0]
         blocks = rule.points.reshape(-1, nf, model.n)
         nb = blocks.shape[0]
         pts = blocks[[0, nb // 3, 2 * nb // 3, nb - 1]].reshape(-1, model.n)
@@ -455,6 +456,83 @@ class TestFiberAverage:
         z = np.zeros((1, 1), dtype=complex)
         with pytest.raises(ValueError, match="weight index"):
             bg.fiber_push_forward(twisted_metric, FS1, model, z, weight=2, rule=twisted_rules[1])
+
+
+def degree_case(m, r):
+    """Model of rank r over P^m with a metric whose off-diagonal part
+    varies over the base, so no fiber rotation leaves the integrands
+    invariant."""
+    model = ProjectiveSpaceBase(m, (0,) + (1,) * (r - 1), 2)
+    return model, base_varying_metric(m, r), FubiniStudy(m)
+
+
+def max_rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+DEGREE_CASES = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 2)]
+
+
+class TestAdaptedFiberDegree:
+    """In the metric-adapted frame the fiber integrands have frequency at
+    most m + 1 in each fiber angle, so m + 2 angles integrate them exactly:
+    the derived rule gives the 2 n_radial + 1 results to roundoff, and one
+    angle fewer moves them far enough for the self-check to stop."""
+
+    N_RADIAL = 4
+
+    @pytest.mark.parametrize("m, r", DEGREE_CASES)
+    def test_derived_rule_reproduces_the_full_angular_grid(
+            self, m, r, monkeypatch):
+        model, metric, kahler = degree_case(m, r)
+        nr = self.N_RADIAL
+        z = base_rule(model, nr).points
+        derived = bg.adapted_fiber_rule(model, nr)
+        assert derived.points.shape[0] == (
+            fiber_rule(model, nr, n_angular=m + 2).points.shape[0])
+        table = bg.push_forward_table(metric, kahler, model, z, rule=derived)
+        direct = bg.rho_direct(metric, kahler, model,
+                               rule=bg.adapted_total_rule(metric, model, nr))
+
+        # the same rules on 2 n_radial + 1 angles per fiber coordinate
+        monkeypatch.setattr(bg, "adapted_fiber_degree", lambda model: 2 * nr)
+        full = bg.adapted_fiber_rule(model, nr)
+        assert full.points.shape == fiber_rule(model, nr).points.shape
+        want_table = bg.push_forward_table(metric, kahler, model, z, rule=full)
+        want_direct = bg.rho_direct(
+            metric, kahler, model, rule=bg.adapted_total_rule(metric, model, nr))
+
+        assert max_rel(table.m_tilde, want_table.m_tilde) <= 1e-12
+        assert max_rel(direct.gram.matrix, want_direct.gram.matrix) <= 1e-12
+        mass, want_mass = direct.total_mass(), want_direct.total_mass()
+        assert abs(mass - want_mass) <= 1e-12 * want_mass
+        assert abs(direct.volume() - want_direct.volume()) \
+            <= 1e-12 * want_direct.volume()
+
+    @pytest.mark.parametrize("m, r", DEGREE_CASES)
+    def test_self_check_passes_at_the_derived_degree(self, m, r):
+        model, metric, kahler = degree_case(m, r)
+        table = bg.push_forward_table(
+            metric, kahler, model, base_rule(model, self.N_RADIAL).points,
+            rule=bg.adapted_fiber_rule(model, self.N_RADIAL))
+        move = bg.adapted_fiber_check(metric, kahler, model, table,
+                                      self.N_RADIAL)
+        assert 0.0 <= move <= 1e-12
+
+    @pytest.mark.parametrize("m, r", DEGREE_CASES)
+    def test_one_degree_below_trips_the_self_check(self, m, r, monkeypatch):
+        model, metric, kahler = degree_case(m, r)
+        monkeypatch.setattr(bg, "adapted_fiber_degree", lambda model: model.m)
+        table = bg.push_forward_table(
+            metric, kahler, model, base_rule(model, self.N_RADIAL).points,
+            rule=bg.adapted_fiber_rule(model, self.N_RADIAL))
+        with pytest.raises(NumericalGuardError) as trip:
+            bg.adapted_fiber_check(metric, kahler, model, table,
+                                   self.N_RADIAL)
+        message = str(trip.value)
+        assert model.label in message
+        assert f"from {m + 1} to {m + 3} angles" in message
+        assert f"trigonometric polynomials of degree {m} " in message
 
 
 class TestLevelMetric:
@@ -675,7 +753,8 @@ class TestRho:
         # never the fiber nodes above them
         metric = base_varying_metric(1, 2)
         model = LineBundleSumOverP1((0, 1), 3)
-        rule, fib = base_rule(model, n_radial=6), fiber_rule(model, n_radial=6)
+        rule = base_rule(model, n_radial=6)
+        fib = bg.adapted_fiber_rule(model, n_radial=6)
         total = bg.adapted_total_rule(metric, model, n_radial=6)
         rows = {}
         for name in ("matrix", "d_matrix", "dd_matrix", "inverse"):

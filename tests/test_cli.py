@@ -634,9 +634,11 @@ class TestExpansionRun:
 
 class TestSharedPushForwardTable:
     """The trace route's push-forward table does not depend on the level,
-    so a run builds it once for its whole sweep.  The other calls are the
-    fixed ones outside the sweep: the three weighted fiber averages of
-    `verify`, and `a1_alternative` in `expansion`."""
+    so a run builds it once for its whole sweep, and its self-check
+    rebuilds it once on two more fiber angles: two builds per sweep, never
+    one per level.  The other calls are the fixed ones outside the sweep:
+    the three weighted fiber averages of `verify`, and `a1_alternative` in
+    `expansion`."""
 
     @pytest.mark.parametrize("command, text, fixed", [
         ("verify", TINY_VERIFY, 3),
@@ -655,7 +657,62 @@ class TestSharedPushForwardTable:
         path = write_config(tmp_path, text)
         assert cli.main([command, "--config", path,
                          "--out", str(tmp_path / "out")]) == 0
-        assert len(calls) == 1 + fixed
+        assert len(calls) == 2 + fixed
+
+
+class TestAdaptedFiberSelfCheck:
+    """`verify`, `expansion` and `balance` run their model's adapted fiber
+    rule through one self-check per sweep and report its estimate as an
+    informational row; a trip stops the run with exit 2 before any level
+    and names its cause."""
+
+    @pytest.mark.parametrize("run", ["verify_run", "expansion_run",
+                                     "balance_run"])
+    def test_one_informational_row(self, request, run):
+        _, out = request.getfixturevalue(run)
+        rows = [row for row in load_report(out)["checks"]
+                if row["name"] == "adapted-fiber-degree"]
+        assert len(rows) == 1
+        assert rows[0]["passed"] is None and rows[0]["k"] is None
+        assert 0.0 <= rows[0]["value"] <= 1e-12
+        assert "integrand degree 2" in rows[0]["detail"]
+
+    @pytest.mark.parametrize("command, text", [
+        ("verify", TINY_EXPANSION),
+        ("expansion", TINY_EXPANSION),
+        ("balance", TINY_BALANCE.replace("k_max = 4", "k_max = 3")),
+    ], ids=["verify", "expansion", "balance"])
+    def test_once_per_sweep(self, tmp_path, monkeypatch, command, text):
+        original = bg.adapted_fiber_check
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bg, "adapted_fiber_check", counting)
+        path = write_config(tmp_path, text)
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
+    def test_trip_exits_two_and_names_the_cause(self, tmp_path, monkeypatch,
+                                                capsys):
+        # one angle per fiber coordinate cannot integrate the frequency-one
+        # off-diagonal pairing to zero
+        monkeypatch.setattr(bg, "adapted_fiber_degree", lambda model: 0)
+        levels = []
+        monkeypatch.setattr(suites, "density_route_job",
+                            lambda *args, **kwargs: levels.append(1))
+        path = write_config(tmp_path, TINY_EXPANSION)
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "numerical guard: adapted fiber rule on p1-sum(0, 1)-k4" in err
+        assert "from 1 to 3 angles per fiber coordinate" in err
+        assert "trigonometric polynomials of degree 0" in err
+        assert levels == []
+        assert not (out / "report.json").exists()
 
 
 class TestSpectrumRun:

@@ -19,7 +19,10 @@ from projbalance.sections import (
     TrivialBundleOverPm,
     build_section_basis,
     riemann_roch_dimension,
+    split_points,
 )
+from projbalance import bergman as bg
+from projbalance.metrics import SplitBundleMetric
 
 
 def count_monomials_upto(m, d):
@@ -97,6 +100,32 @@ class TestDimensions:
     def test_negative_twist_rejected(self):
         with pytest.raises(ValueError, match="section space"):
             LineBundleSumOverP1((0, -3), 1)
+
+
+class TestSplitPoints:
+    """One splitter holds the chart layout (z, xi) of the total space for
+    the section tables and the induced forms alike."""
+
+    MODEL = ProjectiveSpaceBase(2, (0, 1, 1), 1)  # chart C^2 x C^2
+
+    def test_base_coordinates_come_first(self):
+        pts = np.arange(12).reshape(3, 4) + 1j
+        z, xi = split_points(self.MODEL, pts)
+        assert z.dtype == xi.dtype == complex
+        np.testing.assert_array_equal(z, pts[:, :2])
+        np.testing.assert_array_equal(xi, pts[:, 2:])
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (3, 5)])
+    def test_every_caller_rejects_a_wrong_layout(self, shape):
+        bad = np.zeros(shape, dtype=complex)
+        basis = build_section_basis(self.MODEL)
+        metric = SplitBundleMetric(2, (0, 1, 1))
+        for fn in (lambda p: split_points(self.MODEL, p),
+                   basis.eval_embedding, basis.eval_embedding_jet,
+                   lambda p: bg.hat_form_matrix(metric, self.MODEL, p)):
+            with pytest.raises(ValueError,
+                               match=r"must have shape \(n, 4\)"):
+                fn(bad)
 
 
 class TestEvaluation:
