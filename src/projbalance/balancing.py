@@ -207,7 +207,9 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
 
     `rule` wins over `metric` (which requests the metric-adapted total rule)
     which wins over the plain product rule; both built rules take the
-    caller's `n_radial`, which is required when no `rule` is given.
+    caller's `n_radial`, which is required when no `rule` is given.  The
+    adapted rule's fiber is sized for the fiber integrands of the bundle
+    metric, not for the pulled-back geometry of an embedding.
     `frame` replaces the raw basis by its mixture under an invertible matrix,
     with the Gram then read in the mixed family's own basis.  A state that
     differs only in the Gram comes from `EmbeddingState.with_gram`.

@@ -63,6 +63,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "adapted_fiber_degree",
+    "adapted_fiber_radial_degree",
     "adapted_fiber_rule",
     "adapted_fiber_check",
     "adapted_total_rule",
@@ -103,21 +104,26 @@ def _volume_constant_exact(r):
     return (2.0 * math.pi) ** (r - 1) / math.factorial(r)
 
 
+def _gauss_legendre_count(degree):
+    """Gauss-Legendre nodes exact to `degree`: n nodes reach 2 n - 1."""
+    return (degree + 2) // 2
+
+
 @functools.lru_cache(maxsize=None)
 def c_r_constant(r):
     """Total mass of the unnormalized fiber density: the integral over
     C^(r-1) of (1 + |xi|^2)^(-(r+1)) against the coordinate measure
     prod_j |dxi_j ^ dxibar_j| = 2^(r-1) * Lebesgue.
 
-    Computed by quadrature on the moduli profile.  The closed value is
-    (2 pi)^(r-1)/r!; fiber averages elsewhere in this module divide by
-    that closed form, so comparing the two calibrates the radial rules.
+    Computed on the moduli profile with the nodes that its degree r - 1 in
+    t = s/(1+s) needs; fiber averages elsewhere in this module divide by
+    the closed value (2 pi)^(r-1)/r!.
     """
     if r < 1:
         raise ValueError("rank must be a positive integer")
     if r == 1:
         return 1.0
-    u, w = radial_profile_rule(r - 1, n_radial=32)
+    u, w = radial_profile_rule(r - 1, n_radial=_gauss_legendre_count(r - 1))
     vals = (1.0 + u.sum(axis=1)) ** (-(r + 1.0))
     return float(2.0 ** (r - 1) * np.sum(w * vals))
 
@@ -296,12 +302,17 @@ def adapted_fiber_degree(model):
     return model.m + 1
 
 
-def adapted_fiber_rule(model, n_radial):
+def adapted_fiber_radial_degree(model):
+    """Highest degree in t = s/(1+s) of the same integrands after the
+    angular average: m + r - 1 (derived in `adapted_fiber_rule`)."""
+    return model.m + model.r - 1
+
+
+def adapted_fiber_rule(model):
     """Fiber rule for integrands in the metric-adapted frame of
-    `_adapted_fiber_points`, with as many angles per fiber coordinate as
-    the degree argument below needs: `adapted_fiber_degree(model)` + 1 =
-    m + 2.  Every rule that goes through that frame is built here or by
-    `adapted_total_rule`; the plain `fiber_rule` keeps 2 n_radial + 1.
+    `_adapted_fiber_points`, sized by their degree alone: m + 2 angles per
+    fiber coordinate and ceil((m + r)/2) radial nodes.  Every rule that
+    goes through that frame is built here or by `adapted_total_rule`.
 
     Why that is exact.  At a base node the adapted change
     xi = xi0 + sqrt(kappa) w L^{-1} makes the dual pairing
@@ -320,64 +331,70 @@ def adapted_fiber_rule(model, n_radial):
     * the direct route (`rho_direct` on `adapted_total_rule`): the Gram
       and the mass pair two sections, each linear in lam, against the hat
       weight 1/q and the level density sum_j k^(j-m) E_j, with
-      E_m a multiple of q^-r: frequency at most m + 1 again, and at most
-      m for the volume.
+      E_m a multiple of q^-r: frequency at most m + 1 again.
 
     The trapezoid rule on n equispaced angles integrates exp(i p theta)
     exactly for |p| < n (Trefethen & Weideman, SIAM Review 56, 2014), so
-    m + 2 angles per fiber coordinate leave only the radial error, which
-    the angles do not change.  One angle fewer is not enough: on a metric
-    whose off-diagonal part varies over the base, the push-forward table
-    then moves by 4e-3 to 0.8 of its largest entry.  A statistic quadratic
-    in the density, such as the variance `expansion_job` reports, has
-    degree m + 2; it is exact where the density is invariant under the
-    fiber rotations, as for every split metric.  `adapted_fiber_check`
-    tests the bound on the metric at hand.
+    m + 2 angles are exact.  After that average each integrand is a
+    polynomial of degree at most 1 + m - j in the moduli |w_c|^2 over
+    (1 + s)^(r + 1 + m - j), s = |w|^2.  The chart rule writes the moduli
+    as s x, x on the simplex; with the measure's s^(r-2) ds, t = s/(1+s)
+    makes that a polynomial of degree at most m + r - 1 in t, and of no
+    higher degree in x, which Gauss-Legendre integrates exactly on
+    ceil((m + r)/2) nodes.  One angle or one node fewer is not enough: on
+    a metric whose off-diagonal part varies over the base, the table then
+    moves by 4e-3 to 0.8 of its largest entry.  A statistic quadratic in
+    the density, such as the variance `expansion_job` reports, has degree
+    m + 2 per angle and m + r in t: it is exact only where the density is
+    invariant under the fiber rotations, as for every split metric, and
+    m + r is odd.  `adapted_fiber_check` tests both bounds.
     """
-    n_angular = adapted_fiber_degree(model) + 1
-    return fiber_rule(model, n_radial, n_angular=n_angular)
+    return fiber_rule(
+        model, _gauss_legendre_count(adapted_fiber_radial_degree(model)),
+        n_angular=adapted_fiber_degree(model) + 1)
 
 
-# relative move of a push-forward table under two more fiber angles beyond
-# which `adapted_fiber_check` rejects the degree bound: about 1e-14 when it
-# holds, 4e-3 or more one angle short of it
+# relative move of a push-forward table under two more fiber angles and
+# radial nodes beyond which `adapted_fiber_check` rejects the degree
+# bounds: about 1e-14 when they hold, 4e-3 or more one short of them
 _FIBER_CHECK_TOL = 1e-10
 
 
-def adapted_fiber_check(metric, kahler, model, table, n_radial):
+def adapted_fiber_check(metric, kahler, model, table):
     """Self-estimate of `adapted_fiber_rule`: rebuild `table`, the
     push-forward table on that rule, with two more angles per fiber
-    coordinate, and return the largest entry move relative to the largest
-    entry.  Both rules share their radial nodes, so the move is the angular
-    error alone.  A move above 1e-10 raises `NumericalGuardError` naming
-    the model and the degree that failed."""
+    coordinate and two more radial nodes, and return the largest entry
+    move relative to the largest entry.  A move above 1e-10 raises
+    `NumericalGuardError` naming the model, both counts and both degrees."""
     degree = adapted_fiber_degree(model)
-    n_angular = degree + 1
+    radial = adapted_fiber_radial_degree(model)
+    n_angular, n_radial = degree + 1, _gauss_legendre_count(radial)
     finer = push_forward_table(
         metric, kahler, model, table.points,
-        rule=fiber_rule(model, n_radial, n_angular=n_angular + 2))
+        rule=fiber_rule(model, n_radial + 2, n_angular=n_angular + 2))
     scale = float(np.max(np.abs(table.m_tilde)))
     move = float(np.max(np.abs(finer.m_tilde - table.m_tilde))) / scale
     if not move <= _FIBER_CHECK_TOL:  # fails closed on NaN
         raise NumericalGuardError(
             f"adapted fiber rule on {model.label}: the push-forward table "
             f"moved by {move:.2e} (relative) from {n_angular} to "
-            f"{n_angular + 2} angles per fiber coordinate, above "
+            f"{n_angular + 2} angles per fiber coordinate and from "
+            f"{n_radial} to {n_radial + 2} radial nodes, above "
             f"{_FIBER_CHECK_TOL:g}; the rule assumes the fiber integrands "
             f"are trigonometric polynomials of degree {degree} in each "
-            "fiber angle (bergman.adapted_fiber_degree), and the integrands "
-            "of this metric are not")
+            f"fiber angle and polynomials of degree {radial} in t "
+            "(bergman.adapted_fiber_degree, adapted_fiber_radial_degree), "
+            "and the integrands of this metric are not")
     return move
 
 
 def adapted_total_rule(metric, model, n_radial):
-    """Quadrature on the total chart with the fiber factor in the
-    metric-adapted frame at each base node, on `adapted_fiber_rule`.  Use
-    this instead of the plain tensor rule whenever the integrand sees the
-    dual pairing; the plain rule loses accuracy where the fiber decay scale
-    shrinks."""
+    """The base rule on `n_radial` times `adapted_fiber_rule` in the
+    metric-adapted frame at each base node.  Use this instead of the plain
+    tensor rule whenever the integrand sees the dual pairing; the plain
+    rule loses accuracy where the fiber decay scale shrinks."""
     rb = base_rule(model, n_radial)
-    rf = adapted_fiber_rule(model, n_radial)
+    rf = adapted_fiber_rule(model)
     pts, jac2 = _adapted_fiber_points(metric, model, rb.points, rf.points)
     w = (rb.weights[:, None] * rf.weights[None, :] * jac2[:, None]).ravel()
     return ChartRule(pts, w)

@@ -40,7 +40,8 @@ configuration file (every key optional; defaults depend on the subcommand):
 
   [model]   kind (point | p1-sum | pm-trivial), degrees, rank, base_dim
   [sweep]   k_min, k_max, n_points
-  [quadrature]  n_radial
+  [quadrature]  n_radial (radial nodes of the base and plain rules; the
+            adapted fiber rule is sized by its integrands' degree)
   [solver]  balance_tol (balancing runs the T-iteration with
             safeguarded Anderson mixing)
   [output]  out_dir, seed
@@ -59,7 +60,8 @@ outputs (under --out, or the configured out_dir):
                   round-trip, fiber-averages, push-forward-table and
                   joint-linearization; for expansion off a point base,
                   push-forward-table (built once, shared by the levels,
-                  with the self-check of its adapted fiber rule)
+                  with the self-check of its adapted fiber rule); for
+                  balance, push-forward-table (the self-check alone)
   checks.csv      name,k,value,reference,error,tolerance,passed,detail
 
 subcommand tables:
@@ -195,7 +197,7 @@ def _run_verify(cfg, workers):
     phase("volume-constants", suites.volume_constant_rows)
     phase("quadrature", suites.quadrature_rows, cfg.n_radial)
     phase("round-trip", suites.round_trip_rows, cfg.seed)
-    phase("fiber-averages", suites.fiber_average_rows, cfg.n_radial)
+    phase("fiber-averages", suites.fiber_average_rows)
     (table, fiber_row), phases["push-forward-table"] = _timed(
         suites.trace_route_table, cfg)
     per_level, levels = _run_jobs(
@@ -217,7 +219,8 @@ def _run_balance(cfg, workers):
     checks.append(suites.almost_balanced_row(cfg, per_level))
     # the levels' direct routes run on the adapted fiber rule; its
     # self-check needs the table, not the levels
-    checks.append(suites.trace_route_table(cfg)[1])
+    (_, fiber_row), seconds = _timed(suites.trace_route_table, cfg)
+    checks.append(fiber_row)
     csvs = [(f"trajectory_k{res['k']}.csv",
              ["iteration", "norm_op", "norm_fro"],
              [[_cell(v) for v in row] for row in res["trajectory"]])
@@ -232,7 +235,8 @@ def _run_balance(cfg, workers):
     results = {"levels": [
         {key: value for key, value in res.items() if key != "wall_time"}
         for res in per_level]}
-    return checks, results, csvs, {"levels": levels}
+    return checks, results, csvs, {
+        "phases": {"push-forward-table": seconds}, "levels": levels}
 
 
 def _run_expansion(cfg, workers):

@@ -22,9 +22,10 @@ volume coefficients and hat weight) are sized by the total rule and stay
 per level: holding them across the sweep raises the peak memory.
 
 Every fiber integral in the metric-adapted frame runs on
-`bergman.adapted_fiber_rule`, whose angular grid is sized by the degree of
-its integrands.  `trace_route_table` checks that degree once per sweep, and
-`verify`, `expansion` and `balance` report the estimate as the
+`bergman.adapted_fiber_rule`, whose angles and radial nodes are sized by
+the degree of its integrands; `[quadrature] n_radial` sizes the base rules
+and the plain rules only.  `trace_route_table` checks both degrees once per
+sweep, and `verify`, `expansion` and `balance` report the estimate as the
 informational `adapted-fiber-degree` row.
 """
 
@@ -97,13 +98,9 @@ def _check(name, value, reference, tolerance, *, k=None, detail=""):
 
 def volume_constant_rows():
     """Fiber volume constants against their closed form, ranks 1 to 5."""
-    rows = []
-    for r in range(1, 6):
-        value = bg.c_r_constant(r)
-        want = (2.0 * math.pi) ** (r - 1) / math.factorial(r)
-        rows.append(_check("volume-constant", value, want, 1e-8, k=None,
-                           detail=f"rank {r}"))
-    return rows
+    return [_check("volume-constant", bg.c_r_constant(r),
+                   (2.0 * math.pi) ** (r - 1) / math.factorial(r), 1e-8,
+                   detail=f"rank {r}") for r in range(1, 6)]
 
 
 def quadrature_rows(n_radial):
@@ -137,7 +134,7 @@ def round_trip_rows(seed):
     rows = []
     for r in (2, 3):
         model = ProjectivePoint(r)
-        rule = bg.adapted_fiber_rule(model, n_radial=18)
+        rule = bg.adapted_fiber_rule(model)
         z = np.zeros((1, 0), dtype=complex)
         worst = 0.0
         for _ in range(10):
@@ -150,17 +147,14 @@ def round_trip_rows(seed):
             worst = max(worst,
                         float(np.max(np.abs(out.g_tilde[0] - h))),
                         float(np.max(np.abs(out.psi[0] - np.eye(r)))))
-        rows.append(_row(
-            "metric-round-trip", value=worst, reference=0.0, error=worst,
-            tolerance=1e-9, passed=bool(worst <= 1e-9),
-            detail=f"rank {r}, 10 random Hermitian inputs"))
+        rows.append(_check("metric-round-trip", worst, 0.0, 1e-9,
+                           detail=f"rank {r}, 10 random Hermitian inputs"))
     return rows
 
 
-def fiber_average_rows(n_radial):
+def fiber_average_rows():
     """Weighted fiber averages: the top weight must give the identity, the
     subleading weight the curvature combination (tr(M) I + M)/(r+1)."""
-    nr = max(16, n_radial)
     rows = []
 
     model = LineBundleSumOverP1((0, 1), 4)
@@ -168,11 +162,10 @@ def fiber_average_rows(n_radial):
     z = np.array([[0.0], [0.4 + 0.3j], [-1.1j]], dtype=complex)
     out = bg.fiber_push_forward(metric, FubiniStudy(1), model, z,
                                 weight=model.m,
-                                rule=bg.adapted_fiber_rule(model, nr))
+                                rule=bg.adapted_fiber_rule(model))
     err = float(np.max(np.abs(out.psi - np.eye(2))))
-    rows.append(_row("fiber-average-top", value=err, reference=0.0,
-                     error=err, tolerance=1e-9, passed=bool(err <= 1e-9),
-                     detail="twists (0, 1), top weight vs identity"))
+    rows.append(_check("fiber-average-top", err, 0.0, 1e-9,
+                       detail="twists (0, 1), top weight vs identity"))
 
     for degrees in ((2, 1), (0, 1)):
         model = LineBundleSumOverP1(degrees, 3)
@@ -180,22 +173,15 @@ def fiber_average_rows(n_radial):
         z = np.array([[0.3 + 0.1j], [-0.8j], [1.4]], dtype=complex)
         out = bg.fiber_push_forward(metric, FubiniStudy(1), model, z,
                                     weight=model.m - 1,
-                                    rule=bg.adapted_fiber_rule(model, nr))
+                                    rule=bg.adapted_fiber_rule(model))
         mc = mean_curvature(metric, FubiniStudy(1), z)
         tr = np.einsum("naa->n", mc)[:, None, None]
         want = (tr * np.eye(2) + mc) / (model.r + 1.0)
         err = float(np.max(np.abs(out.psi - want)))
-        rows.append(_row(
-            "fiber-average-subleading", value=err, reference=0.0, error=err,
-            tolerance=1e-7, passed=bool(err <= 1e-7),
+        rows.append(_check(
+            "fiber-average-subleading", err, 0.0, 1e-7,
             detail=f"twists {degrees}, subleading weight vs curvature"))
     return rows
-
-
-def _sample_total_points(model, n_points, rng):
-    pts = 0.9 * (rng.standard_normal((n_points, model.n))
-                 + 1j * rng.standard_normal((n_points, model.n)))
-    return pts
 
 
 def trace_route_table(cfg):
@@ -205,30 +191,26 @@ def trace_route_table(cfg):
     Returns the push-forward table on the base rule nodes and the adapted
     fiber rule, and an informational `adapted-fiber-degree` row holding
     `bg.adapted_fiber_check`'s estimate: the table's relative move under
-    two more fiber angles.  A move beyond the check's tolerance raises
-    `NumericalGuardError` before any level runs.  On a point base no level
-    reads the table; `balance` builds it for the row alone."""
+    two more fiber angles and radial nodes.  A move beyond the check's
+    tolerance raises `NumericalGuardError` before any level runs.  On a
+    point base no level reads the table; `balance` builds it for the row
+    alone."""
     model = build_model(cfg)
     metric = build_metric(cfg)
     kahler = build_kahler(cfg)
     table = bg.push_forward_table(
         metric, kahler, model,
         base_rule(model, n_radial=cfg.n_radial).points,
-        rule=bg.adapted_fiber_rule(model, n_radial=cfg.n_radial))
-    move = bg.adapted_fiber_check(metric, kahler, model, table, cfg.n_radial)
+        rule=bg.adapted_fiber_rule(model))
+    move = bg.adapted_fiber_check(metric, kahler, model, table)
     degree = bg.adapted_fiber_degree(model)
     row = _row("adapted-fiber-degree", value=move,
                detail=f"relative move of the push-forward table from "
                       f"{degree + 1} to {degree + 3} angles per fiber "
-                      f"coordinate, integrand degree {degree}; reported, "
-                      f"not judged")
-    # the table outlives every level: copies made after the build's
-    # node-sized temporaries are freed keep its small arrays from pinning
-    # those on the heap (built in place, they kept about 21 MiB resident
-    # through some verify runs, depending on the process's heap layout)
-    table = bg.PushForwardTable(points=table.points.copy(),
-                                m_tilde=table.m_tilde.copy(),
-                                psi=table.psi.copy())
+                      f"coordinate and under two more radial nodes, "
+                      f"integrand degree {degree} per angle and "
+                      f"{bg.adapted_fiber_radial_degree(model)} in t; "
+                      f"reported, not judged")
     return table, row
 
 
@@ -265,7 +247,8 @@ def density_route_job(cfg, k, table):
                             "construction, nothing to cross")]
     direct, level = _density_routes(cfg, k, table)
     rng = np.random.default_rng(cfg.seed + 1009 * k)
-    pts = _sample_total_points(model, cfg.n_points, rng)
+    shape = (cfg.n_points, model.n)
+    pts = 0.9 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     da = direct.density(pts)
     db = bg.rho_via_trace(level, pts)
     rel = float(np.max(np.abs(da - db) / np.abs(db)))
@@ -533,6 +516,7 @@ def expansion_job(cfg, k, table):
         "rho_mean": mean,
         "rho_variance": variance,
         "rho_max_dev": float(np.max(np.abs(dens - mean))),
+        "nodes": int(direct.rule.points.shape[0]),
     }
 
 
@@ -553,7 +537,7 @@ def expansion_assemble(cfg, results):
     fitted = fit.coefficients[0]
     alternative = bg.a1_alternative(
         metric, kahler, model, pts,
-        rule=bg.adapted_fiber_rule(model, n_radial=cfg.n_radial))
+        rule=bg.adapted_fiber_rule(model))
     closed = bg.a1_formula(metric, kahler, pts)
     scale = float(np.max(np.abs(alternative)))
     rel_fit = float(np.max(np.abs(fitted - alternative)) / scale)
@@ -576,19 +560,12 @@ def expansion_assemble(cfg, results):
                            detail="integral of the density vs section count"))
         rows.append(_row("density-constancy", k=res["k"],
                          value=res["rho_max_dev"],
-                         detail="max deviation of the density from its "
-                                "mean; reported, not judged"))
-    table = []
-    for p in range(fitted.shape[0]):
-        for i in range(fitted.shape[1]):
-            for j in range(fitted.shape[2]):
-                table.append([p, i, j,
-                              float(fitted[p, i, j].real),
-                              float(fitted[p, i, j].imag),
-                              float(closed[p, i, j].real),
-                              float(closed[p, i, j].imag),
-                              float(alternative[p, i, j].real),
-                              float(alternative[p, i, j].imag)])
+                         detail=f"max deviation of the density from its "
+                                f"mean over the {res['nodes']} nodes of the "
+                                f"adapted total rule; reported, not judged"))
+    table = [[*idx] + [float(part) for field in (fitted, closed, alternative)
+                       for part in (field[idx].real, field[idx].imag)]
+             for idx in np.ndindex(fitted.shape)]
     return rows, table
 
 

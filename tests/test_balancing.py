@@ -179,7 +179,7 @@ class TestEmbeddingState:
         # the same base and fiber nodes, before the fiber moves to the
         # metric-adapted frame
         plain = product_rule(base_rule(model, n_radial=8),
-                             bg.adapted_fiber_rule(model, n_radial=8))
+                             bg.adapted_fiber_rule(model))
         assert state.rule.points.shape == plain.points.shape
         assert not np.allclose(state.rule.points, plain.points)
 

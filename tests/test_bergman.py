@@ -197,10 +197,11 @@ class TestVolumeConstant:
         assert abs(bg.c_r_constant(3) - 2.0 * math.pi**2 / 3.0) < 1e-9
 
     def test_closed_form_family(self):
-        for r in range(1, 6):
+        # the rule is exact for the integrand's degree, so up to roundoff
+        for r in range(1, 7):
             got = bg.c_r_constant(r)
             want = closed_volume_constant(r)
-            assert abs(got - want) < 1e-8 * want
+            assert abs(got - want) < 1e-13 * want
 
     def test_rank_zero_rejected(self):
         with pytest.raises(ValueError, match="rank"):
@@ -278,7 +279,7 @@ class TestHatForm:
         # non-adjacent runs of different lengths must agree node by node
         metric = base_varying_metric(model.m, model.r)
         rule = bg.adapted_total_rule(metric, model, n_radial=4)
-        nf = bg.adapted_fiber_rule(model, n_radial=4).points.shape[0]
+        nf = bg.adapted_fiber_rule(model).points.shape[0]
         blocks = rule.points.reshape(-1, nf, model.n)
         nb = blocks.shape[0]
         pts = blocks[[0, nb // 3, 2 * nb // 3, nb - 1]].reshape(-1, model.n)
@@ -466,43 +467,60 @@ def degree_case(m, r):
     return model, base_varying_metric(m, r), FubiniStudy(m)
 
 
+def degree_points(m):
+    """Three base points where the metric's off-diagonal part differs.  The
+    push-forward table is pointwise in the base, so a few points test the
+    fiber rule as well as a base rule would, at a fraction of its nodes."""
+    rng = np.random.default_rng(5)
+    return 0.7 * (rng.standard_normal((3, m))
+                  + 1j * rng.standard_normal((3, m)))
+
+
 def max_rel(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-DEGREE_CASES = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 2)]
+DEGREE_CASES = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 2), (2, 3), (1, 4)]
 
 
 class TestAdaptedFiberDegree:
     """In the metric-adapted frame the fiber integrands have frequency at
-    most m + 1 in each fiber angle, so m + 2 angles integrate them exactly:
-    the derived rule gives the 2 n_radial + 1 results to roundoff, and one
-    angle fewer moves them far enough for the self-check to stop."""
+    most m + 1 in each fiber angle and, after the angular average, degree
+    at most m + r - 1 in t = s/(1+s).  So m + 2 angles and ceil((m + r)/2)
+    Gauss-Legendre nodes integrate them exactly: the derived rule gives a
+    rich reference's results to roundoff, and one angle or one radial node
+    fewer moves them far enough for the self-check to stop."""
 
-    N_RADIAL = 4
+    @staticmethod
+    def reference_rule(model):
+        # 16 radial nodes, 8 on a three-dimensional fiber, where 16 do not
+        # fit in memory; 2 (m + 1) + 1 angles resolve every frequency up to
+        # twice the degree bound
+        n_radial = 16 if model.fiber_dim < 3 else 8
+        return fiber_rule(model, n_radial, n_angular=2 * model.m + 3)
 
     @pytest.mark.parametrize("m, r", DEGREE_CASES)
     def test_derived_rule_reproduces_the_full_angular_grid(
             self, m, r, monkeypatch):
         model, metric, kahler = degree_case(m, r)
-        nr = self.N_RADIAL
-        z = base_rule(model, nr).points
-        derived = bg.adapted_fiber_rule(model, nr)
-        assert derived.points.shape[0] == (
-            fiber_rule(model, nr, n_angular=m + 2).points.shape[0])
+        z = degree_points(m)
+        derived = bg.adapted_fiber_rule(model)
+        assert derived.points.shape[0] == fiber_rule(
+            model, (m + r + 1) // 2, n_angular=m + 2).points.shape[0]
+        reference = self.reference_rule(model)
         table = bg.push_forward_table(metric, kahler, model, z, rule=derived)
-        direct = bg.rho_direct(metric, kahler, model,
-                               rule=bg.adapted_total_rule(metric, model, nr))
-
-        # the same rules on 2 n_radial + 1 angles per fiber coordinate
-        monkeypatch.setattr(bg, "adapted_fiber_degree", lambda model: 2 * nr)
-        full = bg.adapted_fiber_rule(model, nr)
-        assert full.points.shape == fiber_rule(model, nr).points.shape
-        want_table = bg.push_forward_table(metric, kahler, model, z, rule=full)
-        want_direct = bg.rho_direct(
-            metric, kahler, model, rule=bg.adapted_total_rule(metric, model, nr))
-
+        want_table = bg.push_forward_table(metric, kahler, model, z,
+                                           rule=reference)
         assert max_rel(table.m_tilde, want_table.m_tilde) <= 1e-12
+        if model.n > 3:
+            return  # the reference total rule would not fit in memory
+
+        # the direct route on the same base rule, with the reference fiber
+        direct = bg.rho_direct(metric, kahler, model,
+                               rule=bg.adapted_total_rule(metric, model, 2))
+        monkeypatch.setattr(bg, "adapted_fiber_rule", lambda model: reference)
+        want_direct = bg.rho_direct(
+            metric, kahler, model, rule=bg.adapted_total_rule(metric, model, 2))
         assert max_rel(direct.gram.matrix, want_direct.gram.matrix) <= 1e-12
         mass, want_mass = direct.total_mass(), want_direct.total_mass()
         assert abs(mass - want_mass) <= 1e-12 * want_mass
@@ -512,27 +530,43 @@ class TestAdaptedFiberDegree:
     @pytest.mark.parametrize("m, r", DEGREE_CASES)
     def test_self_check_passes_at_the_derived_degree(self, m, r):
         model, metric, kahler = degree_case(m, r)
-        table = bg.push_forward_table(
-            metric, kahler, model, base_rule(model, self.N_RADIAL).points,
-            rule=bg.adapted_fiber_rule(model, self.N_RADIAL))
-        move = bg.adapted_fiber_check(metric, kahler, model, table,
-                                      self.N_RADIAL)
+        table = bg.push_forward_table(metric, kahler, model, degree_points(m),
+                                      rule=bg.adapted_fiber_rule(model))
+        move = bg.adapted_fiber_check(metric, kahler, model, table)
         assert 0.0 <= move <= 1e-12
 
     @pytest.mark.parametrize("m, r", DEGREE_CASES)
     def test_one_degree_below_trips_the_self_check(self, m, r, monkeypatch):
         model, metric, kahler = degree_case(m, r)
         monkeypatch.setattr(bg, "adapted_fiber_degree", lambda model: model.m)
-        table = bg.push_forward_table(
-            metric, kahler, model, base_rule(model, self.N_RADIAL).points,
-            rule=bg.adapted_fiber_rule(model, self.N_RADIAL))
+        table = bg.push_forward_table(metric, kahler, model, degree_points(m),
+                                      rule=bg.adapted_fiber_rule(model))
         with pytest.raises(NumericalGuardError) as trip:
-            bg.adapted_fiber_check(metric, kahler, model, table,
-                                   self.N_RADIAL)
+            bg.adapted_fiber_check(metric, kahler, model, table)
         message = str(trip.value)
         assert model.label in message
         assert f"from {m + 1} to {m + 3} angles" in message
         assert f"trigonometric polynomials of degree {m} " in message
+
+    @pytest.mark.parametrize("m, r", [case for case in DEGREE_CASES
+                                      if (sum(case) + 1) // 2 >= 2])
+    def test_one_radial_node_below_trips_the_self_check(
+            self, m, r, monkeypatch):
+        # degree m + r - 3 takes one Gauss-Legendre node off the derived
+        # count (m + r + 1) // 2
+        model, metric, kahler = degree_case(m, r)
+        n_radial = (m + r + 1) // 2
+        monkeypatch.setattr(bg, "adapted_fiber_radial_degree",
+                            lambda model: model.m + model.r - 3)
+        table = bg.push_forward_table(metric, kahler, model, degree_points(m),
+                                      rule=bg.adapted_fiber_rule(model))
+        with pytest.raises(NumericalGuardError) as trip:
+            bg.adapted_fiber_check(metric, kahler, model, table)
+        message = str(trip.value)
+        assert model.label in message
+        assert f"from {n_radial - 1} to {n_radial + 1} radial nodes" \
+            in message
+        assert f"polynomials of degree {m + r - 3} in t" in message
 
 
 class TestLevelMetric:
@@ -754,7 +788,7 @@ class TestRho:
         metric = base_varying_metric(1, 2)
         model = LineBundleSumOverP1((0, 1), 3)
         rule = base_rule(model, n_radial=6)
-        fib = bg.adapted_fiber_rule(model, n_radial=6)
+        fib = bg.adapted_fiber_rule(model)
         total = bg.adapted_total_rule(metric, model, n_radial=6)
         rows = {}
         for name in ("matrix", "d_matrix", "dd_matrix", "inverse"):

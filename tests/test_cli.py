@@ -517,7 +517,9 @@ class TestBalanceRun:
     def test_timings_keep_the_solve_time(self, balance_run):
         _, out = balance_run
         timings = json.loads((out / "timings.json").read_text())
-        assert set(timings) == {"command", "run_seconds", "levels"}
+        assert set(timings) == {"command", "run_seconds", "phases", "levels"}
+        assert set(timings["phases"]) == {"push-forward-table"}
+        assert timings["phases"]["push-forward-table"] > 0.0
         assert timings["levels"].keys() == {"2", "3", "4"}
         for level in timings["levels"].values():
             assert level.keys() == {"job_seconds", "solve_seconds"}
@@ -712,6 +714,21 @@ class TestAdaptedFiberSelfCheck:
         assert "from 1 to 3 angles per fiber coordinate" in err
         assert "trigonometric polynomials of degree 0" in err
         assert levels == []
+        assert not (out / "report.json").exists()
+
+    def test_radial_trip_exits_two_and_names_the_counts(
+            self, tmp_path, monkeypatch, capsys):
+        # degree 0 in t gives one radial node, which cannot integrate the
+        # model's degree-2 fiber integrands
+        monkeypatch.setattr(bg, "adapted_fiber_radial_degree",
+                            lambda model: max(0, model.m + model.r - 3))
+        path = write_config(tmp_path, TINY_EXPANSION)
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "numerical guard: adapted fiber rule on p1-sum(0, 1)-k4" in err
+        assert "from 1 to 3 radial nodes" in err
+        assert "polynomials of degree 0 in t" in err
         assert not (out / "report.json").exists()
 
 
