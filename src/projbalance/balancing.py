@@ -39,6 +39,12 @@ Contents, bottom to top:
   `eig_estimate` extracts its smallest positive eigenvalue and
   `lambda_fit_exponent` the growth exponent of the reciprocal along a
   k-sweep (the sweep itself is `suites.spectrum_job`);
+* `torus_rule` is the rule of torus-invariant states, the ones whose Gram
+  is diagonal in the monomial basis: its angle counts follow from the
+  degree of the moment, T-step and `sigma_z_operator` integrands (derived
+  in its docstring), `torus_invariance_guard` checks that a Gram is
+  diagonal, and `torus_rule_check` re-integrates a state on two more
+  angles per factor;
 * `r_bounded_check` and `almost_balanced_check` are the acceptance gates:
   two-sided comparability of a metric against a reference, and decay-order
   classification of a moment sequence.  The comparability check reads all
@@ -77,8 +83,8 @@ import numpy as np
 from .bergman import adapted_total_rule
 from .errors import NumericalGuardError
 from .metrics import GramMatrix, l2_pairing, make_gram
-from .quadrature import ChartRule
-from .sections import build_section_basis, total_rule
+from .quadrature import ChartRule, product_rule
+from .sections import base_rule, build_section_basis, fiber_rule, total_rule
 
 logger = logging.getLogger(__name__)
 
@@ -86,6 +92,11 @@ __all__ = [
     "su_basis",
     "EmbeddingState",
     "embedding_state",
+    "torus_degree",
+    "torus_base_angles",
+    "torus_rule",
+    "torus_invariance_guard",
+    "torus_rule_check",
     "MomentValue",
     "moment_map",
     "t_map_step",
@@ -698,6 +709,122 @@ def lambda_fit_exponent(ks, lambda_values):
     lk = np.log([k for k, _ in usable])
     ll = np.log([lam for _, lam in usable])
     return float(np.polyfit(lk, ll, 1)[0])
+
+
+# ---------------------------------------------------------------------------
+# the rule of torus-invariant states
+# ---------------------------------------------------------------------------
+
+def torus_degree(model):
+    """Highest frequency, in any one base angle, of a section times the
+    conjugate of another: D = k + max(degrees) (derived in `torus_rule`)."""
+    return model.k + max(model.degrees)
+
+
+def torus_base_angles(model):
+    """Angles per base coordinate of `torus_rule`: 2 D + 1."""
+    return 2 * torus_degree(model) + 1
+
+
+def torus_rule(model, n_radial):
+    """Total rule for torus-invariant embedding states, sized by the degree
+    of their integrands: 2 D + 1 angles per base coordinate (D =
+    `torus_degree`), 3 per fiber coordinate, and the plain rule's
+    `n_radial` radial nodes on each factor.
+
+    Why that is exact.  A section is a monomial lam_alpha(xi) z^beta with
+    |beta| <= k + a_alpha, and lam = (1, xi) is affine in xi.  In polar
+    chart coordinates the product of one section and the conjugate of
+    another has frequency beta_c - beta'_c in base angle c, at most D in
+    size, and at most 1 in each fiber angle.  A Gram diagonal in the
+    monomial basis keeps the state torus-invariant: the rotations of the
+    chart angles act on the sections by a diagonal unitary, so they are
+    isometries of the pulled-back metric, and the kernel K = |u|^2 and the
+    volume density det(g) have frequency 0 in every angle, whatever frame
+    u of the sections the state uses.  The integrands:
+
+    * an entry of the moment or of the T-step pairing is u_i conj(u_j) /K
+      times the density, so it pairs two sections: frequency at most D in
+      each base angle and 1 in each fiber angle;
+    * an entry of `sigma_z_operator`'s q_matrix, (xi_a u)^H P (xi_b u) / K
+      with the normal projector P equivariant under the same unitaries,
+      pairs four sections: at most 2 D and 2.
+
+    The trapezoid rule on n equispaced angles integrates exp(i p theta)
+    exactly for |p| < n (Trefethen & Weideman, SIAM Review 56, 2014), so
+    2 D + 1 and 3 angles are exact for both.  The radial integrands stay
+    rational, so the radial grid is the plain rule's.  D + 1 base angles
+    would integrate the moment and the T-step exactly but not the
+    operator: on P^1 at k = 2, lambda_z then reads 3.96 instead of 2.5,
+    so one rule serves both balancing suites.  `torus_invariance_guard`
+    checks the premise and `torus_rule_check` the bound.
+    """
+    return product_rule(
+        base_rule(model, n_radial, n_angular=torus_base_angles(model)),
+        fiber_rule(model, n_radial, n_angular=3))
+
+
+# largest off-diagonal entry of a Gram, relative to its largest diagonal
+# entry, that `torus_invariance_guard` accepts: the balancing suites' solved
+# and direct-route Grams read 1e-14 or less
+_TORUS_GRAM_TOL = 1e-12
+
+
+def torus_invariance_guard(gram, model, name):
+    """The largest off-diagonal entry of `gram`, a Gram of `model`'s
+    monomial sections called `name` in messages, relative to its largest
+    diagonal entry.  `torus_rule` is exact only for torus-invariant states,
+    whose Gram is diagonal; a ratio above 1e-12 raises
+    `NumericalGuardError`."""
+    gram = np.asarray(gram)
+    diagonal = np.abs(np.diagonal(gram))
+    off = np.abs(gram - np.diag(np.diagonal(gram)))
+    ratio = float(np.max(off) / np.max(diagonal))
+    if not ratio <= _TORUS_GRAM_TOL:  # fails closed on NaN
+        raise NumericalGuardError(
+            f"torus rule on {model.label}: the {name}'s largest off-diagonal "
+            f"entry is {ratio:.2e} of its largest diagonal entry, above "
+            f"{_TORUS_GRAM_TOL:g}; the rule is exact only for torus-invariant "
+            "states, whose Gram is diagonal in the monomial basis, and this "
+            "state is not (a state off the torus needs the plain rule: "
+            "embedding_state without a rule)")
+    return ratio
+
+
+# largest move, relative to the volume, of a quantity on `torus_rule` under
+# two more angles per factor, beyond which `torus_rule_check` rejects the
+# degree bound: about 1e-14 when it holds, 1e-2 or more one angle short
+_TORUS_CHECK_TOL = 1e-10
+
+
+def torus_rule_check(state, n_radial, quantity):
+    """Self-estimate of `torus_rule` at a state built on it with
+    `n_radial`: rebuild the state with the same Gram, frame and radial
+    nodes on two more angles per base and fiber coordinate, and return the
+    largest entry move of `quantity(state)`, an array such as the moment
+    matrix or the q_matrix of `sigma_z_operator`, relative to the volume,
+    which bounds the entries of both.  A move above 1e-10 raises
+    `NumericalGuardError` naming the model, both angle counts and D."""
+    model = state.model
+    degree = torus_degree(model)
+    base_angles = torus_base_angles(model)
+    finer = embedding_state(
+        model, gram=state.gram.matrix, basis=state.basis, frame=state.frame,
+        rule=product_rule(
+            base_rule(model, n_radial, n_angular=base_angles + 2),
+            fiber_rule(model, n_radial, n_angular=5)))
+    move = float(np.max(np.abs(quantity(finer) - quantity(state)))
+                 / moment_map(state).volume)
+    if not move <= _TORUS_CHECK_TOL:  # fails closed on NaN
+        raise NumericalGuardError(
+            f"torus rule on {model.label}: moved by {move:.2e} (relative to "
+            f"the volume) from {base_angles} to {base_angles + 2} angles per "
+            f"base coordinate and from 3 to 5 per fiber coordinate, above "
+            f"{_TORUS_CHECK_TOL:g}; the rule assumes the integrands are "
+            "trigonometric polynomials of degree at most 2 D in each base "
+            f"angle and 2 in each fiber angle, with D = {degree} = k + "
+            "max(degrees) (balancing.torus_degree), and these are not")
+    return move
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import reports, suites
-from .config import default_config, parse_config, validate_config
+from .config import (
+    build_model,
+    default_config,
+    parse_config,
+    validate_config,
+)
 from .errors import ConfigError, NumericalGuardError
 
 logger = logging.getLogger(__name__)
@@ -40,8 +45,9 @@ configuration file (every key optional; defaults depend on the subcommand):
 
   [model]   kind (point | p1-sum | pm-trivial), degrees, rank, base_dim
   [sweep]   k_min, k_max, n_points
-  [quadrature]  n_radial (radial nodes of the base and plain rules; the
-            adapted fiber rule is sized by its integrands' degree)
+  [quadrature]  n_radial (radial nodes of the base, plain and torus
+            rules; the adapted fiber rule and the torus rule's angles
+            are sized by their integrands' degree)
   [solver]  balance_tol (balancing runs the T-iteration with
             safeguarded Anderson mixing)
   [output]  out_dir, seed
@@ -52,7 +58,8 @@ outputs (under --out, or the configured out_dir):
                   configuration and seed except for the timestamp field;
                   balance and moment-spectrum levels record the solver
                   iterations and fallback_steps (Anderson steps that
-                  took the plain T-step)
+                  took the plain T-step), and the nodes and base_angles
+                  of the torus rule they balance on
   timings.json    wall-clock seconds, kept out of report.json:
                   run_seconds (the whole run), command, levels (per
                   level: job_seconds, and solve_seconds for balance) and
@@ -170,6 +177,13 @@ def _table(filename, header, records):
                               for rec in records]
 
 
+def _level_fields(per_level, *dropped):
+    """The level results that report.json records: each job's result
+    without the `dropped` keys, which hold timings, rows or arrays."""
+    return [{key: value for key, value in res.items() if key not in dropped}
+            for res in per_level]
+
+
 def _run_jobs(fn, cfg, ks, workers):
     """Run one job per level, in parallel when asked.  Results come back
     in level order either way, so reports do not depend on scheduling.
@@ -195,7 +209,8 @@ def _run_verify(cfg, workers):
         checks.extend(rows)
 
     phase("volume-constants", suites.volume_constant_rows)
-    phase("quadrature", suites.quadrature_rows, cfg.n_radial)
+    phase("quadrature", suites.quadrature_rows, build_model(cfg),
+          cfg.n_radial)
     phase("round-trip", suites.round_trip_rows, cfg.seed)
     phase("fiber-averages", suites.fiber_average_rows)
     (table, fiber_row), phases["push-forward-table"] = _timed(
@@ -232,9 +247,7 @@ def _run_balance(cfg, workers):
          "trace_abs", "rho_mass", "rho_variance", "rho_max_dev",
          "comparable"],
         per_level))
-    results = {"levels": [
-        {key: value for key, value in res.items() if key != "wall_time"}
-        for res in per_level]}
+    results = {"levels": _level_fields(per_level, "wall_time", "torus_row")}
     return checks, results, csvs, {
         "phases": {"push-forward-table": seconds}, "levels": levels}
 
@@ -271,9 +284,7 @@ def _run_expansion(cfg, workers):
         ["k", "sections", "mass", "volume", "rho_mean", "rho_variance",
          "rho_max_dev"],
         per_level))
-    results = {"levels": [
-        {key: value for key, value in res.items() if key != "vals"}
-        for res in per_level]}
+    results = {"levels": _level_fields(per_level, "vals")}
     return checks, results, csvs, {**timings, "levels": levels}
 
 
@@ -284,12 +295,15 @@ def _run_spectrum(cfg, workers):
             f"{cfg.k_min}..{cfg.k_max}")
     per_level, levels = _run_jobs(suites.spectrum_job, cfg, cfg.ks, workers)
     checks, exponent = suites.spectrum_assemble(cfg, per_level)
+    checks += [res["torus_row"] for res in per_level
+               if res["torus_row"] is not None]
     csvs = [_table(
         "spectrum.csv",
         ["k", "lambda_z", "smallest_eig", "kernel_dim", "dimension",
          "samples", "converged", "final_norm_op"],
         per_level)]
-    results = {"levels": per_level, "exponent": exponent}
+    results = {"levels": _level_fields(per_level, "torus_row"),
+               "exponent": exponent}
     return checks, results, csvs, {"levels": levels}
 
 

@@ -15,7 +15,7 @@ and falls back to its default, so an empty file is a valid configuration.
     n_points = 200           ; sample points for cross-route density checks
 
     [quadrature]
-    n_radial = 16            ; radial nodes of the base and plain rules
+    n_radial = 16            ; radial nodes of the base, plain and torus rules
 
     [solver]
     balance_tol = 1e-08      ; moment norm at which balancing stops

@@ -250,8 +250,8 @@ def riemann_roch_dimension(model):
 # quadrature, following the factor structure
 # ---------------------------------------------------------------------------
 
-def base_rule(model, n_radial):
-    return chart_rule(model.m, n_radial=n_radial)
+def base_rule(model, n_radial, n_angular=None):
+    return chart_rule(model.m, n_radial=n_radial, n_angular=n_angular)
 
 
 def fiber_rule(model, n_radial, n_angular=None):

@@ -23,10 +23,21 @@ per level: holding them across the sweep raises the peak memory.
 
 Every fiber integral in the metric-adapted frame runs on
 `bergman.adapted_fiber_rule`, whose angles and radial nodes are sized by
-the degree of its integrands; `[quadrature] n_radial` sizes the base rules
-and the plain rules only.  `trace_route_table` checks both degrees once per
-sweep, and `verify`, `expansion` and `balance` report the estimate as the
-informational `adapted-fiber-degree` row.
+the degree of its integrands; `[quadrature] n_radial` sizes the base rules,
+the plain rules and the torus rule's radial grid only.  `trace_route_table`
+checks both degrees once per sweep, and `verify`, `expansion` and `balance`
+report the estimate as the informational `adapted-fiber-degree` row.
+
+Both balancing suites (`balance_job`, `spectrum_job`) start at the
+identity Gram, so their states stay torus-invariant, and balance on
+`balancing.torus_rule`: 2 D + 1 angles per base coordinate, D = k +
+max(degrees), and 3 per fiber coordinate, on `n_radial` radial nodes.  Each
+level guards its solved Gram, and `balance` the direct route's Gram too,
+against off-diagonal entries (`balancing.torus_invariance_guard`), and
+records the rule's `nodes` and `base_angles`.  The rule's self-check
+(`balancing.torus_rule_check`) is the informational `torus-rule-degree`
+row: on the moment at every `balance` level, and on the normal-action
+operator once per `moment-spectrum` sweep, at k_max, where 2 D is largest.
 """
 
 import logging
@@ -103,26 +114,28 @@ def volume_constant_rows():
                    detail=f"rank {r}") for r in range(1, 6)]
 
 
-def quadrature_rows(n_radial):
-    """Moment certification of the chart rules the runs rely on.
+def quadrature_rows(model, n_radial):
+    """Moment certification of the chart rules the runs on `model` rely on.
 
     Dimension 1 must certify exactly: every run factor rule is built from
     it.  In higher dimension the radial part is a joint simplex map whose
     design class is joint rational decay; the certifier's tensor-product
     moments converge only algebraically there, so that error is reported
-    without a verdict.  Fitness of the joint rules for actual run
-    integrands is what the cross-route and mass rows measure."""
+    without a verdict, and only when the model's base or plain fiber has
+    dimension 2.  Fitness of the joint rules for actual run integrands is
+    what the cross-route and mass rows measure."""
     res1 = certify_moments(chart_rule(1, n_radial=n_radial))
     rows = [_row(
         "quadrature-moments", value=float(res1["max_error"]),
         reference=0.0, error=float(res1["max_error"]), tolerance=1e-10,
         passed=bool(res1["passed"]),
         detail=f"chart dimension 1, {res1['checked']} moments")]
-    res2 = certify_moments(chart_rule(2, n_radial=n_radial))
-    rows.append(_row(
-        "quadrature-moments", value=float(res2["max_error"]),
-        detail="chart dimension 2, tensor-type moments off the joint "
-               "grid's design class; reported, not judged"))
+    if 2 in (model.m, model.fiber_dim):
+        res2 = certify_moments(chart_rule(2, n_radial=n_radial))
+        rows.append(_row(
+            "quadrature-moments", value=float(res2["max_error"]),
+            detail="chart dimension 2, tensor-type moments off the joint "
+                   "grid's design class; reported, not judged"))
     return rows
 
 
@@ -356,12 +369,32 @@ _ORDER_Q = 0
 _D_TOL = 1e-8
 
 
+def _torus_fields(state):
+    """Health fields of a level balanced on `bal.torus_rule`."""
+    return {"nodes": int(state.rule.points.shape[0]),
+            "base_angles": int(bal.torus_base_angles(state.model))}
+
+
+def _torus_row(state, n_radial, name, quantity):
+    """Informational `torus-rule-degree` row: `bal.torus_rule_check`'s
+    move of `quantity` at a state on the torus rule; a move beyond the
+    check's tolerance raises `NumericalGuardError`."""
+    move = bal.torus_rule_check(state, n_radial, quantity)
+    angles = bal.torus_base_angles(state.model)
+    return _row("torus-rule-degree", k=state.k, value=move,
+                detail=f"largest move of the {name}, relative to the "
+                       f"volume, from {angles} to {angles + 2} angles per "
+                       f"base coordinate and from 3 to 5 per fiber "
+                       f"coordinate, D = {bal.torus_degree(state.model)}; "
+                       f"reported, not judged")
+
+
 def balance_job(cfg, k):
-    """Balance one level from the identity Gram and measure the result:
-    trajectory, flat-density statistics, exact bookkeeping (mass equals the
-    section count, trace of the moment vanishes), two-sided comparability
-    of the final embedding form against the initial one, and the moment of
-    the reference-induced Gram.
+    """Balance one level from the identity Gram on `bal.torus_rule` and
+    measure the result: trajectory, flat-density statistics, exact
+    bookkeeping (mass equals the section count, trace of the moment
+    vanishes), two-sided comparability of the final embedding form against
+    the initial one, and the moment of the reference-induced Gram.
 
     The reference Gram is the L2 pairing of the sections under the model
     geometry itself; its moments form the family whose decay order the
@@ -370,15 +403,21 @@ def balance_job(cfg, k):
     model = build_model(cfg, k)
     metric = build_metric(cfg)
     kahler = build_kahler(cfg)
-    state = bal.embedding_state(model, n_radial=cfg.n_radial)
+    state = bal.embedding_state(model,
+                                rule=bal.torus_rule(model, cfg.n_radial))
     initial = bal.moment_map(state)
     report = bal.balance_iterate(state, tol=cfg.balance_tol,
                                  max_iter=_MAX_ITER)
+    bal.torus_invariance_guard(report.state.gram.matrix, model, "solved Gram")
     stats = bal.balanced_density_stats(report.state)
+    torus_row = _torus_row(report.state, cfg.n_radial, "moment matrix",
+                           lambda s: bal.moment_map(s).matrix)
 
     direct = bg.rho_direct(
         metric, kahler, model,
         rule=bg.adapted_total_rule(metric, model, n_radial=cfg.n_radial))
+    bal.torus_invariance_guard(direct.gram.matrix, model,
+                               "direct-route Gram")
     ref_state = state.with_gram(direct.gram.matrix)
     reference = bal.moment_map(ref_state)
 
@@ -398,6 +437,7 @@ def balance_job(cfg, k):
     return {
         "k": int(k),
         "count": int(state.count),
+        **_torus_fields(state),
         "converged": bool(report.converged),
         "diverged": bool(report.diverged),
         "iterations": int(report.iterations),
@@ -419,6 +459,7 @@ def balance_job(cfg, k):
         "comparable_c_a": float(comparable.c_a_norm),
         "comparable_min_ratio": float(comparable.min_ratio),
         "wall_time": float(report.wall_time),
+        "torus_row": torus_row,
     }
 
 
@@ -445,6 +486,7 @@ def balance_rows(cfg, results):
                 "density-flat", res["rho_max_dev"], 0.0,
                 100.0 * cfg.balance_tol, k=k,
                 detail="max deviation of the balanced density from its mean"))
+        rows.append(res["torus_row"])
     return rows
 
 
@@ -607,20 +649,30 @@ def degenerate_expansion_rows(results):
 # ---------------------------------------------------------------------------
 
 def spectrum_job(cfg, k):
-    """Balance one level with the T-iteration and estimate the smallest
-    positive eigenvalue of the normal-action operator."""
+    """Balance one level with the T-iteration on `bal.torus_rule` and
+    estimate the smallest positive eigenvalue of the normal-action
+    operator."""
     model = build_model(cfg, k)
-    state = bal.embedding_state(model, n_radial=cfg.n_radial)
+    state = bal.embedding_state(model,
+                                rule=bal.torus_rule(model, cfg.n_radial))
     report = bal.balance_iterate(state, tol=cfg.balance_tol,
                                  max_iter=_MAX_ITER)
+    bal.torus_invariance_guard(report.state.gram.matrix, model, "solved Gram")
     op = bal.sigma_z_operator(report.state)
     est = bal.eig_estimate(op, k)
+    # 2D is largest at the top level, so one check there covers the sweep
+    torus_row = None
+    if k == cfg.k_max:
+        torus_row = _torus_row(report.state, cfg.n_radial,
+                               "normal-action operator",
+                               lambda s: bal.sigma_z_operator(s).q_matrix)
     logger.info("spectrum k=%d: lambda=%.6e kernel=%d converged=%s, "
                 "%d iterations (fallback_steps=%d)",
                 k, est.lambda_z, est.kernel_dim, report.converged,
                 report.iterations, report.fallback_steps)
     return {
         "k": int(k),
+        **_torus_fields(state),
         "lambda_z": float(est.lambda_z),
         "smallest_eig": float(est.smallest),
         "kernel_dim": int(est.kernel_dim),
@@ -630,6 +682,7 @@ def spectrum_job(cfg, k):
         "iterations": int(report.iterations),
         "fallback_steps": int(report.fallback_steps),
         "final_norm_op": float(report.moment.norm_op),
+        "torus_row": torus_row,
     }
 
 

@@ -41,6 +41,7 @@ from projbalance.sections import (
     TrivialBundleOverPm,
     base_rule,
     build_section_basis,
+    fiber_rule,
     riemann_roch_dimension,
 )
 from projbalance import balancing as bal
@@ -1034,6 +1035,144 @@ class TestLambdaZScaling:
 
     def test_fit_exponent_nan_without_positive_levels(self):
         assert math.isnan(bal.lambda_fit_exponent((1, 2, 3), [0.0, 0.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# the torus rule
+# ---------------------------------------------------------------------------
+
+TORUS_MODELS = {"p1xp1": TrivialBundleOverPm(1, 2, 3),
+                "p1-sum-0-1": LineBundleSumOverP1((0, 1), 3)}
+
+
+@pytest.fixture(scope="module")
+def torus_states():
+    """Per model: the identity-Gram state on `torus_rule` at n_radial 10,
+    and the state its balancing ends at.  P(O + O(1)) has no
+    torus-invariant balanced metric, so there the solver stops at the
+    obstruction, still on a diagonal Gram."""
+    states = {}
+    for key, model in TORUS_MODELS.items():
+        state = bal.embedding_state(model, rule=bal.torus_rule(model, 10))
+        report = bal.balance_iterate(state, tol=1e-12, max_iter=60)
+        states[key] = state, report.state
+    return states
+
+
+def torus_quantities(state):
+    return {"moment": bal.moment_map(state).matrix,
+            "t_step": bal.t_map_step(state).gram.matrix,
+            "q_matrix": bal.sigma_z_operator(state).q_matrix}
+
+
+class TestTorusRule:
+    """`torus_rule` integrates the moment, the T-step pairing and the
+    normal-action operator of a torus-invariant state exactly in every
+    angle, so it reproduces the plain rule's 21 angles per coordinate on
+    the same radial nodes; one angle fewer on either factor does not."""
+
+    @pytest.mark.parametrize("solved", [False, True],
+                             ids=["identity", "solved"])
+    @pytest.mark.parametrize("key", sorted(TORUS_MODELS))
+    def test_agrees_with_the_plain_rule(self, torus_states, key, solved):
+        model = TORUS_MODELS[key]
+        state = torus_states[key][solved]
+        plain = bal.embedding_state(model, gram=state.gram.matrix,
+                                    n_radial=10)
+        assert plain.rule.points.shape[0] == 44100
+        assert state.rule.points.shape[0] == 10 * (
+            2 * (3 + max(model.degrees)) + 1) * 10 * 3
+        ours, theirs = torus_quantities(state), torus_quantities(plain)
+        for name in ours:
+            assert np.max(np.abs(ours[name] - theirs[name])) < 1e-13, name
+
+    @pytest.mark.parametrize("solved", [False, True],
+                             ids=["identity", "solved"])
+    @pytest.mark.parametrize("key", sorted(TORUS_MODELS))
+    def test_one_angle_fewer_moves_the_operator(self, torus_states, key,
+                                                solved):
+        model = TORUS_MODELS[key]
+        state = torus_states[key][solved]
+        q = bal.sigma_z_operator(state).q_matrix
+        angles = bal.torus_base_angles(model)
+        for base, fiber in ((angles - 1, 3), (angles, 2)):
+            rule = product_rule(base_rule(model, 10, n_angular=base),
+                                fiber_rule(model, 10, n_angular=fiber))
+            short = bal.embedding_state(model, gram=state.gram.matrix,
+                                        rule=rule)
+            move = np.max(np.abs(bal.sigma_z_operator(short).q_matrix - q))
+            assert move > 1e-3, (base, fiber)
+
+    def test_degree_and_angles(self):
+        model = LineBundleSumOverP1((0, 2), 4)
+        assert bal.torus_degree(model) == 6
+        assert bal.torus_base_angles(model) == 13
+
+    def test_diagonal_gram_passes_the_guard(self, torus_states):
+        model = TORUS_MODELS["p1xp1"]
+        assert bal.torus_invariance_guard(np.diag([1.0, 2.0, 3.0]), model,
+                                          "Gram") == 0.0
+        solved = torus_states["p1xp1"][1].gram.matrix
+        assert bal.torus_invariance_guard(solved, model, "Gram") < 1e-13
+
+    def test_off_diagonal_gram_trips_the_guard(self):
+        model = TORUS_MODELS["p1xp1"]
+        gram = np.eye(8)
+        gram[0, 5] = gram[5, 0] = 2e-6
+        with pytest.raises(NumericalGuardError) as err:
+            bal.torus_invariance_guard(gram, model, "solved Gram")
+        message = str(err.value)
+        assert "torus rule on p1-sum(0, 0)-k3" in message
+        assert "solved Gram's largest off-diagonal entry is 2.00e-06" in message
+        assert "torus-invariant" in message
+
+    def test_balance_job_guards_the_solved_gram(self, monkeypatch):
+        original = bal.balance_iterate
+
+        def off_torus(state, **kwargs):
+            report = original(state, **kwargs)
+            gram = report.state.gram.matrix.copy()
+            gram[0, 1] += 1e-9
+            gram[1, 0] += 1e-9
+            return replace(report, state=report.state.with_gram(gram))
+
+        monkeypatch.setattr(bal, "balance_iterate", off_torus)
+        cfg = ExperimentConfig(kind="pm-trivial", k_min=2, k_max=2,
+                               n_radial=6)
+        for job in (suites.balance_job, suites.spectrum_job):
+            with pytest.raises(NumericalGuardError,
+                               match="solved Gram's largest off-diagonal"):
+                job(cfg, 2)
+
+    def test_self_check_moves_by_roundoff(self, torus_states):
+        state = torus_states["p1xp1"][1]
+        for quantity in (lambda s: bal.moment_map(s).matrix,
+                         lambda s: bal.sigma_z_operator(s).q_matrix):
+            assert bal.torus_rule_check(state, 10, quantity) < 1e-13
+
+    def test_lowered_degree_trips_the_self_check(self, monkeypatch):
+        # one degree short leaves 2 D - 1 base angles, exact for the moment
+        # but not for the operator's frequency-2D terms
+        monkeypatch.setattr(bal, "torus_degree",
+                            lambda model: model.k + max(model.degrees) - 1)
+        cfg = ExperimentConfig(kind="pm-trivial", k_min=2, k_max=3,
+                               n_radial=6, balance_tol=1e-9)
+        suites.spectrum_job(cfg, 2)  # below k_max: no check
+        with pytest.raises(NumericalGuardError) as err:
+            suites.spectrum_job(cfg, 3)
+        message = str(err.value)
+        assert "torus rule on p1-sum(0, 0)-k3" in message
+        assert "from 5 to 7 angles per base coordinate" in message
+        assert "from 3 to 5 per fiber coordinate" in message
+        assert "D = 2" in message
+
+    def test_degree_zero_trips_the_moment_check(self, monkeypatch):
+        model = TORUS_MODELS["p1xp1"]
+        monkeypatch.setattr(bal, "torus_degree", lambda model: 0)
+        state = bal.embedding_state(model, rule=bal.torus_rule(model, 6))
+        with pytest.raises(NumericalGuardError,
+                           match="from 1 to 3 angles per base coordinate"):
+            bal.torus_rule_check(state, 6, lambda s: bal.moment_map(s).matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -732,6 +732,99 @@ class TestAdaptedFiberSelfCheck:
         assert not (out / "report.json").exists()
 
 
+class TestTorusRuleHealth:
+    """`balance` and `moment-spectrum` balance on `balancing.torus_rule`:
+    each level records the rule's node count and base angles, and the
+    rule's self-check is an informational row per `balance` level and one
+    per `moment-spectrum` sweep, at its top level."""
+
+    BALANCE_KEYS = {
+        "k", "count", "nodes", "base_angles", "converged", "diverged",
+        "iterations", "fallback_steps", "trajectory", "final_norm_op",
+        "initial_norm_op", "d_value", "volume", "ref_norm_op", "ref_d",
+        "ref_volume", "trace_abs", "rho_mass", "rho_variance", "rho_max_dev",
+        "comparable", "comparable_c_a", "comparable_min_ratio"}
+    SPECTRUM_KEYS = {
+        "k", "nodes", "base_angles", "lambda_z", "smallest_eig",
+        "kernel_dim", "dimension", "samples", "converged", "iterations",
+        "fallback_steps", "final_norm_op"}
+
+    def test_balance_levels_record_the_rule(self, balance_run):
+        _, out = balance_run
+        report = load_report(out)
+        for level in report["results"]["levels"]:
+            assert set(level) == self.BALANCE_KEYS
+            k = level["k"]
+            # P^1 x P^1 at n_radial 10: D = k, 3 fiber angles
+            assert level["base_angles"] == 2 * k + 1
+            assert level["nodes"] == 10 * (2 * k + 1) * 10 * 3
+        rows = [row for row in report["checks"]
+                if row["name"] == "torus-rule-degree"]
+        assert [row["k"] for row in rows] == [2, 3, 4]
+        for row in rows:
+            assert row["passed"] is None
+            assert 0.0 <= row["value"] <= 1e-13
+            assert "moment matrix" in row["detail"]
+
+    def test_spectrum_levels_record_the_rule(self, tmp_path):
+        path = write_config(tmp_path, TINY_SPECTRUM)
+        out = tmp_path / "out"
+        assert cli.main(["moment-spectrum", "--config", path,
+                         "--out", str(out)]) == 0
+        report = load_report(out)
+        for level in report["results"]["levels"]:
+            assert set(level) == self.SPECTRUM_KEYS
+            # P^1 at n_radial 8: no fiber, D = k
+            assert level["base_angles"] == 2 * level["k"] + 1
+            assert level["nodes"] == 8 * (2 * level["k"] + 1)
+        rows = [row for row in report["checks"]
+                if row["name"] == "torus-rule-degree"]
+        assert len(rows) == 1 and rows[0]["k"] == 3
+        assert rows[0]["passed"] is None
+        assert 0.0 <= rows[0]["value"] <= 1e-13
+        assert "from 7 to 9 angles per base coordinate" in rows[0]["detail"]
+        assert "D = 3" in rows[0]["detail"]
+
+    def test_trip_exits_two_and_names_the_cause(self, tmp_path, monkeypatch,
+                                                capsys):
+        # 2 D - 1 base angles integrate the moment, so the levels balance,
+        # but not the operator's frequency-2D terms; from k = 2 on, since
+        # at k = 1 a single angle cannot keep the Gram diagonal
+        monkeypatch.setattr(bal, "torus_degree",
+                            lambda model: model.k + max(model.degrees) - 1)
+        text = TINY_SPECTRUM.replace("k_min = 1", "k_min = 2").replace(
+            "k_max = 3", "k_max = 4")
+        path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["moment-spectrum", "--config", path,
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "numerical guard: torus rule on p1-sum(0,)-k4" in err
+        assert "from 7 to 9 angles per base coordinate" in err
+        assert "D = 3" in err
+        assert not (out / "report.json").exists()
+
+
+class TestQuadratureRows:
+    def test_verify_certifies_one_chart_on_a_line_base(self, verify_run):
+        _, out = verify_run
+        rows = [row for row in load_report(out)["checks"]
+                if row["name"] == "quadrature-moments"]
+        assert len(rows) == 1 and rows[0]["passed"] is True
+
+    @pytest.mark.parametrize("text, count", [
+        ("[model]\nkind = p1-sum\ndegrees = 0,1\n", 1),
+        ("[model]\nkind = pm-trivial\nbase_dim = 2\nrank = 2\n", 2),
+        ("[model]\nkind = pm-trivial\nbase_dim = 1\nrank = 3\n", 2),
+    ], ids=["p1-sum", "pm-trivial-base-2", "pm-trivial-fiber-2"])
+    def test_dimension_two_row_only_where_a_chart_has_it(self, text, count):
+        model = build_model(parse_config_text(text))
+        rows = suites.quadrature_rows(model, n_radial=4)
+        assert len(rows) == count
+        assert rows[0]["passed"] is True
+        assert all(row["passed"] is None for row in rows[1:])
+
+
 class TestSpectrumRun:
     def test_sweep_report_and_table(self, tmp_path):
         path = write_config(tmp_path, TINY_SPECTRUM)
