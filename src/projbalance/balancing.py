@@ -60,12 +60,23 @@ only L2 pairing of a node table against the pulled-back volume; the moment
 pairs the frame, the T-step the raw basis values, and the density the frame
 again.
 
+The geometry kernel works on direction-major tables: the values are
+(n, N) and the jet (dim, n, N), one (n, N) slab per holomorphic direction
+(`SectionBasis.eval_embedding_jet`).  `_mix` moves both to a frame with one
+GEMM for the values and one per direction, each with the n rows of the
+values; `_pullback_data` forms the kernel, the gradient and the upper
+triangle of the jet pairing as row sums over the N sections, fills the
+metric stack Hermitian, and takes its determinant in closed form for
+dim = 2 (`_hermitian_det`; LU otherwise).
+
 A state makes one geometry pass for the moment and the T-step together:
 its memo `EmbeddingState._pairings` keeps the volume and both pairings (a
 scalar and two N x N matrices, no node table), so an iteration computes
 `_fs_geometry` once per state it visits: an Anderson step visits its mixed
 state, and a safeguard fallback the plain one as well.  The node sums are
-matrix products on BLAS.
+matrix products on BLAS.  The Anderson least squares drops singular values
+below `_ANDERSON_RCOND` of the largest, so roundoff in the history never
+steers a step.
 
 All volumes are reduced by (2 pi)^dim as elsewhere in the package.
 """
@@ -152,7 +163,7 @@ class EmbeddingState:
     is the identity; it is the Gram's whitener, derived on each read, so no
     copy with another Gram keeps a stale one.  `values` and `jet` are the
     basis tables at the rule nodes, cached so iteration steps only pay for
-    the N x N linear algebra.
+    the N x N linear algebra; `jet` is direction-major, (dim, n, N).
     `_pairings` memoizes what the moment and the T-step read, so a state
     costs one geometry pass however many of them ask; it is N x N data and
     a scalar, never a node table, and a new state starts without it.
@@ -251,36 +262,64 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
 
 
 def _mix(values, jet, mat):
-    """Value and jet tables of the section family values @ mat."""
-    return values @ mat, np.matmul(mat.T, jet)
+    """Value and jet tables of the section family values @ mat: one GEMM
+    for the values and one per direction of the (d, n, N) jet, each with
+    the n rows of the values."""
+    du = np.empty(jet.shape, dtype=np.result_type(jet, mat))
+    for a, slab in enumerate(jet):
+        np.matmul(slab, mat, out=du[a])
+    return values @ mat, du
+
+
+def _hermitian_det(gfs):
+    """Determinant of a stack (n, d, d) of Hermitian matrices: closed form
+    for d = 2, read off the diagonal and the upper triangle, LU otherwise."""
+    if gfs.shape[-1] == 2:
+        return gfs[:, 0, 0].real * gfs[:, 1, 1].real - _abs2(gfs[:, 0, 1])
+    return np.linalg.det(gfs).real
+
+
+def _abs2(x):
+    return x.real ** 2 + x.imag ** 2
 
 
 def _pullback_data(u, du, dim):
     """Kernel, pulled-back metric coefficients, and reduced volume density
-    of a frame table u with holomorphic jets du.
+    of a frame table u (n, N) with direction-major holomorphic jets du
+    (dim, n, N).
 
     The pulled-back metric of the embedding by the frame u is
     d d-bar log |u|^2; its coefficient matrix is A/K - b b^H / K^2 with
-    K = |u|^2, A_ab = sum_p du_pa conj(du_pb), b_a = sum_p du_pa conj(u_p).
-    The reduced density is det times 2^dim / (2 pi)^dim.
+    K = |u|^2, A_ab = sum_p du_pa conj(du_pb), b_a = sum_p du_pa conj(u_p),
+    each a row sum over the N sections; A is formed on its upper triangle
+    and the stack filled Hermitian.  The reduced density is det times
+    2^dim / (2 pi)^dim, the det in closed form for dim = 2.
     """
-    kk = np.einsum("np,np->n", u, np.conj(u)).real
+    uc = np.conj(u)
+    kk = np.einsum("np,np->n", u, uc).real
     if not np.all(np.isfinite(kk)) or np.any(kk <= 0.0):
         raise NumericalGuardError("embedding kernel vanished at a node")
-    grad = (np.conj(u)[:, None, :] @ du)[:, 0, :]
-    amat = np.swapaxes(du, 1, 2) @ np.conj(du)
-    gfs = (amat / kk[:, None, None]
-           - grad[:, :, None] * np.conj(grad)[:, None, :]
-           / (kk ** 2)[:, None, None])
-    dens = np.linalg.det(gfs).real * 2.0 ** dim / (2.0 * math.pi) ** dim
+    grad = np.einsum("anp,np->an", du, uc)
+    duc = np.conj(du)
+    kk2 = kk ** 2
+    gfs = np.empty((u.shape[0], dim, dim), dtype=complex)
+    for a in range(dim):
+        gfs[:, a, a] = (np.einsum("np,np->n", du[a], duc[a]).real / kk
+                        - _abs2(grad[a]) / kk2)
+        for b in range(a + 1, dim):
+            gfs[:, a, b] = (np.einsum("np,np->n", du[a], duc[b]) / kk
+                            - grad[a] * np.conj(grad[b]) / kk2)
+            gfs[:, b, a] = np.conj(gfs[:, a, b])
+    dens = _hermitian_det(gfs) * 2.0 ** dim / (2.0 * math.pi) ** dim
     if not np.all(np.isfinite(dens)) or np.any(dens < -1e-12 * max(1.0, dens.max(initial=0.0))):
         raise NumericalGuardError("embedding volume density not nonnegative")
     return kk, gfs, np.maximum(dens, 0.0)
 
 
 def _fs_geometry(state):
-    """Frame values, jets, kernel, pulled-back metric, and the rule weights
-    times the reduced volume density, at the rule nodes of a state."""
+    """Frame values, direction-major jets, kernel, pulled-back metric, and
+    the rule weights times the reduced volume density, at the rule nodes
+    of a state."""
     u, du = _mix(state.values, state.jet, state.transform)
     kk, gfs, dens = _pullback_data(u, du, state.model.n)
     return u, du, kk, gfs, state.rule.weights * dens
@@ -473,6 +512,17 @@ def balance_iterate(state, tol=1e-8, max_iter=500):
 # the Anderson mixer combines the last this many plain T-map images
 _ANDERSON_MEMORY = 5
 
+# relative singular-value cutoff of the Anderson least squares.  Torus
+# invariance and the symmetry of the model leave a history only a few live
+# directions; the others hold the roundoff of the T-map images, and a
+# solve on them turns that roundoff into a mixing step.  Over P^1 and
+# P^1 x P^1, k = 2..6, n_radial 6 and 10, tol 1e-8 to 1e-10, the live
+# singular values sat at 2.6e-5 of the largest or above and the roundoff
+# ones at 9.4e-11 or below: 1e-8 sits two orders above the roundoff and
+# three below the live directions.  At 1e-12 one roundoff direction still
+# cost a safeguard fallback on P^1 x P^1 at k = 3.
+_ANDERSON_RCOND = 1e-8
+
 
 def _traceless_log(gram):
     """Traceless Hermitian log of a positive Gram: the log of its
@@ -486,13 +536,14 @@ def _anderson_mix(xs, gs):
     """Type-II Anderson combination of iterates `xs` and their images `gs`
     (stacks of Hermitian matrices, oldest first): g_last - dG gamma, with
     gamma the least-squares solution of dF gamma = f_last, f = g - x, in
-    the Frobenius norm (dF, dG the consecutive differences)."""
+    the Frobenius norm (dF, dG the consecutive differences), solved on the
+    singular values above `_ANDERSON_RCOND` of the largest."""
     fs = gs - xs
     # real coordinates of the Hermitian residuals: Frobenius geometry with
     # real mixing coefficients, so the mixed matrix stays Hermitian
     dfs = np.diff(fs, axis=0).reshape(len(fs) - 1, -1)
     gamma = np.linalg.lstsq(dfs.view(float).T, fs[-1].reshape(-1).view(float),
-                            rcond=None)[0]
+                            rcond=_ANDERSON_RCOND)[0]
     x = gs[-1] - np.tensordot(gamma, np.diff(gs, axis=0), axes=1)
     return 0.5 * (x + x.conj().T)
 
@@ -622,10 +673,10 @@ def sigma_z_operator(state, generators=None):
     gens = su_basis(state.count) if generators is None else np.asarray(generators)
     u, du, kk, _, wq = _fs_geometry(state)
     nodes, nn = u.shape
-    grad = (np.conj(u)[:, None, :] @ du)[:, 0, :]
-    tang = du - u[:, :, None] * (grad / kk[:, None])[:, None, :]
-    # batched orthonormal frames for the tangent columns
-    uf, sv, _ = np.linalg.svd(tang, full_matrices=False)
+    grad = np.einsum("anp,np->an", du, np.conj(u))
+    tang = du - (grad / kk)[:, :, None] * u
+    # batched orthonormal frames for the tangent columns, (nodes, N, dim)
+    uf, sv, _ = np.linalg.svd(np.moveaxis(tang, 0, -1), full_matrices=False)
     smax = sv[:, 0]
     valid = sv[:, -1] > 1e-12 * np.maximum(smax, 1e-30)
     skipped = int(np.count_nonzero(~valid))

@@ -308,11 +308,13 @@ def adapted_fiber_radial_degree(model):
     return model.m + model.r - 1
 
 
-def adapted_fiber_rule(model):
+def adapted_fiber_rule(model, raise_degree=0):
     """Fiber rule for integrands in the metric-adapted frame of
     `_adapted_fiber_points`, sized by their degree alone: m + 2 angles per
-    fiber coordinate and ceil((m + r)/2) radial nodes.  Every rule that
-    goes through that frame is built here or by `adapted_total_rule`.
+    fiber coordinate and ceil((m + r)/2) radial nodes.  `raise_degree`
+    sizes it for integrands that many degrees higher in each fiber angle
+    and in t.  Every rule that goes through that frame is built here or by
+    `adapted_total_rule`.
 
     Why that is exact.  At a base node the adapted change
     xi = xi0 + sqrt(kappa) w L^{-1} makes the dual pairing
@@ -345,13 +347,14 @@ def adapted_fiber_rule(model):
     a metric whose off-diagonal part varies over the base, the table then
     moves by 4e-3 to 0.8 of its largest entry.  A statistic quadratic in
     the density, such as the variance `expansion_job` reports, has degree
-    m + 2 per angle and m + r in t: it is exact only where the density is
-    invariant under the fiber rotations, as for every split metric, and
-    m + r is odd.  `adapted_fiber_check` tests both bounds.
+    m + 2 per angle and m + r in t, one more than the rule's: it takes
+    `raise_degree` 1.  `adapted_fiber_check` tests both bounds.
     """
     return fiber_rule(
-        model, _gauss_legendre_count(adapted_fiber_radial_degree(model)),
-        n_angular=adapted_fiber_degree(model) + 1)
+        model,
+        _gauss_legendre_count(adapted_fiber_radial_degree(model)
+                              + raise_degree),
+        n_angular=adapted_fiber_degree(model) + raise_degree + 1)
 
 
 # relative move of a push-forward table under two more fiber angles and
@@ -388,13 +391,14 @@ def adapted_fiber_check(metric, kahler, model, table):
     return move
 
 
-def adapted_total_rule(metric, model, n_radial):
-    """The base rule on `n_radial` times `adapted_fiber_rule` in the
-    metric-adapted frame at each base node.  Use this instead of the plain
-    tensor rule whenever the integrand sees the dual pairing; the plain
-    rule loses accuracy where the fiber decay scale shrinks."""
+def adapted_total_rule(metric, model, n_radial, raise_degree=0):
+    """The base rule on `n_radial` times `adapted_fiber_rule(model,
+    raise_degree)` in the metric-adapted frame at each base node.  Use
+    this instead of the plain tensor rule whenever the integrand sees the
+    dual pairing; the plain rule loses accuracy where the fiber decay
+    scale shrinks."""
     rb = base_rule(model, n_radial)
-    rf = adapted_fiber_rule(model)
+    rf = adapted_fiber_rule(model, raise_degree)
     pts, jac2 = _adapted_fiber_points(metric, model, rb.points, rf.points)
     w = (rb.weights[:, None] * rf.weights[None, :] * jac2[:, None]).ravel()
     return ChartRule(pts, w)

@@ -179,24 +179,26 @@ class SectionBasis:
         return lam[:, self.summand] * self._monomials(z)
 
     def eval_embedding_jet(self, pts):
-        """Exact holomorphic first derivatives, shape (n, N, m + r - 1) with
-        the base directions first."""
+        """Exact holomorphic first derivatives, direction-major: shape
+        (m + r - 1, n, N), the base directions first, so that each
+        direction is one contiguous (n, N) table like the values."""
         z, xi = split_points(self.model, pts)
         n = z.shape[0]
         m, r = self.model.m, self.model.r
         coef = affine_frame(xi)[:, self.summand]
-        mono = self._monomials(z)
-        jet = np.zeros((n, self.count, m + r - 1), dtype=complex)
+        jet = np.zeros((m + r - 1, n, self.count), dtype=complex)
         for a in range(m):
             e = self.exponents[:, a]
             lowered = self.exponents.copy()
             lowered[:, a] = np.maximum(e - 1, 0)
-            dm = np.where(e[None, :] > 0,
-                          e[None, :] * np.prod(z[:, None, :] ** lowered[None, :, :], axis=2),
-                          0.0)
-            jet[:, :, a] = coef * dm
-        for c in range(r - 1):
-            jet[:, :, m + c] = (self.summand == c + 1)[None, :] * mono
+            # e = 0 zeroes the column: the lowered monomial is finite
+            dm = e * np.prod(z[:, None, :] ** lowered[None, :, :], axis=2)
+            np.multiply(coef, dm, out=jet[a])
+        if r > 1:
+            mono = self._monomials(z)
+            for c in range(r - 1):
+                column = self.summand == c + 1
+                jet[m + c][:, column] = mono[:, column]
         return jet
 
 

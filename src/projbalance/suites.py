@@ -537,7 +537,8 @@ def expansion_eval_points(cfg):
 def expansion_job(cfg, k, table):
     """One level of an expansion sweep: endomorphism values at the shared
     sample points plus density-constancy statistics.  `table` is
-    `trace_route_table(cfg)`."""
+    `trace_route_table(cfg)`.  The variance, quadratic in the density, is
+    integrated on the adapted fiber rule raised by one degree."""
     direct, level = _density_routes(cfg, k, table)
     vals = level.endomorphism(expansion_eval_points(cfg))
     dens = direct.density(direct.rule.points)
@@ -545,8 +546,11 @@ def expansion_job(cfg, k, table):
     vol = float(integrate(direct.rule, measure))
     mass = float(integrate(direct.rule, dens * measure))
     mean = mass / vol
-    variance = float(integrate(direct.rule, (dens - mean) ** 2 * measure)
-                     / vol)
+    fine = bg.adapted_total_rule(direct.metric, direct.model, cfg.n_radial,
+                                 raise_degree=1)
+    variance = float(integrate(
+        fine, (direct.density(fine.points) - mean) ** 2
+        * direct.measure_density(fine.points)) / vol)
     logger.info("expansion k=%d: mass %.12g, density variance %.3e",
                 k, mass, variance)
     return {

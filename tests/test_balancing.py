@@ -88,7 +88,7 @@ def dense_moment_oracle(state):
     vol = 0.0
     for node in range(state.rule.points.shape[0]):
         u = vals[node] @ t
-        du = t.T @ jet[node]  # (N, d) in the orthonormal frame
+        du = t.T @ jet[:, node].T  # (N, d) in the orthonormal frame
         kk = float(np.real(u @ u.conj()))
         gfs = np.zeros((d, d), dtype=complex)
         for a in range(d):
@@ -242,6 +242,30 @@ class TestEmbeddingState:
             state.with_gram(indefinite)
         assert str(derived.value) == str(built.value)
         assert "not positive definite" in str(derived.value)
+
+
+class TestGeometryKernel:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_hermitian_det_matches_lu(self, d):
+        # closed form at d = 2, LU on either side of it; scales spread
+        # over six decades
+        rng = np.random.default_rng(110 + d)
+        a = rng.normal(size=(64, d, d)) + 1j * rng.normal(size=(64, d, d))
+        stack = np.eye(d) + 0.5 * a @ np.conj(np.swapaxes(a, 1, 2)) / d
+        stack *= 10.0 ** rng.uniform(-3.0, 3.0, size=(64, 1, 1))
+        want = np.linalg.det(stack).real
+        got = bal._hermitian_det(stack)
+        assert got.shape == (64,) and got.dtype == float
+        assert np.max(np.abs(got - want) / want) < 1e-12
+
+    def test_pulled_back_metric_is_hermitian(self):
+        rng = np.random.default_rng(113)
+        state = p1xp1_state(2, gram=random_spd(rng, 6), n_radial=4)
+        _, _, _, gfs, wq = bal._fs_geometry(state)
+        assert np.array_equal(gfs, np.conj(np.swapaxes(gfs, 1, 2)))
+        dens = np.linalg.det(gfs).real * 2.0 ** 2 / (2.0 * math.pi) ** 2
+        want = state.rule.weights * dens
+        assert np.max(np.abs(wq - want)) < 1e-12 * np.max(want)
 
 
 # ---------------------------------------------------------------------------
@@ -644,6 +668,21 @@ class TestAnderson:
         assert np.array_equal(mixed, mixed.conj().T)
         assert np.max(np.abs(mixed - 2.0 * b)) < 1e-12
 
+    def test_roundoff_in_the_gram_does_not_steer_the_mix(self):
+        # a diagonal Gram 1e-14 away from the identity differs from it by
+        # roundoff alone, so the iteration count stays and no step falls
+        # back
+        state = p1xp1_state(3)
+        base = bal.balance_iterate(state, tol=1e-8)
+        assert base.converged and base.fallback_steps == 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            gram = np.diag(1.0 + 1e-14 * rng.uniform(-1.0, 1.0, state.count))
+            report = bal.balance_iterate(state.with_gram(gram), tol=1e-8)
+            assert report.converged
+            assert report.iterations == base.iterations
+            assert report.fallback_steps == 0
+
 
 class TestDensityStats:
     def test_mass_equals_section_count_even_unbalanced(self):
@@ -857,7 +896,7 @@ def dense_qz_oracle(state):
     q = np.zeros((gens.shape[0], gens.shape[0]), dtype=complex)
     for node in range(state.rule.points.shape[0]):
         u = vals[node] @ t
-        du = t.T @ jet[node]
+        du = t.T @ jet[:, node].T
         kk = float(np.real(u @ u.conj()))
         gfs = np.zeros((state.model.n, state.model.n), dtype=complex)
         for a in range(state.model.n):
@@ -900,7 +939,7 @@ def normal_field_oracle(state, generators):
     q = np.zeros((len(generators), len(generators)), dtype=complex)
     for node in range(u.shape[0]):
         un, kn = u[node], kk[node]
-        tang = du[node] - np.outer(un, un.conj() @ du[node]) / kn
+        tang = du[:, node].T - np.outer(un, un.conj() @ du[:, node].T) / kn
         frame, _ = np.linalg.qr(tang)
         fields = []
         for xi in generators:

@@ -62,6 +62,8 @@ from projbalance.sections import (
     total_rule,
 )
 from projbalance import bergman as bg
+from projbalance import suites
+from projbalance.config import ExperimentConfig
 from projbalance.quadrature import chart_rule, integrate
 
 
@@ -518,7 +520,8 @@ class TestAdaptedFiberDegree:
         # the direct route on the same base rule, with the reference fiber
         direct = bg.rho_direct(metric, kahler, model,
                                rule=bg.adapted_total_rule(metric, model, 2))
-        monkeypatch.setattr(bg, "adapted_fiber_rule", lambda model: reference)
+        monkeypatch.setattr(bg, "adapted_fiber_rule",
+                            lambda model, raise_degree=0: reference)
         want_direct = bg.rho_direct(
             metric, kahler, model, rule=bg.adapted_total_rule(metric, model, 2))
         assert max_rel(direct.gram.matrix, want_direct.gram.matrix) <= 1e-12
@@ -567,6 +570,29 @@ class TestAdaptedFiberDegree:
         assert f"from {n_radial - 1} to {n_radial + 1} radial nodes" \
             in message
         assert f"polynomials of degree {m + r - 3} in t" in message
+
+    def test_expansion_variance_matches_a_finer_rule(self):
+        # the density variance is quadratic in the density, of degree
+        # m + r in t: at (m, r) = (1, 3) the routes' rule is one degree
+        # short of it and the variance's rule is not
+        cfg = ExperimentConfig(kind="p1-sum", degrees=(0, 1, 1), k_min=3,
+                               k_max=3, n_radial=8)
+        table, _ = suites.trace_route_table(cfg)
+        res = suites.expansion_job(cfg, 3, table)
+        direct, _ = suites._density_routes(cfg, 3, table)
+        model = direct.model
+
+        def variance(rule):
+            dens = direct.density(rule.points)
+            measure = direct.measure_density(rule.points)
+            return integrate(rule, (dens - res["rho_mean"]) ** 2
+                             * measure) / res["volume"]
+
+        # four degrees up: m + 6 = 7 angles and 4 radial nodes
+        want = variance(bg.adapted_total_rule(
+            direct.metric, model, cfg.n_radial, raise_degree=4))
+        assert abs(res["rho_variance"] - want) <= 1e-10 * want
+        assert abs(variance(direct.rule) - want) > 1e-2 * want
 
 
 class TestLevelMetric:

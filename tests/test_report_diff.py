@@ -74,3 +74,71 @@ def test_a_non_numeric_difference_exits_1(tmp_path, capsys, change):
         (new / "checks.csv").unlink()
     assert report_diff.main([str(old), str(new)]) == 1
     assert "differs:" in capsys.readouterr().out
+
+
+def test_check_rows_pair_by_name_level_and_detail(tmp_path, capsys):
+    # the new run drops the first check row: every other row keeps its
+    # partner, so the one dropped row is the only difference reported
+    rows = [{"name": "quadrature-moments", "k": None, "value": 1e-15,
+             "passed": True, "detail": "dimension 2"},
+            {"name": "density-mass", "k": 3, "value": 8.0, "passed": True,
+             "detail": "mass"},
+            {"name": "density-mass", "k": 4, "value": 9.0, "passed": True,
+             "detail": "mass"}]
+    dirs = []
+    for name, checks in (("old", rows), ("new", rows[1:])):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "report.json").write_text(
+            json.dumps({"command": "verify", "checks": checks}),
+            encoding="utf-8")
+        lines = ["name,k,value,detail"] + [
+            f"{row['name']},{'' if row['k'] is None else row['k']},"
+            f"{row['value']!r},{row['detail']}" for row in checks]
+        (d / "checks.csv").write_text("\n".join(lines) + "\n",
+                                      encoding="utf-8")
+        dirs.append(str(d))
+    assert report_diff.main(dirs) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "checks.csv: 4 numbers, 0 moved",
+        "  differs: rows: row ('quadrature-moments', '', 'dimension 2') on "
+        "the old side only",
+        "report.json: 4 numbers, 0 moved",
+        "  differs: checks: row ('quadrature-moments', None, 'dimension 2') "
+        "on the old side only",
+    ]
+
+
+def test_a_check_list_against_other_entries_pairs_by_position(tmp_path,
+                                                              capsys):
+    # keyed pairing needs check rows on both sides; otherwise the list
+    # is compared by position and its length difference reported
+    dirs = []
+    for name, checks in (("old", [{"name": "volume", "k": 3, "value": 2.0,
+                                   "detail": "closed form"}]),
+                         ("new", [2.0, 3.0])):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "report.json").write_text(json.dumps({"checks": checks}),
+                                       encoding="utf-8")
+        dirs.append(str(d))
+    assert report_diff.main(dirs) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "  differs: checks: 1 entries -> 2" in out
+
+
+def test_a_check_row_longer_than_its_header_differs(tmp_path, capsys):
+    dirs = []
+    for name, extra in (("old", ""), ("new", ",surplus")):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "checks.csv").write_text(
+            f"name,k,value,detail\nvolume,3,2.0,closed form{extra}\n",
+            encoding="utf-8")
+        dirs.append(str(d))
+    assert report_diff.main(dirs) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "checks.csv: 2 numbers, 0 moved",
+        "  differs: rows: line 2 on the new side has 5 fields, the header 4",
+    ]

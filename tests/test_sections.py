@@ -187,14 +187,14 @@ class TestJets:
         pts = np.array([[1.0 + 0j]])
         jet = sb.eval_embedding_jet(pts)
         # d/dz z^j at z=1 is j
-        assert np.allclose(jet[0, :, 0], [0.0, 1.0, 2.0, 3.0])
+        assert np.allclose(jet[0, 0, :], [0.0, 1.0, 2.0, 3.0])
 
     def test_constant_direction_zero_row(self):
         sb = build_section_basis(ProjectivePoint(3))
         pts = np.array([[0.3 + 0.2j, -0.5j]])
         jet = sb.eval_embedding_jet(pts)
         # first section is the constant functional lambda_1
-        assert np.allclose(jet[0, 0, :], 0.0)
+        assert np.allclose(jet[:, 0, 0], 0.0)
 
     def test_jet_matches_finite_differences(self):
         rng = np.random.default_rng(14)
@@ -207,4 +207,4 @@ class TestJets:
             e = np.zeros(d, dtype=complex)
             e[axis] = h
             fd = (sb.eval_embedding(pts + e) - sb.eval_embedding(pts - e)) / (2 * h)
-            assert np.max(np.abs(fd - jet[:, :, axis])) < 1e-7
+            assert np.max(np.abs(fd - jet[axis])) < 1e-7

@@ -4,9 +4,15 @@
 
 Reads `report.json` and every `*.csv` of both directories (`timings.json`
 holds wall-clock times and is skipped) and pairs their values field by
-field.  For each file it prints how many numbers it compared, how many
-moved, and the largest absolute and relative move with the field where it
-happened.  Fields that only echo the run itself are ignored: the report's
+field.  Check rows pair by (name, k, detail), not by position: the
+report's `checks` and `failures` lists, and the rows of a CSV table with
+`name`, `k` and `detail` columns such as checks.csv, when both sides hold
+such rows.  So a row added or dropped on one side is reported once and
+leaves the other rows paired; a CSV row whose length differs from the
+header is a difference too.
+For each file it prints how many numbers it compared, how many moved, and
+the largest absolute and relative move with the field where it happened.
+Fields that only echo the run itself are ignored: the report's
 `timestamp`, the `out_dir` line of its `config` echo, and the `--out`
 argument of each `repro` command line.
 
@@ -51,6 +57,23 @@ def _number(value):
     return None
 
 
+def _is_check_list(rows):
+    return all(isinstance(row, dict) and "name" in row for row in rows)
+
+
+def _keyed(rows):
+    """Index and row of each check row (a dict, or a CSV row mapped to its
+    header) by its (name, k, detail); a key that repeats gets its running
+    count appended, so repeated rows pair in order."""
+    seen = {}
+    keyed = {}
+    for i, row in enumerate(rows):
+        key = row.get("name"), row.get("k"), row.get("detail")
+        seen[key] = seen.get(key, 0) + 1
+        keyed[key + (seen[key],)] = (i, row)
+    return keyed
+
+
 class FileDiff:
     """Moves and non-numeric differences of one pair of files."""
 
@@ -92,6 +115,9 @@ class FileDiff:
                     self.mismatches.append(f"{where}: present on one side only")
                 elif not (path == "" and k == "timestamp"):
                     self.walk(where, old[k], new[k], k)
+        elif (isinstance(old, list) and isinstance(new, list)
+              and _is_check_list(old) and _is_check_list(new)):
+            self.walk_keyed(path, old, new, key)
         elif isinstance(old, list) and isinstance(new, list):
             if len(old) != len(new):
                 self.mismatches.append(
@@ -100,6 +126,20 @@ class FileDiff:
                 self.walk(f"{path}[{i}]", a, b, key)
         else:
             self.leaf(path, old, new, key)
+
+    def walk_keyed(self, path, old, new, key):
+        """Check rows paired by (name, k, detail); a pair is labelled with
+        the old row's position, a row on one side only with its key."""
+        old_rows, new_rows = _keyed(old), _keyed(new)
+        new_only = [k for k in new_rows if k not in old_rows]
+        for row_key in [*old_rows, *new_only]:
+            if row_key not in old_rows or row_key not in new_rows:
+                side = "old" if row_key in old_rows else "new"
+                self.mismatches.append(
+                    f"{path}: row {row_key[:3]!r} on the {side} side only")
+                continue
+            i, a = old_rows[row_key]
+            self.walk(f"{path}[{i}]", a, new_rows[row_key][1], key)
 
     def summary(self):
         line = f"{self.name}: {self.compared} numbers, {self.moved} moved"
@@ -124,7 +164,21 @@ def diff_file(old_dir, new_dir, name):
                   json.loads(new_path.read_text(encoding="utf-8")))
     else:
         old, new = _read_csv(old_path), _read_csv(new_path)
-        diff.walk("", {"rows": old}, {"rows": new})
+        header = old[0] if old and new and old[0] == new[0] else []
+        if {"name", "k", "detail"} <= set(header):
+            # a table of check rows: pair its rows by key, not by line
+            for side, rows in (("old", old), ("new", new)):
+                for line, row in enumerate(rows[1:], 2):
+                    if len(row) != len(header):
+                        diff.mismatches.append(
+                            f"rows: line {line} on the {side} side has "
+                            f"{len(row)} fields, the header {len(header)}")
+            diff.walk("", *({"header": header,
+                             "rows": [dict(zip(header, row))
+                                      for row in rows[1:]]}
+                            for rows in (old, new)))
+        else:
+            diff.walk("", {"rows": old}, {"rows": new})
     return diff
 
 
