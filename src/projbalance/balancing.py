@@ -12,10 +12,10 @@ Contents, bottom to top:
 * `su_basis` builds trace-orthonormal Hermitian generators, the coordinate
   system for every moment and spectral quantity below;
 * `embedding_state` bundles a model, a section basis, a Gram matrix, a
-  quadrature rule, and cached section values; `EmbeddingState.transform` is
-  derived from the Gram, and `EmbeddingState.with_gram` derives a state with
-  another Gram that shares every table, so the iteration loops never
-  re-evaluate monomial tables;
+  quadrature rule, and the basis tables at the rule nodes;
+  `EmbeddingState.transform` is derived from the Gram, and
+  `EmbeddingState.with_gram` derives a state with another Gram that shares
+  every table, so the iteration loops never re-evaluate monomial tables;
 * `moment_map` integrates the frame pairings against the pulled-back volume
   and subtracts the balanced value V/N;
 * `t_map_step` is the fixed-point update G -> (N/V) <s_i, s_j>, and
@@ -62,12 +62,12 @@ again.
 
 The geometry kernel works on direction-major tables: the values are
 (n, N) and the jet (dim, n, N), one (n, N) slab per holomorphic direction
-(`SectionBasis.eval_embedding_jet`).  `_mix` moves both to a frame with one
-GEMM for the values and one per direction, each with the n rows of the
-values; `_pullback_data` forms the kernel, the gradient and the upper
-triangle of the jet pairing as row sums over the N sections, fills the
-metric stack Hermitian, and takes its determinant in closed form for
-dim = 2 (`_hermitian_det`; LU otherwise).
+(`SectionBasis.eval_embedding_jet`).  `_mix` moves both to the Gram's
+whitener frame with one GEMM for the values and one per direction, each
+with the n rows of the values; `_pullback_data` forms the kernel, the
+gradient and the upper triangle of the jet pairing as row sums over the N
+sections, fills the metric stack Hermitian, and takes its determinant in
+closed form for dim = 2 (`_hermitian_det`; LU otherwise).
 
 A state makes one geometry pass for the moment and the T-step together:
 its memo `EmbeddingState._pairings` keeps the volume and both pairings (a
@@ -162,8 +162,9 @@ class EmbeddingState:
     `transform` columns are a G-orthonormal frame: transform^H G transform
     is the identity; it is the Gram's whitener, derived on each read, so no
     copy with another Gram keeps a stale one.  `values` and `jet` are the
-    basis tables at the rule nodes, cached so iteration steps only pay for
-    the N x N linear algebra; `jet` is direction-major, (dim, n, N).
+    tables of the raw section basis at the rule nodes, cached so iteration
+    steps only pay for the N x N linear algebra; `jet` is direction-major,
+    (dim, n, N).  The Gram is read in that same raw basis.
     `_pairings` memoizes what the moment and the T-step read, so a state
     costs one geometry pass however many of them ask; it is N x N data and
     a scalar, never a node table, and a new state starts without it.
@@ -175,7 +176,6 @@ class EmbeddingState:
     rule: ChartRule
     values: np.ndarray
     jet: np.ndarray
-    frame: np.ndarray = None
 
     @property
     def k(self):
@@ -199,8 +199,8 @@ class EmbeddingState:
                 l2_pairing(self.values, weights))
 
     def with_gram(self, gram):
-        """The same embedding data under another Gram matrix: basis, rule,
-        frame and node tables are shared, and the memo starts empty."""
+        """The same embedding data under another Gram matrix: basis, rule
+        and node tables are shared, and the memo starts empty."""
         return replace(self, gram=_orthonormalizing(gram, self.count))
 
 
@@ -223,7 +223,7 @@ def _orthonormalizing(gram, count):
 
 
 def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
-                    n_radial=None, frame=None):
+                    n_radial=None):
     """Build an `EmbeddingState`, evaluating the section tables at the rule
     nodes.
 
@@ -231,10 +231,9 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
     which wins over the plain product rule; both built rules take the
     caller's `n_radial`, which is required when no `rule` is given.  The
     adapted rule's fiber is sized for the fiber integrands of the bundle
-    metric, not for the pulled-back geometry of an embedding.
-    `frame` replaces the raw basis by its mixture under an invertible matrix,
-    with the Gram then read in the mixed family's own basis.  A state that
-    differs only in the Gram comes from `EmbeddingState.with_gram`.
+    metric, not for the pulled-back geometry of an embedding.  The tables
+    are those of the raw section basis, in which the Gram is read.  A state
+    that differs only in the Gram comes from `EmbeddingState.with_gram`.
     """
     if basis is None:
         basis = build_section_basis(model)
@@ -248,17 +247,9 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
     if gram is None:
         gram = np.eye(basis.count)
     gm = _orthonormalizing(gram, basis.count)
-    values = basis.eval_embedding(rule.points)
-    jet = basis.eval_embedding_jet(rule.points)
-    if frame is not None:
-        frame = np.asarray(frame, dtype=complex)
-        if frame.shape != (basis.count, basis.count):
-            raise ValueError(
-                f"frame shape {frame.shape} does not match section "
-                f"count {basis.count}")
-        values, jet = _mix(values, jet, frame)
     return EmbeddingState(model=model, basis=basis, gram=gm, rule=rule,
-                          values=values, jet=jet, frame=frame)
+                          values=basis.eval_embedding(rule.points),
+                          jet=basis.eval_embedding_jet(rule.points))
 
 
 def _mix(values, jet, mat):
@@ -297,8 +288,14 @@ def _pullback_data(u, du, dim):
     """
     uc = np.conj(u)
     kk = np.einsum("np,np->n", u, uc).real
-    if not np.all(np.isfinite(kk)) or np.any(kk <= 0.0):
-        raise NumericalGuardError("embedding kernel vanished at a node")
+    ok = np.isfinite(kk) & (kk > 0.0)
+    if not ok.all():
+        node = int(np.argmin(ok))
+        raise NumericalGuardError(
+            f"embedding kernel vanished at node {node} of {len(kk)}: |u|^2 "
+            f"= {kk[node]:.3e}; the sections have a common zero there (use "
+            "a basis without one, as sections.build_section_basis builds) "
+            "or the node or the Gram is not finite")
     grad = np.einsum("anp,np->an", du, uc)
     duc = np.conj(du)
     kk2 = kk ** 2
@@ -311,8 +308,15 @@ def _pullback_data(u, du, dim):
                             - grad[a] * np.conj(grad[b]) / kk2)
             gfs[:, b, a] = np.conj(gfs[:, a, b])
     dens = _hermitian_det(gfs) * 2.0 ** dim / (2.0 * math.pi) ** dim
-    if not np.all(np.isfinite(dens)) or np.any(dens < -1e-12 * max(1.0, dens.max(initial=0.0))):
-        raise NumericalGuardError("embedding volume density not nonnegative")
+    floor = -1e-12 * max(1.0, dens.max(initial=0.0))
+    ok = np.isfinite(dens) & (dens >= floor)
+    if not ok.all():
+        node = int(np.argmin(ok))
+        raise NumericalGuardError(
+            f"embedding volume density {dens[node]:.3e} at node {node} of "
+            f"{len(dens)} not nonnegative (floor {floor:.1e}), as it is in "
+            "exact arithmetic: check GramMatrix.condition() of the state's "
+            "Gram and that the node and its section jet are finite")
     return kk, gfs, np.maximum(dens, 0.0)
 
 
@@ -333,16 +337,12 @@ def embedding_form_field(state):
     it supports the shifted points of finite-difference probes."""
     t = state.transform
     basis = state.basis
-    frame = state.frame
     dim = state.model.n
 
     def field(pts):
         pts = np.asarray(pts, dtype=complex)
-        # rebinding `table` frees each stage's node tables before the next
-        table = basis.eval_embedding(pts), basis.eval_embedding_jet(pts)
-        if frame is not None:
-            table = _mix(*table, frame)
-        table = _mix(*table, t)
+        table = _mix(basis.eval_embedding(pts), basis.eval_embedding_jet(pts),
+                     t)
         return _pullback_data(*table, dim)[1]
 
     return field
@@ -433,7 +433,8 @@ class BalanceReport:
     """Outcome of a balance iteration.
 
     `trajectory` rows are (iteration, op norm, Frobenius norm) of the moment;
-    `converged` holds exactly when the final op norm is below `tolerance`.
+    `converged` holds exactly when the final op norm is below the solver's
+    tolerance.
     `fallback_steps` counts the Anderson steps whose safeguard took the
     plain T-step instead; it is 0 for the flow solver.
     """
@@ -444,7 +445,6 @@ class BalanceReport:
     moment: MomentValue
     converged: bool
     diverged: bool
-    tolerance: float
     wall_time: float
     fallback_steps: int = 0
 
@@ -489,7 +489,7 @@ def _iterate(state, tol, max_iter, stepper, name):
     converged = bool(trajectory[-1][1] < tol)
     report = BalanceReport(
         iterations=len(trajectory) - 1, trajectory=trajectory, state=state,
-        moment=mv, converged=converged, diverged=diverged, tolerance=tol,
+        moment=mv, converged=converged, diverged=diverged,
         wall_time=time.perf_counter() - t0)
     logger.debug("%s: %d iterations, final norm %.3e, converged=%s",
                  name, report.iterations, trajectory[-1][1], converged)
@@ -651,7 +651,6 @@ class SigmaZOperator:
     """
 
     q_matrix: np.ndarray
-    generators: np.ndarray
     skipped: int
     samples: int
     volume: float
@@ -699,7 +698,7 @@ def sigma_z_operator(state, generators=None):
     flat = gens.reshape(gens.shape[0], nn * nn)
     q = np.conj(flat) @ m @ flat.T
     q = 0.5 * (q + q.conj().T)
-    return SigmaZOperator(q_matrix=q, generators=gens, skipped=skipped,
+    return SigmaZOperator(q_matrix=q, skipped=skipped,
                           samples=int(np.count_nonzero(valid)),
                           volume=float(wq_valid.sum()))
 
@@ -716,14 +715,13 @@ class EigEstimate:
     kernel_dim: int
     dimension: int
     samples: int
-    k: int
 
     @property
     def lambda_z(self):
         return 1.0 / self.smallest if self.smallest > 0.0 else 0.0
 
 
-def eig_estimate(op, k):
+def eig_estimate(op):
     """Split the spectrum of Q_z into kernel and positive part.
 
     Eigenvalues below 1e-8 times the largest one count as kernel
@@ -737,14 +735,12 @@ def eig_estimate(op, k):
     # the scale of the volume; anything below roundoff of that is zero
     if scale <= 1e-12 * max(1.0, op.volume):
         return EigEstimate(smallest=0.0, kernel_dim=int(eigs.size),
-                           dimension=int(eigs.size), samples=op.samples,
-                           k=int(k))
+                           dimension=int(eigs.size), samples=op.samples)
     positive = eigs[eigs > 1e-8 * scale]
     kernel_dim = int(eigs.size - positive.size)
     smallest = float(positive[0]) if positive.size else 0.0
     return EigEstimate(smallest=smallest, kernel_dim=kernel_dim,
-                       dimension=int(eigs.size), samples=op.samples,
-                       k=int(k))
+                       dimension=int(eigs.size), samples=op.samples)
 
 
 def lambda_fit_exponent(ks, lambda_values):
@@ -850,7 +846,7 @@ _TORUS_CHECK_TOL = 1e-10
 
 def torus_rule_check(state, n_radial, quantity):
     """Self-estimate of `torus_rule` at a state built on it with
-    `n_radial`: rebuild the state with the same Gram, frame and radial
+    `n_radial`: rebuild the state with the same Gram, basis and radial
     nodes on two more angles per base and fiber coordinate, and return the
     largest entry move of `quantity(state)`, an array such as the moment
     matrix or the q_matrix of `sigma_z_operator`, relative to the volume,
@@ -860,7 +856,7 @@ def torus_rule_check(state, n_radial, quantity):
     degree = torus_degree(model)
     base_angles = torus_base_angles(model)
     finer = embedding_state(
-        model, gram=state.gram.matrix, basis=state.basis, frame=state.frame,
+        model, gram=state.gram.matrix, basis=state.basis,
         rule=product_rule(
             base_rule(model, n_radial, n_angular=base_angles + 2),
             fiber_rule(model, n_radial, n_angular=5)))

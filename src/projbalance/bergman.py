@@ -695,12 +695,11 @@ class ExpansionFit:
 
     The leading k^m identity term is pinned, not fitted; coefficients[i-1]
     estimates the k^(m-i) coefficient at each point.  residuals[j] is the
-    sup-norm defect at level ks[j] and residual_slope its log-log rate."""
+    sup-norm defect of the fit at level ks[j]."""
 
     ks: np.ndarray
     coefficients: np.ndarray
     residuals: np.ndarray
-    residual_slope: float
 
 
 def expansion_fit(ks, values, m, orders=2):
@@ -729,12 +728,11 @@ def expansion_fit(ks, values, m, orders=2):
     coef, *_ = np.linalg.lstsq(design, y.reshape(len(ks), -1), rcond=None)
     resid = y - (design @ coef).reshape(y.shape)
     residuals = np.max(np.abs(resid).reshape(len(ks), -1), axis=1)
-    slope = float(np.polyfit(np.log(ks), np.log(np.maximum(residuals, 1e-16)), 1)[0])
-    logger.debug("expansion fit: %d levels, orders=%d, residual slope %.3f",
-                 len(ks), orders, slope)
+    logger.debug("expansion fit: %d levels, orders=%d, largest residual %.3e",
+                 len(ks), orders, residuals.max())
     return ExpansionFit(
         ks=ks, coefficients=coef.reshape((orders - 1,) + values.shape[1:]),
-        residuals=residuals, residual_slope=slope)
+        residuals=residuals)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "KahlerStructure",
     "FubiniStudy",
     "FlatChart",
-    "ProductKahler",
     "PotentialKahler",
     "PerturbedKahler",
     "complex_hessian",
@@ -153,14 +152,13 @@ def complex_gradient(fn, pts, h=5e-3):
 # structures
 # ---------------------------------------------------------------------------
 
-def fs_matrix(pts, scale=1.0):
-    """Fubini-Study form matrix scale * [(1+|z|^2) I - zbar z] / (1+|z|^2)^2."""
+def fs_matrix(pts):
+    """Fubini-Study form matrix [(1+|z|^2) I - zbar z] / (1+|z|^2)^2."""
     pts = np.asarray(pts, dtype=complex)
     n, m = pts.shape
     s2 = 1.0 + np.sum(np.abs(pts) ** 2, axis=1)
     outer = np.conj(pts)[:, :, None] * pts[:, None, :]
-    g = (s2[:, None, None] * np.eye(m)[None] - outer) / s2[:, None, None] ** 2
-    return scale * g
+    return (s2[:, None, None] * np.eye(m)[None] - outer) / s2[:, None, None] ** 2
 
 
 class KahlerStructure:
@@ -221,29 +219,26 @@ class KahlerStructure:
 
 
 class FubiniStudy(KahlerStructure):
-    """scale * i ddbar log(1 + |z|^2) on the standard chart of P^m."""
+    """i ddbar log(1 + |z|^2) on the standard chart of P^m."""
 
-    def __init__(self, m, scale=1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+    def __init__(self, m):
         self.m = m
-        self.scale = scale
-        self.label = f"fs(m={m}, scale={scale:g})"
+        self.label = f"fs(m={m})"
 
     def potential(self, pts):
         pts = np.asarray(pts, dtype=complex)
-        return self.scale * np.log1p(np.sum(np.abs(pts) ** 2, axis=1))
+        return np.log1p(np.sum(np.abs(pts) ** 2, axis=1))
 
     def matrix(self, pts):
-        return fs_matrix(pts, self.scale)
+        return fs_matrix(pts)
 
     def ricci_matrix(self, pts):
-        # log det G = -(m+1) log(1+|z|^2) + const, independently of scale
-        return (self.m + 1.0) * fs_matrix(pts, 1.0)
+        # log det G = -(m+1) log(1+|z|^2)
+        return (self.m + 1.0) * fs_matrix(pts)
 
     def scalar_curvature(self, pts):
         pts = np.asarray(pts, dtype=complex)
-        return np.full(pts.shape[0], self.m * (self.m + 1.0) / self.scale)
+        return np.full(pts.shape[0], self.m * (self.m + 1.0))
 
 
 class FlatChart(KahlerStructure):
@@ -267,43 +262,6 @@ class FlatChart(KahlerStructure):
 
     def scalar_curvature(self, pts):
         return np.zeros(np.asarray(pts).shape[0])
-
-
-class ProductKahler(KahlerStructure):
-    """Product structure: block-diagonal over the factors' chart coordinates."""
-
-    def __init__(self, *factors):
-        if not factors:
-            raise ValueError("need at least one factor")
-        self.factors = factors
-        self.m = sum(f.m for f in factors)
-        self.label = " x ".join(f.label for f in factors)
-        self._slices = []
-        start = 0
-        for f in factors:
-            self._slices.append(slice(start, start + f.m))
-            start += f.m
-
-    def potential(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        return sum(f.potential(pts[:, s]) for f, s in zip(self.factors, self._slices))
-
-    def _block(self, pts, attr):
-        pts = np.asarray(pts, dtype=complex)
-        out = np.zeros((pts.shape[0], self.m, self.m), dtype=complex)
-        for f, s in zip(self.factors, self._slices):
-            out[:, s, s] = getattr(f, attr)(pts[:, s])
-        return out
-
-    def matrix(self, pts):
-        return self._block(pts, "matrix")
-
-    def ricci_matrix(self, pts):
-        return self._block(pts, "ricci_matrix")
-
-    def scalar_curvature(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        return sum(f.scalar_curvature(pts[:, s]) for f, s in zip(self.factors, self._slices))
 
 
 class PotentialKahler(KahlerStructure):

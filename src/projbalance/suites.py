@@ -355,7 +355,8 @@ def joint_linearization_rows(seed):
 # balance suite
 # ---------------------------------------------------------------------------
 
-_MomentSummary = namedtuple("_MomentSummary", "norm_op d volume count")
+# what `bal.almost_balanced_check` reads of a moment
+_MomentSummary = namedtuple("_MomentSummary", "norm_op d")
 
 # T-iteration budget of every balance and spectrum level
 _MAX_ITER = 400
@@ -369,10 +370,19 @@ _ORDER_Q = 0
 _D_TOL = 1e-8
 
 
-def _torus_fields(state):
-    """Health fields of a level balanced on `bal.torus_rule`."""
-    return {"nodes": int(state.rule.points.shape[0]),
-            "base_angles": int(bal.torus_base_angles(state.model))}
+def _balanced_level(cfg, k):
+    """Level k balanced from the identity Gram on `bal.torus_rule`: the
+    initial state, the `bal.balance_iterate` report with its solved Gram
+    guarded torus-invariant, and the rule's health fields."""
+    model = build_model(cfg, k)
+    state = bal.embedding_state(model,
+                                rule=bal.torus_rule(model, cfg.n_radial))
+    report = bal.balance_iterate(state, tol=cfg.balance_tol,
+                                 max_iter=_MAX_ITER)
+    bal.torus_invariance_guard(report.state.gram.matrix, model, "solved Gram")
+    fields = {"nodes": int(state.rule.points.shape[0]),
+              "base_angles": int(bal.torus_base_angles(model))}
+    return state, report, fields
 
 
 def _torus_row(state, n_radial, name, quantity):
@@ -400,15 +410,11 @@ def balance_job(cfg, k):
     geometry itself; its moments form the family whose decay order the
     cross-level check judges.  The iteration deliberately starts at the
     identity instead, so the trajectories demonstrate actual convergence."""
-    model = build_model(cfg, k)
+    state, report, fields = _balanced_level(cfg, k)
+    model = state.model
     metric = build_metric(cfg)
     kahler = build_kahler(cfg)
-    state = bal.embedding_state(model,
-                                rule=bal.torus_rule(model, cfg.n_radial))
     initial = bal.moment_map(state)
-    report = bal.balance_iterate(state, tol=cfg.balance_tol,
-                                 max_iter=_MAX_ITER)
-    bal.torus_invariance_guard(report.state.gram.matrix, model, "solved Gram")
     stats = bal.balanced_density_stats(report.state)
     torus_row = _torus_row(report.state, cfg.n_radial, "moment matrix",
                            lambda s: bal.moment_map(s).matrix)
@@ -437,7 +443,7 @@ def balance_job(cfg, k):
     return {
         "k": int(k),
         "count": int(state.count),
-        **_torus_fields(state),
+        **fields,
         "converged": bool(report.converged),
         "diverged": bool(report.diverged),
         "iterations": int(report.iterations),
@@ -496,10 +502,9 @@ def almost_balanced_row(cfg, results):
     judged against the exact V/N, V the volume of the polarization from
     `riemann_roch_dimension`, so a reference state whose volume drifts
     from it fails the row."""
-    entries = [(res["k"], _MomentSummary(
-        norm_op=res["ref_norm_op"], d=res["ref_d"],
-        volume=res["ref_volume"], count=res["count"]))
-        for res in results]
+    entries = [(res["k"], _MomentSummary(norm_op=res["ref_norm_op"],
+                                         d=res["ref_d"]))
+               for res in results]
     if len(entries) < 3:
         return _row("almost-balanced-order",
                     detail=f"needs at least three levels, got {len(entries)}")
@@ -597,8 +602,6 @@ def expansion_assemble(cfg, results):
         _row("expansion-a1-closed-vs-level-average", value=rel_closed,
              detail="relative discrepancy between the two first-correction "
                     "candidates; reported, not judged"),
-        _row("expansion-residual-slope", value=float(fit.residual_slope),
-             detail="log-log decay rate of the fit residual"),
     ]
     for res in results:
         rows.append(_check("density-mass", res["mass"],
@@ -656,14 +659,9 @@ def spectrum_job(cfg, k):
     """Balance one level with the T-iteration on `bal.torus_rule` and
     estimate the smallest positive eigenvalue of the normal-action
     operator."""
-    model = build_model(cfg, k)
-    state = bal.embedding_state(model,
-                                rule=bal.torus_rule(model, cfg.n_radial))
-    report = bal.balance_iterate(state, tol=cfg.balance_tol,
-                                 max_iter=_MAX_ITER)
-    bal.torus_invariance_guard(report.state.gram.matrix, model, "solved Gram")
+    _, report, fields = _balanced_level(cfg, k)
     op = bal.sigma_z_operator(report.state)
-    est = bal.eig_estimate(op, k)
+    est = bal.eig_estimate(op)
     # 2D is largest at the top level, so one check there covers the sweep
     torus_row = None
     if k == cfg.k_max:
@@ -676,7 +674,7 @@ def spectrum_job(cfg, k):
                 report.iterations, report.fallback_steps)
     return {
         "k": int(k),
-        **_torus_fields(state),
+        **fields,
         "lambda_z": float(est.lambda_z),
         "smallest_eig": float(est.smallest),
         "kernel_dim": int(est.kernel_dim),

@@ -191,7 +191,7 @@ class TestEmbeddingState:
         assert "_pairings" in vars(first)
         g = random_spd(rng, 3)
         second = first.with_gram(g)
-        for name in ("model", "basis", "rule", "frame", "values", "jet"):
+        for name in ("model", "basis", "rule", "values", "jet"):
             assert getattr(second, name) is getattr(first, name)
         assert "_pairings" not in vars(second)
         assert np.max(np.abs(second.gram.matrix - g)) < 1e-15
@@ -207,22 +207,6 @@ class TestEmbeddingState:
         copied = replace(state, gram=make_gram(g))
         assert np.array_equal(copied.transform, state.with_gram(g).transform)
         assert not np.allclose(copied.transform, state.transform)
-
-    def test_with_gram_keeps_the_frame(self):
-        rng = np.random.default_rng(43)
-        u = random_unitary(rng, 3)
-        model = LineBundleSumOverP1((0,), 2)
-        g = random_spd(rng, 3)
-        framed = bal.embedding_state(model, gram=random_spd(rng, 3),
-                                     frame=u.conj().T, n_radial=12)
-        moved = framed.with_gram(g)
-        assert moved.frame is framed.frame
-        direct = bal.embedding_state(model, gram=g, frame=u.conj().T,
-                                     n_radial=12)
-        got = bal.moment_map(moved).matrix
-        want = bal.moment_map(direct).matrix
-        assert np.max(np.abs(got - want)) < 1e-14
-        assert np.max(np.abs(got)) > 1e-3
 
     def test_with_gram_guards_match_embedding_state(self):
         model = LineBundleSumOverP1((0,), 2)
@@ -266,6 +250,30 @@ class TestGeometryKernel:
         dens = np.linalg.det(gfs).real * 2.0 ** 2 / (2.0 * math.pi) ** 2
         want = state.rule.weights * dens
         assert np.max(np.abs(wq - want)) < 1e-12 * np.max(want)
+
+    def test_kernel_guard_names_the_node_and_the_remedy(self):
+        # {z, z^2} vanish together at z = 0, the one node of the rule
+        model = LineBundleSumOverP1((0,), 2)
+        basis = SectionBasis(model, np.array([0, 0]), np.array([[1], [2]]))
+        rule = ChartRule(points=np.zeros((1, 1), dtype=complex),
+                         weights=np.ones(1))
+        state = bal.embedding_state(model, rule=rule, basis=basis)
+        with pytest.raises(NumericalGuardError) as err:
+            bal.moment_map(state)
+        msg = str(err.value)
+        assert "kernel vanished" in msg and "node 0 of 1" in msg
+        assert "|u|^2 = 0.000e+00" in msg
+        assert "build_section_basis" in msg
+
+    def test_density_guard_names_the_node_and_the_remedy(self):
+        u = np.ones((3, 2), dtype=complex)
+        du = np.zeros((2, 3, 2), dtype=complex)
+        du[0, 1, 0] = np.nan
+        with pytest.raises(NumericalGuardError) as err:
+            bal._pullback_data(u, du, 2)
+        msg = str(err.value)
+        assert "density nan at node 1 of 3 not nonnegative" in msg
+        assert "GramMatrix.condition" in msg
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +368,10 @@ class TestTMapStep:
         rng = np.random.default_rng(29)
         g = random_spd(rng, 3)
         u = random_unitary(rng, 3)
-        model = LineBundleSumOverP1((0,), 2)
         state = veronese_state(gram=g)
-        rotated = bal.embedding_state(
-            model, gram=u @ g @ u.conj().T, frame=u.conj().T, n_radial=12)
+        uh = u.conj().T
+        rotated = replace(state, gram=make_gram(u @ g @ uh),
+                          values=state.values @ uh, jet=state.jet @ uh)
         out = bal.t_map_step(state).gram.matrix
         conj_out = bal.t_map_step(rotated).gram.matrix
         assert np.max(np.abs(conj_out - u @ out @ u.conj().T)) < 1e-10
@@ -765,7 +773,7 @@ class TestGradientFlow:
         spectra = []
         for state in (plain, it_report.state, flow_report.state):
             op = bal.sigma_z_operator(state)
-            assert bal.eig_estimate(op, 2).kernel_dim == 3
+            assert bal.eig_estimate(op).kernel_dim == 3
             spectra.append(np.linalg.eigvalsh(op.q_matrix))
             stats = bal.balanced_density_stats(state)
             assert abs(stats["mean"] - 1.5) < 1e-12
@@ -817,21 +825,6 @@ class TestEmbeddingFormField:
         for axis in range(2):
             want[:, axis, axis] = 1.0 / (1.0 + np.abs(pts[:, axis]) ** 2) ** 2
         assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_frame_relabeling_leaves_field_unchanged(self):
-        # the kernel v G^{-1} v^H is blind to a simultaneous family/Gram
-        # relabeling, so the pulled-back form must be too
-        rng = np.random.default_rng(67)
-        u = random_unitary(rng, 3)
-        g = random_spd(rng, 3)
-        model = LineBundleSumOverP1((0,), 2)
-        plain = bal.embedding_state(model, gram=g, n_radial=10)
-        relabeled = bal.embedding_state(
-            model, gram=u @ g @ u.conj().T, frame=u.conj().T, n_radial=10)
-        pts = 0.5 * (rng.normal(size=(5, 1)) + 1j * rng.normal(size=(5, 1)))
-        f1 = bal.embedding_form_field(plain)(pts)
-        f2 = bal.embedding_form_field(relabeled)(pts)
-        assert np.max(np.abs(f1 - f2)) < 1e-12
 
     def test_identical_fields_pass_comparability(self):
         state = veronese_state()
@@ -997,7 +990,7 @@ class TestSigmaZ:
     def test_veronese_kernel_dimension(self):
         state = veronese_state()
         op = bal.sigma_z_operator(state)
-        est = bal.eig_estimate(op, state.k)
+        est = bal.eig_estimate(op)
         assert est.kernel_dim == 3
         assert est.dimension == 8
         assert est.smallest > 0.0

@@ -20,7 +20,6 @@ from projbalance.kahler import (
     FlatChart,
     FubiniStudy,
     PotentialKahler,
-    ProductKahler,
     lambda_contract,
     mixed_volume_coefficients,
 )
@@ -118,7 +117,7 @@ class TestFormMatrices:
     def test_positive_definite_at_random_nodes(self):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
-        for ks in [FubiniStudy(2), FubiniStudy(2, scale=3.0), FlatChart(2)]:
+        for ks in [FubiniStudy(2), FlatChart(2)]:
             g = ks.matrix(pts)
             assert np.all(np.linalg.eigvalsh(g) > 0)
             assert np.max(np.abs(g - np.conj(np.transpose(g, (0, 2, 1))))) < 1e-14
@@ -128,13 +127,6 @@ class TestFormMatrices:
         ks = FubiniStudy(1)
         pts = np.array([[0.2 + 0.4j], [-1.1 + 0.3j], [0.05j]])
         assert np.max(np.abs(ks_fd.matrix(pts) - ks.matrix(pts))) < 1e-8
-
-    def test_product_blocks(self):
-        ks = ProductKahler(FubiniStudy(1), FubiniStudy(1, scale=2.0))
-        pts = np.array([[0.5 + 0.5j, -0.25j]])
-        g = ks.matrix(pts)[0]
-        assert abs(g[0, 1]) == 0.0 and abs(g[1, 0]) == 0.0
-        assert abs(g[0, 0] - FubiniStudy(1).matrix(pts[:, :1])[0, 0, 0]) < 1e-15
 
 
 class TestScalarCurvature:
@@ -153,12 +145,6 @@ class TestScalarCurvature:
             s = ks.scalar_curvature(pts)
             assert np.max(np.abs(s - m * (m + 1))) < 1e-10
             assert np.var(s) < 1e-10
-
-    def test_scale_dependence(self):
-        # omega -> c omega divides scalar curvature by c
-        ks = FubiniStudy(2, scale=4.0)
-        pts = np.array([[0.3 + 0.2j, -0.6j]])
-        assert abs(ks.scalar_curvature(pts)[0] - 6.0 / 4.0) < 1e-10
 
     def test_flat_zero(self):
         ks = FlatChart(2)
@@ -182,11 +168,6 @@ class TestScalarCurvature:
         ks = PotentialKahler(1, phi)
         val = ks.scalar_curvature(np.array([[pt]]))[0]
         assert abs(val - oracle) < 1e-6
-
-    def test_product_scalar_curvature_adds(self):
-        ks = ProductKahler(FubiniStudy(1), FubiniStudy(1))
-        pts = np.array([[0.2 + 0.1j, -0.8 + 0.4j]])
-        assert abs(ks.scalar_curvature(pts)[0] - 4.0) < 1e-10
 
     def test_degenerate_form_raises(self):
         ks = PotentialKahler(1, lambda z: np.zeros(z.shape[0]))
@@ -257,9 +238,11 @@ class TestVolumes:
         # of 1-d rules, not the joint simplex-radial rule
         from projbalance.quadrature import product_rule
 
-        ks = ProductKahler(FubiniStudy(1), FubiniStudy(1))
+        fs1 = FubiniStudy(1)
         rule = product_rule(chart_rule(1, n_radial=20), chart_rule(1, n_radial=20))
-        vol = integrate(rule, ks.volume_density(rule.points))
+        pts = rule.points
+        density = fs1.volume_density(pts[:, :1]) * fs1.volume_density(pts[:, 1:])
+        vol = integrate(rule, density)
         assert abs(vol - (2 * math.pi) ** 2) < 1e-8
 
     def test_odd_integrand_vanishes(self):
