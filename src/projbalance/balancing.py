@@ -39,12 +39,19 @@ Contents, bottom to top:
   `eig_estimate` extracts its smallest positive eigenvalue and
   `lambda_fit_exponent` the growth exponent of the reciprocal along a
   k-sweep (the sweep itself is `suites.spectrum_job`);
-* `torus_rule` is the rule of torus-invariant states, the ones whose Gram
-  is diagonal in the monomial basis: its angle counts follow from the
-  degree of the moment, T-step and `sigma_z_operator` integrands (derived
-  in its docstring), `torus_invariance_guard` checks that a Gram is
-  diagonal, and `torus_rule_check` re-integrates a state on two more
-  angles per factor;
+* the torus rules serve torus-invariant states, the ones whose Gram is
+  diagonal in the monomial basis.  `torus_orbit_rule` keeps one node per
+  torus orbit, angle 0 in every coordinate with the whole orbit's weight:
+  the diagonal pairing integrands of such a state are constant on the
+  orbits and the off-diagonal ones integrate to exactly 0 (derived in its
+  docstring), so a `torus` state balances on it and forms only the
+  diagonal of its pairings.  `torus_rule` has 2 D + 1 angles per base and
+  3 per fiber coordinate, the degree of the `sigma_z_operator` integrand,
+  which pairs four sections and is not constant on the orbits (derived in
+  its docstring).  `torus_invariance_guard` checks that a Gram is
+  diagonal, every torus state applies it, and `torus_rule_check`
+  re-integrates a state on the full angular rule with two more angles per
+  factor than `torus_rule`;
 * `r_bounded_check` and `almost_balanced_check` are the acceptance gates:
   two-sided comparability of a metric against a reference, and decay-order
   classification of a moment sequence.  The comparability check reads all
@@ -55,9 +62,10 @@ Contents, bottom to top:
 Each geometric quantity has one routine.  `_pullback_data` is the package's
 only pull-back formula (the metric d d-bar log |u|^2 of a frame table and
 its volume density); `_fs_geometry` applies it at the rule nodes and
-`embedding_form_field` at arbitrary points.  `metrics.l2_pairing` is the
-only L2 pairing of a node table against the pulled-back volume; the moment
-pairs the frame, the T-step the raw basis values, and the density the frame
+`embedding_form_field` at arbitrary points.  `EmbeddingState._pairing` is
+the only L2 pairing of a node table against the pulled-back volume:
+`metrics.l2_pairing`, or its diagonal for a torus state; the moment pairs
+the frame, the T-step the raw basis values, and the density the frame
 again.
 
 The geometry kernel works on direction-major tables: the values are
@@ -67,7 +75,9 @@ whitener frame with one GEMM for the values and one per direction, each
 with the n rows of the values; `_pullback_data` forms the kernel, the
 gradient and the upper triangle of the jet pairing as row sums over the N
 sections, fills the metric stack Hermitian, and takes its determinant in
-closed form for dim = 2 (`_hermitian_det`; LU otherwise).
+closed form for dim = 2 (`_hermitian_det`; LU otherwise).  The spectral
+norms of `r_bounded_check` are in closed form for 2 x 2 fields as well
+(`_hermitian_norm`; SVD otherwise).
 
 A state makes one geometry pass for the moment and the T-step together:
 its memo `EmbeddingState._pairings` keeps the volume and both pairings (a
@@ -106,7 +116,9 @@ __all__ = [
     "torus_degree",
     "torus_base_angles",
     "torus_rule",
+    "torus_orbit_rule",
     "torus_invariance_guard",
+    "torus_check_angles",
     "torus_rule_check",
     "MomentValue",
     "moment_map",
@@ -168,6 +180,12 @@ class EmbeddingState:
     `_pairings` memoizes what the moment and the T-step read, so a state
     costs one geometry pass however many of them ask; it is N x N data and
     a scalar, never a node table, and a new state starts without it.
+
+    A `torus` state is torus-invariant and runs on `torus_orbit_rule`, one
+    node per torus orbit: its Gram must pass `torus_invariance_guard`, on
+    construction and so in every `with_gram`, and its pairings are formed
+    on the diagonal only, the off-diagonal entries of a torus-invariant
+    state being exactly 0 (derived in `torus_orbit_rule`).
     """
 
     model: object
@@ -176,6 +194,11 @@ class EmbeddingState:
     rule: ChartRule
     values: np.ndarray
     jet: np.ndarray
+    torus: bool = False
+
+    def __post_init__(self):
+        if self.torus:
+            torus_invariance_guard(self.gram.matrix, self.model, "Gram")
 
     @property
     def k(self):
@@ -195,12 +218,20 @@ class EmbeddingState:
         all that `moment_map` and `t_map_step` read."""
         u, _, kk, _, wq = _fs_geometry(self)
         weights = wq / kk
-        return (float(wq.sum()), l2_pairing(u, weights),
-                l2_pairing(self.values, weights))
+        return (float(wq.sum()), self._pairing(u, weights),
+                self._pairing(self.values, weights))
+
+    def _pairing(self, table, weights):
+        """`metrics.l2_pairing` of a node table, or for a torus state its
+        diagonal alone, sum_n weights_n |table_np|^2."""
+        if self.torus:
+            return np.diag(_abs2(table).T @ weights)
+        return l2_pairing(table, weights)
 
     def with_gram(self, gram):
         """The same embedding data under another Gram matrix: basis, rule
-        and node tables are shared, and the memo starts empty."""
+        and node tables are shared, and the memo starts empty.  A torus
+        state accepts only a Gram that passes `torus_invariance_guard`."""
         return replace(self, gram=_orthonormalizing(gram, self.count))
 
 
@@ -223,7 +254,7 @@ def _orthonormalizing(gram, count):
 
 
 def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
-                    n_radial=None):
+                    n_radial=None, torus=False):
     """Build an `EmbeddingState`, evaluating the section tables at the rule
     nodes.
 
@@ -231,16 +262,25 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
     which wins over the plain product rule; both built rules take the
     caller's `n_radial`, which is required when no `rule` is given.  The
     adapted rule's fiber is sized for the fiber integrands of the bundle
-    metric, not for the pulled-back geometry of an embedding.  The tables
-    are those of the raw section basis, in which the Gram is read.  A state
-    that differs only in the Gram comes from `EmbeddingState.with_gram`.
+    metric, not for the pulled-back geometry of an embedding.  `torus`
+    builds a torus-invariant state on `torus_orbit_rule` with `n_radial`
+    instead, and takes neither a `rule` nor a `metric`: its Gram must pass
+    `torus_invariance_guard`, which raises on any other, and its pairings
+    are diagonal.  The tables are those of the raw section basis, in which
+    the Gram is read.  A state that differs only in the Gram comes from
+    `EmbeddingState.with_gram`.
     """
     if basis is None:
         basis = build_section_basis(model)
+    if torus and (rule is not None or metric is not None):
+        raise ValueError("a torus state runs on torus_orbit_rule: give it "
+                         "n_radial, not a rule or a metric")
     if rule is None:
         if n_radial is None:
             raise ValueError("embedding_state needs a rule or n_radial")
-        if metric is not None:
+        if torus:
+            rule = torus_orbit_rule(model, n_radial)
+        elif metric is not None:
             rule = adapted_total_rule(metric, model, n_radial=n_radial)
         else:
             rule = total_rule(model, n_radial=n_radial)
@@ -249,7 +289,8 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
     gm = _orthonormalizing(gram, basis.count)
     return EmbeddingState(model=model, basis=basis, gram=gm, rule=rule,
                           values=basis.eval_embedding(rule.points),
-                          jet=basis.eval_embedding_jet(rule.points))
+                          jet=basis.eval_embedding_jet(rule.points),
+                          torus=torus)
 
 
 def _mix(values, jet, mat):
@@ -268,6 +309,18 @@ def _hermitian_det(gfs):
     if gfs.shape[-1] == 2:
         return gfs[:, 0, 0].real * gfs[:, 1, 1].real - _abs2(gfs[:, 0, 1])
     return np.linalg.det(gfs).real
+
+
+def _hermitian_norm(stack):
+    """Spectral norms of a stack (..., d, d) of Hermitian matrices: closed
+    form for d = 2, |(a + c)/2| + sqrt(((a - c)/2)^2 + |b|^2) from the
+    diagonal a, c and the upper entry b, the largest singular value
+    otherwise."""
+    if stack.shape[-1] == 2:
+        a, c = stack[..., 0, 0].real, stack[..., 1, 1].real
+        return (np.abs(0.5 * (a + c))
+                + np.sqrt((0.5 * (a - c)) ** 2 + _abs2(stack[..., 0, 1])))
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
 def _abs2(x):
@@ -412,7 +465,7 @@ def balanced_density_stats(state):
     maximum deviation from the mean.  Variance and deviation measure how
     far the state sits from balance in the pointwise sense."""
     u, _, kk, _, wq = _fs_geometry(state)
-    raw = l2_pairing(u, wq / kk)
+    raw = state._pairing(u, wq / kk)
     raw = 0.5 * (raw + raw.conj().T)
     rho = ((np.conj(u) @ np.linalg.inv(raw).T) * u).sum(axis=1).real / kk
     vol = float(wq.sum())
@@ -802,27 +855,54 @@ def torus_rule(model, n_radial):
     2 D + 1 and 3 angles are exact for both.  The radial integrands stay
     rational, so the radial grid is the plain rule's.  D + 1 base angles
     would integrate the moment and the T-step exactly but not the
-    operator: on P^1 at k = 2, lambda_z then reads 3.96 instead of 2.5,
-    so one rule serves both balancing suites.  `torus_invariance_guard`
-    checks the premise and `torus_rule_check` the bound.
+    operator: on P^1 at k = 2, lambda_z then reads 3.96 instead of 2.5.
+    The pairings need no angle at all (`torus_orbit_rule`), so this rule
+    serves `sigma_z_operator`, whose integrand is not constant on the
+    orbits.  `torus_invariance_guard` checks the premise and
+    `torus_rule_check` the bound.
     """
     return product_rule(
         base_rule(model, n_radial, n_angular=torus_base_angles(model)),
         fiber_rule(model, n_radial, n_angular=3))
 
 
+def torus_orbit_rule(model, n_radial):
+    """One node per torus orbit of `torus_rule`: its radial nodes at angle
+    0 in every coordinate, each weighted with the whole angle measure of
+    its orbit, the sum of the `torus_rule` weights over it.
+
+    Why that is exact for the pairings of a torus state.  A section
+    lam_alpha z^beta has torus weight (beta, e_alpha), and distinct
+    sections have distinct weights.  Under a diagonal Gram the frame u is
+    the sections rescaled, so a diagonal integrand |u_p|^2 / K times the
+    density is invariant under the chart rotations, constant on each
+    orbit: one node per orbit integrates it as the full angular rule does.
+    An off-diagonal integrand u_p conj(u_q) / K times the density carries
+    the character of weight(p) - weight(q), nonzero, so its integral over
+    every orbit is exactly 0.  The moment and the T-step pairing of a torus
+    state are therefore diagonal, and the Anderson iterates, mixed and
+    exponentiated in the eigenbasis of diagonal Grams, stay diagonal.  The
+    integrand of `sigma_z_operator` mixes sections through the generators
+    and the normal projector, so it is not constant on the orbits and
+    still needs `torus_rule`'s 2 D + 1 and 3 angles.
+    """
+    return product_rule(base_rule(model, n_radial, n_angular=1),
+                        fiber_rule(model, n_radial, n_angular=1))
+
+
 # largest off-diagonal entry of a Gram, relative to its largest diagonal
-# entry, that `torus_invariance_guard` accepts: the balancing suites' solved
-# and direct-route Grams read 1e-14 or less
+# entry, that `torus_invariance_guard` accepts: solved Grams read 0.0 on
+# the orbit rule and 1e-14 or less on `torus_rule`, direct-route Grams
+# 1.8e-16 or less
 _TORUS_GRAM_TOL = 1e-12
 
 
 def torus_invariance_guard(gram, model, name):
     """The largest off-diagonal entry of `gram`, a Gram of `model`'s
     monomial sections called `name` in messages, relative to its largest
-    diagonal entry.  `torus_rule` is exact only for torus-invariant states,
-    whose Gram is diagonal; a ratio above 1e-12 raises
-    `NumericalGuardError`."""
+    diagonal entry.  `torus_rule` and `torus_orbit_rule` are exact only for
+    torus-invariant states, whose Gram is diagonal; a ratio above 1e-12
+    raises `NumericalGuardError`."""
     gram = np.asarray(gram)
     diagonal = np.abs(np.diagonal(gram))
     off = np.abs(gram - np.diag(np.diagonal(gram)))
@@ -831,46 +911,63 @@ def torus_invariance_guard(gram, model, name):
         raise NumericalGuardError(
             f"torus rule on {model.label}: the {name}'s largest off-diagonal "
             f"entry is {ratio:.2e} of its largest diagonal entry, above "
-            f"{_TORUS_GRAM_TOL:g}; the rule is exact only for torus-invariant "
-            "states, whose Gram is diagonal in the monomial basis, and this "
-            "state is not (a state off the torus needs the plain rule: "
-            "embedding_state without a rule)")
+            f"{_TORUS_GRAM_TOL:g}; the torus rules are exact only for "
+            "torus-invariant states, whose Gram is diagonal in the monomial "
+            "basis, and this state is not (a state off the torus needs the "
+            "plain rule: embedding_state without a rule or torus)")
     return ratio
 
 
-# largest move, relative to the volume, of a quantity on `torus_rule` under
-# two more angles per factor, beyond which `torus_rule_check` rejects the
-# degree bound: about 1e-14 when it holds, 1e-2 or more one angle short
+# largest move, relative to the volume, of a quantity on a torus rule
+# against the full angular rule with two more angles per factor than
+# `torus_rule`, beyond which `torus_rule_check` rejects the rule: about
+# 1e-14 when it holds, 1e-2 or more one angle short
 _TORUS_CHECK_TOL = 1e-10
 
 
+def torus_check_angles(state):
+    """The angle counts `torus_rule_check` compares at a state, as a
+    phrase: from the state's rule (`torus_orbit_rule` for a torus state,
+    else `torus_rule`) to two more base angles than `torus_rule` and 5
+    fiber angles."""
+    base_angles = torus_base_angles(state.model)
+    base, fiber = (1, 1) if state.torus else (base_angles, 3)
+    return (f"from {base} to {base_angles + 2} angles per base coordinate "
+            f"and from {fiber} to 5 per fiber coordinate")
+
+
 def torus_rule_check(state, n_radial, quantity):
-    """Self-estimate of `torus_rule` at a state built on it with
-    `n_radial`: rebuild the state with the same Gram, basis and radial
-    nodes on two more angles per base and fiber coordinate, and return the
-    largest entry move of `quantity(state)`, an array such as the moment
-    matrix or the q_matrix of `sigma_z_operator`, relative to the volume,
-    which bounds the entries of both.  A move above 1e-10 raises
-    `NumericalGuardError` naming the model, both angle counts and D."""
+    """Self-estimate of the torus rules at a state built on one of them
+    with `n_radial`: rebuild the state with the same Gram, basis and radial
+    nodes on the full angular rule with two more angles per base and fiber
+    coordinate than `torus_rule` (no torus state: every pairing entry is
+    integrated), and return the largest entry move of `quantity(state)`,
+    an array such as the moment matrix or the q_matrix of
+    `sigma_z_operator`, relative to the volume, which bounds the entries of
+    both.  At a torus state this compares the orbit rule's diagonal
+    pairings with the full angular integration, off-diagonal entries
+    included.  A move above 1e-10 raises `NumericalGuardError` naming the
+    model, both angle counts and D."""
     model = state.model
     degree = torus_degree(model)
-    base_angles = torus_base_angles(model)
     finer = embedding_state(
         model, gram=state.gram.matrix, basis=state.basis,
         rule=product_rule(
-            base_rule(model, n_radial, n_angular=base_angles + 2),
+            base_rule(model, n_radial,
+                      n_angular=torus_base_angles(model) + 2),
             fiber_rule(model, n_radial, n_angular=5)))
     move = float(np.max(np.abs(quantity(finer) - quantity(state)))
                  / moment_map(state).volume)
     if not move <= _TORUS_CHECK_TOL:  # fails closed on NaN
         raise NumericalGuardError(
             f"torus rule on {model.label}: moved by {move:.2e} (relative to "
-            f"the volume) from {base_angles} to {base_angles + 2} angles per "
-            f"base coordinate and from 3 to 5 per fiber coordinate, above "
-            f"{_TORUS_CHECK_TOL:g}; the rule assumes the integrands are "
-            "trigonometric polynomials of degree at most 2 D in each base "
-            f"angle and 2 in each fiber angle, with D = {degree} = k + "
-            "max(degrees) (balancing.torus_degree), and these are not")
+            f"the volume) {torus_check_angles(state)}, above "
+            f"{_TORUS_CHECK_TOL:g}; the torus rules assume a torus-invariant "
+            "state whose integrands are trigonometric polynomials of degree "
+            "at most 2 D in each base angle and 2 in each fiber angle, the "
+            "pairings constant on the torus orbits on the diagonal and 0 "
+            f"off it, with D = {degree} = k + max(degrees) "
+            "(balancing.torus_degree), and these do not hold")
     return move
 
 
@@ -996,7 +1093,7 @@ def r_bounded_check(candidate, reference, pts, r_bound):
     derivs = (weights @ table.reshape(len(offsets), -1).view(float)).view(
         complex).reshape((len(weights),) + g0.shape)
     derivs /= (2.0 * h) ** levels[:, None, None, None]
-    norms = np.linalg.svd(w0 @ derivs @ w0, compute_uv=False)[..., 0]
+    norms = _hermitian_norm(w0 @ derivs @ w0)
     c_a = float(np.max(norms * dirweight ** levels[:, None]))
 
     gc = np.asarray(candidate(pts))

@@ -47,7 +47,8 @@ configuration file (every key optional; defaults depend on the subcommand):
   [sweep]   k_min, k_max, n_points
   [quadrature]  n_radial (radial nodes of the base, plain and torus
             rules; the adapted fiber rule and the torus rule's angles
-            are sized by their integrands' degree)
+            are sized by their integrands' degree, and the orbit rule
+            has one angle per coordinate)
   [solver]  balance_tol (balancing runs the T-iteration with
             safeguarded Anderson mixing)
   [output]  out_dir, seed
@@ -58,8 +59,10 @@ outputs (under --out, or the configured out_dir):
                   configuration and seed except for the timestamp field;
                   balance and moment-spectrum levels record the solver
                   iterations and fallback_steps (Anderson steps that
-                  took the plain T-step), and the nodes and base_angles
-                  of the torus rule they balance on
+                  took the plain T-step) and the nodes of the orbit rule
+                  they balance on; moment-spectrum levels also the
+                  base_angles and operator_nodes of the torus rule of
+                  their normal-action operator
   timings.json    wall-clock seconds, kept out of report.json:
                   run_seconds (the whole run), command, levels (per
                   level: job_seconds, and solve_seconds for balance) and

@@ -29,15 +29,21 @@ checks both degrees once per sweep, and `verify`, `expansion` and `balance`
 report the estimate as the informational `adapted-fiber-degree` row.
 
 Both balancing suites (`balance_job`, `spectrum_job`) start at the
-identity Gram, so their states stay torus-invariant, and balance on
-`balancing.torus_rule`: 2 D + 1 angles per base coordinate, D = k +
-max(degrees), and 3 per fiber coordinate, on `n_radial` radial nodes.  Each
-level guards its solved Gram, and `balance` the direct route's Gram too,
-against off-diagonal entries (`balancing.torus_invariance_guard`), and
-records the rule's `nodes` and `base_angles`.  The rule's self-check
-(`balancing.torus_rule_check`) is the informational `torus-rule-degree`
-row: on the moment at every `balance` level, and on the normal-action
-operator once per `moment-spectrum` sweep, at k_max, where 2 D is largest.
+identity Gram, so their states stay torus-invariant, and balance torus
+states (`balancing.embedding_state(torus=True)`) on
+`balancing.torus_orbit_rule`: one node per torus orbit, on `n_radial`
+radial nodes per factor, with diagonal pairings.  Every Gram such a state
+takes, the solved one included, passes `balancing.torus_invariance_guard`,
+and `balance` guards the direct route's Gram by name too.  Each level
+records the node count of the rule it balanced on as `nodes`.
+`moment-spectrum` builds its normal-action operator on
+`balancing.torus_rule` at the solved Gram, 2 D + 1 angles per base
+coordinate, D = k + max(degrees), and 3 per fiber coordinate, and records
+`base_angles` and that rule's `operator_nodes`.  The self-check
+(`balancing.torus_rule_check`, against the full angular rule on two more
+angles) is the informational `torus-rule-degree` row: on the moment at
+every `balance` level, and on the normal-action operator once per
+`moment-spectrum` sweep, at k_max, where 2 D is largest.
 """
 
 import logging
@@ -371,37 +377,31 @@ _D_TOL = 1e-8
 
 
 def _balanced_level(cfg, k):
-    """Level k balanced from the identity Gram on `bal.torus_rule`: the
-    initial state, the `bal.balance_iterate` report with its solved Gram
-    guarded torus-invariant, and the rule's health fields."""
+    """Level k balanced from the identity Gram on `bal.torus_orbit_rule`:
+    the initial torus state, the `bal.balance_iterate` report, and the
+    `nodes` of the rule."""
     model = build_model(cfg, k)
-    state = bal.embedding_state(model,
-                                rule=bal.torus_rule(model, cfg.n_radial))
+    state = bal.embedding_state(model, n_radial=cfg.n_radial, torus=True)
     report = bal.balance_iterate(state, tol=cfg.balance_tol,
                                  max_iter=_MAX_ITER)
-    bal.torus_invariance_guard(report.state.gram.matrix, model, "solved Gram")
-    fields = {"nodes": int(state.rule.points.shape[0]),
-              "base_angles": int(bal.torus_base_angles(model))}
-    return state, report, fields
+    return state, report, {"nodes": int(state.rule.points.shape[0])}
 
 
 def _torus_row(state, n_radial, name, quantity):
     """Informational `torus-rule-degree` row: `bal.torus_rule_check`'s
-    move of `quantity` at a state on the torus rule; a move beyond the
+    move of `quantity` at a state on a torus rule; a move beyond the
     check's tolerance raises `NumericalGuardError`."""
     move = bal.torus_rule_check(state, n_radial, quantity)
-    angles = bal.torus_base_angles(state.model)
     return _row("torus-rule-degree", k=state.k, value=move,
                 detail=f"largest move of the {name}, relative to the "
-                       f"volume, from {angles} to {angles + 2} angles per "
-                       f"base coordinate and from 3 to 5 per fiber "
-                       f"coordinate, D = {bal.torus_degree(state.model)}; "
-                       f"reported, not judged")
+                       f"volume, {bal.torus_check_angles(state)}, D = "
+                       f"{bal.torus_degree(state.model)}; reported, not "
+                       f"judged")
 
 
 def balance_job(cfg, k):
-    """Balance one level from the identity Gram on `bal.torus_rule` and
-    measure the result: trajectory, flat-density statistics, exact
+    """Balance one level from the identity Gram on `bal.torus_orbit_rule`
+    and measure the result: trajectory, flat-density statistics, exact
     bookkeeping (mass equals the section count, trace of the moment
     vanishes), two-sided comparability of the final embedding form against
     the initial one, and the moment of the reference-induced Gram.
@@ -656,17 +656,20 @@ def degenerate_expansion_rows(results):
 # ---------------------------------------------------------------------------
 
 def spectrum_job(cfg, k):
-    """Balance one level with the T-iteration on `bal.torus_rule` and
-    estimate the smallest positive eigenvalue of the normal-action
-    operator."""
-    _, report, fields = _balanced_level(cfg, k)
-    op = bal.sigma_z_operator(report.state)
+    """Balance one level with the T-iteration on `bal.torus_orbit_rule`
+    and estimate the smallest positive eigenvalue of the normal-action
+    operator, on `bal.torus_rule` at the solved Gram."""
+    balanced, report, fields = _balanced_level(cfg, k)
+    model = balanced.model
+    state = bal.embedding_state(model, gram=report.state.gram.matrix,
+                                basis=balanced.basis,
+                                rule=bal.torus_rule(model, cfg.n_radial))
+    op = bal.sigma_z_operator(state)
     est = bal.eig_estimate(op)
     # 2D is largest at the top level, so one check there covers the sweep
     torus_row = None
     if k == cfg.k_max:
-        torus_row = _torus_row(report.state, cfg.n_radial,
-                               "normal-action operator",
+        torus_row = _torus_row(state, cfg.n_radial, "normal-action operator",
                                lambda s: bal.sigma_z_operator(s).q_matrix)
     logger.info("spectrum k=%d: lambda=%.6e kernel=%d converged=%s, "
                 "%d iterations (fallback_steps=%d)",
@@ -675,6 +678,8 @@ def spectrum_job(cfg, k):
     return {
         "k": int(k),
         **fields,
+        "base_angles": int(bal.torus_base_angles(model)),
+        "operator_nodes": int(state.rule.points.shape[0]),
         "lambda_z": float(est.lambda_z),
         "smallest_eig": float(est.smallest),
         "kernel_dim": int(est.kernel_dim),

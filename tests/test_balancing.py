@@ -242,6 +242,21 @@ class TestGeometryKernel:
         assert got.shape == (64,) and got.dtype == float
         assert np.max(np.abs(got - want) / want) < 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_hermitian_norm_matches_the_svd(self, d):
+        # closed form at d = 2, SVD on either side of it; indefinite
+        # Hermitian stacks shaped like r_bounded_check's derivative table,
+        # scales spread over six decades
+        rng = np.random.default_rng(120 + d)
+        shape = (70, 16, d, d)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        stack = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+        stack *= 10.0 ** rng.uniform(-3.0, 3.0, size=(70, 16, 1, 1))
+        want = np.linalg.svd(stack, compute_uv=False)[..., 0]
+        got = bal._hermitian_norm(stack)
+        assert got.shape == (70, 16) and got.dtype == float
+        assert np.max(np.abs(got - want) / want) < 1e-13
+
     def test_pulled_back_metric_is_hermitian(self):
         rng = np.random.default_rng(113)
         state = p1xp1_state(2, gram=random_spd(rng, 6), n_radial=4)
@@ -1080,14 +1095,14 @@ TORUS_MODELS = {"p1xp1": TrivialBundleOverPm(1, 2, 3),
 @pytest.fixture(scope="module")
 def torus_states():
     """Per model: the identity-Gram state on `torus_rule` at n_radial 10,
-    and the state its balancing ends at.  P(O + O(1)) has no
-    torus-invariant balanced metric, so there the solver stops at the
-    obstruction, still on a diagonal Gram."""
+    the state its balancing ends at, and the balancing report.  P(O + O(1))
+    has no torus-invariant balanced metric, so there the solver stops at
+    the obstruction, still on a diagonal Gram."""
     states = {}
     for key, model in TORUS_MODELS.items():
         state = bal.embedding_state(model, rule=bal.torus_rule(model, 10))
         report = bal.balance_iterate(state, tol=1e-12, max_iter=60)
-        states[key] = state, report.state
+        states[key] = state, report.state, report
     return states
 
 
@@ -1159,22 +1174,26 @@ class TestTorusRule:
         assert "torus-invariant" in message
 
     def test_balance_job_guards_the_solved_gram(self, monkeypatch):
+        # the jobs balance torus states, whose with_gram guards every Gram
         original = bal.balance_iterate
+        ratios = []
 
         def off_torus(state, **kwargs):
             report = original(state, **kwargs)
             gram = report.state.gram.matrix.copy()
             gram[0, 1] += 1e-9
             gram[1, 0] += 1e-9
+            ratios.append(1e-9 / np.max(np.abs(np.diagonal(gram))))
             return replace(report, state=report.state.with_gram(gram))
 
         monkeypatch.setattr(bal, "balance_iterate", off_torus)
         cfg = ExperimentConfig(kind="pm-trivial", k_min=2, k_max=2,
                                n_radial=6)
         for job in (suites.balance_job, suites.spectrum_job):
-            with pytest.raises(NumericalGuardError,
-                               match="solved Gram's largest off-diagonal"):
+            with pytest.raises(NumericalGuardError) as err:
                 job(cfg, 2)
+            assert (f"Gram's largest off-diagonal entry is {ratios[-1]:.2e}"
+                    in str(err.value))
 
     def test_self_check_moves_by_roundoff(self, torus_states):
         state = torus_states["p1xp1"][1]
@@ -1205,6 +1224,71 @@ class TestTorusRule:
         with pytest.raises(NumericalGuardError,
                            match="from 1 to 3 angles per base coordinate"):
             bal.torus_rule_check(state, 6, lambda s: bal.moment_map(s).matrix)
+
+
+class TestTorusOrbitRule:
+    """A torus state, on `torus_orbit_rule` with diagonal pairings, gives
+    what the same Gram gives on `torus_rule`, the full angular rule whose
+    radial nodes it keeps: the off-diagonal pairings of a torus-invariant
+    state vanish and the diagonal ones are constant on the orbits."""
+
+    def test_one_node_per_orbit_with_the_orbit_weight(self):
+        model = TORUS_MODELS["p1-sum-0-1"]
+        full = bal.torus_rule(model, 10)
+        orbit = bal.torus_orbit_rule(model, 10)
+        assert orbit.points.shape == (100, 2)
+        # the nodes of `torus_rule` at angle 0 in every coordinate
+        at_zero = np.all(np.abs(np.angle(full.points)) < 1e-15, axis=1)
+        assert np.array_equal(full.points[at_zero], orbit.points)
+        orbit_size = bal.torus_base_angles(model) * 3
+        assert np.allclose(orbit_size * full.weights[at_zero],
+                           orbit.weights, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("solved", [False, True],
+                             ids=["identity", "solved"])
+    @pytest.mark.parametrize("key", sorted(TORUS_MODELS))
+    def test_matches_the_torus_rule(self, torus_states, key, solved):
+        model = TORUS_MODELS[key]
+        full = torus_states[key][solved]
+        orbit = bal.embedding_state(model, gram=full.gram.matrix,
+                                    n_radial=10, torus=True)
+        for quantity in (lambda s: bal.moment_map(s).matrix,
+                         lambda s: bal.t_map_step(s).gram.matrix):
+            assert np.max(np.abs(quantity(orbit) - quantity(full))) < 1e-13
+        ours = bal.balanced_density_stats(orbit)
+        theirs = bal.balanced_density_stats(full)
+        for name in ours:
+            assert abs(ours[name] - theirs[name]) < 1e-13, name
+
+    @pytest.mark.parametrize("key", sorted(TORUS_MODELS))
+    def test_balances_as_the_torus_rule(self, torus_states, key):
+        # P(O + O(1)) included: both rules stop at the same obstruction
+        model = TORUS_MODELS[key]
+        full = torus_states[key][2]
+        orbit = bal.balance_iterate(
+            bal.embedding_state(model, n_radial=10, torus=True), tol=1e-12,
+            max_iter=60)
+        assert orbit.iterations == full.iterations
+        assert (orbit.converged, orbit.diverged, orbit.fallback_steps) == (
+            full.converged, full.diverged, full.fallback_steps)
+        ours, theirs = orbit.state.gram.matrix, full.state.gram.matrix
+        assert (np.max(np.abs(ours - theirs))
+                <= 1e-12 * np.max(np.abs(theirs)))
+        assert np.array_equal(ours, np.diag(np.diagonal(ours)))
+
+    def test_off_diagonal_gram_is_refused(self):
+        model = TORUS_MODELS["p1xp1"]
+        gram = np.eye(8)
+        gram[0, 5] = gram[5, 0] = 2e-6
+        ratio = "Gram's largest off-diagonal entry is 2.00e-06"
+        with pytest.raises(NumericalGuardError, match=ratio):
+            bal.embedding_state(model, gram=gram, n_radial=6, torus=True)
+        state = bal.embedding_state(model, n_radial=6, torus=True)
+        with pytest.raises(NumericalGuardError, match=ratio):
+            state.with_gram(gram)
+        with pytest.raises(ValueError, match="torus_orbit_rule"):
+            bal.embedding_state(model, rule=bal.torus_rule(model, 6),
+                                torus=True)
 
 
 # ---------------------------------------------------------------------------

@@ -733,31 +733,31 @@ class TestAdaptedFiberSelfCheck:
 
 
 class TestTorusRuleHealth:
-    """`balance` and `moment-spectrum` balance on `balancing.torus_rule`:
-    each level records the rule's node count and base angles, and the
-    rule's self-check is an informational row per `balance` level and one
+    """`balance` and `moment-spectrum` balance torus states on
+    `balancing.torus_orbit_rule`, one node per torus orbit: each level
+    records that rule's node count, and `moment-spectrum` levels the base
+    angles and node count of `balancing.torus_rule`, the operator's rule.
+    The self-check is an informational row per `balance` level and one
     per `moment-spectrum` sweep, at its top level."""
 
     BALANCE_KEYS = {
-        "k", "count", "nodes", "base_angles", "converged", "diverged",
+        "k", "count", "nodes", "converged", "diverged",
         "iterations", "fallback_steps", "trajectory", "final_norm_op",
         "initial_norm_op", "d_value", "volume", "ref_norm_op", "ref_d",
         "ref_volume", "trace_abs", "rho_mass", "rho_variance", "rho_max_dev",
         "comparable", "comparable_c_a", "comparable_min_ratio"}
     SPECTRUM_KEYS = {
-        "k", "nodes", "base_angles", "lambda_z", "smallest_eig",
-        "kernel_dim", "dimension", "samples", "converged", "iterations",
-        "fallback_steps", "final_norm_op"}
+        "k", "nodes", "base_angles", "operator_nodes", "lambda_z",
+        "smallest_eig", "kernel_dim", "dimension", "samples", "converged",
+        "iterations", "fallback_steps", "final_norm_op"}
 
     def test_balance_levels_record_the_rule(self, balance_run):
         _, out = balance_run
         report = load_report(out)
         for level in report["results"]["levels"]:
             assert set(level) == self.BALANCE_KEYS
-            k = level["k"]
-            # P^1 x P^1 at n_radial 10: D = k, 3 fiber angles
-            assert level["base_angles"] == 2 * k + 1
-            assert level["nodes"] == 10 * (2 * k + 1) * 10 * 3
+            # P^1 x P^1 at n_radial 10: one angle per coordinate
+            assert level["nodes"] == 10 * 10
         rows = [row for row in report["checks"]
                 if row["name"] == "torus-rule-degree"]
         assert [row["k"] for row in rows] == [2, 3, 4]
@@ -765,6 +765,10 @@ class TestTorusRuleHealth:
             assert row["passed"] is None
             assert 0.0 <= row["value"] <= 1e-13
             assert "moment matrix" in row["detail"]
+            # the orbit rule against 2 D + 3 and 5 angles, D = k
+            assert (f"from 1 to {2 * row['k'] + 3} angles per base "
+                    "coordinate and from 1 to 5 per fiber coordinate"
+                    in row["detail"])
 
     def test_spectrum_levels_record_the_rule(self, tmp_path):
         path = write_config(tmp_path, TINY_SPECTRUM)
@@ -775,8 +779,9 @@ class TestTorusRuleHealth:
         for level in report["results"]["levels"]:
             assert set(level) == self.SPECTRUM_KEYS
             # P^1 at n_radial 8: no fiber, D = k
+            assert level["nodes"] == 8
             assert level["base_angles"] == 2 * level["k"] + 1
-            assert level["nodes"] == 8 * (2 * level["k"] + 1)
+            assert level["operator_nodes"] == 8 * (2 * level["k"] + 1)
         rows = [row for row in report["checks"]
                 if row["name"] == "torus-rule-degree"]
         assert len(rows) == 1 and rows[0]["k"] == 3
@@ -787,9 +792,9 @@ class TestTorusRuleHealth:
 
     def test_trip_exits_two_and_names_the_cause(self, tmp_path, monkeypatch,
                                                 capsys):
-        # 2 D - 1 base angles integrate the moment, so the levels balance,
-        # but not the operator's frequency-2D terms; from k = 2 on, since
-        # at k = 1 a single angle cannot keep the Gram diagonal
+        # the levels balance on the orbit rule, which takes no angle
+        # count, but 2 D - 1 base angles miss the operator's frequency-2D
+        # terms at k_max
         monkeypatch.setattr(bal, "torus_degree",
                             lambda model: model.k + max(model.degrees) - 1)
         text = TINY_SPECTRUM.replace("k_min = 1", "k_min = 2").replace(
