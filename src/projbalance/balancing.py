@@ -77,7 +77,13 @@ gradient and the upper triangle of the jet pairing as row sums over the N
 sections, fills the metric stack Hermitian, and takes its determinant in
 closed form for dim = 2 (`_hermitian_det`; LU otherwise).  The spectral
 norms of `r_bounded_check` are in closed form for 2 x 2 fields as well
-(`_hermitian_norm`; SVD otherwise).
+(`_hermitian_norm`; SVD otherwise), and so is the tangent frame of
+`sigma_z_operator` (`_tangent_frame`: Gram-Schmidt on the two direction
+slabs; SVD otherwise).  The tables themselves come from one power table
+of the base coordinates per evaluation (`SectionBasis.eval_embedding_jet`
+gathers every monomial and lowered monomial from it), so neither a
+state's tables nor the form fields of `r_bounded_check` take a complex
+power, and the Gram's whitener is formed once per `GramMatrix`.
 
 A state makes one geometry pass for the moment and the T-step together:
 its memo `EmbeddingState._pairings` keeps the volume and both pairings (a
@@ -172,11 +178,12 @@ class EmbeddingState:
     against the embedding it induces.
 
     `transform` columns are a G-orthonormal frame: transform^H G transform
-    is the identity; it is the Gram's whitener, derived on each read, so no
-    copy with another Gram keeps a stale one.  `values` and `jet` are the
-    tables of the raw section basis at the rule nodes, cached so iteration
-    steps only pay for the N x N linear algebra; `jet` is direction-major,
-    (dim, n, N).  The Gram is read in that same raw basis.
+    is the identity; it is the Gram's whitener, which the `GramMatrix`
+    forms once and keeps, so no copy with another Gram keeps a stale one.
+    `values` and `jet` are the tables of the raw section basis at the rule
+    nodes, cached so iteration steps only pay for the N x N linear
+    algebra; `jet` is direction-major, (dim, n, N).  The Gram is read in
+    that same raw basis.
     `_pairings` memoizes what the moment and the T-step read, so a state
     costs one geometry pass however many of them ask; it is N x N data and
     a scalar, never a node table, and a new state starts without it.
@@ -317,10 +324,46 @@ def _hermitian_norm(stack):
     diagonal a, c and the upper entry b, the largest singular value
     otherwise."""
     if stack.shape[-1] == 2:
-        a, c = stack[..., 0, 0].real, stack[..., 1, 1].real
-        return (np.abs(0.5 * (a + c))
-                + np.sqrt((0.5 * (a - c)) ** 2 + _abs2(stack[..., 0, 1])))
+        return _norm_2x2(stack[..., 0, 0].real, stack[..., 1, 1].real,
+                         stack[..., 0, 1])
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def _norm_2x2(a, c, b):
+    """Spectral norm of the Hermitian matrices [[a, b], [conj(b), c]] with
+    real a, c: |(a + c)/2| + sqrt(((a - c)/2)^2 + |b|^2)."""
+    return np.abs(0.5 * (a + c)) + np.sqrt((0.5 * (a - c)) ** 2 + _abs2(b))
+
+
+def _tangent_frame(tang):
+    """Orthonormal frame (n, N, dim) of the columns of a direction-major
+    stack tang (dim, n, N), with their smallest and largest singular values
+    per node.
+
+    dim = 2 in closed form, by Gram-Schmidt on the two slabs:
+    e1 = t1 / |t1| and e2 = t2_perp / |t2_perp|, t2_perp being t2 projected
+    off e1 twice (the second pass keeps e2 orthogonal to roundoff when t2
+    nearly follows t1).  sigma_max is the root of the spectral norm of the
+    2 x 2 Gram (`_norm_2x2`), and sigma_min = |t1| |t2_perp| / sigma_max
+    since the Gram's determinant is (|t1| |t2_perp|)^2.  A zero norm gives
+    a zero frame column and sigma_min = 0, never a NaN.  SVD otherwise."""
+    if tang.shape[0] != 2:
+        uf, sv, _ = np.linalg.svd(np.moveaxis(tang, 0, -1),
+                                  full_matrices=False)
+        return uf, sv[:, -1], sv[:, 0]
+    t1, t2 = tang
+    n1sq = _abs2(t1).sum(axis=1)
+    cross = np.einsum("np,np->n", np.conj(t1), t2)
+    smax = np.sqrt(_norm_2x2(n1sq, _abs2(t2).sum(axis=1), cross))
+    n1 = np.sqrt(n1sq)
+    inv1 = np.divide(1.0, n1, out=np.zeros_like(n1), where=n1 > 0.0)
+    e1 = t1 * inv1[:, None]
+    perp = t2 - (cross * inv1)[:, None] * e1
+    perp -= np.einsum("np,np->n", np.conj(e1), perp)[:, None] * e1
+    n2 = np.sqrt(_abs2(perp).sum(axis=1))
+    inv2 = np.divide(1.0, n2, out=np.zeros_like(n2), where=n2 > 0.0)
+    frame = np.stack([e1, perp * inv2[:, None]], axis=-1)
+    return frame, n1 * n2 / np.maximum(smax, 1e-30), smax
 
 
 def _abs2(x):
@@ -719,18 +762,20 @@ def sigma_z_operator(state, generators=None):
     (U an orthonormal tangent frame, K = |u|^2) the integrand is
     (xi_a u)^H P (xi_b u) / K, so Q is a fixed contraction of one
     N^2 x N^2 matrix M = sum_n (w_n / K_n) P_n (x) conj(u_n) u_n^T with
-    the flattened generators, and no field is ever formed.  Rank-deficient
-    nodes (branch points of the chosen sub-system) get weight zero, with a
-    warning."""
+    the flattened generators, and no field is ever formed.  U comes from
+    `_tangent_frame`: in closed form by Gram-Schmidt on the two direction
+    slabs at dim = 2, the only dimension a run reaches, and from an SVD at
+    every other dim.  Rank-deficient nodes (branch points of the chosen
+    sub-system), where the smallest singular value of the tangent columns
+    is at most 1e-12 of the largest, get weight zero, with a warning."""
     gens = su_basis(state.count) if generators is None else np.asarray(generators)
     u, du, kk, _, wq = _fs_geometry(state)
     nodes, nn = u.shape
     grad = np.einsum("anp,np->an", du, np.conj(u))
     tang = du - (grad / kk)[:, :, None] * u
     # batched orthonormal frames for the tangent columns, (nodes, N, dim)
-    uf, sv, _ = np.linalg.svd(np.moveaxis(tang, 0, -1), full_matrices=False)
-    smax = sv[:, 0]
-    valid = sv[:, -1] > 1e-12 * np.maximum(smax, 1e-30)
+    uf, smin, smax = _tangent_frame(tang)
+    valid = smin > 1e-12 * np.maximum(smax, 1e-30)
     skipped = int(np.count_nonzero(~valid))
     if skipped:
         logger.warning(
@@ -1131,7 +1176,8 @@ def almost_balanced_check(entries, q, expected_d, d_tol=1e-8):
         raise ValueError(
             f"order fit needs at least three levels, got {len(entries)}")
     ks = np.array([float(k) for k, _ in entries])
-    if np.unique(ks).size != ks.size:
+    # a set, not np.unique, which imports numpy.ma on first use
+    if len(set(ks.tolist())) != ks.size:
         raise ValueError("duplicate levels in the moment sequence")
     norms = np.array([mv.norm_op for _, mv in entries])
     expected_d = list(expected_d)

@@ -22,8 +22,9 @@ form, is computed in one place: `balancing.embedding_form_field`.
 
 Gram tools: `l2_pairing` is the package's weighted node pairing, and
 `GramMatrix` is the only code that factors a Gram.  One eigendecomposition
-per Gram gives its guards, its whitener G^{-1/2}, its inverse and its
-condition number; nothing stores a copy beside the Gram.
+per Gram gives its guards, its whitener G^{-1/2} (formed once and kept
+with the Gram), its inverse and its condition number; nothing stores a
+copy beside the Gram.
 """
 
 import logging
@@ -106,11 +107,18 @@ class GramMatrix:
                 "lower k")
         return w, v
 
+    @cached_property
+    def _whitener(self):
+        w, v = self.guard()
+        t = (v / np.sqrt(w)[None, :]) @ v.conj().T
+        t.flags.writeable = False  # shared by callers
+        return t
+
     def whitener(self):
         """The Hermitian inverse root G^{-1/2}: T with T* G T = I and no
-        arbitrary unitary freedom."""
-        w, v = self.guard()
-        return (v / np.sqrt(w)[None, :]) @ v.conj().T
+        arbitrary unitary freedom.  Formed once per Gram and read-only; a
+        Gram that fails `guard` raises on every call."""
+        return self._whitener
 
     def inverse(self):
         w, v = self.guard()

@@ -19,6 +19,7 @@ densities (det of a Kahler matrix, powers of 2, ...) are supplied by callers.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,9 +49,14 @@ class ChartRule:
             raise ValueError("points/weights length mismatch")
 
 
+@lru_cache(maxsize=None)
 def _gl01(n):
+    """Gauss-Legendre nodes and weights on [0, 1], computed once per n and
+    shared by every rule, so both arrays are read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    t, wt = 0.5 * (x + 1.0), 0.5 * w
+    t.flags.writeable = wt.flags.writeable = False
+    return t, wt
 
 
 def _moduli_grid(dim, n_radial):

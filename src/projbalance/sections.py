@@ -19,6 +19,7 @@ total space gets the tensor product of the two.
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from itertools import product as _iproduct
 
@@ -152,9 +153,62 @@ class SectionBasis:
     def count(self):
         return self.summand.shape[0]
 
-    def _monomials(self, z):
-        # z: (n, m) -> (n, N); empty exponent rows give the constant 1
-        return np.prod(z[:, None, :] ** self.exponents[None, :, :], axis=2)
+    def _power_table(self, z):
+        """Powers z_a^j of the base coordinates z (n, m) for j = 0..D, D the
+        largest base exponent of the basis, as one (m, n, D + 1) table built
+        by repeated products: entry j is entry j - 1 times z_a, the same
+        multiplications an integer complex power makes, so each is within
+        j roundings of the exact power."""
+        top = int(self.exponents.max(initial=0))
+        table = np.empty((self.model.m, z.shape[0], top + 1), dtype=complex)
+        table[..., 0] = 1.0
+        for j in range(1, top + 1):
+            np.multiply(table[..., j - 1], z.T, out=table[..., j])
+        return table
+
+    def _monomials(self, z, table=None, lower=None, out=None):
+        """Monomials z^beta of every section, (n, N), gathered from the
+        power table of z (`_power_table`, or the caller's `table`) into
+        `out` if given; `lower` = a lowers each beta_a by one, clipped at 0.
+        Each is the product of its m table entries, so it is within a few
+        roundings of the complex power.  m = 0 gives the constant 1."""
+        if out is None:
+            out = np.empty((z.shape[0], self.count), dtype=complex)
+        if self.model.m == 0:
+            out.fill(1.0)
+            return out
+        if table is None:
+            table = self._power_table(z)
+        for a in range(self.model.m):
+            e = self.exponents[:, a]
+            if a == lower:
+                e = np.maximum(e - 1, 0)
+            # every index is in range; "clip" lets take write into out
+            # without a buffer
+            if a == 0:
+                np.take(table[a], e, axis=1, out=out, mode="clip")
+            else:
+                out *= np.take(table[a], e, axis=1, mode="clip")
+        return out
+
+    @cached_property
+    def _summand_runs(self):
+        """(alpha, columns) for each run of equal consecutive `summand`
+        entries, the columns a slice: one run per summand for a basis from
+        `build_section_basis`."""
+        bounds = [0, *(np.flatnonzero(np.diff(self.summand)) + 1).tolist(),
+                  self.count]
+        return tuple((int(self.summand[lo]), slice(lo, hi))
+                     for lo, hi in zip(bounds, bounds[1:]) if hi > lo)
+
+    def _frame_scaled(self, table, lam, first=0):
+        """table (n, N) times the fiber frame lam (n, r) of each section's
+        summand, lam[:, summand], in place, one column run at a time;
+        summands below `first` are left as they are."""
+        for alpha, cols in self._summand_runs:
+            if alpha >= first:
+                table[:, cols] *= lam[:, alpha, None]
+        return table
 
     def eval_components(self, z):
         """Component table s_i(z) in the split frame, shape (n, N, r)."""
@@ -169,36 +223,40 @@ class SectionBasis:
     def eval_embedding(self, pts):
         """Values v_i(z, xi) on the affine chart of the total space, (n, N)."""
         z, xi = split_points(self.model, pts)
-        return affine_frame(xi)[:, self.summand] * self._monomials(z)
+        # lam_0 = 1 in the affine frame
+        return self._frame_scaled(self._monomials(z), affine_frame(xi), 1)
 
     def eval_embedding_homogeneous(self, z, lam):
         """Values against an arbitrary fiber frame lam of shape (n, r);
         degree one in lam (frame rescaling rescales the whole row)."""
         z = np.asarray(z, dtype=complex)
         lam = np.asarray(lam, dtype=complex)
-        return lam[:, self.summand] * self._monomials(z)
+        return self._frame_scaled(self._monomials(z), lam)
 
     def eval_embedding_jet(self, pts):
         """Exact holomorphic first derivatives, direction-major: shape
         (m + r - 1, n, N), the base directions first, so that each
-        direction is one contiguous (n, N) table like the values."""
+        direction is one contiguous (n, N) table like the values.
+
+        Every factor comes from one power table of the points
+        (`_power_table`), gathered straight into the jet: base direction a
+        is beta_a times the monomial with beta_a lowered by one (beta_a = 0
+        gathers z_a^0 and zeroes the column, so it stays finite), and the
+        fiber direction of summand alpha is the monomial itself."""
         z, xi = split_points(self.model, pts)
-        n = z.shape[0]
         m, r = self.model.m, self.model.r
-        coef = affine_frame(xi)[:, self.summand]
-        jet = np.zeros((m + r - 1, n, self.count), dtype=complex)
+        table = self._power_table(z)
+        jet = np.empty((m + r - 1, z.shape[0], self.count), dtype=complex)
+        lam = affine_frame(xi)
         for a in range(m):
-            e = self.exponents[:, a]
-            lowered = self.exponents.copy()
-            lowered[:, a] = np.maximum(e - 1, 0)
-            # e = 0 zeroes the column: the lowered monomial is finite
-            dm = e * np.prod(z[:, None, :] ** lowered[None, :, :], axis=2)
-            np.multiply(coef, dm, out=jet[a])
-        if r > 1:
-            mono = self._monomials(z)
-            for c in range(r - 1):
-                column = self.summand == c + 1
-                jet[m + c][:, column] = mono[:, column]
+            self._monomials(z, table, lower=a, out=jet[a])
+            jet[a] *= self.exponents[:, a]
+            self._frame_scaled(jet[a], lam, 1)
+        for c in range(r - 1):
+            self._monomials(z, table, out=jet[m + c])
+            for alpha, cols in self._summand_runs:
+                if alpha != c + 1:
+                    jet[m + c][:, cols] = 0.0
         return jet
 
 

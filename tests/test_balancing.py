@@ -1028,6 +1028,54 @@ class TestSigmaZ:
         e2 = np.linalg.eigvalsh(op2.q_matrix)
         assert np.max(np.abs(e1 - e2)) < 1e-10
 
+    @staticmethod
+    def svd_frame(tang):
+        uf, sv, _ = np.linalg.svd(np.moveaxis(tang, 0, -1),
+                                  full_matrices=False)
+        return uf, sv[:, -1], sv[:, 0]
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_closed_form_frame_matches_the_svd(self, scale):
+        rng = np.random.default_rng(191)
+        shape = (2, 200, 12)
+        tang = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        frame, smin, smax = bal._tangent_frame(tang)
+        uf, want_min, want_max = self.svd_frame(tang)
+        proj = frame @ np.conj(np.swapaxes(frame, 1, 2))
+        want = uf @ np.conj(np.swapaxes(uf, 1, 2))
+        assert np.max(np.abs(proj - want)) <= 1e-13
+        assert np.max(np.abs(smin / want_min - 1.0)) <= 1e-13
+        assert np.max(np.abs(smax / want_max - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-11, 1e-13, 0.0])
+    def test_closed_form_frame_keeps_the_rank_decisions(self, ratio):
+        # t2 follows t1 up to a component orthogonal to it at `ratio` of
+        # its length, so sigma_min / sigma_max sits near ratio / sqrt(5);
+        # ratio 0 is an exactly rank-deficient node at every node
+        rng = np.random.default_rng(192)
+        t1 = rng.normal(size=(300, 12)) + 1j * rng.normal(size=(300, 12))
+        w = rng.normal(size=(300, 12)) + 1j * rng.normal(size=(300, 12))
+        w -= (np.sum(np.conj(t1) * w, axis=1)
+              / np.sum(np.abs(t1) ** 2, axis=1))[:, None] * t1
+        w *= (np.linalg.norm(t1, axis=1) / np.linalg.norm(w, axis=1))[:, None]
+        tang = np.stack([t1, (2.0 + 1.0j) * t1 + ratio * math.sqrt(5.0) * w])
+        frame, smin, smax = bal._tangent_frame(tang)
+        _, want_min, want_max = self.svd_frame(tang)
+        valid = smin > 1e-12 * np.maximum(smax, 1e-30)
+        want = want_min > 1e-12 * np.maximum(want_max, 1e-30)
+        assert np.array_equal(valid, want)
+        assert valid.all() == (ratio > 1e-12)
+        assert np.isfinite(frame).all()
+
+    def test_closed_form_frame_has_no_nan_at_zero_columns(self):
+        tang = np.zeros((2, 3, 5), dtype=complex)
+        tang[1, 1, 2] = 1.0
+        tang[:, 2, 0] = 1.0, 2.0
+        frame, smin, smax = bal._tangent_frame(tang)
+        assert np.isfinite(frame).all()
+        assert np.array_equal(smin, np.zeros(3))
+        assert np.allclose(smax, [0.0, 1.0, math.sqrt(5.0)])
+
     def test_rank_deficient_node_skipped_with_count(self, caplog):
         # sub-system {1, z^2} of O(2) branches at z = 0: the jet drops rank
         model = LineBundleSumOverP1((0,), 2)

@@ -10,7 +10,10 @@ file formats, and the byte-level determinism of report.json.
 import dataclasses
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -469,6 +472,25 @@ class TestBalanceRun:
     def test_exit_zero(self, balance_run):
         rc, _ = balance_run
         assert rc == 0
+
+    def test_run_does_not_import_numpy_ma(self, tmp_path):
+        # numpy.ma costs tens of milliseconds to import; a fresh
+        # interpreter shows whether anything in a balance run pulls it in
+        path = write_config(tmp_path, TINY_BALANCE)
+        code = (
+            "import sys\n"
+            "from projbalance import cli\n"
+            f"rc = cli.main(['balance', '--config', {path!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}])\n"
+            "assert rc == 0, rc\n"
+            "print('numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "False"
 
     def test_summary_table(self, balance_run):
         _, out = balance_run

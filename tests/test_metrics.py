@@ -148,6 +148,13 @@ class TestGramUtilities:
         assert np.max(np.abs(t @ t - g.inverse())) < 1e-8 * np.max(
             np.abs(g.inverse()))
 
+    def test_whitener_is_formed_once_and_read_only(self):
+        g = make_gram(np.diag([1.0, 4.0, 9.0]))
+        t = g.whitener()
+        assert g.whitener() is t
+        assert not t.flags.writeable
+        assert np.allclose(t, np.diag([1.0, 0.5, 1.0 / 3.0]))
+
 
 @pytest.fixture
 def factorizations(monkeypatch):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from projbalance.quadrature import (
+    _gl01,
     chart_rule,
     integrate,
     product_rule,
@@ -103,6 +104,19 @@ class TestHigherDim:
         rule = chart_rule(0, n_radial=8)
         assert rule.points.shape == (1, 0)
         assert integrate(rule, np.array([7.0])) == 7.0
+
+
+class TestGaussLegendreCache:
+    def test_nodes_are_shared_and_read_only(self):
+        t, w = _gl01(7)
+        again = _gl01(7)
+        assert again[0] is t and again[1] is w
+        assert not t.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            t[0] = 0.5
+        x, wx = np.polynomial.legendre.leggauss(7)
+        assert np.array_equal(t, 0.5 * (x + 1.0))
+        assert np.array_equal(w, 0.5 * wx)
 
 
 class TestGuards:

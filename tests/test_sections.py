@@ -2,7 +2,8 @@
 
 Oracles: monomial dimension counts done by independent combinatorics
 (itertools enumeration rather than binomial formulas), finite differences of
-evaluations against the analytic jets.
+evaluations against the analytic jets, and numpy's complex power for the
+monomials that `SectionBasis` gathers from one power table.
 """
 
 import math
@@ -208,3 +209,67 @@ class TestJets:
             e[axis] = h
             fd = (sb.eval_embedding(pts + e) - sb.eval_embedding(pts - e)) / (2 * h)
             assert np.max(np.abs(fd - jet[axis])) < 1e-7
+
+
+def complex_power_oracle(basis, pts):
+    """Values and direction-major jets of a basis from numpy's complex
+    power z ** beta, one monomial at a time and one lowered exponent per
+    base direction."""
+    model = basis.model
+    z, xi = split_points(model, pts)
+    lam = np.concatenate([np.ones((len(pts), 1)), xi], axis=1)[:, basis.summand]
+    expo = basis.exponents
+
+    def monomials(exponents):
+        return np.prod(z[:, None, :] ** exponents[None, :, :], axis=2)
+
+    mono = monomials(expo)
+    jet = []
+    for a in range(model.m):
+        lowered = expo.copy()
+        lowered[:, a] = np.maximum(expo[:, a] - 1, 0)
+        jet.append(lam * expo[:, a] * monomials(lowered))
+    for c in range(model.r - 1):
+        jet.append(np.where(basis.summand == c + 1, mono, 0.0))
+    jet = np.stack(jet) if jet else np.zeros((0,) + mono.shape, complex)
+    return lam * mono, jet, mono
+
+
+def assert_relative(got, want, tol):
+    assert got.shape == want.shape
+    assert np.array_equal(got == 0, want == 0)
+    nonzero = want != 0
+    rel = np.abs(got[nonzero] - want[nonzero]) / np.abs(want[nonzero])
+    assert rel.max(initial=0.0) <= tol
+
+
+class TestPowerTable:
+    """`SectionBasis` gathers every monomial from one table of powers built
+    by repeated products; it must agree with the complex power to roundoff
+    at every base dimension, up to degree 12, with |z| over six decades."""
+
+    MODELS = {
+        0: ProjectivePoint(3),
+        1: LineBundleSumOverP1((0, 3), 9),
+        2: ProjectiveSpaceBase(2, (0, 2), 10),
+        3: ProjectiveSpaceBase(3, (0, 1), 11),
+    }
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_matches_the_complex_power(self, m):
+        model = self.MODELS[m]
+        basis = build_section_basis(model)
+        assert int(basis.exponents.max(initial=0)) == (0 if m == 0 else 12)
+        rng = np.random.default_rng(190 + m)
+        moduli = 10.0 ** rng.uniform(-3.0, 3.0, size=(40, model.n))
+        pts = moduli * np.exp(2j * math.pi * rng.random((40, model.n)))
+        values, jet, mono = complex_power_oracle(basis, pts)
+        assert_relative(basis.eval_embedding(pts), values, 1e-13)
+        assert_relative(basis.eval_embedding_jet(pts), jet, 1e-13)
+        z = pts[:, :m]
+        comps = basis.eval_components(z)
+        assert_relative(comps[:, np.arange(basis.count), basis.summand],
+                        mono, 1e-13)
+        lam = rng.standard_normal((40, model.r)) + 0j
+        assert_relative(basis.eval_embedding_homogeneous(z, lam),
+                        lam[:, basis.summand] * mono, 1e-13)
