@@ -39,19 +39,18 @@ Contents, bottom to top:
   `eig_estimate` extracts its smallest positive eigenvalue and
   `lambda_fit_exponent` the growth exponent of the reciprocal along a
   k-sweep (the sweep itself is `suites.spectrum_job`);
-* the torus rules serve torus-invariant states, the ones whose Gram is
-  diagonal in the monomial basis.  `torus_orbit_rule` keeps one node per
-  torus orbit, angle 0 in every coordinate with the whole orbit's weight:
-  the diagonal pairing integrands of such a state are constant on the
-  orbits and the off-diagonal ones integrate to exactly 0 (derived in its
-  docstring), so a `torus` state balances on it and forms only the
-  diagonal of its pairings.  `torus_rule` has 2 D + 1 angles per base and
-  3 per fiber coordinate, the degree of the `sigma_z_operator` integrand,
-  which pairs four sections and is not constant on the orbits (derived in
-  its docstring).  `torus_invariance_guard` checks that a Gram is
-  diagonal, every torus state applies it, and `torus_rule_check`
-  re-integrates a state on the full angular rule with two more angles per
-  factor than `torus_rule`;
+* `torus_orbit_rule` serves torus-invariant states, the ones whose Gram
+  is diagonal in the monomial basis: one node per torus orbit, angle 0 in
+  every coordinate with the whole orbit's weight.  Every integrand entry
+  of such a state carries one torus character, so its orbit integral is
+  its orbit-weighted value at angle 0 when the character is 0 and exactly
+  0 otherwise (derived in its docstring): a `torus` state balances on it
+  with only the diagonal of its pairings, and `sigma_z_operator` keeps
+  only the zero-character entries of its node sum (`_zero_character`).
+  `torus_invariance_guard` checks that a Gram is diagonal, every torus
+  state applies it, and `torus_rule_check` re-integrates a torus state on
+  the full angular rule, 2 D + 3 angles per base and 5 per fiber
+  coordinate (D = `torus_degree`), every entry integrated;
 * `r_bounded_check` and `almost_balanced_check` are the acceptance gates:
   two-sided comparability of a metric against a reference, and decay-order
   classification of a moment sequence.  The comparability check reads all
@@ -120,8 +119,6 @@ __all__ = [
     "EmbeddingState",
     "embedding_state",
     "torus_degree",
-    "torus_base_angles",
-    "torus_rule",
     "torus_orbit_rule",
     "torus_invariance_guard",
     "torus_check_angles",
@@ -192,7 +189,8 @@ class EmbeddingState:
     node per torus orbit: its Gram must pass `torus_invariance_guard`, on
     construction and so in every `with_gram`, and its pairings are formed
     on the diagonal only, the off-diagonal entries of a torus-invariant
-    state being exactly 0 (derived in `torus_orbit_rule`).
+    state being exactly 0 (derived in `torus_orbit_rule`);
+    `sigma_z_operator` keeps the zero-character entries of its node sum.
     """
 
     model: object
@@ -767,7 +765,26 @@ def sigma_z_operator(state, generators=None):
     slabs at dim = 2, the only dimension a run reaches, and from an SVD at
     every other dim.  Rank-deficient nodes (branch points of the chosen
     sub-system), where the smallest singular value of the tangent columns
-    is at most 1e-12 of the largest, get weight zero, with a warning."""
+    is at most 1e-12 of the largest, get weight zero, with a warning.
+
+    A `torus` state sums on its `torus_orbit_rule` nodes and keeps only the
+    entries of M whose torus character W_j - W_k - W_i + W_l is 0
+    (`_zero_character`, W_p the weight of section p).  Why that is exact.
+    A rotation theta of the chart angles acts on the sections by the
+    diagonal unitary R = diag(chi_p(theta)), chi_p the character of W_p.
+    Under a diagonal Gram the frame rotates with it, u(theta) = R u(0), and
+    so do the tangent span and the normal projector, P(theta) = R P(0) R^H,
+    while K and the volume density are invariant.  So the entry of M at
+    (j, k), (i, l) is its value at angle 0 times the character of
+    W_j - W_k - W_i + W_l, and its orbit integral is the orbit-weighted
+    value when that weight is 0 and exactly 0 otherwise.  The full angular
+    rule gets the same sums on 2 D + 1 angles per base and 3 per fiber
+    coordinate (D = `torus_degree`): an entry pairs four sections, so it
+    has frequency at most 2 D in each base angle and 2 in each fiber angle,
+    and the trapezoid rule on n angles integrates exp(i p theta) exactly
+    for |p| < n (Trefethen & Weideman, SIAM Review 56, 2014).  D + 1 base
+    angles would not do: on P^1 at k = 2, lambda_z then reads 3.96 instead
+    of 2.5.  `torus_rule_check` compares the two."""
     gens = su_basis(state.count) if generators is None else np.asarray(generators)
     u, du, kk, _, wq = _fs_geometry(state)
     nodes, nn = u.shape
@@ -791,6 +808,8 @@ def sigma_z_operator(state, generators=None):
     # M[(j, k), (i, l)] = sum_n scale_n P_njk conj(u_ni) u_nl, then Q_ab =
     # sum conj(xi_a[j, i]) M[(j, k), (i, l)] xi_b[k, l]
     m = proj.reshape(nodes, nn * nn).T @ cone.reshape(nodes, nn * nn)
+    if state.torus:
+        m[~_zero_character(state.basis)] = 0.0
     m = m.reshape(nn, nn, nn, nn).transpose(0, 2, 1, 3).reshape(
         nn * nn, nn * nn)
     flat = gens.reshape(gens.shape[0], nn * nn)
@@ -862,92 +881,71 @@ def lambda_fit_exponent(ks, lambda_values):
 
 def torus_degree(model):
     """Highest frequency, in any one base angle, of a section times the
-    conjugate of another: D = k + max(degrees) (derived in `torus_rule`)."""
+    conjugate of another: D = k + max(degrees).  A section is a monomial
+    lam_alpha(xi) z^beta with |beta| <= k + a_alpha, and lam = (1, xi) is
+    affine in xi, so in polar chart coordinates that product has frequency
+    beta_c - beta'_c in base angle c, at most D in size, and at most 1 in
+    each fiber angle."""
     return model.k + max(model.degrees)
 
 
-def torus_base_angles(model):
-    """Angles per base coordinate of `torus_rule`: 2 D + 1."""
-    return 2 * torus_degree(model) + 1
-
-
-def torus_rule(model, n_radial):
-    """Total rule for torus-invariant embedding states, sized by the degree
-    of their integrands: 2 D + 1 angles per base coordinate (D =
-    `torus_degree`), 3 per fiber coordinate, and the plain rule's
-    `n_radial` radial nodes on each factor.
-
-    Why that is exact.  A section is a monomial lam_alpha(xi) z^beta with
-    |beta| <= k + a_alpha, and lam = (1, xi) is affine in xi.  In polar
-    chart coordinates the product of one section and the conjugate of
-    another has frequency beta_c - beta'_c in base angle c, at most D in
-    size, and at most 1 in each fiber angle.  A Gram diagonal in the
-    monomial basis keeps the state torus-invariant: the rotations of the
-    chart angles act on the sections by a diagonal unitary, so they are
-    isometries of the pulled-back metric, and the kernel K = |u|^2 and the
-    volume density det(g) have frequency 0 in every angle, whatever frame
-    u of the sections the state uses.  The integrands:
-
-    * an entry of the moment or of the T-step pairing is u_i conj(u_j) /K
-      times the density, so it pairs two sections: frequency at most D in
-      each base angle and 1 in each fiber angle;
-    * an entry of `sigma_z_operator`'s q_matrix, (xi_a u)^H P (xi_b u) / K
-      with the normal projector P equivariant under the same unitaries,
-      pairs four sections: at most 2 D and 2.
-
-    The trapezoid rule on n equispaced angles integrates exp(i p theta)
-    exactly for |p| < n (Trefethen & Weideman, SIAM Review 56, 2014), so
-    2 D + 1 and 3 angles are exact for both.  The radial integrands stay
-    rational, so the radial grid is the plain rule's.  D + 1 base angles
-    would integrate the moment and the T-step exactly but not the
-    operator: on P^1 at k = 2, lambda_z then reads 3.96 instead of 2.5.
-    The pairings need no angle at all (`torus_orbit_rule`), so this rule
-    serves `sigma_z_operator`, whose integrand is not constant on the
-    orbits.  `torus_invariance_guard` checks the premise and
-    `torus_rule_check` the bound.
-    """
-    return product_rule(
-        base_rule(model, n_radial, n_angular=torus_base_angles(model)),
-        fiber_rule(model, n_radial, n_angular=3))
-
-
 def torus_orbit_rule(model, n_radial):
-    """One node per torus orbit of `torus_rule`: its radial nodes at angle
-    0 in every coordinate, each weighted with the whole angle measure of
-    its orbit, the sum of the `torus_rule` weights over it.
+    """One node per torus orbit: the plain rule's `n_radial` radial nodes
+    per factor at angle 0 in every coordinate, each weighted with the whole
+    angle measure of its orbit.
 
-    Why that is exact for the pairings of a torus state.  A section
-    lam_alpha z^beta has torus weight (beta, e_alpha), and distinct
-    sections have distinct weights.  Under a diagonal Gram the frame u is
-    the sections rescaled, so a diagonal integrand |u_p|^2 / K times the
-    density is invariant under the chart rotations, constant on each
-    orbit: one node per orbit integrates it as the full angular rule does.
-    An off-diagonal integrand u_p conj(u_q) / K times the density carries
-    the character of weight(p) - weight(q), nonzero, so its integral over
-    every orbit is exactly 0.  The moment and the T-step pairing of a torus
+    Why that is exact for a torus state.  A section lam_alpha z^beta has
+    torus weight (beta, e_alpha), and distinct sections have distinct
+    weights.  A Gram diagonal in the monomial basis keeps the state
+    torus-invariant: the rotations of the chart angles act on the sections
+    by a diagonal unitary, so they are isometries of the pulled-back
+    metric, and the kernel K = |u|^2 and the volume density are constant on
+    each orbit.  The frame u is the sections rescaled, so an integrand
+    entry carries one character on every orbit: its orbit integral is the
+    orbit-weighted value at angle 0 when the character is 0, and exactly 0
+    otherwise.  A diagonal pairing integrand |u_p|^2 / K times the density
+    has character 0, and an off-diagonal one u_p conj(u_q) / K the nonzero
+    weight(p) - weight(q).  The moment and the T-step pairing of a torus
     state are therefore diagonal, and the Anderson iterates, mixed and
     exponentiated in the eigenbasis of diagonal Grams, stay diagonal.  The
-    integrand of `sigma_z_operator` mixes sections through the generators
-    and the normal projector, so it is not constant on the orbits and
-    still needs `torus_rule`'s 2 D + 1 and 3 angles.
+    node sum of `sigma_z_operator` pairs four sections, with character
+    W_j - W_k - W_i + W_l, and keeps the entries where it is 0 (derived in
+    its docstring).  The radial integrands are those of the full angular
+    rule, so the radial grid is the plain rule's.
     """
     return product_rule(base_rule(model, n_radial, n_angular=1),
                         fiber_rule(model, n_radial, n_angular=1))
 
 
+def _zero_character(basis):
+    """Mask (N^2, N^2) of the entries (j, k), (i, l) of `sigma_z_operator`'s
+    node sum whose torus character W_j - W_k - W_i + W_l is 0, W_p = (beta,
+    e_alpha) the weight of section p = lam_alpha z^beta (e_0 = 0)."""
+    fiber = np.eye(basis.model.r, dtype=int)[basis.summand, 1:]
+    weights = np.concatenate([basis.exponents, fiber], axis=1)
+    # each weight as one integer in base 2 w + 1, w the largest entry: the
+    # digits of W_j - W_k - W_i + W_l lie in [-2 w, 2 w], so it is 0
+    # exactly when its code is
+    radix = 2 * int(weights.max(initial=0)) + 1
+    codes = weights @ radix ** np.arange(weights.shape[1])
+    diff = (codes[:, None] - codes[None, :]).ravel()
+    return diff[:, None] == diff[None, :]
+
+
 # largest off-diagonal entry of a Gram, relative to its largest diagonal
 # entry, that `torus_invariance_guard` accepts: solved Grams read 0.0 on
-# the orbit rule and 1e-14 or less on `torus_rule`, direct-route Grams
-# 1.8e-16 or less
+# the orbit rule and 1e-14 or less on the full angular rule, direct-route
+# Grams 1.8e-16 or less
 _TORUS_GRAM_TOL = 1e-12
 
 
 def torus_invariance_guard(gram, model, name):
     """The largest off-diagonal entry of `gram`, a Gram of `model`'s
     monomial sections called `name` in messages, relative to its largest
-    diagonal entry.  `torus_rule` and `torus_orbit_rule` are exact only for
-    torus-invariant states, whose Gram is diagonal; a ratio above 1e-12
-    raises `NumericalGuardError`."""
+    diagonal entry.  `torus_orbit_rule`, with the diagonal pairings and the
+    character mask of `sigma_z_operator`, is exact only for torus-invariant
+    states, whose Gram is diagonal; a ratio above 1e-12 raises
+    `NumericalGuardError`."""
     gram = np.asarray(gram)
     diagonal = np.abs(np.diagonal(gram))
     off = np.abs(gram - np.diag(np.diagonal(gram)))
@@ -956,50 +954,47 @@ def torus_invariance_guard(gram, model, name):
         raise NumericalGuardError(
             f"torus rule on {model.label}: the {name}'s largest off-diagonal "
             f"entry is {ratio:.2e} of its largest diagonal entry, above "
-            f"{_TORUS_GRAM_TOL:g}; the torus rules are exact only for "
+            f"{_TORUS_GRAM_TOL:g}; the torus orbit rule is exact only for "
             "torus-invariant states, whose Gram is diagonal in the monomial "
             "basis, and this state is not (a state off the torus needs the "
             "plain rule: embedding_state without a rule or torus)")
     return ratio
 
 
-# largest move, relative to the volume, of a quantity on a torus rule
-# against the full angular rule with two more angles per factor than
-# `torus_rule`, beyond which `torus_rule_check` rejects the rule: about
-# 1e-14 when it holds, 1e-2 or more one angle short
+# largest move, relative to the volume, of a quantity at a torus state
+# against the full angular rule, beyond which `torus_rule_check` rejects
+# the state's rule: about 1e-14 when it holds, 1e-2 or more with a wrong
+# character or one angle short of the integrand's degree
 _TORUS_CHECK_TOL = 1e-10
 
 
 def torus_check_angles(state):
-    """The angle counts `torus_rule_check` compares at a state, as a
-    phrase: from the state's rule (`torus_orbit_rule` for a torus state,
-    else `torus_rule`) to two more base angles than `torus_rule` and 5
-    fiber angles."""
-    base_angles = torus_base_angles(state.model)
-    base, fiber = (1, 1) if state.torus else (base_angles, 3)
-    return (f"from {base} to {base_angles + 2} angles per base coordinate "
-            f"and from {fiber} to 5 per fiber coordinate")
+    """The angle counts `torus_rule_check` compares at a torus state, as a
+    phrase: from the one angle per coordinate of `torus_orbit_rule` to
+    2 D + 3 per base and 5 per fiber coordinate, two more than the degree
+    of the `sigma_z_operator` integrand needs."""
+    return (f"from 1 to {2 * torus_degree(state.model) + 3} angles per base "
+            "coordinate and from 1 to 5 per fiber coordinate")
 
 
 def torus_rule_check(state, n_radial, quantity):
-    """Self-estimate of the torus rules at a state built on one of them
+    """Self-estimate of `torus_orbit_rule` at a torus state built on it
     with `n_radial`: rebuild the state with the same Gram, basis and radial
-    nodes on the full angular rule with two more angles per base and fiber
-    coordinate than `torus_rule` (no torus state: every pairing entry is
-    integrated), and return the largest entry move of `quantity(state)`,
-    an array such as the moment matrix or the q_matrix of
-    `sigma_z_operator`, relative to the volume, which bounds the entries of
-    both.  At a torus state this compares the orbit rule's diagonal
-    pairings with the full angular integration, off-diagonal entries
-    included.  A move above 1e-10 raises `NumericalGuardError` naming the
-    model, both angle counts and D."""
+    nodes on the full angular rule, 2 D + 3 angles per base and 5 per fiber
+    coordinate (no torus state: every entry is integrated, on the general
+    path of each quantity), and return the largest entry move of
+    `quantity(state)`, an array such as the moment matrix or the q_matrix
+    of `sigma_z_operator`, relative to the volume, which bounds the entries
+    of both.  This checks the character argument: the diagonal pairings
+    and the masked operator node sum against the full angular integration,
+    every entry included.  A move above 1e-10 raises `NumericalGuardError`
+    naming the model, both angle counts and D."""
     model = state.model
     degree = torus_degree(model)
     finer = embedding_state(
         model, gram=state.gram.matrix, basis=state.basis,
         rule=product_rule(
-            base_rule(model, n_radial,
-                      n_angular=torus_base_angles(model) + 2),
+            base_rule(model, n_radial, n_angular=2 * degree + 3),
             fiber_rule(model, n_radial, n_angular=5)))
     move = float(np.max(np.abs(quantity(finer) - quantity(state)))
                  / moment_map(state).volume)
@@ -1007,11 +1002,11 @@ def torus_rule_check(state, n_radial, quantity):
         raise NumericalGuardError(
             f"torus rule on {model.label}: moved by {move:.2e} (relative to "
             f"the volume) {torus_check_angles(state)}, above "
-            f"{_TORUS_CHECK_TOL:g}; the torus rules assume a torus-invariant "
-            "state whose integrands are trigonometric polynomials of degree "
-            "at most 2 D in each base angle and 2 in each fiber angle, the "
-            "pairings constant on the torus orbits on the diagonal and 0 "
-            f"off it, with D = {degree} = k + max(degrees) "
+            f"{_TORUS_CHECK_TOL:g}; the orbit rule assumes a torus-invariant "
+            "state whose integrand entries each carry one torus character, "
+            "kept where it is 0 and dropped elsewhere, and the full rule "
+            "integrands of degree at most 2 D in each base angle and 2 in "
+            f"each fiber angle, with D = {degree} = k + max(degrees) "
             "(balancing.torus_degree), and these do not hold")
     return move
 

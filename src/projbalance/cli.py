@@ -46,9 +46,9 @@ configuration file (every key optional; defaults depend on the subcommand):
   [model]   kind (point | p1-sum | pm-trivial), degrees, rank, base_dim
   [sweep]   k_min, k_max, n_points
   [quadrature]  n_radial (radial nodes of the base, plain and torus
-            rules; the adapted fiber rule and the torus rule's angles
-            are sized by their integrands' degree, and the orbit rule
-            has one angle per coordinate)
+            rules; the adapted fiber rule's angles are sized by its
+            integrands' degree, and the orbit rule has one angle per
+            coordinate)
   [solver]  balance_tol (balancing runs the T-iteration with
             safeguarded Anderson mixing)
   [output]  out_dir, seed
@@ -60,9 +60,9 @@ outputs (under --out, or the configured out_dir):
                   balance and moment-spectrum levels record the solver
                   iterations and fallback_steps (Anderson steps that
                   took the plain T-step) and the nodes of the orbit rule
-                  they balance on; moment-spectrum levels also the
-                  base_angles and operator_nodes of the torus rule of
-                  their normal-action operator
+                  they balance on, which moment-spectrum's
+                  normal-action operator runs on too (its samples are
+                  the valid orbit nodes)
   timings.json    wall-clock seconds, kept out of report.json:
                   run_seconds (the whole run), command, levels (per
                   level: job_seconds, and solve_seconds for balance) and

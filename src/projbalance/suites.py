@@ -36,14 +36,14 @@ radial nodes per factor, with diagonal pairings.  Every Gram such a state
 takes, the solved one included, passes `balancing.torus_invariance_guard`,
 and `balance` guards the direct route's Gram by name too.  Each level
 records the node count of the rule it balanced on as `nodes`.
-`moment-spectrum` builds its normal-action operator on
-`balancing.torus_rule` at the solved Gram, 2 D + 1 angles per base
-coordinate, D = k + max(degrees), and 3 per fiber coordinate, and records
-`base_angles` and that rule's `operator_nodes`.  The self-check
-(`balancing.torus_rule_check`, against the full angular rule on two more
-angles) is the informational `torus-rule-degree` row: on the moment at
-every `balance` level, and on the normal-action operator once per
-`moment-spectrum` sweep, at k_max, where 2 D is largest.
+`moment-spectrum` builds its normal-action operator at the solved state on
+the same rule, keeping the zero-character entries of its node sum
+(`balancing.sigma_z_operator`), and its `samples` count the valid orbit
+nodes.  The self-check (`balancing.torus_rule_check`, against the full
+angular rule on 2 D + 3 angles per base and 5 per fiber coordinate,
+D = k + max(degrees)) is the informational `torus-rule-degree` row: on
+the moment at every `balance` level, and on the normal-action operator
+once per `moment-spectrum` sweep, at k_max, where 2 D is largest.
 """
 
 import logging
@@ -658,18 +658,14 @@ def degenerate_expansion_rows(results):
 def spectrum_job(cfg, k):
     """Balance one level with the T-iteration on `bal.torus_orbit_rule`
     and estimate the smallest positive eigenvalue of the normal-action
-    operator, on `bal.torus_rule` at the solved Gram."""
-    balanced, report, fields = _balanced_level(cfg, k)
-    model = balanced.model
-    state = bal.embedding_state(model, gram=report.state.gram.matrix,
-                                basis=balanced.basis,
-                                rule=bal.torus_rule(model, cfg.n_radial))
-    op = bal.sigma_z_operator(state)
-    est = bal.eig_estimate(op)
+    operator at the solved state, on the same rule."""
+    _, report, fields = _balanced_level(cfg, k)
+    est = bal.eig_estimate(bal.sigma_z_operator(report.state))
     # 2D is largest at the top level, so one check there covers the sweep
     torus_row = None
     if k == cfg.k_max:
-        torus_row = _torus_row(state, cfg.n_radial, "normal-action operator",
+        torus_row = _torus_row(report.state, cfg.n_radial,
+                               "normal-action operator",
                                lambda s: bal.sigma_z_operator(s).q_matrix)
     logger.info("spectrum k=%d: lambda=%.6e kernel=%d converged=%s, "
                 "%d iterations (fallback_steps=%d)",
@@ -678,8 +674,6 @@ def spectrum_job(cfg, k):
     return {
         "k": int(k),
         **fields,
-        "base_angles": int(bal.torus_base_angles(model)),
-        "operator_nodes": int(state.rule.points.shape[0]),
         "lambda_z": float(est.lambda_z),
         "smallest_eig": float(est.smallest),
         "kernel_dim": int(est.kernel_dim),

@@ -37,6 +37,7 @@ from projbalance.quadrature import ChartRule, product_rule
 from projbalance.sections import (
     LineBundleSumOverP1,
     ProjectivePoint,
+    ProjectiveSpaceBase,
     SectionBasis,
     TrivialBundleOverPm,
     base_rule,
@@ -1140,6 +1141,26 @@ TORUS_MODELS = {"p1xp1": TrivialBundleOverPm(1, 2, 3),
                 "p1-sum-0-1": LineBundleSumOverP1((0, 1), 3)}
 
 
+def torus_base_angles(model):
+    """Angles per base coordinate of `torus_rule`: 2 D + 1."""
+    return 2 * bal.torus_degree(model) + 1
+
+
+def torus_rule(model, n_radial):
+    """The full angular rule sized by the degree of a torus-invariant
+    state's integrands, the oracle of `balancing.torus_orbit_rule` and of
+    the character mask of `balancing.sigma_z_operator`: 2 D + 1 angles per
+    base coordinate (D = `balancing.torus_degree`), 3 per fiber
+    coordinate, and the plain rule's `n_radial` radial nodes on each
+    factor.  An entry of the operator's node sum pairs four sections, of
+    frequency at most 2 D in each base angle and 2 in each fiber angle,
+    and n trapezoid angles are exact below frequency n (derivation in
+    `sigma_z_operator`)."""
+    return product_rule(
+        base_rule(model, n_radial, n_angular=torus_base_angles(model)),
+        fiber_rule(model, n_radial, n_angular=3))
+
+
 @pytest.fixture(scope="module")
 def torus_states():
     """Per model: the identity-Gram state on `torus_rule` at n_radial 10,
@@ -1148,7 +1169,7 @@ def torus_states():
     the obstruction, still on a diagonal Gram."""
     states = {}
     for key, model in TORUS_MODELS.items():
-        state = bal.embedding_state(model, rule=bal.torus_rule(model, 10))
+        state = bal.embedding_state(model, rule=torus_rule(model, 10))
         report = bal.balance_iterate(state, tol=1e-12, max_iter=60)
         states[key] = state, report.state, report
     return states
@@ -1189,7 +1210,7 @@ class TestTorusRule:
         model = TORUS_MODELS[key]
         state = torus_states[key][solved]
         q = bal.sigma_z_operator(state).q_matrix
-        angles = bal.torus_base_angles(model)
+        angles = torus_base_angles(model)
         for base, fiber in ((angles - 1, 3), (angles, 2)):
             rule = product_rule(base_rule(model, 10, n_angular=base),
                                 fiber_rule(model, 10, n_angular=fiber))
@@ -1201,7 +1222,7 @@ class TestTorusRule:
     def test_degree_and_angles(self):
         model = LineBundleSumOverP1((0, 2), 4)
         assert bal.torus_degree(model) == 6
-        assert bal.torus_base_angles(model) == 13
+        assert torus_base_angles(model) == 13
 
     def test_diagonal_gram_passes_the_guard(self, torus_states):
         model = TORUS_MODELS["p1xp1"]
@@ -1244,16 +1265,20 @@ class TestTorusRule:
                     in str(err.value))
 
     def test_self_check_moves_by_roundoff(self, torus_states):
-        state = torus_states["p1xp1"][1]
+        # at the orbit state the runs check: diagonal pairings and the
+        # masked operator against the full angular rule
+        solved = torus_states["p1xp1"][1]
+        state = bal.embedding_state(solved.model, gram=solved.gram.matrix,
+                                    n_radial=10, torus=True)
         for quantity in (lambda s: bal.moment_map(s).matrix,
                          lambda s: bal.sigma_z_operator(s).q_matrix):
             assert bal.torus_rule_check(state, 10, quantity) < 1e-13
 
-    def test_lowered_degree_trips_the_self_check(self, monkeypatch):
-        # one degree short leaves 2 D - 1 base angles, exact for the moment
-        # but not for the operator's frequency-2D terms
-        monkeypatch.setattr(bal, "torus_degree",
-                            lambda model: model.k + max(model.degrees) - 1)
+    def test_wrong_character_mask_trips_the_self_check(self, monkeypatch):
+        # a mask that keeps every entry sums the nonzero-character entries
+        # at angle 0 instead of dropping them
+        monkeypatch.setattr(bal, "_zero_character", lambda basis: np.ones(
+            (basis.count ** 2, basis.count ** 2), dtype=bool))
         cfg = ExperimentConfig(kind="pm-trivial", k_min=2, k_max=3,
                                n_radial=6, balance_tol=1e-9)
         suites.spectrum_job(cfg, 2)  # below k_max: no check
@@ -1261,14 +1286,14 @@ class TestTorusRule:
             suites.spectrum_job(cfg, 3)
         message = str(err.value)
         assert "torus rule on p1-sum(0, 0)-k3" in message
-        assert "from 5 to 7 angles per base coordinate" in message
-        assert "from 3 to 5 per fiber coordinate" in message
-        assert "D = 2" in message
+        assert "from 1 to 9 angles per base coordinate" in message
+        assert "from 1 to 5 per fiber coordinate" in message
+        assert "D = 3" in message
 
     def test_degree_zero_trips_the_moment_check(self, monkeypatch):
         model = TORUS_MODELS["p1xp1"]
         monkeypatch.setattr(bal, "torus_degree", lambda model: 0)
-        state = bal.embedding_state(model, rule=bal.torus_rule(model, 6))
+        state = bal.embedding_state(model, n_radial=6, torus=True)
         with pytest.raises(NumericalGuardError,
                            match="from 1 to 3 angles per base coordinate"):
             bal.torus_rule_check(state, 6, lambda s: bal.moment_map(s).matrix)
@@ -1282,13 +1307,13 @@ class TestTorusOrbitRule:
 
     def test_one_node_per_orbit_with_the_orbit_weight(self):
         model = TORUS_MODELS["p1-sum-0-1"]
-        full = bal.torus_rule(model, 10)
+        full = torus_rule(model, 10)
         orbit = bal.torus_orbit_rule(model, 10)
         assert orbit.points.shape == (100, 2)
         # the nodes of `torus_rule` at angle 0 in every coordinate
         at_zero = np.all(np.abs(np.angle(full.points)) < 1e-15, axis=1)
         assert np.array_equal(full.points[at_zero], orbit.points)
-        orbit_size = bal.torus_base_angles(model) * 3
+        orbit_size = torus_base_angles(model) * 3
         assert np.allclose(orbit_size * full.weights[at_zero],
                            orbit.weights, rtol=1e-14, atol=0.0)
 
@@ -1335,8 +1360,49 @@ class TestTorusOrbitRule:
         with pytest.raises(NumericalGuardError, match=ratio):
             state.with_gram(gram)
         with pytest.raises(ValueError, match="torus_orbit_rule"):
-            bal.embedding_state(model, rule=bal.torus_rule(model, 6),
+            bal.embedding_state(model, rule=torus_rule(model, 6),
                                 torus=True)
+
+
+OPERATOR_MODELS = {**TORUS_MODELS,
+                   "p2-sum-0-0": ProjectiveSpaceBase(2, (0, 0), 2),
+                   "p1-sum-0-0-1": LineBundleSumOverP1((0, 0, 1), 2),
+                   "point-rank3": ProjectivePoint(3)}
+
+
+class TestTorusOperator:
+    """`sigma_z_operator` at a torus state, summed on `torus_orbit_rule`
+    with only its zero-character entries, gives what the same Gram gives
+    on `torus_rule` on the general path."""
+
+    @pytest.mark.parametrize("gram", ["solved", "random-0", "random-1"])
+    @pytest.mark.parametrize("key", sorted(OPERATOR_MODELS))
+    def test_matches_the_torus_rule(self, key, gram):
+        model = OPERATOR_MODELS[key]
+        state = bal.embedding_state(model, n_radial=6, torus=True)
+        if gram == "solved":
+            # P(O + O(1)) and P(O + O + O(1)) stop at the obstruction,
+            # still on a diagonal Gram
+            state = bal.balance_iterate(state, tol=1e-10, max_iter=60).state
+        else:
+            rng = np.random.default_rng(int(gram[-1]))
+            state = state.with_gram(np.diag(rng.uniform(0.2, 5.0,
+                                                        state.count)))
+        full = bal.embedding_state(model, gram=state.gram.matrix,
+                                   basis=state.basis,
+                                   rule=torus_rule(model, 6))
+        ours, theirs = bal.sigma_z_operator(state), bal.sigma_z_operator(full)
+        assert ours.samples == state.rule.points.shape[0]
+        assert ours.skipped == theirs.skipped
+        assert ours.volume == pytest.approx(theirs.volume, rel=1e-13, abs=0.0)
+        # relative to the volume, absolute where Q vanishes
+        move = np.max(np.abs(ours.q_matrix - theirs.q_matrix))
+        assert move <= 1e-13 * theirs.volume
+        if model.m == 0:
+            assert np.max(np.abs(theirs.q_matrix)) <= 1e-13 * theirs.volume
+        a, b = bal.eig_estimate(ours), bal.eig_estimate(theirs)
+        assert (a.kernel_dim, a.dimension) == (b.kernel_dim, b.dimension)
+        assert a.lambda_z == pytest.approx(b.lambda_z, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from projbalance import balancing as bal
@@ -757,10 +758,10 @@ class TestAdaptedFiberSelfCheck:
 class TestTorusRuleHealth:
     """`balance` and `moment-spectrum` balance torus states on
     `balancing.torus_orbit_rule`, one node per torus orbit: each level
-    records that rule's node count, and `moment-spectrum` levels the base
-    angles and node count of `balancing.torus_rule`, the operator's rule.
-    The self-check is an informational row per `balance` level and one
-    per `moment-spectrum` sweep, at its top level."""
+    records that rule's node count, and `moment-spectrum` levels take
+    their normal-action operator on it too.  The self-check is an
+    informational row per `balance` level and one per `moment-spectrum`
+    sweep, at its top level."""
 
     BALANCE_KEYS = {
         "k", "count", "nodes", "converged", "diverged",
@@ -769,9 +770,9 @@ class TestTorusRuleHealth:
         "ref_volume", "trace_abs", "rho_mass", "rho_variance", "rho_max_dev",
         "comparable", "comparable_c_a", "comparable_min_ratio"}
     SPECTRUM_KEYS = {
-        "k", "nodes", "base_angles", "operator_nodes", "lambda_z",
-        "smallest_eig", "kernel_dim", "dimension", "samples", "converged",
-        "iterations", "fallback_steps", "final_norm_op"}
+        "k", "nodes", "lambda_z", "smallest_eig", "kernel_dim",
+        "dimension", "samples", "converged", "iterations",
+        "fallback_steps", "final_norm_op"}
 
     def test_balance_levels_record_the_rule(self, balance_run):
         _, out = balance_run
@@ -800,25 +801,24 @@ class TestTorusRuleHealth:
         report = load_report(out)
         for level in report["results"]["levels"]:
             assert set(level) == self.SPECTRUM_KEYS
-            # P^1 at n_radial 8: no fiber, D = k
-            assert level["nodes"] == 8
-            assert level["base_angles"] == 2 * level["k"] + 1
-            assert level["operator_nodes"] == 8 * (2 * level["k"] + 1)
+            # P^1 at n_radial 8: no fiber, and the operator's samples are
+            # the valid orbit nodes
+            assert level["nodes"] == level["samples"] == 8
         rows = [row for row in report["checks"]
                 if row["name"] == "torus-rule-degree"]
         assert len(rows) == 1 and rows[0]["k"] == 3
         assert rows[0]["passed"] is None
         assert 0.0 <= rows[0]["value"] <= 1e-13
-        assert "from 7 to 9 angles per base coordinate" in rows[0]["detail"]
+        # the orbit rule against 2 D + 3 angles, D = k
+        assert "from 1 to 9 angles per base coordinate" in rows[0]["detail"]
         assert "D = 3" in rows[0]["detail"]
 
     def test_trip_exits_two_and_names_the_cause(self, tmp_path, monkeypatch,
                                                 capsys):
-        # the levels balance on the orbit rule, which takes no angle
-        # count, but 2 D - 1 base angles miss the operator's frequency-2D
-        # terms at k_max
-        monkeypatch.setattr(bal, "torus_degree",
-                            lambda model: model.k + max(model.degrees) - 1)
+        # a character mask that keeps every entry sums the operator's
+        # nonzero-character entries at angle 0 instead of dropping them
+        monkeypatch.setattr(bal, "_zero_character", lambda basis: np.ones(
+            (basis.count ** 2, basis.count ** 2), dtype=bool))
         text = TINY_SPECTRUM.replace("k_min = 1", "k_min = 2").replace(
             "k_max = 3", "k_max = 4")
         path = write_config(tmp_path, text)
@@ -827,8 +827,8 @@ class TestTorusRuleHealth:
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "numerical guard: torus rule on p1-sum(0,)-k4" in err
-        assert "from 7 to 9 angles per base coordinate" in err
-        assert "D = 3" in err
+        assert "from 1 to 11 angles per base coordinate" in err
+        assert "D = 4" in err
         assert not (out / "report.json").exists()
 
 

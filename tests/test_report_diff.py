@@ -142,3 +142,34 @@ def test_a_check_row_longer_than_its_header_differs(tmp_path, capsys):
         "checks.csv: 2 numbers, 0 moved",
         "  differs: rows: line 2 on the new side has 5 fields, the header 4",
     ]
+
+
+def test_a_row_with_a_new_detail_pairs_by_name_and_level(tmp_path, capsys):
+    # the one torus-rule-degree row at k = 4 changes its detail and its
+    # value: the pair is kept, the detail change printed and the value
+    # compared; the density-mass rows share (name, k), so a changed
+    # detail there leaves a row on each side
+    dirs = []
+    for name, detail, value, mass in (("old", "from 11 to 13", 1e-16, "b"),
+                                      ("new", "from 1 to 13", 3e-16, "c")):
+        d = tmp_path / name
+        d.mkdir()
+        checks = [{"name": "torus-rule-degree", "k": 4, "value": value,
+                   "passed": None, "detail": detail},
+                  {"name": "density-mass", "k": 4, "value": 8.0,
+                   "passed": True, "detail": "mass a"},
+                  {"name": "density-mass", "k": 4, "value": 9.0,
+                   "passed": True, "detail": f"mass {mass}"}]
+        (d / "report.json").write_text(json.dumps({"checks": checks}),
+                                       encoding="utf-8")
+        dirs.append(str(d))
+    assert report_diff.main(dirs) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "report.json: 4 numbers, 1 moved, max abs 2e-16 (checks[0].value), "
+        "max rel 0.667 (checks[0].value)",
+        "  differs: checks[0].detail: 'from 11 to 13' -> 'from 1 to 13'",
+        "  differs: checks: row ('density-mass', 4, 'mass b') on the old "
+        "side only",
+        "  differs: checks: row ('density-mass', 4, 'mass c') on the new "
+        "side only",
+    ]

@@ -9,7 +9,9 @@ report's `checks` and `failures` lists, and the rows of a CSV table with
 `name`, `k` and `detail` columns such as checks.csv, when both sides hold
 such rows.  So a row added or dropped on one side is reported once and
 leaves the other rows paired; a CSV row whose length differs from the
-header is a difference too.
+header is a difference too.  A row whose (name, k) is unique on both
+sides pairs by (name, k) when only its detail changed: the detail change
+is printed and its value still compared.
 For each file it prints how many numbers it compared, how many moved, and
 the largest absolute and relative move with the field where it happened.
 Fields that only echo the run itself are ignored: the report's
@@ -74,6 +76,14 @@ def _keyed(rows):
     return keyed
 
 
+def _levels(keyed):
+    """The keys of `_keyed` rows grouped by their (name, k)."""
+    levels = {}
+    for row_key in keyed:
+        levels.setdefault(row_key[:2], []).append(row_key)
+    return levels
+
+
 class FileDiff:
     """Moves and non-numeric differences of one pair of files."""
 
@@ -129,17 +139,26 @@ class FileDiff:
 
     def walk_keyed(self, path, old, new, key):
         """Check rows paired by (name, k, detail); a pair is labelled with
-        the old row's position, a row on one side only with its key."""
+        the old row's position, a row on one side only with its key.  A
+        row whose (name, k) is unique on both sides pairs with its namesake
+        when only the detail differs, which then shows as a difference."""
         old_rows, new_rows = _keyed(old), _keyed(new)
-        new_only = [k for k in new_rows if k not in old_rows]
-        for row_key in [*old_rows, *new_only]:
-            if row_key not in old_rows or row_key not in new_rows:
+        partner = {row_key: row_key for row_key in old_rows
+                   if row_key in new_rows}
+        new_levels = _levels(new_rows)
+        for level, keys in _levels(old_rows).items():
+            theirs = new_levels.get(level, [])
+            if len(keys) == 1 and len(theirs) == 1 and keys[0] not in partner:
+                partner[keys[0]] = theirs[0]
+        paired = set(partner.values())
+        for row_key in [*old_rows, *(k for k in new_rows if k not in paired)]:
+            if row_key not in partner:
                 side = "old" if row_key in old_rows else "new"
                 self.mismatches.append(
                     f"{path}: row {row_key[:3]!r} on the {side} side only")
                 continue
             i, a = old_rows[row_key]
-            self.walk(f"{path}[{i}]", a, new_rows[row_key][1], key)
+            self.walk(f"{path}[{i}]", a, new_rows[partner[row_key]][1], key)
 
     def summary(self):
         line = f"{self.name}: {self.compared} numbers, {self.moved} moved"
