@@ -52,11 +52,13 @@ Contents, bottom to top:
   the full angular rule, 2 D + 3 angles per base and 5 per fiber
   coordinate (D = `torus_degree`), every entry integrated;
 * `r_bounded_check` and `almost_balanced_check` are the acceptance gates:
-  two-sided comparability of a metric against a reference, and decay-order
-  classification of a moment sequence.  The comparability check reads all
-  its finite differences from one table of field values on a lattice of
-  offsets around the nodes (`_comparability_stencil`: one row of weights
-  per multiset of directions), filled in blocks of at most 1,024 points.
+  two-sided comparability of the embedding form of a state against that
+  of a reference state, and decay-order classification of a moment
+  sequence.  The comparability check reads every derivative it bounds
+  from exact Taylor jets (`_form_derivatives`: the sections' binomial
+  shifts, `SectionBasis.eval_taylor`, in the state's frame, through
+  `kahler.log_kernel_jet`), and holds their order-0 term to the form
+  field at the nodes.
 
 Each geometric quantity has one routine.  `_pullback_data` is the package's
 only pull-back formula (the metric d d-bar log |u|^2 of a frame table and
@@ -79,10 +81,11 @@ norms of `r_bounded_check` are in closed form for 2 x 2 fields as well
 (`_hermitian_norm`; SVD otherwise), and so is the tangent frame of
 `sigma_z_operator` (`_tangent_frame`: Gram-Schmidt on the two direction
 slabs; SVD otherwise).  The tables themselves come from one power table
-of the base coordinates per evaluation (`SectionBasis.eval_embedding_jet`
-gathers every monomial and lowered monomial from it), so neither a
-state's tables nor the form fields of `r_bounded_check` take a complex
-power, and the Gram's whitener is formed once per `GramMatrix`.
+of the coordinates per evaluation (`SectionBasis.eval_embedding_jet`
+gathers every monomial and lowered monomial from it, and
+`SectionBasis.eval_taylor` every binomial shift), so neither a state's
+tables nor the jets of `r_bounded_check` take a complex power, and the
+Gram's whitener is formed once per `GramMatrix`.
 
 A state makes one geometry pass for the moment and the T-step together:
 its memo `EmbeddingState._pairings` keeps the volume and both pairings (a
@@ -96,18 +99,17 @@ steers a step.
 All volumes are reduced by (2 pi)^dim as elsewhere in the package.
 """
 
-import itertools
 import logging
 import math
 import time
-from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .bergman import adapted_total_rule
 from .errors import NumericalGuardError
+from .kahler import jet_tables, log_kernel_jet
 from .metrics import GramMatrix, l2_pairing, make_gram
 from .quadrature import ChartRule, product_rule
 from .sections import base_rule, build_section_basis, fiber_rule, total_rule
@@ -427,8 +429,9 @@ def embedding_form_field(state):
     """Callable evaluating the pulled-back metric coefficient matrix of a
     state's embedding at arbitrary chart points, (n, dim, dim).
 
-    Unlike the cached node tables this re-evaluates the section basis, so
-    it supports the shifted points of finite-difference probes."""
+    Unlike the cached node tables this re-evaluates the section basis at
+    the points it is given: `r_bounded_check` holds its jets to it, and
+    the tests difference it as their oracle."""
     t = state.transform
     basis = state.basis
     dim = state.model.n
@@ -921,8 +924,7 @@ def _zero_character(basis):
     """Mask (N^2, N^2) of the entries (j, k), (i, l) of `sigma_z_operator`'s
     node sum whose torus character W_j - W_k - W_i + W_l is 0, W_p = (beta,
     e_alpha) the weight of section p = lam_alpha z^beta (e_0 = 0)."""
-    fiber = np.eye(basis.model.r, dtype=int)[basis.summand, 1:]
-    weights = np.concatenate([basis.exponents, fiber], axis=1)
+    weights = basis.chart_exponents
     # each weight as one integer in base 2 w + 1, w the largest entry: the
     # digits of W_j - W_k - W_i + W_l lie in [-2 w, 2 w], so it is 0
     # exactly when its code is
@@ -1031,77 +1033,57 @@ class RBoundedReport:
     nodes: int
 
 
-# r_bounded_check bounds derivatives up to this order (the R-bounded set is
-# a C^4 condition), by central differences of this step
+# r_bounded_check bounds derivatives up to this order: the R-bounded set is
+# a C^4 condition
 _COMPARABILITY_ORDER = 4
-_COMPARABILITY_STEP = 5e-2
 
-# r_bounded_check splits the shifted points into the fewest equal blocks
-# of at most this many points (one offset per block at more nodes): the
-# field builds node tables for every point of a call, and one call on the
-# whole stencil raised the balance run's peak memory by about 9%
-_STENCIL_BLOCK_POINTS = 1024
+# largest entry move, relative to the largest entry at the node, between
+# the order-0 term of a state's Taylor jet and its form field: 5.5e-15 or
+# less on P^1 x P^1, k = 2..6, at the solved and the initial state, 16
+# nodes of the unit polydisc for each of five seeds
+_JET_FIELD_TOL = 1e-12
 
 
-@lru_cache(maxsize=None)
-def _comparability_stencil(d, order):
-    """Lattice offsets and integer weights of every nested central
-    difference up to `order` along the 2d real directions of C^d.
-
-    Direction 2a is Re z_a and 2a+1 is Im z_a.  Mixed central differences
-    commute, so one row per multiset of directions suffices; a row holds
-    the expanded product of (S_dir - S_dir^-1) over the multiset, S the unit
-    lattice shift, to be divided by (2h)^level.  Returns the complex offsets
-    (n_offsets, d), the weight matrix (n_multisets, n_offsets) and the
-    level of each row; row 0 is the empty multiset (the field itself)."""
-    rows = []
-    for level in range(order + 1):
-        for dirs in itertools.combinations_with_replacement(range(2 * d),
-                                                            level):
-            terms = {(0,) * (2 * d): 1}
-            for axis in dirs:
-                shifted = defaultdict(int)
-                for off, c in terms.items():
-                    for sign in (1, -1):
-                        moved = list(off)
-                        moved[axis] += sign
-                        shifted[tuple(moved)] += sign * c
-                terms = shifted
-            rows.append((level, {off: c for off, c in terms.items() if c}))
-    lattice = sorted({off for _, terms in rows for off in terms})
-    index = {off: i for i, off in enumerate(lattice)}
-    weights = np.zeros((len(rows), len(lattice)))
-    for i, (_, terms) in enumerate(rows):
-        for off, c in terms.items():
-            weights[i, index[off]] = c
-    steps = np.array(lattice, dtype=float)
-    offsets = steps[:, 0::2] + 1j * steps[:, 1::2]
-    levels = np.array([level for level, _ in rows])
-    for arr in (offsets, weights, levels):
-        arr.flags.writeable = False
-    return offsets, weights, levels
+def _form_derivatives(state, pts):
+    """The pulled-back metric of a state at chart nodes pts (n, d), from
+    `embedding_form_field`, and its real derivatives up to
+    `_COMPARABILITY_ORDER` there, exact: `kahler.log_kernel_jet` of the
+    Taylor coefficients of the frame, those of the sections
+    (`SectionBasis.eval_taylor`) times the whitener.  The jet's order-0
+    term is the field itself; a move above `_JET_FIELD_TOL` raises
+    `NumericalGuardError` naming the node."""
+    field = embedding_form_field(state)(pts)
+    orders = jet_tables(pts.shape[1], _COMPARABILITY_ORDER).hol
+    derivs = log_kernel_jet(
+        state.basis.eval_taylor(pts, orders) @ state.transform,
+        pts.shape[1], _COMPARABILITY_ORDER)
+    scale = np.max(np.abs(field), axis=(1, 2))
+    move = np.max(np.abs(derivs[0] - field), axis=(1, 2)) / scale
+    if not np.all(move <= _JET_FIELD_TOL):  # fails closed on NaN
+        node = int(np.argmax(~(move <= _JET_FIELD_TOL)))
+        raise NumericalGuardError(
+            f"Taylor jet of the embedding form of {state.model.label} off "
+            f"its form field by {move[node]:.2e} (relative) at node {node} of "
+            f"{len(move)}, above {_JET_FIELD_TOL:g}: the jet tables "
+            "(kahler.jet_tables) or the section Taylor coefficients "
+            "(SectionBasis.eval_taylor) no longer match "
+            "balancing.embedding_form_field")
+    return field, derivs
 
 
 def r_bounded_check(candidate, reference, pts, r_bound):
-    """Check that `candidate` stays within a two-sided C^4 bound of
-    `reference` at the given nodes.
+    """Check that the embedding form of the state `candidate` stays within
+    a two-sided C^4 bound of that of the state `reference` at the given
+    chart nodes (n, d).
 
-    Both arguments are callables mapping (n, d) complex points to (n, m, m)
-    coefficient matrices.  The difference field is central-differenced up
-    to order `_COMPARABILITY_ORDER` (4) along every real coordinate
-    direction, step h = `_COMPARABILITY_STEP` (5e-2), and each
-    derivative is measured in the reference-whitened operator norm with one
-    factor of ||g0^{-1/2}|| per derivative index; `c_a_norm` is the largest
-    such norm over the nodes and derivatives.  The lower bound `min_ratio`
-    is the smallest eigenvalue of the whitened candidate over the nodes.
-
-    Every difference reads the lattice pts + h * offsets of
-    `_comparability_stencil` (321 offsets for d = 2 and order 4): each
-    field is evaluated there once, in equal blocks of at most
-    `_STENCIL_BLOCK_POINTS` points, plus once at the nodes, and all
-    derivatives come out of one contraction with the stencil weights.  One
-    derivative per multiset of directions is measured; the nested
-    differences of its orderings agree in exact arithmetic.
+    Every real partial derivative of the difference of the two forms up to
+    order `_COMPARABILITY_ORDER` (4), one per multiset of the 2 d real
+    directions and exact (`_form_derivatives`), is measured in the
+    reference-whitened operator norm with one factor of ||g0^{-1/2}|| per
+    derivative index; `c_a_norm` is the largest such norm over the nodes
+    and derivatives.  The lower bound `min_ratio` is the smallest
+    eigenvalue of the whitened candidate over the nodes.  Each state's
+    form field is evaluated once, at the nodes.
     """
     if r_bound <= 1.0:
         raise ValueError(f"bound must exceed 1, got {r_bound}")
@@ -1111,39 +1093,32 @@ def r_bounded_check(candidate, reference, pts, r_bound):
             f"pts must be a 2-D array (nodes, d) with at least one row and "
             f"one column, got shape {pts.shape}")
     n, d = pts.shape
-    g0 = np.asarray(reference(pts))
+    g0, ref_derivs = _form_derivatives(reference, pts)
     w0eigs, w0vecs = np.linalg.eigh(g0)
     if np.any(w0eigs <= 0.0):
         raise NumericalGuardError("reference metric not positive at a node")
     w0 = (w0vecs / np.sqrt(w0eigs)[:, None, :]) @ np.swapaxes(
         w0vecs.conj(), -1, -2)
     dirweight = 1.0 / np.sqrt(w0eigs[:, 0])
+    gc, derivs = _form_derivatives(candidate, pts)
+    # every derivative X whitened at once: vec(w0 X w0) = (w0 kron w0^T)
+    # vec(X) at each node, one (d^2, d^2) matrix against all of them
+    kron = (w0[:, :, None, :, None]
+            * np.swapaxes(w0, 1, 2)[:, None, :, None, :]).reshape(n, d * d,
+                                                                  d * d)
+    diff = np.moveaxis(derivs - ref_derivs, 0, -1).reshape(n, d * d, -1)
+    norms = _hermitian_norm(np.moveaxis((kron @ diff).reshape(n, d, d, -1),
+                                        -1, 1))
+    levels = jet_tables(d, _COMPARABILITY_ORDER).levels
+    c_a = float(np.max(norms * dirweight[:, None] ** levels))
 
-    order, h = _COMPARABILITY_ORDER, _COMPARABILITY_STEP
-    offsets, weights, levels = _comparability_stencil(d, order)
-    blocks = -(-len(offsets) * n // _STENCIL_BLOCK_POINTS)
-    per_block = -(-len(offsets) // blocks)
-    table = np.empty((len(offsets),) + g0.shape, dtype=complex)
-    for start in range(0, len(offsets), per_block):
-        shifted = (pts[None, :, :] + h * offsets[start:start + per_block,
-                                                 None, :]).reshape(-1, d)
-        diff = np.asarray(candidate(shifted)) - np.asarray(reference(shifted))
-        table[start:start + per_block] = diff.reshape((-1,) + g0.shape)
-    # real weights against the real view: no complex copy of the weights
-    derivs = (weights @ table.reshape(len(offsets), -1).view(float)).view(
-        complex).reshape((len(weights),) + g0.shape)
-    derivs /= (2.0 * h) ** levels[:, None, None, None]
-    norms = _hermitian_norm(w0 @ derivs @ w0)
-    c_a = float(np.max(norms * dirweight ** levels[:, None]))
-
-    gc = np.asarray(candidate(pts))
     wcand = np.einsum("nab,nbc,ncd->nad", w0, gc, w0)
     wcand = 0.5 * (wcand + np.swapaxes(wcand.conj(), -1, -2))
     min_ratio = float(np.min(np.linalg.eigvalsh(wcand)[:, 0]))
     margins = (r_bound - c_a, min_ratio - 1.0 / r_bound)
     return RBoundedReport(passes=bool(margins[0] >= 0.0 and margins[1] >= 0.0),
                           c_a_norm=c_a, min_ratio=min_ratio, margins=margins,
-                          order=order, nodes=int(n))
+                          order=_COMPARABILITY_ORDER, nodes=int(n))
 
 
 @dataclass(frozen=True)

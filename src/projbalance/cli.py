@@ -23,7 +23,6 @@ import functools
 import logging
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import reports, suites
 from .config import (
@@ -195,6 +194,9 @@ def _run_jobs(fn, cfg, ks, workers):
     if workers <= 1 or len(ks) <= 1:
         timed = [_timed(fn, cfg, k) for k in ks]
     else:
+        # imported only here: a one-worker run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(ks))) as pool:
             futures = [pool.submit(_timed, fn, cfg, k) for k in ks]
             timed = [f.result() for f in futures]

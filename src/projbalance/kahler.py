@@ -22,9 +22,15 @@ Conventions, fixed once for the whole package:
 
 Derivatives of potentials are hand-coded for the built-in structures and
 centered finite differences with one Richardson step for user potentials.
+The potential log |u|^2 of a holomorphic map u, the pull-back of the
+Fubini-Study form, has exact derivatives of its form to any order from the
+Taylor coefficients of u (`log_kernel_jet`).
 """
 
+import itertools
 import math
+from collections import namedtuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +42,8 @@ __all__ = [
     "PerturbedKahler",
     "complex_hessian",
     "complex_gradient",
+    "jet_tables",
+    "log_kernel_jet",
     "lambda_contract",
     "mixed_volume_coefficients",
     "fs_matrix",
@@ -146,6 +154,111 @@ def complex_gradient(fn, pts, h=5e-3):
 
     g = one_step(h)
     return (4.0 * one_step(h / 2.0) - g) / 3.0
+
+
+# ---------------------------------------------------------------------------
+# exact jets of log-kernel potentials
+# ---------------------------------------------------------------------------
+
+JetTables = namedtuple("JetTables", "mono hol kernel steps g_index g_scale "
+                                    "real_map levels")
+
+
+@lru_cache(maxsize=None)
+def jet_tables(d, order):
+    """Index tables of `log_kernel_jet` on C^d, built once per (d, order).
+
+    `mono` (M, 2 d) lists the exponents (P, P') of the monomials
+    h^P conj(h)^P' of total degree at most order + 2, graded by degree;
+    `hol` holds the holomorphic P among them, and `kernel` (2, M) the rows
+    of `hol` whose pairing U_P . conj(U_P') is the kernel coefficient of
+    each monomial.  `steps` holds, per degree m >= 2, the slice of degree m
+    and the pairs (A, B) of the recurrence m l_m = m f_m - sum_j j l_j
+    f_(m - j) of l = log f, grouped by A + B, with the weights deg(A) / m
+    and the group starts.  `g_index` and `g_scale` (d, d, R) gather the
+    coefficient of the row-r monomial of degree <= order in
+    g_ab = d_a dbar_b l: (P_a + 1)(P'_b + 1) times l at (P + e_a, P' + e_b).
+    `real_map` (R, R) takes those Wirtinger coefficients to the real
+    derivatives d_x^alpha d_y^gamma at h = 0, h = x + i y and
+    (alpha, gamma) = mono[r] (the directions of `_real_hessian`), and
+    `levels` are their orders."""
+    top, radix = order + 2, order + 3
+    grid = np.indices((top + 1,) * (2 * d)).reshape(2 * d, -1).T
+    grid = grid[grid.sum(axis=1) <= top]
+    mono = grid[np.argsort(grid.sum(axis=1), kind="stable")]
+    degree = mono.sum(axis=1)
+    bounds = np.searchsorted(degree, np.arange(top + 2))
+    # the code of a monomial in base `radix` is additive under products
+    place = radix ** np.arange(2 * d)
+    lookup = np.zeros(radix ** (2 * d), dtype=int)
+    lookup[mono @ place] = np.arange(len(mono))
+    is_hol = ~mono[:, d:].any(axis=1)
+    kernel = (np.cumsum(is_hol) - 1)[lookup[np.stack(
+        [mono[:, :d], mono[:, d:]]) @ place[:d]]]
+    steps = []
+    for m in range(2, top + 1):
+        a, b = np.concatenate([np.stack(np.meshgrid(
+            np.arange(bounds[j], bounds[j + 1]),
+            np.arange(bounds[m - j], bounds[m - j + 1]),
+            indexing="ij")).reshape(2, -1) for j in range(1, m)], axis=1)
+        target = lookup[(mono[a] + mono[b]) @ place]
+        by = np.argsort(target, kind="stable")
+        a, b = a[by], b[by]
+        steps.append((slice(bounds[m], bounds[m + 1]), a, b, degree[a] / m,
+                      np.searchsorted(target[by], np.arange(bounds[m],
+                                                            bounds[m + 1]))))
+    rows = mono[:bounds[order + 1]]
+    unit = np.eye(d, dtype=int)
+    g_index = lookup[(rows + np.concatenate(np.broadcast_arrays(
+        unit[:, None, None], unit[None, :, None]), axis=-1)) @ place]
+    g_scale = (rows[:, :d].T + 1)[:, None] * (rows[:, d:].T + 1)[None, :]
+    # (x + i y)^p (x - i y)^q = sum_s c[p, q, s] x^(p + q - s) y^s, and
+    # d_x^alpha d_y^gamma of x^alpha y^gamma at 0 is alpha! gamma!
+    wirt = [np.array([math.comb(p, t) * 1j ** t for t in range(p + 1)])
+            for p in range(order + 1)]
+    expand = np.zeros((order + 1,) * 3, dtype=complex)
+    for p, q in itertools.product(range(order + 1), repeat=2):
+        if p + q <= order:
+            expand[p, q, :p + q + 1] = np.convolve(wirt[p], np.conj(wirt[q]))
+    fact = np.array([math.factorial(j) for j in range(order + 1)])
+    real_map = np.ones((len(rows), len(rows)), dtype=complex)
+    for c in range(d):
+        x, y = rows[:, None, c], rows[:, None, d + c]
+        p, q = rows[None, :, c], rows[None, :, d + c]
+        real_map *= np.where(x + y == p + q,
+                             fact[x] * fact[y] * expand[p, q, y], 0.0)
+    tables = JetTables(mono, mono[is_hol, :d], kernel, tuple(steps), g_index,
+                       g_scale, real_map, degree[:len(rows)])
+    # the cache hands the same arrays to every caller
+    for arr in [*tables[:3], *tables[4:], *(x for step in steps
+                                            for x in step[1:])]:
+        arr.flags.writeable = False
+    return tables
+
+
+def log_kernel_jet(coeffs, d, order):
+    """Real derivatives up to `order` of the matrix of i ddbar log |u|^2,
+    u a holomorphic map from C^d to C^N, exact from its Taylor
+    coefficients: coeffs (n, J, N) holds those of h^P in u(w + h) at n
+    points w, for the rows P of `jet_tables(d, order).hol`.  Returns
+    (R, n, d, d), row r the derivative d_x^alpha d_y^gamma at h = 0 with
+    (alpha, gamma) = `jet_tables(d, order).mono[r]`; row 0 is the matrix.
+
+    K = |u|^2 has the coefficient U_P . conj(U_P') at h^P conj(h)^P', and
+    f = K / K(w) gives l = log f degree by degree from the recurrence of
+    `jet_tables`, f l' = f' graded by degree."""
+    tables = jet_tables(d, order)
+    # point-last tables: each recurrence step gathers whole rows
+    f = (coeffs @ np.conj(np.swapaxes(coeffs, 1, 2)))[:, tables.kernel[0],
+                                                     tables.kernel[1]].T
+    f = f / f[:1].real
+    ell = f.copy()
+    for block, a, b, weight, starts in tables.steps:
+        ell[block] -= np.add.reduceat(ell[a] * f[b] * weight[:, None], starts,
+                                      axis=0)
+    derivs = tables.real_map @ (ell[tables.g_index]
+                                * tables.g_scale[..., None])
+    return derivs.transpose(2, 3, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -153,14 +153,15 @@ class SectionBasis:
     def count(self):
         return self.summand.shape[0]
 
-    def _power_table(self, z):
-        """Powers z_a^j of the base coordinates z (n, m) for j = 0..D, D the
-        largest base exponent of the basis, as one (m, n, D + 1) table built
-        by repeated products: entry j is entry j - 1 times z_a, the same
-        multiplications an integer complex power makes, so each is within
-        j roundings of the exact power."""
-        top = int(self.exponents.max(initial=0))
-        table = np.empty((self.model.m, z.shape[0], top + 1), dtype=complex)
+    def _power_table(self, z, top=None):
+        """Powers z_a^j of the coordinates z (n, c) for j = 0..top, by
+        default the largest base exponent of the basis, as one
+        (c, n, top + 1) table built by repeated products: entry j is entry
+        j - 1 times z_a, the same multiplications an integer complex power
+        makes, so each is within j roundings of the exact power."""
+        if top is None:
+            top = int(self.exponents.max(initial=0))
+        table = np.empty((z.shape[1], z.shape[0], top + 1), dtype=complex)
         table[..., 0] = 1.0
         for j in range(1, top + 1):
             np.multiply(table[..., j - 1], z.T, out=table[..., j])
@@ -190,6 +191,14 @@ class SectionBasis:
             else:
                 out *= np.take(table[a], e, axis=1, mode="clip")
         return out
+
+    @cached_property
+    def chart_exponents(self):
+        """Exponents (N, m + r - 1) of the sections as monomials w^e in the
+        chart coordinates w = (z, xi): e = (beta, e_alpha) for
+        lam_alpha z^beta, e_0 = 0.  They are the torus weights too."""
+        fiber = np.eye(self.model.r, dtype=int)[self.summand, 1:]
+        return np.concatenate([self.exponents, fiber], axis=1)
 
     @cached_property
     def _summand_runs(self):
@@ -258,6 +267,29 @@ class SectionBasis:
                 if alpha != c + 1:
                     jet[m + c][:, cols] = 0.0
         return jet
+
+    def eval_taylor(self, pts, orders):
+        """Taylor coefficients of the sections at chart points, (n, J, N):
+        entry (i, j, p) is the coefficient of h^orders[j] in v_p(pts_i + h),
+        for the rows of `orders` (J, m + r - 1).  Each section is a
+        monomial w^e (`chart_exponents`), so that coefficient is the
+        binomial shift prod_a C(e_a, J_a) w_a^(e_a - J_a), zero where some
+        J_a > e_a; the powers come from one `_power_table` of the points."""
+        pts = np.concatenate(split_points(self.model, pts), axis=1)
+        expo = self.chart_exponents
+        orders = np.asarray(orders, dtype=int)
+        top = int(expo.max(initial=0))
+        table = self._power_table(pts, top)
+        binom = np.array([[math.comb(e, j)
+                           for j in range(int(orders.max(initial=0)) + 1)]
+                          for e in range(top + 1)], dtype=float)
+        out = np.ones((pts.shape[0], orders.shape[0], self.count),
+                      dtype=complex)
+        for a in range(pts.shape[1]):
+            j = orders[:, a, None]
+            out *= (binom[expo[:, a], j]
+                    * table[a][:, np.maximum(expo[:, a] - j, 0)])
+        return out
 
 
 def build_section_basis(model):

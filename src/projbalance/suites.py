@@ -41,9 +41,10 @@ the same rule, keeping the zero-character entries of its node sum
 (`balancing.sigma_z_operator`), and its `samples` count the valid orbit
 nodes.  The self-check (`balancing.torus_rule_check`, against the full
 angular rule on 2 D + 3 angles per base and 5 per fiber coordinate,
-D = k + max(degrees)) is the informational `torus-rule-degree` row: on
-the moment at every `balance` level, and on the normal-action operator
-once per `moment-spectrum` sweep, at k_max, where 2 D is largest.
+D = k + max(degrees)) is the informational `torus-rule-degree` row, once
+per sweep at k_min, since the orbit rule's exactness does not depend on
+k: on the moment in `balance`, on the normal-action operator in
+`moment-spectrum`.
 """
 
 import logging
@@ -416,8 +417,11 @@ def balance_job(cfg, k):
     kahler = build_kahler(cfg)
     initial = bal.moment_map(state)
     stats = bal.balanced_density_stats(report.state)
-    torus_row = _torus_row(report.state, cfg.n_radial, "moment matrix",
-                           lambda s: bal.moment_map(s).matrix)
+    # the orbit rule's exactness does not depend on k: one check per sweep
+    torus_row = None
+    if k == cfg.k_min:
+        torus_row = _torus_row(report.state, cfg.n_radial, "moment matrix",
+                               lambda s: bal.moment_map(s).matrix)
 
     direct = bg.rho_direct(
         metric, kahler, model,
@@ -433,9 +437,8 @@ def balance_job(cfg, k):
     radius = np.sqrt(rng.uniform(size=(16, model.n)))
     angle = rng.uniform(0.0, 2.0 * math.pi, size=(16, model.n))
     pts = radius * np.exp(1j * angle)
-    comparable = bal.r_bounded_check(
-        bal.embedding_form_field(report.state),
-        bal.embedding_form_field(state), pts, r_bound=_R_BOUND)
+    comparable = bal.r_bounded_check(report.state, state, pts,
+                                     r_bound=_R_BOUND)
     logger.info("balance k=%d: %d iterations (fallback_steps=%d), "
                 "converged=%s, final norm %.3e",
                 k, report.iterations, report.fallback_steps,
@@ -492,7 +495,8 @@ def balance_rows(cfg, results):
                 "density-flat", res["rho_max_dev"], 0.0,
                 100.0 * cfg.balance_tol, k=k,
                 detail="max deviation of the balanced density from its mean"))
-        rows.append(res["torus_row"])
+        if res["torus_row"] is not None:
+            rows.append(res["torus_row"])
     return rows
 
 
@@ -513,12 +517,15 @@ def almost_balanced_row(cfg, results):
         / res["count"] for res in results]
     verdict = bal.almost_balanced_check(entries, q=_ORDER_Q,
                                         expected_d=expected_d, d_tol=_D_TOL)
+    detail = (f"fitted decay order of the reference-Gram moments, claimed "
+              f"q={_ORDER_Q}")
+    if math.isinf(verdict.fitted_order):
+        detail = ("reference exactly balanced (every ||mu_ref|| < 1e-12): "
+                  "order not tested, d judged")
     return _row(
         "almost-balanced-order", value=float(verdict.fitted_order),
         reference=float(verdict.order_target), error=float(verdict.d_defect),
-        tolerance=_D_TOL, passed=bool(verdict.passes),
-        detail=f"fitted decay order of the reference-Gram moments, claimed "
-               f"q={_ORDER_Q}")
+        tolerance=_D_TOL, passed=bool(verdict.passes), detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +668,11 @@ def spectrum_job(cfg, k):
     operator at the solved state, on the same rule."""
     _, report, fields = _balanced_level(cfg, k)
     est = bal.eig_estimate(bal.sigma_z_operator(report.state))
-    # 2D is largest at the top level, so one check there covers the sweep
+    # the orbit rule's exactness does not depend on k, so one check at the
+    # cheapest level, k_min, covers the sweep; the checked state's own
+    # operator call stays the last one of its level
     torus_row = None
-    if k == cfg.k_max:
+    if k == cfg.k_min:
         torus_row = _torus_row(report.state, cfg.n_radial,
                                "normal-action operator",
                                lambda s: bal.sigma_z_operator(s).q_matrix)

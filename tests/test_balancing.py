@@ -20,6 +20,9 @@ Frozen facts the tests lean on, derived independently of the implementation:
   difference of it vanishes, and the whitened candidate is the identity.
 """
 
+import collections
+import functools
+import itertools
 import logging
 import math
 from dataclasses import replace
@@ -31,7 +34,12 @@ from hypothesis import strategies as st
 
 from projbalance.config import ExperimentConfig
 from projbalance.errors import NumericalGuardError
-from projbalance.kahler import FubiniStudy, complex_hessian, fs_matrix
+from projbalance.kahler import (
+    FubiniStudy,
+    complex_hessian,
+    fs_matrix,
+    jet_tables,
+)
 from projbalance.metrics import SplitBundleMetric, make_gram
 from projbalance.quadrature import ChartRule, product_rule
 from projbalance.sections import (
@@ -844,9 +852,8 @@ class TestEmbeddingFormField:
 
     def test_identical_fields_pass_comparability(self):
         state = veronese_state()
-        field = bal.embedding_form_field(state)
         pts = state.rule.points[::40]
-        report = bal.r_bounded_check(field, field, pts, r_bound=3.0)
+        report = bal.r_bounded_check(state, state, pts, r_bound=3.0)
         assert report.passes
         assert report.c_a_norm < 1e-12
         assert abs(report.min_ratio - 1.0) < 1e-10
@@ -1281,14 +1288,14 @@ class TestTorusRule:
             (basis.count ** 2, basis.count ** 2), dtype=bool))
         cfg = ExperimentConfig(kind="pm-trivial", k_min=2, k_max=3,
                                n_radial=6, balance_tol=1e-9)
-        suites.spectrum_job(cfg, 2)  # below k_max: no check
+        suites.spectrum_job(cfg, 3)  # above k_min: no check
         with pytest.raises(NumericalGuardError) as err:
-            suites.spectrum_job(cfg, 3)
+            suites.spectrum_job(cfg, 2)
         message = str(err.value)
-        assert "torus rule on p1-sum(0, 0)-k3" in message
-        assert "from 1 to 9 angles per base coordinate" in message
+        assert "torus rule on p1-sum(0, 0)-k2" in message
+        assert "from 1 to 7 angles per base coordinate" in message
         assert "from 1 to 5 per fiber coordinate" in message
-        assert "D = 3" in message
+        assert "D = 2" in message
 
     def test_degree_zero_trips_the_moment_check(self, monkeypatch):
         model = TORUS_MODELS["p1xp1"]
@@ -1414,8 +1421,15 @@ class TestRBoundedCheck:
     def _nodes():
         return base_rule(LineBundleSumOverP1((0,), 2), n_radial=8).points
 
+    @staticmethod
+    def _line_state(k, gram=None):
+        # O(k) on P^1; Gram diag(1 / C(k, j)) gives K = (1 + |z|^2)^k, so
+        # the form is k times the round one
+        return bal.embedding_state(LineBundleSumOverP1((0,), k), gram=gram,
+                                   n_radial=4)
+
     def test_identical_forms_pass_with_exact_margins(self):
-        ref = FS1.matrix
+        ref = self._line_state(1)
         report = bal.r_bounded_check(ref, ref, self._nodes(), r_bound=2.0)
         assert report.passes
         assert abs(report.margins[0] - 2.0) < 1e-14
@@ -1423,41 +1437,43 @@ class TestRBoundedCheck:
         assert report.c_a_norm < 1e-14
 
     def test_doubled_form_fails_norm_condition(self):
-        def doubled(pts):
-            return 2.0 * FS1.matrix(pts)
-
-        report = bal.r_bounded_check(doubled, FS1.matrix, self._nodes(),
-                                     r_bound=1.5)
+        doubled = self._line_state(2, gram=np.diag([1.0, 0.5, 1.0]))
+        report = bal.r_bounded_check(doubled, self._line_state(1),
+                                     self._nodes(), r_bound=1.5)
         assert not report.passes
         assert report.margins[0] < 0.0
         # the lower bound 2 >= 1/1.5 still holds
+        assert report.min_ratio == pytest.approx(2.0, rel=1e-12)
         assert report.margins[1] > 0.0
 
     @pytest.mark.parametrize("pts", [np.zeros((0, 1)), np.zeros(3),
                                      np.zeros((2, 2, 1))],
                              ids=["no-rows", "one-dim", "three-dim"])
     def test_points_must_be_a_nonempty_table(self, pts):
+        state = self._line_state(1)
         with pytest.raises(ValueError, match="pts"):
-            bal.r_bounded_check(FS1.matrix, FS1.matrix, pts, r_bound=2.0)
+            bal.r_bounded_check(state, state, pts, r_bound=2.0)
 
     def test_stencil_sizes(self):
         # C^2 has 4 real directions: the offsets of all nested differences
         # up to order 4 fill the l1 ball of radius 4 in Z^4 (321 points),
         # and there are C(4 + 3, 3) multisets of each size up to 4 (70 rows,
-        # the empty one included)
-        offsets, weights, levels = bal._comparability_stencil(2, 4)
+        # the empty one included), as many as the jets' derivative rows
+        offsets, weights, levels, _ = comparability_stencil(2, 4)
         assert offsets.shape == (321, 2)
         assert weights.shape == (70, 321)
         assert np.bincount(levels).tolist() == [1, 4, 10, 20, 35]
+        assert np.array_equal(np.sort(jet_tables(2, 4).levels), levels)
         steps = np.abs(offsets.real) + np.abs(offsets.imag)
         assert np.max(steps.sum(axis=1)) == 4
         # a difference of order >= 1 vanishes on constants
         assert np.array_equal(weights.sum(axis=1), levels == 0)
 
     def test_fourth_difference_of_quartic_is_exact(self):
-        # reference I, candidate I + eps (Re z1)^4 I: at the origin every
-        # difference is exact for this quartic, the largest is the fourth
-        # along Re z1, 4! eps, and the candidate equals the reference
+        # the oracle's own check: reference I, candidate
+        # I + eps (Re z1)^4 I; at the origin every difference is exact for
+        # this quartic, the largest is the fourth along Re z1, 4! eps, and
+        # the candidate equals the reference
         eps = 1e-3
 
         def reference(p):
@@ -1468,15 +1484,15 @@ class TestRBoundedCheck:
             bump = eps * p[:, 0].real ** 4
             return reference(p) * (1.0 + bump)[:, None, None]
 
-        report = bal.r_bounded_check(candidate, reference,
-                                     np.zeros((1, 2), dtype=complex),
-                                     r_bound=2.0)
+        report = stencil_r_bounded_check(candidate, reference,
+                                         np.zeros((1, 2), dtype=complex),
+                                         r_bound=2.0)
         assert report.c_a_norm == pytest.approx(24.0 * eps, rel=1e-9)
         assert report.min_ratio == pytest.approx(1.0, abs=1e-15)
         assert report.passes
 
     @staticmethod
-    def _unbalanced_fields():
+    def _unbalanced_states():
         # an unbalanced P^1 x P^1 state against its initial state, at 16
         # points of the unit polydisc as in the balance suite
         rng = np.random.default_rng(71)
@@ -1485,13 +1501,15 @@ class TestRBoundedCheck:
                             n_radial=4)
         radius = np.sqrt(rng.uniform(size=(16, 2)))
         angle = rng.uniform(0.0, 2.0 * math.pi, size=(16, 2))
-        return (bal.embedding_form_field(moved),
-                bal.embedding_form_field(initial),
-                radius * np.exp(1j * angle))
+        return moved, initial, radius * np.exp(1j * angle)
 
     def test_matches_nested_differences(self):
-        candidate, reference, pts = self._unbalanced_fields()
-        got = bal.r_bounded_check(candidate, reference, pts, r_bound=1e3)
+        # the oracle's multiset stencil against nested differences along
+        # every ordered tuple of directions
+        moved, initial, pts = self._unbalanced_states()
+        candidate = bal.embedding_form_field(moved)
+        reference = bal.embedding_form_field(initial)
+        got = stencil_r_bounded_check(candidate, reference, pts, r_bound=1e3)
         want = nested_r_bounded_check(candidate, reference, pts,
                                       r_bound=1e3)
         assert want.c_a_norm > 1.0
@@ -1501,26 +1519,218 @@ class TestRBoundedCheck:
         assert (got.passes, got.order, got.nodes) == (
             want.passes, want.order, want.nodes)
 
-    def test_few_blocked_field_calls(self):
-        # 321 offsets x 16 points in blocks of 1024 points: 6 calls per
-        # field, plus one at the nodes; the nested form made 4,682
-        candidate, reference, pts = self._unbalanced_fields()
-        sizes = {"candidate": [], "reference": []}
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_closed_form_at_the_origin(self, k):
+        # Gram diag(1 / C(k, beta)) on P^1 x P^1: K = (1 + |z|^2)^k
+        # (1 + |xi|^2) up to scale, so g_zz = k / (1 + x^2 + y^2)^2, whose
+        # derivatives at 0 are -4k (d_x^2), 72k (d_x^4), 24k (d_x^2 d_y^2)
+        # and 0 at every odd order; g_xixi is the same at k = 1
+        model = TrivialBundleOverPm(1, 2, k)
+        basis = build_section_basis(model)
+        gram = np.diag([1.0 / math.comb(k, int(beta))
+                        for beta in basis.exponents[:, 0]])
+        state = bal.embedding_state(model, gram=gram, n_radial=4,
+                                    torus=True)
+        field, derivs = bal._form_derivatives(state, np.zeros((1, 2)))
+        rows = [tuple(row) for row in jet_tables(2, 4).mono[:70]]
+        levels = jet_tables(2, 4).levels
+        assert np.allclose(field[0], np.diag([k, 1.0]), rtol=0.0, atol=1e-14)
+        # exponents (alpha_z, alpha_xi, gamma_z, gamma_xi) of
+        # d_x^alpha d_y^gamma
+        want = {(2, 0, 0, 0): (-4 * k, 0), (0, 0, 2, 0): (-4 * k, 0),
+                (0, 2, 0, 0): (0, -4), (4, 0, 0, 0): (72 * k, 0),
+                (2, 0, 2, 0): (24 * k, 0), (0, 4, 0, 0): (0, 72),
+                (0, 2, 0, 2): (0, 24), (2, 2, 0, 0): (0, 0)}
+        for row, (zz, xx) in want.items():
+            got = derivs[rows.index(row), 0]
+            assert np.allclose(got, np.diag([zz, xx]), rtol=1e-13,
+                               atol=1e-12 * k), row
+        assert np.max(np.abs(derivs[levels % 2 == 1])) == 0.0
+        # the mixed block of a product form vanishes at every order
+        assert np.max(np.abs(derivs[:, :, 0, 1])) <= 1e-12 * k
 
-        def counted(name, field):
+    @pytest.mark.parametrize("key", ["p1xp1-k2", "p1xp1-k3", "p1xp1-k4",
+                                     "p1xp1-k5", "p1xp1-k6", "p1-sum-0",
+                                     "p2xp1-k2"])
+    def test_matches_the_richardson_limit(self, key):
+        # the balance suite's states and nodes (k = 2..6 on P^1 x P^1), a
+        # d = 1 and a d = 3 model: every derivative of the jets against
+        # the h -> 0 Richardson limit of the stencil at h and h/2, to the
+        # extrapolation's error estimate |D(h/2) - D(h)| plus ten times the
+        # roundoff of a level-l difference at h/2, 2^l eps max|g| / h^l;
+        # and the check's c_a against the same limit
+        model, n_pts = {
+            "p1-sum-0": (LineBundleSumOverP1((0,), 3), 8),
+            "p2xp1-k2": (TrivialBundleOverPm(2, 2, 2), 3),
+        }.get(key, (TrivialBundleOverPm(1, 2, int(key[-1])), 16))
+        initial = bal.embedding_state(model, n_radial=6, torus=True)
+        solved = bal.balance_iterate(initial, tol=1e-9,
+                                     max_iter=suites._MAX_ITER).state
+        rng = np.random.default_rng(7 + 313 * model.k)
+        radius = np.sqrt(rng.uniform(size=(n_pts, model.n)))
+        angle = rng.uniform(0.0, 2.0 * math.pi, size=(n_pts, model.n))
+        pts = radius * np.exp(1j * angle)
+        h = 5e-3
+        limits = []
+        for state in (solved, initial):
+            field, jets = bal._form_derivatives(state, pts)
+            coarse = stencil_derivatives(bal.embedding_form_field(state),
+                                         pts, h)
+            fine = stencil_derivatives(bal.embedding_form_field(state), pts,
+                                       h / 2)
+            limit = (4.0 * fine - coarse) / 3.0
+            levels = jet_tables(model.n, 4).levels
+            roundoff = (16.0 * np.finfo(float).eps * np.max(np.abs(field))
+                        * (2.0 / h) ** levels)
+            bound = np.abs(fine - coarse) + roundoff[:, None, None, None]
+            assert np.all(np.abs(jets - limit) <= bound)
+            limits.append(limit)
+        got = bal.r_bounded_check(solved, initial, pts, r_bound=1e7)
+        want = c_a_of_table(limits[0] - limits[1],
+                            bal.embedding_form_field(initial)(pts),
+                            model.n)
+        assert got.c_a_norm == pytest.approx(want, rel=1e-5)
+
+    def test_corrupted_jet_trips_the_order_zero_guard(self, monkeypatch):
+        # a first-order Taylor coefficient off by 1e-9 at one node moves
+        # the order-0 term of g there
+        original = SectionBasis.eval_taylor
+
+        def corrupted(self, pts, orders):
+            out = original(self, pts, orders)
+            out[3, 1] *= 1.0 + 1e-9
+            return out
+
+        moved, initial, pts = self._unbalanced_states()
+        monkeypatch.setattr(SectionBasis, "eval_taylor", corrupted)
+        with pytest.raises(NumericalGuardError) as err:
+            bal.r_bounded_check(moved, initial, pts, r_bound=1e3)
+        message = str(err.value)
+        assert "at node 3 of 16, above 1e-12" in message
+        assert "p1-sum(0, 0)-k2" in message
+
+    def test_field_called_once_per_state(self, monkeypatch):
+        # each state's form field at the nodes, once: the stencil read 321
+        # shifted copies of them
+        moved, initial, pts = self._unbalanced_states()
+        original = bal.embedding_form_field
+        calls = []
+
+        def counted(state):
+            field = original(state)
+
             def call(p):
-                sizes[name].append(p.shape[0])
+                calls.append((state, p.shape))
                 return field(p)
             return call
 
-        bal.r_bounded_check(counted("candidate", candidate),
-                            counted("reference", reference), pts,
-                            r_bound=1e3)
-        bound = math.ceil(321 * 16 / 1024) + 2
-        for name, calls in sizes.items():
-            assert len(calls) <= bound, name
-            assert max(calls) <= 1024, name
-            assert sum(calls) == 322 * 16, name
+        monkeypatch.setattr(bal, "embedding_form_field", counted)
+        bal.r_bounded_check(moved, initial, pts, r_bound=1e3)
+        assert sorted(calls, key=lambda c: c[0] is moved) == [
+            (initial, (16, 2)), (moved, (16, 2))]
+
+
+@functools.lru_cache(maxsize=None)
+def comparability_stencil(d, order):
+    """Lattice offsets and integer weights of every nested central
+    difference up to `order` along the 2d real directions of C^d.
+
+    Direction 2a is Re z_a and 2a+1 is Im z_a.  Mixed central differences
+    commute, so one row per multiset of directions suffices; a row holds
+    the expanded product of (S_dir - S_dir^-1) over the multiset, S the unit
+    lattice shift, to be divided by (2h)^level.  Returns the complex offsets
+    (n_offsets, d), the weight matrix (n_multisets, n_offsets), the level
+    of each row and its exponents (alpha, gamma) of d_x^alpha d_y^gamma, as
+    in the rows of `kahler.jet_tables`; row 0 is the empty multiset (the
+    field itself)."""
+    rows = []
+    for level in range(order + 1):
+        for dirs in itertools.combinations_with_replacement(range(2 * d),
+                                                            level):
+            terms = {(0,) * (2 * d): 1}
+            for axis in dirs:
+                shifted = collections.defaultdict(int)
+                for off, c in terms.items():
+                    for sign in (1, -1):
+                        moved = list(off)
+                        moved[axis] += sign
+                        shifted[tuple(moved)] += sign * c
+                terms = shifted
+            rows.append((dirs, {off: c for off, c in terms.items() if c}))
+    lattice = sorted({off for _, terms in rows for off in terms})
+    index = {off: i for i, off in enumerate(lattice)}
+    weights = np.zeros((len(rows), len(lattice)))
+    for i, (_, terms) in enumerate(rows):
+        for off, c in terms.items():
+            weights[i, index[off]] = c
+    steps = np.array(lattice, dtype=float)
+    offsets = steps[:, 0::2] + 1j * steps[:, 1::2]
+    levels = np.array([len(dirs) for dirs, _ in rows])
+    exponents = np.zeros((len(rows), 2 * d), dtype=int)
+    for i, (dirs, _) in enumerate(rows):
+        for axis in dirs:
+            exponents[i, axis // 2 + d * (axis % 2)] += 1
+    return offsets, weights, levels, exponents
+
+
+def stencil_table(field, pts, h, order=4):
+    """Every multiset difference of the field at step h, (rows, n, m, m),
+    in the row order of `comparability_stencil`."""
+    pts = np.asarray(pts, dtype=complex)
+    n, d = pts.shape
+    offsets, weights, levels, _ = comparability_stencil(d, order)
+    shifted = (pts[None, :, :] + h * offsets[:, None, :]).reshape(-1, d)
+    table = np.asarray(field(shifted))
+    table = table.reshape((len(offsets), n) + table.shape[1:])
+    return (np.tensordot(weights, table, axes=1)
+            / (2.0 * h) ** levels[:, None, None, None])
+
+
+def stencil_derivatives(field, pts, h, order=4):
+    """`stencil_table` in the row order of `kahler.jet_tables`."""
+    d = np.asarray(pts).shape[1]
+    exponents = comparability_stencil(d, order)[3]
+    mono = jet_tables(d, order).mono
+    rows = {tuple(row): i for i, row in enumerate(mono[:len(exponents)])}
+    table = stencil_table(field, pts, h, order)
+    out = np.empty_like(table)
+    out[[rows[tuple(e)] for e in exponents]] = table
+    return out
+
+
+def c_a_of_table(derivs, g0, d, order=4):
+    """The comparability norm of a derivative table in the row order of
+    `kahler.jet_tables`: whitened by the reference g0, one factor of
+    ||g0^{-1/2}|| per derivative index, largest over rows and nodes."""
+    w0eigs, w0vecs = np.linalg.eigh(g0)
+    w0 = (w0vecs / np.sqrt(w0eigs)[:, None, :]) @ np.swapaxes(
+        w0vecs.conj(), -1, -2)
+    levels = jet_tables(d, order).levels
+    sand = w0 @ derivs @ w0
+    norms = np.linalg.svd(sand, compute_uv=False)[..., 0]
+    return float(np.max(norms / np.sqrt(w0eigs[:, 0]) ** levels[:, None]))
+
+
+def stencil_r_bounded_check(candidate, reference, pts, r_bound, h=5e-2):
+    """Oracle: the comparability check of two form callables by the
+    multiset central differences of `comparability_stencil` at step h,
+    each field evaluated once on the whole lattice around the nodes."""
+    pts = np.asarray(pts, dtype=complex)
+    d = pts.shape[1]
+    g0 = np.asarray(reference(pts))
+    derivs = (stencil_derivatives(candidate, pts, h)
+              - stencil_derivatives(reference, pts, h))
+    c_a = c_a_of_table(derivs, g0, d)
+    w0eigs, w0vecs = np.linalg.eigh(g0)
+    w0 = (w0vecs / np.sqrt(w0eigs)[:, None, :]) @ np.swapaxes(
+        w0vecs.conj(), -1, -2)
+    wcand = np.einsum("nab,nbc,ncd->nad", w0, np.asarray(candidate(pts)), w0)
+    wcand = 0.5 * (wcand + np.swapaxes(wcand.conj(), -1, -2))
+    min_ratio = float(np.min(np.linalg.eigvalsh(wcand)[:, 0]))
+    margins = (r_bound - c_a, min_ratio - 1.0 / r_bound)
+    return bal.RBoundedReport(
+        passes=bool(margins[0] >= 0.0 and margins[1] >= 0.0), c_a_norm=c_a,
+        min_ratio=min_ratio, margins=margins, order=4, nodes=int(len(pts)))
 
 
 def nested_r_bounded_check(candidate, reference, pts, r_bound, order=4,

@@ -493,6 +493,20 @@ class TestBalanceRun:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip().splitlines()[-1] == "False"
 
+    def test_import_does_not_load_multiprocessing(self):
+        # the process pool serves --workers > 1 only, and a fresh
+        # interpreter shows whether importing the CLI loads it anyway
+        code = ("import sys\n"
+                "from projbalance import cli\n"
+                "print('concurrent.futures.process' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().splitlines()[-1] == "False"
+
     def test_summary_table(self, balance_run):
         _, out = balance_run
         header = header_of(out / "balance.csv")
@@ -518,7 +532,23 @@ class TestBalanceRun:
                 if row["name"] == "almost-balanced-order"]
         assert len(rows) == 1
         assert rows[0]["passed"] is True
-        assert "reference-Gram" in rows[0]["detail"]
+        # on P^1 x P^1 every reference moment is at roundoff: the row
+        # passes on d alone and says so
+        assert rows[0]["value"] is None
+        assert rows[0]["detail"] == (
+            "reference exactly balanced (every ||mu_ref|| < 1e-12): order "
+            "not tested, d judged")
+
+    def test_almost_balanced_row_names_a_fitted_order(self, balance_run):
+        _, out = balance_run
+        cfg = parse_config_text(TINY_BALANCE)
+        levels = [dict(level, ref_norm_op=float(level["k"]) ** -2)
+                  for level in load_report(out)["results"]["levels"]]
+        row = suites.almost_balanced_row(cfg, levels)
+        assert row["passed"] is True
+        assert row["value"] == pytest.approx(2.0, rel=1e-12)
+        assert row["detail"] == ("fitted decay order of the reference-Gram "
+                                 "moments, claimed q=0")
 
     def test_levels_report_convergence(self, balance_run):
         _, out = balance_run
@@ -759,9 +789,8 @@ class TestTorusRuleHealth:
     """`balance` and `moment-spectrum` balance torus states on
     `balancing.torus_orbit_rule`, one node per torus orbit: each level
     records that rule's node count, and `moment-spectrum` levels take
-    their normal-action operator on it too.  The self-check is an
-    informational row per `balance` level and one per `moment-spectrum`
-    sweep, at its top level."""
+    their normal-action operator on it too.  The self-check is one
+    informational row per sweep, at its lowest level."""
 
     BALANCE_KEYS = {
         "k", "count", "nodes", "converged", "diverged",
@@ -783,7 +812,7 @@ class TestTorusRuleHealth:
             assert level["nodes"] == 10 * 10
         rows = [row for row in report["checks"]
                 if row["name"] == "torus-rule-degree"]
-        assert [row["k"] for row in rows] == [2, 3, 4]
+        assert [row["k"] for row in rows] == [2]
         for row in rows:
             assert row["passed"] is None
             assert 0.0 <= row["value"] <= 1e-13
@@ -806,12 +835,12 @@ class TestTorusRuleHealth:
             assert level["nodes"] == level["samples"] == 8
         rows = [row for row in report["checks"]
                 if row["name"] == "torus-rule-degree"]
-        assert len(rows) == 1 and rows[0]["k"] == 3
+        assert len(rows) == 1 and rows[0]["k"] == 1
         assert rows[0]["passed"] is None
         assert 0.0 <= rows[0]["value"] <= 1e-13
         # the orbit rule against 2 D + 3 angles, D = k
-        assert "from 1 to 9 angles per base coordinate" in rows[0]["detail"]
-        assert "D = 3" in rows[0]["detail"]
+        assert "from 1 to 5 angles per base coordinate" in rows[0]["detail"]
+        assert "D = 1" in rows[0]["detail"]
 
     def test_trip_exits_two_and_names_the_cause(self, tmp_path, monkeypatch,
                                                 capsys):
@@ -826,9 +855,9 @@ class TestTorusRuleHealth:
         assert cli.main(["moment-spectrum", "--config", path,
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "numerical guard: torus rule on p1-sum(0,)-k4" in err
-        assert "from 1 to 11 angles per base coordinate" in err
-        assert "D = 4" in err
+        assert "numerical guard: torus rule on p1-sum(0,)-k2" in err
+        assert "from 1 to 7 angles per base coordinate" in err
+        assert "D = 2" in err
         assert not (out / "report.json").exists()
 
 

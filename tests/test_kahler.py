@@ -20,7 +20,9 @@ from projbalance.kahler import (
     FlatChart,
     FubiniStudy,
     PotentialKahler,
+    jet_tables,
     lambda_contract,
+    log_kernel_jet,
     mixed_volume_coefficients,
 )
 from projbalance.quadrature import chart_rule, integrate
@@ -113,6 +115,35 @@ class TestFormMatrices:
         ks = FubiniStudy(2)
         g = ks.matrix(pt[None, :])[0]
         assert np.max(np.abs(g - oracle)) < 1e-12
+
+    def test_log_kernel_jet_matches_sympy_on_p2(self):
+        # u(w) = (1, w1, w2) has the potential log(1 + |w|^2): its jet's
+        # real derivatives of g_ab, orders 0 to 4, against sympy's
+        x1, y1, x2, y2 = sp.symbols("x1 y1 x2 y2", real=True)
+        xs, ys = (x1, x2), (y1, y2)
+        phi = sp.log(1 + x1**2 + y1**2 + x2**2 + y2**2)
+
+        def dz(f, a, sign):
+            return (sp.diff(f, xs[a]) + sign * sp.I * sp.diff(f, ys[a])) / 2
+
+        pt = np.array([0.37 - 0.81j, -0.44 + 0.23j])
+        tables = jet_tables(2, 4)
+        hol = [tuple(p) for p in tables.hol]
+        coeffs = np.zeros((1, len(hol), 3), dtype=complex)
+        coeffs[0, 0] = [1.0, *pt]
+        coeffs[0, hol.index((1, 0)), 1] = coeffs[0, hol.index((0, 1)), 2] = 1
+        derivs = log_kernel_jet(coeffs, 2, 4)
+        rows = [tuple(r) for r in tables.mono[:len(tables.levels)]]
+        subs = {x1: pt[0].real, y1: pt[0].imag, x2: pt[1].real,
+                y2: pt[1].imag}
+        for a, b in ((0, 0), (0, 1)):
+            g = dz(dz(phi, b, 1), a, -1)
+            for row in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 1, 0),
+                        (2, 0, 0, 1), (1, 1, 1, 1), (0, 0, 0, 4)):
+                want = complex(sp.diff(g, x1, row[0], x2, row[1], y1, row[2],
+                                       y2, row[3]).evalf(subs=subs))
+                got = derivs[rows.index(row), 0, a, b]
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), row
 
     def test_positive_definite_at_random_nodes(self):
         rng = np.random.default_rng(0)
