@@ -80,12 +80,13 @@ closed form for dim = 2 (`_hermitian_det`; LU otherwise).  The spectral
 norms of `r_bounded_check` are in closed form for 2 x 2 fields as well
 (`_hermitian_norm`; SVD otherwise), and so is the tangent frame of
 `sigma_z_operator` (`_tangent_frame`: Gram-Schmidt on the two direction
-slabs; SVD otherwise).  The tables themselves come from one power table
-of the coordinates per evaluation (`SectionBasis.eval_embedding_jet`
-gathers every monomial and lowered monomial from it, and
-`SectionBasis.eval_taylor` every binomial shift), so neither a state's
-tables nor the jets of `r_bounded_check` take a complex power, and the
-Gram's whitener is formed once per `GramMatrix`.
+slabs; SVD otherwise).  The tables themselves are binomial shifts of the
+sections' chart monomials, gathered from one power table of the
+coordinates per evaluation by one `SectionBasis` kernel: the values its
+order-0 row, `SectionBasis.eval_embedding_jet` its unit rows and
+`SectionBasis.eval_taylor` every row `r_bounded_check` reads.  So neither
+a state's tables nor the jets of `r_bounded_check` take a complex power,
+and the Gram's whitener is formed once per `GramMatrix`.
 
 A state makes one geometry pass for the moment and the T-step together:
 its memo `EmbeddingState._pairings` keeps the volume and both pairings (a
@@ -371,9 +372,9 @@ def _abs2(x):
 
 
 def _pullback_data(u, du, dim):
-    """Kernel, pulled-back metric coefficients, and reduced volume density
-    of a frame table u (n, N) with direction-major holomorphic jets du
-    (dim, n, N).
+    """Kernel, its gradient, pulled-back metric coefficients, and reduced
+    volume density of a frame table u (n, N) with direction-major
+    holomorphic jets du (dim, n, N).
 
     The pulled-back metric of the embedding by the frame u is
     d d-bar log |u|^2; its coefficient matrix is A/K - b b^H / K^2 with
@@ -413,16 +414,16 @@ def _pullback_data(u, du, dim):
             f"{len(dens)} not nonnegative (floor {floor:.1e}), as it is in "
             "exact arithmetic: check GramMatrix.condition() of the state's "
             "Gram and that the node and its section jet are finite")
-    return kk, gfs, np.maximum(dens, 0.0)
+    return kk, grad, gfs, np.maximum(dens, 0.0)
 
 
 def _fs_geometry(state):
-    """Frame values, direction-major jets, kernel, pulled-back metric, and
-    the rule weights times the reduced volume density, at the rule nodes
-    of a state."""
+    """Frame values, direction-major jets, kernel, its gradient (dim, n),
+    and the rule weights times the reduced volume density, at the rule
+    nodes of a state."""
     u, du = _mix(state.values, state.jet, state.transform)
-    kk, gfs, dens = _pullback_data(u, du, state.model.n)
-    return u, du, kk, gfs, state.rule.weights * dens
+    kk, grad, _, dens = _pullback_data(u, du, state.model.n)
+    return u, du, kk, grad, state.rule.weights * dens
 
 
 def embedding_form_field(state):
@@ -440,7 +441,7 @@ def embedding_form_field(state):
         pts = np.asarray(pts, dtype=complex)
         table = _mix(basis.eval_embedding(pts), basis.eval_embedding_jet(pts),
                      t)
-        return _pullback_data(*table, dim)[1]
+        return _pullback_data(*table, dim)[2]
 
     return field
 
@@ -789,9 +790,8 @@ def sigma_z_operator(state, generators=None):
     angles would not do: on P^1 at k = 2, lambda_z then reads 3.96 instead
     of 2.5.  `torus_rule_check` compares the two."""
     gens = su_basis(state.count) if generators is None else np.asarray(generators)
-    u, du, kk, _, wq = _fs_geometry(state)
+    u, du, kk, grad, wq = _fs_geometry(state)
     nodes, nn = u.shape
-    grad = np.einsum("anp,np->an", du, np.conj(u))
     tang = du - (grad / kk)[:, :, None] * u
     # batched orthonormal frames for the tangent columns, (nodes, N, dim)
     uf, smin, smax = _tangent_frame(tang)

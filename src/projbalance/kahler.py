@@ -42,6 +42,7 @@ __all__ = [
     "PerturbedKahler",
     "complex_hessian",
     "complex_gradient",
+    "graded_exponents",
     "jet_tables",
     "log_kernel_jet",
     "lambda_contract",
@@ -160,6 +161,20 @@ def complex_gradient(fn, pts, h=5e-3):
 # exact jets of log-kernel potentials
 # ---------------------------------------------------------------------------
 
+def graded_exponents(count, top):
+    """All exponents e in N^count with |e| <= top, an (M, count) integer
+    array graded by degree, lexicographic within a degree (the first
+    coordinate most significant, ascending)."""
+    blocks = [np.zeros((1, count), dtype=int)]
+    for degree in range(1, top + 1):
+        # each multiset of `degree` coordinates is one exponent, its
+        # counts; the multisets come in the reverse of the order wanted
+        picks = np.array(list(itertools.combinations_with_replacement(
+            range(count), degree)), dtype=int).reshape(-1, degree)
+        blocks.append((picks[::-1, :, None] == np.arange(count)).sum(axis=1))
+    return np.concatenate(blocks)
+
+
 JetTables = namedtuple("JetTables", "mono hol kernel steps g_index g_scale "
                                     "real_map levels")
 
@@ -182,26 +197,29 @@ def jet_tables(d, order):
     derivatives d_x^alpha d_y^gamma at h = 0, h = x + i y and
     (alpha, gamma) = mono[r] (the directions of `_real_hessian`), and
     `levels` are their orders."""
-    top, radix = order + 2, order + 3
-    grid = np.indices((top + 1,) * (2 * d)).reshape(2 * d, -1).T
-    grid = grid[grid.sum(axis=1) <= top]
-    mono = grid[np.argsort(grid.sum(axis=1), kind="stable")]
+    top = order + 2
+    mono = graded_exponents(2 * d, top)
     degree = mono.sum(axis=1)
     bounds = np.searchsorted(degree, np.arange(top + 2))
-    # the code of a monomial in base `radix` is additive under products
-    place = radix ** np.arange(2 * d)
-    lookup = np.zeros(radix ** (2 * d), dtype=int)
-    lookup[mono @ place] = np.arange(len(mono))
+    # the code of a monomial in base top + 1 is additive under products;
+    # `find` takes codes to rows through the sorted codes
+    place = (top + 1) ** np.arange(2 * d)
+    by_code = np.argsort(mono @ place)
+    codes = (mono @ place)[by_code]
+
+    def find(code):
+        return by_code[np.searchsorted(codes, code)]
+
     is_hol = ~mono[:, d:].any(axis=1)
-    kernel = (np.cumsum(is_hol) - 1)[lookup[np.stack(
-        [mono[:, :d], mono[:, d:]]) @ place[:d]]]
+    kernel = (np.cumsum(is_hol) - 1)[find(np.stack(
+        [mono[:, :d], mono[:, d:]]) @ place[:d])]
     steps = []
     for m in range(2, top + 1):
         a, b = np.concatenate([np.stack(np.meshgrid(
             np.arange(bounds[j], bounds[j + 1]),
             np.arange(bounds[m - j], bounds[m - j + 1]),
             indexing="ij")).reshape(2, -1) for j in range(1, m)], axis=1)
-        target = lookup[(mono[a] + mono[b]) @ place]
+        target = find((mono[a] + mono[b]) @ place)
         by = np.argsort(target, kind="stable")
         a, b = a[by], b[by]
         steps.append((slice(bounds[m], bounds[m + 1]), a, b, degree[a] / m,
@@ -209,8 +227,8 @@ def jet_tables(d, order):
                                                             bounds[m + 1]))))
     rows = mono[:bounds[order + 1]]
     unit = np.eye(d, dtype=int)
-    g_index = lookup[(rows + np.concatenate(np.broadcast_arrays(
-        unit[:, None, None], unit[None, :, None]), axis=-1)) @ place]
+    g_index = find((rows + np.concatenate(np.broadcast_arrays(
+        unit[:, None, None], unit[None, :, None]), axis=-1)) @ place)
     g_scale = (rows[:, :d].T + 1)[:, None] * (rows[:, d:].T + 1)[None, :]
     # (x + i y)^p (x - i y)^q = sum_s c[p, q, s] x^(p + q - s) y^s, and
     # d_x^alpha d_y^gamma of x^alpha y^gamma at 0 is alpha! gamma!

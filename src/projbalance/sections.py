@@ -9,7 +9,12 @@ and its value at a chart point (z, xi) of the total space is
     v(z, xi) = lambda_alpha(xi) * z^beta,   lambda = (1, xi_1, ..., xi_{r-1}).
 
 Everything downstream (Gram matrices, Bergman fields, moment maps) consumes
-the tables produced here; evaluation and first derivatives are exact.
+the tables produced here.  A section is a monomial w^e in the chart
+coordinates w = (z, xi) (`SectionBasis.chart_exponents`), so its Taylor
+coefficients of every order are exact binomial shifts
+C(e, J) w^(e - J); one kernel gathers them from one table of powers of the
+points for every table: values, first jets, Taylor coefficients and the
+split-frame components.
 
 Quadrature rules follow the factor structure of the model: the base and the
 fiber each get a joint radial rule for their own projective factor, and the
@@ -21,10 +26,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
-from itertools import product as _iproduct
 
 import numpy as np
 
+from .kahler import graded_exponents
 from .quadrature import chart_rule, product_rule
 
 logger = logging.getLogger(__name__)
@@ -123,19 +128,6 @@ def split_points(model, pts):
     return pts[:, : model.m], pts[:, model.m:]
 
 
-def _monomial_exponents(m, max_degree):
-    """All exponent tuples beta in N^m with |beta| <= max_degree, graded
-    lexicographic, as an (N, m) integer array."""
-    if m == 0:
-        return np.zeros((1, 0), dtype=int)
-    out = []
-    for total in range(max_degree + 1):
-        for beta in _iproduct(range(total + 1), repeat=m):
-            if sum(beta) == total:
-                out.append(beta)
-    return np.array(out, dtype=int)
-
-
 @dataclass(frozen=True)
 class SectionBasis:
     """Monomial section table for a model space.
@@ -153,45 +145,6 @@ class SectionBasis:
     def count(self):
         return self.summand.shape[0]
 
-    def _power_table(self, z, top=None):
-        """Powers z_a^j of the coordinates z (n, c) for j = 0..top, by
-        default the largest base exponent of the basis, as one
-        (c, n, top + 1) table built by repeated products: entry j is entry
-        j - 1 times z_a, the same multiplications an integer complex power
-        makes, so each is within j roundings of the exact power."""
-        if top is None:
-            top = int(self.exponents.max(initial=0))
-        table = np.empty((z.shape[1], z.shape[0], top + 1), dtype=complex)
-        table[..., 0] = 1.0
-        for j in range(1, top + 1):
-            np.multiply(table[..., j - 1], z.T, out=table[..., j])
-        return table
-
-    def _monomials(self, z, table=None, lower=None, out=None):
-        """Monomials z^beta of every section, (n, N), gathered from the
-        power table of z (`_power_table`, or the caller's `table`) into
-        `out` if given; `lower` = a lowers each beta_a by one, clipped at 0.
-        Each is the product of its m table entries, so it is within a few
-        roundings of the complex power.  m = 0 gives the constant 1."""
-        if out is None:
-            out = np.empty((z.shape[0], self.count), dtype=complex)
-        if self.model.m == 0:
-            out.fill(1.0)
-            return out
-        if table is None:
-            table = self._power_table(z)
-        for a in range(self.model.m):
-            e = self.exponents[:, a]
-            if a == lower:
-                e = np.maximum(e - 1, 0)
-            # every index is in range; "clip" lets take write into out
-            # without a buffer
-            if a == 0:
-                np.take(table[a], e, axis=1, out=out, mode="clip")
-            else:
-                out *= np.take(table[a], e, axis=1, mode="clip")
-        return out
-
     @cached_property
     def chart_exponents(self):
         """Exponents (N, m + r - 1) of the sections as monomials w^e in the
@@ -200,103 +153,97 @@ class SectionBasis:
         fiber = np.eye(self.model.r, dtype=int)[self.summand, 1:]
         return np.concatenate([self.exponents, fiber], axis=1)
 
-    @cached_property
-    def _summand_runs(self):
-        """(alpha, columns) for each run of equal consecutive `summand`
-        entries, the columns a slice: one run per summand for a basis from
-        `build_section_basis`."""
-        bounds = [0, *(np.flatnonzero(np.diff(self.summand)) + 1).tolist(),
-                  self.count]
-        return tuple((int(self.summand[lo]), slice(lo, hi))
-                     for lo, hi in zip(bounds, bounds[1:]) if hi > lo)
-
-    def _frame_scaled(self, table, lam, first=0):
-        """table (n, N) times the fiber frame lam (n, r) of each section's
-        summand, lam[:, summand], in place, one column run at a time;
-        summands below `first` are left as they are."""
-        for alpha, cols in self._summand_runs:
-            if alpha >= first:
-                table[:, cols] *= lam[:, alpha, None]
-        return table
+    def _shifts(self, coords, expo, orders):
+        """Binomial shifts of the monomials w^e, e the rows of expo (N, c),
+        at points coords (n, c) for the rows J of orders (J, c), as
+        (n, J, N): entry (i, j, p) is the coefficient
+        prod_a C(e_pa, J_ja) w_ia^(e_pa - J_ja) of h^J in (w_i + h)^(e_p),
+        zero where some J_ja > e_pa.  Per coordinate, one gather takes the
+        power of every entry from one `_power_table` of the points, and
+        the orders above 0 scale it by its binomial; each entry is the
+        product of its c factors, first to last."""
+        n, c = coords.shape
+        top = int(expo.max(initial=0))
+        table = _power_table(coords, top)
+        # complex, so that scaling by it casts nothing
+        binom = np.array([[math.comb(e, j) for e in range(top + 1)]
+                          for j in range(int(orders.max(initial=0)) + 1)],
+                         dtype=complex)
+        out = np.empty((n, len(orders), len(expo)), dtype=complex)
+        if c == 0:
+            out.fill(1.0)
+        for a in range(c):
+            factor = np.empty_like(out) if a else out
+            # an index below 0 (J_a > e_a) clips to w^0, and its binomial
+            # is 0; "clip" lets take write into out without a buffer
+            np.take(table[a], expo[:, a] - orders[:, a, None], axis=1,
+                    out=factor, mode="clip")
+            if orders[:, a].any():
+                factor *= binom[orders[:, a, None], expo[:, a]]
+            if a:
+                out *= factor
+        return out
 
     def eval_components(self, z):
         """Component table s_i(z) in the split frame, shape (n, N, r)."""
         z = np.asarray(z, dtype=complex)
         if z.ndim != 2 or z.shape[1] != self.model.m:
             raise ValueError(f"base points must have shape (n, {self.model.m})")
-        mono = self._monomials(z)
         comps = np.zeros((z.shape[0], self.count, self.model.r), dtype=complex)
-        comps[:, np.arange(self.count), self.summand] = mono
+        comps[:, np.arange(self.count), self.summand] = self._shifts(
+            z, self.exponents, np.zeros((1, self.model.m), dtype=int))[:, 0]
         return comps
 
     def eval_embedding(self, pts):
         """Values v_i(z, xi) on the affine chart of the total space, (n, N)."""
-        z, xi = split_points(self.model, pts)
-        # lam_0 = 1 in the affine frame
-        return self._frame_scaled(self._monomials(z), affine_frame(xi), 1)
+        pts = np.concatenate(split_points(self.model, pts), axis=1)
+        return self._shifts(pts, self.chart_exponents,
+                            np.zeros((1, self.model.n), dtype=int))[:, 0]
 
     def eval_embedding_homogeneous(self, z, lam):
         """Values against an arbitrary fiber frame lam of shape (n, r);
         degree one in lam (frame rescaling rescales the whole row)."""
-        z = np.asarray(z, dtype=complex)
-        lam = np.asarray(lam, dtype=complex)
-        return self._frame_scaled(self._monomials(z), lam)
+        mono = self._shifts(np.asarray(z, dtype=complex), self.exponents,
+                            np.zeros((1, self.model.m), dtype=int))[:, 0]
+        return mono * np.asarray(lam, dtype=complex)[:, self.summand]
 
     def eval_embedding_jet(self, pts):
         """Exact holomorphic first derivatives, direction-major: shape
         (m + r - 1, n, N), the base directions first, so that each
-        direction is one contiguous (n, N) table like the values.
-
-        Every factor comes from one power table of the points
-        (`_power_table`), gathered straight into the jet: base direction a
-        is beta_a times the monomial with beta_a lowered by one (beta_a = 0
-        gathers z_a^0 and zeroes the column, so it stays finite), and the
-        fiber direction of summand alpha is the monomial itself."""
-        z, xi = split_points(self.model, pts)
-        m, r = self.model.m, self.model.r
-        table = self._power_table(z)
-        jet = np.empty((m + r - 1, z.shape[0], self.count), dtype=complex)
-        lam = affine_frame(xi)
-        for a in range(m):
-            self._monomials(z, table, lower=a, out=jet[a])
-            jet[a] *= self.exponents[:, a]
-            self._frame_scaled(jet[a], lam, 1)
-        for c in range(r - 1):
-            self._monomials(z, table, out=jet[m + c])
-            for alpha, cols in self._summand_runs:
-                if alpha != c + 1:
-                    jet[m + c][:, cols] = 0.0
-        return jet
+        direction is one contiguous (n, N) table like the values: the
+        binomial shifts of the unit orders."""
+        pts = np.concatenate(split_points(self.model, pts), axis=1)
+        return np.ascontiguousarray(np.moveaxis(self._shifts(
+            pts, self.chart_exponents, np.eye(self.model.n, dtype=int)), 1, 0))
 
     def eval_taylor(self, pts, orders):
         """Taylor coefficients of the sections at chart points, (n, J, N):
         entry (i, j, p) is the coefficient of h^orders[j] in v_p(pts_i + h),
-        for the rows of `orders` (J, m + r - 1).  Each section is a
-        monomial w^e (`chart_exponents`), so that coefficient is the
-        binomial shift prod_a C(e_a, J_a) w_a^(e_a - J_a), zero where some
-        J_a > e_a; the powers come from one `_power_table` of the points."""
+        for the rows of `orders` (J, m + r - 1), the binomial shifts of
+        `chart_exponents`."""
         pts = np.concatenate(split_points(self.model, pts), axis=1)
-        expo = self.chart_exponents
-        orders = np.asarray(orders, dtype=int)
-        top = int(expo.max(initial=0))
-        table = self._power_table(pts, top)
-        binom = np.array([[math.comb(e, j)
-                           for j in range(int(orders.max(initial=0)) + 1)]
-                          for e in range(top + 1)], dtype=float)
-        out = np.ones((pts.shape[0], orders.shape[0], self.count),
-                      dtype=complex)
-        for a in range(pts.shape[1]):
-            j = orders[:, a, None]
-            out *= (binom[expo[:, a], j]
-                    * table[a][:, np.maximum(expo[:, a] - j, 0)])
-        return out
+        return self._shifts(pts, self.chart_exponents,
+                            np.asarray(orders, dtype=int))
+
+
+def _power_table(coords, top):
+    """Powers w_a^j of the coordinates w (n, c) for j = 0..top, as one
+    (c, n, top + 1) table built by repeated products: entry j is entry
+    j - 1 times w_a, the same multiplications an integer complex power
+    makes, so each is within j roundings of the exact power."""
+    table = np.empty((coords.shape[1], coords.shape[0], top + 1),
+                     dtype=complex)
+    table[..., 0] = 1.0
+    for j in range(1, top + 1):
+        np.multiply(table[..., j - 1], coords.T, out=table[..., j])
+    return table
 
 
 def build_section_basis(model):
     summand = []
     exponents = []
     for alpha, a in enumerate(model.degrees):
-        expo = _monomial_exponents(model.m, a + model.k)
+        expo = graded_exponents(model.m, a + model.k)
         exponents.append(expo)
         summand.extend([alpha] * expo.shape[0])
     basis = SectionBasis(model, np.array(summand, dtype=int), np.concatenate(exponents, axis=0))

@@ -1,4 +1,5 @@
-"""Every public name of the package has a caller in the package.
+"""Every public name of the package, and every private one, has a caller
+in the package.
 
 A name in a module's `__all__` counts as called when it appears as a
 `Name` or an `Attribute` somewhere in `src/projbalance` outside the
@@ -6,6 +7,11 @@ top-level statement that defines it.  Strings, docstrings included, and
 import lines do not count.  The few public names that only the tests or
 the benchmark call are listed in `NO_CALLER_IN_THE_PACKAGE`, each with the
 reason it stays.
+
+A private name (one leading underscore, not a dunder) of a module-level
+function, class or constant, or of a method, counts as called by the same
+rule, outside its own definition: a helper that a refactor strands fails
+here.  None is exempt.
 """
 
 import ast
@@ -72,3 +78,40 @@ def test_every_listed_name_is_public_and_uncalled():
     listed = set(NO_CALLER_IN_THE_PACKAGE)
     assert sorted(listed - public) == []
     assert sorted(listed - uncalled) == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree):
+    """(name, defining node) of each private module-level function, class
+    and constant of a module, and of each private method of its classes."""
+    for stmt in tree.body:
+        for name in _defined_names(stmt):
+            if _is_private(name):
+                yield name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and _is_private(item.name)):
+                    yield item.name, item
+
+
+def test_every_private_name_has_a_caller():
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    uses = {}  # name -> nodes where it is used
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(node)
+    uncalled = []
+    for path, tree in zip(sorted(PACKAGE.glob("*.py")), trees):
+        for name, definition in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if all(id(node) in inside for node in uses.get(name, [])):
+                uncalled.append(f"{path.name}: {name}")
+    assert uncalled == []

@@ -269,7 +269,9 @@ class TestGeometryKernel:
     def test_pulled_back_metric_is_hermitian(self):
         rng = np.random.default_rng(113)
         state = p1xp1_state(2, gram=random_spd(rng, 6), n_radial=4)
-        _, _, _, gfs, wq = bal._fs_geometry(state)
+        u, du, _, grad, wq = bal._fs_geometry(state)
+        assert np.array_equal(grad, np.einsum("anp,np->an", du, np.conj(u)))
+        gfs = bal._pullback_data(u, du, 2)[2]
         assert np.array_equal(gfs, np.conj(np.swapaxes(gfs, 1, 2)))
         dens = np.linalg.det(gfs).real * 2.0 ** 2 / (2.0 * math.pi) ** 2
         want = state.rule.weights * dens

@@ -10,7 +10,7 @@ Two independent oracles live here:
 """
 
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from projbalance.kahler import (
     FlatChart,
     FubiniStudy,
     PotentialKahler,
+    graded_exponents,
     jet_tables,
     lambda_contract,
     log_kernel_jet,
@@ -144,6 +145,39 @@ class TestFormMatrices:
                                        y2, row[3]).evalf(subs=subs))
                 got = derivs[rows.index(row), 0, a, b]
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), row
+
+    @pytest.mark.parametrize("count,top", [(0, 3), (1, 4), (2, 6), (4, 3),
+                                           (6, 6)])
+    def test_graded_exponents_filter_the_product(self, count, top):
+        # the definition: every tuple of the product with |e| <= top,
+        # stably sorted by degree
+        grid = [e for e in product(range(top + 1), repeat=count)
+                if sum(e) <= top]
+        want = sorted(grid, key=sum)
+        got = graded_exponents(count, top)
+        assert got.shape == (len(want), count)
+        assert [tuple(e) for e in got] == want
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_jet_table_lookups_land_on_their_sums(self, d):
+        tables = jet_tables(d, 4)
+        mono, hol = tables.mono, tables.hol
+        assert np.array_equal(mono, graded_exponents(2 * d, 6))
+        zeros = np.zeros_like(hol[tables.kernel[0]])
+        assert np.array_equal(np.concatenate(
+            [hol[tables.kernel[0]], zeros], axis=1)
+            + np.concatenate([zeros, hol[tables.kernel[1]]], axis=1), mono)
+        for block, a, b, _, starts in tables.steps:
+            target = np.repeat(np.arange(block.start, block.stop),
+                               np.diff(np.append(starts, len(a))))
+            assert np.array_equal(mono[a] + mono[b], mono[target])
+        rows = mono[:len(tables.levels)]
+        for i in range(d):
+            for j in range(d):
+                shifted = rows.copy()
+                shifted[:, i] += 1
+                shifted[:, d + j] += 1
+                assert np.array_equal(mono[tables.g_index[i, j]], shifted)
 
     def test_positive_definite_at_random_nodes(self):
         rng = np.random.default_rng(0)

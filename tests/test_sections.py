@@ -2,8 +2,9 @@
 
 Oracles: monomial dimension counts done by independent combinatorics
 (itertools enumeration rather than binomial formulas), finite differences of
-evaluations against the analytic jets, and numpy's complex power for the
-monomials that `SectionBasis` gathers from one power table.
+evaluations against the analytic jets, and numpy's complex power times a
+binomial for the values, jets and Taylor coefficients that `SectionBasis`
+gathers from one power table.
 """
 
 import math
@@ -12,6 +13,7 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
+from projbalance.kahler import jet_tables
 from projbalance.quadrature import chart_rule, integrate
 from projbalance.sections import (
     LineBundleSumOverP1,
@@ -235,6 +237,22 @@ def complex_power_oracle(basis, pts):
     return lam * mono, jet, mono
 
 
+def taylor_oracle(basis, pts, orders):
+    """Taylor coefficients (n, J, N) of the sections lam_alpha z^beta,
+    monomials w^e in the chart coordinates w = (z, xi), from numpy's
+    complex power: prod_a C(e_a, J_a) w_a^(e_a - J_a), one coordinate at
+    a time, 0 where J_a > e_a."""
+    fiber = (basis.summand[:, None] == np.arange(1, basis.model.r)).astype(int)
+    expo = np.concatenate([basis.exponents, fiber], axis=1)
+    out = np.ones((len(pts), len(orders), basis.count), dtype=complex)
+    for a in range(pts.shape[1]):
+        e, j = expo[None, :, a], orders[:, None, a]
+        binom = np.array([[math.comb(p, q) for q in range(7)]
+                          for p in range(13)], dtype=float)[e, j]
+        out *= binom * pts[:, None, None, a] ** np.maximum(e - j, 0)
+    return out
+
+
 def assert_relative(got, want, tol):
     assert got.shape == want.shape
     assert np.array_equal(got == 0, want == 0)
@@ -244,9 +262,10 @@ def assert_relative(got, want, tol):
 
 
 class TestPowerTable:
-    """`SectionBasis` gathers every monomial from one table of powers built
-    by repeated products; it must agree with the complex power to roundoff
-    at every base dimension, up to degree 12, with |z| over six decades."""
+    """`SectionBasis` gathers every value, jet and Taylor coefficient from
+    one table of powers built by repeated products; each must agree with
+    the complex power times its binomial to roundoff at every base
+    dimension, up to degree 12, with |z| over six decades."""
 
     MODELS = {
         0: ProjectivePoint(3),
@@ -273,3 +292,17 @@ class TestPowerTable:
         lam = rng.standard_normal((40, model.r)) + 0j
         assert_relative(basis.eval_embedding_homogeneous(z, lam),
                         lam[:, basis.summand] * mono, 1e-13)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_taylor_matches_binomial_times_the_complex_power(self, m):
+        # every order row that r_bounded_check reads, to degree 6, on ten
+        # points
+        model = self.MODELS[m]
+        basis = build_section_basis(model)
+        rng = np.random.default_rng(290 + m)
+        moduli = 10.0 ** rng.uniform(-3.0, 3.0, size=(10, model.n))
+        pts = moduli * np.exp(2j * math.pi * rng.random((10, model.n)))
+        orders = jet_tables(model.n, 4).hol
+        assert orders.max() == 6
+        assert_relative(basis.eval_taylor(pts, orders),
+                        taylor_oracle(basis, pts, orders), 1e-13)
