@@ -69,33 +69,38 @@ the only L2 pairing of a node table against the pulled-back volume:
 the frame, the T-step the raw basis values, and the density the frame
 again.
 
-The geometry kernel works on direction-major tables: the values are
-(n, N) and the jet (dim, n, N), one (n, N) slab per holomorphic direction
-(`SectionBasis.eval_embedding_jet`).  `_mix` moves both to the Gram's
-whitener frame with one GEMM for the values and one per direction, each
-with the n rows of the values; `_pullback_data` forms the kernel, the
-gradient and the upper triangle of the jet pairing as row sums over the N
-sections, fills the metric stack Hermitian, and takes its determinant in
-closed form for dim = 2 (`_hermitian_det`; LU otherwise).  The spectral
-norms of `r_bounded_check` are in closed form for 2 x 2 fields as well
-(`_hermitian_norm`; SVD otherwise), and so is the tangent frame of
-`sigma_z_operator` (`_tangent_frame`: Gram-Schmidt on the two direction
-slabs; SVD otherwise).  The tables themselves are binomial shifts of the
-sections' chart monomials, gathered from one power table of the
-coordinates per evaluation by one `SectionBasis` kernel: the values its
-order-0 row, `SectionBasis.eval_embedding_jet` its unit rows and
-`SectionBasis.eval_taylor` every row `r_bounded_check` reads.  So neither
-a state's tables nor the jets of `r_bounded_check` take a complex power,
-and the Gram's whitener is formed once per `GramMatrix`.
+The geometry kernel works on one order-major table per point set, the
+1-jet (1 + dim, n, N) of `SectionBasis.eval_embedding_jet`: row 0 the
+values, then one (n, N) row per holomorphic direction, all from one power
+table of the points.  One matmul moves it to the Gram's whitener frame,
+one GEMM per row, and the frame values and jets are views of the result;
+`_pullback_data` forms the kernel, the gradient and the upper triangle of
+the jet pairing as row sums over the N sections, fills the metric stack
+Hermitian, and takes its determinant in closed form for dim = 2
+(`_hermitian_det`; LU otherwise).  The spectral norms of `r_bounded_check`
+are in closed form for 2 x 2 fields as well (`_hermitian_norm`; SVD
+otherwise), and so is the tangent frame of `sigma_z_operator`
+(`_tangent_frame`: Gram-Schmidt on the two direction slabs; SVD
+otherwise).  The tables themselves are binomial shifts of the sections'
+chart monomials, gathered by one `SectionBasis` kernel: the 1-jet its
+zero and unit rows, `SectionBasis.eval_taylor` every row
+`r_bounded_check` reads.  So neither a state's tables nor the jets of
+`r_bounded_check` take a complex power.
 
-A state makes one geometry pass for the moment and the T-step together:
-its memo `EmbeddingState._pairings` keeps the volume and both pairings (a
-scalar and two N x N matrices, no node table), so an iteration computes
-`_fs_geometry` once per state it visits: an Anderson step visits its mixed
-state, and a safeguard fallback the plain one as well.  The node sums are
-matrix products on BLAS.  The Anderson least squares drops singular values
-below `_ANDERSON_RCOND` of the largest, so roundoff in the history never
-steers a step.
+Each Gram is factored once, by its `GramMatrix`: the guards, the whitener
+and the Anderson mixer's traceless log (`_traceless_log`) all read that
+one eigendecomposition.  The T-step's det gauge is the one LU, and the
+mixer's `_exp_hermitian` factors the mix, which is no Gram yet.
+
+A state makes one geometry pass and one moment for everything that reads
+them: its memo `EmbeddingState._pairings` keeps the `MomentValue` and both
+pairings (N x N matrices and scalars, read-only, no node table), so an
+iteration computes `_fs_geometry` and the moment's `eigvalsh` once per
+state it visits: an Anderson step visits its mixed state, and a safeguard
+fallback the plain one as well.  The node sums are matrix products on
+BLAS.  The Anderson least squares drops singular values below
+`_ANDERSON_RCOND` of the largest, so roundoff in the history never steers
+a step.
 
 All volumes are reduced by (2 pi)^dim as elsewhere in the package.
 """
@@ -180,13 +185,15 @@ class EmbeddingState:
     `transform` columns are a G-orthonormal frame: transform^H G transform
     is the identity; it is the Gram's whitener, which the `GramMatrix`
     forms once and keeps, so no copy with another Gram keeps a stale one.
-    `values` and `jet` are the tables of the raw section basis at the rule
-    nodes, cached so iteration steps only pay for the N x N linear
-    algebra; `jet` is direction-major, (dim, n, N).  The Gram is read in
-    that same raw basis.
-    `_pairings` memoizes what the moment and the T-step read, so a state
-    costs one geometry pass however many of them ask; it is N x N data and
-    a scalar, never a node table, and a new state starts without it.
+    `jet` is the 1-jet of the raw section basis at the rule nodes, one
+    order-major table (1 + dim, n, N) from one evaluation: row 0 the
+    values (`values`), then one (n, N) row per holomorphic direction.  It
+    is kept so iteration steps only pay for the N x N linear algebra; the
+    Gram is read in that same raw basis.
+    `_pairings` memoizes the moment and what the T-step and the density
+    read, so a state costs one geometry pass and one moment however many
+    of them ask; it is N x N data and scalars, never a node table,
+    read-only, and a new state starts without it.
 
     A `torus` state is torus-invariant and runs on `torus_orbit_rule`, one
     node per torus orbit: its Gram must pass `torus_invariance_guard`, on
@@ -200,7 +207,6 @@ class EmbeddingState:
     basis: object
     gram: GramMatrix
     rule: ChartRule
-    values: np.ndarray
     jet: np.ndarray
     torus: bool = False
 
@@ -217,17 +223,26 @@ class EmbeddingState:
         return self.basis.count
 
     @property
+    def values(self):
+        """The raw section values at the rule nodes, (n, N): row 0 of
+        `jet`."""
+        return self.jet[0]
+
+    @property
     def transform(self):
         return self.gram.whitener()
 
     @cached_property
     def _pairings(self):
-        """Volume, frame pairing and basis pairing from one geometry pass:
-        all that `moment_map` and `t_map_step` read."""
+        """The `MomentValue`, the frame pairing and the basis pairing from
+        one geometry pass, all read-only: what `moment_map`, `t_map_step`
+        and `balanced_density_stats` read."""
         u, _, kk, _, wq = _fs_geometry(self)
         weights = wq / kk
-        return (float(wq.sum()), self._pairing(u, weights),
-                self._pairing(self.values, weights))
+        frame = self._pairing(u, weights)
+        raw = self._pairing(self.values, weights)
+        frame.flags.writeable = raw.flags.writeable = False
+        return _moment(frame, float(wq.sum())), frame, raw
 
     def _pairing(self, table, weights):
         """`metrics.l2_pairing` of a node table, or for a torus state its
@@ -263,8 +278,8 @@ def _orthonormalizing(gram, count):
 
 def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
                     n_radial=None, torus=False):
-    """Build an `EmbeddingState`, evaluating the section tables at the rule
-    nodes.
+    """Build an `EmbeddingState`, evaluating the 1-jet of the sections at
+    the rule nodes as one table (`SectionBasis.eval_embedding_jet`).
 
     `rule` wins over `metric` (which requests the metric-adapted total rule)
     which wins over the plain product rule; both built rules take the
@@ -274,7 +289,7 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
     builds a torus-invariant state on `torus_orbit_rule` with `n_radial`
     instead, and takes neither a `rule` nor a `metric`: its Gram must pass
     `torus_invariance_guard`, which raises on any other, and its pairings
-    are diagonal.  The tables are those of the raw section basis, in which
+    are diagonal.  The table is that of the raw section basis, in which
     the Gram is read.  A state that differs only in the Gram comes from
     `EmbeddingState.with_gram`.
     """
@@ -296,19 +311,8 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
         gram = np.eye(basis.count)
     gm = _orthonormalizing(gram, basis.count)
     return EmbeddingState(model=model, basis=basis, gram=gm, rule=rule,
-                          values=basis.eval_embedding(rule.points),
                           jet=basis.eval_embedding_jet(rule.points),
                           torus=torus)
-
-
-def _mix(values, jet, mat):
-    """Value and jet tables of the section family values @ mat: one GEMM
-    for the values and one per direction of the (d, n, N) jet, each with
-    the n rows of the values."""
-    du = np.empty(jet.shape, dtype=np.result_type(jet, mat))
-    for a, slab in enumerate(jet):
-        np.matmul(slab, mat, out=du[a])
-    return values @ mat, du
 
 
 def _hermitian_det(gfs):
@@ -420,8 +424,10 @@ def _pullback_data(u, du, dim):
 def _fs_geometry(state):
     """Frame values, direction-major jets, kernel, its gradient (dim, n),
     and the rule weights times the reduced volume density, at the rule
-    nodes of a state."""
-    u, du = _mix(state.values, state.jet, state.transform)
+    nodes of a state: the 1-jet moves to the frame with one matmul, one
+    GEMM per row, and u, du are views of it."""
+    mixed = state.jet @ state.transform
+    u, du = mixed[0], mixed[1:]
     kk, grad, _, dens = _pullback_data(u, du, state.model.n)
     return u, du, kk, grad, state.rule.weights * dens
 
@@ -430,18 +436,16 @@ def embedding_form_field(state):
     """Callable evaluating the pulled-back metric coefficient matrix of a
     state's embedding at arbitrary chart points, (n, dim, dim).
 
-    Unlike the cached node tables this re-evaluates the section basis at
-    the points it is given: `r_bounded_check` holds its jets to it, and
-    the tests difference it as their oracle."""
+    Unlike the cached node table this evaluates the 1-jet of the section
+    basis at the points it is given, one table per call: `r_bounded_check`
+    holds its jets to it, and the tests difference it as their oracle."""
     t = state.transform
     basis = state.basis
     dim = state.model.n
 
     def field(pts):
-        pts = np.asarray(pts, dtype=complex)
-        table = _mix(basis.eval_embedding(pts), basis.eval_embedding_jet(pts),
-                     t)
-        return _pullback_data(*table, dim)[2]
+        mixed = basis.eval_embedding_jet(pts) @ t
+        return _pullback_data(mixed[0], mixed[1:], dim)[2]
 
     return field
 
@@ -450,8 +454,9 @@ def embedding_form_field(state):
 class MomentValue:
     """Trace-free L2 defect of an embedding state.
 
-    `matrix` is Hermitian with zero trace; `d` is the balanced pairing value
-    volume / count that was subtracted from the diagonal.
+    `matrix` is Hermitian with zero trace and read-only, since a state
+    keeps its moment; `d` is the balanced pairing value volume / count
+    that was subtracted from the diagonal.
     """
 
     matrix: np.ndarray
@@ -471,14 +476,21 @@ def moment_map(state):
 
     The trace vanishes identically because sum_p |u_p|^2 / K = 1 pointwise,
     so tr(raw) is the volume itself; what remains measures the failure of
-    the frame to be orthonormal in its own induced L2 structure.
+    the frame to be orthonormal in its own induced L2 structure.  The
+    state keeps it (`EmbeddingState._pairings`): every call on a state
+    returns the same value.
     """
-    vol, raw, _ = state._pairings
-    n = state.count
+    return state._pairings[0]
+
+
+def _moment(raw, vol):
+    """`MomentValue` of a frame pairing `raw` against the volume `vol`."""
+    n = raw.shape[0]
     dval = vol / n
     m = raw - dval * np.eye(n)
     m = 0.5 * (m + m.conj().T)
     eigs = np.linalg.eigvalsh(m)
+    m.flags.writeable = False
     return MomentValue(matrix=m, d=dval, volume=vol,
                        norm_op=float(np.max(np.abs(eigs))),
                        norm_fro=float(np.linalg.norm(m)))
@@ -493,8 +505,8 @@ def t_map_step(state):
     points are exactly the balanced states; the det gauge removes the
     overall scale the embedding never sees.
     """
-    vol, _, raw = state._pairings
-    newg = (state.count / vol) * raw
+    mv, _, raw = state._pairings
+    newg = (state.count / mv.volume) * raw
     newg = 0.5 * (newg + newg.conj().T)
     newg /= np.linalg.det(newg).real ** (1.0 / state.count)
     return state.with_gram(newg)
@@ -508,12 +520,14 @@ def balanced_density_stats(state):
     Returns mass (the integral, equal to the section count by the trace
     identity under any same-rule pairing), volume, mean, variance, and the
     maximum deviation from the mean.  Variance and deviation measure how
-    far the state sits from balance in the pointwise sense."""
+    far the state sits from balance in the pointwise sense.  The volume
+    and the frame pairing are the state's own (`EmbeddingState._pairings`);
+    the density needs the node tables, which no state keeps."""
+    mv, raw, _ = state._pairings
     u, _, kk, _, wq = _fs_geometry(state)
-    raw = state._pairing(u, wq / kk)
     raw = 0.5 * (raw + raw.conj().T)
     rho = ((np.conj(u) @ np.linalg.inv(raw).T) * u).sum(axis=1).real / kk
-    vol = float(wq.sum())
+    vol = mv.volume
     mass = float((wq * rho).sum())
     mean = mass / vol
     variance = float((wq * (rho - mean) ** 2).sum() / vol)
@@ -623,9 +637,10 @@ _ANDERSON_RCOND = 1e-8
 
 
 def _traceless_log(gram):
-    """Traceless Hermitian log of a positive Gram: the log of its
-    det-normalized rescaling."""
-    w, v = np.linalg.eigh(gram)
+    """Traceless Hermitian log of a `GramMatrix`: the log of its
+    det-normalized rescaling, from the eigendecomposition the Gram
+    already holds."""
+    w, v = gram.guard()
     logw = np.log(w)
     return (v * (logw - logw.mean())[None, :]) @ v.conj().T
 
@@ -667,8 +682,8 @@ class _AndersonMixer:
 
     def __call__(self, state):
         plain = t_map_step(state)
-        self.xs.append(_traceless_log(state.gram.matrix))
-        self.gs.append(_traceless_log(plain.gram.matrix))
+        self.xs.append(_traceless_log(state.gram))
+        self.gs.append(_traceless_log(plain.gram))
         del self.xs[:-_ANDERSON_MEMORY], self.gs[:-_ANDERSON_MEMORY]
         if len(self.xs) < 2:
             return plain
@@ -1095,8 +1110,16 @@ def r_bounded_check(candidate, reference, pts, r_bound):
     n, d = pts.shape
     g0, ref_derivs = _form_derivatives(reference, pts)
     w0eigs, w0vecs = np.linalg.eigh(g0)
-    if np.any(w0eigs <= 0.0):
-        raise NumericalGuardError("reference metric not positive at a node")
+    bad = ~np.all(w0eigs > 0.0, axis=1)  # fails closed on NaN
+    if bad.any():
+        node = int(np.argmax(bad))
+        raise NumericalGuardError(
+            f"reference metric of {reference.model.label} not positive at "
+            f"node {node} of {n}: smallest eigenvalue "
+            f"{np.min(w0eigs[node]):.3e}, reference Gram condition number "
+            f"{reference.gram.condition():.3e}; the reference must be an "
+            "embedding at every node: check its Gram (GramMatrix.condition) "
+            "and that the node is finite")
     w0 = (w0vecs / np.sqrt(w0eigs)[:, None, :]) @ np.swapaxes(
         w0vecs.conj(), -1, -2)
     dirweight = 1.0 / np.sqrt(w0eigs[:, 0])

@@ -20,8 +20,9 @@ Conventions, fixed once for the whole package:
   of (P^1, omega_FS) is 1.  Quadrature weights stay plain Lebesgue; densities
   carry the factors.
 
-Derivatives of potentials are hand-coded for the built-in structures and
-centered finite differences with one Richardson step for user potentials.
+Form matrices are hand-coded for the built-in structures; the Ricci form
+of a deformed structure (`PerturbedKahler`) and the Hessian of its
+deformation are centered finite differences with one Richardson step.
 The potential log |u|^2 of a holomorphic map u, the pull-back of the
 Fubini-Study form, has exact derivatives of its form to any order from the
 Taylor coefficients of u (`log_kernel_jet`).
@@ -37,8 +38,6 @@ import numpy as np
 __all__ = [
     "KahlerStructure",
     "FubiniStudy",
-    "FlatChart",
-    "PotentialKahler",
     "PerturbedKahler",
     "complex_hessian",
     "complex_gradient",
@@ -295,8 +294,9 @@ def fs_matrix(pts):
 class KahlerStructure:
     """A Kahler form on one affine chart C^m, given by a local potential.
 
-    Subclasses either hand-code matrix() and ricci_matrix() or inherit the
-    finite-difference route through potential().
+    Subclasses give potential() and the form matrix(); ricci_matrix()
+    defaults to finite differences of log det matrix(), and the
+    curvature and volume densities read both.
     """
 
     m = None
@@ -306,7 +306,7 @@ class KahlerStructure:
         raise NotImplementedError
 
     def matrix(self, pts):
-        return complex_hessian(self.potential, np.asarray(pts, dtype=complex))
+        raise NotImplementedError
 
     def _check_positive(self, g):
         if g.shape[-1] == 0:
@@ -370,42 +370,6 @@ class FubiniStudy(KahlerStructure):
     def scalar_curvature(self, pts):
         pts = np.asarray(pts, dtype=complex)
         return np.full(pts.shape[0], self.m * (self.m + 1.0))
-
-
-class FlatChart(KahlerStructure):
-    """i ddbar |z|^2: the identity form matrix, zero curvature."""
-
-    def __init__(self, m):
-        self.m = m
-        self.label = f"flat(m={m})"
-
-    def potential(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        return np.sum(np.abs(pts) ** 2, axis=1)
-
-    def matrix(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        return np.broadcast_to(np.eye(self.m, dtype=complex), (pts.shape[0], self.m, self.m)).copy()
-
-    def ricci_matrix(self, pts):
-        pts = np.asarray(pts, dtype=complex)
-        return np.zeros((pts.shape[0], self.m, self.m), dtype=complex)
-
-    def scalar_curvature(self, pts):
-        return np.zeros(np.asarray(pts).shape[0])
-
-
-class PotentialKahler(KahlerStructure):
-    """Structure from a user-supplied potential; all derivatives by centered
-    finite differences with Richardson extrapolation."""
-
-    def __init__(self, m, potential_fn, label="potential"):
-        self.m = m
-        self._fn = potential_fn
-        self.label = label
-
-    def potential(self, pts):
-        return np.asarray(self._fn(np.asarray(pts, dtype=complex)), dtype=float)
 
 
 class PerturbedKahler(KahlerStructure):

@@ -23,8 +23,9 @@ form, is computed in one place: `balancing.embedding_form_field`.
 Gram tools: `l2_pairing` is the package's weighted node pairing, and
 `GramMatrix` is the only code that factors a Gram.  One eigendecomposition
 per Gram gives its guards, its whitener G^{-1/2} (formed once and kept
-with the Gram), its inverse and its condition number; nothing stores a
-copy beside the Gram.
+with the Gram), its inverse, its condition number and, through `guard`,
+the balancing solver's traceless log; nothing stores a copy beside the
+Gram.
 """
 
 import logging

@@ -13,8 +13,8 @@ the tables produced here.  A section is a monomial w^e in the chart
 coordinates w = (z, xi) (`SectionBasis.chart_exponents`), so its Taylor
 coefficients of every order are exact binomial shifts
 C(e, J) w^(e - J); one kernel gathers them from one table of powers of the
-points for every table: values, first jets, Taylor coefficients and the
-split-frame components.
+points for every table: values, the 1-jet (values and first derivatives in
+one table), Taylor coefficients and the split-frame components.
 
 Quadrature rules follow the factor structure of the model: the base and the
 fiber each get a joint radial rule for their own projective factor, and the
@@ -208,13 +208,15 @@ class SectionBasis:
         return mono * np.asarray(lam, dtype=complex)[:, self.summand]
 
     def eval_embedding_jet(self, pts):
-        """Exact holomorphic first derivatives, direction-major: shape
-        (m + r - 1, n, N), the base directions first, so that each
-        direction is one contiguous (n, N) table like the values: the
-        binomial shifts of the unit orders."""
+        """Values and exact holomorphic first derivatives as one
+        order-major table (1 + m + r - 1, n, N): row 0 the values, then
+        one contiguous (n, N) row per direction, the base directions
+        first; the binomial shifts of the zero and the unit orders, from
+        one power table of the points."""
         pts = np.concatenate(split_points(self.model, pts), axis=1)
+        orders = np.eye(self.model.n + 1, self.model.n, -1, dtype=int)
         return np.ascontiguousarray(np.moveaxis(self._shifts(
-            pts, self.chart_exponents, np.eye(self.model.n, dtype=int)), 1, 0))
+            pts, self.chart_exponents, orders), 1, 0))
 
     def eval_taylor(self, pts, orders):
         """Taylor coefficients of the sections at chart points, (n, J, N):

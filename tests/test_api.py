@@ -22,11 +22,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "projbalance"
 NO_CALLER_IN_THE_PACKAGE = {
     "flow_iterate": "the benchmark binds it, and TestGradientFlow "
                     "cross-checks the T-iteration against it",
-    "lichnerowicz_apply": "the defining route that the tests compare "
-                          "scalar_curvature_variation with",
-    "PotentialKahler": "the finite-difference reference for the hand-coded "
-                       "structures",
-    "FlatChart": "a test input",
     "whitening_transform": "the benchmark binds it",
 }
 

@@ -55,6 +55,7 @@ from projbalance.sections import (
 )
 from projbalance import balancing as bal
 from projbalance import bergman as bg
+from projbalance import sections
 from projbalance import suites
 
 logger = logging.getLogger(__name__)
@@ -97,7 +98,7 @@ def dense_moment_oracle(state):
     vol = 0.0
     for node in range(state.rule.points.shape[0]):
         u = vals[node] @ t
-        du = t.T @ jet[:, node].T  # (N, d) in the orthonormal frame
+        du = t.T @ jet[1:, node].T  # (N, d) in the orthonormal frame
         kk = float(np.real(u @ u.conj()))
         gfs = np.zeros((d, d), dtype=complex)
         for a in range(d):
@@ -200,8 +201,9 @@ class TestEmbeddingState:
         assert "_pairings" in vars(first)
         g = random_spd(rng, 3)
         second = first.with_gram(g)
-        for name in ("model", "basis", "rule", "values", "jet"):
+        for name in ("model", "basis", "rule", "jet"):
             assert getattr(second, name) is getattr(first, name)
+        assert np.shares_memory(second.values, first.jet)
         assert "_pairings" not in vars(second)
         assert np.max(np.abs(second.gram.matrix - g)) < 1e-15
         built = veronese_state(gram=g)
@@ -397,7 +399,7 @@ class TestTMapStep:
         state = veronese_state(gram=g)
         uh = u.conj().T
         rotated = replace(state, gram=make_gram(u @ g @ uh),
-                          values=state.values @ uh, jet=state.jet @ uh)
+                          jet=state.jet @ uh)
         out = bal.t_map_step(state).gram.matrix
         conj_out = bal.t_map_step(rotated).gram.matrix
         assert np.max(np.abs(conj_out - u @ out @ u.conj().T)) < 1e-10
@@ -609,6 +611,72 @@ class TestOneGeometryPassPerState:
         m3 = bal.moment_map(third).matrix
         assert len(seen) == 3
         assert np.max(np.abs(m3 - m2)) < 1e-14
+
+
+def count_calls(monkeypatch, owner, name):
+    """Record the arguments of every call of `owner.name` made through
+    that attribute."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+class TestEachStatePaysOnce:
+    """A point set costs one section table, a Gram one eigendecomposition
+    and a state one moment."""
+
+    def test_one_power_table_per_state_and_per_field_call(self, monkeypatch):
+        tables = count_calls(monkeypatch, sections, "_power_table")
+        state = p1xp1_state(3)
+        assert len(tables) == 1
+        field = bal.embedding_form_field(state)
+        rng = np.random.default_rng(89)
+        field(rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2)))
+        assert len(tables) == 2
+        # the values are row 0 of the state's one table
+        assert np.shares_memory(state.values, state.jet)
+        assert np.array_equal(state.values,
+                              state.basis.eval_embedding(state.rule.points))
+
+    def test_moment_is_kept_read_only(self, monkeypatch):
+        rng = np.random.default_rng(97)
+        state = veronese_state(gram=random_spd(rng, 3))
+        moment = bal.moment_map(state)
+        assert bal.moment_map(state) is moment
+        assert not moment.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            moment.matrix[0, 0] = 0.0
+        # the T-step and the density read the kept volume and pairings:
+        # no moment again, and only the density's own node tables
+        eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        seen = count_geometry_passes(monkeypatch)
+        bal.t_map_step(state)
+        assert seen == []
+        stats = bal.balanced_density_stats(state)
+        assert seen == [state]
+        assert eigvalsh == []
+        assert stats["volume"] == moment.volume
+
+    def test_three_eigh_per_accepted_anderson_step(self, monkeypatch):
+        # from the identity Gram every mixed step is accepted; each
+        # factors the plain Gram, the mix for its exp, and the mixed Gram
+        state = p1xp1_state(3)
+        mixer = bal._AndersonMixer()
+        state = mixer(state)  # a plain step: the history holds one pair
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        for _ in range(4):
+            bal.moment_map(state)
+            before = len(eigh)
+            state = mixer(state)
+            assert mixer.fallbacks == 0 and len(mixer.xs) >= 2
+            assert len(eigh) - before == 3
+            assert eigh[-1][0] is state.gram.matrix
 
 
 class TestAnderson:
@@ -914,7 +982,7 @@ def dense_qz_oracle(state):
     q = np.zeros((gens.shape[0], gens.shape[0]), dtype=complex)
     for node in range(state.rule.points.shape[0]):
         u = vals[node] @ t
-        du = t.T @ jet[:, node].T
+        du = t.T @ jet[1:, node].T
         kk = float(np.real(u @ u.conj()))
         gfs = np.zeros((state.model.n, state.model.n), dtype=complex)
         for a in range(state.model.n):
@@ -1609,6 +1677,32 @@ class TestRBoundedCheck:
             bal.r_bounded_check(moved, initial, pts, r_bound=1e3)
         message = str(err.value)
         assert "at node 3 of 16, above 1e-12" in message
+        assert "p1-sum(0, 0)-k2" in message
+
+    @pytest.mark.parametrize("factor", [-1.0, math.nan],
+                             ids=["negative", "nan"])
+    def test_reference_not_positive_names_the_node(self, monkeypatch,
+                                                   factor):
+        # fault injection: the reference's form field at node 5 turns
+        # negative definite, or NaN, which must fail closed
+        moved, initial, pts = self._unbalanced_states()
+        original = bal._form_derivatives
+
+        def faulty(state, p):
+            field, derivs = original(state, p)
+            if state is moved:
+                field = field.copy()
+                field[5] *= factor
+            return field, derivs
+
+        monkeypatch.setattr(bal, "_form_derivatives", faulty)
+        with pytest.raises(NumericalGuardError) as err:
+            bal.r_bounded_check(initial, moved, pts, r_bound=1e3)
+        message = str(err.value)
+        assert "not positive at node 5 of 16" in message
+        assert ("smallest eigenvalue nan" if math.isnan(factor)
+                else "smallest eigenvalue -") in message
+        assert f"condition number {moved.gram.condition():.3e}" in message
         assert "p1-sum(0, 0)-k2" in message
 
     def test_field_called_once_per_state(self, monkeypatch):

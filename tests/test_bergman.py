@@ -36,7 +36,6 @@ from hypothesis import strategies as st
 
 from projbalance.errors import NumericalGuardError
 from projbalance.kahler import (
-    FlatChart,
     FubiniStudy,
     PerturbedKahler,
     complex_hessian,
@@ -65,6 +64,7 @@ from projbalance import bergman as bg
 from projbalance import suites
 from projbalance.config import ExperimentConfig
 from projbalance.quadrature import chart_rule, integrate
+from reference_structures import FlatChart, lichnerowicz_apply
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +345,27 @@ class TestVolumeCoefficients:
         dens_a = bg.level_volume_density(metric, FS1, model, adapted.points)
         assert abs(integrate(plain, dens_p) - integrate(adapted, dens_a)) < 1e-9
         assert abs(integrate(adapted, dens_a) - 2.0 * math.pi) < 1e-9
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan], ids=["zero", "nan"])
+    def test_degenerate_density_names_the_node(self, monkeypatch, bad):
+        # fault injection: the volume coefficients vanish, or turn NaN,
+        # at node 4
+        model = LineBundleSumOverP1((0,), 4)
+        metric = SplitBundleMetric(1, (0,))
+        rule = total_rule(model, n_radial=4)
+        original = bg.volume_coefficients
+
+        def faulty(*args):
+            e = original(*args)
+            e[:, 4] = bad
+            return e
+
+        monkeypatch.setattr(bg, "volume_coefficients", faulty)
+        with pytest.raises(NumericalGuardError) as err:
+            bg.level_volume_density(metric, FS1, model, rule.points)
+        message = str(err.value)
+        assert f"density {bad:.3e} at node 4 of {len(rule.points)}" in message
+        assert "p1-sum(0,)-k4 with bundle metric split(0,)" in message
 
 
 # ---------------------------------------------------------------------------
@@ -1049,12 +1070,12 @@ class TestExpansionFit:
 class TestScalarVariation:
     def test_zero_direction(self):
         z = np.array([[0.3 + 0.2j], [1.1]], dtype=complex)
-        out = bg.lichnerowicz_apply(FS1, lambda q: np.zeros(q.shape[0]), z)
+        out = lichnerowicz_apply(FS1, lambda q: np.zeros(q.shape[0]), z)
         assert np.max(np.abs(out)) < 1e-9
 
     def test_killing_potential_in_kernel(self):
         z = np.array([[0.25], [0.4 - 0.7j], [1.3j]], dtype=complex)
-        out = bg.lichnerowicz_apply(FS1, eta_killing, z)
+        out = lichnerowicz_apply(FS1, eta_killing, z)
         assert np.max(np.abs(out)) < 5e-5
 
     def test_symbolic_oracle_on_p1(self):
@@ -1071,7 +1092,7 @@ class TestScalarVariation:
         rng = np.random.default_rng(23)
         z = 1.2 * (rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1)))
         want = oracle(z[:, 0].real, z[:, 0].imag)
-        got = bg.lichnerowicz_apply(FS1, eta_quadratic, z)
+        got = lichnerowicz_apply(FS1, eta_quadratic, z)
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) < 1e-4 * scale
 
@@ -1083,8 +1104,8 @@ class TestScalarVariation:
         rule = base_rule(model, n_radial=16)
         z = rule.points
         vol = FS1.reduced_volume_density(z)
-        l_eta = bg.lichnerowicz_apply(FS1, eta_quadratic, z)
-        l_zeta = bg.lichnerowicz_apply(FS1, zeta_quadratic, z)
+        l_eta = lichnerowicz_apply(FS1, eta_quadratic, z)
+        l_zeta = lichnerowicz_apply(FS1, zeta_quadratic, z)
         lhs = integrate(rule, l_eta * zeta_quadratic(z) * vol)
         rhs = integrate(rule, eta_quadratic(z) * l_zeta * vol)
         assert abs(lhs - rhs) < 1e-5

@@ -17,9 +17,7 @@ import pytest
 import sympy as sp
 
 from projbalance.kahler import (
-    FlatChart,
     FubiniStudy,
-    PotentialKahler,
     graded_exponents,
     jet_tables,
     lambda_contract,
@@ -27,6 +25,7 @@ from projbalance.kahler import (
     mixed_volume_coefficients,
 )
 from projbalance.quadrature import chart_rule, integrate
+from reference_structures import FlatChart, PotentialKahler
 
 
 # ---------------------------------------------------------------- oracles

@@ -15,7 +15,7 @@ import pytest
 from projbalance import balancing as bal
 from projbalance import bergman as bg
 from projbalance.errors import NumericalGuardError
-from projbalance.kahler import FlatChart, FubiniStudy, complex_hessian
+from projbalance.kahler import FubiniStudy, complex_hessian
 from projbalance.metrics import (
     BundleMetricField,
     ConstantBundleMetric,
@@ -40,6 +40,7 @@ from projbalance.sections import (
     fiber_rule,
     total_rule,
 )
+from reference_structures import FlatChart
 
 
 class PolyField(MatrixField):

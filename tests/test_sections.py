@@ -189,15 +189,16 @@ class TestJets:
         sb = build_section_basis(LineBundleSumOverP1((0,), 3))  # basis 1, z, z^2, z^3
         pts = np.array([[1.0 + 0j]])
         jet = sb.eval_embedding_jet(pts)
-        # d/dz z^j at z=1 is j
-        assert np.allclose(jet[0, 0, :], [0.0, 1.0, 2.0, 3.0])
+        # row 0 holds the values z^j, row 1 d/dz z^j, which is j at z=1
+        assert np.allclose(jet[0, 0, :], 1.0)
+        assert np.allclose(jet[1, 0, :], [0.0, 1.0, 2.0, 3.0])
 
     def test_constant_direction_zero_row(self):
         sb = build_section_basis(ProjectivePoint(3))
         pts = np.array([[0.3 + 0.2j, -0.5j]])
         jet = sb.eval_embedding_jet(pts)
         # first section is the constant functional lambda_1
-        assert np.allclose(jet[:, 0, 0], 0.0)
+        assert np.allclose(jet[1:, 0, 0], 0.0)
 
     def test_jet_matches_finite_differences(self):
         rng = np.random.default_rng(14)
@@ -210,7 +211,7 @@ class TestJets:
             e = np.zeros(d, dtype=complex)
             e[axis] = h
             fd = (sb.eval_embedding(pts + e) - sb.eval_embedding(pts - e)) / (2 * h)
-            assert np.max(np.abs(fd - jet[axis])) < 1e-7
+            assert np.max(np.abs(fd - jet[1 + axis])) < 1e-7
 
 
 def complex_power_oracle(basis, pts):
@@ -284,7 +285,8 @@ class TestPowerTable:
         pts = moduli * np.exp(2j * math.pi * rng.random((40, model.n)))
         values, jet, mono = complex_power_oracle(basis, pts)
         assert_relative(basis.eval_embedding(pts), values, 1e-13)
-        assert_relative(basis.eval_embedding_jet(pts), jet, 1e-13)
+        assert_relative(basis.eval_embedding_jet(pts),
+                        np.concatenate([values[None], jet]), 1e-13)
         z = pts[:, :m]
         comps = basis.eval_components(z)
         assert_relative(comps[:, np.arange(basis.count), basis.summand],
