@@ -16,6 +16,7 @@ Contents, bottom to top:
   `EmbeddingState.transform` is derived from the Gram, and
   `EmbeddingState.with_gram` derives a state with another Gram that shares
   every table, so the iteration loops never re-evaluate monomial tables;
+  every state validates itself, however it is made;
 * `moment_map` integrates the frame pairings against the pulled-back volume
   and subtracts the balanced value V/N;
 * `t_map_step` is the fixed-point update G -> (N/V) <s_i, s_j>, and
@@ -44,9 +45,10 @@ Contents, bottom to top:
   every coordinate with the whole orbit's weight.  Every integrand entry
   of such a state carries one torus character, so its orbit integral is
   its orbit-weighted value at angle 0 when the character is 0 and exactly
-  0 otherwise (derived in its docstring): a `torus` state balances on it
-  with only the diagonal of its pairings, and `sigma_z_operator` keeps
-  only the zero-character entries of its node sum (`_zero_character`).
+  0 otherwise (derived in its docstring): a state on its `OrbitRule` is a
+  `torus` state, which balances with only the diagonal of its pairings,
+  and `sigma_z_operator` keeps only the zero-character entries of its node
+  sum (`_zero_character`).
   `torus_invariance_guard` checks that a Gram is diagonal, every torus
   state applies it, and `torus_rule_check` re-integrates a torus state on
   the full angular rule, 2 D + 3 angles per base and 5 per fiber
@@ -93,14 +95,14 @@ one eigendecomposition.  The T-step's det gauge is the one LU, and the
 mixer's `_exp_hermitian` factors the mix, which is no Gram yet.
 
 A state makes one geometry pass and one moment for everything that reads
-them: its memo `EmbeddingState._pairings` keeps the `MomentValue` and both
-pairings (N x N matrices and scalars, read-only, no node table), so an
-iteration computes `_fs_geometry` and the moment's `eigvalsh` once per
-state it visits: an Anderson step visits its mixed state, and a safeguard
-fallback the plain one as well.  The node sums are matrix products on
-BLAS.  The Anderson least squares drops singular values below
-`_ANDERSON_RCOND` of the largest, so roundoff in the history never steers
-a step.
+them: its memo keeps the `_fs_geometry` node tables, the `MomentValue` and
+both pairings, read-only, so `_fs_geometry` and the moment's `eigvalsh`
+run once per state an iteration visits (an Anderson step visits its mixed
+state, a safeguard fallback the plain one as well), and the density and
+`sigma_z_operator` of a solved state reuse its pass.  The node sums are
+matrix products on BLAS.  The Anderson least squares drops singular
+values below `_ANDERSON_RCOND` of the largest, so roundoff in the history
+never steers a step.
 
 All volumes are reduced by (2 pi)^dim as elsewhere in the package.
 """
@@ -127,6 +129,7 @@ __all__ = [
     "EmbeddingState",
     "embedding_state",
     "torus_degree",
+    "OrbitRule",
     "torus_orbit_rule",
     "torus_invariance_guard",
     "torus_check_angles",
@@ -190,17 +193,18 @@ class EmbeddingState:
     values (`values`), then one (n, N) row per holomorphic direction.  It
     is kept so iteration steps only pay for the N x N linear algebra; the
     Gram is read in that same raw basis.
-    `_pairings` memoizes the moment and what the T-step and the density
-    read, so a state costs one geometry pass and one moment however many
-    of them ask; it is N x N data and scalars, never a node table,
-    read-only, and a new state starts without it.
+    `_geometry` memoizes the node geometry and `_pairings` the moment and
+    pairings, read-only, so a state costs one geometry pass and one moment
+    however many readers ask; a new state starts without them.
 
-    A `torus` state is torus-invariant and runs on `torus_orbit_rule`, one
-    node per torus orbit: its Gram must pass `torus_invariance_guard`, on
-    construction and so in every `with_gram`, and its pairings are formed
-    on the diagonal only, the off-diagonal entries of a torus-invariant
-    state being exactly 0 (derived in `torus_orbit_rule`);
-    `sigma_z_operator` keeps the zero-character entries of its node sum.
+    A state is validated where it is born (`embedding_state`, `with_gram`
+    and `dataclasses.replace` alike): one Gram row per section, and the
+    whitener formed at once.  A `torus` state, one on an `OrbitRule`, also
+    needs a Gram that passes `torus_invariance_guard`; its pairings are
+    formed on the diagonal only, the off-diagonal entries of a
+    torus-invariant state being exactly 0 (derived in `torus_orbit_rule`),
+    and `sigma_z_operator` keeps the zero-character entries of its node
+    sum.
     """
 
     model: object
@@ -208,11 +212,18 @@ class EmbeddingState:
     gram: GramMatrix
     rule: ChartRule
     jet: np.ndarray
-    torus: bool = False
 
     def __post_init__(self):
+        if self.gram.n != self.count:
+            raise ValueError(f"Gram size {self.gram.n} does not match "
+                             f"section count {self.count}")
+        self.gram.whitener()
         if self.torus:
             torus_invariance_guard(self.gram.matrix, self.model, "Gram")
+
+    @property
+    def torus(self):
+        return isinstance(self.rule, OrbitRule)
 
     @property
     def k(self):
@@ -233,11 +244,19 @@ class EmbeddingState:
         return self.gram.whitener()
 
     @cached_property
+    def _geometry(self):
+        """The state's `_fs_geometry`, read-only."""
+        geometry = _fs_geometry(self)
+        for table in geometry:
+            table.flags.writeable = False
+        return geometry
+
+    @cached_property
     def _pairings(self):
-        """The `MomentValue`, the frame pairing and the basis pairing from
-        one geometry pass, all read-only: what `moment_map`, `t_map_step`
-        and `balanced_density_stats` read."""
-        u, _, kk, _, wq = _fs_geometry(self)
+        """The `MomentValue`, the frame pairing and the basis pairing,
+        read-only: what `moment_map`, `t_map_step` and
+        `balanced_density_stats` read."""
+        u, _, kk, _, wq = self._geometry
         weights = wq / kk
         frame = self._pairing(u, weights)
         raw = self._pairing(self.values, weights)
@@ -252,32 +271,14 @@ class EmbeddingState:
         return l2_pairing(table, weights)
 
     def with_gram(self, gram):
-        """The same embedding data under another Gram matrix: basis, rule
-        and node tables are shared, and the memo starts empty.  A torus
-        state accepts only a Gram that passes `torus_invariance_guard`."""
-        return replace(self, gram=_orthonormalizing(gram, self.count))
-
-
-def _orthonormalizing(gram, count):
-    """Validated Gram of a `count`-section family whose whitener, the
-    canonical transform, passed the Gram guards and orthonormalizes it to
-    1e-9."""
-    gm = make_gram(gram)
-    if gm.n != count:
-        raise ValueError(
-            f"Gram size {gm.n} does not match section count {count}")
-    transform = gm.whitener()
-    defect = np.max(np.abs(
-        transform.conj().T @ gm.matrix @ transform - np.eye(gm.n)))
-    if not defect <= 1e-9:  # fails closed on NaN
-        raise NumericalGuardError(
-            f"orthonormalizing transform defect {defect:.2e}; "
-            "Gram matrix too ill-conditioned")
-    return gm
+        """The same embedding data under another Gram, a matrix or a kept
+        `GramMatrix`: basis, rule and node tables are shared, and the memo
+        starts empty."""
+        return replace(self, gram=make_gram(gram))
 
 
 def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
-                    n_radial=None, torus=False):
+                    n_radial=None):
     """Build an `EmbeddingState`, evaluating the 1-jet of the sections at
     the rule nodes as one table (`SectionBasis.eval_embedding_jet`).
 
@@ -285,34 +286,26 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
     which wins over the plain product rule; both built rules take the
     caller's `n_radial`, which is required when no `rule` is given.  The
     adapted rule's fiber is sized for the fiber integrands of the bundle
-    metric, not for the pulled-back geometry of an embedding.  `torus`
-    builds a torus-invariant state on `torus_orbit_rule` with `n_radial`
-    instead, and takes neither a `rule` nor a `metric`: its Gram must pass
-    `torus_invariance_guard`, which raises on any other, and its pairings
-    are diagonal.  The table is that of the raw section basis, in which
-    the Gram is read.  A state that differs only in the Gram comes from
-    `EmbeddingState.with_gram`.
+    metric, not for the pulled-back geometry of an embedding.  On a
+    `torus_orbit_rule` the state is a torus state.  `gram` (the identity
+    by default) is a matrix or a kept `GramMatrix`, read in the raw
+    section basis of the table.  A state that differs only in the Gram
+    comes from `EmbeddingState.with_gram`.
     """
     if basis is None:
         basis = build_section_basis(model)
-    if torus and (rule is not None or metric is not None):
-        raise ValueError("a torus state runs on torus_orbit_rule: give it "
-                         "n_radial, not a rule or a metric")
     if rule is None:
         if n_radial is None:
             raise ValueError("embedding_state needs a rule or n_radial")
-        if torus:
-            rule = torus_orbit_rule(model, n_radial)
-        elif metric is not None:
+        if metric is not None:
             rule = adapted_total_rule(metric, model, n_radial=n_radial)
         else:
             rule = total_rule(model, n_radial=n_radial)
     if gram is None:
         gram = np.eye(basis.count)
-    gm = _orthonormalizing(gram, basis.count)
-    return EmbeddingState(model=model, basis=basis, gram=gm, rule=rule,
-                          jet=basis.eval_embedding_jet(rule.points),
-                          torus=torus)
+    return EmbeddingState(model=model, basis=basis, gram=make_gram(gram),
+                          rule=rule,
+                          jet=basis.eval_embedding_jet(rule.points))
 
 
 def _hermitian_det(gfs):
@@ -520,11 +513,10 @@ def balanced_density_stats(state):
     Returns mass (the integral, equal to the section count by the trace
     identity under any same-rule pairing), volume, mean, variance, and the
     maximum deviation from the mean.  Variance and deviation measure how
-    far the state sits from balance in the pointwise sense.  The volume
-    and the frame pairing are the state's own (`EmbeddingState._pairings`);
-    the density needs the node tables, which no state keeps."""
+    far the state sits from balance in the pointwise sense.  The volume,
+    the frame pairing and the node tables are the state's own memo."""
     mv, raw, _ = state._pairings
-    u, _, kk, _, wq = _fs_geometry(state)
+    u, _, kk, _, wq = state._geometry
     raw = 0.5 * (raw + raw.conj().T)
     rho = ((np.conj(u) @ np.linalg.inv(raw).T) * u).sum(axis=1).real / kk
     vol = mv.volume
@@ -786,6 +778,8 @@ def sigma_z_operator(state, generators=None):
     sub-system), where the smallest singular value of the tangent columns
     is at most 1e-12 of the largest, get weight zero, with a warning.
 
+    The node tables are the state's memo (`EmbeddingState._geometry`).
+
     A `torus` state sums on its `torus_orbit_rule` nodes and keeps only the
     entries of M whose torus character W_j - W_k - W_i + W_l is 0
     (`_zero_character`, W_p the weight of section p).  Why that is exact.
@@ -805,7 +799,7 @@ def sigma_z_operator(state, generators=None):
     angles would not do: on P^1 at k = 2, lambda_z then reads 3.96 instead
     of 2.5.  `torus_rule_check` compares the two."""
     gens = su_basis(state.count) if generators is None else np.asarray(generators)
-    u, du, kk, grad, wq = _fs_geometry(state)
+    u, du, kk, grad, wq = state._geometry
     nodes, nn = u.shape
     tang = du - (grad / kk)[:, :, None] * u
     # batched orthonormal frames for the tangent columns, (nodes, N, dim)
@@ -907,10 +901,16 @@ def torus_degree(model):
     return model.k + max(model.degrees)
 
 
+@dataclass(frozen=True)
+class OrbitRule(ChartRule):
+    """`torus_orbit_rule`'s rule: a state on it is a `torus` state."""
+
+
 def torus_orbit_rule(model, n_radial):
     """One node per torus orbit: the plain rule's `n_radial` radial nodes
     per factor at angle 0 in every coordinate, each weighted with the whole
-    angle measure of its orbit.
+    angle measure of its orbit: an `OrbitRule`, whose states are torus
+    states.
 
     Why that is exact for a torus state.  A section lam_alpha z^beta has
     torus weight (beta, e_alpha), and distinct sections have distinct
@@ -931,8 +931,9 @@ def torus_orbit_rule(model, n_radial):
     its docstring).  The radial integrands are those of the full angular
     rule, so the radial grid is the plain rule's.
     """
-    return product_rule(base_rule(model, n_radial, n_angular=1),
+    rule = product_rule(base_rule(model, n_radial, n_angular=1),
                         fiber_rule(model, n_radial, n_angular=1))
+    return OrbitRule(rule.points, rule.weights)
 
 
 def _zero_character(basis):
@@ -974,7 +975,7 @@ def torus_invariance_guard(gram, model, name):
             f"{_TORUS_GRAM_TOL:g}; the torus orbit rule is exact only for "
             "torus-invariant states, whose Gram is diagonal in the monomial "
             "basis, and this state is not (a state off the torus needs the "
-            "plain rule: embedding_state without a rule or torus)")
+            "plain rule: embedding_state without torus_orbit_rule)")
     return ratio
 
 
@@ -996,8 +997,8 @@ def torus_check_angles(state):
 
 def torus_rule_check(state, n_radial, quantity):
     """Self-estimate of `torus_orbit_rule` at a torus state built on it
-    with `n_radial`: rebuild the state with the same Gram, basis and radial
-    nodes on the full angular rule, 2 D + 3 angles per base and 5 per fiber
+    with `n_radial`: rebuild the state with the same `GramMatrix`, basis
+    and radial nodes on the full angular rule, 2 D + 3 angles per base and 5 per fiber
     coordinate (no torus state: every entry is integrated, on the general
     path of each quantity), and return the largest entry move of
     `quantity(state)`, an array such as the moment matrix or the q_matrix
@@ -1009,7 +1010,7 @@ def torus_rule_check(state, n_radial, quantity):
     model = state.model
     degree = torus_degree(model)
     finer = embedding_state(
-        model, gram=state.gram.matrix, basis=state.basis,
+        model, gram=state.gram, basis=state.basis,
         rule=product_rule(
             base_rule(model, n_radial, n_angular=2 * degree + 3),
             fiber_rule(model, n_radial, n_angular=5)))

@@ -288,15 +288,9 @@ def build_metric(cfg):
     weights for a twisted sum, the identity otherwise."""
     if cfg.kind == "p1-sum":
         return SplitBundleMetric(1, cfg.degrees)
-    if cfg.kind == "pm-trivial":
-        return ConstantBundleMetric(cfg.base_dim, np.eye(cfg.rank))
-    return ConstantBundleMetric(0, np.eye(cfg.rank))
+    return ConstantBundleMetric(build_model(cfg).m, np.eye(cfg.rank))
 
 
 def build_kahler(cfg):
-    """Base structure matching the model kind."""
-    if cfg.kind == "point":
-        return FubiniStudy(0)
-    if cfg.kind == "p1-sum":
-        return FubiniStudy(1)
-    return FubiniStudy(cfg.base_dim)
+    """The Fubini-Study structure of the model's base."""
+    return FubiniStudy(build_model(cfg).m)

@@ -25,7 +25,8 @@ Gram tools: `l2_pairing` is the package's weighted node pairing, and
 per Gram gives its guards, its whitener G^{-1/2} (formed once and kept
 with the Gram), its inverse, its condition number and, through `guard`,
 the balancing solver's traceless log; nothing stores a copy beside the
-Gram.
+Gram.  The whitener checks that it orthonormalizes its Gram, and
+`make_gram` passes a `GramMatrix` through, factorization and all.
 """
 
 import logging
@@ -37,6 +38,7 @@ import numpy as np
 
 from .errors import NumericalGuardError
 from .kahler import complex_gradient, complex_hessian, lambda_contract
+from .quadrature import integrate
 from .sections import affine_frame
 
 logger = logging.getLogger(__name__)
@@ -112,13 +114,19 @@ class GramMatrix:
     def _whitener(self):
         w, v = self.guard()
         t = (v / np.sqrt(w)[None, :]) @ v.conj().T
+        defect = np.max(np.abs(t.conj().T @ self.matrix @ t - np.eye(self.n)))
+        if not defect <= 1e-9:  # fails closed on NaN
+            raise NumericalGuardError(
+                f"orthonormalizing transform defect {defect:.2e}; "
+                "Gram matrix too ill-conditioned")
         t.flags.writeable = False  # shared by callers
         return t
 
     def whitener(self):
         """The Hermitian inverse root G^{-1/2}: T with T* G T = I and no
         arbitrary unitary freedom.  Formed once per Gram and read-only; a
-        Gram that fails `guard` raises on every call."""
+        Gram that fails `guard`, or a T* G T off the identity by more than
+        1e-9, raises on every call."""
         return self._whitener
 
     def inverse(self):
@@ -127,6 +135,10 @@ class GramMatrix:
 
 
 def make_gram(a):
+    """The `GramMatrix` of a finite Hermitian matrix; a `GramMatrix` as
+    it is."""
+    if isinstance(a, GramMatrix):
+        return a
     a = np.asarray(a, dtype=complex)
     if not np.all(np.isfinite(a)):
         raise NumericalGuardError(
@@ -141,9 +153,7 @@ def make_gram(a):
 
 def whitening_transform(gram):
     """`GramMatrix.whitener` of a Gram given as a matrix or a `GramMatrix`."""
-    if not isinstance(gram, GramMatrix):
-        gram = GramMatrix(np.asarray(gram, dtype=complex))
-    return gram.whitener()
+    return make_gram(gram).whitener()
 
 
 def l2_pairing(table, weights):
@@ -328,8 +338,6 @@ def hermitian_einstein_residual(metric, kahler, rule):
     Zero exactly when the metric satisfies the constant-contraction equation
     for this Kahler form.
     """
-    from .quadrature import integrate
-
     pts = rule.points
     mc = mean_curvature(metric, kahler, pts)
     if mc.shape[-1] == 0 or pts.shape[0] == 0:

@@ -18,6 +18,7 @@ Weights always represent plain Lebesgue measure on C^d = R^{2d}; volume-form
 densities (det of a Kahler matrix, powers of 2, ...) are supplied by callers.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -171,8 +172,6 @@ def certify_moments(rule, degree=8, tol=1e-10):
     """
     if rule.dim == 0:
         return {"passed": True, "max_error": 0.0, "checked": 0}
-    import math
-
     worst = 0.0
     checked = 0
     d0 = 3

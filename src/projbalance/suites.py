@@ -30,11 +30,11 @@ report the estimate as the informational `adapted-fiber-degree` row.
 
 Both balancing suites (`balance_job`, `spectrum_job`) start at the
 identity Gram, so their states stay torus-invariant, and balance torus
-states (`balancing.embedding_state(torus=True)`) on
-`balancing.torus_orbit_rule`: one node per torus orbit, on `n_radial`
-radial nodes per factor, with diagonal pairings.  Every Gram such a state
-takes, the solved one included, passes `balancing.torus_invariance_guard`,
-and `balance` guards the direct route's Gram by name too.  Each level
+states, those built on `balancing.torus_orbit_rule`: one node per torus
+orbit, on `n_radial` radial nodes per factor, with diagonal pairings.
+Every Gram such a state takes, the solved one included, passes
+`balancing.torus_invariance_guard`, and `balance` guards the direct
+route's Gram by name too.  Each level
 records the node count of the rule it balanced on as `nodes`.
 `moment-spectrum` builds its normal-action operator at the solved state on
 the same rule, keeping the zero-character entries of its node sum
@@ -278,9 +278,8 @@ def density_route_job(cfg, k, table):
                 "mass defect %.3e", k, rel, cfg.n_points,
                 abs(mass - n_sections))
     return [
-        _row("density-route", k=k, value=rel, reference=0.0, error=rel,
-             tolerance=_RHO_TOL, passed=bool(rel <= _RHO_TOL),
-             detail=f"{cfg.n_points} sample points"),
+        _check("density-route", rel, 0.0, _RHO_TOL, k=k,
+               detail=f"{cfg.n_points} sample points"),
         _check("density-mass", mass, float(n_sections), 1e-8, k=k,
                detail="integral of the density vs section count"),
     ]
@@ -351,10 +350,8 @@ def joint_linearization_rows(seed):
         fd = 2.0 * d2 - d1
         scale = float(np.max(np.abs(fd)))
         rel = float(np.max(np.abs(got - fd)) / scale)
-        rows.append(_row(
-            "joint-linearization", value=rel, reference=0.0, error=rel,
-            tolerance=1e-3, passed=bool(rel <= 1e-3),
-            detail=f"random direction pair {trial}"))
+        rows.append(_check("joint-linearization", rel, 0.0, 1e-3,
+                           detail=f"random direction pair {trial}"))
     return rows
 
 
@@ -382,7 +379,8 @@ def _balanced_level(cfg, k):
     the initial torus state, the `bal.balance_iterate` report, and the
     `nodes` of the rule."""
     model = build_model(cfg, k)
-    state = bal.embedding_state(model, n_radial=cfg.n_radial, torus=True)
+    state = bal.embedding_state(
+        model, rule=bal.torus_orbit_rule(model, cfg.n_radial))
     report = bal.balance_iterate(state, tol=cfg.balance_tol,
                                  max_iter=_MAX_ITER)
     return state, report, {"nodes": int(state.rule.points.shape[0])}
@@ -428,7 +426,7 @@ def balance_job(cfg, k):
         rule=bg.adapted_total_rule(metric, model, n_radial=cfg.n_radial))
     bal.torus_invariance_guard(direct.gram.matrix, model,
                                "direct-route Gram")
-    ref_state = state.with_gram(direct.gram.matrix)
+    ref_state = state.with_gram(direct.gram)
     reference = bal.moment_map(ref_state)
 
     # uniform on the unit polydisc |z_i| <= 1: a bounded domain, so the
@@ -554,9 +552,8 @@ def expansion_job(cfg, k, table):
     direct, level = _density_routes(cfg, k, table)
     vals = level.endomorphism(expansion_eval_points(cfg))
     dens = direct.density(direct.rule.points)
-    measure = direct.measure
-    vol = float(integrate(direct.rule, measure))
-    mass = float(integrate(direct.rule, dens * measure))
+    vol = direct.volume()
+    mass = float(integrate(direct.rule, dens * direct.measure))
     mean = mass / vol
     fine = bg.adapted_total_rule(direct.metric, direct.model, cfg.n_radial,
                                  raise_degree=1)
@@ -601,11 +598,9 @@ def expansion_assemble(cfg, results):
     rel_fit = float(np.max(np.abs(fitted - alternative)) / scale)
     rel_closed = float(np.max(np.abs(closed - alternative)) / scale)
     rows = [
-        _row("expansion-a1-vs-level-average", value=rel_fit, reference=0.0,
-             error=rel_fit, tolerance=_A1_REL_TOL,
-             passed=bool(rel_fit <= _A1_REL_TOL),
-             detail=f"fitted first correction, {orders - 1} fitted orders "
-                    f"over levels {cfg.k_min}..{cfg.k_max}"),
+        _check("expansion-a1-vs-level-average", rel_fit, 0.0, _A1_REL_TOL,
+               detail=f"fitted first correction, {orders - 1} fitted orders "
+                      f"over levels {cfg.k_min}..{cfg.k_max}"),
         _row("expansion-a1-closed-vs-level-average", value=rel_closed,
              detail="relative discrepancy between the two first-correction "
                     "candidates; reported, not judged"),

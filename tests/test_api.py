@@ -12,6 +12,10 @@ A private name (one leading underscore, not a dunder) of a module-level
 function, class or constant, or of a method, counts as called by the same
 rule, outside its own definition: a helper that a refactor strands fails
 here.  None is exempt.
+
+Every import of the package sits at the top level of its module.  The
+few that stay inside a function are listed in `LOCAL_IMPORTS`, each with
+the reason it stays.
 """
 
 import ast
@@ -23,6 +27,10 @@ NO_CALLER_IN_THE_PACKAGE = {
     "flow_iterate": "the benchmark binds it, and TestGradientFlow "
                     "cross-checks the T-iteration against it",
     "whitening_transform": "the benchmark binds it",
+}
+
+LOCAL_IMPORTS = {
+    "cli._run_jobs": "a one-worker run never loads multiprocessing",
 }
 
 
@@ -110,3 +118,29 @@ def test_every_private_name_has_a_caller():
             if all(id(node) in inside for node in uses.get(name, [])):
                 uncalled.append(f"{path.name}: {name}")
     assert uncalled == []
+
+
+def _local_imports(tree, module):
+    """`module.function` of each function (methods as `Class.method`)
+    holding an import statement anywhere below the module's top level."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            name = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, (ast.Import, ast.ImportFrom)) and scope:
+                found.add(f"{module}.{scope}")
+            visit(child, name)
+
+    visit(tree, "")
+    return found
+
+
+def test_no_function_local_import():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= _local_imports(tree, path.stem)
+    assert sorted(found) == sorted(LOCAL_IMPORTS)

@@ -238,6 +238,29 @@ class TestEmbeddingState:
         assert str(derived.value) == str(built.value)
         assert "not positive definite" in str(derived.value)
 
+    def test_replace_guards_match_with_gram(self):
+        state = veronese_state()
+        with pytest.raises(ValueError) as derived:
+            state.with_gram(np.eye(4))
+        with pytest.raises(ValueError) as replaced:
+            replace(state, gram=make_gram(np.eye(4)))
+        assert str(replaced.value) == str(derived.value)
+        assert "does not match section count 3" in str(replaced.value)
+        with pytest.raises(NumericalGuardError, match="not positive"):
+            replace(state, gram=make_gram(np.diag([1.0, 1.0, -1.0])))
+
+    def test_with_gram_keeps_a_gram_matrix(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        state = veronese_state()
+        gm = make_gram(random_spd(rng, 3))
+        gm.whitener()
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        moved = state.with_gram(gm)
+        built = bal.embedding_state(state.model, gram=gm, rule=state.rule,
+                                    basis=state.basis)
+        assert moved.gram is gm and built.gram is gm
+        assert eigh == []
+
 
 class TestGeometryKernel:
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -652,16 +675,33 @@ class TestEachStatePaysOnce:
         assert not moment.matrix.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             moment.matrix[0, 0] = 0.0
-        # the T-step and the density read the kept volume and pairings:
-        # no moment again, and only the density's own node tables
+        # the T-step and the density read the kept volume, pairings and
+        # node tables: no moment and no geometry pass again
         eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
         seen = count_geometry_passes(monkeypatch)
         bal.t_map_step(state)
         assert seen == []
         stats = bal.balanced_density_stats(state)
-        assert seen == [state]
+        assert seen == []
         assert eigvalsh == []
         assert stats["volume"] == moment.volume
+
+    def test_operator_of_a_solved_state_reads_its_geometry(self,
+                                                           monkeypatch):
+        model = TrivialBundleOverPm(1, 2, 3)
+        state = bal.embedding_state(model,
+                                    rule=bal.torus_orbit_rule(model, 6))
+        report = bal.balance_iterate(state, tol=1e-9)
+        assert report.converged
+        seen = count_geometry_passes(monkeypatch)
+        q = bal.sigma_z_operator(report.state).q_matrix
+        assert seen == []
+        # the kept tables are read-only and give the fresh pass's operator
+        u = report.state._geometry[0]
+        assert not u.flags.writeable
+        fresh = replace(report.state, gram=report.state.gram)
+        assert np.array_equal(bal.sigma_z_operator(fresh).q_matrix, q)
+        assert seen == [fresh]
 
     def test_three_eigh_per_accepted_anderson_step(self, monkeypatch):
         # from the identity Gram every mixed step is accepted; each
@@ -1345,8 +1385,9 @@ class TestTorusRule:
         # at the orbit state the runs check: diagonal pairings and the
         # masked operator against the full angular rule
         solved = torus_states["p1xp1"][1]
-        state = bal.embedding_state(solved.model, gram=solved.gram.matrix,
-                                    n_radial=10, torus=True)
+        state = bal.embedding_state(
+            solved.model, gram=solved.gram.matrix,
+            rule=bal.torus_orbit_rule(solved.model, 10))
         for quantity in (lambda s: bal.moment_map(s).matrix,
                          lambda s: bal.sigma_z_operator(s).q_matrix):
             assert bal.torus_rule_check(state, 10, quantity) < 1e-13
@@ -1370,7 +1411,8 @@ class TestTorusRule:
     def test_degree_zero_trips_the_moment_check(self, monkeypatch):
         model = TORUS_MODELS["p1xp1"]
         monkeypatch.setattr(bal, "torus_degree", lambda model: 0)
-        state = bal.embedding_state(model, n_radial=6, torus=True)
+        state = bal.embedding_state(model,
+                                    rule=bal.torus_orbit_rule(model, 6))
         with pytest.raises(NumericalGuardError,
                            match="from 1 to 3 angles per base coordinate"):
             bal.torus_rule_check(state, 6, lambda s: bal.moment_map(s).matrix)
@@ -1401,7 +1443,7 @@ class TestTorusOrbitRule:
         model = TORUS_MODELS[key]
         full = torus_states[key][solved]
         orbit = bal.embedding_state(model, gram=full.gram.matrix,
-                                    n_radial=10, torus=True)
+                                    rule=bal.torus_orbit_rule(model, 10))
         for quantity in (lambda s: bal.moment_map(s).matrix,
                          lambda s: bal.t_map_step(s).gram.matrix):
             assert np.max(np.abs(quantity(orbit) - quantity(full))) < 1e-13
@@ -1416,8 +1458,8 @@ class TestTorusOrbitRule:
         model = TORUS_MODELS[key]
         full = torus_states[key][2]
         orbit = bal.balance_iterate(
-            bal.embedding_state(model, n_radial=10, torus=True), tol=1e-12,
-            max_iter=60)
+            bal.embedding_state(model, rule=bal.torus_orbit_rule(model, 10)),
+            tol=1e-12, max_iter=60)
         assert orbit.iterations == full.iterations
         assert (orbit.converged, orbit.diverged, orbit.fallback_steps) == (
             full.converged, full.diverged, full.fallback_steps)
@@ -1431,14 +1473,27 @@ class TestTorusOrbitRule:
         gram = np.eye(8)
         gram[0, 5] = gram[5, 0] = 2e-6
         ratio = "Gram's largest off-diagonal entry is 2.00e-06"
+        orbit = bal.torus_orbit_rule(model, 6)
         with pytest.raises(NumericalGuardError, match=ratio):
-            bal.embedding_state(model, gram=gram, n_radial=6, torus=True)
-        state = bal.embedding_state(model, n_radial=6, torus=True)
+            bal.embedding_state(model, gram=gram, rule=orbit)
+        state = bal.embedding_state(model, rule=orbit)
         with pytest.raises(NumericalGuardError, match=ratio):
             state.with_gram(gram)
-        with pytest.raises(ValueError, match="torus_orbit_rule"):
-            bal.embedding_state(model, rule=torus_rule(model, 6),
-                                torus=True)
+        # any other rule integrates every entry, so it takes the Gram
+        assert not bal.embedding_state(model, gram=gram,
+                                       rule=torus_rule(model, 6)).torus
+
+    def test_the_rule_makes_the_torus_state(self):
+        # the orbit rule given as `rule=` once built a general-path state
+        # on orbit nodes, whose moment read 1.82 on this model
+        model = TORUS_MODELS["p1xp1"]
+        orbit = bal.embedding_state(model,
+                                    rule=bal.torus_orbit_rule(model, 6))
+        plain = bal.embedding_state(model, n_radial=6)
+        assert orbit.torus and not plain.torus
+        ours, theirs = bal.moment_map(orbit), bal.moment_map(plain)
+        assert np.max(np.abs(ours.matrix - theirs.matrix)) < 1e-12
+        assert ours.norm_op == pytest.approx(0.10782, abs=1e-5)
 
 
 OPERATOR_MODELS = {**TORUS_MODELS,
@@ -1456,7 +1511,8 @@ class TestTorusOperator:
     @pytest.mark.parametrize("key", sorted(OPERATOR_MODELS))
     def test_matches_the_torus_rule(self, key, gram):
         model = OPERATOR_MODELS[key]
-        state = bal.embedding_state(model, n_radial=6, torus=True)
+        state = bal.embedding_state(model,
+                                    rule=bal.torus_orbit_rule(model, 6))
         if gram == "solved":
             # P(O + O(1)) and P(O + O + O(1)) stop at the obstruction,
             # still on a diagonal Gram
@@ -1599,8 +1655,8 @@ class TestRBoundedCheck:
         basis = build_section_basis(model)
         gram = np.diag([1.0 / math.comb(k, int(beta))
                         for beta in basis.exponents[:, 0]])
-        state = bal.embedding_state(model, gram=gram, n_radial=4,
-                                    torus=True)
+        state = bal.embedding_state(model, gram=gram,
+                                    rule=bal.torus_orbit_rule(model, 4))
         field, derivs = bal._form_derivatives(state, np.zeros((1, 2)))
         rows = [tuple(row) for row in jet_tables(2, 4).mono[:70]]
         levels = jet_tables(2, 4).levels
@@ -1633,7 +1689,8 @@ class TestRBoundedCheck:
             "p1-sum-0": (LineBundleSumOverP1((0,), 3), 8),
             "p2xp1-k2": (TrivialBundleOverPm(2, 2, 2), 3),
         }.get(key, (TrivialBundleOverPm(1, 2, int(key[-1])), 16))
-        initial = bal.embedding_state(model, n_radial=6, torus=True)
+        initial = bal.embedding_state(model,
+                                      rule=bal.torus_orbit_rule(model, 6))
         solved = bal.balance_iterate(initial, tol=1e-9,
                                      max_iter=suites._MAX_ITER).state
         rng = np.random.default_rng(7 + 313 * model.k)

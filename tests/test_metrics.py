@@ -149,6 +149,21 @@ class TestGramUtilities:
         assert np.max(np.abs(t @ t - g.inverse())) < 1e-8 * np.max(
             np.abs(g.inverse()))
 
+    def test_whitener_checks_that_it_orthonormalizes(self, monkeypatch):
+        # eigenvectors 1% off unit length scale T by 1.01^2, so T* G T
+        # is 1.01^4 I: 4.06e-2 off the identity
+        real = np.linalg.eigh
+
+        def skewed(a):
+            w, v = real(a)
+            return w, 1.01 * v
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
+        g = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        with pytest.raises(NumericalGuardError,
+                           match="orthonormalizing transform defect 4.06e-02"):
+            whitening_transform(g)
+
     def test_whitener_is_formed_once_and_read_only(self):
         g = make_gram(np.diag([1.0, 4.0, 9.0]))
         t = g.whitener()
