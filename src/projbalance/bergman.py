@@ -7,7 +7,8 @@ The chain implemented here, bottom to top:
 * fiber averages of the dual pairing against those coefficient weights
   (`push_forward_table`, k-independent and built once per sweep, and the
   single average `fiber_push_forward`); the table gives the level metric
-  on the section space at any k (`level_metric_values`);
+  on the section space at any k (`level_metric_values`); both evaluate
+  H^{-1} and the base form per base node, not per fiber node;
 * weighted Grams (`l2_gram`), the level endomorphism field
   (`bergman_endomorphism`), and two independent density routes
   (`rho_direct` integrates on the total space, `rho_via_trace` contracts
@@ -49,7 +50,7 @@ from .metrics import (
     make_gram,
     mean_curvature,
 )
-from .quadrature import ChartRule, integrate, radial_profile_rule
+from .quadrature import ChartRule, chart_rule, integrate
 from .sections import (
     affine_frame,
     base_rule,
@@ -68,7 +69,6 @@ __all__ = [
     "adapted_total_rule",
     "c_r_constant",
     "hat_form_matrix",
-    "lifted_base_form",
     "volume_coefficients",
     "level_volume_density",
     "FiberAverage",
@@ -113,17 +113,17 @@ def c_r_constant(r):
     C^(r-1) of (1 + |xi|^2)^(-(r+1)) against the coordinate measure
     prod_j |dxi_j ^ dxibar_j| = 2^(r-1) * Lebesgue.
 
-    Computed on the moduli profile with the nodes that its degree r - 1 in
-    t = s/(1+s) needs; fiber averages elsewhere in this module divide by
-    the closed value (2 pi)^(r-1)/r!.
+    Computed on a one-angle `chart_rule` (the integrand is radial) with the
+    nodes that its degree r - 1 in t = s/(1+s) needs; fiber averages
+    elsewhere in this module divide by the closed value (2 pi)^(r-1)/r!.
     """
     if r < 1:
         raise ValueError("rank must be a positive integer")
     if r == 1:
         return 1.0
-    u, w = radial_profile_rule(r - 1, n_radial=_gauss_legendre_count(r - 1))
-    vals = (1.0 + u.sum(axis=1)) ** (-(r + 1.0))
-    return float(2.0 ** (r - 1) * np.sum(w * vals))
+    rule = chart_rule(r - 1, _gauss_legendre_count(r - 1), n_angular=1)
+    vals = (1.0 + np.sum(np.abs(rule.points) ** 2, axis=1)) ** (-(r + 1.0))
+    return float(2.0 ** (r - 1) * np.sum(rule.weights * vals))
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +192,18 @@ def hat_form_matrix(metric, model, pts):
     return w
 
 
-def lifted_base_form(kahler, model, pts):
-    """Pullback of the base form to the total chart: base block, zero fiber
-    block, shape (n, d, d)."""
-    z, _ = split_points(model, pts)
-    out = np.zeros((pts.shape[0], model.n, model.n), dtype=complex)
-    out[:, : model.m, : model.m] = kahler.matrix(z)
-    return out
-
-
 def volume_coefficients(metric, kahler, model, pts):
     """Coefficients E_j, j = 0..m, of det(W + t Omega) in t, where W is the
-    induced form and Omega the lifted base form; shape (m+1, n).  The top
-    coefficient factors as det(G) det(W_fib) and carries the leading
-    measure; the ratios E_j/E_m weight the fiber averages."""
+    induced form and Omega the base form in the base block; shape (m+1, n).
+    The top coefficient factors as det(G) det(W_fib) and carries the
+    leading measure; the ratios E_j/E_m weight the fiber averages.  Both
+    forms are evaluated once per run of equal base rows (`_base_runs`)."""
     w = hat_form_matrix(metric, model, pts)
-    om = lifted_base_form(kahler, model, pts)
+    z, _ = split_points(model, pts)
+    first, sizes = _base_runs(z)
+    om = np.zeros_like(w)
+    om[:, : model.m, : model.m] = np.repeat(kahler.matrix(z[first]), sizes,
+                                            axis=0)
     return mixed_volume_coefficients(w, om, model.m)
 
 
@@ -253,12 +249,11 @@ class PushForwardTable:
     """All coefficient-weighted fiber averages at once, k-independent.
 
     m_tilde[j] is the E_j/E_m-weighted average, shape (n, r, r); the level
-    metric at any k is sum_j k^(j-m) m_tilde[j].  psi[j] = H^{-1} m_tilde[j],
-    so psi[m] is the identity up to quadrature error."""
+    metric at any k is sum_j k^(j-m) m_tilde[j], and m_tilde[m] is the
+    bundle metric up to quadrature error (`fiber_push_forward` forms psi)."""
 
     points: np.ndarray
     m_tilde: np.ndarray
-    psi: np.ndarray
 
 
 def _check_fiber_rule(model, rule):
@@ -277,14 +272,15 @@ def _adapted_fiber_points(metric, model, z, xi):
     of H^{-1}).  Pulling quadrature nodes through that change keeps the
     integrand scale uniform over the base.
 
-    Returns total points (nb*nf, n) and the squared Jacobian factor (nb,).
+    Returns total points (nb*nf, n), the squared Jacobian factor (nb,) and
+    H^{-1} at the base points (nb, r, r), which `_fiber_measure` reads.
     """
     nb, nf = z.shape[0], xi.shape[0]
     pts = np.empty((nb * nf, model.n), dtype=complex)
     pts[:, : model.m] = np.repeat(z, nf, axis=0)
-    if model.r == 1:
-        return pts, np.ones(nb)
     p = metric.inverse(z)
+    if model.r == 1:
+        return pts, np.ones(nb), p
     b = p[:, 1:, 0]
     bmat = p[:, 1:, 1:]
     y = np.linalg.solve(bmat, b[..., None])[..., 0]
@@ -295,7 +291,7 @@ def _adapted_fiber_points(metric, model, z, xi):
         "fc,ncd->nfd", xi, linv)
     pts[:, model.m:] = moved.reshape(nb * nf, model.r - 1)
     jac2 = kappa ** (model.r - 1) / np.linalg.det(bmat).real
-    return pts, jac2
+    return pts, jac2, p
 
 
 def adapted_fiber_degree(model):
@@ -401,34 +397,23 @@ def adapted_total_rule(metric, model, n_radial, raise_degree=0):
     scale shrinks."""
     rb = base_rule(model, n_radial)
     rf = adapted_fiber_rule(model, raise_degree)
-    pts, jac2 = _adapted_fiber_points(metric, model, rb.points, rf.points)
+    pts, jac2, _ = _adapted_fiber_points(metric, model, rb.points, rf.points)
     w = (rb.weights[:, None] * rf.weights[None, :] * jac2[:, None]).ravel()
     return ChartRule(pts, w)
 
 
-def _fiber_geometry(metric, z, xi):
-    """Dual pairing q, the fiber volume factor det(W_fib), and the
-    covectors lam = (1, xi), for base points z (nb, m) and the fiber points
-    above each of them, xi (nb, nf, r-1); outputs are shaped (nb, nf, ...).
-
-    H^{-1} is evaluated once per base node.  The fiber block of the
-    induced form is the complex Hessian of log(lam H^{-1} lam*) in xi, so
+def _fiber_measure(model, rule, pts, jac2, hinv):
+    """Fiber measure (nb, nf) and covectors lam = (1, xi) (nb, nf, r) at
+    the nodes `pts` of `rule`, with `jac2` and H^{-1} per base node (`hinv`)
+    from `_adapted_fiber_points`; the measure integrates the dual pairing
+    conj(lam) lam^T to the bundle metric.  The fiber block of the induced
+    form is the complex Hessian of log q in xi, q = lam H^{-1} lam*, so
     det(W_fib) = det(H^{-1}) / q^r in closed form."""
-    lam = affine_frame(xi)
-    p = metric.inverse(z)
-    _, q = _dual_pairing(p[:, None], lam)
-    detwf = np.linalg.det(p).real[:, None] / q ** metric.r
-    return q, detwf, lam
-
-
-def _fiber_measure(metric, model, z, rule, pts, jac2):
-    """Fiber measure (nb, nf) and covectors lam (nb, nf, r) at the nodes
-    `pts`, `jac2` from `_adapted_fiber_points`; the measure integrates the
-    dual pairing conj(lam) lam^T to the bundle metric."""
     r = model.r
-    nb, nf = z.shape[0], rule.points.shape[0]
-    q, detwf, lam = _fiber_geometry(
-        metric, z, pts[:, model.m:].reshape(nb, nf, r - 1))
+    nb, nf = hinv.shape[0], rule.points.shape[0]
+    lam = affine_frame(pts[:, model.m:].reshape(nb, nf, r - 1))
+    _, q = _dual_pairing(hinv[:, None], lam)
+    detwf = np.linalg.det(hinv).real[:, None] / q ** r
     meas = detwf / q * 2.0 ** (r - 1) \
         * rule.weights[None, :] * jac2[:, None] / _volume_constant_exact(r)
     return meas, lam
@@ -444,41 +429,43 @@ def _pairing_average(weight, lam):
 
 def push_forward_table(metric, kahler, model, z, rule):
     """Fiber averages of the dual pairing against every volume-coefficient
-    weight f_j = E_j/E_m, for base points z, on the fiber `rule`."""
+    weight f_j = E_j/E_m, for base points z, on the fiber `rule`; H^{-1}
+    and the base form are evaluated per base node, not per fiber node."""
     z = np.asarray(z, dtype=complex)
     _check_fiber_rule(model, rule)
     m = model.m
     nb, nf = z.shape[0], rule.points.shape[0]
-    pts, jac2 = _adapted_fiber_points(metric, model, z, rule.points)
+    pts, jac2, hinv = _adapted_fiber_points(metric, model, z, rule.points)
 
     e = volume_coefficients(metric, kahler, model, pts).reshape(m + 1, nb, nf)
     f = e / e[m]
 
     # after hat_form_matrix: its temporaries are the memory peak, and the
     # fiber tables alive through them would raise it
-    meas, lam = _fiber_measure(metric, model, z, rule, pts, jac2)
-    m_tilde = _pairing_average(f * meas, lam)
-    h = metric.matrix(z)
-    psi = np.stack([np.linalg.solve(h, m_tilde[j]) for j in range(m + 1)])
-    return PushForwardTable(points=z, m_tilde=m_tilde, psi=psi)
+    meas, lam = _fiber_measure(model, rule, pts, jac2, hinv)
+    return PushForwardTable(points=z, m_tilde=_pairing_average(f * meas, lam))
 
 
 def fiber_push_forward(metric, kahler, model, z, weight=None, *, rule):
     """One fiber average on the fiber `rule`.  weight None integrates the
     bare dual pairing, returning the bundle metric itself up to quadrature
-    error; weight j in 0..m uses the volume-coefficient ratio E_j/E_m."""
+    error; weight j in 0..m reads the E_j/E_m average off
+    `push_forward_table`.  The bare pairing skips the table's volume
+    coefficients and inverts H once per base node; psi is one solve
+    against H either way."""
     z = np.asarray(z, dtype=complex)
     _check_fiber_rule(model, rule)
-    if weight is not None:
-        if not 0 <= weight <= model.m:
-            raise ValueError(f"weight index {weight} outside 0..{model.m}")
-        table = push_forward_table(metric, kahler, model, z, rule=rule)
-        return FiberAverage(g_tilde=table.m_tilde[weight], psi=table.psi[weight])
-
-    pts, jac2 = _adapted_fiber_points(metric, model, z, rule.points)
-    meas, lam = _fiber_measure(metric, model, z, rule, pts, jac2)
-    g_tilde = _pairing_average(meas, lam)
-    return FiberAverage(g_tilde=g_tilde, psi=np.linalg.solve(metric.matrix(z), g_tilde))
+    if weight is None:
+        pts, jac2, hinv = _adapted_fiber_points(metric, model, z, rule.points)
+        g_tilde = _pairing_average(
+            *_fiber_measure(model, rule, pts, jac2, hinv))
+    elif 0 <= weight <= model.m:
+        g_tilde = push_forward_table(metric, kahler, model, z,
+                                     rule=rule).m_tilde[weight]
+    else:
+        raise ValueError(f"weight index {weight} outside 0..{model.m}")
+    return FiberAverage(g_tilde=g_tilde,
+                        psi=np.linalg.solve(metric.matrix(z), g_tilde))
 
 
 def level_metric_values(table, k):

@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "ChartRule",
     "chart_rule",
-    "radial_profile_rule",
     "product_rule",
     "integrate",
     "certify_moments",
@@ -120,19 +119,6 @@ def chart_rule(dim, n_radial, n_angular=None):
         pts[:, :, axis] = pts[:, :, axis] * np.tile(phase, n_prev)[None, :]
     w = (uw * (ang_w**dim) / (2.0**dim))[:, None] * np.ones(n_angular**dim)[None, :]
     return ChartRule(pts.reshape(n_u * n_angular**dim, dim), w.ravel())
-
-
-def radial_profile_rule(dim, n_radial):
-    """Rule for integrands depending only on the moduli |z_i|^2.
-
-    Returns nodes u (n, dim real >= 0) and weights such that
-    sum w f(u) = int_{C^dim} f(|z_1|^2, ..., |z_dim|^2) dA, i.e. the angular
-    factors (pi per coordinate after u = rho^2) are folded in analytically.
-    Used where tensored angular grids would be waste (e.g. fiber-volume
-    constants at higher rank).
-    """
-    u, uw = _moduli_grid(dim, n_radial)
-    return u, uw * np.pi**dim
 
 
 def product_rule(a, b):

@@ -32,9 +32,9 @@ Both balancing suites (`balance_job`, `spectrum_job`) start at the
 identity Gram, so their states stay torus-invariant, and balance torus
 states, those built on `balancing.torus_orbit_rule`: one node per torus
 orbit, on `n_radial` radial nodes per factor, with diagonal pairings.
-Every Gram such a state takes, the solved one included, passes
-`balancing.torus_invariance_guard`, and `balance` guards the direct
-route's Gram by name too.  Each level
+Every Gram such a state takes passes `balancing.torus_invariance_guard`
+once, when the state is built: the solved one, and the direct route's
+Gram at which `balance` measures the reference moment.  Each level
 records the node count of the rule it balanced on as `nodes`.
 `moment-spectrum` builds its normal-action operator at the solved state on
 the same rule, keeping the zero-character entries of its node sum
@@ -234,20 +234,31 @@ def trace_route_table(cfg):
     return table, row
 
 
+def _direct_route(cfg, k):
+    """The direct density route at level k, on the adapted total rule."""
+    model = build_model(cfg, k)
+    metric = build_metric(cfg)
+    return bg.rho_direct(
+        metric, build_kahler(cfg), model,
+        rule=bg.adapted_total_rule(metric, model, n_radial=cfg.n_radial))
+
+
 def _density_routes(cfg, k, table):
     """Both density routes at one level, each on its own data: the direct
     route on the adapted total rule, and the level endomorphism that the
     trace route contracts, from the shared push-forward `table`."""
     model = build_model(cfg, k)
-    metric = build_metric(cfg)
-    kahler = build_kahler(cfg)
-    direct = bg.rho_direct(
-        metric, kahler, model,
-        rule=bg.adapted_total_rule(metric, model, n_radial=cfg.n_radial))
     level = bg.bergman_endomorphism(
-        metric, kahler, model,
+        build_metric(cfg), build_kahler(cfg), model,
         rule=base_rule(model, n_radial=cfg.n_radial), table=table)
-    return direct, level
+    return _direct_route(cfg, k), level
+
+
+def _mass_row(k, mass, count):
+    """`density-mass` row: the integral of the density against the
+    section count it must equal."""
+    return _check("density-mass", mass, float(count), 1e-8, k=k,
+                  detail="integral of the density vs section count")
 
 
 # relative tolerance of the cross-route density check
@@ -280,8 +291,7 @@ def density_route_job(cfg, k, table):
     return [
         _check("density-route", rel, 0.0, _RHO_TOL, k=k,
                detail=f"{cfg.n_points} sample points"),
-        _check("density-mass", mass, float(n_sections), 1e-8, k=k,
-               detail="integral of the density vs section count"),
+        _mass_row(k, mass, n_sections),
     ]
 
 
@@ -411,8 +421,6 @@ def balance_job(cfg, k):
     identity instead, so the trajectories demonstrate actual convergence."""
     state, report, fields = _balanced_level(cfg, k)
     model = state.model
-    metric = build_metric(cfg)
-    kahler = build_kahler(cfg)
     initial = bal.moment_map(state)
     stats = bal.balanced_density_stats(report.state)
     # the orbit rule's exactness does not depend on k: one check per sweep
@@ -421,12 +429,7 @@ def balance_job(cfg, k):
         torus_row = _torus_row(report.state, cfg.n_radial, "moment matrix",
                                lambda s: bal.moment_map(s).matrix)
 
-    direct = bg.rho_direct(
-        metric, kahler, model,
-        rule=bg.adapted_total_rule(metric, model, n_radial=cfg.n_radial))
-    bal.torus_invariance_guard(direct.gram.matrix, model,
-                               "direct-route Gram")
-    ref_state = state.with_gram(direct.gram)
+    ref_state = state.with_gram(_direct_route(cfg, k).gram)
     reference = bal.moment_map(ref_state)
 
     # uniform on the unit polydisc |z_i| <= 1: a bounded domain, so the
@@ -479,9 +482,7 @@ def balance_rows(cfg, results):
         k = res["k"]
         rows.append(_check("moment-trace", res["trace_abs"], 0.0, 1e-10,
                            k=k, detail="trace of the final moment matrix"))
-        rows.append(_check("density-mass", res["rho_mass"],
-                           float(res["count"]), 1e-8, k=k,
-                           detail="integral of the density vs section count"))
+        rows.append(_mass_row(k, res["rho_mass"], res["count"]))
         rows.append(_row(
             "embedding-comparable", k=k, value=res["comparable_c_a"],
             reference=_R_BOUND, error=res["comparable_c_a"],
@@ -606,9 +607,7 @@ def expansion_assemble(cfg, results):
                     "candidates; reported, not judged"),
     ]
     for res in results:
-        rows.append(_check("density-mass", res["mass"],
-                           float(res["sections"]), 1e-8, k=res["k"],
-                           detail="integral of the density vs section count"))
+        rows.append(_mass_row(res["k"], res["mass"], res["sections"]))
         rows.append(_row("density-constancy", k=res["k"],
                          value=res["rho_max_dev"],
                          detail=f"max deviation of the density from its "
@@ -642,9 +641,7 @@ def degenerate_expansion_job(cfg, k):
 def degenerate_expansion_rows(results):
     rows = []
     for res in results:
-        rows.append(_check("density-mass", res["mass"],
-                           float(res["sections"]), 1e-8, k=res["k"],
-                           detail="integral of the density vs section count"))
+        rows.append(_mass_row(res["k"], res["mass"], res["sections"]))
         rows.append(_check(
             "expansion-degenerate-flat", res["rho_max_dev"], 0.0, 1e-8,
             k=res["k"],

@@ -16,6 +16,10 @@ here.  None is exempt.
 Every import of the package sits at the top level of its module.  The
 few that stay inside a function are listed in `LOCAL_IMPORTS`, each with
 the reason it stays.
+
+A private name belongs to its module: no module imports one from another
+(`from .mod import _name`).  The few that cross are listed in
+`PRIVATE_IMPORTS`, each with the reason it crosses.
 """
 
 import ast
@@ -31,6 +35,15 @@ NO_CALLER_IN_THE_PACKAGE = {
 
 LOCAL_IMPORTS = {
     "cli._run_jobs": "a one-worker run never loads multiprocessing",
+}
+
+PRIVATE_IMPORTS = {
+    "bergman: metrics._base_runs": "hat_form_matrix and volume_coefficients "
+                                   "evaluate base-only data once per base "
+                                   "node, as metrics.hat_weight does",
+    "bergman: metrics._dual_pairing": "the hat form, the fiber measure and "
+                                      "the dual-point projector pair "
+                                      "covectors as metrics.hat_weight does",
 }
 
 
@@ -144,3 +157,14 @@ def test_no_function_local_import():
         tree = ast.parse(path.read_text(), filename=str(path))
         found |= _local_imports(tree, path.stem)
     assert sorted(found) == sorted(LOCAL_IMPORTS)
+
+
+def test_no_private_name_crosses_modules():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found |= {f"{path.stem}: {node.module}.{alias.name}"
+                          for alias in node.names if _is_private(alias.name)}
+    assert sorted(found) == sorted(PRIVATE_IMPORTS)

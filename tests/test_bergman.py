@@ -63,7 +63,7 @@ from projbalance.sections import (
 from projbalance import bergman as bg
 from projbalance import suites
 from projbalance.config import ExperimentConfig
-from projbalance.quadrature import chart_rule, integrate
+from projbalance.quadrature import ChartRule, chart_rule, integrate
 from reference_structures import FlatChart, lichnerowicz_apply
 
 
@@ -444,11 +444,11 @@ class TestFiberAverage:
         assert np.max(np.abs(out.psi)) < 1e-9
 
     def test_fiber_volume_factor_matches_hat_form_block(self):
-        # _fiber_geometry evaluates H^{-1} once per base node and uses the
-        # closed form det(W_fib) = det(H^{-1}) / q^r; compare it with the
-        # per-node determinant of the fiber block of hat_form_matrix, on
-        # metrics that vary over the base and fiber points that differ
-        # from one base node to the next
+        # _fiber_measure takes H^{-1} at the base nodes from the adapted
+        # frame and uses the closed form det(W_fib) = det(H^{-1}) / q^r;
+        # compare it with the per-node determinant of the fiber block of
+        # hat_form_matrix, on metrics that vary over the base and fiber
+        # points that differ from one base node to the next
         def kfn(z):
             q = 1.0 + np.abs(z[:, 0]) ** 2
             out = np.zeros((z.shape[0], 3, 3), dtype=complex)
@@ -466,20 +466,67 @@ class TestFiberAverage:
         xi = 0.9 * (rng.standard_normal((nb, nf, 2)) + 1j * rng.standard_normal((nb, nf, 2)))
         pts = np.concatenate([np.repeat(z, nf, axis=0), xi.reshape(nb * nf, 2)], axis=1)
         lam = np.concatenate([np.ones((nb * nf, 1), dtype=complex), xi.reshape(nb * nf, 2)], axis=1)
+        # unit weights and Jacobian: the measure is det(W_fib) / q * 4 / c_3
+        unit = ChartRule(np.zeros((nf, 2), dtype=complex), np.ones(nf))
+        scale = 2.0 ** 2 / ((2.0 * math.pi) ** 2 / 6.0)
         for metric in (split, perturbed):
-            q, detwf, _ = bg._fiber_geometry(metric, z, xi)
+            meas, got_lam = bg._fiber_measure(model, unit, pts, np.ones(nb), metric.inverse(z))
+            assert np.array_equal(got_lam.reshape(nb * nf, 3), lam)
+            h = metric.matrix(pts[:, :1])
+            q = np.einsum("ni,ni->n", lam, np.linalg.solve(h, np.conj(lam)[..., None])[..., 0]).real
+            detwf = meas * q.reshape(nb, nf) / scale
             w = bg.hat_form_matrix(metric, model, pts)
             want = np.linalg.det(w[:, 1:, 1:]).real.reshape(nb, nf)
             assert np.max(np.abs(detwf - want) / np.abs(want)) < 1e-12
-            h = metric.matrix(pts[:, :1])
-            q_want = np.einsum("ni,ni->n", lam, np.linalg.solve(h, np.conj(lam)[..., None])[..., 0]).real
-            assert np.max(np.abs(q - q_want.reshape(nb, nf)) / q_want.reshape(nb, nf)) < 1e-12
 
     def test_weight_index_validated(self, twisted_metric, twisted_rules):
         model = LineBundleSumOverP1((0, 1), 4)
         z = np.zeros((1, 1), dtype=complex)
         with pytest.raises(ValueError, match="weight index"):
             bg.fiber_push_forward(twisted_metric, FS1, model, z, weight=2, rule=twisted_rules[1])
+
+
+class TestFiberLayerPaysOnce:
+    """Base-only data is evaluated once per base node: each call below is
+    counted in rows on an instance whose method records them."""
+
+    @staticmethod
+    def counted(monkeypatch, obj, method):
+        rows = []
+        original = getattr(obj, method)
+
+        def record(z):
+            rows.append(np.asarray(z).shape[0])
+            return original(z)
+
+        monkeypatch.setattr(obj, method, record)
+        return rows
+
+    @staticmethod
+    def case():
+        model = LineBundleSumOverP1((0, 1), 4)
+        z = np.array([[0.0], [0.4 + 0.3j], [-1.1j], [0.7]], dtype=complex)
+        return model, z, bg.adapted_fiber_rule(model)
+
+    def test_table_reads_the_base_once_per_node(self, monkeypatch):
+        # the adapted frame's H^{-1} serves the fiber measure, and the base
+        # form fills the volume coefficients once per base node
+        model, z, rule = self.case()
+        metric, kahler = SplitBundleMetric(1, (0, 1)), FubiniStudy(1)
+        inverse = self.counted(monkeypatch, metric, "inverse")
+        form = self.counted(monkeypatch, kahler, "matrix")
+        table = bg.push_forward_table(metric, kahler, model, z, rule=rule)
+        assert sum(form) == len(z) < len(z) * len(rule.points)
+        assert sum(inverse) == 2 * len(z)  # the frame and hat_form_matrix
+        assert not hasattr(table, "psi")
+
+    def test_bare_pairing_inverts_once_per_node(self, monkeypatch):
+        model, z, rule = self.case()
+        metric = SplitBundleMetric(1, (0, 1))
+        inverse = self.counted(monkeypatch, metric, "inverse")
+        out = bg.fiber_push_forward(metric, FS1, model, z, rule=rule)
+        assert sum(inverse) == len(z)
+        assert np.max(np.abs(out.g_tilde - metric.matrix(z))) < 1e-9
 
 
 def degree_case(m, r):

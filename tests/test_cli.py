@@ -421,6 +421,21 @@ class TestVerifyRun:
         rc = cli.main(["verify", "--out", str(tmp_path / "out")])
         assert rc == 0
 
+    def test_point_base_reports_routes_without_judging(self, tmp_path):
+        # a point base has one push-forward table on a zero-dimensional
+        # base (m = 0) and no density routes to cross
+        text = "[model]\nkind = point\nrank = 3\n[sweep]\nk_min = 1\n" \
+               "k_max = 3\n"
+        path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", path, "--out", str(out)]) == 0
+        rows = load_report(out)["checks"]
+        routes = [row for row in rows if row["name"] == "density-route"]
+        assert [row["k"] for row in routes] == [1, 2, 3]
+        assert all(row["passed"] is None for row in routes)
+        degree = [row for row in rows if row["name"] == "adapted-fiber-degree"]
+        assert len(degree) == 1 and degree[0]["value"] <= 1e-10
+
 
 class TestDeterminism:
     def test_same_config_same_bytes(self, tmp_path):
