@@ -9,10 +9,11 @@ The chain implemented here, bottom to top:
   single average `fiber_push_forward`); the table gives the level metric
   on the section space at any k (`level_metric_values`); both evaluate
   H^{-1} and the base form per base node, not per fiber node;
-* weighted Grams (`l2_gram`), the level endomorphism field
-  (`bergman_endomorphism`), and two independent density routes
-  (`rho_direct` integrates on the total space, `rho_via_trace` contracts
-  the endomorphism against a rank-one projector);
+* the level Gram (`l2_gram`, one GEMM against the level metric), the
+  level endomorphism field (`bergman_endomorphism`), and two independent
+  density routes (`rho_direct` pairs one section table on the total space
+  into its Gram and keeps the density at those nodes, `rho_via_trace`
+  contracts the endomorphism against a rank-one projector);
 * candidate first-correction fields (`a1_formula`, `a1_alternative`), the
   sweep fitter (`expansion_fit`, on the levels and the endomorphism
   values each level produced), and the joint linearization of the first
@@ -480,27 +481,16 @@ def level_metric_values(table, k):
 # Grams
 # ---------------------------------------------------------------------------
 
-def l2_gram(basis, rule, weight, metric_values=None):
-    """Weighted Gram of a section basis.
-
-    With `metric_values` (a stack (n, r, r) over the rule nodes) the pairing
-    is s_i^* H s_j against component tables on the base chart; without it,
-    scalar embedding values on the total chart are paired directly, and any
-    fiber weight must already be folded into `weight`.
-    """
-    weight = np.asarray(weight, dtype=float)
-    wq = rule.weights * weight
-    if metric_values is None:
-        v = basis.eval_embedding(rule.points)
-        # a weight that blew up is reported by the guard below
-        with np.errstate(invalid="ignore", over="ignore"):
-            g = l2_pairing(v, wq)
-    else:
-        c = basis.eval_components(rule.points)
-        g = np.einsum("n,nia,nab,njb->ij", wq, np.conj(c), metric_values, c)
-    if not np.all(np.isfinite(g)):
-        raise NumericalGuardError(
-            "Gram entries are not finite; the quadrature weight blew up")
+def l2_gram(basis, rule, weight, metric_values):
+    """Weighted Gram sum_n w_n s_i^* H_n s_j of a section basis against
+    the bundle metric stack `metric_values` (n, r, r) at the rule nodes:
+    one GEMM over the node and bundle axes of the component tables.  A
+    weight that blew up leaves non-finite entries for `make_gram`."""
+    c = basis.eval_components(rule.points)
+    with np.errstate(invalid="ignore", over="ignore"):
+        cw = np.conj(c) * (rule.weights * weight)[:, None, None]
+        g = np.tensordot(cw, metric_values @ np.swapaxes(c, 1, 2),
+                         axes=([0, 2], [0, 1]))
     return make_gram(g)
 
 
@@ -563,13 +553,22 @@ def bergman_endomorphism(metric, kahler, model, rule, table):
 # density, two routes
 # ---------------------------------------------------------------------------
 
+def _section_density(v, gram, scale):
+    """scale * v G^{-1} v^* on an embedding table v (n, N), which is
+    conjugated in place rather than held twice."""
+    a = v @ gram.inverse()
+    return np.einsum("nq,nq->n", a, np.conj(v, out=v)).real * scale
+
+
 @dataclass(frozen=True)
 class DirectDensity:
     """Squared-norm sum of an orthonormalized section basis on the total
     space, against the induced hyperplane weight at the twist level.
 
-    `measure` is the level counting measure at the rule nodes, computed
-    once by `rho_direct`; `measure_density` evaluates it elsewhere."""
+    `measure` and `node_density` are the level counting measure and the
+    density at the rule nodes, from the pass in which `rho_direct` paired
+    the Gram; `measure_density` and `density` evaluate them elsewhere.
+    `total_mass` on the Gram's own rule is tr(G^{-1} G) = N up to roundoff."""
 
     model: object
     basis: object
@@ -578,23 +577,21 @@ class DirectDensity:
     kahler: object
     rule: object
     measure: np.ndarray
+    node_density: np.ndarray
 
     def density(self, pts):
         pts = np.asarray(pts, dtype=complex)
         z = pts[:, : self.model.m]
         scale = hat_weight(self.metric, pts, self.model) \
             * np.exp(-float(self.model.k) * self.kahler.potential(z))
-        v = self.basis.eval_embedding(pts)
-        a = v @ self.gram.inverse()
-        # v is ours: conjugate it in place rather than hold a second copy
-        raw = np.einsum("nq,nq->n", a, np.conj(v, out=v)).real
-        return raw * scale
+        return _section_density(self.basis.eval_embedding(pts), self.gram,
+                                scale)
 
     def measure_density(self, pts):
         return level_volume_density(self.metric, self.kahler, self.model, pts)
 
     def total_mass(self):
-        return float(integrate(self.rule, self.density(self.rule.points) * self.measure))
+        return float(integrate(self.rule, self.node_density * self.measure))
 
     def volume(self):
         return float(integrate(self.rule, self.measure))
@@ -603,21 +600,25 @@ class DirectDensity:
 def rho_direct(metric, kahler, model, rule):
     """Density route that never touches the fiber push-forward: Gram and
     evaluation both live on the total chart `rule` with the induced
-    hyperplane weight and the level counting measure."""
+    hyperplane weight and the level counting measure.  One section table
+    at the rule nodes gives both the Gram and the density kept there."""
     basis = build_section_basis(model)
     # hat weight first: the measure's per-node temporaries then reuse the
     # heap that the weight's leave behind, which would otherwise stay
-    # resident under l2_gram's (n, N) tables and raise the peak memory
+    # resident under the (n, N) section tables and raise the peak memory
     hw = hat_weight(metric, rule.points, model)
     dens = level_volume_density(metric, kahler, model, rule.points)
-    z = rule.points[:, : model.m]
-    weight = dens * hw * np.exp(-float(model.k) * kahler.potential(z))
-    gram = l2_gram(basis, rule, weight)
+    e = np.exp(-float(model.k) * kahler.potential(rule.points[:, : model.m]))
+    v = basis.eval_embedding(rule.points)
+    # a weight that blew up is reported by make_gram's finite check
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = make_gram(l2_pairing(v, rule.weights * (dens * hw * e)))
     gram.guard()
     logger.debug("direct density %s: N=%d, Gram condition %.3e",
                  model.label, basis.count, gram.condition())
     return DirectDensity(model=model, basis=basis, gram=gram, metric=metric,
-                         kahler=kahler, rule=rule, measure=dens)
+                         kahler=kahler, rule=rule, measure=dens,
+                         node_density=_section_density(v, gram, hw * e))
 
 
 def dual_point_projector(metric, z, lam):

@@ -20,13 +20,13 @@ induces on the relative hyperplane line.  The metric a Gram matrix induces
 on a total space through its section basis, the pulled-back Fubini-Study
 form, is computed in one place: `balancing.embedding_form_field`.
 
-Gram tools: `l2_pairing` is the package's weighted node pairing, and
-`GramMatrix` is the only code that factors a Gram.  One eigendecomposition
-per Gram gives its guards, its whitener G^{-1/2} (formed once and kept
-with the Gram), its inverse, its condition number and, through `guard`,
-the balancing solver's traceless log; nothing stores a copy beside the
-Gram.  The whitener checks that it orthonormalizes its Gram, and
-`make_gram` passes a `GramMatrix` through, factorization and all.
+Gram tools: `l2_pairing` pairs a scalar node table with itself (the
+direct-route Gram, an embedding state's full pairings), `bergman.l2_gram`
+component tables through the level metric, and `GramMatrix` alone factors
+a Gram: one eigendecomposition gives its guards, its whitener G^{-1/2},
+its inverse, its condition number and the solver's traceless log, and
+nothing stores a copy of them.  The whitener checks that it orthonormalizes
+its Gram; `make_gram` passes a `GramMatrix` through, factorization and all.
 """
 
 import logging
@@ -159,8 +159,8 @@ def whitening_transform(gram):
 def l2_pairing(table, weights):
     """Weighted pairing sum_n weights_n conj(table_np) table_nq of the
     columns of a node table (n, N): one conjugate copy of the table,
-    weighted in place, then one GEMM.  The package's only L2 pairing of a
-    node table."""
+    weighted in place, then one GEMM.  The package's only pairing of a
+    scalar node table with itself."""
     a = np.conj(table)
     a *= weights[:, None]
     return a.T @ table

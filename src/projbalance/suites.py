@@ -17,9 +17,9 @@ can run them in parallel; everything they return is picklable.
 The trace route's push-forward table does not depend on the level.  A run
 builds it once with `trace_route_table` and passes it to every
 `density_route_job` and `expansion_job` as `table`, into worker processes
-too.  The direct route's k-independent arrays (its adapted total rule,
-volume coefficients and hat weight) are sized by the total rule and stay
-per level: holding them across the sweep raises the peak memory.
+too.  The direct route stays per level: its adapted total rule, volume
+coefficients and hat weight would raise the peak memory across the sweep.
+It keeps its density at its rule nodes for the mass and `rho_max_dev`.
 
 Every fiber integral in the metric-adapted frame runs on
 `bergman.adapted_fiber_rule`, whose angles and radial nodes are sized by
@@ -552,9 +552,8 @@ def expansion_job(cfg, k, table):
     integrated on the adapted fiber rule raised by one degree."""
     direct, level = _density_routes(cfg, k, table)
     vals = level.endomorphism(expansion_eval_points(cfg))
-    dens = direct.density(direct.rule.points)
     vol = direct.volume()
-    mass = float(integrate(direct.rule, dens * direct.measure))
+    mass = direct.total_mass()
     mean = mass / vol
     fine = bg.adapted_total_rule(direct.metric, direct.model, cfg.n_radial,
                                  raise_degree=1)
@@ -571,7 +570,7 @@ def expansion_job(cfg, k, table):
         "volume": vol,
         "rho_mean": mean,
         "rho_variance": variance,
-        "rho_max_dev": float(np.max(np.abs(dens - mean))),
+        "rho_max_dev": float(np.max(np.abs(direct.node_density - mean))),
         "nodes": int(direct.rule.points.shape[0]),
     }
 

@@ -54,6 +54,7 @@ from projbalance.sections import (
     LineBundleSumOverP1,
     ProjectivePoint,
     ProjectiveSpaceBase,
+    SectionBasis,
     TrivialBundleOverPm,
     base_rule,
     build_section_basis,
@@ -62,7 +63,7 @@ from projbalance.sections import (
 )
 from projbalance import bergman as bg
 from projbalance import suites
-from projbalance.config import ExperimentConfig
+from projbalance.config import ExperimentConfig, build_metric, build_model
 from projbalance.quadrature import ChartRule, chart_rule, integrate
 from reference_structures import FlatChart, lichnerowicz_apply
 
@@ -663,6 +664,29 @@ class TestAdaptedFiberDegree:
         assert abs(variance(direct.rule) - want) > 1e-2 * want
 
 
+    def test_expansion_job_reads_the_kept_density(self, monkeypatch):
+        # the mass and the largest deviation read the density the direct
+        # route kept at its nodes: only the raised-degree rule of the
+        # variance evaluates it again
+        original = bg.DirectDensity.density
+        calls = []
+
+        def counted(self, pts):
+            calls.append(np.asarray(pts).shape[0])
+            return original(self, pts)
+
+        monkeypatch.setattr(bg.DirectDensity, "density", counted)
+        cfg = ExperimentConfig(kind="p1-sum", degrees=(0, 1), k_min=3,
+                               k_max=3, n_radial=8)
+        table, _ = suites.trace_route_table(cfg)
+        res = suites.expansion_job(cfg, 3, table)
+        model = build_model(cfg, 3)
+        fine = bg.adapted_total_rule(build_metric(cfg), model, cfg.n_radial,
+                                     raise_degree=1)
+        assert calls == [fine.points.shape[0]]
+        assert fine.points.shape[0] != res["nodes"]
+        assert abs(res["mass"] - 9.0) < 1e-8
+
 class TestLevelMetric:
     def test_twisted_closed_form(self, twisted_metric, twisted_rules):
         model = LineBundleSumOverP1((0, 1), 4)
@@ -688,6 +712,11 @@ class TestLevelMetric:
 # Grams
 # ---------------------------------------------------------------------------
 
+def unit_metric(rule):
+    """The rank-one unit metric at every node of `rule`."""
+    return np.ones((rule.points.shape[0], 1, 1))
+
+
 class TestL2Gram:
     def test_monomial_gram_closed_form(self):
         # degree-5 weight over P^1: diagonal Gram, entries j!(5-j)!/6!
@@ -696,7 +725,7 @@ class TestL2Gram:
         rule = base_rule(model, n_radial=16)
         z = rule.points[:, 0]
         weight = (1.0 + np.abs(z) ** 2) ** (-5.0) * FS1.reduced_volume_density(rule.points)
-        gram = bg.l2_gram(basis, rule, weight)
+        gram = bg.l2_gram(basis, rule, weight, unit_metric(rule))
         off = gram.matrix - np.diag(np.diag(gram.matrix))
         assert np.max(np.abs(off)) < 1e-12
         want = np.array([math.factorial(j) * math.factorial(5 - j) / math.factorial(6) for j in range(6)])
@@ -710,10 +739,11 @@ class TestL2Gram:
         rule = base_rule(model, n_radial=8)
         z = rule.points[:, 0]
         weight = (1.0 + np.abs(z) ** 2) ** (-2.0) * FS1.reduced_volume_density(rule.points)
-        g1 = bg.l2_gram(basis, rule, weight).matrix
-        g2 = bg.l2_gram(basis, rule, c * weight).matrix
+        g1 = bg.l2_gram(basis, rule, weight, unit_metric(rule)).matrix
+        g2 = bg.l2_gram(basis, rule, c * weight, unit_metric(rule)).matrix
         assert np.max(np.abs(g2 - c * g1)) < 1e-12 * max(1.0, c)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blow_up_guarded(self):
         model = LineBundleSumOverP1((0,), 2)
         basis = build_section_basis(model)
@@ -721,7 +751,35 @@ class TestL2Gram:
         weight = np.ones(rule.points.shape[0])
         weight[3] = np.inf
         with pytest.raises(NumericalGuardError, match="finite"):
-            bg.l2_gram(basis, rule, weight)
+            bg.l2_gram(basis, rule, weight, unit_metric(rule))
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_matches_einsum_oracle(self, r):
+        # the pairing sum_n w_n conj(c_nia) H_nab c_njb, written out as
+        # one einsum over all four operands
+        model = TrivialBundleOverPm(1, r, 3)
+        basis = build_section_basis(model)
+        rule = base_rule(model, n_radial=10)
+        z = rule.points
+        hk = base_varying_metric(1, r).matrix(z)
+        weight = np.exp(-3.0 * FS1.potential(z)) * FS1.reduced_volume_density(z)
+        c = basis.eval_components(z)
+        want = np.einsum("n,nia,nab,njb->ij", rule.weights * weight,
+                         np.conj(c), hk, c)
+        got = bg.l2_gram(basis, rule, weight, hk).matrix
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    def test_indefinite_metric_guarded(self):
+        # an indefinite level metric gives an indefinite Gram: the guard
+        # reports it, the pairing itself factors nothing
+        model = TrivialBundleOverPm(1, 2, 2)
+        basis = build_section_basis(model)
+        rule = base_rule(model, n_radial=8)
+        hk = np.broadcast_to(np.diag([1.0, -1.0]).astype(complex),
+                             (rule.points.shape[0], 2, 2))
+        gram = bg.l2_gram(basis, rule, np.ones(rule.points.shape[0]), hk)
+        with pytest.raises(NumericalGuardError, match="positive definite"):
+            gram.guard()
 
 
 # ---------------------------------------------------------------------------
@@ -874,6 +932,34 @@ class TestRho:
         assert len(calls) == 1
         assert np.array_equal(
             rho.measure, original(twisted_metric, FS1, model, rule.points))
+
+    def test_direct_route_pays_once(self, twisted_metric, monkeypatch):
+        # rho_direct pairs one section table at its rule nodes and keeps
+        # the density there; the mass reads it, with no second table and
+        # no second hat weight
+        rows, weights = [], []
+        table = SectionBasis.eval_embedding
+        weight = bg.hat_weight
+
+        def counted_table(self, pts):
+            rows.append(np.asarray(pts).shape[0])
+            return table(self, pts)
+
+        def counted_weight(*args, **kwargs):
+            weights.append(args)
+            return weight(*args, **kwargs)
+
+        monkeypatch.setattr(SectionBasis, "eval_embedding", counted_table)
+        monkeypatch.setattr(bg, "hat_weight", counted_weight)
+        model = LineBundleSumOverP1((0, 1), 3)
+        rule = bg.adapted_total_rule(twisted_metric, model, n_radial=8)
+        rho = bg.rho_direct(twisted_metric, FS1, model, rule=rule)
+        mass = rho.total_mass()
+        assert sum(rows) == rule.points.shape[0]
+        assert len(weights) == 1
+        assert abs(mass - 9.0) < 1e-8
+        np.testing.assert_array_equal(rho.node_density,
+                                      rho.density(rule.points))
 
     def test_metric_evaluated_once_per_base_node(self, monkeypatch):
         # H and its derivative tables depend on the base point alone: the
