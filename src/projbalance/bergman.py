@@ -11,9 +11,10 @@ The chain implemented here, bottom to top:
   H^{-1} and the base form per base node, not per fiber node;
 * the level Gram (`l2_gram`, one GEMM against the level metric), the
   level endomorphism field (`bergman_endomorphism`), and two independent
-  density routes (`rho_direct` pairs one section table on the total space
-  into its Gram and keeps the density at those nodes, `rho_via_trace`
-  contracts the endomorphism against a rank-one projector);
+  density routes (`rho_direct` combines the k-independent `direct_table`
+  with k, pairs one section table on the total space into its Gram and
+  keeps the density there, `rho_via_trace` contracts the endomorphism
+  against a rank-one projector);
 * candidate first-correction fields (`a1_formula`, `a1_alternative`), the
   sweep fitter (`expansion_fit`, on the levels and the endomorphism
   values each level produced), and the joint linearization of the first
@@ -80,6 +81,8 @@ __all__ = [
     "l2_gram",
     "BergmanEndomorphism",
     "bergman_endomorphism",
+    "DirectTable",
+    "direct_table",
     "DirectDensity",
     "rho_direct",
     "dual_point_projector",
@@ -216,7 +219,12 @@ def level_volume_density(metric, kahler, model, pts):
 
     At k -> infinity this tends to the product of the reduced base density
     and the fiber volume form."""
-    e = volume_coefficients(metric, kahler, model, pts)
+    return _level_density(metric, model,
+                          volume_coefficients(metric, kahler, model, pts))
+
+
+def _level_density(metric, model, e):
+    """`level_volume_density` from its volume coefficients `e`, guarded."""
     kpow = float(model.k) ** (np.arange(model.m + 1.0) - model.m)
     dens = 2.0**model.n / (2.0 * math.pi) ** model.m * np.einsum("j,jn->n", kpow, e)
     ok = np.isfinite(dens) & (dens > 0.0)
@@ -561,64 +569,83 @@ def _section_density(v, gram, scale):
 
 
 @dataclass(frozen=True)
+class DirectTable:
+    """The direct route's k-independent data at the nodes of its total
+    chart `rule`: the volume coefficients E_j, shape (m+1, n), and the hat
+    weight.  `rho_direct` combines it with each level's k."""
+
+    metric: object
+    kahler: object
+    rule: object
+    coefficients: np.ndarray
+    hat: np.ndarray
+
+
+def direct_table(metric, kahler, model, rule):
+    """`DirectTable` on the total `rule`, once per sweep: no k enters it."""
+    return DirectTable(
+        metric=metric, kahler=kahler, rule=rule,
+        coefficients=volume_coefficients(metric, kahler, model, rule.points),
+        hat=hat_weight(metric, rule.points, model))
+
+
+@dataclass(frozen=True)
 class DirectDensity:
     """Squared-norm sum of an orthonormalized section basis on the total
     space, against the induced hyperplane weight at the twist level.
 
     `measure` and `node_density` are the level counting measure and the
-    density at the rule nodes, from the pass in which `rho_direct` paired
-    the Gram; `measure_density` and `density` evaluate them elsewhere.
+    density at the `table`'s nodes, from the pass in which `rho_direct`
+    paired the Gram; `measure_density` and `density` evaluate them elsewhere.
     `total_mass` on the Gram's own rule is tr(G^{-1} G) = N up to roundoff."""
 
     model: object
     basis: object
     gram: object
-    metric: object
-    kahler: object
-    rule: object
+    table: DirectTable
     measure: np.ndarray
     node_density: np.ndarray
 
     def density(self, pts):
         pts = np.asarray(pts, dtype=complex)
         z = pts[:, : self.model.m]
-        scale = hat_weight(self.metric, pts, self.model) \
-            * np.exp(-float(self.model.k) * self.kahler.potential(z))
+        scale = hat_weight(self.table.metric, pts, self.model) \
+            * np.exp(-float(self.model.k) * self.table.kahler.potential(z))
         return _section_density(self.basis.eval_embedding(pts), self.gram,
                                 scale)
 
     def measure_density(self, pts):
-        return level_volume_density(self.metric, self.kahler, self.model, pts)
+        return level_volume_density(self.table.metric, self.table.kahler,
+                                    self.model, pts)
 
     def total_mass(self):
-        return float(integrate(self.rule, self.node_density * self.measure))
+        return float(integrate(self.table.rule,
+                               self.node_density * self.measure))
 
     def volume(self):
-        return float(integrate(self.rule, self.measure))
+        return float(integrate(self.table.rule, self.measure))
 
 
-def rho_direct(metric, kahler, model, rule):
+def rho_direct(model, table):
     """Density route that never touches the fiber push-forward: Gram and
-    evaluation both live on the total chart `rule` with the induced
-    hyperplane weight and the level counting measure.  One section table
-    at the rule nodes gives both the Gram and the density kept there."""
+    evaluation both live on the total chart rule of the sweep's
+    `direct_table` with the induced hyperplane weight and the level
+    counting measure.  Level k forms only sum_j k^(j-m) E_j, exp(-k phi)
+    and one section table, which gives the Gram and the density kept."""
+    rule = table.rule
     basis = build_section_basis(model)
-    # hat weight first: the measure's per-node temporaries then reuse the
-    # heap that the weight's leave behind, which would otherwise stay
-    # resident under the (n, N) section tables and raise the peak memory
-    hw = hat_weight(metric, rule.points, model)
-    dens = level_volume_density(metric, kahler, model, rule.points)
-    e = np.exp(-float(model.k) * kahler.potential(rule.points[:, : model.m]))
+    dens = _level_density(table.metric, model, table.coefficients)
+    e = np.exp(-float(model.k)
+               * table.kahler.potential(rule.points[:, : model.m]))
     v = basis.eval_embedding(rule.points)
     # a weight that blew up is reported by make_gram's finite check
     with np.errstate(invalid="ignore", over="ignore"):
-        gram = make_gram(l2_pairing(v, rule.weights * (dens * hw * e)))
+        gram = make_gram(l2_pairing(v, rule.weights * (dens * table.hat * e)))
     gram.guard()
     logger.debug("direct density %s: N=%d, Gram condition %.3e",
                  model.label, basis.count, gram.condition())
-    return DirectDensity(model=model, basis=basis, gram=gram, metric=metric,
-                         kahler=kahler, rule=rule, measure=dens,
-                         node_density=_section_density(v, gram, hw * e))
+    return DirectDensity(model, basis, gram, table, measure=dens,
+                         node_density=_section_density(v, gram, table.hat * e))
 
 
 def dual_point_projector(metric, z, lam):

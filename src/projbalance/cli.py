@@ -14,7 +14,7 @@ results through `projbalance.reports`:
 This module schedules jobs, collects rows, and writes files; every number
 it reports is computed inside the library modules.  Exit codes: 0 all
 checks passed, 1 at least one check failed, 2 a numerical guard tripped
-(quadrature budget or conditioning), 3 configuration error.
+(quadrature budget or conditioning) or memory ran out, 3 bad config.
 """
 
 import argparse
@@ -66,11 +66,11 @@ outputs (under --out, or the configured out_dir):
                   run_seconds (the whole run), command, levels (per
                   level: job_seconds, and solve_seconds for balance) and
                   phases: for verify volume-constants, quadrature,
-                  round-trip, fiber-averages, push-forward-table and
-                  joint-linearization; for expansion off a point base,
-                  push-forward-table (built once, shared by the levels,
-                  with the self-check of its adapted fiber rule); for
-                  balance, push-forward-table (the self-check alone)
+                  round-trip, fiber-averages, sweep-tables and
+                  joint-linearization; for expansion off a point base
+                  and for balance, sweep-tables (both density routes'
+                  tables, built once before the levels and shared by
+                  them, with the self-check of the adapted fiber rule)
   checks.csv      name,k,value,reference,error,tolerance,passed,detail
 
 subcommand tables:
@@ -90,7 +90,7 @@ subcommand tables:
                                     dimension,samples,converged,
                                     final_norm_op
 
-exit codes: 0 passed, 1 check failed, 2 numerical guard, 3 bad config
+exit codes: 0 passed, 1 check failed, 2 guard or out of memory, 3 bad config
 """
 
 
@@ -218,10 +218,10 @@ def _run_verify(cfg, workers):
           cfg.n_radial)
     phase("round-trip", suites.round_trip_rows, cfg.seed)
     phase("fiber-averages", suites.fiber_average_rows)
-    (table, fiber_row), phases["push-forward-table"] = _timed(
-        suites.trace_route_table, cfg)
+    (tables, fiber_row), phases["sweep-tables"] = _timed(
+        suites.sweep_tables, cfg)
     per_level, levels = _run_jobs(
-        functools.partial(suites.density_route_job, table=table), cfg,
+        functools.partial(suites.density_route_job, tables=tables), cfg,
         cfg.ks, workers)
     for rows in per_level:
         checks.extend(rows)
@@ -232,14 +232,13 @@ def _run_verify(cfg, workers):
 
 
 def _run_balance(cfg, workers):
-    per_level, levels = _run_jobs(suites.balance_job, cfg, cfg.ks, workers)
+    (tables, fiber_row), seconds = _timed(suites.sweep_tables, cfg)
+    job = functools.partial(suites.balance_job, tables=tables)
+    per_level, levels = _run_jobs(job, cfg, cfg.ks, workers)
     for res in per_level:
         levels[str(res["k"])]["solve_seconds"] = res["wall_time"]
     checks = suites.balance_rows(cfg, per_level)
     checks.append(suites.almost_balanced_row(cfg, per_level))
-    # the levels' direct routes run on the adapted fiber rule; its
-    # self-check needs the table, not the levels
-    (_, fiber_row), seconds = _timed(suites.trace_route_table, cfg)
     checks.append(fiber_row)
     csvs = [(f"trajectory_k{res['k']}.csv",
              ["iteration", "norm_op", "norm_fro"],
@@ -254,7 +253,7 @@ def _run_balance(cfg, workers):
         per_level))
     results = {"levels": _level_fields(per_level, "wall_time", "torus_row")}
     return checks, results, csvs, {
-        "phases": {"push-forward-table": seconds}, "levels": levels}
+        "phases": {"sweep-tables": seconds}, "levels": levels}
 
 
 def _run_expansion(cfg, workers):
@@ -269,11 +268,10 @@ def _run_expansion(cfg, workers):
         checks = suites.degenerate_expansion_rows(per_level)
         table = []
     else:
-        (push_forward, fiber_row), seconds = _timed(
-            suites.trace_route_table, cfg)
-        timings["phases"] = {"push-forward-table": seconds}
+        (tables, fiber_row), seconds = _timed(suites.sweep_tables, cfg)
+        timings["phases"] = {"sweep-tables": seconds}
         per_level, levels = _run_jobs(
-            functools.partial(suites.expansion_job, table=push_forward),
+            functools.partial(suites.expansion_job, tables=tables),
             cfg, cfg.ks, workers)
         checks, table = suites.expansion_assemble(cfg, per_level)
         checks.append(fiber_row)
@@ -350,6 +348,10 @@ def main(argv=None):
         return 3
     except NumericalGuardError as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}; lower [sweep] k_max or [quadrature] "
+              f"n_radial", file=sys.stderr)
         return 2
     run_time = time.perf_counter() - t0
 

@@ -14,17 +14,17 @@ judging); those never affect the exit code.  Per-level functions
 module-level and take the configuration and the level, so a process pool
 can run them in parallel; everything they return is picklable.
 
-The trace route's push-forward table does not depend on the level.  A run
-builds it once with `trace_route_table` and passes it to every
-`density_route_job` and `expansion_job` as `table`, into worker processes
-too.  The direct route stays per level: its adapted total rule, volume
-coefficients and hat weight would raise the peak memory across the sweep.
-It keeps its density at its rule nodes for the mass and `rho_max_dev`.
+Neither density route's table depends on the level: the trace route's
+push-forward table, and the direct route's adapted total rule, volume
+coefficients and hat weight (`bg.direct_table`).  A run builds both once,
+before any level, with `sweep_tables` and passes them to every level job
+as `tables`, into worker processes too.  The direct route keeps its
+density at its rule nodes for the mass and `rho_max_dev`.
 
 Every fiber integral in the metric-adapted frame runs on
 `bergman.adapted_fiber_rule`, whose angles and radial nodes are sized by
 the degree of its integrands; `[quadrature] n_radial` sizes the base rules,
-the plain rules and the torus rule's radial grid only.  `trace_route_table`
+the plain rules and the torus rule's radial grid only.  `sweep_tables`
 checks both degrees once per sweep, and `verify`, `expansion` and `balance`
 report the estimate as the informational `adapted-fiber-degree` row.
 
@@ -80,7 +80,8 @@ __all__ = [
     "quadrature_rows",
     "round_trip_rows",
     "fiber_average_rows",
-    "trace_route_table",
+    "SweepTables",
+    "sweep_tables",
     "density_route_job",
     "joint_linearization_rows",
     "balance_job",
@@ -204,17 +205,20 @@ def fiber_average_rows():
     return rows
 
 
-def trace_route_table(cfg):
-    """The trace route's k-independent data for a sweep, and the one
+SweepTables = namedtuple("SweepTables", "trace direct")
+
+
+def sweep_tables(cfg):
+    """Both density routes' k-independent data for a sweep, and the one
     self-check of the sweep's adapted fiber rule.
 
-    Returns the push-forward table on the base rule nodes and the adapted
-    fiber rule, and an informational `adapted-fiber-degree` row holding
-    `bg.adapted_fiber_check`'s estimate: the table's relative move under
-    two more fiber angles and radial nodes.  A move beyond the check's
-    tolerance raises `NumericalGuardError` before any level runs.  On a
-    point base no level reads the table; `balance` builds it for the row
-    alone."""
+    Returns the `SweepTables`, the push-forward table on the base rule
+    nodes and `bg.direct_table` on the adapted total rule, which share no
+    array; and an informational `adapted-fiber-degree` row holding
+    `bg.adapted_fiber_check`'s estimate: the push-forward table's relative
+    move under two more fiber angles and radial nodes.  A move beyond the
+    check's tolerance raises `NumericalGuardError` before any level runs.
+    On a point base no level reads the push-forward table."""
     model = build_model(cfg)
     metric = build_metric(cfg)
     kahler = build_kahler(cfg)
@@ -231,27 +235,21 @@ def trace_route_table(cfg):
                       f"integrand degree {degree} per angle and "
                       f"{bg.adapted_fiber_radial_degree(model)} in t; "
                       f"reported, not judged")
-    return table, row
+    direct = bg.direct_table(
+        metric, kahler, model,
+        bg.adapted_total_rule(metric, model, n_radial=cfg.n_radial))
+    return SweepTables(trace=table, direct=direct), row
 
 
-def _direct_route(cfg, k):
-    """The direct density route at level k, on the adapted total rule."""
-    model = build_model(cfg, k)
-    metric = build_metric(cfg)
-    return bg.rho_direct(
-        metric, build_kahler(cfg), model,
-        rule=bg.adapted_total_rule(metric, model, n_radial=cfg.n_radial))
-
-
-def _density_routes(cfg, k, table):
-    """Both density routes at one level, each on its own data: the direct
-    route on the adapted total rule, and the level endomorphism that the
-    trace route contracts, from the shared push-forward `table`."""
+def _density_routes(cfg, k, tables):
+    """Both density routes at one level, each on its own table: the
+    direct route, and the level endomorphism that the trace route
+    contracts."""
     model = build_model(cfg, k)
     level = bg.bergman_endomorphism(
         build_metric(cfg), build_kahler(cfg), model,
-        rule=base_rule(model, n_radial=cfg.n_radial), table=table)
-    return _direct_route(cfg, k), level
+        rule=base_rule(model, n_radial=cfg.n_radial), table=tables.trace)
+    return bg.rho_direct(model, tables.direct), level
 
 
 def _mass_row(k, mass, count):
@@ -265,18 +263,18 @@ def _mass_row(k, mass, count):
 _RHO_TOL = 1e-5
 
 
-def density_route_job(cfg, k, table):
+def density_route_job(cfg, k, tables):
     """Cross-check of the two density routes at one level: the total-chart
     squared-norm sum against the trace of the base endomorphism, at random
-    sample points, plus the exact-mass bookkeeping row.  `table` is
-    `trace_route_table(cfg)`."""
+    sample points, plus the exact-mass bookkeeping row.  `tables` is
+    `sweep_tables(cfg)`."""
     model = build_model(cfg, k)
     if model.m == 0:
         logger.info("verify k=%d: point base, no density routes to cross", k)
         return [_row("density-route", k=k,
                      detail="point base: both routes coincide by "
                             "construction, nothing to cross")]
-    direct, level = _density_routes(cfg, k, table)
+    direct, level = _density_routes(cfg, k, tables)
     rng = np.random.default_rng(cfg.seed + 1009 * k)
     shape = (cfg.n_points, model.n)
     pts = 0.9 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
@@ -408,7 +406,7 @@ def _torus_row(state, n_radial, name, quantity):
                        f"judged")
 
 
-def balance_job(cfg, k):
+def balance_job(cfg, k, tables):
     """Balance one level from the identity Gram on `bal.torus_orbit_rule`
     and measure the result: trajectory, flat-density statistics, exact
     bookkeeping (mass equals the section count, trace of the moment
@@ -417,8 +415,9 @@ def balance_job(cfg, k):
 
     The reference Gram is the L2 pairing of the sections under the model
     geometry itself; its moments form the family whose decay order the
-    cross-level check judges.  The iteration deliberately starts at the
-    identity instead, so the trajectories demonstrate actual convergence."""
+    cross-level check judges: the direct route's, on `sweep_tables(cfg)`.
+    The iteration deliberately starts at the identity instead, so the
+    trajectories demonstrate actual convergence."""
     state, report, fields = _balanced_level(cfg, k)
     model = state.model
     initial = bal.moment_map(state)
@@ -429,7 +428,7 @@ def balance_job(cfg, k):
         torus_row = _torus_row(report.state, cfg.n_radial, "moment matrix",
                                lambda s: bal.moment_map(s).matrix)
 
-    ref_state = state.with_gram(_direct_route(cfg, k).gram)
+    ref_state = state.with_gram(bg.rho_direct(model, tables.direct).gram)
     reference = bal.moment_map(ref_state)
 
     # uniform on the unit polydisc |z_i| <= 1: a bounded domain, so the
@@ -545,18 +544,18 @@ def expansion_eval_points(cfg):
     return pts
 
 
-def expansion_job(cfg, k, table):
+def expansion_job(cfg, k, tables):
     """One level of an expansion sweep: endomorphism values at the shared
-    sample points plus density-constancy statistics.  `table` is
-    `trace_route_table(cfg)`.  The variance, quadratic in the density, is
+    sample points plus density-constancy statistics.  `tables` is
+    `sweep_tables(cfg)`.  The variance, quadratic in the density, is
     integrated on the adapted fiber rule raised by one degree."""
-    direct, level = _density_routes(cfg, k, table)
+    direct, level = _density_routes(cfg, k, tables)
     vals = level.endomorphism(expansion_eval_points(cfg))
     vol = direct.volume()
     mass = direct.total_mass()
     mean = mass / vol
-    fine = bg.adapted_total_rule(direct.metric, direct.model, cfg.n_radial,
-                                 raise_degree=1)
+    fine = bg.adapted_total_rule(direct.table.metric, direct.model,
+                                 cfg.n_radial, raise_degree=1)
     variance = float(integrate(
         fine, (direct.density(fine.points) - mean) ** 2
         * direct.measure_density(fine.points)) / vol)
@@ -571,7 +570,7 @@ def expansion_job(cfg, k, table):
         "rho_mean": mean,
         "rho_variance": variance,
         "rho_max_dev": float(np.max(np.abs(direct.node_density - mean))),
-        "nodes": int(direct.rule.points.shape[0]),
+        "nodes": int(direct.table.rule.points.shape[0]),
     }
 
 

@@ -137,9 +137,9 @@ def test_c04_density_routes_cross():
                                   rule=fiber_rule(model, n_radial=16))
     for k in range(3, 7):
         model = LineBundleSumOverP1((0, 1), k)
-        direct = bg.rho_direct(
+        direct = bg.rho_direct(model, bg.direct_table(
             metric, FS1, model,
-            rule=bg.adapted_total_rule(metric, model, n_radial=16))
+            bg.adapted_total_rule(metric, model, n_radial=16)))
         level = bg.bergman_endomorphism(metric, FS1, model, rule, table)
         rng = np.random.default_rng(1009 * k)
         pts = 0.9 * (rng.standard_normal((200, model.n))
@@ -394,9 +394,9 @@ def test_c10_mass_and_trace_bookkeeping():
     empty ledger."""
     model = LineBundleSumOverP1((0, 1), 3)
     metric = SplitBundleMetric(1, (0, 1))
-    direct = bg.rho_direct(
+    direct = bg.rho_direct(model, bg.direct_table(
         metric, FS1, model,
-        rule=bg.adapted_total_rule(metric, model, n_radial=16))
+        bg.adapted_total_rule(metric, model, n_radial=16)))
     MASSES.append(("fresh split k=3", direct.total_mass(),
                    float(riemann_roch_dimension(model)["N"])))
     state = bal.embedding_state(model, gram=direct.gram.matrix, n_radial=12)

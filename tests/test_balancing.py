@@ -1375,7 +1375,9 @@ class TestTorusRule:
         monkeypatch.setattr(bal, "balance_iterate", off_torus)
         cfg = ExperimentConfig(kind="pm-trivial", k_min=2, k_max=2,
                                n_radial=6)
-        for job in (suites.balance_job, suites.spectrum_job):
+        tables, _ = suites.sweep_tables(cfg)
+        for job in (functools.partial(suites.balance_job, tables=tables),
+                    suites.spectrum_job):
             with pytest.raises(NumericalGuardError) as err:
                 job(cfg, 2)
             assert (f"Gram's largest off-diagonal entry is {ratios[-1]:.2e}"

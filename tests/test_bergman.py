@@ -48,6 +48,8 @@ from projbalance.metrics import (
     SplitBundleMetric,
     curvature_matrix,
     hat_weight,
+    l2_pairing,
+    make_gram,
     mean_curvature,
 )
 from projbalance.sections import (
@@ -182,7 +184,8 @@ def twisted_sweep(twisted_metric, twisted_rules):
 def twisted_density(twisted_metric):
     model = LineBundleSumOverP1((0, 1), 3)
     rule = bg.adapted_total_rule(twisted_metric, model, n_radial=14)
-    return bg.rho_direct(twisted_metric, FS1, model, rule=rule)
+    return bg.rho_direct(model, bg.direct_table(twisted_metric, FS1, model,
+                                                rule))
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +590,12 @@ class TestAdaptedFiberDegree:
             return  # the reference total rule would not fit in memory
 
         # the direct route on the same base rule, with the reference fiber
-        direct = bg.rho_direct(metric, kahler, model,
-                               rule=bg.adapted_total_rule(metric, model, 2))
+        direct = bg.rho_direct(model, bg.direct_table(
+            metric, kahler, model, bg.adapted_total_rule(metric, model, 2)))
         monkeypatch.setattr(bg, "adapted_fiber_rule",
                             lambda model, raise_degree=0: reference)
-        want_direct = bg.rho_direct(
-            metric, kahler, model, rule=bg.adapted_total_rule(metric, model, 2))
+        want_direct = bg.rho_direct(model, bg.direct_table(
+            metric, kahler, model, bg.adapted_total_rule(metric, model, 2)))
         assert max_rel(direct.gram.matrix, want_direct.gram.matrix) <= 1e-12
         mass, want_mass = direct.total_mass(), want_direct.total_mass()
         assert abs(mass - want_mass) <= 1e-12 * want_mass
@@ -646,9 +649,9 @@ class TestAdaptedFiberDegree:
         # short of it and the variance's rule is not
         cfg = ExperimentConfig(kind="p1-sum", degrees=(0, 1, 1), k_min=3,
                                k_max=3, n_radial=8)
-        table, _ = suites.trace_route_table(cfg)
-        res = suites.expansion_job(cfg, 3, table)
-        direct, _ = suites._density_routes(cfg, 3, table)
+        tables, _ = suites.sweep_tables(cfg)
+        res = suites.expansion_job(cfg, 3, tables)
+        direct, _ = suites._density_routes(cfg, 3, tables)
         model = direct.model
 
         def variance(rule):
@@ -659,9 +662,9 @@ class TestAdaptedFiberDegree:
 
         # four degrees up: m + 6 = 7 angles and 4 radial nodes
         want = variance(bg.adapted_total_rule(
-            direct.metric, model, cfg.n_radial, raise_degree=4))
+            direct.table.metric, model, cfg.n_radial, raise_degree=4))
         assert abs(res["rho_variance"] - want) <= 1e-10 * want
-        assert abs(variance(direct.rule) - want) > 1e-2 * want
+        assert abs(variance(direct.table.rule) - want) > 1e-2 * want
 
 
     def test_expansion_job_reads_the_kept_density(self, monkeypatch):
@@ -678,8 +681,8 @@ class TestAdaptedFiberDegree:
         monkeypatch.setattr(bg.DirectDensity, "density", counted)
         cfg = ExperimentConfig(kind="p1-sum", degrees=(0, 1), k_min=3,
                                k_max=3, n_radial=8)
-        table, _ = suites.trace_route_table(cfg)
-        res = suites.expansion_job(cfg, 3, table)
+        tables, _ = suites.sweep_tables(cfg)
+        res = suites.expansion_job(cfg, 3, tables)
         model = build_model(cfg, 3)
         fine = bg.adapted_total_rule(build_metric(cfg), model, cfg.n_radial,
                                      raise_degree=1)
@@ -890,7 +893,8 @@ class TestRho:
     def test_point_base_constant(self):
         model = ProjectivePoint(2)
         metric = ConstantBundleMetric(0, np.eye(2))
-        rho = bg.rho_direct(metric, FubiniStudy(0), model, rule=total_rule(model, 16))
+        rho = bg.rho_direct(model, bg.direct_table(
+            metric, FubiniStudy(0), model, total_rule(model, 16)))
         rng = np.random.default_rng(17)
         pts = random_total_points(rng, 60, model)
         vals = rho.density(pts)
@@ -903,40 +907,47 @@ class TestRho:
 
         model = TrivialBundleOverPm(1, 2, 2)
         metric = ConstantBundleMetric(1, np.eye(2))
-        rho = bg.rho_direct(metric, FS1, model, rule=total_rule(model, 14))
+        rho = bg.rho_direct(model, bg.direct_table(metric, FS1, model,
+                                                   total_rule(model, 14)))
         assert abs(rho.total_mass() - 6.0) < 1e-8
 
         model1 = LineBundleSumOverP1((0,), 4)
-        rho1 = bg.rho_direct(SplitBundleMetric(1, (0,)), FS1, model1, rule=total_rule(model1, 14))
+        rho1 = bg.rho_direct(model1, bg.direct_table(
+            SplitBundleMetric(1, (0,)), FS1, model1, total_rule(model1, 14)))
         assert abs(rho1.total_mass() - 5.0) < 1e-8
 
     def test_twisted_volume_exposed(self, twisted_density):
         assert abs(twisted_density.volume() - (2.0 * math.pi + math.pi / 3.0)) < 1e-8
 
     def test_level_measure_computed_once(self, twisted_metric, monkeypatch):
-        # rho_direct keeps the level measure it computed at its rule nodes;
-        # the mass and the volume read it instead of recomputing it
-        original = bg.level_volume_density
+        # the sweep's table computes the volume coefficients once; each
+        # level combines them with its k, and the mass and the volume read
+        # the level measure rho_direct kept at its rule nodes
+        original = bg.volume_coefficients
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(bg, "level_volume_density", counted)
+        monkeypatch.setattr(bg, "volume_coefficients", counted)
         model = LineBundleSumOverP1((0, 1), 3)
         rule = bg.adapted_total_rule(twisted_metric, model, n_radial=8)
-        rho = bg.rho_direct(twisted_metric, FS1, model, rule=rule)
-        rho.total_mass()
-        rho.volume()
+        table = bg.direct_table(twisted_metric, FS1, model, rule)
+        levels = [bg.rho_direct(LineBundleSumOverP1((0, 1), k), table)
+                  for k in (3, 4)]
+        for rho in levels:
+            rho.total_mass()
+            rho.volume()
         assert len(calls) == 1
-        assert np.array_equal(
-            rho.measure, original(twisted_metric, FS1, model, rule.points))
+        for rho in levels:
+            assert np.array_equal(rho.measure, bg.level_volume_density(
+                twisted_metric, FS1, rho.model, rule.points))
 
     def test_direct_route_pays_once(self, twisted_metric, monkeypatch):
-        # rho_direct pairs one section table at its rule nodes and keeps
-        # the density there; the mass reads it, with no second table and
-        # no second hat weight
+        # the sweep's table computes the hat weight once; each level pairs
+        # one section table at the rule nodes and keeps the density there,
+        # and the mass reads it, with no second table
         rows, weights = [], []
         table = SectionBasis.eval_embedding
         weight = bg.hat_weight
@@ -953,13 +964,39 @@ class TestRho:
         monkeypatch.setattr(bg, "hat_weight", counted_weight)
         model = LineBundleSumOverP1((0, 1), 3)
         rule = bg.adapted_total_rule(twisted_metric, model, n_radial=8)
-        rho = bg.rho_direct(twisted_metric, FS1, model, rule=rule)
-        mass = rho.total_mass()
-        assert sum(rows) == rule.points.shape[0]
+        direct = bg.direct_table(twisted_metric, FS1, model, rule)
+        for k in (3, 4):
+            rows.clear()
+            rho = bg.rho_direct(LineBundleSumOverP1((0, 1), k), direct)
+            mass = rho.total_mass()
+            assert sum(rows) == rule.points.shape[0]
+            assert abs(mass - (2 * k + 3)) < 1e-8
         assert len(weights) == 1
-        assert abs(mass - 9.0) < 1e-8
         np.testing.assert_array_equal(rho.node_density,
                                       rho.density(rule.points))
+
+    @pytest.mark.parametrize("varying", [False, True],
+                             ids=["split", "base-varying"])
+    def test_table_gram_matches_the_one_shot_formula(self, twisted_metric,
+                                                     varying):
+        # the per-level formula that the table replaced, as the oracle: the
+        # table moves where the k-independent factors are computed, and not
+        # one bit of the Gram
+        metric = base_varying_metric(1, 2) if varying else twisted_metric
+        rule = bg.adapted_total_rule(
+            metric, LineBundleSumOverP1((0, 1), 2), n_radial=6)
+        table = bg.direct_table(metric, FS1, LineBundleSumOverP1((0, 1), 2),
+                                rule)
+        for k in (2, 3, 5):
+            model = LineBundleSumOverP1((0, 1), k)
+            dens = bg.level_volume_density(metric, FS1, model, rule.points)
+            hw = hat_weight(metric, rule.points, model)
+            e = np.exp(-float(k) * FS1.potential(rule.points[:, :1]))
+            v = build_section_basis(model).eval_embedding(rule.points)
+            want = make_gram(l2_pairing(v, rule.weights * (dens * hw * e)))
+            got = bg.rho_direct(model, table)
+            assert np.array_equal(got.gram.matrix, want.matrix)
+            assert np.array_equal(got.measure, dens)
 
     def test_metric_evaluated_once_per_base_node(self, monkeypatch):
         # H and its derivative tables depend on the base point alone: the
@@ -977,7 +1014,7 @@ class TestRho:
                 return method(z)
             monkeypatch.setattr(metric, name, counted)
         bg.push_forward_table(metric, FS1, model, rule.points, rule=fib)
-        bg.rho_direct(metric, FS1, model, rule=total)
+        bg.rho_direct(model, bg.direct_table(metric, FS1, model, total))
         assert set(rows) == {"matrix", "d_matrix", "dd_matrix", "inverse"}
         nb = rule.points.shape[0]
         assert total.points.shape[0] == nb * fib.points.shape[0]

@@ -3,8 +3,9 @@
 These tests drive `projbalance.cli.main` in process on small budgets.  The
 numerical content behind each check row is covered by the library tests;
 the contracts under test here are the configuration grammar, the exit-code
-mapping (0 passed, 1 check failed, 2 numerical guard, 3 bad config), the
-file formats, and the byte-level determinism of report.json.
+mapping (0 passed, 1 check failed, 2 numerical guard or out of memory, 3
+bad config), the file formats, and the byte-level determinism of
+report.json.
 """
 
 import dataclasses
@@ -32,8 +33,13 @@ from projbalance.config import (
     parse_config_text,
     serialize_config,
 )
+from projbalance.errors import NumericalGuardError
 from projbalance.kahler import FubiniStudy
-from projbalance.metrics import ConstantBundleMetric, SplitBundleMetric
+from projbalance.metrics import (
+    BundleMetricField,
+    ConstantBundleMetric,
+    SplitBundleMetric,
+)
 from projbalance.sections import (
     LineBundleSumOverP1,
     ProjectivePoint,
@@ -332,6 +338,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical guard" in err and "condition" in err
 
+    def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg, workers):
+            raise MemoryError("Unable to allocate 9.00 GiB for an array")
+
+        monkeypatch.setitem(cli._RUNNERS, "verify", exhausted)
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "out of memory: Unable to allocate 9.00 GiB" in err
+        assert "[sweep] k_max" in err and "[quadrature] n_radial" in err
+        assert not (out / "report.json").exists()
+
     def test_failed_check_is_exit_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(suites, "_R_BOUND", 1.001)
         text = TINY_BALANCE.replace("k_max = 4", "k_max = 2")
@@ -408,7 +426,7 @@ class TestVerifyRun:
         assert timings["command"] == "verify"
         assert set(timings["phases"]) == {
             "volume-constants", "quadrature", "round-trip", "fiber-averages",
-            "push-forward-table", "joint-linearization"}
+            "sweep-tables", "joint-linearization"}
         assert timings["levels"].keys() == {"2", "3"}
         assert all(level.keys() == {"job_seconds"}
                    for level in timings["levels"].values())
@@ -586,8 +604,8 @@ class TestBalanceRun:
         _, out = balance_run
         timings = json.loads((out / "timings.json").read_text())
         assert set(timings) == {"command", "run_seconds", "phases", "levels"}
-        assert set(timings["phases"]) == {"push-forward-table"}
-        assert timings["phases"]["push-forward-table"] > 0.0
+        assert set(timings["phases"]) == {"sweep-tables"}
+        assert timings["phases"]["sweep-tables"] > 0.0
         assert timings["levels"].keys() == {"2", "3", "4"}
         for level in timings["levels"].values():
             assert level.keys() == {"job_seconds", "solve_seconds"}
@@ -599,7 +617,7 @@ class TestBalanceRun:
         # unbounded Gaussian, seed 2 put one at |z| = 3.9 and failed here
         text = TINY_BALANCE.replace("n_radial = 10", "n_radial = 6")
         cfg = dataclasses.replace(parse_config_text(text), seed=2)
-        res = suites.balance_job(cfg, 5)
+        res = suites.balance_job(cfg, 5, suites.sweep_tables(cfg)[0])
         assert res["comparable"]
         assert res["comparable_c_a"] < suites._R_BOUND
 
@@ -684,7 +702,7 @@ class TestExpansionRun:
         _, out = expansion_run
         timings = json.loads((out / "timings.json").read_text())
         assert set(timings) == {"command", "run_seconds", "phases", "levels"}
-        assert set(timings["phases"]) == {"push-forward-table"}
+        assert set(timings["phases"]) == {"sweep-tables"}
         assert timings["levels"].keys() == {"4", "5", "6", "7", "8"}
 
     def test_point_base_uses_the_degenerate_path(self, tmp_path):
@@ -728,6 +746,78 @@ class TestSharedPushForwardTable:
         assert cli.main([command, "--config", path,
                          "--out", str(tmp_path / "out")]) == 0
         assert len(calls) == 2 + fixed
+
+
+class TestSweepTables:
+    """Both density routes' tables are k-independent: a run builds them
+    once, before its first level, and a level only combines them with k.
+    No level's direct route builds a rule, volume coefficients or a hat
+    weight, or inverts the bundle metric at its rule nodes."""
+
+    @staticmethod
+    def count_level_work(monkeypatch):
+        counts = {"inverse": [], "volume_coefficients": 0,
+                  "adapted_total_rule": 0, "hat_weight": 0}
+        inverse = BundleMetricField.inverse
+
+        def counted_inverse(self, z):
+            counts["inverse"].append(np.asarray(z).shape[0])
+            return inverse(self, z)
+
+        monkeypatch.setattr(BundleMetricField, "inverse", counted_inverse)
+        for name in ("volume_coefficients", "adapted_total_rule",
+                     "hat_weight"):
+            def counted(*args, original=getattr(bg, name), name=name,
+                        **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(bg, name, counted)
+        return counts
+
+    def test_density_route_level_reads_the_tables(self, monkeypatch):
+        # the bundle metric is inverted at the sample points only: once
+        # for the direct density there, once for the dual-point projector
+        cfg = parse_config_text(TINY_EXPANSION)
+        tables, _ = suites.sweep_tables(cfg)
+        nodes = tables.direct.rule.points.shape[0]
+        counts = self.count_level_work(monkeypatch)
+        rows = suites.density_route_job(cfg, 5, tables)
+        assert rows[0]["passed"] and rows[1]["passed"]
+        assert counts["inverse"] == [cfg.n_points, cfg.n_points]
+        assert cfg.n_points != nodes
+        assert counts["volume_coefficients"] == 0
+        assert counts["adapted_total_rule"] == 0
+        assert counts["hat_weight"] == 1  # the sample points'
+
+    def test_balance_level_reads_the_tables(self, monkeypatch):
+        cfg = parse_config_text(TINY_BALANCE.replace("n_radial = 10",
+                                                     "n_radial = 6"))
+        tables, _ = suites.sweep_tables(cfg)
+        counts = self.count_level_work(monkeypatch)
+        res = suites.balance_job(cfg, 3, tables)
+        assert res["converged"]
+        assert counts == {"inverse": [], "volume_coefficients": 0,
+                          "adapted_total_rule": 0, "hat_weight": 0}
+
+    @pytest.mark.parametrize("command, text", [
+        ("verify", TINY_EXPANSION),
+        ("expansion", TINY_EXPANSION),
+        ("balance", TINY_BALANCE.replace("k_max = 4", "k_max = 3")),
+    ], ids=["verify", "expansion", "balance"])
+    def test_one_direct_table_per_sweep(self, tmp_path, monkeypatch,
+                                        command, text):
+        original = bg.direct_table
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bg, "direct_table", counting)
+        path = write_config(tmp_path, text)
+        assert cli.main([command, "--config", path,
+                         "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
 
 
 class TestAdaptedFiberSelfCheck:
@@ -781,6 +871,23 @@ class TestAdaptedFiberSelfCheck:
         assert "numerical guard: adapted fiber rule on p1-sum(0, 1)-k4" in err
         assert "from 1 to 3 angles per fiber coordinate" in err
         assert "trigonometric polynomials of degree 0" in err
+        assert levels == []
+        assert not (out / "report.json").exists()
+
+    def test_balance_checks_before_its_levels(self, tmp_path, monkeypatch,
+                                              capsys):
+        def trip(*args, **kwargs):
+            raise NumericalGuardError("adapted fiber rule tripped")
+
+        monkeypatch.setattr(bg, "adapted_fiber_check", trip)
+        levels = []
+        monkeypatch.setattr(suites, "balance_job",
+                            lambda *args, **kwargs: levels.append(1))
+        path = write_config(tmp_path, TINY_BALANCE)
+        out = tmp_path / "out"
+        assert cli.main(["balance", "--config", path, "--out", str(out)]) == 2
+        assert "numerical guard: adapted fiber rule tripped" \
+            in capsys.readouterr().err
         assert levels == []
         assert not (out / "report.json").exists()
 
