@@ -20,16 +20,13 @@ Contents, bottom to top:
 * `moment_map` integrates the frame pairings against the pulled-back volume
   and subtracts the balanced value V/N;
 * `t_map_step` is the fixed-point update G -> (N/V) <s_i, s_j>, and
-  `balance_iterate` is the balancing solver that every run uses: it
-  accelerates the fixed point by type-II Anderson mixing of the last
-  `_ANDERSON_MEMORY` T-map images on the traceless log of the Gram, with a
-  safeguard that takes the plain T-step whenever the mix would raise the
-  moment norm.  The plain iteration, `t_map_step` repeated, is the
-  reference the tests compare against.  `gradient_flow_step` (the
-  line-searched exponential descent along the moment direction) and its
-  driver `flow_iterate`, which shares the divergence detection, are a
-  second, independent route to the same fixed points: no run selects
-  them, and the tests use them to cross-check the T-iteration.
+  `balance_iterate`, the solver every run uses, accelerates it by type-II
+  Anderson mixing of the last `_ANDERSON_MEMORY` T-map images on the
+  traceless log of the Gram, safeguarded by the plain T-step whenever the
+  mix would raise the moment norm.  The plain iteration is the tests'
+  reference; `gradient_flow_step` (line-searched exponential descent
+  along the moment) and its loop `flow_iterate`, which no run selects,
+  are a second route to the same fixed points that the tests cross-check.
   `balanced_density_stats` evaluates the density whose constancy
   certifies the result, and `embedding_form_field` exposes the
   pulled-back metric at arbitrary points for comparability probes;
@@ -46,13 +43,13 @@ Contents, bottom to top:
   of such a state carries one torus character, so its orbit integral is
   its orbit-weighted value at angle 0 when the character is 0 and exactly
   0 otherwise (derived in its docstring): a state on its `OrbitRule` is a
-  `torus` state, which balances with only the diagonal of its pairings,
-  and `sigma_z_operator` keeps only the zero-character entries of its node
-  sum (`_zero_character`).
-  `torus_invariance_guard` checks that a Gram is diagonal, every torus
-  state applies it, and `torus_rule_check` re-integrates a torus state on
-  the full angular rule, 2 D + 3 angles per base and 5 per fiber
-  coordinate (D = `torus_degree`), every entry integrated;
+  `torus` state, whose Gram is N weights (`metrics.DiagonalGram`) and
+  which balances on the diagonal of its pairings alone, and
+  `sigma_z_operator` keeps only the zero-character entries of its node
+  sum (`_zero_character`).  `torus_invariance_guard` checks a matrix
+  before a torus state keeps its diagonal, and `torus_rule_check`
+  re-integrates a torus state on the full angular rule, 2 D + 3 angles
+  per base and 5 per fiber coordinate (D = `torus_degree`);
 * `r_bounded_check` and `almost_balanced_check` are the acceptance gates:
   two-sided comparability of the embedding form of a state against that
   of a reference state, and decay-order classification of a moment
@@ -73,36 +70,32 @@ again.
 
 The geometry kernel works on one order-major table per point set, the
 1-jet (1 + dim, n, N) of `SectionBasis.eval_embedding_jet`: row 0 the
-values, then one (n, N) row per holomorphic direction, all from one power
-table of the points.  One matmul moves it to the Gram's whitener frame,
-one GEMM per row, and the frame values and jets are views of the result;
+values, then one row per holomorphic direction, binomial shifts of one
+power table of the points, so no table takes a complex power.  The
+Gram's `frame` moves it to the orthonormal frame at once, and
 `_pullback_data` forms the kernel, the gradient and the upper triangle of
-the jet pairing as row sums over the N sections, fills the metric stack
-Hermitian, and takes its determinant in closed form for dim = 2
-(`_hermitian_det`; LU otherwise).  The spectral norms of `r_bounded_check`
-are in closed form for 2 x 2 fields as well (`_hermitian_norm`; SVD
-otherwise), and so is the tangent frame of `sigma_z_operator`
-(`_tangent_frame`: Gram-Schmidt on the two direction slabs; SVD
-otherwise).  The tables themselves are binomial shifts of the sections'
-chart monomials, gathered by one `SectionBasis` kernel: the 1-jet its
-zero and unit rows, `SectionBasis.eval_taylor` every row
-`r_bounded_check` reads.  So neither a state's tables nor the jets of
-`r_bounded_check` take a complex power.
+the jet pairing as row sums over the N sections.  Determinants
+(`_hermitian_det`), the spectral norms of `r_bounded_check`
+(`_hermitian_norm`) and the tangent frame of `sigma_z_operator`
+(`_tangent_frame`) are in closed form at dim 2, and determinants at dim
+1 too; LU or SVD otherwise.
 
-Each Gram is factored once, by its `GramMatrix`: the guards, the whitener
-and the Anderson mixer's traceless log (`_traceless_log`) all read that
-one eigendecomposition.  The T-step's det gauge is the one LU, and the
-mixer's `_exp_hermitian` factors the mix, which is no Gram yet.
+A torus state's solver step factors nothing: its Gram is its weights c,
+whose whitener c^(-1/2) broadcasts, whose moment is the pairing diagonal
+less V/N (its own spectrum), whose det gauge is the geometric mean, and
+whose Anderson iterate is log c less its mean.  Any other Gram is
+factored once, by its `GramMatrix`: the guards, the whitener and the
+mixer's traceless log read one `eigh`, the det gauge is one LU, the
+moment one `eigvalsh`, and `_exp_hermitian` factors the mix.
 
 A state makes one geometry pass and one moment for everything that reads
 them: its memo keeps the `_fs_geometry` node tables, the `MomentValue` and
-both pairings, read-only, so `_fs_geometry` and the moment's `eigvalsh`
-run once per state an iteration visits (an Anderson step visits its mixed
-state, a safeguard fallback the plain one as well), and the density and
-`sigma_z_operator` of a solved state reuse its pass.  The node sums are
-matrix products on BLAS.  The Anderson least squares drops singular
-values below `_ANDERSON_RCOND` of the largest, so roundoff in the history
-never steers a step.
+both pairings, read-only, so each runs once per state an iteration visits
+(an Anderson step visits its mixed state, a safeguard fallback the plain
+one as well), and the density and `sigma_z_operator` of a solved state
+reuse its pass.  The Anderson least squares drops singular values below
+`_ANDERSON_RCOND` of the largest, so roundoff in the history never steers
+a step.
 
 All volumes are reduced by (2 pi)^dim as elsewhere in the package.
 """
@@ -118,7 +111,7 @@ import numpy as np
 from .bergman import adapted_total_rule
 from .errors import NumericalGuardError
 from .kahler import jet_tables, log_kernel_jet
-from .metrics import GramMatrix, l2_pairing, make_gram
+from .metrics import DiagonalGram, GramMatrix, l2_pairing, make_gram
 from .quadrature import ChartRule, product_rule
 from .sections import base_rule, build_section_basis, fiber_rule, total_rule
 
@@ -186,8 +179,8 @@ class EmbeddingState:
     against the embedding it induces.
 
     `transform` columns are a G-orthonormal frame: transform^H G transform
-    is the identity; it is the Gram's whitener, which the `GramMatrix`
-    forms once and keeps, so no copy with another Gram keeps a stale one.
+    is the identity; it is the Gram's whitener, derived from the Gram, so
+    no copy with another Gram keeps a stale one.
     `jet` is the 1-jet of the raw section basis at the rule nodes, one
     order-major table (1 + dim, n, N) from one evaluation: row 0 the
     values (`values`), then one (n, N) row per holomorphic direction.  It
@@ -199,12 +192,14 @@ class EmbeddingState:
 
     A state is validated where it is born (`embedding_state`, `with_gram`
     and `dataclasses.replace` alike): one Gram row per section, and the
-    whitener formed at once.  A `torus` state, one on an `OrbitRule`, also
-    needs a Gram that passes `torus_invariance_guard`; its pairings are
-    formed on the diagonal only, the off-diagonal entries of a
-    torus-invariant state being exactly 0 (derived in `torus_orbit_rule`),
-    and `sigma_z_operator` keeps the zero-character entries of its node
-    sum.
+    whitener formed at once.  The rule picks the Gram's form: a `torus`
+    state, one on an `OrbitRule`, holds N weights (`DiagonalGram`) and
+    keeps the diagonal of a matrix it is given once the matrix passes
+    `torus_invariance_guard`; any other state holds a `GramMatrix`.  A
+    torus state's pairings are formed on the diagonal only, the
+    off-diagonal entries of a torus-invariant state being exactly 0
+    (derived in `torus_orbit_rule`), and `sigma_z_operator` keeps the
+    zero-character entries of its node sum.
     """
 
     model: object
@@ -214,12 +209,18 @@ class EmbeddingState:
     jet: np.ndarray
 
     def __post_init__(self):
-        if self.gram.n != self.count:
-            raise ValueError(f"Gram size {self.gram.n} does not match "
+        gram = self.gram
+        if self.torus and not isinstance(gram, DiagonalGram):
+            torus_invariance_guard(gram.matrix, self.model, "Gram")
+            gram = make_gram(np.diagonal(gram.matrix).real)
+        elif not self.torus and isinstance(gram, DiagonalGram):
+            gram = make_gram(gram.matrix)
+        object.__setattr__(self, "gram", gram)
+        if gram.n != self.count:
+            raise ValueError(f"Gram size {gram.n} does not match "
                              f"section count {self.count}")
-        self.gram.whitener()
-        if self.torus:
-            torus_invariance_guard(self.gram.matrix, self.model, "Gram")
+        if not self.torus:  # weights are checked where they are made
+            gram.whitener()
 
     @property
     def torus(self):
@@ -265,15 +266,15 @@ class EmbeddingState:
 
     def _pairing(self, table, weights):
         """`metrics.l2_pairing` of a node table, or for a torus state its
-        diagonal alone, sum_n weights_n |table_np|^2."""
+        diagonal alone, the vector sum_n weights_n |table_np|^2."""
         if self.torus:
-            return np.diag(_abs2(table).T @ weights)
+            return _abs2(table).T @ weights
         return l2_pairing(table, weights)
 
     def with_gram(self, gram):
-        """The same embedding data under another Gram, a matrix or a kept
-        `GramMatrix`: basis, rule and node tables are shared, and the memo
-        starts empty."""
+        """The same embedding data under another Gram, a matrix, a weight
+        vector or a kept Gram (`metrics.make_gram`): basis, rule and node
+        tables are shared, and the memo starts empty."""
         return replace(self, gram=make_gram(gram))
 
 
@@ -301,16 +302,16 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
             rule = adapted_total_rule(metric, model, n_radial=n_radial)
         else:
             rule = total_rule(model, n_radial=n_radial)
-    if gram is None:
-        gram = np.eye(basis.count)
+    gram = np.eye(basis.count) if gram is None else gram
     return EmbeddingState(model=model, basis=basis, gram=make_gram(gram),
-                          rule=rule,
-                          jet=basis.eval_embedding_jet(rule.points))
+                          rule=rule, jet=basis.eval_embedding_jet(rule.points))
 
 
 def _hermitian_det(gfs):
     """Determinant of a stack (n, d, d) of Hermitian matrices: closed form
-    for d = 2, read off the diagonal and the upper triangle, LU otherwise."""
+    for d <= 2 from the diagonal and the upper triangle, LU otherwise."""
+    if gfs.shape[-1] == 1:
+        return gfs[:, 0, 0].real
     if gfs.shape[-1] == 2:
         return gfs[:, 0, 0].real * gfs[:, 1, 1].real - _abs2(gfs[:, 0, 1])
     return np.linalg.det(gfs).real
@@ -417,9 +418,9 @@ def _pullback_data(u, du, dim):
 def _fs_geometry(state):
     """Frame values, direction-major jets, kernel, its gradient (dim, n),
     and the rule weights times the reduced volume density, at the rule
-    nodes of a state: the 1-jet moves to the frame with one matmul, one
-    GEMM per row, and u, du are views of it."""
-    mixed = state.jet @ state.transform
+    nodes of a state: the Gram's `frame` moves the 1-jet to the
+    orthonormal frame at once, and u, du are views of it."""
+    mixed = state.gram.frame(state.jet)
     u, du = mixed[0], mixed[1:]
     kk, grad, _, dens = _pullback_data(u, du, state.model.n)
     return u, du, kk, grad, state.rule.weights * dens
@@ -432,12 +433,12 @@ def embedding_form_field(state):
     Unlike the cached node table this evaluates the 1-jet of the section
     basis at the points it is given, one table per call: `r_bounded_check`
     holds its jets to it, and the tests difference it as their oracle."""
-    t = state.transform
+    gram = state.gram
     basis = state.basis
     dim = state.model.n
 
     def field(pts):
-        mixed = basis.eval_embedding_jet(pts) @ t
+        mixed = gram.frame(basis.eval_embedding_jet(pts))
         return _pullback_data(mixed[0], mixed[1:], dim)[2]
 
     return field
@@ -480,9 +481,13 @@ def _moment(raw, vol):
     """`MomentValue` of a frame pairing `raw` against the volume `vol`."""
     n = raw.shape[0]
     dval = vol / n
-    m = raw - dval * np.eye(n)
-    m = 0.5 * (m + m.conj().T)
-    eigs = np.linalg.eigvalsh(m)
+    if raw.ndim == 1:  # a torus state's diagonal: its own spectrum
+        eigs = raw - dval
+        m = np.diag(eigs)
+    else:
+        m = raw - dval * np.eye(n)
+        m = 0.5 * (m + m.conj().T)
+        eigs = np.linalg.eigvalsh(m)
     m.flags.writeable = False
     return MomentValue(matrix=m, d=dval, volume=vol,
                        norm_op=float(np.max(np.abs(eigs))),
@@ -496,12 +501,16 @@ def t_map_step(state):
 
     In the orthonormal frame this reads G_perp -> I + (N/V) M, so fixed
     points are exactly the balanced states; the det gauge removes the
-    overall scale the embedding never sees.
+    overall scale the embedding never sees: for a torus state's weights,
+    their geometric mean.
     """
     mv, _, raw = state._pairings
     newg = (state.count / mv.volume) * raw
-    newg = 0.5 * (newg + newg.conj().T)
-    newg /= np.linalg.det(newg).real ** (1.0 / state.count)
+    if state.torus:
+        newg /= math.exp(np.log(newg).mean())
+    else:
+        newg = 0.5 * (newg + newg.conj().T)
+        newg /= np.linalg.det(newg).real ** (1.0 / state.count)
     return state.with_gram(newg)
 
 
@@ -517,8 +526,9 @@ def balanced_density_stats(state):
     the frame pairing and the node tables are the state's own memo."""
     mv, raw, _ = state._pairings
     u, _, kk, _, wq = state._geometry
-    raw = 0.5 * (raw + raw.conj().T)
-    rho = ((np.conj(u) @ np.linalg.inv(raw).T) * u).sum(axis=1).real / kk
+    inv = (np.diag(1.0 / raw) if state.torus
+           else np.linalg.inv(0.5 * (raw + raw.conj().T)))
+    rho = ((np.conj(u) @ inv.T) * u).sum(axis=1).real / kk
     vol = mv.volume
     mass = float((wq * rho).sum())
     mean = mass / vol
@@ -628,21 +638,13 @@ _ANDERSON_MEMORY = 5
 _ANDERSON_RCOND = 1e-8
 
 
-def _traceless_log(gram):
-    """Traceless Hermitian log of a `GramMatrix`: the log of its
-    det-normalized rescaling, from the eigendecomposition the Gram
-    already holds."""
-    w, v = gram.guard()
-    logw = np.log(w)
-    return (v * (logw - logw.mean())[None, :]) @ v.conj().T
-
-
 def _anderson_mix(xs, gs):
     """Type-II Anderson combination of iterates `xs` and their images `gs`
-    (stacks of Hermitian matrices, oldest first): g_last - dG gamma, with
-    gamma the least-squares solution of dF gamma = f_last, f = g - x, in
-    the Frobenius norm (dF, dG the consecutive differences), solved on the
-    singular values above `_ANDERSON_RCOND` of the largest."""
+    (stacks of Hermitian matrices or log-weights, oldest first):
+    g_last - dG gamma, with gamma the least-squares solution of dF gamma =
+    f_last, f = g - x, in the Frobenius norm (dF, dG the consecutive
+    differences), on the singular values above `_ANDERSON_RCOND` of the
+    largest."""
     fs = gs - xs
     # real coordinates of the Hermitian residuals: Frobenius geometry with
     # real mixing coefficients, so the mixed matrix stays Hermitian
@@ -657,8 +659,9 @@ class _AndersonMixer:
     """Type-II Anderson acceleration of the T-map (Walker & Ni, SIAM J.
     Numer. Anal. 49, 2011), one call per iteration like a plain stepper.
 
-    The iterate is X = `_traceless_log` of the Gram and the map is
-    g(X) = log T(exp X); the step mixes the last `_ANDERSON_MEMORY` pairs
+    The iterate is X = the Gram's `traceless_log` (log c less its mean for
+    a torus state's weights) and the map is g(X) = log T(exp X); the step
+    mixes the last `_ANDERSON_MEMORY` pairs
     (X_i, g(X_i)) with `_anderson_mix`, and is the plain T-step while
     fewer than two pairs are held.  Safeguard: the mixed state is taken
     only when its moment op norm does not exceed the current one; a rise
@@ -674,17 +677,16 @@ class _AndersonMixer:
 
     def __call__(self, state):
         plain = t_map_step(state)
-        self.xs.append(_traceless_log(state.gram))
-        self.gs.append(_traceless_log(plain.gram))
+        self.xs.append(state.gram.traceless_log())
+        self.gs.append(plain.gram.traceless_log())
         del self.xs[:-_ANDERSON_MEMORY], self.gs[:-_ANDERSON_MEMORY]
         if len(self.xs) < 2:
             return plain
         x = _anderson_mix(np.stack(self.xs), np.stack(self.gs))
         try:
-            # an overflowing exp leaves a non-finite Gram, which the
-            # guards reject
+            # an overflowing exp leaves a non-finite Gram, which guards reject
             with np.errstate(over="ignore", invalid="ignore"):
-                gram = _exp_hermitian(x, 1.0)
+                gram = np.exp(x) if state.torus else _exp_hermitian(x, 1.0)
             cand = state.with_gram(gram)
             accepted = moment_map(cand).norm_op <= moment_map(state).norm_op
         except NumericalGuardError:
@@ -772,13 +774,11 @@ def sigma_z_operator(state, generators=None):
     (xi_a u)^H P (xi_b u) / K, so Q is a fixed contraction of one
     N^2 x N^2 matrix M = sum_n (w_n / K_n) P_n (x) conj(u_n) u_n^T with
     the flattened generators, and no field is ever formed.  U comes from
-    `_tangent_frame`: in closed form by Gram-Schmidt on the two direction
-    slabs at dim = 2, the only dimension a run reaches, and from an SVD at
-    every other dim.  Rank-deficient nodes (branch points of the chosen
-    sub-system), where the smallest singular value of the tangent columns
-    is at most 1e-12 of the largest, get weight zero, with a warning.
-
-    The node tables are the state's memo (`EmbeddingState._geometry`).
+    `_tangent_frame`, and the node tables from the state's memo
+    (`EmbeddingState._geometry`).  Rank-deficient nodes (branch points of
+    the chosen sub-system), where the smallest singular value of the
+    tangent columns is at most 1e-12 of the largest, get weight zero, with
+    a warning.
 
     A `torus` state sums on its `torus_orbit_rule` nodes and keeps only the
     entries of M whose torus character W_j - W_k - W_i + W_l is 0
@@ -924,8 +924,8 @@ def torus_orbit_rule(model, n_radial):
     otherwise.  A diagonal pairing integrand |u_p|^2 / K times the density
     has character 0, and an off-diagonal one u_p conj(u_q) / K the nonzero
     weight(p) - weight(q).  The moment and the T-step pairing of a torus
-    state are therefore diagonal, and the Anderson iterates, mixed and
-    exponentiated in the eigenbasis of diagonal Grams, stay diagonal.  The
+    state are therefore diagonal, and so are the Anderson iterates, mixed
+    and exponentiated as log-weights: a torus state's Gram is its weights.  The
     node sum of `sigma_z_operator` pairs four sections, with character
     W_j - W_k - W_i + W_l, and keeps the entries where it is 0 (derived in
     its docstring).  The radial integrands are those of the full angular
@@ -997,16 +997,16 @@ def torus_check_angles(state):
 
 def torus_rule_check(state, n_radial, quantity):
     """Self-estimate of `torus_orbit_rule` at a torus state built on it
-    with `n_radial`: rebuild the state with the same `GramMatrix`, basis
-    and radial nodes on the full angular rule, 2 D + 3 angles per base and 5 per fiber
-    coordinate (no torus state: every entry is integrated, on the general
-    path of each quantity), and return the largest entry move of
-    `quantity(state)`, an array such as the moment matrix or the q_matrix
-    of `sigma_z_operator`, relative to the volume, which bounds the entries
-    of both.  This checks the character argument: the diagonal pairings
-    and the masked operator node sum against the full angular integration,
-    every entry included.  A move above 1e-10 raises `NumericalGuardError`
-    naming the model, both angle counts and D."""
+    with `n_radial`: rebuild the state with the same Gram (as a full
+    `GramMatrix`), basis and radial nodes on the full angular rule, 2 D + 3
+    angles per base and 5 per fiber coordinate (no torus state: every entry
+    is integrated, on the general path of each quantity), and return the
+    largest entry move of `quantity(state)`, an array such as the moment
+    matrix or the q_matrix of `sigma_z_operator`, relative to the volume,
+    which bounds the entries of both.  This checks the character argument:
+    the diagonal pairings and the masked operator node sum against the
+    full angular integration, every entry included.  A move above 1e-10
+    raises `NumericalGuardError` naming the model, both angle counts and D."""
     model = state.model
     degree = torus_degree(model)
     finer = embedding_state(
@@ -1071,7 +1071,7 @@ def _form_derivatives(state, pts):
     field = embedding_form_field(state)(pts)
     orders = jet_tables(pts.shape[1], _COMPARABILITY_ORDER).hol
     derivs = log_kernel_jet(
-        state.basis.eval_taylor(pts, orders) @ state.transform,
+        state.gram.frame(state.basis.eval_taylor(pts, orders)),
         pts.shape[1], _COMPARABILITY_ORDER)
     scale = np.max(np.abs(field), axis=(1, 2))
     move = np.max(np.abs(derivs[0] - field), axis=(1, 2)) / scale

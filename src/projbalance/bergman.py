@@ -596,7 +596,8 @@ class DirectDensity:
 
     `measure` and `node_density` are the level counting measure and the
     density at the `table`'s nodes, from the pass in which `rho_direct`
-    paired the Gram; `measure_density` and `density` evaluate them elsewhere.
+    paired the Gram; `measure_density` and `density` evaluate them
+    elsewhere, and `on_table` at the nodes of another `direct_table`.
     `total_mass` on the Gram's own rule is tr(G^{-1} G) = N up to roundoff."""
 
     model: object
@@ -618,12 +619,28 @@ class DirectDensity:
         return level_volume_density(self.table.metric, self.table.kahler,
                                     self.model, pts)
 
+    def on_table(self, table):
+        """`density` and `measure_density` at the nodes of `table`, another
+        `direct_table` of the sweep, from its k-independent data: one
+        section table, and no H^{-1} or volume coefficient again."""
+        measure, e = _level_weights(self.model, table)
+        v = self.basis.eval_embedding(table.rule.points)
+        return _section_density(v, self.gram, table.hat * e), measure
+
     def total_mass(self):
         return float(integrate(self.table.rule,
                                self.node_density * self.measure))
 
     def volume(self):
         return float(integrate(self.table.rule, self.measure))
+
+
+def _level_weights(model, table):
+    """Level k's counting measure sum_j k^(j-m) E_j and exp(-k phi) at the
+    nodes of a `direct_table`."""
+    e = np.exp(-float(model.k)
+               * table.kahler.potential(table.rule.points[:, : model.m]))
+    return _level_density(table.metric, model, table.coefficients), e
 
 
 def rho_direct(model, table):
@@ -634,9 +651,7 @@ def rho_direct(model, table):
     and one section table, which gives the Gram and the density kept."""
     rule = table.rule
     basis = build_section_basis(model)
-    dens = _level_density(table.metric, model, table.coefficients)
-    e = np.exp(-float(model.k)
-               * table.kahler.potential(rule.points[:, : model.m]))
+    dens, e = _level_weights(model, table)
     v = basis.eval_embedding(rule.points)
     # a weight that blew up is reported by make_gram's finite check
     with np.errstate(invalid="ignore", over="ignore"):

@@ -58,10 +58,12 @@ outputs (under --out, or the configured out_dir):
                   configuration and seed except for the timestamp field;
                   balance and moment-spectrum levels record the solver
                   iterations and fallback_steps (Anderson steps that
-                  took the plain T-step) and the nodes of the orbit rule
+                  took the plain T-step), the nodes of the orbit rule
                   they balance on, which moment-spectrum's
                   normal-action operator runs on too (its samples are
-                  the valid orbit nodes)
+                  the valid orbit nodes), and gram_condition, the solved
+                  Gram's condition number (balance adds
+                  ref_gram_condition, the direct route's Gram's)
   timings.json    wall-clock seconds, kept out of report.json:
                   run_seconds (the whole run), command, levels (per
                   level: job_seconds, and solve_seconds for balance) and
@@ -70,7 +72,8 @@ outputs (under --out, or the configured out_dir):
                   joint-linearization; for expansion off a point base
                   and for balance, sweep-tables (both density routes'
                   tables, built once before the levels and shared by
-                  them, with the self-check of the adapted fiber rule)
+                  them, with the self-check of the adapted fiber rule,
+                  and for expansion the table of its variance rule)
   checks.csv      name,k,value,reference,error,tolerance,passed,detail
 
 subcommand tables:
@@ -186,19 +189,40 @@ def _level_fields(per_level, *dropped):
             for res in per_level]
 
 
+class _LevelMemoryError(MemoryError):
+    """A level job's `MemoryError`, with the level `k`; its arguments are
+    its fields, so it crosses the process pool intact."""
+
+    def __init__(self, k, message):
+        super().__init__(k, message)
+        self.k, self.message = k, message
+
+    def __str__(self):
+        return self.message
+
+
+def _level_job(fn, cfg, k):
+    """`_timed(fn, cfg, k)`, re-raising a `MemoryError` with its level."""
+    try:
+        return _timed(fn, cfg, k)
+    except MemoryError as exc:
+        raise _LevelMemoryError(k, str(exc)) from exc
+
+
 def _run_jobs(fn, cfg, ks, workers):
     """Run one job per level, in parallel when asked.  Results come back
     in level order either way, so reports do not depend on scheduling.
     Also returns the timings of each level, {str(k): {"job_seconds": s}},
-    measured in the process that ran the job."""
+    measured in the process that ran the job.  A level that runs out of
+    memory raises `_LevelMemoryError`, naming it."""
     if workers <= 1 or len(ks) <= 1:
-        timed = [_timed(fn, cfg, k) for k in ks]
+        timed = [_level_job(fn, cfg, k) for k in ks]
     else:
         # imported only here: a one-worker run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(workers, len(ks))) as pool:
-            futures = [pool.submit(_timed, fn, cfg, k) for k in ks]
+            futures = [pool.submit(_level_job, fn, cfg, k) for k in ks]
             timed = [f.result() for f in futures]
     levels = {str(k): {"job_seconds": seconds}
               for k, (_, seconds) in zip(ks, timed)}
@@ -268,8 +292,10 @@ def _run_expansion(cfg, workers):
         checks = suites.degenerate_expansion_rows(per_level)
         table = []
     else:
-        (tables, fiber_row), seconds = _timed(suites.sweep_tables, cfg)
-        timings["phases"] = {"sweep-tables": seconds}
+        t0 = time.perf_counter()
+        tables, fiber_row = suites.sweep_tables(cfg)
+        tables = tables._replace(variance=suites.variance_table(cfg))
+        timings["phases"] = {"sweep-tables": time.perf_counter() - t0}
         per_level, levels = _run_jobs(
             functools.partial(suites.expansion_job, tables=tables),
             cfg, cfg.ks, workers)
@@ -350,8 +376,10 @@ def main(argv=None):
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"out of memory: {exc}; lower [sweep] k_max or [quadrature] "
-              f"n_radial", file=sys.stderr)
+        where = (f" at k={exc.k}" if isinstance(exc, _LevelMemoryError)
+                 else "")
+        print(f"out of memory{where}: {exc}; lower [sweep] k_max or "
+              f"[quadrature] n_radial", file=sys.stderr)
         return 2
     run_time = time.perf_counter() - t0
 

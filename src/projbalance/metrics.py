@@ -25,13 +25,15 @@ direct-route Gram, an embedding state's full pairings), `bergman.l2_gram`
 component tables through the level metric, and `GramMatrix` alone factors
 a Gram: one eigendecomposition gives its guards, its whitener G^{-1/2},
 its inverse, its condition number and the solver's traceless log, and
-nothing stores a copy of them.  The whitener checks that it orthonormalizes
-its Gram; `make_gram` passes a `GramMatrix` through, factorization and all.
+nothing stores a copy of them.  A Gram diagonal in the section basis, a
+torus state's, is its weights (`DiagonalGram`), which need no factoring.
+The whitener checks that it orthonormalizes its Gram; `make_gram` passes
+a Gram of either kind through, factorization and all.
 """
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -45,6 +47,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "GramMatrix",
+    "DiagonalGram",
     "make_gram",
     "whitening_transform",
     "l2_pairing",
@@ -67,6 +70,29 @@ __all__ = [
 
 # largest Gram condition number `GramMatrix.guard` accepts
 _CONDITION_GUARD = 1e12
+
+
+def _check_spectrum(smallest, largest):
+    """The guards on a Gram's extreme eigenvalues: positive, condition
+    number at most `_CONDITION_GUARD`.  Both fail closed on a NaN or
+    infinite spectrum."""
+    if not smallest > 0:
+        raise NumericalGuardError(
+            f"Gram not positive definite (smallest eigenvalue {smallest:.3e})")
+    cond = largest / smallest
+    if not cond <= _CONDITION_GUARD:
+        raise NumericalGuardError(
+            f"Gram condition number {cond:.3e} exceeds "
+            f"{_CONDITION_GUARD:.1e}; increase the quadrature budget or "
+            "lower k")
+
+
+def _check_whitener(defect):
+    """The whitener's guard: T* G T off the identity by at most 1e-9."""
+    if not defect <= 1e-9:  # fails closed on NaN
+        raise NumericalGuardError(
+            f"orthonormalizing transform defect {defect:.2e}; "
+            "Gram matrix too ill-conditioned")
 
 
 @dataclass(frozen=True)
@@ -95,30 +121,17 @@ class GramMatrix:
 
     def guard(self):
         """Eigendecomposition (w, v) of a Gram that can be trusted at this
-        node budget: positive spectrum, condition number at most
-        `_CONDITION_GUARD`.  Otherwise `NumericalGuardError`; both tests
-        fail closed on a NaN or infinite spectrum."""
+        node budget (`_check_spectrum`); otherwise `NumericalGuardError`."""
         w, v = self._eigh
-        if not w[0] > 0:
-            raise NumericalGuardError(
-                f"Gram not positive definite (smallest eigenvalue {w[0]:.3e})")
-        cond = w[-1] / w[0]
-        if not cond <= _CONDITION_GUARD:
-            raise NumericalGuardError(
-                f"Gram condition number {cond:.3e} exceeds "
-                f"{_CONDITION_GUARD:.1e}; increase the quadrature budget or "
-                "lower k")
+        _check_spectrum(w[0], w[-1])
         return w, v
 
     @cached_property
     def _whitener(self):
         w, v = self.guard()
         t = (v / np.sqrt(w)[None, :]) @ v.conj().T
-        defect = np.max(np.abs(t.conj().T @ self.matrix @ t - np.eye(self.n)))
-        if not defect <= 1e-9:  # fails closed on NaN
-            raise NumericalGuardError(
-                f"orthonormalizing transform defect {defect:.2e}; "
-                "Gram matrix too ill-conditioned")
+        _check_whitener(
+            np.max(np.abs(t.conj().T @ self.matrix @ t - np.eye(self.n))))
         t.flags.writeable = False  # shared by callers
         return t
 
@@ -129,21 +142,84 @@ class GramMatrix:
         1e-9, raises on every call."""
         return self._whitener
 
+    def frame(self, table):
+        """A section table (..., N) in the Gram's orthonormal frame:
+        table @ `whitener`, one GEMM."""
+        return table @ self._whitener
+
+    def traceless_log(self):
+        """Traceless Hermitian log: the log of the det-normalized Gram,
+        from the eigendecomposition it already holds."""
+        w, v = self.guard()
+        logw = np.log(w)
+        return (v * (logw - logw.mean())[None, :]) @ v.conj().T
+
     def inverse(self):
         w, v = self.guard()
         return (v / w[None, :]) @ v.conj().T
 
 
+@dataclass(frozen=True, eq=False)
+class DiagonalGram:
+    """A Gram diagonal in the section basis, held as its N weights c, as a
+    torus-invariant state's is: its eigenvalues are the weights, so
+    nothing factors it.  The weights pass the guards of `GramMatrix`, with
+    the same messages, where they are made (positive, condition
+    max c / min c at most `_CONDITION_GUARD`, whitener defect at most
+    1e-9).  The whitener `root` = c^(-1/2) acts by broadcasting (`frame`),
+    and the traceless log is log c minus its mean.  `matrix` and
+    `whitener` build the N x N arrays on request, for readers off the
+    solver's path."""
+
+    weights: np.ndarray
+    root: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        c = self.weights
+        _check_spectrum(c.min(), c.max())
+        root = 1.0 / np.sqrt(c)
+        _check_whitener(np.max(np.abs(root * c * root - 1.0)))
+        root.flags.writeable = False  # shared by callers
+        object.__setattr__(self, "root", root)
+
+    @property
+    def n(self):
+        return self.weights.shape[0]
+
+    @property
+    def matrix(self):
+        return np.diag(self.weights).astype(complex)
+
+    def condition(self):
+        return float(self.weights.max() / self.weights.min())
+
+    def whitener(self):
+        """diag(c^(-1/2)) as an N x N array."""
+        return np.diag(self.root)
+
+    def frame(self, table):
+        """A section table (..., N) in the Gram's orthonormal frame: each
+        column times its c^(-1/2)."""
+        return table * self.root
+
+    def traceless_log(self):
+        logc = np.log(self.weights)
+        return logc - logc.mean()
+
+
 def make_gram(a):
-    """The `GramMatrix` of a finite Hermitian matrix; a `GramMatrix` as
-    it is."""
-    if isinstance(a, GramMatrix):
+    """The `GramMatrix` of a finite Hermitian matrix, the `DiagonalGram`
+    of a finite weight vector; a Gram of either kind as it is."""
+    if isinstance(a, (GramMatrix, DiagonalGram)):
         return a
-    a = np.asarray(a, dtype=complex)
+    a = np.array(a, dtype=float if np.ndim(a) == 1 else complex)
     if not np.all(np.isfinite(a)):
         raise NumericalGuardError(
             "Gram matrix has non-finite entries; increase the quadrature "
             "budget or lower k")
+    if a.ndim == 1:
+        a.flags.writeable = False
+        return DiagonalGram(a)
     scale = max(np.max(np.abs(a)), 1.0)
     defect = np.max(np.abs(a - a.conj().T))
     if defect > 1e-10 * scale:

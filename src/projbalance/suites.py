@@ -18,8 +18,10 @@ Neither density route's table depends on the level: the trace route's
 push-forward table, and the direct route's adapted total rule, volume
 coefficients and hat weight (`bg.direct_table`).  A run builds both once,
 before any level, with `sweep_tables` and passes them to every level job
-as `tables`, into worker processes too.  The direct route keeps its
-density at its rule nodes for the mass and `rho_max_dev`.
+as `tables`, into worker processes too; `expansion` adds the
+`variance_table`, the direct table of its variance's raised rule.  The
+direct route keeps its density at its rule nodes for the mass and
+`rho_max_dev`.
 
 Every fiber integral in the metric-adapted frame runs on
 `bergman.adapted_fiber_rule`, whose angles and radial nodes are sized by
@@ -32,10 +34,13 @@ Both balancing suites (`balance_job`, `spectrum_job`) start at the
 identity Gram, so their states stay torus-invariant, and balance torus
 states, those built on `balancing.torus_orbit_rule`: one node per torus
 orbit, on `n_radial` radial nodes per factor, with diagonal pairings.
-Every Gram such a state takes passes `balancing.torus_invariance_guard`
-once, when the state is built: the solved one, and the direct route's
-Gram at which `balance` measures the reference moment.  Each level
-records the node count of the rule it balanced on as `nodes`.
+Such a state holds its Gram as N weights (`metrics.DiagonalGram`), and a
+matrix that enters one, the direct route's Gram at which `balance`
+measures the reference moment, passes `balancing.torus_invariance_guard`
+before its diagonal is kept.  Each level records the node count of the
+rule it balanced on as `nodes` and the solved Gram's condition number,
+max c / min c of its weights, as `gram_condition`; `balance` adds the
+reference Gram's as `ref_gram_condition`.
 `moment-spectrum` builds its normal-action operator at the solved state on
 the same rule, keeping the zero-character entries of its node sum
 (`balancing.sigma_z_operator`), and its `samples` count the valid orbit
@@ -82,6 +87,7 @@ __all__ = [
     "fiber_average_rows",
     "SweepTables",
     "sweep_tables",
+    "variance_table",
     "density_route_job",
     "joint_linearization_rows",
     "balance_job",
@@ -205,7 +211,9 @@ def fiber_average_rows():
     return rows
 
 
-SweepTables = namedtuple("SweepTables", "trace direct")
+# `variance` is `variance_table`'s, which only `expansion` builds
+SweepTables = namedtuple("SweepTables", "trace direct variance",
+                         defaults=(None,))
 
 
 def sweep_tables(cfg):
@@ -239,6 +247,17 @@ def sweep_tables(cfg):
         metric, kahler, model,
         bg.adapted_total_rule(metric, model, n_radial=cfg.n_radial))
     return SweepTables(trace=table, direct=direct), row
+
+
+def variance_table(cfg):
+    """`bg.direct_table` on the adapted total rule raised by one degree,
+    the rule of `expansion_job`'s density variance, which is quadratic in
+    the density: built once per sweep, since no k enters it."""
+    metric = build_metric(cfg)
+    model = build_model(cfg)
+    return bg.direct_table(
+        metric, build_kahler(cfg), model,
+        bg.adapted_total_rule(metric, model, cfg.n_radial, raise_degree=1))
 
 
 def _density_routes(cfg, k, tables):
@@ -385,13 +404,15 @@ _D_TOL = 1e-8
 def _balanced_level(cfg, k):
     """Level k balanced from the identity Gram on `bal.torus_orbit_rule`:
     the initial torus state, the `bal.balance_iterate` report, and the
-    `nodes` of the rule."""
+    `nodes` of the rule with the solved `gram_condition`."""
     model = build_model(cfg, k)
     state = bal.embedding_state(
         model, rule=bal.torus_orbit_rule(model, cfg.n_radial))
     report = bal.balance_iterate(state, tol=cfg.balance_tol,
                                  max_iter=_MAX_ITER)
-    return state, report, {"nodes": int(state.rule.points.shape[0])}
+    return state, report, {
+        "nodes": int(state.rule.points.shape[0]),
+        "gram_condition": float(report.state.gram.condition())}
 
 
 def _torus_row(state, n_radial, name, quantity):
@@ -460,6 +481,7 @@ def balance_job(cfg, k, tables):
         "ref_norm_op": float(reference.norm_op),
         "ref_d": float(reference.d),
         "ref_volume": float(reference.volume),
+        "ref_gram_condition": float(ref_state.gram.condition()),
         "trace_abs": float(abs(np.trace(report.moment.matrix))),
         "rho_mass": float(stats["mass"]),
         "rho_variance": float(stats["variance"]),
@@ -547,18 +569,16 @@ def expansion_eval_points(cfg):
 def expansion_job(cfg, k, tables):
     """One level of an expansion sweep: endomorphism values at the shared
     sample points plus density-constancy statistics.  `tables` is
-    `sweep_tables(cfg)`.  The variance, quadratic in the density, is
-    integrated on the adapted fiber rule raised by one degree."""
+    `sweep_tables(cfg)` with its `variance_table(cfg)`, on whose rule the
+    variance, quadratic in the density, is integrated."""
     direct, level = _density_routes(cfg, k, tables)
     vals = level.endomorphism(expansion_eval_points(cfg))
     vol = direct.volume()
     mass = direct.total_mass()
     mean = mass / vol
-    fine = bg.adapted_total_rule(direct.table.metric, direct.model,
-                                 cfg.n_radial, raise_degree=1)
-    variance = float(integrate(
-        fine, (direct.density(fine.points) - mean) ** 2
-        * direct.measure_density(fine.points)) / vol)
+    dens, measure = direct.on_table(tables.variance)
+    variance = float(integrate(tables.variance.rule,
+                               (dens - mean) ** 2 * measure) / vol)
     logger.info("expansion k=%d: mass %.12g, density variance %.3e",
                 k, mass, variance)
     return {

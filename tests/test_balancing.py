@@ -40,7 +40,12 @@ from projbalance.kahler import (
     fs_matrix,
     jet_tables,
 )
-from projbalance.metrics import SplitBundleMetric, make_gram
+from projbalance.metrics import (
+    DiagonalGram,
+    GramMatrix,
+    SplitBundleMetric,
+    make_gram,
+)
 from projbalance.quadrature import ChartRule, product_rule
 from projbalance.sections import (
     LineBundleSumOverP1,
@@ -1496,6 +1501,136 @@ class TestTorusOrbitRule:
         ours, theirs = bal.moment_map(orbit), bal.moment_map(plain)
         assert np.max(np.abs(ours.matrix - theirs.matrix)) < 1e-12
         assert ours.norm_op == pytest.approx(0.10782, abs=1e-5)
+
+
+def raise_on_factorization(monkeypatch):
+    """Make `np.linalg.eigh`, `eigvalsh` and `det` raise."""
+    for name in ("eigh", "eigvalsh", "det"):
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"np.linalg.{name} called")
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+class TestTorusWeights:
+    """A torus state holds its Gram as N weights c (`DiagonalGram`): the
+    whitener c^(-1/2) broadcasts, the moment is the pairing diagonal less
+    V/N, the det gauge is the geometric mean and the Anderson iterate is
+    log c less its mean, so the solver factors nothing; every guard keeps
+    its message."""
+
+    @pytest.mark.parametrize("model, n_radial, tol", [
+        (TrivialBundleOverPm(1, 2, 3), 6, 1e-8),
+        (LineBundleSumOverP1((0,), 5), 10, 1e-9),
+    ], ids=["p1xp1-k3", "moment-spectrum-default-k5"])
+    def test_solver_makes_no_eigh_eigvalsh_or_det(self, monkeypatch, model,
+                                                 n_radial, tol):
+        # the Gauss nodes of the rule come from an eigvalsh
+        rule = bal.torus_orbit_rule(model, n_radial)
+        raise_on_factorization(monkeypatch)
+        state = bal.embedding_state(model, rule=rule)
+        report = bal.balance_iterate(state, tol=tol,
+                                     max_iter=suites._MAX_ITER)
+        assert report.converged and report.iterations > 0
+        assert isinstance(report.state.gram, DiagonalGram)
+
+    def test_no_eigh_per_accepted_anderson_step(self, monkeypatch):
+        # the torus counterpart of the three `eigh` per accepted step of
+        # a full Gram (TestEachStatePaysOnce)
+        model = TrivialBundleOverPm(1, 2, 3)
+        state = bal.embedding_state(model,
+                                    rule=bal.torus_orbit_rule(model, 6))
+        mixer = bal._AndersonMixer()
+        state = mixer(state)  # a plain step: the history holds one pair
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        for _ in range(4):
+            bal.moment_map(state)
+            state = mixer(state)
+            assert mixer.fallbacks == 0 and len(mixer.xs) >= 2
+            assert mixer.xs[-1].shape == (state.count,)
+        assert eigh == []
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_weight_solve_matches_the_general_path(self, k):
+        # from the identity, on the orbit rule and on the full angular
+        # rule, where every entry of a full Gram is integrated
+        model = TrivialBundleOverPm(1, 2, k)
+        reports = [bal.balance_iterate(
+            bal.embedding_state(model, rule=rule), tol=1e-10, max_iter=100)
+            for rule in (bal.torus_orbit_rule(model, 6), torus_rule(model, 6))]
+        weights, full = reports
+        assert isinstance(weights.state.gram, DiagonalGram)
+        assert not isinstance(full.state.gram, DiagonalGram)
+        assert weights.converged and full.converged
+        assert (weights.iterations, weights.fallback_steps) == (
+            full.iterations, full.fallback_steps)
+        want = full.state.gram.matrix
+        got = weights.state.gram.matrix
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_the_rule_picks_the_form(self):
+        model = TORUS_MODELS["p1xp1"]
+        c = np.linspace(0.5, 2.0, 8)
+        orbit = bal.embedding_state(model, gram=np.diag(c),
+                                    rule=bal.torus_orbit_rule(model, 6))
+        assert isinstance(orbit.gram, DiagonalGram)
+        assert np.array_equal(orbit.gram.weights, c)
+        assert np.array_equal(orbit.transform, np.diag(1.0 / np.sqrt(c)))
+        plain = bal.embedding_state(model, gram=orbit.gram, n_radial=6)
+        assert isinstance(plain.gram, GramMatrix)
+        assert np.array_equal(plain.gram.matrix, np.diag(c))
+        assert orbit.with_gram(c).gram.condition() == 4.0
+
+    @pytest.mark.parametrize("weights, message", [
+        ([1.0, np.nan], "Gram matrix has non-finite entries"),
+        ([1.0, np.inf], "Gram matrix has non-finite entries"),
+        ([1.0, -1.0], "Gram not positive definite (smallest eigenvalue "
+                      "-1.000e+00)"),
+        ([1.0, 0.0], "Gram not positive definite (smallest eigenvalue "
+                     "0.000e+00)"),
+        ([1.0, 1e-13], "Gram condition number 1.000e+13 exceeds 1.0e+12"),
+    ], ids=["nan", "inf", "negative", "zero", "ill-conditioned"])
+    def test_weight_guards_keep_their_messages(self, weights, message):
+        model = TORUS_MODELS["p1xp1"]
+        c = np.array(weights + [1.0] * 6)
+        with pytest.raises(NumericalGuardError) as want:
+            make_gram(np.diag(c)).whitener()
+        assert message in str(want.value)
+        orbit = bal.torus_orbit_rule(model, 6)
+        state = bal.embedding_state(model, rule=orbit)
+        for build in (lambda: bal.embedding_state(model, gram=c, rule=orbit),
+                      lambda: state.with_gram(c),
+                      lambda: state.with_gram(np.diag(c))):
+            with pytest.raises(NumericalGuardError) as got:
+                build()
+            assert str(got.value) == str(want.value)
+
+    def test_whitener_defect_guard(self, monkeypatch):
+        # a root 1% off scales c^(-1/2) c c^(-1/2) by 1/1.01^2
+        real = np.sqrt
+        monkeypatch.setattr(np, "sqrt", lambda x: 1.01 * real(x))
+        with pytest.raises(NumericalGuardError,
+                           match="orthonormalizing transform defect "
+                                 "1.97e-02"):
+            make_gram(np.array([1.0, 2.0, 3.0])).whitener()
+
+    def test_balance_job_guards_the_reference_gram(self, monkeypatch):
+        # the direct route's Gram enters a torus state in balance_job
+        original = bg.rho_direct
+
+        def off_torus(model, table):
+            direct = original(model, table)
+            gram = direct.gram.matrix.copy()
+            gram[0, 1] += 1e-6 * gram[0, 0]
+            gram[1, 0] = np.conj(gram[0, 1])
+            return replace(direct, gram=make_gram(gram))
+
+        monkeypatch.setattr(bg, "rho_direct", off_torus)
+        cfg = ExperimentConfig(kind="pm-trivial", k_min=2, k_max=2,
+                               n_radial=6)
+        tables, _ = suites.sweep_tables(cfg)
+        with pytest.raises(NumericalGuardError,
+                           match="Gram's largest off-diagonal entry"):
+            suites.balance_job(cfg, 2, tables)
 
 
 OPERATOR_MODELS = {**TORUS_MODELS,

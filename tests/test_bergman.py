@@ -650,6 +650,7 @@ class TestAdaptedFiberDegree:
         cfg = ExperimentConfig(kind="p1-sum", degrees=(0, 1, 1), k_min=3,
                                k_max=3, n_radial=8)
         tables, _ = suites.sweep_tables(cfg)
+        tables = tables._replace(variance=suites.variance_table(cfg))
         res = suites.expansion_job(cfg, 3, tables)
         direct, _ = suites._density_routes(cfg, 3, tables)
         model = direct.model
@@ -670,25 +671,40 @@ class TestAdaptedFiberDegree:
     def test_expansion_job_reads_the_kept_density(self, monkeypatch):
         # the mass and the largest deviation read the density the direct
         # route kept at its nodes: only the raised-degree rule of the
-        # variance evaluates it again
-        original = bg.DirectDensity.density
+        # variance evaluates it again, from the sweep's table of that rule
         calls = []
-
-        def counted(self, pts):
-            calls.append(np.asarray(pts).shape[0])
-            return original(self, pts)
-
-        monkeypatch.setattr(bg.DirectDensity, "density", counted)
+        for name in ("density", "on_table"):
+            def counted(self, arg, original=getattr(bg.DirectDensity, name),
+                        name=name):
+                calls.append(name)
+                return original(self, arg)
+            monkeypatch.setattr(bg.DirectDensity, name, counted)
         cfg = ExperimentConfig(kind="p1-sum", degrees=(0, 1), k_min=3,
                                k_max=3, n_radial=8)
         tables, _ = suites.sweep_tables(cfg)
+        tables = tables._replace(variance=suites.variance_table(cfg))
         res = suites.expansion_job(cfg, 3, tables)
         model = build_model(cfg, 3)
         fine = bg.adapted_total_rule(build_metric(cfg), model, cfg.n_radial,
                                      raise_degree=1)
-        assert calls == [fine.points.shape[0]]
+        assert calls == ["on_table"]
+        assert np.array_equal(tables.variance.rule.points, fine.points)
         assert fine.points.shape[0] != res["nodes"]
         assert abs(res["mass"] - 9.0) < 1e-8
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_on_table_matches_the_pointwise_density(self, k):
+        # the variance's table gives what the level's density and measure
+        # give at its nodes, to the last bit
+        cfg = ExperimentConfig(kind="p1-sum", degrees=(0, 1), k_min=3,
+                               k_max=5, n_radial=8)
+        tables, _ = suites.sweep_tables(cfg)
+        fine = suites.variance_table(cfg)
+        direct, _ = suites._density_routes(cfg, k, tables)
+        dens, measure = direct.on_table(fine)
+        assert np.array_equal(dens, direct.density(fine.rule.points))
+        assert np.array_equal(measure,
+                              direct.measure_density(fine.rule.points))
 
 class TestLevelMetric:
     def test_twisted_closed_form(self, twisted_metric, twisted_rules):

@@ -11,6 +11,7 @@ report.json.
 import dataclasses
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -348,6 +349,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "out of memory: Unable to allocate 9.00 GiB" in err
         assert "[sweep] k_max" in err and "[quadrature] n_radial" in err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_out_of_memory_names_the_level(self, tmp_path, capsys,
+                                           monkeypatch, workers):
+        # a level's MemoryError reaches the exit message with its k, from a
+        # worker process too (forked, so it inherits the patched module)
+        real = suites._balanced_level
+
+        def exhausted_at_two(cfg, k):
+            if k == 2:
+                raise MemoryError("Unable to allocate 9.00 GiB for an array "
+                                  "with shape (130680, 30, 30)")
+            return real(cfg, k)
+
+        monkeypatch.setattr(suites, "_balanced_level", exhausted_at_two)
+        path = write_config(tmp_path, TINY_SPECTRUM)
+        out = tmp_path / "out"
+        assert cli.main(["moment-spectrum", "--config", path, "--out",
+                         str(out), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert ("out of memory at k=2: Unable to allocate 9.00 GiB for an "
+                "array with shape (130680, 30, 30); lower [sweep] k_max or "
+                "[quadrature] n_radial") in err
         assert not (out / "report.json").exists()
 
     def test_failed_check_is_exit_one(self, tmp_path, capsys, monkeypatch):
@@ -799,25 +824,40 @@ class TestSweepTables:
         assert counts == {"inverse": [], "volume_coefficients": 0,
                           "adapted_total_rule": 0, "hat_weight": 0}
 
-    @pytest.mark.parametrize("command, text", [
-        ("verify", TINY_EXPANSION),
-        ("expansion", TINY_EXPANSION),
-        ("balance", TINY_BALANCE.replace("k_max = 4", "k_max = 3")),
+    @pytest.mark.parametrize("command, text, rules", [
+        ("verify", TINY_EXPANSION, 1),
+        ("expansion", TINY_EXPANSION, 2),
+        ("balance", TINY_BALANCE.replace("k_max = 4", "k_max = 3"), 1),
     ], ids=["verify", "expansion", "balance"])
     def test_one_direct_table_per_sweep(self, tmp_path, monkeypatch,
-                                        command, text):
+                                        command, text, rules):
+        # one table per rule: the routes' adapted total rule, and for
+        # expansion the variance's rule, raised by one degree
         original = bg.direct_table
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(metric, kahler, model, rule):
+            calls.append(rule.points.shape[0])
+            return original(metric, kahler, model, rule)
 
         monkeypatch.setattr(bg, "direct_table", counting)
         path = write_config(tmp_path, text)
         assert cli.main([command, "--config", path,
                          "--out", str(tmp_path / "out")]) == 0
-        assert len(calls) == 1
+        assert len(calls) == len(set(calls)) == rules
+
+    def test_expansion_level_reads_the_tables(self, monkeypatch):
+        # the variance's raised-degree rule is the sweep's table too: a
+        # level builds no rule, no volume coefficients and no hat weight,
+        # and inverts the bundle metric nowhere
+        cfg = parse_config_text(TINY_EXPANSION)
+        tables, _ = suites.sweep_tables(cfg)
+        tables = tables._replace(variance=suites.variance_table(cfg))
+        counts = self.count_level_work(monkeypatch)
+        res = suites.expansion_job(cfg, 5, tables)
+        assert res["rho_variance"] > 0.0
+        assert counts == {"inverse": [], "volume_coefficients": 0,
+                          "adapted_total_rule": 0, "hat_weight": 0}
 
 
 class TestAdaptedFiberSelfCheck:
@@ -919,11 +959,30 @@ class TestTorusRuleHealth:
         "iterations", "fallback_steps", "trajectory", "final_norm_op",
         "initial_norm_op", "d_value", "volume", "ref_norm_op", "ref_d",
         "ref_volume", "trace_abs", "rho_mass", "rho_variance", "rho_max_dev",
-        "comparable", "comparable_c_a", "comparable_min_ratio"}
+        "comparable", "comparable_c_a", "comparable_min_ratio",
+        "gram_condition", "ref_gram_condition"}
     SPECTRUM_KEYS = {
         "k", "nodes", "lambda_z", "smallest_eig", "kernel_dim",
         "dimension", "samples", "converged", "iterations",
-        "fallback_steps", "final_norm_op"}
+        "fallback_steps", "final_norm_op", "gram_condition"}
+
+    def test_levels_record_the_gram_condition(self, balance_run, tmp_path):
+        # the balanced Gram of O(k) on P^1, and of O(k) x O(1) on
+        # P^1 x P^1, is diag(1 / C(k, beta)) up to scale, so its condition
+        # number is the central binomial C(k, floor(k / 2)); the direct
+        # route's Gram is balanced already on these homogeneous models
+        path = write_config(tmp_path, TINY_SPECTRUM)
+        out = tmp_path / "out"
+        assert cli.main(["moment-spectrum", "--config", path,
+                         "--out", str(out)]) == 0
+        for report in (load_report(balance_run[1]), load_report(out)):
+            for level in report["results"]["levels"]:
+                want = math.comb(level["k"], level["k"] // 2)
+                assert level["gram_condition"] == pytest.approx(
+                    want, rel=1e-6, abs=0.0)
+                if "ref_gram_condition" in level:
+                    assert level["ref_gram_condition"] == pytest.approx(
+                        want, rel=1e-12, abs=0.0)
 
     def test_balance_levels_record_the_rule(self, balance_run):
         _, out = balance_run
