@@ -32,9 +32,11 @@ Contents, bottom to top:
   pulled-back metric at arbitrary points for comparability probes;
 * `sigma_z_operator` integrates squared normal components of the su(N)
   action fields without forming them: with P the normal projector at a
-  node, the integrand (xi_a u)^H P (xi_b u) / |u|^2 is a fixed contraction
-  of the generators with one N^2 x N^2 node sum, a single GEMM;
-  `eig_estimate` extracts its smallest positive eigenvalue and
+  node, the integrand (xi_a u)^H P (xi_b u) / |u|^2 is, in the matrix-unit
+  basis of the generators, one N^2 x N^2 node sum, taken in node blocks
+  of a fixed byte budget, or at a torus state one Hermitian block per
+  torus charge, a diagonal minus a Gram; `eig_estimate` extracts the
+  smallest positive eigenvalue of the union of the block spectra and
   `lambda_fit_exponent` the growth exponent of the reciprocal along a
   k-sweep (the sweep itself is `suites.spectrum_job`);
 * `torus_orbit_rule` serves torus-invariant states, the ones whose Gram
@@ -46,10 +48,11 @@ Contents, bottom to top:
   `torus` state, whose Gram is N weights (`metrics.DiagonalGram`) and
   which balances on the diagonal of its pairings alone, and
   `sigma_z_operator` keeps only the zero-character entries of its node
-  sum (`_zero_character`).  `torus_invariance_guard` checks a matrix
-  before a torus state keeps its diagonal, and `torus_rule_check`
-  re-integrates a torus state on the full angular rule, 2 D + 3 angles
-  per base and 5 per fiber coordinate (D = `torus_degree`);
+  sum, in blocks by charge (`_charge_sectors`).  `torus_invariance_guard`
+  checks a matrix before a torus state keeps its diagonal, and
+  `torus_rule_check` re-integrates a torus state on the full angular
+  rule, 2 D + 3 angles per base and 5 per fiber coordinate
+  (D = `torus_degree`);
 * `r_bounded_check` and `almost_balanced_check` are the acceptance gates:
   two-sided comparability of the embedding form of a state against that
   of a reference state, and decay-order classification of a moment
@@ -75,10 +78,11 @@ power table of the points, so no table takes a complex power.  The
 Gram's `frame` moves it to the orthonormal frame at once, and
 `_pullback_data` forms the kernel, the gradient and the upper triangle of
 the jet pairing as row sums over the N sections.  Determinants
-(`_hermitian_det`), the spectral norms of `r_bounded_check`
-(`_hermitian_norm`) and the tangent frame of `sigma_z_operator`
+(`_hermitian_det`), the spectral norms, smallest eigenvalues and inverse
+root of `r_bounded_check` (`_hermitian_norm`, `_smallest_2x2`,
+`_inverse_sqrt_2x2`) and the tangent frame of `sigma_z_operator`
 (`_tangent_frame`) are in closed form at dim 2, and determinants at dim
-1 too; LU or SVD otherwise.
+1 too; LU, SVD or `eigh` otherwise.
 
 A torus state's solver step factors nothing: its Gram is its weights c,
 whose whitener c^(-1/2) broadcasts, whose moment is the pairing diagonal
@@ -165,12 +169,17 @@ def su_basis(n):
             f[i, j] = -1j / math.sqrt(2.0)
             f[j, i] = 1j / math.sqrt(2.0)
             gens.append(f)
-    for lvl in range(1, n):
-        d = np.zeros((n, n), dtype=complex)
-        d[np.arange(lvl), np.arange(lvl)] = 1.0
-        d[lvl, lvl] = -float(lvl)
-        gens.append(d / math.sqrt(lvl * (lvl + 1.0)))
+    for column in _helmert(n).T:
+        gens.append(np.diag(column).astype(complex))
     return np.stack(gens)
+
+
+def _helmert(n):
+    """Orthonormal basis (n, n - 1) of the vectors orthogonal to the ones:
+    column l - 1 is (1, .., 1, -l, 0, ..) / sqrt(l (l + 1)), l ones."""
+    rows = np.arange(n)[:, None]
+    lvl = np.arange(1, n)[None, :]
+    return ((rows < lvl) - lvl * (rows == lvl)) / np.sqrt(lvl * (lvl + 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +208,7 @@ class EmbeddingState:
     torus state's pairings are formed on the diagonal only, the
     off-diagonal entries of a torus-invariant state being exactly 0
     (derived in `torus_orbit_rule`), and `sigma_z_operator` keeps the
-    zero-character entries of its node sum.
+    zero-character entries of its node sum, one block per torus charge.
     """
 
     model: object
@@ -332,6 +341,28 @@ def _norm_2x2(a, c, b):
     """Spectral norm of the Hermitian matrices [[a, b], [conj(b), c]] with
     real a, c: |(a + c)/2| + sqrt(((a - c)/2)^2 + |b|^2)."""
     return np.abs(0.5 * (a + c)) + np.sqrt((0.5 * (a - c)) ** 2 + _abs2(b))
+
+
+def _smallest_2x2(a, c, b):
+    """Smallest eigenvalue of the Hermitian matrices [[a, b], [conj(b), c]]
+    with real a, c: (a + c)/2 - sqrt(((a - c)/2)^2 + |b|^2)."""
+    return 0.5 * (a + c) - np.sqrt((0.5 * (a - c)) ** 2 + _abs2(b))
+
+
+def _inverse_sqrt_2x2(stack):
+    """Hermitian inverse square roots of a stack (n, 2, 2) of positive
+    Hermitian matrices A: (adj A + s I) / (s t) with s = sqrt(det A) and
+    t = sqrt(tr A + 2 s), since sqrt(A) = (A + s I) / t has determinant s
+    and adj is linear on 2 x 2 matrices."""
+    a, c, b = stack[:, 0, 0].real, stack[:, 1, 1].real, stack[:, 0, 1]
+    s = np.sqrt(a * c - _abs2(b))
+    st = s * np.sqrt(a + c + 2.0 * s)
+    out = np.empty_like(stack)
+    out[:, 0, 0] = (c + s) / st
+    out[:, 1, 1] = (a + s) / st
+    out[:, 0, 1] = -b / st
+    out[:, 1, 0] = -np.conj(b) / st
+    return out
 
 
 def _tangent_frame(tang):
@@ -748,19 +779,42 @@ def gradient_flow_step(state, step):
 # action fields and their normal spectrum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SigmaZOperator:
-    """Gram matrix of the normal components of the su(N) action fields.
+    """Gram matrix Q of the normal components of the su(N) action fields,
+    held as Hermitian blocks whose spectra together are Q's.
 
-    q_matrix[a, b] = integral of <pi_N(xi_a u), pi_N(xi_b u)> / |u|^2 against
-    the pulled-back volume; `skipped` counts nodes where the embedding jet
-    dropped rank and no normal projection exists.
+    Q[a, b] = integral of <pi_N(xi_a u), pi_N(xi_b u)> / |u|^2 against the
+    pulled-back volume.  `blocks` are stacks (count, n, n), one per block
+    size: at a torus state one block per torus charge (`sigma_z_operator`),
+    otherwise Q itself; `sectors` counts the blocks and `largest_sector` is
+    the largest n.  `q_matrix` is Q in the generators (`su_basis` unless
+    others were given), assembled from the matrix-unit blocks `charges`
+    when first read at a torus state.  `skipped` counts nodes where the
+    embedding jet dropped rank and no normal projection exists.
     """
 
-    q_matrix: np.ndarray
+    blocks: tuple
+    count: int
     skipped: int
     samples: int
     volume: float
+    charges: tuple = None
+
+    @property
+    def sectors(self):
+        return sum(len(stack) for stack in self.blocks)
+
+    @property
+    def largest_sector(self):
+        return max(stack.shape[-1] for stack in self.blocks)
+
+    @cached_property
+    def q_matrix(self):
+        if self.charges is None:
+            return self.blocks[0][0]
+        return _contract(_scatter(self.charges, self.count),
+                         su_basis(self.count))
 
 
 def sigma_z_operator(state, generators=None):
@@ -770,66 +824,192 @@ def sigma_z_operator(state, generators=None):
     columns projected off the cone direction u; the field of a Hermitian
     generator xi is xi u, projected off the cone and the tangent frame and
     normalized by |u|.  With P the normal projector I - u u^H / K - U U^H
-    (U an orthonormal tangent frame, K = |u|^2) the integrand is
-    (xi_a u)^H P (xi_b u) / K, so Q is a fixed contraction of one
-    N^2 x N^2 matrix M = sum_n (w_n / K_n) P_n (x) conj(u_n) u_n^T with
-    the flattened generators, and no field is ever formed.  U comes from
-    `_tangent_frame`, and the node tables from the state's memo
-    (`EmbeddingState._geometry`).  Rank-deficient nodes (branch points of
-    the chosen sub-system), where the smallest singular value of the
-    tangent columns is at most 1e-12 of the largest, get weight zero, with
-    a warning.
+    (U an orthonormal tangent frame from `_tangent_frame`, K = |u|^2) the
+    integrand is (xi_a u)^H P (xi_b u) / K, so in the matrix-unit basis
+    E_ji of the generators Q_E[(j, i), (k, l)] = sum_n s_n conj(u_ni)
+    P_njk u_nl with s_n = w_n / K_n, and no field is ever formed.  The
+    node tables are the state's memo (`EmbeddingState._geometry`).
+    Rank-deficient nodes (branch points of the chosen sub-system), where
+    the smallest singular value of the tangent columns is at most 1e-12 of
+    the largest, get weight zero, with a warning.
 
+    Off the torus Q_E is one node sum (`_node_sum`), contracted with the
+    flattened traceless generators (`su_basis` by default) into one block.
     A `torus` state sums on its `torus_orbit_rule` nodes and keeps only the
-    entries of M whose torus character W_j - W_k - W_i + W_l is 0
-    (`_zero_character`, W_p the weight of section p).  Why that is exact.
-    A rotation theta of the chart angles acts on the sections by the
-    diagonal unitary R = diag(chi_p(theta)), chi_p the character of W_p.
-    Under a diagonal Gram the frame rotates with it, u(theta) = R u(0), and
-    so do the tangent span and the normal projector, P(theta) = R P(0) R^H,
-    while K and the volume density are invariant.  So the entry of M at
-    (j, k), (i, l) is its value at angle 0 times the character of
-    W_j - W_k - W_i + W_l, and its orbit integral is the orbit-weighted
-    value when that weight is 0 and exactly 0 otherwise.  The full angular
-    rule gets the same sums on 2 D + 1 angles per base and 3 per fiber
-    coordinate (D = `torus_degree`): an entry pairs four sections, so it
-    has frequency at most 2 D in each base angle and 2 in each fiber angle,
+    entries whose torus character W_j - W_i - W_k + W_l is 0 (W_p the
+    weight of section p), so Q_E is block diagonal by the charge W_j - W_i
+    (`_charge_sectors`): each block is formed alone (`_charge_blocks`), and
+    Q's spectrum is the union of theirs, the charge-0 block taken on its
+    traceless part (`_traceless_blocks`).  Given generators, the blocks
+    are contracted with them into one.
+
+    Why the kept entries are exact.  A rotation theta of the chart angles
+    acts on the sections by the diagonal unitary R = diag(chi_p(theta)),
+    chi_p the character of W_p.  Under a diagonal Gram the frame rotates
+    with it, u(theta) = R u(0), and so do the tangent span and the normal
+    projector, P(theta) = R P(0) R^H, while K and the volume density are
+    invariant.  So an entry of Q_E is its value at angle 0 times its
+    character, and its orbit integral is the orbit-weighted value when the
+    character is 0 and exactly 0 otherwise.  The full angular rule gets
+    the same sums on 2 D + 1 angles per base and 3 per fiber coordinate
+    (D = `torus_degree`): an entry pairs four sections, so it has
+    frequency at most 2 D in each base angle and 2 in each fiber angle,
     and the trapezoid rule on n angles integrates exp(i p theta) exactly
     for |p| < n (Trefethen & Weideman, SIAM Review 56, 2014).  D + 1 base
-    angles would not do: on P^1 at k = 2, lambda_z then reads 3.96 instead
-    of 2.5.  `torus_rule_check` compares the two."""
-    gens = su_basis(state.count) if generators is None else np.asarray(generators)
+    angles would not do: on P^1 at k = 2, lambda_z then reads 3.96
+    instead of 2.5.  `torus_rule_check` compares the two."""
     u, du, kk, grad, wq = state._geometry
-    nodes, nn = u.shape
-    tang = du - (grad / kk)[:, :, None] * u
-    # batched orthonormal frames for the tangent columns, (nodes, N, dim)
-    uf, smin, smax = _tangent_frame(tang)
-    valid = smin > 1e-12 * np.maximum(smax, 1e-30)
+    nn = u.shape[1]
+    if state.torus:
+        uf, valid, scale = _normal_frame(u, du, kk, grad, wq)
+        charges = _charge_blocks(u, uf, kk, scale,
+                                 _charge_sectors(state.basis))
+        m = None if generators is None else _scatter(charges, nn)
+    else:
+        m, valid = _node_sum(u, du, kk, grad, wq)
     skipped = int(np.count_nonzero(~valid))
     if skipped:
         logger.warning(
             "sigma_z_operator: skipped %d node(s) with rank-deficient "
             "embedding jet", skipped)
-    wq_valid = np.where(valid, wq, 0.0)
-    scale = wq_valid / kk
-    proj = uf @ np.conj(np.swapaxes(uf, 1, 2))
-    proj += u[:, :, None] * (np.conj(u) / kk[:, None])[:, None, :]
-    proj *= -scale[:, None, None]
-    proj[:, np.arange(nn), np.arange(nn)] += scale[:, None]
-    cone = np.conj(u)[:, :, None] * u[:, None, :]
-    # M[(j, k), (i, l)] = sum_n scale_n P_njk conj(u_ni) u_nl, then Q_ab =
-    # sum conj(xi_a[j, i]) M[(j, k), (i, l)] xi_b[k, l]
-    m = proj.reshape(nodes, nn * nn).T @ cone.reshape(nodes, nn * nn)
-    if state.torus:
-        m[~_zero_character(state.basis)] = 0.0
-    m = m.reshape(nn, nn, nn, nn).transpose(0, 2, 1, 3).reshape(
-        nn * nn, nn * nn)
-    flat = gens.reshape(gens.shape[0], nn * nn)
+    fields = {"count": nn, "skipped": skipped,
+              "samples": int(np.count_nonzero(valid)),
+              "volume": float(np.where(valid, wq, 0.0).sum())}
+    if m is None:
+        return SigmaZOperator(blocks=_traceless_blocks(charges, nn),
+                              charges=charges, **fields)
+    gens = su_basis(nn) if generators is None else np.asarray(generators)
+    return SigmaZOperator(blocks=(_contract(m, gens)[None],), **fields)
+
+
+def _normal_frame(u, du, kk, grad, wq):
+    """Orthonormal tangent frames (n, N, dim) of the image at nodes, whether
+    each node has one (its jet keeps full rank), and the weights w / K of
+    the valid nodes, 0 at the others."""
+    tang = du - (grad / kk)[:, :, None] * u
+    uf, smin, smax = _tangent_frame(tang)
+    valid = smin > 1e-12 * np.maximum(smax, 1e-30)
+    return uf, valid, np.where(valid, wq, 0.0) / kk
+
+
+# bytes of one (nodes, N, N) complex slab of the general path's node sum,
+# whose node blocks hold at most this many: the full angular rule of
+# `torus_rule_check` then fits in memory at any node count (on P^2 at
+# k = 4, 130,680 nodes asked for 1.75 GiB at once)
+_NODE_BLOCK_BYTES = 1 << 24
+
+
+def _node_sum(u, du, kk, grad, wq):
+    """Q_E (N^2, N^2) of the general path, with the nodes' valid mask:
+    M[(j, k), (i, l)] = sum_n s_n P_njk conj(u_ni) u_nl, one GEMM per node
+    block of `_NODE_BLOCK_BYTES`, then reordered to (j, i), (k, l)."""
+    nodes, nn = u.shape
+    step = max(1, _NODE_BLOCK_BYTES // (16 * nn * nn))
+    m = np.zeros((nn * nn, nn * nn), dtype=complex)
+    valid = np.empty(nodes, dtype=bool)
+    diag = np.arange(nn)
+    for lo in range(0, nodes, step):
+        block = slice(lo, lo + step)
+        ub, kb = u[block], kk[block]
+        uf, valid[block], scale = _normal_frame(
+            ub, du[:, block], kb, grad[:, block], wq[block])
+        proj = uf @ np.conj(np.swapaxes(uf, 1, 2))
+        proj += ub[:, :, None] * (np.conj(ub) / kb[:, None])[:, None, :]
+        proj *= -scale[:, None, None]
+        proj[:, diag, diag] += scale[:, None]
+        cone = np.conj(ub)[:, :, None] * ub[:, None, :]
+        m += proj.reshape(-1, nn * nn).T @ cone.reshape(-1, nn * nn)
+    return m.reshape(nn, nn, nn, nn).transpose(0, 2, 1, 3).reshape(
+        nn * nn, nn * nn), valid
+
+
+def _contract(m, gens):
+    """Q_ab = sum conj(xi_a[j, i]) Q_E[(j, i), (k, l)] xi_b[k, l], its
+    Hermitian part."""
+    flat = gens.reshape(gens.shape[0], -1)
     q = np.conj(flat) @ m @ flat.T
-    q = 0.5 * (q + q.conj().T)
-    return SigmaZOperator(q_matrix=q, skipped=skipped,
-                          samples=int(np.count_nonzero(valid)),
-                          volume=float(wq_valid.sum()))
+    return 0.5 * (q + q.conj().T)
+
+
+def _charge_sectors(basis):
+    """The pairs (j, i), as the flat index j N + i of the matrix unit E_ji,
+    grouped by their torus charge W_j - W_i, each group ascending;
+    W_p = (beta, e_alpha) is the weight of section p = lam_alpha z^beta
+    (e_0 = 0).  The charge-0 group holds the N diagonal pairs."""
+    weights = basis.chart_exponents
+    # each weight as one integer in base 2 w + 1, w the largest entry: the
+    # digits of a difference of two charges lie in [-2 w, 2 w], so two
+    # charges are equal exactly when their codes are
+    radix = 2 * int(weights.max(initial=0)) + 1
+    codes = weights @ radix ** np.arange(weights.shape[1])
+    charge = (codes[:, None] - codes[None, :]).ravel()
+    order = np.argsort(charge, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(charge[order])) + 1)
+
+
+def _charge_blocks(u, uf, kk, scale, sectors):
+    """Q_E on each sector of pairs, as stacks (pairs (count, n), blocks
+    (count, n, n)), one per pair count n.
+
+    Q_E[(j, i), (k, l)] = delta_jk C_il - sum_r H_r,(j,i) conj(H_r,(k,l))
+    with C = sum_n s_n conj(u_n) u_n^T and, per node, the rows
+    sqrt(s_n / K_n) u_j conj(u_i) and sqrt(s_n) U_ja conj(u_i), one per
+    tangent column a: a diagonal minus a Gram, so no node's N x N
+    projector is formed.  Within a sector j = k forces i = l, distinct
+    sections having distinct weights, so the delta term is the diagonal
+    sum_n s_n |u_n,i|^2."""
+    nn = u.shape[1]
+    amp = np.concatenate(
+        [np.sqrt(scale / kk)[:, None, None] * u[:, None, :],
+         np.sqrt(scale)[:, None, None] * np.swapaxes(uf, 1, 2)], axis=1)
+    left = np.ascontiguousarray(amp.reshape(-1, nn).T)
+    right = np.ascontiguousarray(
+        np.repeat(np.conj(u), amp.shape[1], axis=0).T)
+    diagonal = _abs2(u).T @ scale
+    by_count = {}
+    for sector in sectors:
+        by_count.setdefault(len(sector), []).append(sector)
+    charges = []
+    for group in by_count.values():
+        pairs = np.array(group)
+        rows, cols = np.divmod(pairs, nn)
+        h = left[rows]
+        h *= right[cols]
+        q = -(h @ np.conj(np.swapaxes(h, 1, 2)))
+        ii = np.arange(pairs.shape[1])
+        q[:, ii, ii] += diagonal[cols]
+        charges.append((pairs, q))
+    return tuple(charges)
+
+
+def _traceless_blocks(charges, nn):
+    """The blocks of `charges` stacked by size, whose spectra together are
+    Q's on the traceless matrices.  The sector holding the pair (0, 0)
+    holds every diagonal pair, and so the identity: its block is taken on
+    a unit vector per other pair and `_helmert(N)` on the diagonal ones."""
+    by_size = {}
+    for pairs, q in charges:
+        held = (pairs == 0).any(axis=1)
+        if held.any():
+            rows, cols = np.divmod(pairs[held][0], nn)
+            off = np.flatnonzero(rows != cols)
+            frame = np.zeros((len(rows), len(rows) - 1))
+            frame[off, np.arange(off.size)] = 1.0
+            frame[rows == cols, off.size:] = _helmert(nn)
+            by_size.setdefault(frame.shape[1], []).append(
+                frame.T @ q[held] @ frame)
+            q = q[~held]
+        if len(q):
+            by_size.setdefault(q.shape[-1], []).append(q)
+    return tuple(np.concatenate(stack) for stack in by_size.values())
+
+
+def _scatter(charges, nn):
+    """Q_E (N^2, N^2) from its matrix-unit blocks, 0 between sectors."""
+    m = np.zeros((nn * nn, nn * nn), dtype=complex)
+    for pairs, q in charges:
+        m[pairs[:, :, None], pairs[:, None, :]] = q
+    return m
 
 
 @dataclass(frozen=True)
@@ -851,13 +1031,15 @@ class EigEstimate:
 
 
 def eig_estimate(op):
-    """Split the spectrum of Q_z into kernel and positive part.
+    """Split the spectrum of Q_z, the union of its blocks' spectra (one
+    batched `eigvalsh` per block size), into kernel and positive part.
 
     Eigenvalues below 1e-8 times the largest one count as kernel
     (stabilizer directions of the embedded image); the smallest survivor
     is the quantity whose reciprocal grows along k-sweeps.
     """
-    eigs = np.linalg.eigvalsh(op.q_matrix)
+    eigs = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(stack).ravel() for stack in op.blocks]))
     scale = float(eigs[-1]) if eigs.size else 0.0
     # absolute floor: the generators are trace-orthonormal and the fields
     # |u|-normalized, so a genuinely nonzero operator has eigenvalues on
@@ -927,27 +1109,13 @@ def torus_orbit_rule(model, n_radial):
     state are therefore diagonal, and so are the Anderson iterates, mixed
     and exponentiated as log-weights: a torus state's Gram is its weights.  The
     node sum of `sigma_z_operator` pairs four sections, with character
-    W_j - W_k - W_i + W_l, and keeps the entries where it is 0 (derived in
-    its docstring).  The radial integrands are those of the full angular
+    W_j - W_i - W_k + W_l, and keeps the entries where it is 0, one block
+    per charge W_j - W_i (derived in its docstring).  The radial integrands are those of the full angular
     rule, so the radial grid is the plain rule's.
     """
     rule = product_rule(base_rule(model, n_radial, n_angular=1),
                         fiber_rule(model, n_radial, n_angular=1))
     return OrbitRule(rule.points, rule.weights)
-
-
-def _zero_character(basis):
-    """Mask (N^2, N^2) of the entries (j, k), (i, l) of `sigma_z_operator`'s
-    node sum whose torus character W_j - W_k - W_i + W_l is 0, W_p = (beta,
-    e_alpha) the weight of section p = lam_alpha z^beta (e_0 = 0)."""
-    weights = basis.chart_exponents
-    # each weight as one integer in base 2 w + 1, w the largest entry: the
-    # digits of W_j - W_k - W_i + W_l lie in [-2 w, 2 w], so it is 0
-    # exactly when its code is
-    radix = 2 * int(weights.max(initial=0)) + 1
-    codes = weights @ radix ** np.arange(weights.shape[1])
-    diff = (codes[:, None] - codes[None, :]).ravel()
-    return diff[:, None] == diff[None, :]
 
 
 # largest off-diagonal entry of a Gram, relative to its largest diagonal
@@ -961,7 +1129,7 @@ def torus_invariance_guard(gram, model, name):
     """The largest off-diagonal entry of `gram`, a Gram of `model`'s
     monomial sections called `name` in messages, relative to its largest
     diagonal entry.  `torus_orbit_rule`, with the diagonal pairings and the
-    character mask of `sigma_z_operator`, is exact only for torus-invariant
+    charge blocks of `sigma_z_operator`, is exact only for torus-invariant
     states, whose Gram is diagonal; a ratio above 1e-12 raises
     `NumericalGuardError`."""
     gram = np.asarray(gram)
@@ -1004,7 +1172,7 @@ def torus_rule_check(state, n_radial, quantity):
     largest entry move of `quantity(state)`, an array such as the moment
     matrix or the q_matrix of `sigma_z_operator`, relative to the volume,
     which bounds the entries of both.  This checks the character argument:
-    the diagonal pairings and the masked operator node sum against the
+    the diagonal pairings and the operator's charge blocks against the
     full angular integration, every entry included.  A move above 1e-10
     raises `NumericalGuardError` naming the model, both angle counts and D."""
     model = state.model
@@ -1098,8 +1266,11 @@ def r_bounded_check(candidate, reference, pts, r_bound):
     reference-whitened operator norm with one factor of ||g0^{-1/2}|| per
     derivative index; `c_a_norm` is the largest such norm over the nodes
     and derivatives.  The lower bound `min_ratio` is the smallest
-    eigenvalue of the whitened candidate over the nodes.  Each state's
-    form field is evaluated once, at the nodes.
+    eigenvalue of the whitened candidate over the nodes.  At d = 2 the
+    reference's smallest eigenvalue and inverse root, and the whitened
+    candidate's smallest eigenvalue, are closed forms (`_smallest_2x2`,
+    `_inverse_sqrt_2x2`); LAPACK otherwise.  Each state's form field is
+    evaluated once, at the nodes.
     """
     if r_bound <= 1.0:
         raise ValueError(f"bound must exceed 1, got {r_bound}")
@@ -1110,20 +1281,28 @@ def r_bounded_check(candidate, reference, pts, r_bound):
             f"one column, got shape {pts.shape}")
     n, d = pts.shape
     g0, ref_derivs = _form_derivatives(reference, pts)
-    w0eigs, w0vecs = np.linalg.eigh(g0)
-    bad = ~np.all(w0eigs > 0.0, axis=1)  # fails closed on NaN
+    if d == 2:
+        smallest = _smallest_2x2(g0[:, 0, 0].real, g0[:, 1, 1].real,
+                                 g0[:, 0, 1])
+    else:
+        w0eigs, w0vecs = np.linalg.eigh(g0)
+        smallest = w0eigs[:, 0]
+    bad = ~(smallest > 0.0)  # fails closed on NaN
     if bad.any():
         node = int(np.argmax(bad))
         raise NumericalGuardError(
             f"reference metric of {reference.model.label} not positive at "
             f"node {node} of {n}: smallest eigenvalue "
-            f"{np.min(w0eigs[node]):.3e}, reference Gram condition number "
+            f"{smallest[node]:.3e}, reference Gram condition number "
             f"{reference.gram.condition():.3e}; the reference must be an "
             "embedding at every node: check its Gram (GramMatrix.condition) "
             "and that the node is finite")
-    w0 = (w0vecs / np.sqrt(w0eigs)[:, None, :]) @ np.swapaxes(
-        w0vecs.conj(), -1, -2)
-    dirweight = 1.0 / np.sqrt(w0eigs[:, 0])
+    if d == 2:
+        w0 = _inverse_sqrt_2x2(g0)
+    else:
+        w0 = (w0vecs / np.sqrt(w0eigs)[:, None, :]) @ np.swapaxes(
+            w0vecs.conj(), -1, -2)
+    dirweight = 1.0 / np.sqrt(smallest)
     gc, derivs = _form_derivatives(candidate, pts)
     # every derivative X whitened at once: vec(w0 X w0) = (w0 kron w0^T)
     # vec(X) at each node, one (d^2, d^2) matrix against all of them
@@ -1137,8 +1316,14 @@ def r_bounded_check(candidate, reference, pts, r_bound):
     c_a = float(np.max(norms * dirweight[:, None] ** levels))
 
     wcand = np.einsum("nab,nbc,ncd->nad", w0, gc, w0)
-    wcand = 0.5 * (wcand + np.swapaxes(wcand.conj(), -1, -2))
-    min_ratio = float(np.min(np.linalg.eigvalsh(wcand)[:, 0]))
+    if d == 2:
+        lowest = _smallest_2x2(wcand[:, 0, 0].real, wcand[:, 1, 1].real,
+                               0.5 * (wcand[:, 0, 1]
+                                      + np.conj(wcand[:, 1, 0])))
+    else:
+        wcand = 0.5 * (wcand + np.swapaxes(wcand.conj(), -1, -2))
+        lowest = np.linalg.eigvalsh(wcand)[:, 0]
+    min_ratio = float(np.min(lowest))
     margins = (r_bound - c_a, min_ratio - 1.0 / r_bound)
     return RBoundedReport(passes=bool(margins[0] >= 0.0 and margins[1] >= 0.0),
                           c_a_norm=c_a, min_ratio=min_ratio, margins=margins,

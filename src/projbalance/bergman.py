@@ -12,9 +12,9 @@ The chain implemented here, bottom to top:
 * the level Gram (`l2_gram`, one GEMM against the level metric), the
   level endomorphism field (`bergman_endomorphism`), and two independent
   density routes (`rho_direct` combines the k-independent `direct_table`
-  with k, pairs one section table on the total space into its Gram and
-  keeps the density there, `rho_via_trace` contracts the endomorphism
-  against a rank-one projector);
+  with k, pairs one section table on the total space into its Gram,
+  `direct_gram` alone, and keeps the density there, `rho_via_trace`
+  contracts the endomorphism against a rank-one projector);
 * candidate first-correction fields (`a1_formula`, `a1_alternative`), the
   sweep fitter (`expansion_fit`, on the levels and the endomorphism
   values each level produced), and the joint linearization of the first
@@ -84,6 +84,7 @@ __all__ = [
     "DirectTable",
     "direct_table",
     "DirectDensity",
+    "direct_gram",
     "rho_direct",
     "dual_point_projector",
     "rho_via_trace",
@@ -643,12 +644,10 @@ def _level_weights(model, table):
     return _level_density(table.metric, model, table.coefficients), e
 
 
-def rho_direct(model, table):
-    """Density route that never touches the fiber push-forward: Gram and
-    evaluation both live on the total chart rule of the sweep's
-    `direct_table` with the induced hyperplane weight and the level
-    counting measure.  Level k forms only sum_j k^(j-m) E_j, exp(-k phi)
-    and one section table, which gives the Gram and the density kept."""
+def _direct_level(model, table):
+    """Level k on the sweep's `direct_table`: the section basis, its table
+    at the nodes, the level counting measure sum_j k^(j-m) E_j, exp(-k phi)
+    and the guarded Gram they pair, the direct route's Gram's one home."""
     rule = table.rule
     basis = build_section_basis(model)
     dens, e = _level_weights(model, table)
@@ -657,6 +656,23 @@ def rho_direct(model, table):
     with np.errstate(invalid="ignore", over="ignore"):
         gram = make_gram(l2_pairing(v, rule.weights * (dens * table.hat * e)))
     gram.guard()
+    return basis, v, dens, e, gram
+
+
+def direct_gram(model, table):
+    """The direct route's guarded Gram at level k (`_direct_level`), for a
+    reader of the Gram alone: no density is formed."""
+    return _direct_level(model, table)[-1]
+
+
+def rho_direct(model, table):
+    """Density route that never touches the fiber push-forward: Gram and
+    evaluation both live on the total chart rule of the sweep's
+    `direct_table` with the induced hyperplane weight and the level
+    counting measure.  Level k forms only sum_j k^(j-m) E_j, exp(-k phi)
+    and one section table, which gives the Gram (`_direct_level`) and the
+    density kept."""
+    basis, v, dens, e, gram = _direct_level(model, table)
     logger.debug("direct density %s: N=%d, Gram condition %.3e",
                  model.label, basis.count, gram.condition())
     return DirectDensity(model, basis, gram, table, measure=dens,

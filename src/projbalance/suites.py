@@ -42,9 +42,11 @@ rule it balanced on as `nodes` and the solved Gram's condition number,
 max c / min c of its weights, as `gram_condition`; `balance` adds the
 reference Gram's as `ref_gram_condition`.
 `moment-spectrum` builds its normal-action operator at the solved state on
-the same rule, keeping the zero-character entries of its node sum
-(`balancing.sigma_z_operator`), and its `samples` count the valid orbit
-nodes.  The self-check (`balancing.torus_rule_check`, against the full
+the same rule, one Hermitian block per torus charge
+(`balancing.sigma_z_operator`); its `samples` count the valid orbit
+nodes, `sectors` the blocks and `largest_sector` the size of the largest,
+the largest `eigvalsh` of the level.  The self-check
+(`balancing.torus_rule_check`, against the full
 angular rule on 2 D + 3 angles per base and 5 per fiber coordinate,
 D = k + max(degrees)) is the informational `torus-rule-degree` row, once
 per sweep at k_min, since the orbit rule's exactness does not depend on
@@ -449,7 +451,7 @@ def balance_job(cfg, k, tables):
         torus_row = _torus_row(report.state, cfg.n_radial, "moment matrix",
                                lambda s: bal.moment_map(s).matrix)
 
-    ref_state = state.with_gram(bg.rho_direct(model, tables.direct).gram)
+    ref_state = state.with_gram(bg.direct_gram(model, tables.direct))
     reference = bal.moment_map(ref_state)
 
     # uniform on the unit polydisc |z_i| <= 1: a bounded domain, so the
@@ -677,7 +679,8 @@ def spectrum_job(cfg, k):
     and estimate the smallest positive eigenvalue of the normal-action
     operator at the solved state, on the same rule."""
     _, report, fields = _balanced_level(cfg, k)
-    est = bal.eig_estimate(bal.sigma_z_operator(report.state))
+    op = bal.sigma_z_operator(report.state)
+    est = bal.eig_estimate(op)
     # the orbit rule's exactness does not depend on k, so one check at the
     # cheapest level, k_min, covers the sweep; the checked state's own
     # operator call stays the last one of its level
@@ -698,6 +701,8 @@ def spectrum_job(cfg, k):
         "kernel_dim": int(est.kernel_dim),
         "dimension": int(est.dimension),
         "samples": int(est.samples),
+        "sectors": int(op.sectors),
+        "largest_sector": int(op.largest_sector),
         "converged": bool(report.converged),
         "iterations": int(report.iterations),
         "fallback_steps": int(report.fallback_steps),

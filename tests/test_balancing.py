@@ -25,6 +25,7 @@ import functools
 import itertools
 import logging
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -1271,7 +1272,7 @@ def torus_base_angles(model):
 def torus_rule(model, n_radial):
     """The full angular rule sized by the degree of a torus-invariant
     state's integrands, the oracle of `balancing.torus_orbit_rule` and of
-    the character mask of `balancing.sigma_z_operator`: 2 D + 1 angles per
+    the charge blocks of `balancing.sigma_z_operator`: 2 D + 1 angles per
     base coordinate (D = `balancing.torus_degree`), 3 per fiber
     coordinate, and the plain rule's `n_radial` radial nodes on each
     factor.  An entry of the operator's node sum pairs four sections, of
@@ -1390,7 +1391,7 @@ class TestTorusRule:
 
     def test_self_check_moves_by_roundoff(self, torus_states):
         # at the orbit state the runs check: diagonal pairings and the
-        # masked operator against the full angular rule
+        # operator's charge blocks against the full angular rule
         solved = torus_states["p1xp1"][1]
         state = bal.embedding_state(
             solved.model, gram=solved.gram.matrix,
@@ -1400,10 +1401,10 @@ class TestTorusRule:
             assert bal.torus_rule_check(state, 10, quantity) < 1e-13
 
     def test_wrong_character_mask_trips_the_self_check(self, monkeypatch):
-        # a mask that keeps every entry sums the nonzero-character entries
+        # one sector holding every pair sums the nonzero-character entries
         # at angle 0 instead of dropping them
-        monkeypatch.setattr(bal, "_zero_character", lambda basis: np.ones(
-            (basis.count ** 2, basis.count ** 2), dtype=bool))
+        monkeypatch.setattr(bal, "_charge_sectors",
+                            lambda basis: [np.arange(basis.count ** 2)])
         cfg = ExperimentConfig(kind="pm-trivial", k_min=2, k_max=3,
                                n_radial=6, balance_tol=1e-9)
         suites.spectrum_job(cfg, 3)  # above k_min: no check
@@ -1615,16 +1616,15 @@ class TestTorusWeights:
 
     def test_balance_job_guards_the_reference_gram(self, monkeypatch):
         # the direct route's Gram enters a torus state in balance_job
-        original = bg.rho_direct
+        original = bg.direct_gram
 
         def off_torus(model, table):
-            direct = original(model, table)
-            gram = direct.gram.matrix.copy()
+            gram = original(model, table).matrix.copy()
             gram[0, 1] += 1e-6 * gram[0, 0]
             gram[1, 0] = np.conj(gram[0, 1])
-            return replace(direct, gram=make_gram(gram))
+            return make_gram(gram)
 
-        monkeypatch.setattr(bg, "rho_direct", off_torus)
+        monkeypatch.setattr(bg, "direct_gram", off_torus)
         cfg = ExperimentConfig(kind="pm-trivial", k_min=2, k_max=2,
                                n_radial=6)
         tables, _ = suites.sweep_tables(cfg)
@@ -1633,7 +1633,25 @@ class TestTorusWeights:
             suites.balance_job(cfg, 2, tables)
 
 
+def orbit_state(model, gram, n_radial=6):
+    """The state on `torus_orbit_rule` at the solved Gram ("solved") or at
+    a random diagonal one ("random-<seed>")."""
+    state = bal.embedding_state(model,
+                                rule=bal.torus_orbit_rule(model, n_radial))
+    if gram == "solved":
+        return bal.balance_iterate(state, tol=1e-10, max_iter=60).state
+    rng = np.random.default_rng(int(gram.rsplit("-", 1)[1]))
+    return state.with_gram(rng.uniform(0.2, 5.0, state.count))
+
+
+def block_spectrum(op):
+    """The union of the spectra of an operator's blocks, ascending."""
+    return np.sort(np.concatenate(
+        [np.linalg.eigvalsh(stack).ravel() for stack in op.blocks]))
+
+
 OPERATOR_MODELS = {**TORUS_MODELS,
+                   "p1-o3": LineBundleSumOverP1((0,), 3),
                    "p2-sum-0-0": ProjectiveSpaceBase(2, (0, 0), 2),
                    "p1-sum-0-0-1": LineBundleSumOverP1((0, 0, 1), 2),
                    "point-rank3": ProjectivePoint(3)}
@@ -1641,8 +1659,9 @@ OPERATOR_MODELS = {**TORUS_MODELS,
 
 class TestTorusOperator:
     """`sigma_z_operator` at a torus state, summed on `torus_orbit_rule`
-    with only its zero-character entries, gives what the same Gram gives
-    on `torus_rule` on the general path."""
+    with only its zero-character entries, one block per torus charge,
+    gives what the same Gram gives on `torus_rule` on the general path,
+    one block of size N^2 - 1: the same Q and the same spectrum."""
 
     @pytest.mark.parametrize("gram", ["solved", "random-0", "random-1"])
     @pytest.mark.parametrize("key", sorted(OPERATOR_MODELS))
@@ -1670,9 +1689,100 @@ class TestTorusOperator:
         assert move <= 1e-13 * theirs.volume
         if model.m == 0:
             assert np.max(np.abs(theirs.q_matrix)) <= 1e-13 * theirs.volume
+        n = state.count
+        assert (theirs.sectors, theirs.largest_sector) == (1, n * n - 1)
+        assert ours.sectors > 1 and ours.largest_sector == n - 1
+        want = np.linalg.eigvalsh(theirs.q_matrix)
+        assert np.max(np.abs(block_spectrum(ours) - want)) <= (
+            1e-13 * theirs.volume)
         a, b = bal.eig_estimate(ours), bal.eig_estimate(theirs)
         assert (a.kernel_dim, a.dimension) == (b.kernel_dim, b.dimension)
         assert a.lambda_z == pytest.approx(b.lambda_z, rel=1e-12, abs=0.0)
+
+
+class TestChargeSectors:
+    """At a torus state `sigma_z_operator` forms one Hermitian block per
+    torus charge, the charge-0 block on its traceless part, with no
+    N^2 x N^2 array and one batched eigvalsh per block size; Q itself is
+    assembled only when read."""
+
+    def test_blocks_partition_the_traceless_matrices(self):
+        # P^1 x P^1 at k = 2: every pair in one sector, the sizes sum to
+        # N^2 - 1, and each size is solved by one batched eigvalsh
+        state = orbit_state(TrivialBundleOverPm(1, 2, 2), "random-2")
+        n = state.count
+        sectors = bal._charge_sectors(state.basis)
+        assert np.array_equal(np.sort(np.concatenate(sectors)),
+                              np.arange(n * n))
+        assert [len(s) for s in sectors if 0 in s] == [n]
+        op = bal.sigma_z_operator(state)
+        sizes = [stack.shape[-1] for stack in op.blocks]
+        assert len(set(sizes)) == len(sizes)
+        assert sum(len(s) * s.shape[-1] for s in op.blocks) == n * n - 1
+        assert op.sectors == len(sectors)
+
+    def test_level_solves_sectors_only(self, monkeypatch):
+        # a torus level forms no su_basis and no (N^2, N^2) array, and its
+        # largest eigvalsh is its largest sector: O(20) on P^1, N = 21
+        state = orbit_state(LineBundleSumOverP1((0,), 20), "random-3",
+                            n_radial=10)
+        state._geometry  # the level's solve made the geometry pass
+        n = state.count
+
+        def refuse(count):
+            raise AssertionError("su_basis built")
+
+        monkeypatch.setattr(bal, "su_basis", refuse)
+        shapes = []
+        real = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        tracemalloc.start()
+        try:
+            op = bal.sigma_z_operator(state)
+            est = bal.eig_estimate(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n ** 4  # one float (N^2, N^2) array
+        assert est.dimension == n * n - 1
+        assert op.largest_sector == n - 1
+        assert max(shape[-1] for shape in shapes) == op.largest_sector
+        assert len(shapes) == len({shape[-1] for shape in shapes})
+        # P^1: the charges -k..k, each a block of N - |charge| pairs
+        assert op.sectors == 2 * n - 1
+
+    def test_q_matrix_is_assembled_when_read(self):
+        state = orbit_state(LineBundleSumOverP1((0,), 3), "solved")
+        op = bal.sigma_z_operator(state)
+        assert "q_matrix" not in vars(op)
+        q = op.q_matrix
+        assert q is op.q_matrix
+        gens = bal.su_basis(state.count)
+        given = bal.sigma_z_operator(state, generators=gens)
+        assert given.sectors == 1
+        assert np.max(np.abs(given.q_matrix - q)) <= 1e-15 * op.volume
+
+    def test_general_path_in_node_blocks(self, monkeypatch):
+        # a budget of seven nodes per block moves the general path's Q by
+        # roundoff against one block of all 36
+        rng = np.random.default_rng(71)
+        state = p1xp1_state(2, gram=random_spd(rng, 6), n_radial=2)
+        whole = bal.sigma_z_operator(state)
+        frames = count_calls(monkeypatch, bal, "_normal_frame")
+        monkeypatch.setattr(bal, "_NODE_BLOCK_BYTES", 16 * 36 * 7)
+        blocked = bal.sigma_z_operator(state)
+        nodes = state.rule.points.shape[0]
+        assert [len(args[0]) for args in frames] == [7] * (nodes // 7) + (
+            [nodes % 7] if nodes % 7 else [])
+        assert (blocked.samples, blocked.skipped, blocked.volume) == (
+            whole.samples, whole.skipped, whole.volume)
+        move = np.max(np.abs(blocked.q_matrix - whole.q_matrix))
+        assert move <= 1e-13 * whole.volume
 
 
 # ---------------------------------------------------------------------------
@@ -1872,6 +1982,30 @@ class TestRBoundedCheck:
         message = str(err.value)
         assert "at node 3 of 16, above 1e-12" in message
         assert "p1-sum(0, 0)-k2" in message
+
+    def test_closed_forms_at_d2_match_lapack(self):
+        rng = np.random.default_rng(97)
+        a = (rng.standard_normal((50, 2, 2))
+             + 1j * rng.standard_normal((50, 2, 2)))
+        stack = a @ np.conj(np.swapaxes(a, 1, 2)) + 0.1 * np.eye(2)
+        w, v = np.linalg.eigh(stack)
+        smallest = bal._smallest_2x2(stack[:, 0, 0].real,
+                                     stack[:, 1, 1].real, stack[:, 0, 1])
+        assert np.max(np.abs(smallest - w[:, 0]) / w[:, 1]) < 1e-14
+        want = (v / np.sqrt(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+        got = bal._inverse_sqrt_2x2(stack)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    def test_surface_check_factors_nothing(self, monkeypatch):
+        # at d = 2 the reference's inverse root and both smallest
+        # eigenvalues are closed forms: no eigh, no eigvalsh
+        moved, initial, pts = self._unbalanced_states()
+        want = bal.r_bounded_check(moved, initial, pts, r_bound=1e3)
+        calls = [count_calls(monkeypatch, np.linalg, name)
+                 for name in ("eigh", "eigvalsh")]
+        got = bal.r_bounded_check(moved, initial, pts, r_bound=1e3)
+        assert calls == [[], []]
+        assert got == want
 
     @pytest.mark.parametrize("factor", [-1.0, math.nan],
                              ids=["negative", "nan"])

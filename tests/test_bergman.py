@@ -1013,6 +1013,25 @@ class TestRho:
             got = bg.rho_direct(model, table)
             assert np.array_equal(got.gram.matrix, want.matrix)
             assert np.array_equal(got.measure, dens)
+            assert np.array_equal(bg.direct_gram(model, table).matrix,
+                                  want.matrix)
+
+    def test_direct_gram_forms_no_density(self, twisted_metric,
+                                          monkeypatch):
+        # `balance` reads the direct route's Gram alone: no density at the
+        # nodes, and so no Gram inverse
+        model = LineBundleSumOverP1((0, 1), 3)
+        table = bg.direct_table(
+            twisted_metric, FS1, model,
+            bg.adapted_total_rule(twisted_metric, model, n_radial=6))
+        want = bg.rho_direct(model, table).gram.matrix
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("density formed")
+
+        monkeypatch.setattr(bg, "_section_density", refuse)
+        gram = bg.direct_gram(model, table)
+        assert np.array_equal(gram.matrix, want)
 
     def test_metric_evaluated_once_per_base_node(self, monkeypatch):
         # H and its derivative tables depend on the base point alone: the

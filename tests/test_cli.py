@@ -963,8 +963,8 @@ class TestTorusRuleHealth:
         "gram_condition", "ref_gram_condition"}
     SPECTRUM_KEYS = {
         "k", "nodes", "lambda_z", "smallest_eig", "kernel_dim",
-        "dimension", "samples", "converged", "iterations",
-        "fallback_steps", "final_norm_op", "gram_condition"}
+        "dimension", "samples", "sectors", "largest_sector", "converged",
+        "iterations", "fallback_steps", "final_norm_op", "gram_condition"}
 
     def test_levels_record_the_gram_condition(self, balance_run, tmp_path):
         # the balanced Gram of O(k) on P^1, and of O(k) x O(1) on
@@ -1014,6 +1014,10 @@ class TestTorusRuleHealth:
             # P^1 at n_radial 8: no fiber, and the operator's samples are
             # the valid orbit nodes
             assert level["nodes"] == level["samples"] == 8
+            # O(k) on P^1: one block per charge -k..k, the largest of k
+            # pairs, so the level's largest eigvalsh is k x k, not N^2 - 1
+            assert level["sectors"] == 2 * level["k"] + 1
+            assert level["largest_sector"] == level["k"]
         rows = [row for row in report["checks"]
                 if row["name"] == "torus-rule-degree"]
         assert len(rows) == 1 and rows[0]["k"] == 1
@@ -1025,10 +1029,10 @@ class TestTorusRuleHealth:
 
     def test_trip_exits_two_and_names_the_cause(self, tmp_path, monkeypatch,
                                                 capsys):
-        # a character mask that keeps every entry sums the operator's
+        # one sector holding every pair sums the operator's
         # nonzero-character entries at angle 0 instead of dropping them
-        monkeypatch.setattr(bal, "_zero_character", lambda basis: np.ones(
-            (basis.count ** 2, basis.count ** 2), dtype=bool))
+        monkeypatch.setattr(bal, "_charge_sectors",
+                            lambda basis: [np.arange(basis.count ** 2)])
         text = TINY_SPECTRUM.replace("k_min = 1", "k_min = 2").replace(
             "k_max = 3", "k_max = 4")
         path = write_config(tmp_path, text)
