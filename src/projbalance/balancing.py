@@ -33,11 +33,12 @@ Contents, bottom to top:
 * `sigma_z_operator` integrates squared normal components of the su(N)
   action fields without forming them: with P the normal projector at a
   node, the integrand (xi_a u)^H P (xi_b u) / |u|^2 is, in the matrix-unit
-  basis of the generators, one N^2 x N^2 node sum, taken in node blocks
-  of a fixed byte budget, or at a torus state one Hermitian block per
-  torus charge, a diagonal minus a Gram; `eig_estimate` extracts the
-  smallest positive eigenvalue of the union of the block spectra and
-  `lambda_fit_exponent` the growth exponent of the reciprocal along a
+  basis E_ji of all N x N matrices, one N^2 x N^2 node sum, taken in node
+  blocks of a fixed byte budget, or at a torus state one Hermitian block
+  per torus charge, a diagonal minus a Gram, and Q in the generators is
+  assembled only when read; `eig_estimate` extracts the smallest positive
+  eigenvalue of the union of the block spectra less the identity's zero,
+  and `lambda_fit_exponent` the growth exponent of the reciprocal along a
   k-sweep (the sweep itself is `suites.spectrum_job`);
 * `torus_orbit_rule` serves torus-invariant states, the ones whose Gram
   is diagonal in the monomial basis: one node per torus orbit, angle 0 in
@@ -52,7 +53,7 @@ Contents, bottom to top:
   checks a matrix before a torus state keeps its diagonal, and
   `torus_rule_check` re-integrates a torus state on the full angular
   rule, 2 D + 3 angles per base and 5 per fiber coordinate
-  (D = `torus_degree`);
+  (D = `torus_degree`), once that rule's tables fit in physical memory;
 * `r_bounded_check` and `almost_balanced_check` are the acceptance gates:
   two-sided comparability of the embedding form of a state against that
   of a reference state, and decay-order classification of a moment
@@ -79,10 +80,11 @@ Gram's `frame` moves it to the orthonormal frame at once, and
 `_pullback_data` forms the kernel, the gradient and the upper triangle of
 the jet pairing as row sums over the N sections.  Determinants
 (`_hermitian_det`), the spectral norms, smallest eigenvalues and inverse
-root of `r_bounded_check` (`_hermitian_norm`, `_smallest_2x2`,
-`_inverse_sqrt_2x2`) and the tangent frame of `sigma_z_operator`
+root of `r_bounded_check` (`_hermitian_norm`, `_smallest_eigenvalue`,
+`_inverse_sqrt`) and the tangent frame of `sigma_z_operator`
 (`_tangent_frame`) are in closed form at dim 2, and determinants at dim
-1 too; LU, SVD or `eigh` otherwise.
+1 too, each helper forking on the dimension itself; LU, SVD, `eigvalsh`
+or `eigh` otherwise.
 
 A torus state's solver step factors nothing: its Gram is its weights c,
 whose whitener c^(-1/2) broadcasts, whose moment is the pairing diagonal
@@ -106,6 +108,7 @@ All volumes are reduced by (2 pi)^dim as elsewhere in the package.
 
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -169,17 +172,12 @@ def su_basis(n):
             f[i, j] = -1j / math.sqrt(2.0)
             f[j, i] = 1j / math.sqrt(2.0)
             gens.append(f)
-    for column in _helmert(n).T:
-        gens.append(np.diag(column).astype(complex))
+    for lvl in range(1, n):
+        column = np.zeros(n, dtype=complex)
+        column[:lvl] = 1.0
+        column[lvl] = -lvl
+        gens.append(np.diag(column / math.sqrt(lvl * (lvl + 1.0))))
     return np.stack(gens)
-
-
-def _helmert(n):
-    """Orthonormal basis (n, n - 1) of the vectors orthogonal to the ones:
-    column l - 1 is (1, .., 1, -l, 0, ..) / sqrt(l (l + 1)), l ones."""
-    rows = np.arange(n)[:, None]
-    lvl = np.arange(1, n)[None, :]
-    return ((rows < lvl) - lvl * (rows == lvl)) / np.sqrt(lvl * (lvl + 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,17 +341,28 @@ def _norm_2x2(a, c, b):
     return np.abs(0.5 * (a + c)) + np.sqrt((0.5 * (a - c)) ** 2 + _abs2(b))
 
 
-def _smallest_2x2(a, c, b):
-    """Smallest eigenvalue of the Hermitian matrices [[a, b], [conj(b), c]]
-    with real a, c: (a + c)/2 - sqrt(((a - c)/2)^2 + |b|^2)."""
+def _smallest_eigenvalue(stack):
+    """Smallest eigenvalues of the Hermitian parts of a stack (..., d, d):
+    closed form for d = 2, (a + c)/2 - sqrt(((a - c)/2)^2 + |b|^2) from the
+    diagonal a, c and the Hermitian part b of the upper entry, `eigvalsh`
+    otherwise."""
+    if stack.shape[-1] != 2:
+        return np.linalg.eigvalsh(
+            0.5 * (stack + np.swapaxes(stack.conj(), -1, -2)))[..., 0]
+    a, c = stack[..., 0, 0].real, stack[..., 1, 1].real
+    b = 0.5 * (stack[..., 0, 1] + np.conj(stack[..., 1, 0]))
     return 0.5 * (a + c) - np.sqrt((0.5 * (a - c)) ** 2 + _abs2(b))
 
 
-def _inverse_sqrt_2x2(stack):
-    """Hermitian inverse square roots of a stack (n, 2, 2) of positive
-    Hermitian matrices A: (adj A + s I) / (s t) with s = sqrt(det A) and
-    t = sqrt(tr A + 2 s), since sqrt(A) = (A + s I) / t has determinant s
-    and adj is linear on 2 x 2 matrices."""
+def _inverse_sqrt(stack):
+    """Hermitian inverse square roots of a stack (n, d, d) of positive
+    Hermitian matrices A: for d = 2 (adj A + s I) / (s t) with
+    s = sqrt(det A) and t = sqrt(tr A + 2 s), since sqrt(A) = (A + s I) / t
+    has determinant s and adj is linear on 2 x 2 matrices; `eigh`
+    otherwise."""
+    if stack.shape[-1] != 2:
+        w, v = np.linalg.eigh(stack)
+        return (v / np.sqrt(w)[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
     a, c, b = stack[:, 0, 0].real, stack[:, 1, 1].real, stack[:, 0, 1]
     s = np.sqrt(a * c - _abs2(b))
     st = s * np.sqrt(a + c + 2.0 * s)
@@ -557,9 +566,11 @@ def balanced_density_stats(state):
     the frame pairing and the node tables are the state's own memo."""
     mv, raw, _ = state._pairings
     u, _, kk, _, wq = state._geometry
-    inv = (np.diag(1.0 / raw) if state.torus
-           else np.linalg.inv(0.5 * (raw + raw.conj().T)))
-    rho = ((np.conj(u) @ inv.T) * u).sum(axis=1).real / kk
+    if state.torus:
+        rho = (_abs2(u) @ (1.0 / raw)) / kk
+    else:
+        inv = np.linalg.inv(0.5 * (raw + raw.conj().T))
+        rho = ((np.conj(u) @ inv.T) * u).sum(axis=1).real / kk
     vol = mv.volume
     mass = float((wq * rho).sum())
     mean = mass / vol
@@ -782,39 +793,49 @@ def gradient_flow_step(state, step):
 @dataclass(frozen=True, eq=False)
 class SigmaZOperator:
     """Gram matrix Q of the normal components of the su(N) action fields,
-    held as Hermitian blocks whose spectra together are Q's.
+    held in the matrix-unit basis E_ji of all N x N matrices as Hermitian
+    blocks whose spectra together are that operator's, Q_E.
 
     Q[a, b] = integral of <pi_N(xi_a u), pi_N(xi_b u)> / |u|^2 against the
-    pulled-back volume.  `blocks` are stacks (count, n, n), one per block
-    size: at a torus state one block per torus charge (`sigma_z_operator`),
-    otherwise Q itself; `sectors` counts the blocks and `largest_sector` is
-    the largest n.  `q_matrix` is Q in the generators (`su_basis` unless
-    others were given), assembled from the matrix-unit blocks `charges`
-    when first read at a torus state.  `skipped` counts nodes where the
-    embedding jet dropped rank and no normal projection exists.
+    pulled-back volume.  `charges` are stacks (pairs (count, n), blocks
+    (count, n, n)), one per block size, pair j N + i standing for E_ji: one
+    block per torus charge at a torus state, else one of all N^2 pairs.
+    `sectors` counts the blocks and `largest_sector` is the largest n.
+    `units` (Q_E itself) and `q_matrix` (Q in the generators, `su_basis`
+    unless others were given) are formed when first read.  `skipped`
+    counts nodes where the embedding jet dropped rank and no normal
+    projection exists.
     """
 
-    blocks: tuple
+    charges: tuple
     count: int
     skipped: int
     samples: int
     volume: float
-    charges: tuple = None
+    generators: object = None
 
     @property
     def sectors(self):
-        return sum(len(stack) for stack in self.blocks)
+        return sum(len(q) for _, q in self.charges)
 
     @property
     def largest_sector(self):
-        return max(stack.shape[-1] for stack in self.blocks)
+        return max(q.shape[-1] for _, q in self.charges)
+
+    @cached_property
+    def units(self):
+        """Q_E (N^2, N^2) from its blocks, 0 between sectors."""
+        nsq = self.count ** 2
+        m = np.zeros((nsq, nsq), dtype=complex)
+        for pairs, q in self.charges:
+            m[pairs[:, :, None], pairs[:, None, :]] = q
+        return m
 
     @cached_property
     def q_matrix(self):
-        if self.charges is None:
-            return self.blocks[0][0]
-        return _contract(_scatter(self.charges, self.count),
-                         su_basis(self.count))
+        gens = self.generators
+        return _contract(self.units, su_basis(self.count) if gens is None
+                         else np.asarray(gens))
 
 
 def sigma_z_operator(state, generators=None):
@@ -831,17 +852,16 @@ def sigma_z_operator(state, generators=None):
     node tables are the state's memo (`EmbeddingState._geometry`).
     Rank-deficient nodes (branch points of the chosen sub-system), where
     the smallest singular value of the tangent columns is at most 1e-12 of
-    the largest, get weight zero, with a warning.
+    the largest, get weight zero, with a warning.  P u = 0 at every node,
+    so Q_E annihilates the identity exactly.
 
-    Off the torus Q_E is one node sum (`_node_sum`), contracted with the
-    flattened traceless generators (`su_basis` by default) into one block.
-    A `torus` state sums on its `torus_orbit_rule` nodes and keeps only the
-    entries whose torus character W_j - W_i - W_k + W_l is 0 (W_p the
-    weight of section p), so Q_E is block diagonal by the charge W_j - W_i
-    (`_charge_sectors`): each block is formed alone (`_charge_blocks`), and
-    Q's spectrum is the union of theirs, the charge-0 block taken on its
-    traceless part (`_traceless_blocks`).  Given generators, the blocks
-    are contracted with them into one.
+    Off the torus Q_E is one node sum (`_node_sum`), one block.  A `torus`
+    state sums on its `torus_orbit_rule` nodes and keeps only the entries
+    whose torus character W_j - W_i - W_k + W_l is 0 (W_p the weight of
+    section p), so Q_E is block diagonal by the charge W_j - W_i
+    (`_charge_sectors`), and each block is formed alone (`_charge_blocks`).
+    `generators` (`su_basis` by default) only shape
+    `SigmaZOperator.q_matrix`, when it is read.
 
     Why the kept entries are exact.  A rotation theta of the chart angles
     acts on the sections by the diagonal unitary R = diag(chi_p(theta)),
@@ -864,22 +884,18 @@ def sigma_z_operator(state, generators=None):
         uf, valid, scale = _normal_frame(u, du, kk, grad, wq)
         charges = _charge_blocks(u, uf, kk, scale,
                                  _charge_sectors(state.basis))
-        m = None if generators is None else _scatter(charges, nn)
     else:
         m, valid = _node_sum(u, du, kk, grad, wq)
+        charges = ((np.arange(nn * nn)[None], m[None]),)
     skipped = int(np.count_nonzero(~valid))
     if skipped:
         logger.warning(
             "sigma_z_operator: skipped %d node(s) with rank-deficient "
             "embedding jet", skipped)
-    fields = {"count": nn, "skipped": skipped,
-              "samples": int(np.count_nonzero(valid)),
-              "volume": float(np.where(valid, wq, 0.0).sum())}
-    if m is None:
-        return SigmaZOperator(blocks=_traceless_blocks(charges, nn),
-                              charges=charges, **fields)
-    gens = su_basis(nn) if generators is None else np.asarray(generators)
-    return SigmaZOperator(blocks=(_contract(m, gens)[None],), **fields)
+    return SigmaZOperator(
+        charges=charges, count=nn, skipped=skipped,
+        samples=int(np.count_nonzero(valid)),
+        volume=float(np.where(valid, wq, 0.0).sum()), generators=generators)
 
 
 def _normal_frame(u, du, kk, grad, wq):
@@ -982,36 +998,6 @@ def _charge_blocks(u, uf, kk, scale, sectors):
     return tuple(charges)
 
 
-def _traceless_blocks(charges, nn):
-    """The blocks of `charges` stacked by size, whose spectra together are
-    Q's on the traceless matrices.  The sector holding the pair (0, 0)
-    holds every diagonal pair, and so the identity: its block is taken on
-    a unit vector per other pair and `_helmert(N)` on the diagonal ones."""
-    by_size = {}
-    for pairs, q in charges:
-        held = (pairs == 0).any(axis=1)
-        if held.any():
-            rows, cols = np.divmod(pairs[held][0], nn)
-            off = np.flatnonzero(rows != cols)
-            frame = np.zeros((len(rows), len(rows) - 1))
-            frame[off, np.arange(off.size)] = 1.0
-            frame[rows == cols, off.size:] = _helmert(nn)
-            by_size.setdefault(frame.shape[1], []).append(
-                frame.T @ q[held] @ frame)
-            q = q[~held]
-        if len(q):
-            by_size.setdefault(q.shape[-1], []).append(q)
-    return tuple(np.concatenate(stack) for stack in by_size.values())
-
-
-def _scatter(charges, nn):
-    """Q_E (N^2, N^2) from its matrix-unit blocks, 0 between sectors."""
-    m = np.zeros((nn * nn, nn * nn), dtype=complex)
-    for pairs, q in charges:
-        m[pairs[:, :, None], pairs[:, None, :]] = q
-    return m
-
-
 @dataclass(frozen=True)
 class EigEstimate:
     """Smallest positive eigenvalue of a normal-spectrum operator.
@@ -1031,27 +1017,29 @@ class EigEstimate:
 
 
 def eig_estimate(op):
-    """Split the spectrum of Q_z, the union of its blocks' spectra (one
-    batched `eigvalsh` per block size), into kernel and positive part.
+    """Split the spectrum of Q_z into kernel and positive part.
 
-    Eigenvalues below 1e-8 times the largest one count as kernel
-    (stabilizer directions of the embedded image); the smallest survivor
-    is the quantity whose reciprocal grows along k-sweeps.
+    Q's spectrum is the union of its blocks' (one batched `eigvalsh` per
+    block size) less the zero of the identity, which Q_E annihilates and
+    which is no generator: `dimension` is N^2 - 1.  Eigenvalues below
+    1e-8 times the largest one count as kernel (stabilizer directions of
+    the embedded image); the smallest survivor is the quantity whose
+    reciprocal grows along k-sweeps.
     """
     eigs = np.sort(np.concatenate(
-        [np.linalg.eigvalsh(stack).ravel() for stack in op.blocks]))
-    scale = float(eigs[-1]) if eigs.size else 0.0
+        [np.linalg.eigvalsh(q).ravel() for _, q in op.charges]))
+    dimension = int(eigs.size) - 1
     # absolute floor: the generators are trace-orthonormal and the fields
     # |u|-normalized, so a genuinely nonzero operator has eigenvalues on
     # the scale of the volume; anything below roundoff of that is zero
-    if scale <= 1e-12 * max(1.0, op.volume):
-        return EigEstimate(smallest=0.0, kernel_dim=int(eigs.size),
-                           dimension=int(eigs.size), samples=op.samples)
-    positive = eigs[eigs > 1e-8 * scale]
-    kernel_dim = int(eigs.size - positive.size)
+    if eigs[-1] <= 1e-12 * max(1.0, op.volume):
+        return EigEstimate(smallest=0.0, kernel_dim=dimension,
+                           dimension=dimension, samples=op.samples)
+    positive = eigs[eigs > 1e-8 * eigs[-1]]
     smallest = float(positive[0]) if positive.size else 0.0
-    return EigEstimate(smallest=smallest, kernel_dim=kernel_dim,
-                       dimension=int(eigs.size), samples=op.samples)
+    return EigEstimate(smallest=smallest,
+                       kernel_dim=dimension - int(positive.size),
+                       dimension=dimension, samples=op.samples)
 
 
 def lambda_fit_exponent(ks, lambda_values):
@@ -1110,8 +1098,9 @@ def torus_orbit_rule(model, n_radial):
     and exponentiated as log-weights: a torus state's Gram is its weights.  The
     node sum of `sigma_z_operator` pairs four sections, with character
     W_j - W_i - W_k + W_l, and keeps the entries where it is 0, one block
-    per charge W_j - W_i (derived in its docstring).  The radial integrands are those of the full angular
-    rule, so the radial grid is the plain rule's.
+    per charge W_j - W_i (derived in its docstring).  The radial
+    integrands are those of the full angular rule, so the radial grid is
+    the plain rule's.
     """
     rule = product_rule(base_rule(model, n_radial, n_angular=1),
                         fiber_rule(model, n_radial, n_angular=1))
@@ -1170,18 +1159,30 @@ def torus_rule_check(state, n_radial, quantity):
     angles per base and 5 per fiber coordinate (no torus state: every entry
     is integrated, on the general path of each quantity), and return the
     largest entry move of `quantity(state)`, an array such as the moment
-    matrix or the q_matrix of `sigma_z_operator`, relative to the volume,
-    which bounds the entries of both.  This checks the character argument:
-    the diagonal pairings and the operator's charge blocks against the
-    full angular integration, every entry included.  A move above 1e-10
-    raises `NumericalGuardError` naming the model, both angle counts and D."""
+    matrix or `SigmaZOperator.units`, relative to the volume, which bounds
+    the entries of both; the finer state is evaluated first.  This checks
+    the character argument: the diagonal pairings and the operator's
+    charge blocks against the full angular integration, every entry
+    included.  A move above 1e-10 raises `NumericalGuardError` naming the
+    model, both angle counts and D; so does a finer state whose (nodes, N)
+    complex tables, held at once by its geometry pass (the 1 + dim jet
+    rows, their frame and `_pullback_data`'s conjugates), would exceed
+    `_physical_memory`, checked before it is built."""
     model = state.model
     degree = torus_degree(model)
-    finer = embedding_state(
-        model, gram=state.gram, basis=state.basis,
-        rule=product_rule(
-            base_rule(model, n_radial, n_angular=2 * degree + 3),
-            fiber_rule(model, n_radial, n_angular=5)))
+    rule = product_rule(base_rule(model, n_radial, n_angular=2 * degree + 3),
+                        fiber_rule(model, n_radial, n_angular=5))
+    nodes = rule.points.shape[0]
+    need = 3 * (1 + model.n) * nodes * state.count * 16
+    if need > _physical_memory():
+        raise NumericalGuardError(
+            f"torus rule self-check at k={model.k} on {model.label}: the full "
+            f"angular rule's {nodes:,} nodes need {need:,} bytes of "
+            f"(nodes, N) tables at once, above the {_physical_memory():,} "
+            "bytes of physical memory; lower [sweep] k_min or "
+            "[quadrature] n_radial")
+    finer = embedding_state(model, gram=state.gram, basis=state.basis,
+                            rule=rule)
     move = float(np.max(np.abs(quantity(finer) - quantity(state)))
                  / moment_map(state).volume)
     if not move <= _TORUS_CHECK_TOL:  # fails closed on NaN
@@ -1195,6 +1196,11 @@ def torus_rule_check(state, n_radial, quantity):
             f"each fiber angle, with D = {degree} = k + max(degrees) "
             "(balancing.torus_degree), and these do not hold")
     return move
+
+
+def _physical_memory():
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 # ---------------------------------------------------------------------------
@@ -1266,11 +1272,11 @@ def r_bounded_check(candidate, reference, pts, r_bound):
     reference-whitened operator norm with one factor of ||g0^{-1/2}|| per
     derivative index; `c_a_norm` is the largest such norm over the nodes
     and derivatives.  The lower bound `min_ratio` is the smallest
-    eigenvalue of the whitened candidate over the nodes.  At d = 2 the
-    reference's smallest eigenvalue and inverse root, and the whitened
-    candidate's smallest eigenvalue, are closed forms (`_smallest_2x2`,
-    `_inverse_sqrt_2x2`); LAPACK otherwise.  Each state's form field is
-    evaluated once, at the nodes.
+    eigenvalue of the whitened candidate over the nodes.  The reference's
+    smallest eigenvalue and inverse root, and the whitened candidate's
+    smallest eigenvalue, are `_smallest_eigenvalue` and `_inverse_sqrt`,
+    closed forms at d = 2.  Each state's form field is evaluated once, at
+    the nodes.
     """
     if r_bound <= 1.0:
         raise ValueError(f"bound must exceed 1, got {r_bound}")
@@ -1281,12 +1287,7 @@ def r_bounded_check(candidate, reference, pts, r_bound):
             f"one column, got shape {pts.shape}")
     n, d = pts.shape
     g0, ref_derivs = _form_derivatives(reference, pts)
-    if d == 2:
-        smallest = _smallest_2x2(g0[:, 0, 0].real, g0[:, 1, 1].real,
-                                 g0[:, 0, 1])
-    else:
-        w0eigs, w0vecs = np.linalg.eigh(g0)
-        smallest = w0eigs[:, 0]
+    smallest = _smallest_eigenvalue(g0)
     bad = ~(smallest > 0.0)  # fails closed on NaN
     if bad.any():
         node = int(np.argmax(bad))
@@ -1297,11 +1298,7 @@ def r_bounded_check(candidate, reference, pts, r_bound):
             f"{reference.gram.condition():.3e}; the reference must be an "
             "embedding at every node: check its Gram (GramMatrix.condition) "
             "and that the node is finite")
-    if d == 2:
-        w0 = _inverse_sqrt_2x2(g0)
-    else:
-        w0 = (w0vecs / np.sqrt(w0eigs)[:, None, :]) @ np.swapaxes(
-            w0vecs.conj(), -1, -2)
+    w0 = _inverse_sqrt(g0)
     dirweight = 1.0 / np.sqrt(smallest)
     gc, derivs = _form_derivatives(candidate, pts)
     # every derivative X whitened at once: vec(w0 X w0) = (w0 kron w0^T)
@@ -1316,14 +1313,7 @@ def r_bounded_check(candidate, reference, pts, r_bound):
     c_a = float(np.max(norms * dirweight[:, None] ** levels))
 
     wcand = np.einsum("nab,nbc,ncd->nad", w0, gc, w0)
-    if d == 2:
-        lowest = _smallest_2x2(wcand[:, 0, 0].real, wcand[:, 1, 1].real,
-                               0.5 * (wcand[:, 0, 1]
-                                      + np.conj(wcand[:, 1, 0])))
-    else:
-        wcand = 0.5 * (wcand + np.swapaxes(wcand.conj(), -1, -2))
-        lowest = np.linalg.eigvalsh(wcand)[:, 0]
-    min_ratio = float(np.min(lowest))
+    min_ratio = float(np.min(_smallest_eigenvalue(wcand)))
     margins = (r_bound - c_a, min_ratio - 1.0 / r_bound)
     return RBoundedReport(passes=bool(margins[0] >= 0.0 and margins[1] >= 0.0),
                           c_a_norm=c_a, min_ratio=min_ratio, margins=margins,

@@ -42,16 +42,17 @@ rule it balanced on as `nodes` and the solved Gram's condition number,
 max c / min c of its weights, as `gram_condition`; `balance` adds the
 reference Gram's as `ref_gram_condition`.
 `moment-spectrum` builds its normal-action operator at the solved state on
-the same rule, one Hermitian block per torus charge
-(`balancing.sigma_z_operator`); its `samples` count the valid orbit
+the same rule, one Hermitian block per torus charge in the matrix-unit
+basis (`balancing.sigma_z_operator`); its `samples` count the valid orbit
 nodes, `sectors` the blocks and `largest_sector` the size of the largest,
-the largest `eigvalsh` of the level.  The self-check
-(`balancing.torus_rule_check`, against the full
-angular rule on 2 D + 3 angles per base and 5 per fiber coordinate,
-D = k + max(degrees)) is the informational `torus-rule-degree` row, once
-per sweep at k_min, since the orbit rule's exactness does not depend on
-k: on the moment in `balance`, on the normal-action operator in
-`moment-spectrum`.
+the level's largest `eigvalsh`, N or more (the charge-0 block).  The
+self-check (`balancing.torus_rule_check`, against the full angular rule on
+2 D + 3 angles per base and 5 per fiber coordinate, D = k + max(degrees))
+is the informational `torus-rule-degree` row, once per sweep at k_min,
+since the orbit rule's exactness does not depend on k: on the moment in
+`balance`, on the operator's matrix-unit entries in `moment-spectrum`, so
+no run builds the su(N) basis.  A full rule whose node tables would not
+fit in physical memory exits 2 before it is built.
 """
 
 import logging
@@ -688,7 +689,7 @@ def spectrum_job(cfg, k):
     if k == cfg.k_min:
         torus_row = _torus_row(report.state, cfg.n_radial,
                                "normal-action operator",
-                               lambda s: bal.sigma_z_operator(s).q_matrix)
+                               lambda s: bal.sigma_z_operator(s).units)
     logger.info("spectrum k=%d: lambda=%.6e kernel=%d converged=%s, "
                 "%d iterations (fallback_steps=%d)",
                 k, est.lambda_z, est.kernel_dim, report.converged,

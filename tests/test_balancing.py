@@ -1645,9 +1645,11 @@ def orbit_state(model, gram, n_radial=6):
 
 
 def block_spectrum(op):
-    """The union of the spectra of an operator's blocks, ascending."""
-    return np.sort(np.concatenate(
-        [np.linalg.eigvalsh(stack).ravel() for stack in op.blocks]))
+    """The union of the spectra of an operator's blocks, ascending, less
+    the identity's zero, the eigenvalue nearest 0."""
+    eigs = np.sort(np.concatenate(
+        [np.linalg.eigvalsh(q).ravel() for _, q in op.charges]))
+    return np.delete(eigs, np.argmin(np.abs(eigs)))
 
 
 OPERATOR_MODELS = {**TORUS_MODELS,
@@ -1661,7 +1663,7 @@ class TestTorusOperator:
     """`sigma_z_operator` at a torus state, summed on `torus_orbit_rule`
     with only its zero-character entries, one block per torus charge,
     gives what the same Gram gives on `torus_rule` on the general path,
-    one block of size N^2 - 1: the same Q and the same spectrum."""
+    one block of all N^2 pairs: the same Q and the same spectrum."""
 
     @pytest.mark.parametrize("gram", ["solved", "random-0", "random-1"])
     @pytest.mark.parametrize("key", sorted(OPERATOR_MODELS))
@@ -1690,8 +1692,8 @@ class TestTorusOperator:
         if model.m == 0:
             assert np.max(np.abs(theirs.q_matrix)) <= 1e-13 * theirs.volume
         n = state.count
-        assert (theirs.sectors, theirs.largest_sector) == (1, n * n - 1)
-        assert ours.sectors > 1 and ours.largest_sector == n - 1
+        assert (theirs.sectors, theirs.largest_sector) == (1, n * n)
+        assert ours.sectors > 1 and ours.largest_sector == n
         want = np.linalg.eigvalsh(theirs.q_matrix)
         assert np.max(np.abs(block_spectrum(ours) - want)) <= (
             1e-13 * theirs.volume)
@@ -1699,16 +1701,39 @@ class TestTorusOperator:
         assert (a.kernel_dim, a.dimension) == (b.kernel_dim, b.dimension)
         assert a.lambda_z == pytest.approx(b.lambda_z, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("gram", ["solved", "random-4"])
+    @pytest.mark.parametrize("key", sorted(OPERATOR_MODELS))
+    def test_identity_is_annihilated(self, key, gram):
+        # P u = 0 at every node, so Q_E vec(I) = 0 on every path: the
+        # zero that `eig_estimate` counts out of the kernel.  Torus blocks,
+        # the general path on the full angular rule at the same Gram, and
+        # the general path at a random Hermitian Gram on a small plain
+        # rule (the identity's image vanishes node by node)
+        model = OPERATOR_MODELS[key]
+        state = orbit_state(model, gram)
+        full = bal.embedding_state(model, gram=state.gram.matrix,
+                                   basis=state.basis,
+                                   rule=torus_rule(model, 6))
+        rng = np.random.default_rng(5)
+        plain = bal.embedding_state(
+            model, basis=state.basis, gram=random_spd(rng, state.count),
+            rule=product_rule(base_rule(model, 3, n_angular=4),
+                              fiber_rule(model, 3, n_angular=3)))
+        identity = np.eye(state.count).ravel()
+        for each in (state, full, plain):
+            op = bal.sigma_z_operator(each)
+            assert np.max(np.abs(op.units @ identity)) <= 1e-13 * op.volume
+
 
 class TestChargeSectors:
     """At a torus state `sigma_z_operator` forms one Hermitian block per
-    torus charge, the charge-0 block on its traceless part, with no
+    torus charge, the charge-0 block on the N diagonal pairs, with no
     N^2 x N^2 array and one batched eigvalsh per block size; Q itself is
     assembled only when read."""
 
     def test_blocks_partition_the_traceless_matrices(self):
         # P^1 x P^1 at k = 2: every pair in one sector, the sizes sum to
-        # N^2 - 1, and each size is solved by one batched eigvalsh
+        # N^2, and each size is solved by one batched eigvalsh
         state = orbit_state(TrivialBundleOverPm(1, 2, 2), "random-2")
         n = state.count
         sectors = bal._charge_sectors(state.basis)
@@ -1716,9 +1741,9 @@ class TestChargeSectors:
                               np.arange(n * n))
         assert [len(s) for s in sectors if 0 in s] == [n]
         op = bal.sigma_z_operator(state)
-        sizes = [stack.shape[-1] for stack in op.blocks]
+        sizes = [q.shape[-1] for _, q in op.charges]
         assert len(set(sizes)) == len(sizes)
-        assert sum(len(s) * s.shape[-1] for s in op.blocks) == n * n - 1
+        assert sum(len(q) * q.shape[-1] for _, q in op.charges) == n * n
         assert op.sectors == len(sectors)
 
     def test_level_solves_sectors_only(self, monkeypatch):
@@ -1750,7 +1775,7 @@ class TestChargeSectors:
             tracemalloc.stop()
         assert peak < 8 * n ** 4  # one float (N^2, N^2) array
         assert est.dimension == n * n - 1
-        assert op.largest_sector == n - 1
+        assert op.largest_sector == n
         assert max(shape[-1] for shape in shapes) == op.largest_sector
         assert len(shapes) == len({shape[-1] for shape in shapes})
         # P^1: the charges -k..k, each a block of N - |charge| pairs
@@ -1764,8 +1789,21 @@ class TestChargeSectors:
         assert q is op.q_matrix
         gens = bal.su_basis(state.count)
         given = bal.sigma_z_operator(state, generators=gens)
-        assert given.sectors == 1
         assert np.max(np.abs(given.q_matrix - q)) <= 1e-15 * op.volume
+
+    def test_spectrum_job_builds_no_su_basis(self, monkeypatch):
+        # a level at k_min, its self-check on the full angular rule
+        # included, compares and solves matrix-unit blocks only
+        def refuse(*args):
+            raise AssertionError("su(N) basis formed")
+
+        monkeypatch.setattr(bal, "su_basis", refuse)
+        monkeypatch.setattr(bal, "_contract", refuse)
+        cfg = ExperimentConfig(kind="pm-trivial", k_min=2, k_max=3,
+                               n_radial=6, balance_tol=1e-9)
+        result = suites.spectrum_job(cfg, 2)
+        assert result["torus_row"]["value"] <= 1e-13
+        assert result["dimension"] == 6 ** 2 - 1
 
     def test_general_path_in_node_blocks(self, monkeypatch):
         # a budget of seven nodes per block moves the general path's Q by
@@ -1989,11 +2027,23 @@ class TestRBoundedCheck:
              + 1j * rng.standard_normal((50, 2, 2)))
         stack = a @ np.conj(np.swapaxes(a, 1, 2)) + 0.1 * np.eye(2)
         w, v = np.linalg.eigh(stack)
-        smallest = bal._smallest_2x2(stack[:, 0, 0].real,
-                                     stack[:, 1, 1].real, stack[:, 0, 1])
+        smallest = bal._smallest_eigenvalue(stack)
         assert np.max(np.abs(smallest - w[:, 0]) / w[:, 1]) < 1e-14
         want = (v / np.sqrt(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
-        got = bal._inverse_sqrt_2x2(stack)
+        got = bal._inverse_sqrt(stack)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_helpers_match_eigh(self, d):
+        rng = np.random.default_rng(98 + d)
+        a = (rng.standard_normal((40, d, d))
+             + 1j * rng.standard_normal((40, d, d)))
+        stack = a @ np.conj(np.swapaxes(a, 1, 2)) + 0.1 * np.eye(d)
+        w, v = np.linalg.eigh(stack)
+        got = bal._smallest_eigenvalue(stack)
+        assert np.max(np.abs(got - w[:, 0]) / w[:, -1]) < 1e-14
+        want = (v / np.sqrt(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+        got = bal._inverse_sqrt(stack)
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
     def test_surface_check_factors_nothing(self, monkeypatch):

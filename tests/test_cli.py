@@ -1014,10 +1014,11 @@ class TestTorusRuleHealth:
             # P^1 at n_radial 8: no fiber, and the operator's samples are
             # the valid orbit nodes
             assert level["nodes"] == level["samples"] == 8
-            # O(k) on P^1: one block per charge -k..k, the largest of k
-            # pairs, so the level's largest eigvalsh is k x k, not N^2 - 1
+            # O(k) on P^1: one block per charge -k..k, the largest the
+            # charge-0 block of the N = k + 1 diagonal pairs, so the
+            # level's largest eigvalsh is N x N, not N^2 - 1
             assert level["sectors"] == 2 * level["k"] + 1
-            assert level["largest_sector"] == level["k"]
+            assert level["largest_sector"] == level["k"] + 1
         rows = [row for row in report["checks"]
                 if row["name"] == "torus-rule-degree"]
         assert len(rows) == 1 and rows[0]["k"] == 1
@@ -1043,6 +1044,23 @@ class TestTorusRuleHealth:
         assert "numerical guard: torus rule on p1-sum(0,)-k2" in err
         assert "from 1 to 7 angles per base coordinate" in err
         assert "D = 2" in err
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("moment-spectrum", TINY_SPECTRUM), ("balance", TINY_BALANCE)],
+        ids=["moment-spectrum", "balance"])
+    def test_self_check_past_memory_exits_two(self, tmp_path, monkeypatch,
+                                             capsys, command, text):
+        # the full angular rule's node tables are held to the machine's
+        # memory before they are built; here the memory reads 1 KiB
+        monkeypatch.setattr(bal, "_physical_memory", lambda: 1 << 10)
+        path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "numerical guard: torus rule self-check at k=" in err
+        assert "bytes of physical memory" in err
+        assert "[sweep] k_min" in err and "[quadrature] n_radial" in err
         assert not (out / "report.json").exists()
 
 
