@@ -51,9 +51,8 @@ Contents, bottom to top:
   `sigma_z_operator` keeps only the zero-character entries of its node
   sum, in blocks by charge (`_charge_sectors`).  `torus_invariance_guard`
   checks a matrix before a torus state keeps its diagonal, and
-  `torus_rule_check` re-integrates a torus state on the full angular
-  rule, 2 D + 3 angles per base and 5 per fiber coordinate
-  (D = `torus_degree`), once that rule's tables fit in physical memory;
+  `torus_rule_check` re-integrates a torus state on three of its orbits,
+  each on its full angular grid (sized by D = `torus_degree`);
 * `r_bounded_check` and `almost_balanced_check` are the acceptance gates:
   two-sided comparability of the embedding form of a state against that
   of a reference state, and decay-order classification of a moment
@@ -108,7 +107,6 @@ All volumes are reduced by (2 pi)^dim as elsewhere in the package.
 
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -909,9 +907,9 @@ def _normal_frame(u, du, kk, grad, wq):
 
 
 # bytes of one (nodes, N, N) complex slab of the general path's node sum,
-# whose node blocks hold at most this many: the full angular rule of
-# `torus_rule_check` then fits in memory at any node count (on P^2 at
-# k = 4, 130,680 nodes asked for 1.75 GiB at once)
+# whose node blocks hold at most this many: the operator self-check of
+# `torus_rule_check` on P^2 x P^1 at k = 6 (3,375 nodes, N = 56) peaks at
+# 441 MiB resident with them and 716 MiB without
 _NODE_BLOCK_BYTES = 1 << 24
 
 
@@ -1107,6 +1105,17 @@ def torus_orbit_rule(model, n_radial):
     return OrbitRule(rule.points, rule.weights)
 
 
+def _orbit_angles(orbits, model, base_angles):
+    """The full angular rule on the nodes of `orbits`: `base_angles`
+    equispaced angles per base and 5 per fiber coordinate, each angle node
+    weighted with its orbit's weight over the angle count."""
+    counts = np.array([base_angles] * model.m + [5] * model.fiber_dim, int)
+    turns = np.indices(tuple(counts)).reshape(counts.size, counts.prod()).T
+    points = orbits.points[:, None, :] * np.exp(2j * np.pi * turns / counts)
+    weights = np.repeat(orbits.weights / len(turns), len(turns))
+    return ChartRule(points.reshape(-1, orbits.dim), weights)
+
+
 # largest off-diagonal entry of a Gram, relative to its largest diagonal
 # entry, that `torus_invariance_guard` accepts: solved Grams read 0.0 on
 # the orbit rule and 1e-14 or less on the full angular rule, direct-route
@@ -1136,55 +1145,47 @@ def torus_invariance_guard(gram, model, name):
     return ratio
 
 
-# largest move, relative to the volume, of a quantity at a torus state
-# against the full angular rule, beyond which `torus_rule_check` rejects
-# the state's rule: about 1e-14 when it holds, 1e-2 or more with a wrong
-# character or one angle short of the integrand's degree
+# largest move, relative to the volume, that `torus_rule_check` accepts:
+# 3.3e-14 or less when the orbit rule holds (P^2 x P^1, k = 6), 5e-3 or more
+# on each orbit of P^1 x P^1 alone (k = 3) with D = 0 or a wrong character
 _TORUS_CHECK_TOL = 1e-10
 
 
+def _checked_orbits(state):
+    """Indices of the first, middle and last node of a torus state's rule,
+    duplicates dropped: the orbits `torus_rule_check` integrates."""
+    n = state.rule.weights.shape[0]
+    return sorted({0, n // 2, n - 1})
+
+
 def torus_check_angles(state):
-    """The angle counts `torus_rule_check` compares at a torus state, as a
-    phrase: from the one angle per coordinate of `torus_orbit_rule` to
-    2 D + 3 per base and 5 per fiber coordinate, two more than the degree
-    of the `sigma_z_operator` integrand needs."""
-    return (f"from 1 to {2 * torus_degree(state.model) + 3} angles per base "
+    """The orbits and angle counts `torus_rule_check` compares, as a
+    phrase: 2 D + 3 and 5, two more than the integrands' degrees need."""
+    return (f"on {len(_checked_orbits(state))} of "
+            f"{state.rule.weights.shape[0]} radial orbits, from 1 to "
+            f"{2 * torus_degree(state.model) + 3} angles per base "
             "coordinate and from 1 to 5 per fiber coordinate")
 
 
-def torus_rule_check(state, n_radial, quantity):
-    """Self-estimate of `torus_orbit_rule` at a torus state built on it
-    with `n_radial`: rebuild the state with the same Gram (as a full
-    `GramMatrix`), basis and radial nodes on the full angular rule, 2 D + 3
-    angles per base and 5 per fiber coordinate (no torus state: every entry
-    is integrated, on the general path of each quantity), and return the
-    largest entry move of `quantity(state)`, an array such as the moment
-    matrix or `SigmaZOperator.units`, relative to the volume, which bounds
-    the entries of both; the finer state is evaluated first.  This checks
-    the character argument: the diagonal pairings and the operator's
-    charge blocks against the full angular integration, every entry
-    included.  A move above 1e-10 raises `NumericalGuardError` naming the
-    model, both angle counts and D; so does a finer state whose (nodes, N)
-    complex tables, held at once by its geometry pass (the 1 + dim jet
-    rows, their frame and `_pullback_data`'s conjugates), would exceed
-    `_physical_memory`, checked before it is built."""
+def torus_rule_check(state, quantity):
+    """Self-estimate of `torus_orbit_rule` at a torus state, on the orbits
+    of `_checked_orbits` alone, since the character argument holds orbit by
+    orbit: the largest entry move of `quantity` (the moment matrix, say, or
+    `SigmaZOperator.units`) from the torus state on those orbits to a
+    `GramMatrix` state, evaluated first, on their angular grids
+    (`_orbit_angles`; every entry integrated), both with the state's Gram
+    and basis, relative to the orbits' volume.  A move above 1e-10 raises
+    `NumericalGuardError` naming the model, the orbits, the angles and D."""
     model = state.model
     degree = torus_degree(model)
-    rule = product_rule(base_rule(model, n_radial, n_angular=2 * degree + 3),
-                        fiber_rule(model, n_radial, n_angular=5))
-    nodes = rule.points.shape[0]
-    need = 3 * (1 + model.n) * nodes * state.count * 16
-    if need > _physical_memory():
-        raise NumericalGuardError(
-            f"torus rule self-check at k={model.k} on {model.label}: the full "
-            f"angular rule's {nodes:,} nodes need {need:,} bytes of "
-            f"(nodes, N) tables at once, above the {_physical_memory():,} "
-            "bytes of physical memory; lower [sweep] k_min or "
-            "[quadrature] n_radial")
+    picks = _checked_orbits(state)
+    orbits = OrbitRule(state.rule.points[picks], state.rule.weights[picks])
     finer = embedding_state(model, gram=state.gram, basis=state.basis,
-                            rule=rule)
-    move = float(np.max(np.abs(quantity(finer) - quantity(state)))
-                 / moment_map(state).volume)
+                            rule=_orbit_angles(orbits, model, 2 * degree + 3))
+    coarse = embedding_state(model, gram=state.gram, basis=state.basis,
+                             rule=orbits)
+    move = float(np.max(np.abs(quantity(finer) - quantity(coarse)))
+                 / moment_map(coarse).volume)
     if not move <= _TORUS_CHECK_TOL:  # fails closed on NaN
         raise NumericalGuardError(
             f"torus rule on {model.label}: moved by {move:.2e} (relative to "
@@ -1196,11 +1197,6 @@ def torus_rule_check(state, n_radial, quantity):
             f"each fiber angle, with D = {degree} = k + max(degrees) "
             "(balancing.torus_degree), and these do not hold")
     return move
-
-
-def _physical_memory():
-    """Bytes of physical memory of the machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 # ---------------------------------------------------------------------------

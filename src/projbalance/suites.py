@@ -46,13 +46,11 @@ the same rule, one Hermitian block per torus charge in the matrix-unit
 basis (`balancing.sigma_z_operator`); its `samples` count the valid orbit
 nodes, `sectors` the blocks and `largest_sector` the size of the largest,
 the level's largest `eigvalsh`, N or more (the charge-0 block).  The
-self-check (`balancing.torus_rule_check`, against the full angular rule on
-2 D + 3 angles per base and 5 per fiber coordinate, D = k + max(degrees))
-is the informational `torus-rule-degree` row, once per sweep at k_min,
-since the orbit rule's exactness does not depend on k: on the moment in
-`balance`, on the operator's matrix-unit entries in `moment-spectrum`, so
-no run builds the su(N) basis.  A full rule whose node tables would not
-fit in physical memory exits 2 before it is built.
+self-check (`balancing.torus_rule_check`, on three orbits) is the
+informational `torus-rule-degree` row, once per sweep at k_min, since the
+orbit rule's exactness does not depend on k: on the moment in `balance`,
+on the operator's matrix-unit entries in `moment-spectrum`, ahead of the
+level's own operator, so no run builds the su(N) basis.
 """
 
 import logging
@@ -418,11 +416,11 @@ def _balanced_level(cfg, k):
         "gram_condition": float(report.state.gram.condition())}
 
 
-def _torus_row(state, n_radial, name, quantity):
+def _torus_row(state, name, quantity):
     """Informational `torus-rule-degree` row: `bal.torus_rule_check`'s
     move of `quantity` at a state on a torus rule; a move beyond the
     check's tolerance raises `NumericalGuardError`."""
-    move = bal.torus_rule_check(state, n_radial, quantity)
+    move = bal.torus_rule_check(state, quantity)
     return _row("torus-rule-degree", k=state.k, value=move,
                 detail=f"largest move of the {name}, relative to the "
                        f"volume, {bal.torus_check_angles(state)}, D = "
@@ -449,7 +447,7 @@ def balance_job(cfg, k, tables):
     # the orbit rule's exactness does not depend on k: one check per sweep
     torus_row = None
     if k == cfg.k_min:
-        torus_row = _torus_row(report.state, cfg.n_radial, "moment matrix",
+        torus_row = _torus_row(report.state, "moment matrix",
                                lambda s: bal.moment_map(s).matrix)
 
     ref_state = state.with_gram(bg.direct_gram(model, tables.direct))
@@ -545,6 +543,11 @@ def almost_balanced_row(cfg, results):
     if math.isinf(verdict.fitted_order):
         detail = ("reference exactly balanced (every ||mu_ref|| < 1e-12): "
                   "order not tested, d judged")
+    if not verdict.d_defect <= _D_TOL:
+        res, want = max(zip(results, expected_d),
+                        key=lambda pair: abs(pair[0]["ref_d"] - pair[1]))
+        detail += (f"; d = {res['ref_d']:.10g} at k={res['k']} against "
+                   f"V/N = {want:.10g}: raise [quadrature] n_radial")
     return _row(
         "almost-balanced-order", value=float(verdict.fitted_order),
         reference=float(verdict.order_target), error=float(verdict.d_defect),
@@ -680,16 +683,15 @@ def spectrum_job(cfg, k):
     and estimate the smallest positive eigenvalue of the normal-action
     operator at the solved state, on the same rule."""
     _, report, fields = _balanced_level(cfg, k)
-    op = bal.sigma_z_operator(report.state)
-    est = bal.eig_estimate(op)
     # the orbit rule's exactness does not depend on k, so one check at the
-    # cheapest level, k_min, covers the sweep; the checked state's own
-    # operator call stays the last one of its level
+    # cheapest level, k_min, covers the sweep; it runs first, so the
+    # level's last operator call is the solved state's own
     torus_row = None
     if k == cfg.k_min:
-        torus_row = _torus_row(report.state, cfg.n_radial,
-                               "normal-action operator",
+        torus_row = _torus_row(report.state, "normal-action operator",
                                lambda s: bal.sigma_z_operator(s).units)
+    op = bal.sigma_z_operator(report.state)
+    est = bal.eig_estimate(op)
     logger.info("spectrum k=%d: lambda=%.6e kernel=%d converged=%s, "
                 "%d iterations (fallback_steps=%d)",
                 k, est.lambda_z, est.kernel_dim, report.converged,

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projbalance.config import ExperimentConfig
+from projbalance.config import ExperimentConfig, build_model
 from projbalance.errors import NumericalGuardError
 from projbalance.kahler import (
     FubiniStudy,
@@ -1391,14 +1391,20 @@ class TestTorusRule:
 
     def test_self_check_moves_by_roundoff(self, torus_states):
         # at the orbit state the runs check: diagonal pairings and the
-        # operator's charge blocks against the full angular rule
+        # operator's charge blocks against the full angular rule, here on
+        # P^1 x P^1 and on P^2 x P^1 balanced on its own orbit rule
         solved = torus_states["p1xp1"][1]
-        state = bal.embedding_state(
+        p1xp1 = bal.embedding_state(
             solved.model, gram=solved.gram.matrix,
             rule=bal.torus_orbit_rule(solved.model, 10))
-        for quantity in (lambda s: bal.moment_map(s).matrix,
-                         lambda s: bal.sigma_z_operator(s).q_matrix):
-            assert bal.torus_rule_check(state, 10, quantity) < 1e-13
+        p2xp1 = TrivialBundleOverPm(2, 2, 3)
+        start = bal.embedding_state(p2xp1,
+                                    rule=bal.torus_orbit_rule(p2xp1, 6))
+        p2xp1 = bal.balance_iterate(start, tol=1e-10, max_iter=100).state
+        for state in (p1xp1, p2xp1):
+            for quantity in (lambda s: bal.moment_map(s).matrix,
+                             lambda s: bal.sigma_z_operator(s).q_matrix):
+                assert bal.torus_rule_check(state, quantity) < 1e-13
 
     def test_wrong_character_mask_trips_the_self_check(self, monkeypatch):
         # one sector holding every pair sums the nonzero-character entries
@@ -1423,7 +1429,94 @@ class TestTorusRule:
                                     rule=bal.torus_orbit_rule(model, 6))
         with pytest.raises(NumericalGuardError,
                            match="from 1 to 3 angles per base coordinate"):
-            bal.torus_rule_check(state, 6, lambda s: bal.moment_map(s).matrix)
+            bal.torus_rule_check(state, lambda s: bal.moment_map(s).matrix)
+
+    @pytest.mark.parametrize("model", [
+        LineBundleSumOverP1((0,), 2), TrivialBundleOverPm(1, 2, 3),
+        LineBundleSumOverP1((0, 1), 3), TrivialBundleOverPm(2, 2, 2),
+        ProjectiveSpaceBase(2, (0,), 2), ProjectivePoint(3)],
+        ids=lambda model: model.label)
+    def test_checked_rule_is_three_angular_orbits(self, monkeypatch, model):
+        # the first, middle and last orbit, each on 2 D + 3 angles per base
+        # and 5 per fiber coordinate, its angle weights summing to its
+        # orbit weight
+        built = []
+
+        def spy(orbits, model, base_angles):
+            rule = original(orbits, model, base_angles)
+            built.append((orbits, rule))
+            return rule
+
+        original = bal._orbit_angles
+        monkeypatch.setattr(bal, "_orbit_angles", spy)
+        full = bal.torus_orbit_rule(model, 5)
+        state = bal.embedding_state(model, rule=full)
+        bal.torus_rule_check(state, lambda s: bal.moment_map(s).matrix)
+        [(orbits, rule)] = built
+        n = full.weights.shape[0]
+        picks = sorted({0, n // 2, n - 1})
+        np.testing.assert_array_equal(orbits.points, full.points[picks])
+        np.testing.assert_array_equal(orbits.weights, full.weights[picks])
+        angles = ((2 * bal.torus_degree(model) + 3) ** model.m
+                  * 5 ** model.fiber_dim)
+        assert rule.points.shape == (len(picks) * angles, model.n)
+        sums = rule.weights.reshape(len(picks), angles).sum(axis=1)
+        assert np.all(np.abs(sums - orbits.weights) <= 1e-15 * orbits.weights)
+        # each angle node lies on its orbit: the moduli of the orbit node
+        moduli = np.abs(rule.points).reshape(len(picks), angles, model.n)
+        np.testing.assert_allclose(
+            moduli, np.broadcast_to(orbits.points.real[:, None], moduli.shape),
+            rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("fault", ["degree-zero", "wrong-character"])
+    def test_each_checked_orbit_trips_the_faults(self, monkeypatch,
+                                                 torus_states, fault):
+        # the character argument holds orbit by orbit, so each checked
+        # orbit alone sees either fault
+        solved = torus_states["p1xp1"][1]
+        state = bal.embedding_state(
+            solved.model, gram=solved.gram.matrix,
+            rule=bal.torus_orbit_rule(solved.model, 6))
+        if fault == "degree-zero":
+            monkeypatch.setattr(bal, "torus_degree", lambda model: 0)
+            quantity = lambda s: bal.moment_map(s).matrix  # noqa: E731
+        else:
+            monkeypatch.setattr(bal, "_charge_sectors",
+                                lambda basis: [np.arange(basis.count ** 2)])
+            quantity = lambda s: bal.sigma_z_operator(s).units  # noqa: E731
+        picks = bal._checked_orbits(state)
+        assert picks == [0, 18, 35]
+        for pick in picks:
+            monkeypatch.setattr(bal, "_checked_orbits",
+                                lambda state, pick=pick: [pick])
+            with pytest.raises(NumericalGuardError,
+                               match="on 1 of 36 radial orbits"):
+                bal.torus_rule_check(state, quantity)
+
+    def test_spectrum_job_ends_on_the_solved_state(self, monkeypatch):
+        # the k_min self-check runs before the level's own operator, so
+        # the level's last operator call (the one the benchmark's tracer
+        # keeps per level) is on the solved state and the run's full
+        # orbit rule, not on the check's three orbits
+        calls = []
+
+        def spy(state, generators=None):
+            calls.append(state)
+            return original(state, generators)
+
+        original = bal.sigma_z_operator
+        monkeypatch.setattr(bal, "sigma_z_operator", spy)
+        cfg = ExperimentConfig(kind="pm-trivial", k_min=2, k_max=3,
+                               n_radial=6, balance_tol=1e-9)
+        suites.spectrum_job(cfg, 2)
+        assert len(calls) == 3
+        full = bal.torus_orbit_rule(build_model(cfg, 2), 6)
+        last = calls[-1]
+        assert last.torus
+        np.testing.assert_array_equal(last.rule.points, full.points)
+        assert bal.moment_map(last).norm_op < 1e-9
+        assert [call.rule.points.shape[0] for call in calls[:2]] == [
+            3 * 7 * 5, 3]
 
 
 class TestTorusOrbitRule:

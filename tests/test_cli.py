@@ -664,6 +664,24 @@ class TestBalanceRun:
         assert row["error"] == pytest.approx(1e-6 / drifted[1]["count"],
                                              rel=1e-6)
 
+    def test_failing_d_check_names_the_level_and_the_knob(self, tmp_path):
+        # P^1 x P^1 at k 8..12 on 6 radial nodes: the reference volume at
+        # k = 12 misses V = 12 by 4.5e-5, and the row says where and what
+        # to raise
+        text = TINY_BALANCE.replace("k_min = 2", "k_min = 8").replace(
+            "k_max = 4", "k_max = 12").replace("n_radial = 10", "n_radial = 6")
+        path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["balance", "--config", path, "--out", str(out)]) == 1
+        [row] = [row for row in load_report(out)["checks"]
+                 if row["name"] == "almost-balanced-order"]
+        assert row["passed"] is False and row["error"] > 1e-8
+        assert row["detail"].startswith(
+            "fitted decay order of the reference-Gram moments, claimed q=0; "
+            "d = ")
+        assert "at k=12 against V/N = 0.4615384615" in row["detail"]
+        assert "raise [quadrature] n_radial" in row["detail"]
+
     def test_zero_iterations_flagged_not_failed(self, tmp_path, monkeypatch):
         monkeypatch.setattr(suites, "_MAX_ITER", 0)
         text = TINY_BALANCE.replace("k_max = 4", "k_max = 2")
@@ -1044,23 +1062,6 @@ class TestTorusRuleHealth:
         assert "numerical guard: torus rule on p1-sum(0,)-k2" in err
         assert "from 1 to 7 angles per base coordinate" in err
         assert "D = 2" in err
-        assert not (out / "report.json").exists()
-
-    @pytest.mark.parametrize("command, text", [
-        ("moment-spectrum", TINY_SPECTRUM), ("balance", TINY_BALANCE)],
-        ids=["moment-spectrum", "balance"])
-    def test_self_check_past_memory_exits_two(self, tmp_path, monkeypatch,
-                                             capsys, command, text):
-        # the full angular rule's node tables are held to the machine's
-        # memory before they are built; here the memory reads 1 KiB
-        monkeypatch.setattr(bal, "_physical_memory", lambda: 1 << 10)
-        path = write_config(tmp_path, text)
-        out = tmp_path / "out"
-        assert cli.main([command, "--config", path, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "numerical guard: torus rule self-check at k=" in err
-        assert "bytes of physical memory" in err
-        assert "[sweep] k_min" in err and "[quadrature] n_radial" in err
         assert not (out / "report.json").exists()
 
 
