@@ -13,6 +13,8 @@ with s > 0 and x on the unit simplex (Duffy map), and only s is sent through
 t = s/(1+s).  The uniform angular grids annihilate every monomial with
 unmatched powers exactly, and whatever survives is polynomial in the s x_i,
 so Gauss-Legendre converges exponentially for the rational weights here.
+Its nodes and weights (`_gl01`) are numpy's `leggauss`, ported bit for bit
+so that a run does not import `numpy.polynomial`.
 
 Weights always represent plain Lebesgue measure on C^d = R^{2d}; volume-form
 densities (det of a Kahler matrix, powers of 2, ...) are supplied by callers.
@@ -49,11 +51,38 @@ class ChartRule:
             raise ValueError("points/weights length mismatch")
 
 
+def _legval(x, c):
+    """Legendre series sum_j c[j] P_j(x) by Clenshaw's recurrence, in the
+    operation order of numpy's `legval`."""
+    c0, c1 = (c[-2], c[-1]) if len(c) > 1 else (c[0], 0.0)
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = (c[nd - 2] - c1 * ((nd - 1) / nd),
+                  c0 + c1 * x * ((2 * nd - 1) / nd))
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def _gl01(n):
     """Gauss-Legendre nodes and weights on [0, 1], computed once per n and
-    shared by every rule, so both arrays are read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    shared by every rule, so both arrays are read-only.
+
+    numpy's `leggauss` algorithm, bit for bit: the roots of P_n are the
+    eigenvalues of its symmetric companion matrix, improved by one Newton
+    step; the weights are 1 / (P_n' P_(n-1)) at the roots, each factor
+    scaled by its largest modulus, then nodes and weights are symmetrized
+    about 0 and the weights normalized to the interval's length."""
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p_n = [0.0] * n + [1.0]
+    # P_n' = sum of (2j + 1) P_j over the j < n of the other parity
+    df = _legval(x, [(n - j) % 2 * (2.0 * j + 1.0) for j in range(n)])
+    x -= _legval(x, p_n) / df
+    fm = _legval(x, p_n[1:])
+    w = 1.0 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     t, wt = 0.5 * (x + 1.0), 0.5 * w
     t.flags.writeable = wt.flags.writeable = False
     return t, wt

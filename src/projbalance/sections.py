@@ -163,8 +163,8 @@ class SectionBasis:
         the orders above 0 scale it by its binomial; each entry is the
         product of its c factors, first to last."""
         n, c = coords.shape
-        top = int(expo.max(initial=0))
-        table = _power_table(coords, top)
+        table = _power_table(coords, expo.max(axis=0, initial=0))
+        top = table.shape[2] - 1
         # complex, so that scaling by it casts nothing
         binom = np.array([[math.comb(e, j) for e in range(top + 1)]
                           for j in range(int(orders.max(initial=0)) + 1)],
@@ -228,16 +228,19 @@ class SectionBasis:
                             np.asarray(orders, dtype=int))
 
 
-def _power_table(coords, top):
-    """Powers w_a^j of the coordinates w (n, c) for j = 0..top, as one
-    (c, n, top + 1) table built by repeated products: entry j is entry
-    j - 1 times w_a, the same multiplications an integer complex power
-    makes, so each is within j roundings of the exact power."""
-    table = np.empty((coords.shape[1], coords.shape[0], top + 1),
-                     dtype=complex)
+def _power_table(coords, tops):
+    """Powers w_a^j of the coordinates w (n, c) for j = 0..tops[a], as one
+    (c, n, max(tops) + 1) table built by repeated products: entry j is
+    entry j - 1 times w_a, the same multiplications an integer complex
+    power makes, so each is within j roundings of the exact power.  A
+    coordinate's entries past its own top are left unset: no exponent
+    reads them (a fiber coordinate's top is 1)."""
+    table = np.empty((coords.shape[1], coords.shape[0],
+                      int(max(tops, default=0)) + 1), dtype=complex)
     table[..., 0] = 1.0
-    for j in range(1, top + 1):
-        np.multiply(table[..., j - 1], coords.T, out=table[..., j])
+    for a, top in enumerate(tops):
+        for j in range(1, top + 1):
+            np.multiply(table[a, :, j - 1], coords[:, a], out=table[a, :, j])
     return table
 
 

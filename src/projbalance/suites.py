@@ -51,10 +51,20 @@ informational `torus-rule-degree` row, once per sweep at k_min, since the
 orbit rule's exactness does not depend on k: on the moment in `balance`,
 on the operator's matrix-unit entries in `moment-spectrum`, ahead of the
 level's own operator, so no run builds the su(N) basis.
+
+The seed drives every random input through a stdlib `random.Random`, one
+per draw site, seeded with `seed` for the round trip's Hermitian inputs
+and the joint-linearization directions, `cfg.seed + 1009 k` for the
+density cross-route's sample points, `cfg.seed + 313 k` for `balance`'s
+comparability points and `cfg.seed + 271828` for the expansion's
+evaluation points.  Each array is one `randbytes` call read as 53-bit
+doubles (`_draws`), normals by Box-Muller, so a run loads neither
+`numpy.random` nor the OpenSSL bindings it brings in.
 """
 
 import logging
 import math
+import random
 from collections import namedtuple
 
 import numpy as np
@@ -118,6 +128,24 @@ def _check(name, value, reference, tolerance, *, k=None, detail=""):
                 passed=bool(error <= tolerance), detail=detail)
 
 
+def _draws(rng, shape, lo=0.0, hi=1.0, normal=False):
+    """An array of seeded draws from one `rng.randbytes` call, `rng` a
+    `random.Random`: doubles uniform on [lo, hi), each the top 53 bits of
+    a little-endian 64-bit word, or with `normal` standard normals by
+    Box-Muller, which pairs the first half of the uniforms (radii,
+    sqrt(-2 log1p(-u)), finite at u = 0) with the second (angles)."""
+    count = math.prod(shape)
+    half = (count + 1) // 2
+    words = rng.randbytes(8 * (2 * half if normal else count))
+    u = (np.frombuffer(words, dtype="<u8") >> 11) * 2.0 ** -53
+    if normal:
+        radius = np.sqrt(-2.0 * np.log1p(-u[:half]))
+        angle = 2.0 * math.pi * u[half:]
+        return np.concatenate((radius * np.cos(angle),
+                               radius * np.sin(angle)))[:count].reshape(shape)
+    return (lo + (hi - lo) * u).reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # verify suite
 # ---------------------------------------------------------------------------
@@ -158,7 +186,7 @@ def round_trip_rows(seed):
     """Fiber average of the induced pairing against the bundle metric it
     came from: exact for constant inputs, so this isolates quadrature and
     frame handling."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     rows = []
     for r in (2, 3):
         model = ProjectivePoint(r)
@@ -166,8 +194,8 @@ def round_trip_rows(seed):
         z = np.zeros((1, 0), dtype=complex)
         worst = 0.0
         for _ in range(10):
-            a = 0.5 * (rng.standard_normal((r, r))
-                       + 1j * rng.standard_normal((r, r)))
+            a = 0.5 * (_draws(rng, (r, r), normal=True)
+                       + 1j * _draws(rng, (r, r), normal=True))
             h = a @ a.conj().T + np.eye(r)
             metric = ConstantBundleMetric(0, h)
             out = bg.fiber_push_forward(metric, FubiniStudy(0), model, z,
@@ -295,9 +323,10 @@ def density_route_job(cfg, k, tables):
                      detail="point base: both routes coincide by "
                             "construction, nothing to cross")]
     direct, level = _density_routes(cfg, k, tables)
-    rng = np.random.default_rng(cfg.seed + 1009 * k)
+    rng = random.Random(cfg.seed + 1009 * k)
     shape = (cfg.n_points, model.n)
-    pts = 0.9 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    pts = 0.9 * (_draws(rng, shape, normal=True)
+                 + 1j * _draws(rng, shape, normal=True))
     da = direct.density(pts)
     db = bg.rho_via_trace(level, pts)
     rel = float(np.max(np.abs(da - db) / np.abs(db)))
@@ -343,23 +372,23 @@ def joint_linearization_rows(seed):
     model = TrivialBundleOverPm(1, 2, 3)
     rule = base_rule(model, n_radial=12)
     kahler = FubiniStudy(1)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     z = np.array([[0.2 + 0.1j], [0.6 - 0.5j], [1.1]], dtype=complex)
     base = bg.a1_formula(metric, kahler, z)
     rows = []
     for trial in range(5):
-        aa = 0.5 * (rng.standard_normal((2, 2))
-                    + 1j * rng.standard_normal((2, 2)))
+        aa = 0.5 * (_draws(rng, (2, 2), normal=True)
+                    + 1j * _draws(rng, (2, 2), normal=True))
         a = aa @ aa.conj().T - 1.4 * np.eye(2)
-        bb = 0.5 * (rng.standard_normal((2, 2))
-                    + 1j * rng.standard_normal((2, 2)))
+        bb = 0.5 * (_draws(rng, (2, 2), normal=True)
+                    + 1j * _draws(rng, (2, 2), normal=True))
         b = bb @ bb.conj().T - 1.4 * np.eye(2)
 
         def phi_fn(q, a=a, b=b):
             return (a[None, :, :] * _eta_killing(q)[:, None, None]
                     + b[None, :, :] * _profile_axis(q)[:, None, None])
 
-        c1, c2 = rng.uniform(-1.0, 1.0, size=2)
+        c1, c2 = _draws(rng, (2,), -1.0, 1.0)
 
         def eta(q, c1=c1, c2=c2):
             return c1 * _eta_quadratic(q) + c2 * _zeta_quadratic(q)
@@ -455,9 +484,9 @@ def balance_job(cfg, k, tables):
 
     # uniform on the unit polydisc |z_i| <= 1: a bounded domain, so the
     # verdict does not hinge on how far out a seed's tail points land
-    rng = np.random.default_rng(cfg.seed + 313 * k)
-    radius = np.sqrt(rng.uniform(size=(16, model.n)))
-    angle = rng.uniform(0.0, 2.0 * math.pi, size=(16, model.n))
+    rng = random.Random(cfg.seed + 313 * k)
+    radius = np.sqrt(_draws(rng, (16, model.n)))
+    angle = _draws(rng, (16, model.n), 0.0, 2.0 * math.pi)
     pts = radius * np.exp(1j * angle)
     comparable = bal.r_bounded_check(report.state, state, pts,
                                      r_bound=_R_BOUND)
@@ -565,10 +594,10 @@ _A1_REL_TOL = 0.02
 def expansion_eval_points(cfg):
     """Deterministic base sample points shared by every level of an
     expansion sweep."""
-    rng = np.random.default_rng(cfg.seed + 271828)
+    rng = random.Random(cfg.seed + 271828)
     model = build_model(cfg)
-    pts = 0.8 * (rng.standard_normal((6, model.m))
-                 + 1j * rng.standard_normal((6, model.m)))
+    pts = 0.8 * (_draws(rng, (6, model.m), normal=True)
+                 + 1j * _draws(rng, (6, model.m), normal=True))
     return pts
 
 

@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -152,6 +153,19 @@ def normalized_report_bytes(out_dir):
 
 def header_of(path):
     return path.read_text().splitlines()[0]
+
+
+def run_fresh(code):
+    """Standard output of `code` run in a fresh interpreter that imports
+    the package from this checkout: what a run loads shows only there,
+    since the test process has imported more."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
 
 
 class TestConfigFiles:
@@ -518,6 +532,82 @@ class TestDeterminism:
         assert "seed = 7" in report["config"]
 
 
+# modules a run has no use for: numpy's generators (which load OpenSSL
+# through secrets and hashlib) and numpy.polynomial cost megabytes of peak
+# memory and milliseconds of start-up
+UNUSED_MODULES = ("numpy.random", "numpy.polynomial", "_hashlib", "secrets")
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_default_run_loads_no_generator_or_polynomial(self, tmp_path,
+                                                          command):
+        code = (
+            "import sys\n"
+            "from projbalance import cli\n"
+            f"rc = cli.main([{command!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}])\n"
+            "assert rc == 0, rc\n"
+            f"print([m for m in {UNUSED_MODULES!r} if m in sys.modules])\n")
+        assert run_fresh(code) == "[]"
+
+
+class TestSeededDraws:
+    def test_same_seed_same_arrays(self):
+        for normal in (False, True):
+            first = suites._draws(random.Random(5), (40, 3), normal=normal)
+            again = suites._draws(random.Random(5), (40, 3), normal=normal)
+            assert first.shape == (40, 3)
+            assert np.array_equal(first, again)
+
+    def test_neighbouring_seeds_differ(self):
+        for seed in range(5):
+            for normal in (False, True):
+                a = suites._draws(random.Random(seed), (7,), normal=normal)
+                b = suites._draws(random.Random(seed + 1), (7,), normal=normal)
+                assert not np.any(a == b)
+
+    def test_normals_are_standard(self):
+        # an odd count: the last Box-Muller pair gives one value
+        x = suites._draws(random.Random(0), (100_001,), normal=True)
+        assert x.shape == (100_001,) and np.isfinite(x).all()
+        assert abs(x.mean()) < 0.02
+        assert abs(x.var() - 1.0) < 0.02
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0),
+                                        (0.0, 2.0 * math.pi)])
+    def test_uniforms_lie_in_the_interval(self, lo, hi):
+        u = suites._draws(random.Random(1), (100_000,), lo, hi)
+        assert lo <= u.min() and u.max() < hi
+        assert abs(u.mean() - (lo + hi) / 2) < 0.01 * (hi - lo)
+
+    def test_successive_arrays_continue_one_stream(self):
+        # a site draws its arrays one after another from one generator
+        both = suites._draws(random.Random(3), (8,))
+        rng = random.Random(3)
+        assert np.array_equal(both[:4], suites._draws(rng, (4,)))
+        assert np.array_equal(both[4:], suites._draws(rng, (4,)))
+
+    def test_comparability_points_lie_in_the_unit_polydisc(self,
+                                                          monkeypatch):
+        seen = []
+        check = bal.r_bounded_check
+
+        def spy(state, initial, pts, **kwargs):
+            seen.append(pts)
+            return check(state, initial, pts, **kwargs)
+
+        monkeypatch.setattr(bal, "r_bounded_check", spy)
+        text = TINY_BALANCE.replace("n_radial = 10", "n_radial = 6")
+        for seed in (0, 1):
+            cfg = dataclasses.replace(parse_config_text(text), seed=seed)
+            suites.balance_job(cfg, 2, suites.sweep_tables(cfg)[0])
+        assert len(seen) == 2
+        assert all(pts.shape == (16, 2) for pts in seen)
+        assert all(np.abs(pts).max() < 1.0 for pts in seen)
+        assert not np.array_equal(*seen)
+
+
 @pytest.fixture(scope="module")
 def balance_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("balance")
@@ -543,13 +633,7 @@ class TestBalanceRun:
             f"{str(tmp_path / 'out')!r}])\n"
             "assert rc == 0, rc\n"
             "print('numpy.ma' in sys.modules)\n")
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip().splitlines()[-1] == "False"
+        assert run_fresh(code) == "False"
 
     def test_import_does_not_load_multiprocessing(self):
         # the process pool serves --workers > 1 only, and a fresh
@@ -557,13 +641,7 @@ class TestBalanceRun:
         code = ("import sys\n"
                 "from projbalance import cli\n"
                 "print('concurrent.futures.process' in sys.modules)\n")
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip().splitlines()[-1] == "False"
+        assert run_fresh(code) == "False"
 
     def test_summary_table(self, balance_run):
         _, out = balance_run

@@ -111,12 +111,15 @@ class TestGaussLegendreCache:
         t, w = _gl01(7)
         again = _gl01(7)
         assert again[0] is t and again[1] is w
-        assert not t.flags.writeable and not w.flags.writeable
         with pytest.raises(ValueError):
             t[0] = 0.5
-        x, wx = np.polynomial.legendre.leggauss(7)
-        assert np.array_equal(t, 0.5 * (x + 1.0))
-        assert np.array_equal(w, 0.5 * wx)
+        # numpy's leggauss mapped to [0, 1], bit for bit
+        for n in range(1, 65):
+            t, w = _gl01(n)
+            assert not t.flags.writeable and not w.flags.writeable
+            x, wx = np.polynomial.legendre.leggauss(n)
+            assert np.array_equal(t, 0.5 * (x + 1.0)), n
+            assert np.array_equal(w, 0.5 * wx), n
 
 
 class TestGuards:
