@@ -77,13 +77,10 @@ values, then one row per holomorphic direction, binomial shifts of one
 power table of the points, so no table takes a complex power.  The
 Gram's `frame` moves it to the orthonormal frame at once, and
 `_pullback_data` forms the kernel, the gradient and the upper triangle of
-the jet pairing as row sums over the N sections.  Determinants
-(`_hermitian_det`), the spectral norms, smallest eigenvalues and inverse
-root of `r_bounded_check` (`_hermitian_norm`, `_smallest_eigenvalue`,
-`_inverse_sqrt`) and the tangent frame of `sigma_z_operator`
-(`_tangent_frame`) are in closed form at dim 2, and determinants at dim
-1 too, each helper forking on the dimension itself; LU, SVD, `eigvalsh`
-or `eigh` otherwise.
+the jet pairing as row sums over the N sections.  Its determinant and
+`r_bounded_check`'s norms, eigenvalues and root are `kahler`'s kernels;
+the tangent frame of `sigma_z_operator` (`_tangent_frame`) is
+Gram-Schmidt at dim 2, an SVD otherwise.
 
 A torus state's solver step factors nothing: its Gram is its weights c,
 whose whitener c^(-1/2) broadcasts, whose moment is the pairing diagonal
@@ -115,7 +112,8 @@ import numpy as np
 
 from .bergman import adapted_total_rule
 from .errors import NumericalGuardError
-from .kahler import jet_tables, log_kernel_jet
+from .kahler import (hermitian_det, hermitian_norm, inverse_sqrt, jet_tables,
+                     log_kernel_jet, smallest_eigenvalue)
 from .metrics import DiagonalGram, GramMatrix, l2_pairing, make_gram
 from .quadrature import ChartRule, product_rule
 from .sections import base_rule, build_section_basis, fiber_rule, total_rule
@@ -312,66 +310,6 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
                           rule=rule, jet=basis.eval_embedding_jet(rule.points))
 
 
-def _hermitian_det(gfs):
-    """Determinant of a stack (n, d, d) of Hermitian matrices: closed form
-    for d <= 2 from the diagonal and the upper triangle, LU otherwise."""
-    if gfs.shape[-1] == 1:
-        return gfs[:, 0, 0].real
-    if gfs.shape[-1] == 2:
-        return gfs[:, 0, 0].real * gfs[:, 1, 1].real - _abs2(gfs[:, 0, 1])
-    return np.linalg.det(gfs).real
-
-
-def _hermitian_norm(stack):
-    """Spectral norms of a stack (..., d, d) of Hermitian matrices: closed
-    form for d = 2, |(a + c)/2| + sqrt(((a - c)/2)^2 + |b|^2) from the
-    diagonal a, c and the upper entry b, the largest singular value
-    otherwise."""
-    if stack.shape[-1] == 2:
-        return _norm_2x2(stack[..., 0, 0].real, stack[..., 1, 1].real,
-                         stack[..., 0, 1])
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
-
-
-def _norm_2x2(a, c, b):
-    """Spectral norm of the Hermitian matrices [[a, b], [conj(b), c]] with
-    real a, c: |(a + c)/2| + sqrt(((a - c)/2)^2 + |b|^2)."""
-    return np.abs(0.5 * (a + c)) + np.sqrt((0.5 * (a - c)) ** 2 + _abs2(b))
-
-
-def _smallest_eigenvalue(stack):
-    """Smallest eigenvalues of the Hermitian parts of a stack (..., d, d):
-    closed form for d = 2, (a + c)/2 - sqrt(((a - c)/2)^2 + |b|^2) from the
-    diagonal a, c and the Hermitian part b of the upper entry, `eigvalsh`
-    otherwise."""
-    if stack.shape[-1] != 2:
-        return np.linalg.eigvalsh(
-            0.5 * (stack + np.swapaxes(stack.conj(), -1, -2)))[..., 0]
-    a, c = stack[..., 0, 0].real, stack[..., 1, 1].real
-    b = 0.5 * (stack[..., 0, 1] + np.conj(stack[..., 1, 0]))
-    return 0.5 * (a + c) - np.sqrt((0.5 * (a - c)) ** 2 + _abs2(b))
-
-
-def _inverse_sqrt(stack):
-    """Hermitian inverse square roots of a stack (n, d, d) of positive
-    Hermitian matrices A: for d = 2 (adj A + s I) / (s t) with
-    s = sqrt(det A) and t = sqrt(tr A + 2 s), since sqrt(A) = (A + s I) / t
-    has determinant s and adj is linear on 2 x 2 matrices; `eigh`
-    otherwise."""
-    if stack.shape[-1] != 2:
-        w, v = np.linalg.eigh(stack)
-        return (v / np.sqrt(w)[:, None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    a, c, b = stack[:, 0, 0].real, stack[:, 1, 1].real, stack[:, 0, 1]
-    s = np.sqrt(a * c - _abs2(b))
-    st = s * np.sqrt(a + c + 2.0 * s)
-    out = np.empty_like(stack)
-    out[:, 0, 0] = (c + s) / st
-    out[:, 1, 1] = (a + s) / st
-    out[:, 0, 1] = -b / st
-    out[:, 1, 0] = -np.conj(b) / st
-    return out
-
-
 def _tangent_frame(tang):
     """Orthonormal frame (n, N, dim) of the columns of a direction-major
     stack tang (dim, n, N), with their smallest and largest singular values
@@ -380,8 +318,8 @@ def _tangent_frame(tang):
     dim = 2 in closed form, by Gram-Schmidt on the two slabs:
     e1 = t1 / |t1| and e2 = t2_perp / |t2_perp|, t2_perp being t2 projected
     off e1 twice (the second pass keeps e2 orthogonal to roundoff when t2
-    nearly follows t1).  sigma_max is the root of the spectral norm of the
-    2 x 2 Gram (`_norm_2x2`), and sigma_min = |t1| |t2_perp| / sigma_max
+    nearly follows t1).  sigma_max is the root of the 2 x 2 Gram's
+    `hermitian_norm`, and sigma_min = |t1| |t2_perp| / sigma_max
     since the Gram's determinant is (|t1| |t2_perp|)^2.  A zero norm gives
     a zero frame column and sigma_min = 0, never a NaN.  SVD otherwise."""
     if tang.shape[0] != 2:
@@ -391,7 +329,8 @@ def _tangent_frame(tang):
     t1, t2 = tang
     n1sq = _abs2(t1).sum(axis=1)
     cross = np.einsum("np,np->n", np.conj(t1), t2)
-    smax = np.sqrt(_norm_2x2(n1sq, _abs2(t2).sum(axis=1), cross))
+    gram = np.stack([n1sq, cross, np.conj(cross), _abs2(t2).sum(axis=1)], -1)
+    smax = np.sqrt(hermitian_norm(gram.reshape(-1, 2, 2)))
     n1 = np.sqrt(n1sq)
     inv1 = np.divide(1.0, n1, out=np.zeros_like(n1), where=n1 > 0.0)
     e1 = t1 * inv1[:, None]
@@ -417,7 +356,7 @@ def _pullback_data(u, du, dim):
     K = |u|^2, A_ab = sum_p du_pa conj(du_pb), b_a = sum_p du_pa conj(u_p),
     each a row sum over the N sections; A is formed on its upper triangle
     and the stack filled Hermitian.  The reduced density is det times
-    2^dim / (2 pi)^dim, the det in closed form for dim = 2.
+    2^dim / (2 pi)^dim, the det `hermitian_det`.
     """
     uc = np.conj(u)
     kk = np.einsum("np,np->n", u, uc).real
@@ -440,7 +379,7 @@ def _pullback_data(u, du, dim):
             gfs[:, a, b] = (np.einsum("np,np->n", du[a], duc[b]) / kk
                             - grad[a] * np.conj(grad[b]) / kk2)
             gfs[:, b, a] = np.conj(gfs[:, a, b])
-    dens = _hermitian_det(gfs) * 2.0 ** dim / (2.0 * math.pi) ** dim
+    dens = hermitian_det(gfs) * 2.0 ** dim / (2.0 * math.pi) ** dim
     floor = -1e-12 * max(1.0, dens.max(initial=0.0))
     ok = np.isfinite(dens) & (dens >= floor)
     if not ok.all():
@@ -663,7 +602,9 @@ def balance_iterate(state, tol=1e-8, max_iter=500):
     return replace(report, fallback_steps=mixer.fallbacks)
 
 
-# the Anderson mixer combines the last this many plain T-map images
+# the Anderson mixer combines the last this many plain T-map images; of
+# 2..8, 3 iterates least up to N = 14, but takes 11-20% more steps than 5
+# on P^1 x P^1, k 8..12, and P^2 x P^1, k 2..6, so 5 stays
 _ANDERSON_MEMORY = 5
 
 # relative singular-value cutoff of the Anderson least squares.  Torus
@@ -1268,11 +1209,10 @@ def r_bounded_check(candidate, reference, pts, r_bound):
     reference-whitened operator norm with one factor of ||g0^{-1/2}|| per
     derivative index; `c_a_norm` is the largest such norm over the nodes
     and derivatives.  The lower bound `min_ratio` is the smallest
-    eigenvalue of the whitened candidate over the nodes.  The reference's
-    smallest eigenvalue and inverse root, and the whitened candidate's
-    smallest eigenvalue, are `_smallest_eigenvalue` and `_inverse_sqrt`,
-    closed forms at d = 2.  Each state's form field is evaluated once, at
-    the nodes.
+    eigenvalue of the whitened candidate over the nodes.  The smallest
+    eigenvalues, the reference's inverse root and the norms are `kahler`'s
+    kernels, closed forms at d = 2.  Each state's form field is evaluated
+    once, at the nodes.
     """
     if r_bound <= 1.0:
         raise ValueError(f"bound must exceed 1, got {r_bound}")
@@ -1283,7 +1223,7 @@ def r_bounded_check(candidate, reference, pts, r_bound):
             f"one column, got shape {pts.shape}")
     n, d = pts.shape
     g0, ref_derivs = _form_derivatives(reference, pts)
-    smallest = _smallest_eigenvalue(g0)
+    smallest = smallest_eigenvalue(g0)
     bad = ~(smallest > 0.0)  # fails closed on NaN
     if bad.any():
         node = int(np.argmax(bad))
@@ -1294,7 +1234,7 @@ def r_bounded_check(candidate, reference, pts, r_bound):
             f"{reference.gram.condition():.3e}; the reference must be an "
             "embedding at every node: check its Gram (GramMatrix.condition) "
             "and that the node is finite")
-    w0 = _inverse_sqrt(g0)
+    w0 = inverse_sqrt(g0)
     dirweight = 1.0 / np.sqrt(smallest)
     gc, derivs = _form_derivatives(candidate, pts)
     # every derivative X whitened at once: vec(w0 X w0) = (w0 kron w0^T)
@@ -1303,13 +1243,13 @@ def r_bounded_check(candidate, reference, pts, r_bound):
             * np.swapaxes(w0, 1, 2)[:, None, :, None, :]).reshape(n, d * d,
                                                                   d * d)
     diff = np.moveaxis(derivs - ref_derivs, 0, -1).reshape(n, d * d, -1)
-    norms = _hermitian_norm(np.moveaxis((kron @ diff).reshape(n, d, d, -1),
+    norms = hermitian_norm(np.moveaxis((kron @ diff).reshape(n, d, d, -1),
                                         -1, 1))
     levels = jet_tables(d, _COMPARABILITY_ORDER).levels
     c_a = float(np.max(norms * dirweight[:, None] ** levels))
 
     wcand = np.einsum("nab,nbc,ncd->nad", w0, gc, w0)
-    min_ratio = float(np.min(_smallest_eigenvalue(wcand)))
+    min_ratio = float(np.min(smallest_eigenvalue(wcand)))
     margins = (r_bound - c_a, min_ratio - 1.0 / r_bound)
     return RBoundedReport(passes=bool(margins[0] >= 0.0 and margins[1] >= 0.0),
                           c_a_norm=c_a, min_ratio=min_ratio, margins=margins,

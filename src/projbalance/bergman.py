@@ -37,10 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalGuardError
-from .kahler import (
-    complex_hessian,
-    mixed_volume_coefficients,
-)
+from .kahler import complex_hessian, hermitian_det, mixed_volume_coefficients
 from .metrics import (
     MatrixField,
     _base_runs,
@@ -300,7 +297,7 @@ def _adapted_fiber_points(metric, model, z, xi):
     moved = xi0[:, None, :] + np.sqrt(kappa)[:, None, None] * np.einsum(
         "fc,ncd->nfd", xi, linv)
     pts[:, model.m:] = moved.reshape(nb * nf, model.r - 1)
-    jac2 = kappa ** (model.r - 1) / np.linalg.det(bmat).real
+    jac2 = kappa ** (model.r - 1) / hermitian_det(bmat)
     return pts, jac2, p
 
 
@@ -423,7 +420,7 @@ def _fiber_measure(model, rule, pts, jac2, hinv):
     nb, nf = hinv.shape[0], rule.points.shape[0]
     lam = affine_frame(pts[:, model.m:].reshape(nb, nf, r - 1))
     _, q = _dual_pairing(hinv[:, None], lam)
-    detwf = np.linalg.det(hinv).real[:, None] / q ** r
+    detwf = hermitian_det(hinv)[:, None] / q ** r
     meas = detwf / q * 2.0 ** (r - 1) \
         * rule.weights[None, :] * jac2[:, None] / _volume_constant_exact(r)
     return meas, lam
@@ -762,7 +759,7 @@ def expansion_fit(ks, values, m, orders=2):
         raise ValueError("values must hold one level per entry of ks")
     if len(ks) < 3:
         raise ValueError("expansion grid needs at least 3 levels")
-    if len(np.unique(ks)) != len(ks):
+    if len(set(ks.tolist())) != len(ks):
         raise ValueError("expansion grid has repeated levels")
     if orders < 2 or orders > len(ks):
         raise ValueError("orders must be between 2 and the number of levels")

@@ -324,8 +324,6 @@ def _run_spectrum(cfg, workers):
             f"{cfg.k_min}..{cfg.k_max}")
     per_level, levels = _run_jobs(suites.spectrum_job, cfg, cfg.ks, workers)
     checks, exponent = suites.spectrum_assemble(cfg, per_level)
-    checks += [res["torus_row"] for res in per_level
-               if res["torus_row"] is not None]
     csvs = [_table(
         "spectrum.csv",
         ["k", "lambda_z", "smallest_eig", "kernel_dim", "dimension",

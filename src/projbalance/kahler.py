@@ -26,6 +26,10 @@ deformation are centered finite differences with one Richardson step.
 The potential log |u|^2 of a holomorphic map u, the pull-back of the
 Fubini-Study form, has exact derivatives of its form to any order from the
 Taylor coefficients of u (`log_kernel_jet`).
+
+Every per-node stack of small Hermitian matrices the package factors
+goes through `hermitian_det`, `hermitian_norm`, `smallest_eigenvalue` or
+`inverse_sqrt`: closed forms at d = 2 (and 1 for the det), LAPACK above.
 """
 
 import itertools
@@ -47,6 +51,10 @@ __all__ = [
     "lambda_contract",
     "mixed_volume_coefficients",
     "fs_matrix",
+    "hermitian_det",
+    "hermitian_norm",
+    "smallest_eigenvalue",
+    "inverse_sqrt",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -279,6 +287,62 @@ def log_kernel_jet(coeffs, d, order):
 
 
 # ---------------------------------------------------------------------------
+# small Hermitian stacks (..., d, d)
+# ---------------------------------------------------------------------------
+
+def hermitian_det(stack):
+    """Determinants: a c - |b|^2 at d = 2 (diagonal a, c, upper entry b),
+    the entry at d = 1, LU above."""
+    if stack.shape[-1] == 1:
+        return stack[..., 0, 0].real
+    if stack.shape[-1] == 2:
+        b = stack[..., 0, 1]
+        return (stack[..., 0, 0].real * stack[..., 1, 1].real
+                - (b.real ** 2 + b.imag ** 2))
+    return np.linalg.det(stack).real
+
+
+def _mean_radius(stack, b):
+    """The eigenvalues at d = 2 are (a + c)/2 -+ sqrt(((a - c)/2)^2 + |b|^2)."""
+    a, c = stack[..., 0, 0].real, stack[..., 1, 1].real
+    return 0.5 * (a + c), np.sqrt((0.5 * (a - c)) ** 2
+                                  + (b.real ** 2 + b.imag ** 2))
+
+
+def hermitian_norm(stack):
+    """Spectral norms: |mean| + radius at d = 2, an SVD above."""
+    if stack.shape[-1] != 2:
+        return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    mean, radius = _mean_radius(stack, stack[..., 0, 1])
+    return np.abs(mean) + radius
+
+
+def smallest_eigenvalue(stack):
+    """Smallest eigenvalues of the Hermitian parts: mean - radius at d = 2
+    with b averaged against the lower entry, `eigvalsh` above."""
+    if stack.shape[-1] != 2:
+        return np.linalg.eigvalsh(
+            0.5 * (stack + np.swapaxes(stack.conj(), -1, -2)))[..., 0]
+    mean, radius = _mean_radius(
+        stack, 0.5 * (stack[..., 0, 1] + np.conj(stack[..., 1, 0])))
+    return mean - radius
+
+
+def inverse_sqrt(stack):
+    """Inverse square roots A^(-1/2) of a positive stack: at d = 2,
+    sqrt(A) = (A + s I) / t with s = sqrt(det A), t = sqrt(tr A + 2 s), so
+    A^(-1/2) = (adj A + s I) / (s t); `eigh` above."""
+    if stack.shape[-1] != 2:
+        w, v = np.linalg.eigh(stack)
+        return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    a, c, b = stack[..., 0, 0].real, stack[..., 1, 1].real, stack[..., 0, 1]
+    s = np.sqrt(hermitian_det(stack))
+    st = s * np.sqrt(a + c + 2.0 * s)
+    adj = np.stack([c + s, -b, -np.conj(b), a + s], axis=-1)  # adj A + s I
+    return adj.reshape(stack.shape) / st[..., None, None]
+
+
+# ---------------------------------------------------------------------------
 # structures
 # ---------------------------------------------------------------------------
 
@@ -308,20 +372,12 @@ class KahlerStructure:
     def matrix(self, pts):
         raise NotImplementedError
 
-    def _check_positive(self, g):
-        if g.shape[-1] == 0:
-            return
-        ev = np.linalg.eigvalsh(g)
-        if not np.all(ev > 0):
-            raise ValueError(f"{self.label}: form matrix not positive definite at a node")
-
     def ricci_matrix(self, pts):
         """Ricci form matrix, -ddbar log det(omega-matrix)."""
         pts = np.asarray(pts, dtype=complex)
 
         def logdet(q):
-            g = self.matrix(q)
-            d = np.linalg.det(g).real
+            d = hermitian_det(self.matrix(q))
             if np.any(d <= 0):
                 raise ValueError(f"{self.label}: form matrix not positive definite at a node")
             return np.log(d)
@@ -332,14 +388,13 @@ class KahlerStructure:
     def scalar_curvature(self, pts):
         pts = np.asarray(pts, dtype=complex)
         g = self.matrix(pts)
-        self._check_positive(g)
-        ric = self.ricci_matrix(pts)
-        return np.einsum("nab,nba->n", np.linalg.inv(g), ric).real
+        if g.shape[-1] and not np.all(smallest_eigenvalue(g) > 0):
+            raise ValueError(f"{self.label}: form matrix not positive definite at a node")
+        return lambda_contract(g, self.ricci_matrix(pts)).real
 
     def volume_density(self, pts):
         """Density of omega^m/m! against Lebesgue measure on the chart."""
-        g = self.matrix(pts)
-        d = np.linalg.det(g).real
+        d = hermitian_det(self.matrix(pts))
         if np.any(d <= 0):
             raise ValueError(f"{self.label}: degenerate volume density at a node")
         return d * 2.0**self.m
@@ -422,6 +477,6 @@ def mixed_volume_coefficients(w, omega, deg):
     exceed deg (guaranteed when rank(Omega) <= deg).  Returns (deg+1, n).
     """
     tvals = np.arange(deg + 1, dtype=float)
-    dets = np.stack([np.linalg.det(w + t * omega).real for t in tvals])  # (deg+1, n)
-    vand = np.vander(tvals, deg + 1, increasing=True)                    # (deg+1, deg+1)
+    dets = np.stack([hermitian_det(w + t * omega) for t in tvals])  # (deg+1, n)
+    vand = np.vander(tvals, deg + 1, increasing=True)                # (deg+1, deg+1)
     return np.linalg.solve(vand, dets)

@@ -13,7 +13,8 @@ slope a on the projective line.
 
 Derivative tables are hand-coded for the built-in families and generic
 central differences otherwise; the perturbed family propagates exact
-derivatives through the sum rule.
+derivatives through the sum rule.  `kahler`'s kernels factor the r x r
+stacks of `BundleMetricField.inverse` and `hermitian_einstein_residual`.
 
 `hat_weight` is the weight 1 / (lam H^{-1} lam*) that a bundle metric
 induces on the relative hyperplane line.  The metric a Gram matrix induces
@@ -39,7 +40,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericalGuardError
-from .kahler import complex_gradient, complex_hessian, lambda_contract
+from .kahler import (complex_gradient, complex_hessian, hermitian_det,
+                     hermitian_norm, inverse_sqrt, lambda_contract)
 from .quadrature import integrate
 from .sections import affine_frame
 
@@ -284,7 +286,7 @@ class BundleMetricField(MatrixField):
 
     def inverse(self, z):
         h = self.matrix(z)
-        det = np.linalg.det(h)
+        det = hermitian_det(h)
         if np.any(np.abs(det) < 1e-300) or not np.all(np.isfinite(det)):
             raise ValueError(f"{self.label}: singular metric at a node")
         return np.linalg.inv(h)
@@ -423,13 +425,11 @@ def hermitian_einstein_residual(metric, kahler, rule):
     trace = np.einsum("nii->n", mc).real
     slope = integrate(rule, trace * dens) / (metric.r * vol)
     h = metric.matrix(pts)
-    # measure in the metric frame, where self-adjoint becomes Hermitian
-    w, u = np.linalg.eigh(h)
-    sq = (u * np.sqrt(w)[:, None, :]) @ np.conj(np.swapaxes(u, 1, 2))
-    sqi = (u / np.sqrt(w)[:, None, :]) @ np.conj(np.swapaxes(u, 1, 2))
-    sym = sq @ (mc - slope * np.eye(metric.r)[None]) @ sqi
+    # the metric frame H H^(-1/2) = H^(1/2) makes self-adjoint Hermitian
+    sqi = inverse_sqrt(h)
+    sym = h @ sqi @ (mc - slope * np.eye(metric.r)[None]) @ sqi
     sym = 0.5 * (sym + np.conj(np.swapaxes(sym, 1, 2)))
-    worst = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+    worst = float(np.max(hermitian_norm(sym)))
     logger.debug("constant-contraction residual for %s: slope %.6f, defect %.3e",
                  metric.label, slope, worst)
     return worst

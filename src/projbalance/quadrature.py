@@ -174,16 +174,20 @@ def integrate(rule, values):
     return out
 
 
-def certify_moments(rule, degree=8, tol=1e-10):
+_MOMENT_DEGREE = 8
+_MOMENT_TOL = 1e-10
+
+
+def certify_moments(rule):
     """Check the rule against the closed-form moment family on its chart.
 
-    For each complex coordinate and p <= degree/2 the rule must reproduce
+    For each coordinate and p <= _MOMENT_DEGREE/2 the rule must reproduce
 
         int z^p zbar^p (1+|z|^2)^(-p-D0) dA = pi p! (D0-2)! / (p+D0-1)!
 
     with D0 = 3 (other axes suppressed by a product FS-type weight), and
-    annihilate a sample of unbalanced monomials.  Returns the worst error;
-    used by tests and by the CLI verify suite.
+    annihilate a sample of unbalanced monomials.  Returns the worst error,
+    which passes below _MOMENT_TOL.
     """
     if rule.dim == 0:
         return {"passed": True, "max_error": 0.0, "checked": 0}
@@ -199,7 +203,7 @@ def certify_moments(rule, degree=8, tol=1e-10):
         else:
             sup = 1.0
             sup_val = 1.0
-        for p in range(0, degree // 2 + 1):
+        for p in range(0, _MOMENT_DEGREE // 2 + 1):
             f = np.abs(z) ** (2 * p) * (1.0 + np.abs(z) ** 2) ** float(-(p + d0)) * sup
             exact = (
                 math.pi * math.factorial(p) * math.factorial(d0 - 2) / math.factorial(p + d0 - 1)
@@ -210,4 +214,4 @@ def certify_moments(rule, degree=8, tol=1e-10):
         odd = z * (1.0 + np.abs(z) ** 2) ** -4.0 * sup
         worst = max(worst, abs(integrate(rule, odd)))
         checked += 1
-    return {"passed": bool(worst < tol), "max_error": float(worst), "checked": checked}
+    return {"passed": bool(worst < _MOMENT_TOL), "max_error": float(worst), "checked": checked}

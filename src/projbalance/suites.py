@@ -744,7 +744,8 @@ def spectrum_job(cfg, k):
 
 
 def spectrum_assemble(cfg, results):
-    """Growth-exponent and monotonicity verdicts over a spectrum sweep."""
+    """Growth-exponent and monotonicity verdicts over a spectrum sweep,
+    then the levels' torus rows."""
     ks = [res["k"] for res in results]
     lambdas = [res["lambda_z"] for res in results]
     exponent = bal.lambda_fit_exponent(ks, lambdas)
@@ -774,4 +775,6 @@ def spectrum_assemble(cfg, results):
         rows.append(_row(
             "spectrum-monotone",
             detail="fewer than two positive levels; nothing to order"))
+    rows += [res["torus_row"] for res in results
+             if res["torus_row"] is not None]
     return rows, exponent

@@ -269,34 +269,6 @@ class TestEmbeddingState:
 
 
 class TestGeometryKernel:
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_hermitian_det_matches_lu(self, d):
-        # closed form at d = 2, LU on either side of it; scales spread
-        # over six decades
-        rng = np.random.default_rng(110 + d)
-        a = rng.normal(size=(64, d, d)) + 1j * rng.normal(size=(64, d, d))
-        stack = np.eye(d) + 0.5 * a @ np.conj(np.swapaxes(a, 1, 2)) / d
-        stack *= 10.0 ** rng.uniform(-3.0, 3.0, size=(64, 1, 1))
-        want = np.linalg.det(stack).real
-        got = bal._hermitian_det(stack)
-        assert got.shape == (64,) and got.dtype == float
-        assert np.max(np.abs(got - want) / want) < 1e-12
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_hermitian_norm_matches_the_svd(self, d):
-        # closed form at d = 2, SVD on either side of it; indefinite
-        # Hermitian stacks shaped like r_bounded_check's derivative table,
-        # scales spread over six decades
-        rng = np.random.default_rng(120 + d)
-        shape = (70, 16, d, d)
-        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        stack = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-        stack *= 10.0 ** rng.uniform(-3.0, 3.0, size=(70, 16, 1, 1))
-        want = np.linalg.svd(stack, compute_uv=False)[..., 0]
-        got = bal._hermitian_norm(stack)
-        assert got.shape == (70, 16) and got.dtype == float
-        assert np.max(np.abs(got - want) / want) < 1e-13
-
     def test_pulled_back_metric_is_hermitian(self):
         rng = np.random.default_rng(113)
         state = p1xp1_state(2, gram=random_spd(rng, 6), n_radial=4)
@@ -2113,31 +2085,6 @@ class TestRBoundedCheck:
         message = str(err.value)
         assert "at node 3 of 16, above 1e-12" in message
         assert "p1-sum(0, 0)-k2" in message
-
-    def test_closed_forms_at_d2_match_lapack(self):
-        rng = np.random.default_rng(97)
-        a = (rng.standard_normal((50, 2, 2))
-             + 1j * rng.standard_normal((50, 2, 2)))
-        stack = a @ np.conj(np.swapaxes(a, 1, 2)) + 0.1 * np.eye(2)
-        w, v = np.linalg.eigh(stack)
-        smallest = bal._smallest_eigenvalue(stack)
-        assert np.max(np.abs(smallest - w[:, 0]) / w[:, 1]) < 1e-14
-        want = (v / np.sqrt(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
-        got = bal._inverse_sqrt(stack)
-        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_helpers_match_eigh(self, d):
-        rng = np.random.default_rng(98 + d)
-        a = (rng.standard_normal((40, d, d))
-             + 1j * rng.standard_normal((40, d, d)))
-        stack = a @ np.conj(np.swapaxes(a, 1, 2)) + 0.1 * np.eye(d)
-        w, v = np.linalg.eigh(stack)
-        got = bal._smallest_eigenvalue(stack)
-        assert np.max(np.abs(got - w[:, 0]) / w[:, -1]) < 1e-14
-        want = (v / np.sqrt(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
-        got = bal._inverse_sqrt(stack)
-        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
     def test_surface_check_factors_nothing(self, monkeypatch):
         # at d = 2 the reference's inverse root and both smallest

@@ -533,9 +533,10 @@ class TestDeterminism:
 
 
 # modules a run has no use for: numpy's generators (which load OpenSSL
-# through secrets and hashlib) and numpy.polynomial cost megabytes of peak
-# memory and milliseconds of start-up
-UNUSED_MODULES = ("numpy.random", "numpy.polynomial", "_hashlib", "secrets")
+# through secrets and hashlib), numpy.polynomial and numpy.ma cost
+# megabytes of peak memory and milliseconds of start-up
+UNUSED_MODULES = ("numpy.random", "numpy.polynomial", "numpy.ma", "_hashlib",
+                  "secrets")
 
 
 class TestImportFootprint:

@@ -19,10 +19,21 @@ import sympy as sp
 from projbalance.kahler import (
     FubiniStudy,
     graded_exponents,
+    hermitian_det,
+    hermitian_norm,
+    inverse_sqrt,
     jet_tables,
     lambda_contract,
     log_kernel_jet,
     mixed_volume_coefficients,
+    smallest_eigenvalue,
+)
+from projbalance.metrics import (
+    MatrixField,
+    PerturbedBundleMetric,
+    SplitBundleMetric,
+    hermitian_einstein_residual,
+    mean_curvature,
 )
 from projbalance.quadrature import chart_rule, integrate
 from reference_structures import FlatChart, PotentialKahler
@@ -315,3 +326,107 @@ class TestVolumes:
         z = rule.points[:, 0]
         val = integrate(rule, z * ks.volume_density(rule.points))
         assert abs(val) < 1e-12
+
+
+class TestHermitianKernels:
+    """The small-Hermitian kernels against LAPACK: closed forms at d = 2
+    (and d = 1 for the determinant), LAPACK on either side."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_hermitian_det_matches_lu(self, d):
+        # scales spread over six decades
+        rng = np.random.default_rng(110 + d)
+        a = rng.normal(size=(64, d, d)) + 1j * rng.normal(size=(64, d, d))
+        stack = np.eye(d) + 0.5 * a @ np.conj(np.swapaxes(a, 1, 2)) / d
+        stack *= 10.0 ** rng.uniform(-3.0, 3.0, size=(64, 1, 1))
+        want = np.linalg.det(stack).real
+        got = hermitian_det(stack)
+        assert got.shape == (64,) and got.dtype == float
+        assert np.max(np.abs(got - want) / want) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_hermitian_norm_matches_the_svd(self, d):
+        # indefinite Hermitian stacks shaped like r_bounded_check's
+        # derivative table, scales spread over six decades
+        rng = np.random.default_rng(120 + d)
+        shape = (70, 16, d, d)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        stack = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+        stack *= 10.0 ** rng.uniform(-3.0, 3.0, size=(70, 16, 1, 1))
+        want = np.linalg.svd(stack, compute_uv=False)[..., 0]
+        got = hermitian_norm(stack)
+        assert got.shape == (70, 16) and got.dtype == float
+        assert np.max(np.abs(got - want) / want) < 1e-13
+
+    def test_closed_forms_at_d2_match_lapack(self):
+        rng = np.random.default_rng(97)
+        a = (rng.standard_normal((50, 2, 2))
+             + 1j * rng.standard_normal((50, 2, 2)))
+        stack = a @ np.conj(np.swapaxes(a, 1, 2)) + 0.1 * np.eye(2)
+        w, v = np.linalg.eigh(stack)
+        smallest = smallest_eigenvalue(stack)
+        assert np.max(np.abs(smallest - w[:, 0]) / w[:, 1]) < 1e-14
+        want = (v / np.sqrt(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+        got = inverse_sqrt(stack)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_helpers_match_eigh(self, d):
+        rng = np.random.default_rng(98 + d)
+        a = (rng.standard_normal((40, d, d))
+             + 1j * rng.standard_normal((40, d, d)))
+        stack = a @ np.conj(np.swapaxes(a, 1, 2)) + 0.1 * np.eye(d)
+        w, v = np.linalg.eigh(stack)
+        got = smallest_eigenvalue(stack)
+        assert np.max(np.abs(got - w[:, 0]) / w[:, -1]) < 1e-14
+        want = (v / np.sqrt(w)[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+        got = inverse_sqrt(stack)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_mixed_volume_coefficients_match_lu(self, d):
+        # det(W + t Omega) at t = 0..d through LU and the Vandermonde
+        # solve, against the same solve over the kernel's determinants
+        rng = np.random.default_rng(130 + d)
+        a = rng.normal(size=(60, d, d)) + 1j * rng.normal(size=(60, d, d))
+        b = rng.normal(size=(60, d, d)) + 1j * rng.normal(size=(60, d, d))
+        w = np.eye(d) + 0.5 * a @ np.conj(np.swapaxes(a, 1, 2))
+        omega = 0.5 * (b + np.conj(np.swapaxes(b, 1, 2)))
+        tvals = np.arange(d + 1, dtype=float)
+        dets = np.stack([np.linalg.det(w + t * omega).real for t in tvals])
+        want = np.linalg.solve(np.vander(tvals, d + 1, increasing=True), dets)
+        got = mixed_volume_coefficients(w, omega, d)
+        assert got.shape == (d + 1, 60)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_hermitian_einstein_residual_matches_eigh(self, r):
+        # a split metric plus a Hermitian term varying over the base, so
+        # the metric frame is not diagonal; the residual measured through
+        # H^(1/2) and H^(-1/2) from one eigh and the largest |eigvalsh|
+        def kfn(z):
+            q = 1.0 + np.abs(z[:, 0]) ** 2
+            out = np.zeros((z.shape[0], r, r), dtype=complex)
+            out[:, 0, 0] = 0.2 / q
+            if r > 1:
+                out[:, 0, 1] = 0.3 * z[:, 0] / q
+            return out + np.conj(np.swapaxes(out, 1, 2))
+
+        metric = PerturbedBundleMetric(SplitBundleMetric(1, range(r)),
+                                       MatrixField(1, r, fn=kfn), 0.4)
+        kahler = FubiniStudy(1)
+        rule = chart_rule(1, n_radial=8)
+        pts = rule.points
+        mc = mean_curvature(metric, kahler, pts)
+        dens = kahler.reduced_volume_density(pts)
+        slope = (integrate(rule, np.einsum("nii->n", mc).real * dens)
+                 / (r * integrate(rule, dens)))
+        w, u = np.linalg.eigh(metric.matrix(pts))
+        uh = np.conj(np.swapaxes(u, 1, 2))
+        sym = ((u * np.sqrt(w)[:, None, :]) @ uh @ (mc - slope * np.eye(r))
+               @ (u / np.sqrt(w)[:, None, :]) @ uh)
+        sym = 0.5 * (sym + np.conj(np.swapaxes(sym, 1, 2)))
+        want = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
+        got = hermitian_einstein_residual(metric, kahler, rule)
+        assert want > 0.1
+        assert abs(got - want) < 1e-13 * want

@@ -136,6 +136,6 @@ class TestGuards:
 
     def test_certify_moments(self):
         rule = chart_rule(1, n_radial=24)
-        report = certify_moments(rule, degree=8, tol=1e-10)
+        report = certify_moments(rule)
         assert report["passed"]
         assert report["max_error"] < 1e-10
