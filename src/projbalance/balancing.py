@@ -30,29 +30,21 @@ Contents, bottom to top:
   `balanced_density_stats` evaluates the density whose constancy
   certifies the result, and `embedding_form_field` exposes the
   pulled-back metric at arbitrary points for comparability probes;
-* `sigma_z_operator` integrates squared normal components of the su(N)
-  action fields without forming them: with P the normal projector at a
-  node, the integrand (xi_a u)^H P (xi_b u) / |u|^2 is, in the matrix-unit
-  basis E_ji of all N x N matrices, one N^2 x N^2 node sum, taken in node
-  blocks of a fixed byte budget, or at a torus state one Hermitian block
-  per torus charge, a diagonal minus a Gram, and Q in the generators is
-  assembled only when read; `eig_estimate` extracts the smallest positive
-  eigenvalue of the union of the block spectra less the identity's zero,
-  and `lambda_fit_exponent` the growth exponent of the reciprocal along a
-  k-sweep (the sweep itself is `suites.spectrum_job`);
-* `torus_orbit_rule` serves torus-invariant states, the ones whose Gram
-  is diagonal in the monomial basis: one node per torus orbit, angle 0 in
-  every coordinate with the whole orbit's weight.  Every integrand entry
-  of such a state carries one torus character, so its orbit integral is
-  its orbit-weighted value at angle 0 when the character is 0 and exactly
-  0 otherwise (derived in its docstring): a state on its `OrbitRule` is a
-  `torus` state, whose Gram is N weights (`metrics.DiagonalGram`) and
-  which balances on the diagonal of its pairings alone, and
-  `sigma_z_operator` keeps only the zero-character entries of its node
-  sum, in blocks by charge (`_charge_sectors`).  `torus_invariance_guard`
-  checks a matrix before a torus state keeps its diagonal, and
-  `torus_rule_check` re-integrates a torus state on three of its orbits,
-  each on its full angular grid (sized by D = `torus_degree`);
+* `sigma_z_operator` integrates the squared normal components of the
+  su(N) action fields without forming them, as Hermitian blocks in the
+  matrix-unit basis E_ji (one per torus charge at a torus state);
+  `eig_estimate` extracts the smallest positive eigenvalue of their
+  spectra less the identity's zero, and `lambda_fit_exponent` the growth
+  exponent of its reciprocal along a k-sweep (`suites.spectrum_job`);
+* `torus_orbit_rule` serves torus-invariant states, whose Gram is
+  diagonal in the monomial basis: one node per torus orbit, at angle 0
+  with the orbit's weight, exact because every integrand entry carries
+  one torus character (derived in its docstring).  A state on its
+  `OrbitRule` is a `torus` state, whose Gram is N weights
+  (`metrics.DiagonalGram`); `torus_invariance_guard` checks a matrix
+  before a torus state keeps its diagonal, and `torus_rule_check`
+  re-integrates a torus state on three of its orbits, each on its full
+  angular grid (sized by D = `torus_degree`);
 * `r_bounded_check` and `almost_balanced_check` are the acceptance gates:
   two-sided comparability of the embedding form of a state against that
   of a reference state, and decay-order classification of a moment
@@ -63,41 +55,43 @@ Contents, bottom to top:
   field at the nodes.
 
 Each geometric quantity has one routine.  `_pullback_data` is the package's
-only pull-back formula (the metric d d-bar log |u|^2 of a frame table and
-its volume density); `_fs_geometry` applies it at the rule nodes and
-`embedding_form_field` at arbitrary points.  `EmbeddingState._pairing` is
-the only L2 pairing of a node table against the pulled-back volume:
-`metrics.l2_pairing`, or its diagonal for a torus state; the moment pairs
-the frame, the T-step the raw basis values, and the density the frame
-again.
+only pull-back formula: from the kernel K = |u|^2 of a frame u, its
+gradient and its jet pairing it forms the metric d d-bar log |u|^2, its
+volume density and both guards.  `_frame_sums` takes those row sums over
+the N sections of a frame table, for `_fs_geometry` at the rule nodes and
+`embedding_form_field` at arbitrary points; a torus state reads them off
+its `_table`.  `metrics.l2_pairing`, or its diagonal for a torus state, is
+the only L2 pairing against the pulled-back volume: the moment pairs the
+frame, the T-step the raw basis values, and the density the frame again.
 
 The geometry kernel works on one order-major table per point set, the
 1-jet (1 + dim, n, N) of `SectionBasis.eval_embedding_jet`: row 0 the
 values, then one row per holomorphic direction, binomial shifts of one
 power table of the points, so no table takes a complex power.  The
-Gram's `frame` moves it to the orthonormal frame at once, and
-`_pullback_data` forms the kernel, the gradient and the upper triangle of
-the jet pairing as row sums over the N sections.  Its determinant and
-`r_bounded_check`'s norms, eigenvalues and root are `kahler`'s kernels;
-the tangent frame of `sigma_z_operator` (`_tangent_frame`) is
-Gram-Schmidt at dim 2, an SVD otherwise.
+Gram's `frame` moves it to the orthonormal frame at once.  The
+determinant and `r_bounded_check`'s norms, eigenvalues and root are
+`kahler`'s kernels; the tangent frame of `sigma_z_operator`
+(`_tangent_frame`) is Gram-Schmidt at dim 2, an SVD otherwise.
 
-A torus state's solver step factors nothing: its Gram is its weights c,
-whose whitener c^(-1/2) broadcasts, whose moment is the pairing diagonal
-less V/N (its own spectrum), whose det gauge is the geometric mean, and
-whose Anderson iterate is log c less its mean.  Any other Gram is
-factored once, by its `GramMatrix`: the guards, the whitener and the
-mixer's traceless log read one `eigh`, the det gauge is one LU, the
+A torus state's solver step factors nothing and forms no frame: its Gram
+is its weights c, and K, its gradient and the jet pairing are linear in
+1/c, so one table of section-jet products per rule (`_table`, shared by
+every `with_gram` copy) gives them in one GEMV, and the raw pairing
+diagonal in a second.  The frame pairing is that diagonal times 1/c, the
+moment the frame pairing less V/N (its own spectrum), the det gauge the
+geometric mean, and the Anderson iterate log c less its mean.  Any other
+Gram is factored once, by its `GramMatrix`: the guards, the whitener and
+the mixer's traceless log read one `eigh`, the det gauge is one LU, the
 moment one `eigvalsh`, and `_exp_hermitian` factors the mix.
 
-A state makes one geometry pass and one moment for everything that reads
-them: its memo keeps the `_fs_geometry` node tables, the `MomentValue` and
-both pairings, read-only, so each runs once per state an iteration visits
+A state's memo keeps its `_fs_geometry` node tables, its `MomentValue`
+and both pairings, read-only, so each is formed at most once per state
 (an Anderson step visits its mixed state, a safeguard fallback the plain
-one as well), and the density and `sigma_z_operator` of a solved state
-reuse its pass.  The Anderson least squares drops singular values below
-`_ANDERSON_RCOND` of the largest, so roundoff in the history never steers
-a step.
+one as well).  A torus state forms its node tables only for the readers
+of the frame (`sigma_z_operator`, `balanced_density_stats`,
+`torus_rule_check`), on first read, so its solve makes no geometry pass.
+The Anderson least squares drops singular values below `_ANDERSON_RCOND`
+of the largest, so roundoff in the history never steers a step.
 
 All volumes are reduced by (2 pi)^dim as elsewhere in the package.
 """
@@ -181,17 +175,14 @@ class EmbeddingState:
     """A Gram matrix on a section space plus everything needed to integrate
     against the embedding it induces.
 
-    `transform` columns are a G-orthonormal frame: transform^H G transform
-    is the identity; it is the Gram's whitener, derived from the Gram, so
-    no copy with another Gram keeps a stale one.
+    `transform` columns are a G-orthonormal frame, the Gram's whitener,
+    derived from the Gram, so no copy with another Gram keeps a stale one.
     `jet` is the 1-jet of the raw section basis at the rule nodes, one
-    order-major table (1 + dim, n, N) from one evaluation: row 0 the
-    values (`values`), then one (n, N) row per holomorphic direction.  It
-    is kept so iteration steps only pay for the N x N linear algebra; the
-    Gram is read in that same raw basis.
-    `_geometry` memoizes the node geometry and `_pairings` the moment and
-    pairings, read-only, so a state costs one geometry pass and one moment
-    however many readers ask; a new state starts without them.
+    order-major table (1 + dim, n, N): row 0 the values (`values`), then
+    one (n, N) row per holomorphic direction.  The memo, read-only and
+    empty in a new state, holds `_geometry` (the node geometry) and
+    `_pairings` (the moment and both pairings); a torus state's `_table`
+    is shared by every `with_gram` copy, as `jet` is.
 
     A state is validated where it is born (`embedding_state`, `with_gram`
     and `dataclasses.replace` alike): one Gram row per section, and the
@@ -199,9 +190,9 @@ class EmbeddingState:
     state, one on an `OrbitRule`, holds N weights (`DiagonalGram`) and
     keeps the diagonal of a matrix it is given once the matrix passes
     `torus_invariance_guard`; any other state holds a `GramMatrix`.  A
-    torus state's pairings are formed on the diagonal only, the
-    off-diagonal entries of a torus-invariant state being exactly 0
-    (derived in `torus_orbit_rule`), and `sigma_z_operator` keeps the
+    torus state's pairings are diagonal, the off-diagonal entries of a
+    torus-invariant state being exactly 0 (derived in `torus_orbit_rule`),
+    and read off `_table` without a frame; `sigma_z_operator` keeps the
     zero-character entries of its node sum, one block per torus charge.
     """
 
@@ -256,29 +247,57 @@ class EmbeddingState:
         return geometry
 
     @cached_property
+    def _table(self):
+        """A torus state's section-jet products: (N, M n), which against
+        1/c gives the M = 1 + dim + dim^2 node rows of `_frame_sums`, and
+        |s_p|^2 (n, N) for the raw pairing."""
+        v, dv = self.jet[0], self.jet[1:]
+        square = _abs2(v)
+        rows = [square, *(dv * np.conj(v)),
+                *(dv[:, None] * np.conj(dv)).reshape(-1, *v.shape)]
+        table = np.array(rows, dtype=complex).reshape(-1, v.shape[1]).T
+        table = np.ascontiguousarray(table)
+        table.flags.writeable = square.flags.writeable = False
+        return table, square
+
+    @cached_property
     def _pairings(self):
-        """The `MomentValue`, the frame pairing and the basis pairing,
-        read-only: what `moment_map`, `t_map_step` and
-        `balanced_density_stats` read."""
-        u, _, kk, _, wq = self._geometry
-        weights = wq / kk
-        frame = self._pairing(u, weights)
-        raw = self._pairing(self.values, weights)
+        """The `MomentValue`, the frame pairing and the basis pairing: what
+        `moment_map`, `t_map_step` and `balanced_density_stats` read.  A
+        torus state reads them off `_table`, any other its `_geometry`."""
+        if self.torus:
+            inv = 1.0 / self.gram.weights
+            kk, grad, pair = self._torus_sums(inv)
+            wq = self.rule.weights * _pullback_data(kk, grad, pair)[1]
+            raw = (wq / kk) @ self._table[1]
+            frame = raw * inv
+        else:
+            u, _, kk, _, wq = self._geometry
+            weights = wq / kk
+            frame = l2_pairing(u, weights)
+            raw = l2_pairing(self.values, weights)
         frame.flags.writeable = raw.flags.writeable = False
         return _moment(frame, float(wq.sum())), frame, raw
 
-    def _pairing(self, table, weights):
-        """`metrics.l2_pairing` of a node table, or for a torus state its
-        diagonal alone, the vector sum_n weights_n |table_np|^2."""
-        if self.torus:
-            return _abs2(table).T @ weights
-        return l2_pairing(table, weights)
+    def _torus_sums(self, inv):
+        """`_frame_sums` of a torus state with inverse weights inv: one
+        GEMV of `_table`'s real view."""
+        table, square = self._table
+        dim = self.model.n
+        sums = (inv @ table.view(float)).view(complex).reshape(
+            -1, square.shape[0])
+        return (sums[0].real, sums[1:dim + 1],
+                sums[dim + 1:].reshape(dim, dim, -1))
 
     def with_gram(self, gram):
         """The same embedding data under another Gram, a matrix, a weight
-        vector or a kept Gram (`metrics.make_gram`): basis, rule and node
-        tables are shared, and the memo starts empty."""
-        return replace(self, gram=make_gram(gram))
+        vector or a kept Gram (`metrics.make_gram`), sharing `jet` and
+        `_table`."""
+        state = EmbeddingState(self.model, self.basis, make_gram(gram),
+                               self.rule, self.jet)
+        if self.torus:
+            state.__dict__["_table"] = self._table
+        return state
 
 
 def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
@@ -346,50 +365,50 @@ def _abs2(x):
     return x.real ** 2 + x.imag ** 2
 
 
-def _pullback_data(u, du, dim):
-    """Kernel, its gradient, pulled-back metric coefficients, and reduced
-    volume density of a frame table u (n, N) with direction-major
-    holomorphic jets du (dim, n, N).
-
-    The pulled-back metric of the embedding by the frame u is
-    d d-bar log |u|^2; its coefficient matrix is A/K - b b^H / K^2 with
-    K = |u|^2, A_ab = sum_p du_pa conj(du_pb), b_a = sum_p du_pa conj(u_p),
-    each a row sum over the N sections; A is formed on its upper triangle
-    and the stack filled Hermitian.  The reduced density is det times
-    2^dim / (2 pi)^dim, the det `hermitian_det`.
-    """
+def _frame_sums(u, du):
+    """Row sums over the sections of a frame table u (n, N) and its
+    direction-major jets du (dim, n, N): K = |u|^2 (n,), b_a = sum_p du_pa
+    conj(u_p) (dim, n) and A_ab = sum_p du_pa conj(du_pb) (dim, dim, n)."""
     uc = np.conj(u)
-    kk = np.einsum("np,np->n", u, uc).real
-    ok = np.isfinite(kk) & (kk > 0.0)
-    if not ok.all():
-        node = int(np.argmin(ok))
+    return (np.einsum("np,np->n", u, uc).real,
+            np.einsum("anp,np->an", du, uc),
+            np.einsum("anp,bnp->abn", du, np.conj(du)))
+
+
+def _pullback_data(kk, grad, pair):
+    """Pulled-back metric coefficients (n, dim, dim) and reduced volume
+    density (n,) from the row sums of `_frame_sums` (or a torus state's
+    `_table` against 1/c), with both guards: a vanishing kernel, and a
+    density below its roundoff floor, each failing closed on NaN.
+
+    The metric d d-bar log |u|^2 of a frame u has the coefficient matrix
+    A/K - b b^H / K^2, of which the Hermitian part is kept, exact under
+    roundoff.  The density is its `hermitian_det` times 2^dim / (2 pi)^dim.
+    """
+    if not (np.minimum.reduce(kk, initial=math.inf) > 0.0
+            and np.maximum.reduce(kk, initial=0.0) < math.inf):
+        node = int(np.argmin(np.isfinite(kk) & (kk > 0.0)))
         raise NumericalGuardError(
             f"embedding kernel vanished at node {node} of {len(kk)}: |u|^2 "
             f"= {kk[node]:.3e}; the sections have a common zero there (use "
             "a basis without one, as sections.build_section_basis builds) "
             "or the node or the Gram is not finite")
-    grad = np.einsum("anp,np->an", du, uc)
-    duc = np.conj(du)
-    kk2 = kk ** 2
-    gfs = np.empty((u.shape[0], dim, dim), dtype=complex)
-    for a in range(dim):
-        gfs[:, a, a] = (np.einsum("np,np->n", du[a], duc[a]).real / kk
-                        - _abs2(grad[a]) / kk2)
-        for b in range(a + 1, dim):
-            gfs[:, a, b] = (np.einsum("np,np->n", du[a], duc[b]) / kk
-                            - grad[a] * np.conj(grad[b]) / kk2)
-            gfs[:, b, a] = np.conj(gfs[:, a, b])
+    dim = grad.shape[0]
+    gfs = (pair / kk - grad[:, None] * np.conj(grad) / kk ** 2).transpose(
+        2, 0, 1)
+    gfs = 0.5 * (gfs + np.conj(np.swapaxes(gfs, 1, 2)))
     dens = hermitian_det(gfs) * 2.0 ** dim / (2.0 * math.pi) ** dim
-    floor = -1e-12 * max(1.0, dens.max(initial=0.0))
-    ok = np.isfinite(dens) & (dens >= floor)
-    if not ok.all():
-        node = int(np.argmin(ok))
+    top = np.maximum.reduce(dens, initial=0.0)
+    floor = -1e-12 * max(1.0, top)
+    if not (np.minimum.reduce(dens, initial=math.inf) >= floor
+            and top < math.inf):
+        node = int(np.argmin(np.isfinite(dens) & (dens >= floor)))
         raise NumericalGuardError(
             f"embedding volume density {dens[node]:.3e} at node {node} of "
             f"{len(dens)} not nonnegative (floor {floor:.1e}), as it is in "
             "exact arithmetic: check GramMatrix.condition() of the state's "
             "Gram and that the node and its section jet are finite")
-    return kk, grad, gfs, np.maximum(dens, 0.0)
+    return gfs, np.maximum(dens, 0.0)
 
 
 def _fs_geometry(state):
@@ -399,8 +418,9 @@ def _fs_geometry(state):
     orthonormal frame at once, and u, du are views of it."""
     mixed = state.gram.frame(state.jet)
     u, du = mixed[0], mixed[1:]
-    kk, grad, _, dens = _pullback_data(u, du, state.model.n)
-    return u, du, kk, grad, state.rule.weights * dens
+    kk, grad, pair = _frame_sums(u, du)
+    return u, du, kk, grad, state.rule.weights * _pullback_data(
+        kk, grad, pair)[1]
 
 
 def embedding_form_field(state):
@@ -412,33 +432,42 @@ def embedding_form_field(state):
     holds its jets to it, and the tests difference it as their oracle."""
     gram = state.gram
     basis = state.basis
-    dim = state.model.n
 
     def field(pts):
         mixed = gram.frame(basis.eval_embedding_jet(pts))
-        return _pullback_data(mixed[0], mixed[1:], dim)[2]
+        return _pullback_data(*_frame_sums(mixed[0], mixed[1:]))[0]
 
     return field
 
 
-@dataclass(frozen=True)
 class MomentValue:
     """Trace-free L2 defect of an embedding state.
 
     `matrix` is Hermitian with zero trace and read-only, since a state
-    keeps its moment; `d` is the balanced pairing value volume / count
-    that was subtracted from the diagonal.
+    keeps its moment; a torus state's moment is diagonal, given by its N
+    diagonal entries, and `matrix` is formed from them when first read.
+    `d` is the balanced pairing value volume / count that was subtracted
+    from the diagonal.
     """
 
-    matrix: np.ndarray
-    d: float
-    volume: float
-    norm_op: float
-    norm_fro: float
+    def __init__(self, matrix, d, volume, norm_op, norm_fro):
+        self._entries = matrix
+        self.d = d
+        self.volume = volume
+        self.norm_op = norm_op
+        self.norm_fro = norm_fro
+
+    @cached_property
+    def matrix(self):
+        m = self._entries
+        if m.ndim == 1:
+            m = np.diag(m)
+            m.flags.writeable = False
+        return m
 
     @property
     def count(self):
-        return self.matrix.shape[0]
+        return self._entries.shape[0]
 
 
 def moment_map(state):
@@ -459,16 +488,16 @@ def _moment(raw, vol):
     n = raw.shape[0]
     dval = vol / n
     if raw.ndim == 1:  # a torus state's diagonal: its own spectrum
-        eigs = raw - dval
-        m = np.diag(eigs)
+        m = eigs = raw - dval
+        fro = math.sqrt(eigs @ eigs)
     else:
         m = raw - dval * np.eye(n)
         m = 0.5 * (m + m.conj().T)
         eigs = np.linalg.eigvalsh(m)
+        fro = float(np.linalg.norm(m))
     m.flags.writeable = False
     return MomentValue(matrix=m, d=dval, volume=vol,
-                       norm_op=float(np.max(np.abs(eigs))),
-                       norm_fro=float(np.linalg.norm(m)))
+                       norm_op=float(np.abs(eigs).max()), norm_fro=fro)
 
 
 def t_map_step(state):
@@ -484,7 +513,7 @@ def t_map_step(state):
     mv, _, raw = state._pairings
     newg = (state.count / mv.volume) * raw
     if state.torus:
-        newg /= math.exp(np.log(newg).mean())
+        newg /= math.exp(np.log(newg).sum() / state.count)
     else:
         newg = 0.5 * (newg + newg.conj().T)
         newg /= np.linalg.det(newg).real ** (1.0 / state.count)
@@ -629,11 +658,12 @@ def _anderson_mix(xs, gs):
     fs = gs - xs
     # real coordinates of the Hermitian residuals: Frobenius geometry with
     # real mixing coefficients, so the mixed matrix stays Hermitian
-    dfs = np.diff(fs, axis=0).reshape(len(fs) - 1, -1)
+    dfs = (fs[1:] - fs[:-1]).reshape(len(fs) - 1, -1)
     gamma = np.linalg.lstsq(dfs.view(float).T, fs[-1].reshape(-1).view(float),
                             rcond=_ANDERSON_RCOND)[0]
-    x = gs[-1] - np.tensordot(gamma, np.diff(gs, axis=0), axes=1)
-    return 0.5 * (x + x.conj().T)
+    x = gs[-1] - (gamma @ (gs[1:] - gs[:-1]).reshape(len(gs) - 1, -1)
+                  ).reshape(gs.shape[1:])
+    return x if x.ndim == 1 else 0.5 * (x + x.conj().T)
 
 
 class _AndersonMixer:
@@ -648,8 +678,8 @@ class _AndersonMixer:
     only when its moment op norm does not exceed the current one; a rise
     or a tripped guard takes the plain T-step instead, counts a fallback
     and clears the history.  The mixed state's memo then serves the next
-    moment, so an accepted step costs one geometry pass and a fallback
-    two.  Each call makes exactly one `t_map_step`."""
+    moment, so an accepted step forms one moment and a fallback two.
+    Each call makes exactly one `t_map_step`."""
 
     def __init__(self):
         self.xs = []
@@ -663,7 +693,7 @@ class _AndersonMixer:
         del self.xs[:-_ANDERSON_MEMORY], self.gs[:-_ANDERSON_MEMORY]
         if len(self.xs) < 2:
             return plain
-        x = _anderson_mix(np.stack(self.xs), np.stack(self.gs))
+        x = _anderson_mix(np.array(self.xs), np.array(self.gs))
         try:
             # an overflowing exp leaves a non-finite Gram, which guards reject
             with np.errstate(over="ignore", invalid="ignore"):

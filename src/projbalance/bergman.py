@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalGuardError
-from .kahler import complex_hessian, hermitian_det, mixed_volume_coefficients
+from .kahler import (complex_hessian, hermitian_det, lambda_contract,
+                     mixed_volume_coefficients)
 from .metrics import (
     MatrixField,
     _base_runs,
@@ -801,11 +802,9 @@ def scalar_curvature_variation(kahler, eta_fn, z):
 
     def laplacian(q):
         gq = kahler.matrix(np.asarray(q, dtype=complex))
-        hess = complex_hessian(eta_fn, q, h=h)
-        return np.einsum("nba,nab->n", np.linalg.inv(gq), hess).real
+        return lambda_contract(gq, complex_hessian(eta_fn, q, h=h)).real
 
-    lap2 = complex_hessian(laplacian, z, h=h_outer)
-    term1 = np.einsum("nba,nab->n", ginv, lap2).real
+    term1 = lambda_contract(g, complex_hessian(laplacian, z, h=h_outer)).real
     hess = complex_hessian(eta_fn, z, h=h)
     ric = kahler.ricci_matrix(z)
     term2 = np.einsum("nab,nbc,ncd,nda->n", ginv, hess, ginv, ric).real
@@ -907,7 +906,7 @@ def a11_apply(metric, kahler, model, phi_field, eta_fn, z, rule):
     hess_eta = complex_hessian(eta_fn, z)
     # delta of the contraction: Lambda(i delta F) plus the derivative of
     # Lambda itself along delta G = -Hess(eta)
-    delta_m = (np.einsum("nba,nabij->nij", ginv, df)
+    delta_m = (lambda_contract(g, df)
                + np.einsum("nbc,ncd,nda,nabij->nij", ginv, hess_eta, ginv, f))
     tr = np.einsum("naa->n", delta_m)
     eye = np.eye(r)

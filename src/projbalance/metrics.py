@@ -178,9 +178,9 @@ class DiagonalGram:
 
     def __post_init__(self):
         c = self.weights
-        _check_spectrum(c.min(), c.max())
+        _check_spectrum(np.minimum.reduce(c), np.maximum.reduce(c))
         root = 1.0 / np.sqrt(c)
-        _check_whitener(np.max(np.abs(root * c * root - 1.0)))
+        _check_whitener(np.maximum.reduce(np.abs(root * c * root - 1.0)))
         root.flags.writeable = False  # shared by callers
         object.__setattr__(self, "root", root)
 
@@ -206,7 +206,7 @@ class DiagonalGram:
 
     def traceless_log(self):
         logc = np.log(self.weights)
-        return logc - logc.mean()
+        return logc - logc.sum() / logc.size
 
 
 def make_gram(a):
@@ -215,7 +215,7 @@ def make_gram(a):
     if isinstance(a, (GramMatrix, DiagonalGram)):
         return a
     a = np.array(a, dtype=float if np.ndim(a) == 1 else complex)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalGuardError(
             "Gram matrix has non-finite entries; increase the quadrature "
             "budget or lower k")

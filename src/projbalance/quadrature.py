@@ -187,10 +187,11 @@ def certify_moments(rule):
 
     with D0 = 3 (other axes suppressed by a product FS-type weight), and
     annihilate a sample of unbalanced monomials.  Returns the worst error,
-    which passes below _MOMENT_TOL.
+    which passes below _MOMENT_TOL, and that tolerance.
     """
     if rule.dim == 0:
-        return {"passed": True, "max_error": 0.0, "checked": 0}
+        return {"passed": True, "max_error": 0.0, "checked": 0,
+                "tolerance": _MOMENT_TOL}
     worst = 0.0
     checked = 0
     d0 = 3
@@ -214,4 +215,5 @@ def certify_moments(rule):
         odd = z * (1.0 + np.abs(z) ** 2) ** -4.0 * sup
         worst = max(worst, abs(integrate(rule, odd)))
         checked += 1
-    return {"passed": bool(worst < _MOMENT_TOL), "max_error": float(worst), "checked": checked}
+    return {"passed": bool(worst < _MOMENT_TOL), "max_error": float(worst),
+            "checked": checked, "tolerance": _MOMENT_TOL}

@@ -170,7 +170,8 @@ def quadrature_rows(model, n_radial):
     res1 = certify_moments(chart_rule(1, n_radial=n_radial))
     rows = [_row(
         "quadrature-moments", value=float(res1["max_error"]),
-        reference=0.0, error=float(res1["max_error"]), tolerance=1e-10,
+        reference=0.0, error=float(res1["max_error"]),
+        tolerance=res1["tolerance"],
         passed=bool(res1["passed"]),
         detail=f"chart dimension 1, {res1['checked']} moments")]
     if 2 in (model.m, model.fiber_dim):

@@ -45,6 +45,7 @@ from projbalance.metrics import (
     DiagonalGram,
     GramMatrix,
     SplitBundleMetric,
+    l2_pairing,
     make_gram,
 )
 from projbalance.quadrature import ChartRule, product_rule
@@ -274,7 +275,7 @@ class TestGeometryKernel:
         state = p1xp1_state(2, gram=random_spd(rng, 6), n_radial=4)
         u, du, _, grad, wq = bal._fs_geometry(state)
         assert np.array_equal(grad, np.einsum("anp,np->an", du, np.conj(u)))
-        gfs = bal._pullback_data(u, du, 2)[2]
+        gfs = bal._pullback_data(*bal._frame_sums(u, du))[0]
         assert np.array_equal(gfs, np.conj(np.swapaxes(gfs, 1, 2)))
         dens = np.linalg.det(gfs).real * 2.0 ** 2 / (2.0 * math.pi) ** 2
         want = state.rule.weights * dens
@@ -299,7 +300,7 @@ class TestGeometryKernel:
         du = np.zeros((2, 3, 2), dtype=complex)
         du[0, 1, 0] = np.nan
         with pytest.raises(NumericalGuardError) as err:
-            bal._pullback_data(u, du, 2)
+            bal._pullback_data(*bal._frame_sums(u, du))
         msg = str(err.value)
         assert "density nan at node 1 of 3 not nonnegative" in msg
         assert "GramMatrix.condition" in msg
@@ -666,20 +667,24 @@ class TestEachStatePaysOnce:
 
     def test_operator_of_a_solved_state_reads_its_geometry(self,
                                                            monkeypatch):
+        # one pass per state, on demand: a torus solve reads its table and
+        # makes none, and the readers of the solved state's frame share one
         model = TrivialBundleOverPm(1, 2, 3)
         state = bal.embedding_state(model,
                                     rule=bal.torus_orbit_rule(model, 6))
-        report = bal.balance_iterate(state, tol=1e-9)
-        assert report.converged
         seen = count_geometry_passes(monkeypatch)
-        q = bal.sigma_z_operator(report.state).q_matrix
+        report = bal.balance_iterate(state, tol=1e-9)
+        assert report.converged and report.iterations > 0
         assert seen == []
+        q = bal.sigma_z_operator(report.state).q_matrix
+        bal.balanced_density_stats(report.state)
+        assert seen == [report.state]
         # the kept tables are read-only and give the fresh pass's operator
         u = report.state._geometry[0]
         assert not u.flags.writeable
         fresh = replace(report.state, gram=report.state.gram)
         assert np.array_equal(bal.sigma_z_operator(fresh).q_matrix, q)
-        assert seen == [fresh]
+        assert seen == [report.state, fresh]
 
     def test_three_eigh_per_accepted_anderson_step(self, monkeypatch):
         # from the identity Gram every mixed step is accepted; each
@@ -1575,6 +1580,111 @@ def raise_on_factorization(monkeypatch):
         def refuse(*args, name=name, **kwargs):
             raise AssertionError(f"np.linalg.{name} called")
         monkeypatch.setattr(np.linalg, name, refuse)
+
+
+class TestTorusTable:
+    """A torus state reads its kernel, gradient and jet pairing off one
+    table of section-jet products per rule (`EmbeddingState._table`), in
+    one GEMV with the inverse weights, and its raw pairing diagonal in a
+    second: the same numbers as the frame path (`_fs_geometry`,
+    `_frame_sums`, `_pullback_data`), and the same guards."""
+
+    MODELS = {"p1-o3": LineBundleSumOverP1((0,), 3),
+              "p1xp1": TrivialBundleOverPm(1, 2, 3),
+              "p2xp1": TrivialBundleOverPm(2, 2, 2)}
+
+    @staticmethod
+    def close(got, want):
+        scale = np.max(np.abs(want))
+        return np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("key", sorted(MODELS))
+    def test_table_matches_the_frame_path(self, key, seed):
+        model = self.MODELS[key]
+        state = bal.embedding_state(model,
+                                    rule=bal.torus_orbit_rule(model, 6))
+        assert state.model.n == {"p1-o3": 1, "p1xp1": 2, "p2xp1": 3}[key]
+        rng = np.random.default_rng(seed)
+        state = state.with_gram(rng.uniform(0.2, 5.0, state.count))
+        c = state.gram.weights
+        kk, grad, pair = state._torus_sums(1.0 / c)
+        u, du, fkk, fgrad, fwq = bal._fs_geometry(state)
+        want = bal._frame_sums(u, du)
+        assert self.close(kk, fkk) and self.close(kk, want[0])
+        assert self.close(grad, fgrad)
+        assert pair.shape == want[2].shape == (model.n, model.n, len(kk))
+        assert self.close(pair, want[2])
+        gfs, dens = bal._pullback_data(kk, grad, pair)
+        fgfs, fdens = bal._pullback_data(*want)
+        assert self.close(gfs, fgfs) and self.close(dens, fdens)
+        assert self.close(state.rule.weights * dens, fwq)
+        # the moment and both pairings, against the frame path's diagonals
+        mv, frame, raw = state._pairings
+        weights = fwq / fkk
+        assert self.close(frame, np.real(np.diagonal(l2_pairing(u, weights))))
+        assert self.close(raw, np.real(np.diagonal(
+            l2_pairing(state.values, weights))))
+        assert mv.volume == pytest.approx(fwq.sum(), rel=1e-13, abs=0.0)
+        want_moment = np.diag(frame - fwq.sum() / state.count)
+        assert self.close(mv.matrix, want_moment)
+        assert mv.norm_op == pytest.approx(
+            np.max(np.abs(want_moment)), rel=1e-12, abs=1e-15)
+        assert mv.norm_fro == pytest.approx(
+            np.linalg.norm(want_moment), rel=1e-12, abs=1e-15)
+
+    def test_copies_share_one_table(self):
+        model = self.MODELS["p1xp1"]
+        state = bal.embedding_state(model,
+                                    rule=bal.torus_orbit_rule(model, 6))
+        table = state._table
+        moved = state.with_gram(np.linspace(1.0, 2.0, state.count))
+        assert moved._table is table
+        assert not table[0].flags.writeable and not table[1].flags.writeable
+        # a dataclass copy starts without it, so a replaced jet never
+        # reads a stale one
+        assert "_table" not in vars(replace(state, gram=state.gram))
+
+    @staticmethod
+    def both_paths(rule, basis=None, gram=None):
+        """The guard message of the moment of one Gram on one rule, once
+        at a torus state (its table) and once at a `GramMatrix` state
+        (frame row sums)."""
+        model = LineBundleSumOverP1((0,), 2)
+        messages = []
+        for torus in (True, False):
+            kind = bal.OrbitRule if torus else ChartRule
+            state = bal.embedding_state(
+                model, rule=kind(rule.points, rule.weights), basis=basis,
+                gram=np.diag(gram) if gram is not None else None)
+            assert state.torus is torus
+            with pytest.raises(NumericalGuardError) as err:
+                bal.moment_map(state)
+            messages.append(str(err.value))
+        return messages
+
+    def test_a_vanishing_kernel_trips_on_both_paths(self):
+        # {z, z^2} vanish together at z = 0, the first node of the rule
+        model = LineBundleSumOverP1((0,), 2)
+        basis = SectionBasis(model, np.array([0, 0]), np.array([[1], [2]]))
+        rule = ChartRule(points=np.array([[0.0], [0.5]], dtype=complex),
+                         weights=np.ones(2))
+        torus, general = self.both_paths(rule, basis=basis)
+        assert torus == general
+        assert "kernel vanished at node 0 of 2" in torus
+        assert "|u|^2 = 0.000e+00" in torus
+
+    def test_a_negative_density_trips_on_both_paths(self, monkeypatch):
+        # the determinant is nonnegative in exact arithmetic; negate it
+        monkeypatch.setattr(bal, "hermitian_det",
+                            lambda stack: -stack[..., 0, 0].real)
+        rule = ChartRule(points=np.array([[0.5], [1.5]], dtype=complex),
+                         weights=np.ones(2))
+        torus, general = self.both_paths(rule,
+                                         gram=np.array([1.0, 2.0, 3.0]))
+        assert torus == general
+        assert "embedding volume density -" in torus
+        assert "at node 0 of 2 not nonnegative" in torus
 
 
 class TestTorusWeights:

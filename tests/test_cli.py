@@ -1163,6 +1163,21 @@ class TestQuadratureRows:
         assert rows[0]["passed"] is True
         assert all(row["passed"] is None for row in rows[1:])
 
+    def test_row_reports_the_tolerance_it_is_judged_against(
+            self, monkeypatch):
+        from projbalance import quadrature
+        model = build_model(parse_config_text(
+            "[model]\nkind = p1-sum\ndegrees = 0,1\n"))
+        row = suites.quadrature_rows(model, n_radial=4)[0]
+        assert row["tolerance"] == quadrature._MOMENT_TOL
+        error = row["error"]
+        assert error > 0.0
+        for tol, verdict in ((0.5 * error, False), (2.0 * error, True)):
+            monkeypatch.setattr(quadrature, "_MOMENT_TOL", tol)
+            row = suites.quadrature_rows(model, n_radial=4)[0]
+            assert row["tolerance"] == tol
+            assert row["passed"] is verdict
+
 
 class TestSpectrumRun:
     def test_sweep_report_and_table(self, tmp_path):

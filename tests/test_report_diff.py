@@ -47,9 +47,11 @@ def test_only_numbers_moved(tmp_path, capsys):
     # timings.json is wall clock and is not compared
     assert capsys.readouterr().out.splitlines() == [
         "checks.csv: 2 numbers, 1 moved, max abs 0.5 (rows[1][2]), "
-        "max rel 0.0588 (rows[1][2])",
+        "max rel 0.0588 (rows[1][2]), max rel above 1e-10 0.0588 "
+        "(rows[1][2])",
         "report.json: 5 numbers, 1 moved, max abs 0.5 (checks[0].value), "
-        "max rel 0.0588 (checks[0].value)",
+        "max rel 0.0588 (checks[0].value), max rel above 1e-10 0.0588 "
+        "(checks[0].value)",
     ]
 
 
@@ -166,10 +168,31 @@ def test_a_row_with_a_new_detail_pairs_by_name_and_level(tmp_path, capsys):
     assert report_diff.main(dirs) == 1
     assert capsys.readouterr().out.splitlines() == [
         "report.json: 4 numbers, 1 moved, max abs 2e-16 (checks[0].value), "
-        "max rel 0.667 (checks[0].value)",
+        "max rel 0.667 (checks[0].value), max rel above 1e-10 0",
         "  differs: checks[0].detail: 'from 11 to 13' -> 'from 1 to 13'",
         "  differs: checks: row ('density-mass', 4, 'mass b') on the old "
         "side only",
         "  differs: checks: row ('density-mass', 4, 'mass c') on the new "
         "side only",
+    ]
+
+
+def test_numbers_at_roundoff_leave_the_floored_column(tmp_path, capsys):
+    # a check error 0 -> 5e-15 and a norm 5e-16 -> 6.1e-16 read large raw
+    # relative moves; the floored column sees only the order-1 value, and
+    # a number below the floor on one side only stays out of it as well
+    dirs = []
+    for name, error, norm, value, small in (
+            ("old", 0.0, 5.0e-16, 3.0, 1e-11),
+            ("new", 5.0e-15, 6.1e-16, 3.0 + 3e-15, 2e-10)):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "report.json").write_text(json.dumps(
+            {"error": error, "norm": norm, "value": value, "small": small}),
+            encoding="utf-8")
+        dirs.append(str(d))
+    assert report_diff.main(dirs) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "report.json: 4 numbers, 4 moved, max abs 1.9e-10 (small), "
+        "max rel 1 (error), max rel above 1e-10 1.04e-15 (value)",
     ]

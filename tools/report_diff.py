@@ -13,7 +13,10 @@ header is a difference too.  A row whose (name, k) is unique on both
 sides pairs by (name, k) when only its detail changed: the detail change
 is printed and its value still compared.
 For each file it prints how many numbers it compared, how many moved, and
-the largest absolute and relative move with the field where it happened.
+the largest absolute and relative move with the field where it happened;
+then the largest relative move among numbers at least `FLOOR` (1e-10) in
+magnitude on both sides, since a number at roundoff (0 -> 5e-15, say)
+moves by its own size and reads a relative move of 1.
 Fields that only echo the run itself are ignored: the report's
 `timestamp`, the `out_dir` line of its `config` echo, and the `--out`
 argument of each `repro` command line.
@@ -32,6 +35,10 @@ import sys
 from pathlib import Path
 
 _OUT_ARG = re.compile(r" --out \S+")
+
+# magnitude both sides of a number must reach for its move to count in the
+# second relative column
+FLOOR = 1e-10
 
 
 def _normalized(key, value):
@@ -93,6 +100,7 @@ class FileDiff:
         self.moved = 0
         self.max_abs = (0.0, None)
         self.max_rel = (0.0, None)
+        self.max_rel_floored = (0.0, None)
         self.mismatches = []
 
     def leaf(self, path, old, new, key=None):
@@ -116,6 +124,8 @@ class FileDiff:
             self.max_abs = (move, path)
         if rel > self.max_rel[0]:
             self.max_rel = (rel, path)
+        if min(abs(a), abs(b)) >= FLOOR and rel > self.max_rel_floored[0]:
+            self.max_rel_floored = (rel, path)
 
     def walk(self, path, old, new, key=None):
         if isinstance(old, dict) and isinstance(new, dict):
@@ -164,7 +174,11 @@ class FileDiff:
         line = f"{self.name}: {self.compared} numbers, {self.moved} moved"
         if self.moved:
             line += (f", max abs {self.max_abs[0]:.3g} ({self.max_abs[1]}),"
-                     f" max rel {self.max_rel[0]:.3g} ({self.max_rel[1]})")
+                     f" max rel {self.max_rel[0]:.3g} ({self.max_rel[1]}),"
+                     f" max rel above {FLOOR:g} "
+                     f"{self.max_rel_floored[0]:.3g}")
+            if self.max_rel_floored[1] is not None:
+                line += f" ({self.max_rel_floored[1]})"
         return line
 
 
