@@ -8,8 +8,8 @@ Subpackage map:
 - sections:   model spaces, holomorphic section bases, jets
 - metrics:    bundle metric fields, curvature, hyperplane weights, Grams
 - bergman:    L2 Grams, Bergman endomorphisms, expansion coefficients
-- balancing:  pulled-back metrics, moment map, T-iteration (plain and
-              Anderson-accelerated), gradient flow, action spectra
+- balancing:  pulled-back metrics, moment map, Newton balancing and the
+              T-iteration, gradient flow, action spectra
 - cli:        batch experiment driver
 """
 

@@ -19,17 +19,15 @@ Contents, bottom to top:
   every state validates itself, however it is made;
 * `moment_map` integrates the frame pairings against the pulled-back volume
   and subtracts the balanced value V/N;
-* `t_map_step` is the fixed-point update G -> (N/V) <s_i, s_j>, and
-  `balance_iterate`, the solver every run uses, accelerates it by type-II
-  Anderson mixing of the last `_ANDERSON_MEMORY` T-map images on the
-  traceless log of the Gram, safeguarded by the plain T-step whenever the
-  mix would raise the moment norm.  The plain iteration is the tests'
-  reference; `gradient_flow_step` (line-searched exponential descent
-  along the moment) and its loop `flow_iterate`, which no run selects,
-  are a second route to the same fixed points that the tests cross-check.
+* `t_map_step` is the fixed-point update G -> (N/V) <s_i, s_j>;
+  `balance_iterate` balances a torus state by Newton steps against the
+  charge-0 block of `sigma_z_operator` (`_NewtonStepper`), and any other
+  state, which only the tests build, by the plain T-iteration.
+  `flow_iterate`, line-searched descent along the moment
+  (`gradient_flow_step`), is a second route the tests cross-check.
   `balanced_density_stats` evaluates the density whose constancy
-  certifies the result, and `embedding_form_field` exposes the
-  pulled-back metric at arbitrary points for comparability probes;
+  certifies the result, and `embedding_form_field` the pulled-back
+  metric at arbitrary points;
 * `sigma_z_operator` integrates the squared normal components of the
   su(N) action fields without forming them, as Hermitian blocks in the
   matrix-unit basis E_ji (one per torus charge at a torus state);
@@ -73,25 +71,21 @@ determinant and `r_bounded_check`'s norms, eigenvalues and root are
 `kahler`'s kernels; the tangent frame of `sigma_z_operator`
 (`_tangent_frame`) is Gram-Schmidt at dim 2, an SVD otherwise.
 
-A torus state's solver step factors nothing and forms no frame: its Gram
+A torus state's solver step factors no Gram and forms no frame: its Gram
 is its weights c, and K, its gradient and the jet pairing are linear in
 1/c, so one table of section-jet products per rule (`_table`, shared by
 every `with_gram` copy) gives them in one GEMV, and the raw pairing
 diagonal in a second.  The frame pairing is that diagonal times 1/c, the
-moment the frame pairing less V/N (its own spectrum), the det gauge the
-geometric mean, and the Anderson iterate log c less its mean.  Any other
-Gram is factored once, by its `GramMatrix`: the guards, the whitener and
-the mixer's traceless log read one `eigh`, the det gauge is one LU, the
-moment one `eigvalsh`, and `_exp_hermitian` factors the mix.
+moment the frame pairing less V/N (its own spectrum), and Q_0 the same
+sums through one real GEMM.  Any other Gram is factored once, by its
+`GramMatrix`: the guards and the whitener read one `eigh`, the det gauge
+is one LU and the moment one `eigvalsh`.
 
-A state's memo keeps its `_fs_geometry` node tables, its `MomentValue`
-and both pairings, read-only, so each is formed at most once per state
-(an Anderson step visits its mixed state, a safeguard fallback the plain
-one as well).  A torus state forms its node tables only for the readers
-of the frame (`sigma_z_operator`, `balanced_density_stats`,
-`torus_rule_check`), on first read, so its solve makes no geometry pass.
-The Anderson least squares drops singular values below `_ANDERSON_RCOND`
-of the largest, so roundoff in the history never steers a step.
+A state's memo keeps, read-only, its `_fs_geometry` node tables, its
+`MomentValue`, both pairings and, at a torus state, the `_torus_geometry`
+that its pairings and Q_0 read; only the readers of a torus state's frame
+(`sigma_z_operator`, `balanced_density_stats`, `torus_rule_check`) form
+u and du, so its solve makes no geometry pass.
 
 All volumes are reduced by (2 pi)^dim as elsewhere in the package.
 """
@@ -180,9 +174,9 @@ class EmbeddingState:
     `jet` is the 1-jet of the raw section basis at the rule nodes, one
     order-major table (1 + dim, n, N): row 0 the values (`values`), then
     one (n, N) row per holomorphic direction.  The memo, read-only and
-    empty in a new state, holds `_geometry` (the node geometry) and
-    `_pairings` (the moment and both pairings); a torus state's `_table`
-    is shared by every `with_gram` copy, as `jet` is.
+    empty in a new state, holds `_geometry`, `_pairings` and, at a torus
+    state, `_torus_geometry`; `_table` is shared by every `with_gram`
+    copy, as `jet` is.
 
     A state is validated where it is born (`embedding_state`, `with_gram`
     and `dataclasses.replace` alike): one Gram row per section, and the
@@ -264,13 +258,12 @@ class EmbeddingState:
     def _pairings(self):
         """The `MomentValue`, the frame pairing and the basis pairing: what
         `moment_map`, `t_map_step` and `balanced_density_stats` read.  A
-        torus state reads them off `_table`, any other its `_geometry`."""
+        torus state reads them off `_torus_geometry` and `_table`, any
+        other its `_geometry`."""
         if self.torus:
-            inv = 1.0 / self.gram.weights
-            kk, grad, pair = self._torus_sums(inv)
-            wq = self.rule.weights * _pullback_data(kk, grad, pair)[1]
+            kk, _, _, wq = self._torus_geometry
             raw = (wq / kk) @ self._table[1]
-            frame = raw * inv
+            frame = raw * (1.0 / self.gram.weights)
         else:
             u, _, kk, _, wq = self._geometry
             weights = wq / kk
@@ -279,15 +272,22 @@ class EmbeddingState:
         frame.flags.writeable = raw.flags.writeable = False
         return _moment(frame, float(wq.sum())), frame, raw
 
-    def _torus_sums(self, inv):
-        """`_frame_sums` of a torus state with inverse weights inv: one
-        GEMV of `_table`'s real view."""
+    @cached_property
+    def _torus_geometry(self):
+        """A torus state's K, gradient, pulled-back metric and rule weights
+        times density, read-only: `_frame_sums` as one GEMV of `_table`'s
+        real view with 1/c, then `_pullback_data`."""
         table, square = self._table
         dim = self.model.n
-        sums = (inv @ table.view(float)).view(complex).reshape(
-            -1, square.shape[0])
-        return (sums[0].real, sums[1:dim + 1],
-                sums[dim + 1:].reshape(dim, dim, -1))
+        sums = ((1.0 / self.gram.weights) @ table.view(float)).view(
+            complex).reshape(-1, square.shape[0])
+        kk, grad = sums[0].real, sums[1:dim + 1]
+        gfs, dens = _pullback_data(kk, grad,
+                                   sums[dim + 1:].reshape(dim, dim, -1))
+        geometry = kk, grad, gfs, self.rule.weights * dens
+        for table in geometry:
+            table.flags.writeable = False
+        return geometry
 
     def with_gram(self, gram):
         """The same embedding data under another Gram, a matrix, a weight
@@ -415,9 +415,13 @@ def _fs_geometry(state):
     """Frame values, direction-major jets, kernel, its gradient (dim, n),
     and the rule weights times the reduced volume density, at the rule
     nodes of a state: the Gram's `frame` moves the 1-jet to the
-    orthonormal frame at once, and u, du are views of it."""
+    orthonormal frame at once, and u, du are views of it.  A torus state
+    reads the rest off its `_torus_geometry`."""
     mixed = state.gram.frame(state.jet)
     u, du = mixed[0], mixed[1:]
+    if state.torus:
+        kk, grad, _, wq = state._torus_geometry
+        return u, du, kk, grad, wq
     kk, grad, pair = _frame_sums(u, du)
     return u, du, kk, grad, state.rule.weights * _pullback_data(
         kk, grad, pair)[1]
@@ -557,8 +561,8 @@ class BalanceReport:
     `trajectory` rows are (iteration, op norm, Frobenius norm) of the moment;
     `converged` holds exactly when the final op norm is below the solver's
     tolerance.
-    `fallback_steps` counts the Anderson steps whose safeguard took the
-    plain T-step instead; it is 0 for the flow solver.
+    `fallback_steps` counts the Newton steps that were halved at least
+    once before the moment fell; it is 0 for the T-iteration and the flow.
     """
 
     iterations: int
@@ -619,95 +623,88 @@ def _iterate(state, tol, max_iter, stepper, name):
 
 
 def balance_iterate(state, tol=1e-8, max_iter=500):
-    """Drive the fixed-point update until the moment op norm drops below
+    """Drive a state to balance until the moment op norm drops below
     `tol`, the iteration budget runs out, or the trajectory diverges.
-    Divergence yields a flagged partial report, not an exception.
-
-    Each step mixes the recent T-map images (`_AndersonMixer`) and falls
-    back to the plain `t_map_step` when the mix does not help."""
-    mixer = _AndersonMixer()
-    report = _iterate(state, tol, max_iter, mixer,
-                      "Anderson balance iteration")
-    return replace(report, fallback_steps=mixer.fallbacks)
-
-
-# the Anderson mixer combines the last this many plain T-map images; of
-# 2..8, 3 iterates least up to N = 14, but takes 11-20% more steps than 5
-# on P^1 x P^1, k 8..12, and P^2 x P^1, k 2..6, so 5 stays
-_ANDERSON_MEMORY = 5
-
-# relative singular-value cutoff of the Anderson least squares.  Torus
-# invariance and the symmetry of the model leave a history only a few live
-# directions; the others hold the roundoff of the T-map images, and a
-# solve on them turns that roundoff into a mixing step.  Over P^1 and
-# P^1 x P^1, k = 2..6, n_radial 6 and 10, tol 1e-8 to 1e-10, the live
-# singular values sat at 2.6e-5 of the largest or above and the roundoff
-# ones at 9.4e-11 or below: 1e-8 sits two orders above the roundoff and
-# three below the live directions.  At 1e-12 one roundoff direction still
-# cost a safeguard fallback on P^1 x P^1 at k = 3.
-_ANDERSON_RCOND = 1e-8
+    Divergence yields a flagged partial report, not an exception.  A
+    torus state takes `_NewtonStepper` steps, any other `t_map_step`s."""
+    if not state.torus:
+        return _iterate(state, tol, max_iter, t_map_step, "T-iteration")
+    newton = _NewtonStepper(state.basis)
+    report = _iterate(state, tol, max_iter, newton, "Newton balance iteration")
+    return replace(report, fallback_steps=newton.halved)
 
 
-def _anderson_mix(xs, gs):
-    """Type-II Anderson combination of iterates `xs` and their images `gs`
-    (stacks of Hermitian matrices or log-weights, oldest first):
-    g_last - dG gamma, with gamma the least-squares solution of dF gamma =
-    f_last, f = g - x, in the Frobenius norm (dF, dG the consecutive
-    differences), on the singular values above `_ANDERSON_RCOND` of the
-    largest."""
-    fs = gs - xs
-    # real coordinates of the Hermitian residuals: Frobenius geometry with
-    # real mixing coefficients, so the mixed matrix stays Hermitian
-    dfs = (fs[1:] - fs[:-1]).reshape(len(fs) - 1, -1)
-    gamma = np.linalg.lstsq(dfs.view(float).T, fs[-1].reshape(-1).view(float),
-                            rcond=_ANDERSON_RCOND)[0]
-    x = gs[-1] - (gamma @ (gs[1:] - gs[:-1]).reshape(len(gs) - 1, -1)
-                  ).reshape(gs.shape[1:])
-    return x if x.ndim == 1 else 0.5 * (x + x.conj().T)
+def _charge_zero_block(state):
+    """Q_0, the charge-0 block (the N diagonal pairs) of `sigma_z_operator`
+    at a torus state, with no frame and no tangent SVD.  With s = w dens /
+    K, A = |u|^2, the tangent columns T_a = du_a - b_a u / K, their Gram
+    g = T^H T = K conj(gfs) and Y_ia = conj(u_i) T_ia, the projector U U^H
+    of `_charge_blocks` is T g^-1 T^H, so
+        Q_0 = diag(sum_n s A) - sum_n s (A_i A_l / K + Y g^-1 Y^H),
+    where A and conj(u) du are `_table` rows times 1/c.  They are real at
+    the orbit nodes (angle 0), so the Gram term is one real GEMM of the
+    rows sqrt(s / K) A and sqrt(s) Y L^-T, g = L L^T per node."""
+    kk, grad, gfs, wq = state._torus_geometry
+    table, square = state._table
+    inv = 1.0 / state.gram.weights
+    dim, n = grad.shape
+    a = square.T * inv[:, None]
+    cross = table[:, n:(dim + 1) * n].real.reshape(-1, dim, n)
+    y = cross * inv[:, None, None] - (grad.real / kk) * a[:, None, :]
+    scale = wq / kk
+    chol = np.linalg.inv(np.linalg.cholesky(kk[:, None, None] * gfs.real))
+    root = np.sqrt(scale)[:, None, None] * np.swapaxes(chol, 1, 2)
+    tangent = np.einsum("pan,nab->pbn", y, root, optimize=True)
+    rows = np.concatenate([a * np.sqrt(scale / kk),
+                           tangent.reshape(len(a), -1)], axis=1)
+    q = -(rows @ rows.T)
+    q[np.diag_indices_from(q)] += a @ scale
+    return q
 
 
-class _AndersonMixer:
-    """Type-II Anderson acceleration of the T-map (Walker & Ni, SIAM J.
-    Numer. Anal. 49, 2011), one call per iteration like a plain stepper.
+class _NewtonStepper:
+    """Damped Newton on x = log c for a torus state's weights c, one call
+    per iteration.  The moment's Jacobian in x is -Q_0
+    (`_charge_zero_block`) up to terms that vanish with it (Donaldson,
+    J. Differential Geom. 59, 2001; Phong & Sturm, Amer. J. Math. 126,
+    2004), and Q_0's kernel is exactly span{1, w}, w the torus weights
+    (`SectionBasis.chart_exponents`): the scale and the torus, which move
+    the image by automorphisms.  With P an orthonormal basis of it the
+    step solves (Q_0 + P P^T) delta = (I - P P^T) mu, so no singular value
+    is cut and x stays orthogonal to span{1, w}, the det gauge with it.  A
+    step that does not strictly lower the moment's Frobenius norm, or
+    trips a guard, is halved (`halved` counts such steps); one halved
+    until it no longer moves x raises `NumericalGuardError`, as at the
+    torus obstruction of P(O + O(1))."""
 
-    The iterate is X = the Gram's `traceless_log` (log c less its mean for
-    a torus state's weights) and the map is g(X) = log T(exp X); the step
-    mixes the last `_ANDERSON_MEMORY` pairs
-    (X_i, g(X_i)) with `_anderson_mix`, and is the plain T-step while
-    fewer than two pairs are held.  Safeguard: the mixed state is taken
-    only when its moment op norm does not exceed the current one; a rise
-    or a tripped guard takes the plain T-step instead, counts a fallback
-    and clears the history.  The mixed state's memo then serves the next
-    moment, so an accepted step forms one moment and a fallback two.
-    Each call makes exactly one `t_map_step`."""
-
-    def __init__(self):
-        self.xs = []
-        self.gs = []
-        self.fallbacks = 0
+    def __init__(self, basis):
+        weights = basis.chart_exponents
+        self.kernel = np.linalg.qr(
+            np.column_stack([np.ones(len(weights)), weights]))[0]
+        self.halved = 0
 
     def __call__(self, state):
-        plain = t_map_step(state)
-        self.xs.append(state.gram.traceless_log())
-        self.gs.append(plain.gram.traceless_log())
-        del self.xs[:-_ANDERSON_MEMORY], self.gs[:-_ANDERSON_MEMORY]
-        if len(self.xs) < 2:
-            return plain
-        x = _anderson_mix(np.array(self.xs), np.array(self.gs))
-        try:
-            # an overflowing exp leaves a non-finite Gram, which guards reject
-            with np.errstate(over="ignore", invalid="ignore"):
-                gram = np.exp(x) if state.torus else _exp_hermitian(x, 1.0)
-            cand = state.with_gram(gram)
-            accepted = moment_map(cand).norm_op <= moment_map(state).norm_op
-        except NumericalGuardError:
-            accepted = False
-        if accepted:
-            return cand
-        self.fallbacks += 1
-        self.xs.clear()
-        self.gs.clear()
-        return plain
+        mv, frame, _ = state._pairings
+        p = self.kernel
+        mu = frame - mv.d
+        delta = np.linalg.solve(_charge_zero_block(state) + p @ p.T,
+                                mu - p @ (p.T @ mu))
+        x = np.log(state.gram.weights)
+        scale = 1.0
+        while not np.array_equal(x + scale * delta, x):
+            try:  # a non-finite Gram from an overflowing exp trips a guard
+                with np.errstate(over="ignore"):
+                    cand = state.with_gram(np.exp(x + scale * delta))
+                if moment_map(cand).norm_fro < mv.norm_fro:
+                    self.halved += scale < 1.0
+                    return cand
+            except NumericalGuardError:
+                pass
+            scale *= 0.5
+        raise NumericalGuardError(
+            f"Newton step halved to nothing: the moment norm {mv.norm_fro:.3e}"
+            " does not fall along it; the model has no balanced metric (a "
+            "torus obstruction) or the quadrature cannot resolve the step")
 
 
 def flow_iterate(state, tol=1e-8, max_iter=500, step=1.0):
@@ -1042,7 +1039,13 @@ def torus_degree(model):
 
 @dataclass(frozen=True)
 class OrbitRule(ChartRule):
-    """`torus_orbit_rule`'s rule: a state on it is a `torus` state."""
+    """`torus_orbit_rule`'s rule: a state on it is a `torus` state.  A
+    node stands for its orbit at angle 0: real, nonnegative coordinates."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not np.all((self.points.imag == 0.0) & (self.points.real >= 0.0)):
+            raise ValueError("orbit nodes must be real and nonnegative")
 
 
 def torus_orbit_rule(model, n_radial):
@@ -1063,9 +1066,9 @@ def torus_orbit_rule(model, n_radial):
     otherwise.  A diagonal pairing integrand |u_p|^2 / K times the density
     has character 0, and an off-diagonal one u_p conj(u_q) / K the nonzero
     weight(p) - weight(q).  The moment and the T-step pairing of a torus
-    state are therefore diagonal, and so are the Anderson iterates, mixed
-    and exponentiated as log-weights: a torus state's Gram is its weights.  The
-    node sum of `sigma_z_operator` pairs four sections, with character
+    state are therefore diagonal, and so is each Newton step, taken on the
+    log weights: a torus state's Gram is its weights.  The node sum of
+    `sigma_z_operator` pairs four sections, with character
     W_j - W_i - W_k + W_l, and keeps the entries where it is 0, one block
     per charge W_j - W_i (derived in its docstring).  The radial
     integrands are those of the full angular rule, so the radial grid is

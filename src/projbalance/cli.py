@@ -48,8 +48,8 @@ configuration file (every key optional; defaults depend on the subcommand):
             rules; the adapted fiber rule's angles are sized by its
             integrands' degree, and the orbit rule has one angle per
             coordinate)
-  [solver]  balance_tol (balancing runs the T-iteration with
-            safeguarded Anderson mixing)
+  [solver]  balance_tol (balancing runs damped Newton steps on the
+            torus state's log weights)
   [output]  out_dir, seed
 
 outputs (under --out, or the configured out_dir):
@@ -57,9 +57,9 @@ outputs (under --out, or the configured out_dir):
   report.json     schema 1; byte-identical across reruns of the same
                   configuration and seed except for the timestamp field;
                   balance and moment-spectrum levels record the solver
-                  iterations and fallback_steps (Anderson steps that
-                  took the plain T-step), the nodes of the orbit rule
-                  they balance on, which moment-spectrum's
+                  iterations and fallback_steps (Newton steps that
+                  were halved), the nodes of the orbit rule they
+                  balance on, which moment-spectrum's
                   normal-action operator runs on too (its samples are
                   the valid orbit nodes), and gram_condition, the solved
                   Gram's condition number (balance adds

@@ -24,7 +24,7 @@ and falls back to its default, so an empty file is a valid configuration.
     out_dir = runs
     seed = 0
 
-Every run balances with the Anderson-accelerated T-iteration, and every
+Every run balances by damped Newton steps on the torus weights, and every
 check judges its rows against a fixed tolerance kept next to the row in
 `projbalance.suites`; neither is configured.
 

@@ -25,8 +25,7 @@ Gram tools: `l2_pairing` pairs a scalar node table with itself (the
 direct-route Gram, an embedding state's full pairings), `bergman.l2_gram`
 component tables through the level metric, and `GramMatrix` alone factors
 a Gram: one eigendecomposition gives its guards, its whitener G^{-1/2},
-its inverse, its condition number and the solver's traceless log, and
-nothing stores a copy of them.  A Gram diagonal in the section basis, a
+its inverse and its condition number, and nothing stores a copy of them.  A Gram diagonal in the section basis, a
 torus state's, is its weights (`DiagonalGram`), which need no factoring.
 The whitener checks that it orthonormalizes its Gram; `make_gram` passes
 a Gram of either kind through, factorization and all.
@@ -149,13 +148,6 @@ class GramMatrix:
         table @ `whitener`, one GEMM."""
         return table @ self._whitener
 
-    def traceless_log(self):
-        """Traceless Hermitian log: the log of the det-normalized Gram,
-        from the eigendecomposition it already holds."""
-        w, v = self.guard()
-        logw = np.log(w)
-        return (v * (logw - logw.mean())[None, :]) @ v.conj().T
-
     def inverse(self):
         w, v = self.guard()
         return (v / w[None, :]) @ v.conj().T
@@ -168,10 +160,9 @@ class DiagonalGram:
     nothing factors it.  The weights pass the guards of `GramMatrix`, with
     the same messages, where they are made (positive, condition
     max c / min c at most `_CONDITION_GUARD`, whitener defect at most
-    1e-9).  The whitener `root` = c^(-1/2) acts by broadcasting (`frame`),
-    and the traceless log is log c minus its mean.  `matrix` and
-    `whitener` build the N x N arrays on request, for readers off the
-    solver's path."""
+    1e-9).  The whitener `root` = c^(-1/2) acts by broadcasting (`frame`).
+    `matrix` and `whitener` build the N x N arrays on request, for readers
+    off the solver's path."""
 
     weights: np.ndarray
     root: np.ndarray = field(init=False, repr=False)
@@ -203,10 +194,6 @@ class DiagonalGram:
         """A section table (..., N) in the Gram's orthonormal frame: each
         column times its c^(-1/2)."""
         return table * self.root
-
-    def traceless_log(self):
-        logc = np.log(self.weights)
-        return logc - logc.sum() / logc.size
 
 
 def make_gram(a):

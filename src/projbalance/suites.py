@@ -62,6 +62,7 @@ doubles (`_draws`), normals by Box-Muller, so a run loads neither
 `numpy.random` nor the OpenSSL bindings it brings in.
 """
 
+import functools
 import logging
 import math
 import random
@@ -420,7 +421,7 @@ def joint_linearization_rows(seed):
 # what `bal.almost_balanced_check` reads of a moment
 _MomentSummary = namedtuple("_MomentSummary", "norm_op d")
 
-# T-iteration budget of every balance and spectrum level
+# Newton step budget of every balance and spectrum level
 _MAX_ITER = 400
 
 # two-sided C^4 bound of the balanced embedding form against the initial one
@@ -432,13 +433,20 @@ _ORDER_Q = 0
 _D_TOL = 1e-8
 
 
+@functools.lru_cache(maxsize=1)
+def _orbit_rule(cfg):
+    """The sweep's `bal.torus_orbit_rule`, read-only and built once per
+    process: it does not depend on k."""
+    rule = bal.torus_orbit_rule(build_model(cfg), cfg.n_radial)
+    rule.points.flags.writeable = rule.weights.flags.writeable = False
+    return rule
+
+
 def _balanced_level(cfg, k):
-    """Level k balanced from the identity Gram on `bal.torus_orbit_rule`:
-    the initial torus state, the `bal.balance_iterate` report, and the
-    `nodes` of the rule with the solved `gram_condition`."""
-    model = build_model(cfg, k)
-    state = bal.embedding_state(
-        model, rule=bal.torus_orbit_rule(model, cfg.n_radial))
+    """Level k balanced from the identity Gram on `_orbit_rule(cfg)`: the
+    initial torus state, the `bal.balance_iterate` report, and the `nodes`
+    of the rule with the solved `gram_condition`."""
+    state = bal.embedding_state(build_model(cfg, k), rule=_orbit_rule(cfg))
     report = bal.balance_iterate(state, tol=cfg.balance_tol,
                                  max_iter=_MAX_ITER)
     return state, report, {
@@ -709,7 +717,7 @@ def degenerate_expansion_rows(results):
 # ---------------------------------------------------------------------------
 
 def spectrum_job(cfg, k):
-    """Balance one level with the T-iteration on `bal.torus_orbit_rule`
+    """Balance one level by Newton steps on the sweep's orbit rule
     and estimate the smallest positive eigenvalue of the normal-action
     operator at the solved state, on the same rule."""
     _, report, fields = _balanced_level(cfg, k)

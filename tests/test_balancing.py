@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from projbalance.config import ExperimentConfig, build_model
+from projbalance.config import ExperimentConfig, build_model, default_config
 from projbalance.errors import NumericalGuardError
 from projbalance.kahler import (
     FubiniStudy,
@@ -132,6 +132,22 @@ def plain_t_iteration(state, tol, max_iter=500):
         if mv.norm_op < tol or it == max_iter:
             return trajectory, state
         state = bal.t_map_step(state)
+
+
+def assert_same_gauge_invariants(first, second, tol):
+    """Two states solved to the moment op norm `tol` agree in what the
+    automorphisms leave alone: the moment norm, the density's mean and
+    largest deviation, and the normal spectrum."""
+    stats = []
+    for state in (first, second):
+        assert bal.moment_map(state).norm_op < tol
+        stats.append(bal.balanced_density_stats(state))
+    for name in ("mean", "max_dev"):
+        assert abs(stats[0][name] - stats[1][name]) < 100 * tol * max(
+            1.0, stats[1]["mean"]), name
+    ours, theirs = (block_spectrum(bal.sigma_z_operator(state))
+                    for state in (first, second))
+    assert np.max(np.abs(ours - theirs)) < 100 * tol * theirs[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +491,6 @@ class TestBalanceIterate:
         assert report.diverged
         assert len(report.trajectory) >= 1
 
-    def test_divergence_flagged_anderson(self, monkeypatch):
-        # mixing cannot repair a map with no fixed point: the safeguard
-        # keeps falling back to the step, and the exit fires on a run of
-        # ten strict rises at the end of the trajectory
-        monkeypatch.setattr(bal, "t_map_step", scaling_step(1.3))
-        report = bal.balance_iterate(veronese_state(), tol=1e-12,
-                                     max_iter=500)
-        assert report.diverged and not report.converged
-        assert report.fallback_steps > 0
-        norms = [row[1] for row in report.trajectory[-11:]]
-        assert len(norms) == 11
-        assert all(b > a for a, b in zip(norms, norms[1:]))
-
     def test_guard_trip_mid_iteration_flags_divergence_anderson(
             self, monkeypatch):
         # the guard trips after some accepted steps; the partial report
@@ -553,23 +556,13 @@ def count_geometry_passes(monkeypatch):
 
 class TestOneGeometryPassPerState:
     def test_balance_iterate(self, monkeypatch):
-        # from the identity Gram every mixed step is accepted: one pass
-        # per state
+        # off the torus the solver is the plain T-iteration: one pass per
+        # state
         state = p1xp1_state(3)
         seen = count_geometry_passes(monkeypatch)
         report = bal.balance_iterate(state, tol=1e-8)
         assert report.converged and report.fallback_steps == 0
         assert len(seen) == report.iterations + 1
-        assert len({id(s) for s in seen}) == len(seen)
-
-    def test_anderson_balance_iterate(self, monkeypatch):
-        # an accepted mixed step costs one pass, a fallback two
-        rng = np.random.default_rng(79)
-        state = p1xp1_state(4, gram=random_spd(rng, 10))
-        seen = count_geometry_passes(monkeypatch)
-        report = bal.balance_iterate(state, tol=1e-8)
-        assert report.converged
-        assert len(seen) == report.iterations + 1 + report.fallback_steps
         assert len({id(s) for s in seen}) == len(seen)
 
     def test_flow_iterate_counts_line_search_candidates(self, monkeypatch):
@@ -686,129 +679,6 @@ class TestEachStatePaysOnce:
         assert np.array_equal(bal.sigma_z_operator(fresh).q_matrix, q)
         assert seen == [report.state, fresh]
 
-    def test_three_eigh_per_accepted_anderson_step(self, monkeypatch):
-        # from the identity Gram every mixed step is accepted; each
-        # factors the plain Gram, the mix for its exp, and the mixed Gram
-        state = p1xp1_state(3)
-        mixer = bal._AndersonMixer()
-        state = mixer(state)  # a plain step: the history holds one pair
-        eigh = count_calls(monkeypatch, np.linalg, "eigh")
-        for _ in range(4):
-            bal.moment_map(state)
-            before = len(eigh)
-            state = mixer(state)
-            assert mixer.fallbacks == 0 and len(mixer.xs) >= 2
-            assert len(eigh) - before == 3
-            assert eigh[-1][0] is state.gram.matrix
-
-
-class TestAnderson:
-    def test_solvers_agree_on_gauge_invariants(self):
-        # the balanced Gram is unique only up to SU(2) x SU(2), so compare
-        # what the automorphisms leave alone: the moment norm, the density
-        # and the normal spectrum
-        rng = np.random.default_rng(83)
-        g0 = random_spd(rng, 8)
-        plain, plain_state = plain_t_iteration(p1xp1_state(3, gram=g0),
-                                               tol=1e-12)
-        mixed = bal.balance_iterate(p1xp1_state(3, gram=g0), tol=1e-12,
-                                    max_iter=500)
-        assert plain[-1][1] < 1e-12
-        assert mixed.converged and mixed.moment.norm_op < 1e-12
-        out = []
-        for state in (plain_state, mixed.state):
-            stats = bal.balanced_density_stats(state)
-            assert stats["max_dev"] < 1e-10
-            eigs = np.linalg.eigvalsh(bal.sigma_z_operator(state).q_matrix)
-            out.append((stats, eigs))
-        (plain_stats, plain_eigs), (mixed_stats, mixed_eigs) = out
-        assert mixed.iterations < (len(plain) - 1) / 2
-        assert abs(mixed_stats["max_dev"] - plain_stats["max_dev"]) < 1e-10
-        assert abs(mixed_stats["mean"] - plain_stats["mean"]) < 1e-12
-        assert np.max(np.abs(mixed_eigs - plain_eigs)) < 1e-10 * plain_eigs[-1]
-
-    def test_rising_mix_falls_back_to_the_plain_step(self, monkeypatch):
-        # an overshooting mix raises the moment norm every time, so every
-        # step is the plain T-step: the trajectory is the reference one,
-        # each mixing attempt is one counted fallback and one extra pass
-        rng = np.random.default_rng(89)
-        g0 = random_spd(rng, 6)
-        plain, _ = plain_t_iteration(p1xp1_state(2, gram=g0), tol=1e-8)
-        attempts = []
-
-        def overshoot(xs, gs):
-            attempts.append(len(xs))
-            return 3.0 * gs[-1]
-
-        monkeypatch.setattr(bal, "_anderson_mix", overshoot)
-        seen = count_geometry_passes(monkeypatch)
-        report = bal.balance_iterate(p1xp1_state(2, gram=g0), tol=1e-8)
-        assert report.converged and not report.diverged
-        assert report.trajectory == plain
-        assert report.fallback_steps == len(attempts) > 0
-        assert all(n == 2 for n in attempts)  # history cleared each time
-        # + 1 for the initial state
-        assert len(seen) == report.iterations + 1 + report.fallback_steps
-
-    def test_guard_tripping_mix_falls_back(self, monkeypatch):
-        rng = np.random.default_rng(97)
-        g0 = random_spd(rng, 6)
-        plain, _ = plain_t_iteration(p1xp1_state(2, gram=g0), tol=1e-8)
-        monkeypatch.setattr(bal, "_anderson_mix",
-                            lambda xs, gs: 1e3 * gs[-1])
-        report = bal.balance_iterate(p1xp1_state(2, gram=g0), tol=1e-8)
-        assert report.converged and not report.diverged
-        assert report.trajectory == plain
-        assert report.fallback_steps > 0
-
-    def test_history_holds_the_memory_depth(self, monkeypatch):
-        real = bal._anderson_mix
-        depths = []
-
-        def recording(xs, gs):
-            depths.append(len(xs))
-            return real(xs, gs)
-
-        monkeypatch.setattr(bal, "_anderson_mix", recording)
-        report = bal.balance_iterate(p1xp1_state(6), tol=1e-8)
-        assert report.converged
-        assert max(depths) == bal._ANDERSON_MEMORY
-        assert report.iterations < 20
-
-    def test_mix_of_an_affine_map_is_its_fixed_point(self):
-        # traceless Hermitian 2 x 2 matrices form a 3-dimensional space, so
-        # a full history of 5 iterates spans it affinely; on an affine map
-        # the least-squares residual is then zero and the mix is the fixed
-        # point, wherever the iterates lie
-        rng = np.random.default_rng(101)
-
-        def traceless(a):
-            return a - np.trace(a) / 2 * np.eye(2)
-
-        b = traceless(random_spd(rng, 2, scale=1.0))
-        xs = np.stack([traceless(random_spd(rng, 2, scale=1.0))
-                       for _ in range(bal._ANDERSON_MEMORY)])
-        gs = 0.5 * xs + b
-        mixed = bal._anderson_mix(xs, gs)
-        assert np.array_equal(mixed, mixed.conj().T)
-        assert np.max(np.abs(mixed - 2.0 * b)) < 1e-12
-
-    def test_roundoff_in_the_gram_does_not_steer_the_mix(self):
-        # a diagonal Gram 1e-14 away from the identity differs from it by
-        # roundoff alone, so the iteration count stays and no step falls
-        # back
-        state = p1xp1_state(3)
-        base = bal.balance_iterate(state, tol=1e-8)
-        assert base.converged and base.fallback_steps == 0
-        for seed in range(3):
-            rng = np.random.default_rng(seed)
-            gram = np.diag(1.0 + 1e-14 * rng.uniform(-1.0, 1.0, state.count))
-            report = bal.balance_iterate(state.with_gram(gram), tol=1e-8)
-            assert report.converged
-            assert report.iterations == base.iterations
-            assert report.fallback_steps == 0
-
-
 class TestDensityStats:
     def test_mass_equals_section_count_even_unbalanced(self):
         # trace identity: same-rule pairing makes the integral exactly N
@@ -871,8 +741,7 @@ class TestGradientFlow:
     def test_flow_and_iteration_share_fixed_point(self):
         # Aut(P^1) = PGL(2, C) moves a balanced Gram of the Veronese conic
         # along an orbit of balanced Grams, so the solvers may stop at
-        # different Grams (from this start the Anderson driver lands 2e-4
-        # away from the other two): compare the gauge invariants.  The
+        # different Grams: compare the gauge invariants.  The
         # normal spectrum is known in closed form: the su(2) stabilizer is
         # a 3-dimensional kernel, and on the 5-dimensional irreducible
         # SU(2)-module left Q is a scalar by Schur's lemma, fixed to 2/5 by
@@ -1532,19 +1401,25 @@ class TestTorusOrbitRule:
 
     @pytest.mark.parametrize("key", sorted(TORUS_MODELS))
     def test_balances_as_the_torus_rule(self, torus_states, key):
-        # P(O + O(1)) included: both rules stop at the same obstruction
+        # the Newton solve on the orbit rule against the plain T-iteration
+        # on the full angular rule; the two solvers may stop at Grams an
+        # automorphism apart, so they are compared by what the gauge
+        # leaves alone
         model = TORUS_MODELS[key]
         full = torus_states[key][2]
         orbit = bal.balance_iterate(
             bal.embedding_state(model, rule=bal.torus_orbit_rule(model, 10)),
             tol=1e-12, max_iter=60)
-        assert orbit.iterations == full.iterations
-        assert (orbit.converged, orbit.diverged, orbit.fallback_steps) == (
-            full.converged, full.diverged, full.fallback_steps)
-        ours, theirs = orbit.state.gram.matrix, full.state.gram.matrix
-        assert (np.max(np.abs(ours - theirs))
-                <= 1e-12 * np.max(np.abs(theirs)))
+        ours = orbit.state.gram.matrix
         assert np.array_equal(ours, np.diag(np.diagonal(ours)))
+        if key == "p1-sum-0-1":
+            # P(O + O(1)) has no balanced metric: both stop short of it
+            assert not orbit.converged and not full.converged
+            assert orbit.diverged and full.diverged
+            return
+        assert orbit.converged and full.converged
+        assert_same_gauge_invariants(orbit.state, full.state, tol=1e-12)
+        assert orbit.iterations < full.iterations / 5
 
     def test_off_diagonal_gram_is_refused(self):
         model = TORUS_MODELS["p1xp1"]
@@ -1607,18 +1482,15 @@ class TestTorusTable:
         assert state.model.n == {"p1-o3": 1, "p1xp1": 2, "p2xp1": 3}[key]
         rng = np.random.default_rng(seed)
         state = state.with_gram(rng.uniform(0.2, 5.0, state.count))
-        c = state.gram.weights
-        kk, grad, pair = state._torus_sums(1.0 / c)
-        u, du, fkk, fgrad, fwq = bal._fs_geometry(state)
-        want = bal._frame_sums(u, du)
-        assert self.close(kk, fkk) and self.close(kk, want[0])
-        assert self.close(grad, fgrad)
-        assert pair.shape == want[2].shape == (model.n, model.n, len(kk))
-        assert self.close(pair, want[2])
-        gfs, dens = bal._pullback_data(kk, grad, pair)
-        fgfs, fdens = bal._pullback_data(*want)
-        assert self.close(gfs, fgfs) and self.close(dens, fdens)
-        assert self.close(state.rule.weights * dens, fwq)
+        kk, grad, gfs, wq = state._torus_geometry
+        u, du = bal._fs_geometry(state)[:2]
+        fkk, fgrad, fpair = bal._frame_sums(u, du)
+        assert self.close(kk, fkk) and self.close(grad, fgrad)
+        fgfs, fdens = bal._pullback_data(fkk, fgrad, fpair)
+        assert gfs.shape == fgfs.shape == (len(kk), model.n, model.n)
+        assert self.close(gfs, fgfs)
+        fwq = state.rule.weights * fdens
+        assert self.close(wq, fwq)
         # the moment and both pairings, against the frame path's diagonals
         mv, frame, raw = state._pairings
         weights = fwq / fkk
@@ -1690,9 +1562,9 @@ class TestTorusTable:
 class TestTorusWeights:
     """A torus state holds its Gram as N weights c (`DiagonalGram`): the
     whitener c^(-1/2) broadcasts, the moment is the pairing diagonal less
-    V/N, the det gauge is the geometric mean and the Anderson iterate is
-    log c less its mean, so the solver factors nothing; every guard keeps
-    its message."""
+    V/N, the det gauge is the geometric mean and the Newton step moves
+    log c, so the solver factors no Gram; every guard keeps its
+    message."""
 
     @pytest.mark.parametrize("model, n_radial, tol", [
         (TrivialBundleOverPm(1, 2, 3), 6, 1e-8),
@@ -1709,39 +1581,23 @@ class TestTorusWeights:
         assert report.converged and report.iterations > 0
         assert isinstance(report.state.gram, DiagonalGram)
 
-    def test_no_eigh_per_accepted_anderson_step(self, monkeypatch):
-        # the torus counterpart of the three `eigh` per accepted step of
-        # a full Gram (TestEachStatePaysOnce)
-        model = TrivialBundleOverPm(1, 2, 3)
-        state = bal.embedding_state(model,
-                                    rule=bal.torus_orbit_rule(model, 6))
-        mixer = bal._AndersonMixer()
-        state = mixer(state)  # a plain step: the history holds one pair
-        eigh = count_calls(monkeypatch, np.linalg, "eigh")
-        for _ in range(4):
-            bal.moment_map(state)
-            state = mixer(state)
-            assert mixer.fallbacks == 0 and len(mixer.xs) >= 2
-            assert mixer.xs[-1].shape == (state.count,)
-        assert eigh == []
-
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_weight_solve_matches_the_general_path(self, k):
-        # from the identity, on the orbit rule and on the full angular
-        # rule, where every entry of a full Gram is integrated
+        # from the identity, Newton on the orbit rule and the plain
+        # T-iteration on the full angular rule, where every entry of a
+        # full Gram is integrated, compared by the gauge invariants
         model = TrivialBundleOverPm(1, 2, k)
-        reports = [bal.balance_iterate(
-            bal.embedding_state(model, rule=rule), tol=1e-10, max_iter=100)
-            for rule in (bal.torus_orbit_rule(model, 6), torus_rule(model, 6))]
-        weights, full = reports
+        weights = bal.balance_iterate(
+            bal.embedding_state(model, rule=bal.torus_orbit_rule(model, 6)),
+            tol=1e-10, max_iter=100)
+        trajectory, full = plain_t_iteration(
+            bal.embedding_state(model, rule=torus_rule(model, 6)), tol=1e-10,
+            max_iter=100)
         assert isinstance(weights.state.gram, DiagonalGram)
-        assert not isinstance(full.state.gram, DiagonalGram)
-        assert weights.converged and full.converged
-        assert (weights.iterations, weights.fallback_steps) == (
-            full.iterations, full.fallback_steps)
-        want = full.state.gram.matrix
-        got = weights.state.gram.matrix
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        assert not isinstance(full.gram, DiagonalGram)
+        assert weights.converged and trajectory[-1][1] < 1e-10
+        assert weights.fallback_steps == 0
+        assert_same_gauge_invariants(weights.state, full, tol=1e-10)
 
     def test_the_rule_picks_the_form(self):
         model = TORUS_MODELS["p1xp1"]
@@ -1832,6 +1688,144 @@ OPERATOR_MODELS = {**TORUS_MODELS,
                    "p2-sum-0-0": ProjectiveSpaceBase(2, (0, 0), 2),
                    "p1-sum-0-0-1": LineBundleSumOverP1((0, 0, 1), 2),
                    "point-rank3": ProjectivePoint(3)}
+
+
+_BENCH_P1XP1 = dict(kind="pm-trivial", rank=2, base_dim=1, n_radial=6)
+
+NEWTON_SWEEPS = {
+    "bench-balance": ExperimentConfig(k_min=2, k_max=6, **_BENCH_P1XP1),
+    "bench-spectrum": ExperimentConfig(k_min=2, k_max=5, balance_tol=1e-9,
+                                       **_BENCH_P1XP1),
+    "balance-default": default_config("balance"),
+    "moment-spectrum-default": default_config("moment-spectrum"),
+}
+
+
+class TestNewton:
+    """A torus state balances by damped Newton on x = log c against Q_0,
+    the charge-0 block of the normal-action operator, read off the state's
+    table (`_charge_zero_block`), whose kernel is span{1, w}."""
+
+    @pytest.mark.parametrize("model", [
+        TrivialBundleOverPm(1, 2, 3), LineBundleSumOverP1((0, 1), 4),
+        TrivialBundleOverPm(2, 2, 3)], ids=lambda model: model.label)
+    def test_q0_is_the_charge_zero_block(self, model):
+        # the oracle is the frame path: the N diagonal pairs of
+        # `_charge_blocks`, on the orthonormal tangent frame of each node,
+        # with the kernel and density summed on the frame too
+        state = orbit_state(model, "random-5")
+        u, du = state._geometry[:2]
+        kk, grad, pair = bal._frame_sums(u, du)
+        wq = state.rule.weights * bal._pullback_data(kk, grad, pair)[1]
+        uf, _, scale = bal._normal_frame(u, du, kk, grad, wq)
+        diagonal = np.arange(state.count) * (state.count + 1)
+        [(_, want)] = bal._charge_blocks(u, uf, kk, scale, [diagonal])
+        got = bal._charge_zero_block(state)
+        assert np.max(np.abs(got - want[0])) <= 1e-13 * np.max(np.abs(got))
+        # the kernel is span{1, w} and nothing more
+        span = np.column_stack([np.ones(state.count),
+                                state.basis.chart_exponents])
+        assert np.max(np.abs(got @ span)) <= 1e-13 * np.max(np.abs(got))
+        eigs = np.linalg.eigvalsh(got)
+        rank = state.count - span.shape[1]
+        assert np.sum(eigs > 1e-3 * eigs[-1]) == rank
+
+    @pytest.mark.parametrize("k, condition", [(3, 6.0), (4, 12.0)])
+    def test_p2xp1_lands_on_the_closed_form(self, k, condition):
+        # the balanced Gram of P^2 x P^1 is the L2 Gram of the
+        # Fubini-Study metric, c_beta proportional to 1/multinomial(k;
+        # k - |beta|, beta); log c of it is orthogonal to span{1, w} up to
+        # its scale, by the symmetry of the homogeneous coordinates, so
+        # the Newton slice holds it exactly, and the condition number is
+        # the largest multinomial coefficient
+        model = TrivialBundleOverPm(2, 2, k)
+        report = bal.balance_iterate(
+            bal.embedding_state(model, rule=bal.torus_orbit_rule(model, 8)),
+            tol=1e-12, max_iter=suites._MAX_ITER)
+        assert report.converged
+        beta = report.state.basis.chart_exponents[:, :2]
+        want = np.array([
+            math.factorial(k - b0 - b1) * math.factorial(b0)
+            * math.factorial(b1) / math.factorial(k) for b0, b1 in beta])
+        want /= math.exp(np.log(want).mean())
+        got = report.state.gram.weights
+        assert np.max(np.abs(got / want - 1.0)) < 1e-9
+        assert report.state.gram.condition() == pytest.approx(condition,
+                                                              rel=1e-9)
+
+    @pytest.mark.parametrize("key", sorted(NEWTON_SWEEPS))
+    def test_every_level_of_a_run_takes_at_most_eight_steps(self, key):
+        cfg = NEWTON_SWEEPS[key]
+        for k in cfg.ks:
+            _, report, _ = suites._balanced_level(cfg, k)
+            assert report.converged, k
+            assert report.iterations <= 8 and report.fallback_steps == 0, k
+
+    def test_residuals_fall_quadratically(self):
+        # measured on P^1 x P^1 at k = 5: 3.2e-3, 5.1e-5, 1.3e-8, so
+        # r_(i+1) / r_i^2 reads 5.0 over each of the last two steps, where
+        # a linear rate as fast as 0.1 would read 1,960 on the last
+        model = TrivialBundleOverPm(1, 2, 5)
+        report = bal.balance_iterate(
+            bal.embedding_state(model, rule=bal.torus_orbit_rule(model, 6)),
+            tol=1e-7)
+        assert report.converged and report.fallback_steps == 0
+        last = [row[1] for row in report.trajectory[-3:]]
+        assert last[-1] > 1e-12  # above roundoff, so the rate is visible
+        for before, after in zip(last, last[1:]):
+            assert after <= 10.0 * before ** 2
+
+    def test_a_step_reads_no_eigh_and_no_geometry(self, monkeypatch):
+        state = orbit_state(TrivialBundleOverPm(1, 2, 3), "random-7")
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
+        seen = count_geometry_passes(monkeypatch)
+        step = bal._NewtonStepper(state.basis)(state)
+        assert (bal.moment_map(step).norm_fro
+                < bal.moment_map(state).norm_fro)
+        assert eigh == [] and seen == []
+
+    def test_a_torus_state_pulls_back_once(self, monkeypatch):
+        # the pairings, Q_0 and the node tables of the frame's readers all
+        # read the state's one `_torus_geometry`
+        state = orbit_state(TrivialBundleOverPm(1, 2, 3), "random-3")
+        pulls = count_calls(monkeypatch, bal, "_pullback_data")
+        sums = count_calls(monkeypatch, bal, "_frame_sums")
+        bal.moment_map(state)
+        bal._charge_zero_block(state)
+        bal.sigma_z_operator(state)
+        bal.balanced_density_stats(state)
+        assert len(pulls) == 1 and sums == []
+
+    def test_a_stalled_step_flags_divergence(self):
+        # P(O + O(1)) has no balanced metric: the steps stop lowering the
+        # moment, the last is halved to nothing, and the level is flagged
+        model = LineBundleSumOverP1((0, 1), 2)
+        report = bal.balance_iterate(
+            bal.embedding_state(model, rule=bal.torus_orbit_rule(model, 16)),
+            tol=1e-8, max_iter=suites._MAX_ITER)
+        assert report.diverged and not report.converged
+        assert report.iterations < 20
+        assert 0 <= report.fallback_steps <= report.iterations
+        assert report.moment.norm_op == pytest.approx(0.0313, abs=1e-4)
+
+    def test_an_orbit_rule_sits_at_angle_zero(self):
+        # Q_0 reads the sections and their jets as real, as they are at
+        # the orbit nodes
+        with pytest.raises(ValueError, match="real and nonnegative"):
+            bal.OrbitRule(np.array([[0.5j]]), np.ones(1))
+        with pytest.raises(ValueError, match="real and nonnegative"):
+            bal.OrbitRule(np.array([[-0.5 + 0j]]), np.ones(1))
+
+    def test_a_sweep_builds_its_orbit_rule_once(self, monkeypatch):
+        suites._orbit_rule.cache_clear()
+        built = count_calls(monkeypatch, bal, "torus_orbit_rule")
+        cfg = replace(NEWTON_SWEEPS["bench-spectrum"], k_max=3)
+        levels = [suites.spectrum_job(cfg, k) for k in cfg.ks]
+        assert len(built) == 1
+        assert all(level["converged"] for level in levels)
+        rule = suites._orbit_rule(cfg)
+        assert not rule.points.flags.writeable
+        assert not rule.weights.flags.writeable
 
 
 class TestTorusOperator:

@@ -506,7 +506,7 @@ class TestDeterminism:
         assert normalized_report_bytes(out) == first
 
     # verify and expansion send the shared push-forward table to the
-    # workers; balance and moment-spectrum run the Anderson solver there
+    # workers; balance and moment-spectrum run the Newton solver there
     @pytest.mark.parametrize("command, text", [
         ("verify", TINY_VERIFY),
         ("expansion", TINY_EXPANSION),
