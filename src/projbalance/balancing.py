@@ -30,10 +30,11 @@ Contents, bottom to top:
   metric at arbitrary points;
 * `sigma_z_operator` integrates the squared normal components of the
   su(N) action fields without forming them, as Hermitian blocks in the
-  matrix-unit basis E_ji (one per torus charge at a torus state);
-  `eig_estimate` extracts the smallest positive eigenvalue of their
-  spectra less the identity's zero, and `lambda_fit_exponent` the growth
-  exponent of its reciprocal along a k-sweep (`suites.spectrum_job`);
+  matrix-unit basis E_ji (`_node_sum`; one real block per torus charge
+  at a torus state, `_charge_blocks`); `eig_estimate` extracts the
+  smallest positive eigenvalue of their spectra less the identity's
+  zero, and `lambda_fit_exponent` the growth exponent of its reciprocal
+  along a k-sweep (`suites.spectrum_job`);
 * `torus_orbit_rule` serves torus-invariant states, whose Gram is
   diagonal in the monomial basis: one node per torus orbit, at angle 0
   with the orbit's weight, exact because every integrand entry carries
@@ -68,24 +69,23 @@ values, then one row per holomorphic direction, binomial shifts of one
 power table of the points, so no table takes a complex power.  The
 Gram's `frame` moves it to the orthonormal frame at once.  The
 determinant and `r_bounded_check`'s norms, eigenvalues and root are
-`kahler`'s kernels; the tangent frame of `sigma_z_operator`
+`kahler`'s kernels; the tangent frame of the general path's operator
 (`_tangent_frame`) is Gram-Schmidt at dim 2, an SVD otherwise.
 
-A torus state's solver step factors no Gram and forms no frame: its Gram
+A torus state factors no Gram and makes no `_fs_geometry` pass: its Gram
 is its weights c, and K, its gradient and the jet pairing are linear in
 1/c, so one table of section-jet products per rule (`_table`, shared by
-every `with_gram` copy) gives them in one GEMV, and the raw pairing
-diagonal in a second.  The frame pairing is that diagonal times 1/c, the
-moment the frame pairing less V/N (its own spectrum), and Q_0 the same
-sums through one real GEMM.  Any other Gram is factored once, by its
-`GramMatrix`: the guards and the whitener read one `eigh`, the det gauge
-is one LU and the moment one `eigvalsh`.
+every `with_gram` copy) gives them in one GEMV (`_torus_geometry`), and
+the raw pairing diagonal and the density |s_p|^2 in a second.  The frame
+pairing is that diagonal times 1/c, the moment the frame pairing less
+V/N (its own spectrum), and every block of Q_E, Newton's Q_0 among them,
+one real batched product (`_charge_blocks`).  Any other Gram is factored
+once, by its `GramMatrix`: the guards and the whitener read one `eigh`,
+the det gauge is one LU and the moment one `eigvalsh`.
 
-A state's memo keeps, read-only, its `_fs_geometry` node tables, its
-`MomentValue`, both pairings and, at a torus state, the `_torus_geometry`
-that its pairings and Q_0 read; only the readers of a torus state's frame
-(`sigma_z_operator`, `balanced_density_stats`, `torus_rule_check`) form
-u and du, so its solve makes no geometry pass.
+A state's memo keeps, read-only, its `MomentValue`, both pairings and
+their node tables: `_fs_geometry`'s, or at a torus state
+`_torus_geometry`.
 
 All volumes are reduced by (2 pi)^dim as elsewhere in the package.
 """
@@ -174,9 +174,9 @@ class EmbeddingState:
     `jet` is the 1-jet of the raw section basis at the rule nodes, one
     order-major table (1 + dim, n, N): row 0 the values (`values`), then
     one (n, N) row per holomorphic direction.  The memo, read-only and
-    empty in a new state, holds `_geometry`, `_pairings` and, at a torus
-    state, `_torus_geometry`; `_table` is shared by every `with_gram`
-    copy, as `jet` is.
+    empty in a new state, holds `_pairings` and the node tables they
+    read: `_geometry` off the torus, `_torus_geometry` at a torus state;
+    `_table` is shared by every `with_gram` copy, as `jet` is.
 
     A state is validated where it is born (`embedding_state`, `with_gram`
     and `dataclasses.replace` alike): one Gram row per section, and the
@@ -186,8 +186,8 @@ class EmbeddingState:
     `torus_invariance_guard`; any other state holds a `GramMatrix`.  A
     torus state's pairings are diagonal, the off-diagonal entries of a
     torus-invariant state being exactly 0 (derived in `torus_orbit_rule`),
-    and read off `_table` without a frame; `sigma_z_operator` keeps the
-    zero-character entries of its node sum, one block per torus charge.
+    and read off `_table` without a frame, and its operator is one real
+    block per torus charge (`_charge_blocks`).
     """
 
     model: object
@@ -415,13 +415,10 @@ def _fs_geometry(state):
     """Frame values, direction-major jets, kernel, its gradient (dim, n),
     and the rule weights times the reduced volume density, at the rule
     nodes of a state: the Gram's `frame` moves the 1-jet to the
-    orthonormal frame at once, and u, du are views of it.  A torus state
-    reads the rest off its `_torus_geometry`."""
+    orthonormal frame at once, and u, du are views of it.  No torus state
+    needs it: they read `_torus_geometry`."""
     mixed = state.gram.frame(state.jet)
     u, du = mixed[0], mixed[1:]
-    if state.torus:
-        kk, grad, _, wq = state._torus_geometry
-        return u, du, kk, grad, wq
     kk, grad, pair = _frame_sums(u, du)
     return u, du, kk, grad, state.rule.weights * _pullback_data(
         kk, grad, pair)[1]
@@ -533,13 +530,16 @@ def balanced_density_stats(state):
     identity under any same-rule pairing), volume, mean, variance, and the
     maximum deviation from the mean.  Variance and deviation measure how
     far the state sits from balance in the pointwise sense.  The volume,
-    the frame pairing and the node tables are the state's own memo."""
-    mv, raw, _ = state._pairings
-    u, _, kk, _, wq = state._geometry
+    the frame pairing and the node tables are the state's own memo; a
+    torus state reads |u_p|^2 / frame_p = |s_p|^2 / raw_p off its
+    `_table`, with no frame."""
+    mv, frame, raw = state._pairings
     if state.torus:
-        rho = (_abs2(u) @ (1.0 / raw)) / kk
+        kk, _, _, wq = state._torus_geometry
+        rho = (state._table[1] @ (1.0 / raw)) / kk
     else:
-        inv = np.linalg.inv(0.5 * (raw + raw.conj().T))
+        u, _, kk, _, wq = state._geometry
+        inv = np.linalg.inv(0.5 * (frame + frame.conj().T))
         rho = ((np.conj(u) @ inv.T) * u).sum(axis=1).real / kk
     vol = mv.volume
     mass = float((wq * rho).sum())
@@ -634,40 +634,12 @@ def balance_iterate(state, tol=1e-8, max_iter=500):
     return replace(report, fallback_steps=newton.halved)
 
 
-def _charge_zero_block(state):
-    """Q_0, the charge-0 block (the N diagonal pairs) of `sigma_z_operator`
-    at a torus state, with no frame and no tangent SVD.  With s = w dens /
-    K, A = |u|^2, the tangent columns T_a = du_a - b_a u / K, their Gram
-    g = T^H T = K conj(gfs) and Y_ia = conj(u_i) T_ia, the projector U U^H
-    of `_charge_blocks` is T g^-1 T^H, so
-        Q_0 = diag(sum_n s A) - sum_n s (A_i A_l / K + Y g^-1 Y^H),
-    where A and conj(u) du are `_table` rows times 1/c.  They are real at
-    the orbit nodes (angle 0), so the Gram term is one real GEMM of the
-    rows sqrt(s / K) A and sqrt(s) Y L^-T, g = L L^T per node."""
-    kk, grad, gfs, wq = state._torus_geometry
-    table, square = state._table
-    inv = 1.0 / state.gram.weights
-    dim, n = grad.shape
-    a = square.T * inv[:, None]
-    cross = table[:, n:(dim + 1) * n].real.reshape(-1, dim, n)
-    y = cross * inv[:, None, None] - (grad.real / kk) * a[:, None, :]
-    scale = wq / kk
-    chol = np.linalg.inv(np.linalg.cholesky(kk[:, None, None] * gfs.real))
-    root = np.sqrt(scale)[:, None, None] * np.swapaxes(chol, 1, 2)
-    tangent = np.einsum("pan,nab->pbn", y, root, optimize=True)
-    rows = np.concatenate([a * np.sqrt(scale / kk),
-                           tangent.reshape(len(a), -1)], axis=1)
-    q = -(rows @ rows.T)
-    q[np.diag_indices_from(q)] += a @ scale
-    return q
-
-
 class _NewtonStepper:
     """Damped Newton on x = log c for a torus state's weights c, one call
-    per iteration.  The moment's Jacobian in x is -Q_0
-    (`_charge_zero_block`) up to terms that vanish with it (Donaldson,
-    J. Differential Geom. 59, 2001; Phong & Sturm, Amer. J. Math. 126,
-    2004), and Q_0's kernel is exactly span{1, w}, w the torus weights
+    per iteration.  The moment's Jacobian in x is -Q_0, the charge-0
+    block of `_charge_blocks` (the N diagonal pairs), up to terms that
+    vanish with it (Donaldson, J. Differential Geom. 59, 2001; Phong &
+    Sturm, Amer. J. Math. 126, 2004), and Q_0's kernel is exactly span{1, w}, w the torus weights
     (`SectionBasis.chart_exponents`): the scale and the torus, which move
     the image by automorphisms.  With P an orthonormal basis of it the
     step solves (Q_0 + P P^T) delta = (I - P P^T) mu, so no singular value
@@ -681,14 +653,15 @@ class _NewtonStepper:
         weights = basis.chart_exponents
         self.kernel = np.linalg.qr(
             np.column_stack([np.ones(len(weights)), weights]))[0]
+        self.diagonal = np.arange(len(weights)) * (len(weights) + 1)
         self.halved = 0
 
     def __call__(self, state):
         mv, frame, _ = state._pairings
         p = self.kernel
         mu = frame - mv.d
-        delta = np.linalg.solve(_charge_zero_block(state) + p @ p.T,
-                                mu - p @ (p.T @ mu))
+        [(_, [q0])], _ = _charge_blocks(state, [self.diagonal])
+        delta = np.linalg.solve(q0 + p @ p.T, mu - p @ (p.T @ mu))
         x = np.log(state.gram.weights)
         scale = 1.0
         while not np.array_equal(x + scale * delta, x):
@@ -765,7 +738,8 @@ class SigmaZOperator:
     Q[a, b] = integral of <pi_N(xi_a u), pi_N(xi_b u)> / |u|^2 against the
     pulled-back volume.  `charges` are stacks (pairs (count, n), blocks
     (count, n, n)), one per block size, pair j N + i standing for E_ji: one
-    block per torus charge at a torus state, else one of all N^2 pairs.
+    real block per torus charge at a torus state, else one complex block
+    of all N^2 pairs.
     `sectors` counts the blocks and `largest_sector` is the largest n.
     `units` (Q_E itself) and `q_matrix` (Q in the generators, `su_basis`
     unless others were given) are formed when first read.  `skipped`
@@ -809,23 +783,23 @@ def sigma_z_operator(state, generators=None):
 
     At each node the tangent space of the image is spanned by the jet
     columns projected off the cone direction u; the field of a Hermitian
-    generator xi is xi u, projected off the cone and the tangent frame and
+    generator xi is xi u, projected off the cone and the tangent space and
     normalized by |u|.  With P the normal projector I - u u^H / K - U U^H
-    (U an orthonormal tangent frame from `_tangent_frame`, K = |u|^2) the
-    integrand is (xi_a u)^H P (xi_b u) / K, so in the matrix-unit basis
-    E_ji of the generators Q_E[(j, i), (k, l)] = sum_n s_n conj(u_ni)
-    P_njk u_nl with s_n = w_n / K_n, and no field is ever formed.  The
-    node tables are the state's memo (`EmbeddingState._geometry`).
-    Rank-deficient nodes (branch points of the chosen sub-system), where
-    the smallest singular value of the tangent columns is at most 1e-12 of
-    the largest, get weight zero, with a warning.  P u = 0 at every node,
-    so Q_E annihilates the identity exactly.
+    (U U^H the tangent projector, K = |u|^2) the integrand is
+    (xi_a u)^H P (xi_b u) / K, so in the matrix-unit basis E_ji of the
+    generators Q_E[(j, i), (k, l)] = sum_n s_n conj(u_ni) P_njk u_nl with
+    s_n = w_n / K_n, and no field is ever formed.  Rank-deficient nodes
+    (branch points of the chosen sub-system), where the smallest singular
+    value of the tangent columns is at most 1e-12 of the largest, get
+    weight zero, with a warning.  P u = 0 at every node, so Q_E
+    annihilates the identity exactly.
 
-    Off the torus Q_E is one node sum (`_node_sum`), one block.  A `torus`
-    state sums on its `torus_orbit_rule` nodes and keeps only the entries
-    whose torus character W_j - W_i - W_k + W_l is 0 (W_p the weight of
-    section p), so Q_E is block diagonal by the charge W_j - W_i
-    (`_charge_sectors`), and each block is formed alone (`_charge_blocks`).
+    Off the torus Q_E is one block, a node sum on an orthonormal tangent
+    frame (`_node_sum`).  A `torus` state sums on its `torus_orbit_rule`
+    nodes and keeps only the entries whose torus character
+    W_j - W_i - W_k + W_l is 0 (W_p the weight of section p), so Q_E is
+    block diagonal by the charge W_j - W_i (`_charge_sectors`), and each
+    block is formed alone, real (`_charge_blocks`).
     `generators` (`su_basis` by default) only shape
     `SigmaZOperator.q_matrix`, when it is read.
 
@@ -844,13 +818,12 @@ def sigma_z_operator(state, generators=None):
     for |p| < n (Trefethen & Weideman, SIAM Review 56, 2014).  D + 1 base
     angles would not do: on P^1 at k = 2, lambda_z then reads 3.96
     instead of 2.5.  `torus_rule_check` compares the two."""
-    u, du, kk, grad, wq = state._geometry
-    nn = u.shape[1]
+    nn = state.count
     if state.torus:
-        uf, valid, scale = _normal_frame(u, du, kk, grad, wq)
-        charges = _charge_blocks(u, uf, kk, scale,
-                                 _charge_sectors(state.basis))
+        charges, valid = _charge_blocks(state, _charge_sectors(state.basis))
+        wq = state._torus_geometry[3]
     else:
+        u, du, kk, grad, wq = state._geometry
         m, valid = _node_sum(u, du, kk, grad, wq)
         charges = ((np.arange(nn * nn)[None], m[None]),)
     skipped = int(np.count_nonzero(~valid))
@@ -929,39 +902,57 @@ def _charge_sectors(basis):
     return np.split(order, np.flatnonzero(np.diff(charge[order])) + 1)
 
 
-def _charge_blocks(u, uf, kk, scale, sectors):
-    """Q_E on each sector of pairs, as stacks (pairs (count, n), blocks
-    (count, n, n)), one per pair count n.
+def _charge_blocks(state, sectors):
+    """A torus state's Q_E on each sector of pairs, as stacks (pairs
+    (count, n), blocks (count, n, n)), one per pair count n, and the
+    nodes' valid mask; on the N diagonal pairs, Newton's Q_0.
 
-    Q_E[(j, i), (k, l)] = delta_jk C_il - sum_r H_r,(j,i) conj(H_r,(k,l))
-    with C = sum_n s_n conj(u_n) u_n^T and, per node, the rows
-    sqrt(s_n / K_n) u_j conj(u_i) and sqrt(s_n) U_ja conj(u_i), one per
-    tangent column a: a diagonal minus a Gram, so no node's N x N
-    projector is formed.  Within a sector j = k forces i = l, distinct
-    sections having distinct weights, so the delta term is the diagonal
-    sum_n s_n |u_n,i|^2."""
-    nn = u.shape[1]
-    amp = np.concatenate(
-        [np.sqrt(scale / kk)[:, None, None] * u[:, None, :],
-         np.sqrt(scale)[:, None, None] * np.swapaxes(uf, 1, 2)], axis=1)
-    left = np.ascontiguousarray(amp.reshape(-1, nn).T)
-    right = np.ascontiguousarray(
-        np.repeat(np.conj(u), amp.shape[1], axis=0).T)
-    diagonal = _abs2(u).T @ scale
+    Q_E[(j, i), (k, l)] = delta_jk C_il - sum_r H_r,(j,i) H_r,(k,l) with
+    C = sum_n s_n u_n u_n^T, s = w dens / K, and per node the rows
+    sqrt(s / K) u_j u_i and sqrt(s) F_ja u_i: a diagonal minus a Gram, all
+    real at the orbit nodes.  K, b, gfs and w dens are `_torus_geometry`'s
+    and u, du the Gram's `frame` of the jet.  The tangent columns
+    T_a = du_a - b_a u / K have the Gram g = K gfs = L L^T per node, so
+    F = T L^-T gives F F^T = T g^-1 T^T, the tangent projector U U^H.  A
+    node whose g has its smallest eigenvalue at most 1e-24 of its largest
+    (the frame path's 1e-12 singular-value ratio, squared) gets s = 0.
+    Within a sector j = k forces i = l, distinct sections having distinct
+    weights, so the delta term is the diagonal sum_n s_n u_n,i^2."""
+    kk, grad, gfs, wq = state._torus_geometry
+    mixed = state.gram.frame(state.jet.real)
+    u, du = mixed[0], mixed[1:]
+    g = kk[:, None, None] * gfs.real
+    valid = smallest_eigenvalue(g) > 1e-24 * hermitian_norm(g)
+    g[~valid] = np.eye(g.shape[-1])
+    try:
+        lower = np.linalg.inv(np.linalg.cholesky(g))
+    except np.linalg.LinAlgError:  # a node just above the cutoff
+        raise NumericalGuardError(
+            "tangent Gram not positive definite at an orbit node: the "
+            "embedding jet nearly drops rank there; move the radial nodes "
+            "([quadrature] n_radial)") from None
+    scale = np.where(valid, wq, 0.0) / kk
+    lower *= np.sqrt(scale)[:, None, None]
+    tang = du - (grad.real / kk)[:, :, None] * u
+    amp = np.concatenate([np.sqrt(scale / kk)[:, None, None] * u[:, None, :],
+                          np.einsum("anp,nba->nbp", tang, lower)], axis=1)
+    left = np.ascontiguousarray(amp.reshape(-1, state.count).T)
+    right = np.ascontiguousarray(np.repeat(u, amp.shape[1], axis=0).T)
+    diagonal = (u ** 2).T @ scale
     by_count = {}
     for sector in sectors:
         by_count.setdefault(len(sector), []).append(sector)
     charges = []
     for group in by_count.values():
         pairs = np.array(group)
-        rows, cols = np.divmod(pairs, nn)
+        rows, cols = np.divmod(pairs, state.count)
         h = left[rows]
         h *= right[cols]
-        q = -(h @ np.conj(np.swapaxes(h, 1, 2)))
+        q = -(h @ np.swapaxes(h, 1, 2))
         ii = np.arange(pairs.shape[1])
         q[:, ii, ii] += diagonal[cols]
         charges.append((pairs, q))
-    return tuple(charges)
+    return tuple(charges), valid
 
 
 @dataclass(frozen=True)
@@ -1067,12 +1058,10 @@ def torus_orbit_rule(model, n_radial):
     has character 0, and an off-diagonal one u_p conj(u_q) / K the nonzero
     weight(p) - weight(q).  The moment and the T-step pairing of a torus
     state are therefore diagonal, and so is each Newton step, taken on the
-    log weights: a torus state's Gram is its weights.  The node sum of
-    `sigma_z_operator` pairs four sections, with character
-    W_j - W_i - W_k + W_l, and keeps the entries where it is 0, one block
-    per charge W_j - W_i (derived in its docstring).  The radial
-    integrands are those of the full angular rule, so the radial grid is
-    the plain rule's.
+    log weights: a torus state's Gram is its weights.  `sigma_z_operator`
+    keeps its zero-character entries alike (derived in its docstring).
+    The radial integrands are those of the full angular rule, so the
+    radial grid is the plain rule's.
     """
     rule = product_rule(base_rule(model, n_radial, n_angular=1),
                         fiber_rule(model, n_radial, n_angular=1))

@@ -206,6 +206,10 @@ def validate_config(cfg, text=""):
         fail("model", "degrees",
              f"summand twist {min(cfg.degrees)} at level k_min {cfg.k_min} "
              "gives an empty section space; need min(degrees) + k_min >= 0")
+    if cfg.kind == "p1-sum" and max(cfg.degrees) + cfg.k_min < 1:
+        fail("model", "degrees", f"every summand twist is at most 0 at "
+             f"level k_min {cfg.k_min}: the total space has zero volume; "
+             "need max(degrees) + k_min >= 1")
     if cfg.k_max < cfg.k_min:
         fail("sweep", "k_max",
              f"empty level range: k_max {cfg.k_max} < k_min {cfg.k_min}")

@@ -29,7 +29,7 @@ Taylor coefficients of u (`log_kernel_jet`).
 
 Every per-node stack of small Hermitian matrices the package factors
 goes through `hermitian_det`, `hermitian_norm`, `smallest_eigenvalue` or
-`inverse_sqrt`: closed forms at d = 2 (and 1 for the det), LAPACK above.
+`inverse_sqrt`: closed forms at d = 2 (and 1 but for the root), LAPACK above.
 """
 
 import itertools
@@ -310,7 +310,9 @@ def _mean_radius(stack, b):
 
 
 def hermitian_norm(stack):
-    """Spectral norms: |mean| + radius at d = 2, an SVD above."""
+    """Spectral norms: |entry| at d = 1, |mean| + radius at d = 2, SVD."""
+    if stack.shape[-1] == 1:
+        return np.abs(stack[..., 0, 0])
     if stack.shape[-1] != 2:
         return np.linalg.svd(stack, compute_uv=False)[..., 0]
     mean, radius = _mean_radius(stack, stack[..., 0, 1])
@@ -318,8 +320,11 @@ def hermitian_norm(stack):
 
 
 def smallest_eigenvalue(stack):
-    """Smallest eigenvalues of the Hermitian parts: mean - radius at d = 2
-    with b averaged against the lower entry, `eigvalsh` above."""
+    """Smallest eigenvalues of the Hermitian parts: the entry at d = 1,
+    mean - radius at d = 2 with b averaged against the lower entry,
+    `eigvalsh` above."""
+    if stack.shape[-1] == 1:
+        return stack[..., 0, 0].real
     if stack.shape[-1] != 2:
         return np.linalg.eigvalsh(
             0.5 * (stack + np.swapaxes(stack.conj(), -1, -2)))[..., 0]

@@ -660,24 +660,23 @@ class TestEachStatePaysOnce:
 
     def test_operator_of_a_solved_state_reads_its_geometry(self,
                                                            monkeypatch):
-        # one pass per state, on demand: a torus solve reads its table and
-        # makes none, and the readers of the solved state's frame share one
+        # a torus state makes no `_fs_geometry` pass: its solve, its
+        # operator and its density read its `_torus_geometry`
         model = TrivialBundleOverPm(1, 2, 3)
         state = bal.embedding_state(model,
                                     rule=bal.torus_orbit_rule(model, 6))
         seen = count_geometry_passes(monkeypatch)
         report = bal.balance_iterate(state, tol=1e-9)
         assert report.converged and report.iterations > 0
-        assert seen == []
         q = bal.sigma_z_operator(report.state).q_matrix
         bal.balanced_density_stats(report.state)
-        assert seen == [report.state]
-        # the kept tables are read-only and give the fresh pass's operator
-        u = report.state._geometry[0]
-        assert not u.flags.writeable
+        assert seen == [] and "_geometry" not in vars(report.state)
+        # the kept tables are read-only and give the fresh copy's operator
+        assert not any(table.flags.writeable
+                       for table in report.state._torus_geometry)
         fresh = replace(report.state, gram=report.state.gram)
         assert np.array_equal(bal.sigma_z_operator(fresh).q_matrix, q)
-        assert seen == [report.state, fresh]
+        assert seen == []
 
 class TestDensityStats:
     def test_mass_equals_section_count_even_unbalanced(self):
@@ -1701,27 +1700,51 @@ NEWTON_SWEEPS = {
 }
 
 
+def branch_orbit_state():
+    """Sub-system {1, z^2} of O(2) on two orbit nodes: it branches at
+    z = 0, where the jet drops rank and the tangent Gram vanishes."""
+    model = LineBundleSumOverP1((0,), 2)
+    basis = SectionBasis(model, np.array([0, 0]),
+                         np.array([[0], [2]], dtype=int))
+    rule = bal.OrbitRule(np.array([[0.0], [0.4]], dtype=complex),
+                         np.array([0.5, 0.5]))
+    return bal.embedding_state(model, basis=basis, rule=rule)
+
+
+def diagonal_pairs(state):
+    """The charge-0 sector: the N diagonal pairs (i, i), flat i N + i."""
+    return np.arange(state.count) * (state.count + 1)
+
+
 class TestNewton:
     """A torus state balances by damped Newton on x = log c against Q_0,
-    the charge-0 block of the normal-action operator, read off the state's
-    table (`_charge_zero_block`), whose kernel is span{1, w}."""
+    the charge-0 block of the normal-action operator (`_charge_blocks` on
+    the diagonal pairs), whose kernel is span{1, w}."""
 
     @pytest.mark.parametrize("model", [
         TrivialBundleOverPm(1, 2, 3), LineBundleSumOverP1((0, 1), 4),
         TrivialBundleOverPm(2, 2, 3)], ids=lambda model: model.label)
     def test_q0_is_the_charge_zero_block(self, model):
-        # the oracle is the frame path: the N diagonal pairs of
-        # `_charge_blocks`, on the orthonormal tangent frame of each node,
-        # with the kernel and density summed on the frame too
+        # the oracle is the general path on a plain copy of the same nodes
+        # and Gram: its one node sum, on the orthonormal tangent frame of
+        # each node, with the kernel and density summed on the frame too,
+        # holds every sector's block among its entries
         state = orbit_state(model, "random-5")
-        u, du = state._geometry[:2]
-        kk, grad, pair = bal._frame_sums(u, du)
-        wq = state.rule.weights * bal._pullback_data(kk, grad, pair)[1]
-        uf, _, scale = bal._normal_frame(u, du, kk, grad, wq)
-        diagonal = np.arange(state.count) * (state.count + 1)
-        [(_, want)] = bal._charge_blocks(u, uf, kk, scale, [diagonal])
-        got = bal._charge_zero_block(state)
-        assert np.max(np.abs(got - want[0])) <= 1e-13 * np.max(np.abs(got))
+        plain = bal.embedding_state(
+            model, gram=state.gram.matrix, basis=state.basis,
+            rule=ChartRule(state.rule.points, state.rule.weights))
+        whole = bal.sigma_z_operator(plain).units
+        scale = np.max(np.abs(whole))
+        op = bal.sigma_z_operator(state)
+        for pairs, blocks in op.charges:
+            want = whole[pairs[:, :, None], pairs[:, None, :]]
+            assert np.max(np.abs(blocks - want)) <= 1e-13 * scale
+        [(_, [got])], valid = bal._charge_blocks(state,
+                                                 [diagonal_pairs(state)])
+        assert valid.all()
+        [block] = [q for pairs, blocks in op.charges
+                   for sector, q in zip(pairs, blocks) if sector[0] == 0]
+        assert np.max(np.abs(got - block)) <= 1e-14 * scale
         # the kernel is span{1, w} and nothing more
         span = np.column_stack([np.ones(state.count),
                                 state.basis.chart_exponents])
@@ -1785,16 +1808,82 @@ class TestNewton:
         assert eigh == [] and seen == []
 
     def test_a_torus_state_pulls_back_once(self, monkeypatch):
-        # the pairings, Q_0 and the node tables of the frame's readers all
-        # read the state's one `_torus_geometry`
+        # the pairings, Q_0, the operator's blocks and the density all
+        # read the state's one `_torus_geometry`, and none makes an
+        # `_fs_geometry` pass
         state = orbit_state(TrivialBundleOverPm(1, 2, 3), "random-3")
         pulls = count_calls(monkeypatch, bal, "_pullback_data")
         sums = count_calls(monkeypatch, bal, "_frame_sums")
+        seen = count_geometry_passes(monkeypatch)
         bal.moment_map(state)
-        bal._charge_zero_block(state)
+        bal._charge_blocks(state, [diagonal_pairs(state)])
         bal.sigma_z_operator(state)
         bal.balanced_density_stats(state)
-        assert len(pulls) == 1 and sums == []
+        assert len(pulls) == 1 and sums == [] and seen == []
+
+    @pytest.mark.parametrize("job", ["balance", "spectrum"])
+    def test_bench_jobs_take_the_frame_path_only_for_the_self_check(
+            self, monkeypatch, job):
+        # what the benchmark's tracer counts as geometry passes: at k_min
+        # of the bench configs the one `_fs_geometry` pass is the torus
+        # self-check's full angular state, three orbits on 2 D + 3 = 7
+        # base and 5 fiber angles, and an orthonormal tangent frame is
+        # taken inside the general path's node sum alone
+        cfg = NEWTON_SWEEPS[f"bench-{job}"]
+        seen = count_geometry_passes(monkeypatch)
+        inside = []
+        node_sum = bal._node_sum
+        tangent_frame = bal._tangent_frame
+        frames = []
+
+        def spying_node_sum(*args):
+            inside.append(True)
+            try:
+                return node_sum(*args)
+            finally:
+                inside.pop()
+
+        def spying_tangent_frame(tang):
+            frames.append(bool(inside))
+            return tangent_frame(tang)
+
+        monkeypatch.setattr(bal, "_node_sum", spying_node_sum)
+        monkeypatch.setattr(bal, "_tangent_frame", spying_tangent_frame)
+        if job == "balance":
+            suites.balance_job(cfg, cfg.k_min, suites.sweep_tables(cfg)[0])
+        else:
+            suites.spectrum_job(cfg, cfg.k_min)
+        [state] = seen
+        assert not state.torus
+        assert state.rule.points.shape[0] == 3 * 7 * 5
+        assert frames == ([True] if job == "spectrum" else [])
+
+    def test_a_rank_deficient_orbit_node_is_skipped(self, caplog):
+        # the tangent Gram at the branch point has no Cholesky factor: the
+        # operator skips the node and the solver still reports; span{1, w}
+        # is all of R^2 here, so the step is 0 and the level is flagged
+        # diverged
+        state = branch_orbit_state()
+        with caplog.at_level(logging.WARNING, logger="projbalance.balancing"):
+            op = bal.sigma_z_operator(state)
+        assert (op.skipped, op.samples) == (1, 1)
+        assert any("rank" in rec.message for rec in caplog.records)
+        report = bal.balance_iterate(state, tol=1e-8)
+        assert isinstance(report, bal.BalanceReport)
+        assert report.diverged and not report.converged
+
+    def test_a_tangent_gram_without_a_factor_trips_a_guard(self,
+                                                           monkeypatch):
+        # with the cutoff defeated, the branch point reaches the Cholesky
+        # factorization: the package's guard, not LAPACK's error, which
+        # the solver turns into a flagged level
+        monkeypatch.setattr(bal, "smallest_eigenvalue",
+                            lambda g: np.ones(len(g)))
+        state = branch_orbit_state()
+        with pytest.raises(NumericalGuardError,
+                           match="tangent Gram not positive definite"):
+            bal.sigma_z_operator(state)
+        assert bal.balance_iterate(state, tol=1e-8).diverged
 
     def test_a_stalled_step_flags_divergence(self):
         # P(O + O(1)) has no balanced metric: the steps stop lowering the
@@ -1920,7 +2009,7 @@ class TestChargeSectors:
         # largest eigvalsh is its largest sector: O(20) on P^1, N = 21
         state = orbit_state(LineBundleSumOverP1((0,), 20), "random-3",
                             n_radial=10)
-        state._geometry  # the level's solve made the geometry pass
+        state._torus_geometry  # the level's solve read the table
         n = state.count
 
         def refuse(count):

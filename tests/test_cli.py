@@ -313,6 +313,21 @@ class TestExitCodes:
         assert "[model] degrees" in err and "line 3" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_zero_volume_twists(self, tmp_path, capsys, command):
+        # every twist is 0 at k = 1: the sections are there, but the total
+        # space has zero volume, so no subcommand can run
+        path = write_config(
+            tmp_path, "[model]\nkind = p1-sum\ndegrees = -1,-1\n\n"
+                      "[sweep]\nk_min = 1\nk_max = 3\n")
+        rc = cli.main([command, "--config", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "[model] degrees" in err and "zero volume" in err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_override(self, tmp_path, capsys):
         rc = cli.main(["verify", "--seed", "-1",
                        "--out", str(tmp_path / "out")])
