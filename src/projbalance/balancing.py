@@ -69,8 +69,10 @@ values, then one row per holomorphic direction, binomial shifts of one
 power table of the points, so no table takes a complex power.  The
 Gram's `frame` moves it to the orthonormal frame at once.  The
 determinant and `r_bounded_check`'s norms, eigenvalues and root are
-`kahler`'s kernels; the tangent frame of the general path's operator
-(`_tangent_frame`) is Gram-Schmidt at dim 2, an SVD otherwise.
+`kahler`'s kernels.  Both operator kernels, the general path's node sum
+and a torus state's charge blocks, take their tangent projector and rank
+decision from one per-node frame (`_normal_frame`: a Householder QR of the
+tangent columns, `_tangent_frame`).
 
 A torus state factors no Gram and makes no `_fs_geometry` pass: its Gram
 is its weights c, and K, its gradient and the jet pairing are linear in
@@ -79,9 +81,10 @@ every `with_gram` copy) gives them in one GEMV (`_torus_geometry`), and
 the raw pairing diagonal and the density |s_p|^2 in a second.  The frame
 pairing is that diagonal times 1/c, the moment the frame pairing less
 V/N (its own spectrum), and every block of Q_E, Newton's Q_0 among them,
-one real batched product (`_charge_blocks`).  Any other Gram is factored
-once, by its `GramMatrix`: the guards and the whitener read one `eigh`,
-the det gauge is one LU and the moment one `eigvalsh`.
+one real batched product on the real tangent frame of the orbit nodes
+(`_charge_blocks`).  Any other Gram is factored once, by its
+`GramMatrix`: the guards and the whitener read one `eigh`, the det gauge
+is one LU and the moment one `eigvalsh`.
 
 A state's memo keeps, read-only, its `MomentValue`, both pairings and
 their node tables: `_fs_geometry`'s, or at a torus state
@@ -332,33 +335,13 @@ def embedding_state(model, gram=None, rule=None, metric=None, basis=None,
 def _tangent_frame(tang):
     """Orthonormal frame (n, N, dim) of the columns of a direction-major
     stack tang (dim, n, N), with their smallest and largest singular values
-    per node.
-
-    dim = 2 in closed form, by Gram-Schmidt on the two slabs:
-    e1 = t1 / |t1| and e2 = t2_perp / |t2_perp|, t2_perp being t2 projected
-    off e1 twice (the second pass keeps e2 orthogonal to roundoff when t2
-    nearly follows t1).  sigma_max is the root of the 2 x 2 Gram's
-    `hermitian_norm`, and sigma_min = |t1| |t2_perp| / sigma_max
-    since the Gram's determinant is (|t1| |t2_perp|)^2.  A zero norm gives
-    a zero frame column and sigma_min = 0, never a NaN.  SVD otherwise."""
-    if tang.shape[0] != 2:
-        uf, sv, _ = np.linalg.svd(np.moveaxis(tang, 0, -1),
-                                  full_matrices=False)
-        return uf, sv[:, -1], sv[:, 0]
-    t1, t2 = tang
-    n1sq = _abs2(t1).sum(axis=1)
-    cross = np.einsum("np,np->n", np.conj(t1), t2)
-    gram = np.stack([n1sq, cross, np.conj(cross), _abs2(t2).sum(axis=1)], -1)
-    smax = np.sqrt(hermitian_norm(gram.reshape(-1, 2, 2)))
-    n1 = np.sqrt(n1sq)
-    inv1 = np.divide(1.0, n1, out=np.zeros_like(n1), where=n1 > 0.0)
-    e1 = t1 * inv1[:, None]
-    perp = t2 - (cross * inv1)[:, None] * e1
-    perp -= np.einsum("np,np->n", np.conj(e1), perp)[:, None] * e1
-    n2 = np.sqrt(_abs2(perp).sum(axis=1))
-    inv2 = np.divide(1.0, n2, out=np.zeros_like(n2), where=n2 > 0.0)
-    frame = np.stack([e1, perp * inv2[:, None]], axis=-1)
-    return frame, n1 * n2 / np.maximum(smax, 1e-30), smax
+    per node, at every dim: a Householder QR of the columns, whose small
+    (dim, dim) R factor has their singular values.  Real columns give a
+    real frame.  A zero column still gets an orthonormal frame column (its
+    reflector is the identity) and sigma_min = 0, never a NaN."""
+    frame, r = np.linalg.qr(np.moveaxis(tang, 0, -1))
+    sv = np.linalg.svd(r, compute_uv=False)
+    return frame, sv[:, -1], sv[:, 0]
 
 
 def _abs2(x):
@@ -791,11 +774,12 @@ def sigma_z_operator(state, generators=None):
     s_n = w_n / K_n, and no field is ever formed.  Rank-deficient nodes
     (branch points of the chosen sub-system), where the smallest singular
     value of the tangent columns is at most 1e-12 of the largest, get
-    weight zero, with a warning.  P u = 0 at every node, so Q_E
+    weight zero, with a warning; both paths take U and that decision from
+    one per-node frame (`_normal_frame`).  P u = 0 at every node, so Q_E
     annihilates the identity exactly.
 
-    Off the torus Q_E is one block, a node sum on an orthonormal tangent
-    frame (`_node_sum`).  A `torus` state sums on its `torus_orbit_rule`
+    Off the torus Q_E is one block, a node sum over all N^2 pairs
+    (`_node_sum`).  A `torus` state sums on its `torus_orbit_rule`
     nodes and keeps only the entries whose torus character
     W_j - W_i - W_k + W_l is 0 (W_p the weight of section p), so Q_E is
     block diagonal by the charge W_j - W_i (`_charge_sectors`), and each
@@ -839,8 +823,11 @@ def sigma_z_operator(state, generators=None):
 
 def _normal_frame(u, du, kk, grad, wq):
     """Orthonormal tangent frames (n, N, dim) of the image at nodes, whether
-    each node has one (its jet keeps full rank), and the weights w / K of
-    the valid nodes, 0 at the others."""
+    each node has one, and the weights w / K of the valid nodes, 0 at the
+    others: both operator kernels' one rank decision.  The tangent columns
+    are the jets projected off the cone, du_a - b_a u / K, and a node is
+    valid when their smallest singular value exceeds 1e-12 of the largest.
+    Real tables, a torus state's at its orbit nodes, give a real frame."""
     tang = du - (grad / kk)[:, :, None] * u
     uf, smin, smax = _tangent_frame(tang)
     valid = smin > 1e-12 * np.maximum(smax, 1e-30)
@@ -908,34 +895,21 @@ def _charge_blocks(state, sectors):
     nodes' valid mask; on the N diagonal pairs, Newton's Q_0.
 
     Q_E[(j, i), (k, l)] = delta_jk C_il - sum_r H_r,(j,i) H_r,(k,l) with
-    C = sum_n s_n u_n u_n^T, s = w dens / K, and per node the rows
-    sqrt(s / K) u_j u_i and sqrt(s) F_ja u_i: a diagonal minus a Gram, all
-    real at the orbit nodes.  K, b, gfs and w dens are `_torus_geometry`'s
-    and u, du the Gram's `frame` of the jet.  The tangent columns
-    T_a = du_a - b_a u / K have the Gram g = K gfs = L L^T per node, so
-    F = T L^-T gives F F^T = T g^-1 T^T, the tangent projector U U^H.  A
-    node whose g has its smallest eigenvalue at most 1e-24 of its largest
-    (the frame path's 1e-12 singular-value ratio, squared) gets s = 0.
-    Within a sector j = k forces i = l, distinct sections having distinct
-    weights, so the delta term is the diagonal sum_n s_n u_n,i^2."""
-    kk, grad, gfs, wq = state._torus_geometry
+    C = sum_n s_n u_n u_n^T and per node the rows sqrt(s / K) u_j u_i and
+    sqrt(s) e_ja u_i, e_a the columns of the node's tangent frame: a
+    diagonal minus a Gram, all real at the orbit nodes.  K, b and w dens
+    are `_torus_geometry`'s, u, du the Gram's `frame` of the real jet, and
+    the frame, the valid mask and s = w dens / K `_normal_frame`'s, the
+    general path's.  Within a sector j = k forces i = l, distinct sections
+    having distinct weights, so the delta term is the diagonal
+    sum_n s_n u_n,i^2."""
+    kk, grad, _, wq = state._torus_geometry
     mixed = state.gram.frame(state.jet.real)
-    u, du = mixed[0], mixed[1:]
-    g = kk[:, None, None] * gfs.real
-    valid = smallest_eigenvalue(g) > 1e-24 * hermitian_norm(g)
-    g[~valid] = np.eye(g.shape[-1])
-    try:
-        lower = np.linalg.inv(np.linalg.cholesky(g))
-    except np.linalg.LinAlgError:  # a node just above the cutoff
-        raise NumericalGuardError(
-            "tangent Gram not positive definite at an orbit node: the "
-            "embedding jet nearly drops rank there; move the radial nodes "
-            "([quadrature] n_radial)") from None
-    scale = np.where(valid, wq, 0.0) / kk
-    lower *= np.sqrt(scale)[:, None, None]
-    tang = du - (grad.real / kk)[:, :, None] * u
-    amp = np.concatenate([np.sqrt(scale / kk)[:, None, None] * u[:, None, :],
-                          np.einsum("anp,nba->nbp", tang, lower)], axis=1)
+    u = mixed[0]
+    frame, valid, scale = _normal_frame(u, mixed[1:], kk, grad.real, wq)
+    amp = np.concatenate([u[:, None, :] / np.sqrt(kk)[:, None, None],
+                          np.swapaxes(frame, 1, 2)], axis=1)
+    amp *= np.sqrt(scale)[:, None, None]
     left = np.ascontiguousarray(amp.reshape(-1, state.count).T)
     right = np.ascontiguousarray(np.repeat(u, amp.shape[1], axis=0).T)
     diagonal = (u ** 2).T @ scale

@@ -29,7 +29,8 @@ Taylor coefficients of u (`log_kernel_jet`).
 
 Every per-node stack of small Hermitian matrices the package factors
 goes through `hermitian_det`, `hermitian_norm`, `smallest_eigenvalue` or
-`inverse_sqrt`: closed forms at d = 2 (and 1 but for the root), LAPACK above.
+`inverse_sqrt`: closed forms at d = 2 (and at d = 1 for the determinant and
+the smallest eigenvalue), LAPACK otherwise.
 """
 
 import itertools
@@ -310,9 +311,7 @@ def _mean_radius(stack, b):
 
 
 def hermitian_norm(stack):
-    """Spectral norms: |entry| at d = 1, |mean| + radius at d = 2, SVD."""
-    if stack.shape[-1] == 1:
-        return np.abs(stack[..., 0, 0])
+    """Spectral norms: |mean| + radius at d = 2, SVD otherwise."""
     if stack.shape[-1] != 2:
         return np.linalg.svd(stack, compute_uv=False)[..., 0]
     mean, radius = _mean_radius(stack, stack[..., 0, 1])

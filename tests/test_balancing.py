@@ -1003,47 +1003,76 @@ class TestSigmaZ:
                                   full_matrices=False)
         return uf, sv[:, -1], sv[:, 0]
 
+    # the frame's inputs: the general path's complex columns, a torus
+    # state's real ones, at every dim of the models
+    FRAME_INPUTS = [(dim, dtype) for dim in (1, 2, 3)
+                    for dtype in (complex, float)]
+
+    @staticmethod
+    def normal(rng, dtype, shape):
+        if dtype is float:
+            return rng.normal(size=shape)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_closed_form_frame_matches_the_svd(self, scale):
         rng = np.random.default_rng(191)
-        shape = (2, 200, 12)
-        tang = scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        frame, smin, smax = bal._tangent_frame(tang)
-        uf, want_min, want_max = self.svd_frame(tang)
-        proj = frame @ np.conj(np.swapaxes(frame, 1, 2))
-        want = uf @ np.conj(np.swapaxes(uf, 1, 2))
-        assert np.max(np.abs(proj - want)) <= 1e-13
-        assert np.max(np.abs(smin / want_min - 1.0)) <= 1e-13
-        assert np.max(np.abs(smax / want_max - 1.0)) <= 1e-13
+        for dim, dtype in self.FRAME_INPUTS:
+            tang = scale * self.normal(rng, dtype, (dim, 200, 12))
+            frame, smin, smax = bal._tangent_frame(tang)
+            assert frame.dtype == dtype
+            uf, want_min, want_max = self.svd_frame(tang)
+            proj = frame @ np.conj(np.swapaxes(frame, 1, 2))
+            want = uf @ np.conj(np.swapaxes(uf, 1, 2))
+            assert np.max(np.abs(proj - want)) <= 1e-13
+            assert np.max(np.abs(smin / want_min - 1.0)) <= 1e-13
+            assert np.max(np.abs(smax / want_max - 1.0)) <= 1e-13
 
     @pytest.mark.parametrize("ratio", [1e-6, 1e-11, 1e-13, 0.0])
     def test_closed_form_frame_keeps_the_rank_decisions(self, ratio):
-        # t2 follows t1 up to a component orthogonal to it at `ratio` of
-        # its length, so sigma_min / sigma_max sits near ratio / sqrt(5);
-        # ratio 0 is an exactly rank-deficient node at every node
+        # the last column follows the first (2 + i, or 2, times it) plus
+        # half the second, up to a component orthogonal to the others at
+        # `ratio` of the first's length, so sigma_min / sigma_max sits
+        # within a factor 2 of ratio / sqrt(5); ratio 0 is an exactly
+        # rank-deficient node at every node.  At dim 1 the lone column
+        # is that component, so only ratio 0 drops rank
         rng = np.random.default_rng(192)
-        t1 = rng.normal(size=(300, 12)) + 1j * rng.normal(size=(300, 12))
-        w = rng.normal(size=(300, 12)) + 1j * rng.normal(size=(300, 12))
-        w -= (np.sum(np.conj(t1) * w, axis=1)
-              / np.sum(np.abs(t1) ** 2, axis=1))[:, None] * t1
-        w *= (np.linalg.norm(t1, axis=1) / np.linalg.norm(w, axis=1))[:, None]
-        tang = np.stack([t1, (2.0 + 1.0j) * t1 + ratio * math.sqrt(5.0) * w])
-        frame, smin, smax = bal._tangent_frame(tang)
-        _, want_min, want_max = self.svd_frame(tang)
-        valid = smin > 1e-12 * np.maximum(smax, 1e-30)
-        want = want_min > 1e-12 * np.maximum(want_max, 1e-30)
-        assert np.array_equal(valid, want)
-        assert valid.all() == (ratio > 1e-12)
-        assert np.isfinite(frame).all()
+        for dim, dtype in self.FRAME_INPUTS:
+            *lead, w = [self.normal(rng, dtype, (300, 12))
+                        for _ in range(dim)]
+            follow = 0.0
+            if lead:
+                basis = np.linalg.qr(np.stack(lead, axis=-1))[0]
+                w = w - (basis @ (np.conj(np.swapaxes(basis, 1, 2))
+                                  @ w[:, :, None]))[:, :, 0]
+                w *= (np.linalg.norm(lead[0], axis=1)
+                      / np.linalg.norm(w, axis=1))[:, None]
+                follow = (2.0 + 1.0j if dtype is complex else 2.0) * lead[0]
+                follow = follow + 0.5 * sum(lead[1:], 0.0)
+            tang = np.stack([*lead, follow + ratio * math.sqrt(5.0) * w])
+            frame, smin, smax = bal._tangent_frame(tang)
+            _, want_min, want_max = self.svd_frame(tang)
+            valid = smin > 1e-12 * np.maximum(smax, 1e-30)
+            want = want_min > 1e-12 * np.maximum(want_max, 1e-30)
+            assert np.array_equal(valid, want), (dim, dtype)
+            assert valid.all() == (ratio > (1e-12 if dim > 1 else 0.0))
+            assert np.isfinite(frame).all()
 
     def test_closed_form_frame_has_no_nan_at_zero_columns(self):
-        tang = np.zeros((2, 3, 5), dtype=complex)
+        # three nodes: every column zero; a zero first column; the first
+        # two columns parallel.  The third column is zero at every node
+        tang = np.zeros((3, 3, 5))
         tang[1, 1, 2] = 1.0
-        tang[:, 2, 0] = 1.0, 2.0
-        frame, smin, smax = bal._tangent_frame(tang)
-        assert np.isfinite(frame).all()
-        assert np.array_equal(smin, np.zeros(3))
-        assert np.allclose(smax, [0.0, 1.0, math.sqrt(5.0)])
+        tang[:2, 2, 0] = 1.0, 2.0
+        for dim, dtype in self.FRAME_INPUTS:
+            frame, smin, smax = bal._tangent_frame(tang[:dim].astype(dtype))
+            assert np.isfinite(frame).all()
+            if dim == 1:  # the lone first column: 0, 0 and 1 long
+                assert np.array_equal(smin, [0.0, 0.0, 1.0])
+                assert np.array_equal(smax, smin)
+            else:
+                assert np.array_equal(smin, np.zeros(3))
+                assert np.allclose(smax, [0.0, 1.0, math.sqrt(5.0)])
 
     def test_rank_deficient_node_skipped_with_count(self, caplog):
         # sub-system {1, z^2} of O(2) branches at z = 0: the jet drops rank
@@ -1827,27 +1856,34 @@ class TestNewton:
         # what the benchmark's tracer counts as geometry passes: at k_min
         # of the bench configs the one `_fs_geometry` pass is the torus
         # self-check's full angular state, three orbits on 2 D + 3 = 7
-        # base and 5 fiber angles, and an orthonormal tangent frame is
-        # taken inside the general path's node sum alone
+        # base and 5 fiber angles.  The tangent frame is the two paths'
+        # one formula: every `_charge_blocks` call takes one, and the
+        # general path's node sum takes one for the self-check alone
         cfg = NEWTON_SWEEPS[f"bench-{job}"]
         seen = count_geometry_passes(monkeypatch)
-        inside = []
-        node_sum = bal._node_sum
-        tangent_frame = bal._tangent_frame
-        frames = []
+        inside, frames, calls = [], [], collections.Counter()
 
-        def spying_node_sum(*args):
-            inside.append(True)
-            try:
-                return node_sum(*args)
-            finally:
-                inside.pop()
+        def spying(name):
+            real = getattr(bal, name)
+
+            def spy(*args):
+                calls[name] += 1
+                inside.append(name)
+                try:
+                    return real(*args)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(bal, name, spy)
+
+        spying("_node_sum")
+        spying("_charge_blocks")
+        tangent_frame = bal._tangent_frame
 
         def spying_tangent_frame(tang):
-            frames.append(bool(inside))
+            frames.append(inside[-1] if inside else None)
             return tangent_frame(tang)
 
-        monkeypatch.setattr(bal, "_node_sum", spying_node_sum)
         monkeypatch.setattr(bal, "_tangent_frame", spying_tangent_frame)
         if job == "balance":
             suites.balance_job(cfg, cfg.k_min, suites.sweep_tables(cfg)[0])
@@ -1856,13 +1892,15 @@ class TestNewton:
         [state] = seen
         assert not state.torus
         assert state.rule.points.shape[0] == 3 * 7 * 5
-        assert frames == ([True] if job == "spectrum" else [])
+        assert calls["_charge_blocks"] > 0
+        assert calls["_node_sum"] == (job == "spectrum")
+        assert collections.Counter(frames) == calls
 
     def test_a_rank_deficient_orbit_node_is_skipped(self, caplog):
-        # the tangent Gram at the branch point has no Cholesky factor: the
-        # operator skips the node and the solver still reports; span{1, w}
-        # is all of R^2 here, so the step is 0 and the level is flagged
-        # diverged
+        # the tangent columns vanish at the branch point, so its frame's
+        # singular values are 0: the operator skips the node and the
+        # solver still reports; span{1, w} is all of R^2 here, so the
+        # step is 0 and the level is flagged diverged
         state = branch_orbit_state()
         with caplog.at_level(logging.WARNING, logger="projbalance.balancing"):
             op = bal.sigma_z_operator(state)
@@ -1871,19 +1909,6 @@ class TestNewton:
         report = bal.balance_iterate(state, tol=1e-8)
         assert isinstance(report, bal.BalanceReport)
         assert report.diverged and not report.converged
-
-    def test_a_tangent_gram_without_a_factor_trips_a_guard(self,
-                                                           monkeypatch):
-        # with the cutoff defeated, the branch point reaches the Cholesky
-        # factorization: the package's guard, not LAPACK's error, which
-        # the solver turns into a flagged level
-        monkeypatch.setattr(bal, "smallest_eigenvalue",
-                            lambda g: np.ones(len(g)))
-        state = branch_orbit_state()
-        with pytest.raises(NumericalGuardError,
-                           match="tangent Gram not positive definite"):
-            bal.sigma_z_operator(state)
-        assert bal.balance_iterate(state, tol=1e-8).diverged
 
     def test_a_stalled_step_flags_divergence(self):
         # P(O + O(1)) has no balanced metric: the steps stop lowering the
@@ -1981,6 +2006,35 @@ class TestTorusOperator:
         for each in (state, full, plain):
             op = bal.sigma_z_operator(each)
             assert np.max(np.abs(op.units @ identity)) <= 1e-13 * op.volume
+
+
+    @pytest.mark.parametrize("model, kernel", [
+        (TrivialBundleOverPm(1, 2, 2), 6), (TrivialBundleOverPm(1, 2, 3), 6),
+        (TrivialBundleOverPm(2, 2, 2), 11), (TrivialBundleOverPm(2, 2, 3), 11),
+        (TrivialBundleOverPm(1, 3, 2), 11)], ids=lambda v: getattr(
+            v, "label", str(v)))
+    def test_the_kernel_is_aut(self, model, kernel):
+        # at the balanced state Q vanishes exactly on aut(P^m x P^(r-1)),
+        # of dimension m (m + 2) + r^2 - 1, less the identity's zero
+        state = orbit_state(model, "solved")
+        est = bal.eig_estimate(bal.sigma_z_operator(state))
+        assert model.m * (model.m + 2) + model.r ** 2 - 1 == kernel
+        assert est.kernel_dim == kernel
+        assert est.dimension == state.count ** 2 - 1
+
+    def test_both_paths_make_one_rank_decision(self):
+        # the sub-system {1, xi z} of P^1 x P^1 at k = 2 maps onto a
+        # curve, so the two tangent columns are parallel at every node:
+        # both paths skip all 36 orbit nodes on the shared tangent frame
+        model = TrivialBundleOverPm(1, 2, 2)
+        basis = SectionBasis(model, np.array([0, 1]), np.array([[0], [1]]))
+        rule = bal.torus_orbit_rule(model, 6)
+        states = [bal.embedding_state(model, basis=basis, rule=each)
+                  for each in (rule, ChartRule(rule.points, rule.weights))]
+        assert [each.torus for each in states] == [True, False]
+        for state in states:
+            op = bal.sigma_z_operator(state)
+            assert (op.skipped, op.samples) == (36, 0)
 
 
 class TestChargeSectors:
