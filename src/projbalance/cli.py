@@ -21,17 +21,32 @@ import argparse
 import dataclasses
 import functools
 import logging
+import os
 import sys
 import time
 
-from . import reports, suites
-from .config import (
+# numpy's BLAS runs on the calling thread, in this process and in every
+# --workers process (they inherit the environment).  The lab's dense
+# problems are small (N <= 182 at P^2 x P^1, k = 12), so a second BLAS
+# thread only spins: on a 2-CPU VM (numpy 2.4.6, OpenBLAS 0.3.31) P^2 x P^1
+# moment-spectrum (k 2..12, n_radial 8) took the same wall time, 1.8-2.1 s,
+# at 1.8-2.1 s of CPU against 3.5-4.1 s, and --workers 2 took 1.1-1.5 s
+# against 2.6-19.8 s with the default threads oversubscribing the CPUs.  A
+# caller who sets any of these variables keeps their value.  This must run
+# before the first import that loads numpy.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+if not any(name in os.environ for name in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
+from . import reports, suites  # noqa: E402
+from .config import (  # noqa: E402
     build_model,
     default_config,
     parse_config,
     validate_config,
 )
-from .errors import ConfigError, NumericalGuardError
+from .errors import ConfigError, NumericalGuardError  # noqa: E402
 
 logger = logging.getLogger(__name__)
 
@@ -64,12 +79,13 @@ outputs (under --out, or the configured out_dir):
                   the valid orbit nodes), and gram_condition, the solved
                   Gram's condition number (balance adds
                   ref_gram_condition, the direct route's Gram's)
-  timings.json    wall-clock seconds, kept out of report.json:
-                  run_seconds (the whole run), command, levels (per
-                  level: job_seconds, and solve_seconds for balance) and
-                  phases: for verify volume-constants, quadrature,
-                  round-trip, fiber-averages, sweep-tables and
-                  joint-linearization; for expansion off a point base
+  timings.json    seconds, kept out of report.json: run_seconds (the
+                  whole run's wall clock), cpu_seconds (its user + system
+                  CPU time, --workers processes included), command,
+                  levels (per level: job_seconds, and solve_seconds for
+                  balance) and phases: for verify volume-constants,
+                  quadrature, round-trip, fiber-averages, sweep-tables
+                  and joint-linearization; for expansion off a point base
                   and for balance, sweep-tables (both density routes'
                   tables, built once before the levels and shared by
                   them, with the self-check of the adapted fiber rule,
@@ -129,7 +145,9 @@ def build_parser():
         cmd.add_argument("--out", metavar="DIR", default=None,
                          help="output directory (overrides out_dir)")
         cmd.add_argument("--workers", metavar="N", type=int, default=1,
-                         help="parallel per-level jobs (default 1)")
+                         help="parallel per-level jobs, one process "
+                              "each, every process running BLAS on one "
+                              "thread (default 1)")
         cmd.add_argument("--seed", metavar="S", type=int, default=None,
                          help="seed override")
         cmd.add_argument("--log-level", metavar="LEVEL", type=str.upper,
@@ -164,6 +182,14 @@ def _timed(fn, *args):
     t0 = time.perf_counter()
     out = fn(*args)
     return out, time.perf_counter() - t0
+
+
+def _cpu_seconds():
+    """User + system CPU seconds of this process and of its reaped
+    children, the --workers processes."""
+    times = os.times()
+    return times.user + times.system + times.children_user \
+        + times.children_system
 
 
 def _cell(value):
@@ -363,7 +389,7 @@ def main(argv=None):
         return 3
     logging.getLogger(__package__).setLevel(args.log_level)
 
-    t0 = time.perf_counter()
+    t0, cpu0 = time.perf_counter(), _cpu_seconds()
     try:
         checks, results, csvs, timings = _RUNNERS[args.command](
             cfg, args.workers)
@@ -379,11 +405,12 @@ def main(argv=None):
         print(f"out of memory{where}: {exc}; lower [sweep] k_max or "
               f"[quadrature] n_radial", file=sys.stderr)
         return 2
-    run_time = time.perf_counter() - t0
+    run_time, cpu_time = time.perf_counter() - t0, _cpu_seconds() - cpu0
 
     report = reports.build_report(args.command, cfg, checks, results,
                                   repro=_repro(args.command, args, cfg))
-    timings.update(run_seconds=run_time, command=args.command)
+    timings.update(run_seconds=run_time, cpu_seconds=cpu_time,
+                   command=args.command)
     path = reports.write_report(report, cfg.out_dir, timings=timings)
     reports.write_csv(cfg.out_dir, "checks.csv",
                       ["name", "k", "value", "reference", "error",

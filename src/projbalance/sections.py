@@ -45,6 +45,7 @@ __all__ = [
     "split_points",
     "build_section_basis",
     "riemann_roch_dimension",
+    "automorphism_dimension",
     "base_rule",
     "fiber_rule",
     "total_rule",
@@ -288,6 +289,23 @@ def riemann_roch_dimension(model):
         "volume": sum((-1) ** (n - j) * math.comb(n, j) * power_count(j)
                       for j in range(n + 1)) / math.factorial(n),
     }
+
+
+def automorphism_dimension(model):
+    """dim aut(P(E)) for the split E of the model over P^m:
+
+        m(m+2) + sum over pairs (i, j) with a_j >= a_i of C(a_j - a_i + m, m)
+        - 1,
+
+    the base's sl(m+1), the endomorphisms of E (a map O(a_i) -> O(a_j) is
+    a section of O(a_j - a_i)) less its scalars.  At a balanced level it is
+    the kernel dimension of the normal-action operator: 3 for P^1 with
+    O(k), 6 for P^1 x P^1 and F_1, 11 for P^2 x P^1 and P^1 x P^2, and
+    r^2 - 1 over a point.
+    """
+    m, degrees = model.m, model.degrees
+    return m * (m + 2) - 1 + sum(math.comb(b - a + m, m)
+                                 for a in degrees for b in degrees if b >= a)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,7 @@ from .sections import (
     LineBundleSumOverP1,
     ProjectivePoint,
     TrivialBundleOverPm,
+    automorphism_dimension,
     base_rule,
     riemann_roch_dimension,
 )
@@ -754,7 +755,8 @@ def spectrum_job(cfg, k):
 
 def spectrum_assemble(cfg, results):
     """Growth-exponent and monotonicity verdicts over a spectrum sweep,
-    then the levels' torus rows."""
+    then each converged level's informational `kernel-dim` row and the
+    levels' torus rows."""
     ks = [res["k"] for res in results]
     lambdas = [res["lambda_z"] for res in results]
     exponent = bal.lambda_fit_exponent(ks, lambdas)
@@ -784,6 +786,12 @@ def spectrum_assemble(cfg, results):
         rows.append(_row(
             "spectrum-monotone",
             detail="fewer than two positive levels; nothing to order"))
+    aut = automorphism_dimension(model)
+    rows += [_row("kernel-dim", k=res["k"], value=res["kernel_dim"],
+                  reference=aut, error=abs(res["kernel_dim"] - aut),
+                  detail="eig_estimate's kernel against dim aut(P(E)); "
+                         "reported, not judged")
+             for res in results if res["converged"]]
     rows += [res["torus_row"] for res in results
              if res["torus_row"] is not None]
     return rows, exponent

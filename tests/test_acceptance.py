@@ -383,9 +383,13 @@ def test_c09_normal_spectrum_scaling():
     assert len(lambdas) >= 2
     assert all(b > a for a, b in zip(lambdas, lambdas[1:])), \
         f"lambda table not monotone: {lambdas}"
-    # the two verdicts, then the k_min level's informational self-check row
+    # the two verdicts, then each level's informational kernel count
+    # against dim aut(P^1) = 3 and the k_min level's self-check row
     assert all(row["passed"] for row in rows[:2]), rows
-    assert [row["name"] for row in rows[2:]] == ["torus-rule-degree"]
+    assert [row["name"] for row in rows[2:]] == (
+        ["kernel-dim"] * len(cfg.ks) + ["torus-rule-degree"])
+    assert all(row["value"] == 3 and row["error"] == 0
+               for row in rows[2:-1]), rows
     assert elapsed < 600.0, f"budget 10 min exceeded: {elapsed:.1f} s"
 
 

@@ -1016,6 +1016,11 @@ class TestSigmaZ:
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     def test_closed_form_frame_matches_the_svd(self, scale):
+        """`_tangent_frame`, one batched Householder QR at every dim,
+        spans the SVD's column space, and its extreme singular values (of
+        the small R factor) are the SVD's, to 1e-13 at every dim and on
+        complex and real stacks; a real stack gives a real frame.  (The
+        name predates the QR: there is no closed form left.)"""
         rng = np.random.default_rng(191)
         for dim, dtype in self.FRAME_INPUTS:
             tang = scale * self.normal(rng, dtype, (dim, 200, 12))
@@ -1030,6 +1035,9 @@ class TestSigmaZ:
 
     @pytest.mark.parametrize("ratio", [1e-6, 1e-11, 1e-13, 0.0])
     def test_closed_form_frame_keeps_the_rank_decisions(self, ratio):
+        """The QR frame drops a node exactly where the SVD's singular
+        values would, at every dim and on complex and real stacks, and
+        its frame stays finite.  (The name predates the QR.)"""
         # the last column follows the first (2 + i, or 2, times it) plus
         # half the second, up to a component orthogonal to the others at
         # `ratio` of the first's length, so sigma_min / sigma_max sits
@@ -1059,6 +1067,9 @@ class TestSigmaZ:
             assert np.isfinite(frame).all()
 
     def test_closed_form_frame_has_no_nan_at_zero_columns(self):
+        """Zero and parallel columns give the QR frame finite entries and
+        singular values that are exactly 0 where the rank drops.  (The
+        name predates the QR.)"""
         # three nodes: every column zero; a zero first column; the first
         # two columns parallel.  The third column is zero at every node
         tang = np.zeros((3, 3, 5))

@@ -155,13 +155,19 @@ def header_of(path):
     return path.read_text().splitlines()[0]
 
 
-def run_fresh(code):
+def run_fresh(code, **environ):
     """Standard output of `code` run in a fresh interpreter that imports
     the package from this checkout: what a run loads shows only there,
-    since the test process has imported more."""
+    since the test process has imported more.  `environ` sets variables
+    of its environment, or removes those given as None."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for name, value in environ.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
@@ -476,7 +482,9 @@ class TestVerifyRun:
     def test_timings_record_phases_and_levels(self, verify_run):
         _, out = verify_run
         timings = json.loads((out / "timings.json").read_text())
-        assert set(timings) == {"command", "run_seconds", "phases", "levels"}
+        assert set(timings) == {"command", "run_seconds", "cpu_seconds",
+                                "phases", "levels"}
+        assert timings["cpu_seconds"] > 0.0
         assert timings["command"] == "verify"
         assert set(timings["phases"]) == {
             "volume-constants", "quadrature", "round-trip", "fiber-averages",
@@ -488,6 +496,16 @@ class TestVerifyRun:
             level["job_seconds"] for level in timings["levels"].values()]
         assert all(s > 0.0 for s in seconds)
         assert sum(seconds) <= timings["run_seconds"]
+
+    def test_cpu_seconds_count_reaped_children(self):
+        # --workers processes are reaped before the run ends, so their CPU
+        # time lands in the children fields of os.times()
+        before = cli._cpu_seconds()
+        subprocess.run([sys.executable, "-c",
+                        "import time\n"
+                        "while time.process_time() < 0.2:\n"
+                        "    pass\n"], check=True)
+        assert cli._cpu_seconds() - before >= 0.18
 
     def test_default_config_passes(self, tmp_path):
         rc = cli.main(["verify", "--out", str(tmp_path / "out")])
@@ -566,6 +584,26 @@ class TestImportFootprint:
             "assert rc == 0, rc\n"
             f"print([m for m in {UNUSED_MODULES!r} if m in sys.modules])\n")
         assert run_fresh(code) == "[]"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs a per-thread listing of the process")
+    def test_blas_runs_on_the_calling_thread(self):
+        # numpy's BLAS starts its worker threads when numpy loads, so the
+        # thread count has to be set before the CLI's first numpy import
+        code = ("import os\n"
+                "from projbalance import cli\n"
+                "print(len(os.listdir('/proc/self/task')))\n")
+        unset = dict.fromkeys(cli._BLAS_THREAD_VARS)
+        assert run_fresh(code, **unset) == "1"
+
+    def test_a_thread_count_the_caller_sets_wins(self):
+        code = ("import os\n"
+                "from projbalance import cli\n"
+                "print([os.environ.get(name)\n"
+                "       for name in cli._BLAS_THREAD_VARS])\n")
+        environ = dict.fromkeys(cli._BLAS_THREAD_VARS)
+        environ["OPENBLAS_NUM_THREADS"] = "2"
+        assert run_fresh(code, **environ) == "['2', None, None]"
 
 
 class TestSeededDraws:
@@ -722,7 +760,9 @@ class TestBalanceRun:
     def test_timings_keep_the_solve_time(self, balance_run):
         _, out = balance_run
         timings = json.loads((out / "timings.json").read_text())
-        assert set(timings) == {"command", "run_seconds", "phases", "levels"}
+        assert set(timings) == {"command", "run_seconds", "cpu_seconds",
+                                "phases", "levels"}
+        assert timings["cpu_seconds"] > 0.0
         assert set(timings["phases"]) == {"sweep-tables"}
         assert timings["phases"]["sweep-tables"] > 0.0
         assert timings["levels"].keys() == {"2", "3", "4"}
@@ -838,7 +878,9 @@ class TestExpansionRun:
     def test_timings_record_the_table_phase(self, expansion_run):
         _, out = expansion_run
         timings = json.loads((out / "timings.json").read_text())
-        assert set(timings) == {"command", "run_seconds", "phases", "levels"}
+        assert set(timings) == {"command", "run_seconds", "cpu_seconds",
+                                "phases", "levels"}
+        assert timings["cpu_seconds"] > 0.0
         assert set(timings["phases"]) == {"sweep-tables"}
         assert timings["levels"].keys() == {"4", "5", "6", "7", "8"}
 
@@ -1221,8 +1263,27 @@ class TestSpectrumRun:
         assert levels[0]["fallback_steps"] == 0
         assert all(0 <= lv["fallback_steps"] <= lv["iterations"]
                    for lv in levels)
+        # P^1 with O(k): aut(P^1) = sl(2) is the kernel at every level
+        rows = [r for r in report["checks"] if r["name"] == "kernel-dim"]
+        assert [(r["k"], r["value"], r["reference"], r["error"], r["passed"])
+                for r in rows] == [(k, 3, 3, 0, None) for k in (1, 2, 3)]
+
+    def test_a_wrong_kernel_count_shows_in_its_row(self):
+        cfg = parse_config_text(TINY_SPECTRUM)
+        results = [suites.spectrum_job(cfg, k) for k in cfg.ks]
+        results[1] = dict(results[1], kernel_dim=4)
+        results[2] = dict(results[2], converged=False)
+        rows, _ = suites.spectrum_assemble(cfg, results)
+        # an unconverged level has no balanced kernel to count
+        assert [(r["k"], r["value"], r["error"]) for r in rows
+                if r["name"] == "kernel-dim"] == [(1, 3, 0), (2, 4, 1)]
 
     def test_t_iteration_method_runs_the_anderson_solver(self, monkeypatch):
+        """The spectrum job balances its level by one `balance_iterate`
+        call (damped Newton steps on the torus state's log weights) at the
+        configured tolerance and the suite's iteration cap, and reports
+        that call's iterations and fallback_steps.  (The name predates the
+        Newton solver.)"""
         original = bal.balance_iterate
         calls = []
         reports = []

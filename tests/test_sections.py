@@ -20,6 +20,7 @@ from projbalance.sections import (
     ProjectivePoint,
     ProjectiveSpaceBase,
     TrivialBundleOverPm,
+    automorphism_dimension,
     build_section_basis,
     riemann_roch_dimension,
     split_points,
@@ -99,6 +100,28 @@ class TestDimensions:
         for k in range(0, 21):
             ms = LineBundleSumOverP1((1, 2), k)
             assert build_section_basis(ms).count == riemann_roch_dimension(ms)["N"]
+
+    @pytest.mark.parametrize("model, want", [
+        (LineBundleSumOverP1((0,), 4), 3),        # P^1 with O(k)
+        (TrivialBundleOverPm(1, 2, 3), 6),        # P^1 x P^1
+        (TrivialBundleOverPm(2, 2, 2), 11),       # P^2 x P^1
+        (TrivialBundleOverPm(1, 3, 2), 11),       # P^1 x P^2
+        (LineBundleSumOverP1((0, 1), 2), 6),      # F_1
+        (ProjectivePoint(3), 8),                  # r^2 - 1 over a point
+    ], ids=lambda v: getattr(v, "label", str(v)))
+    def test_automorphism_dimension(self, model, want):
+        assert automorphism_dimension(model) == want
+
+    def test_automorphism_dimension_counts_monomial_maps(self):
+        # a map O(a) -> O(b) over P^m is a homogeneous polynomial of degree
+        # b - a in m + 1 variables; enumerate them instead of C(b - a + m, m)
+        for m, degrees in [(1, (0, 2, 5)), (2, (0, 1, 3)), (3, (1, 1))]:
+            maps = sum(1 for a in degrees for b in degrees
+                       for beta in iproduct(range(max(degrees) + 1),
+                                            repeat=m + 1)
+                       if sum(beta) == b - a)
+            ms = ProjectiveSpaceBase(m, degrees, 1)
+            assert automorphism_dimension(ms) == m * (m + 2) + maps - 1
 
     def test_negative_twist_rejected(self):
         with pytest.raises(ValueError, match="section space"):
