@@ -30,11 +30,10 @@ Contents, bottom to top:
   metric at arbitrary points;
 * `sigma_z_operator` integrates the squared normal components of the
   su(N) action fields without forming them, as Hermitian blocks in the
-  matrix-unit basis E_ji (`_node_sum`; one real block per torus charge
-  at a torus state, `_charge_blocks`); `eig_estimate` extracts the
-  smallest positive eigenvalue of their spectra less the identity's
-  zero, and `lambda_fit_exponent` the growth exponent of its reciprocal
-  along a k-sweep (`suites.spectrum_job`);
+  matrix-unit basis E_ji, one real block per charge at a torus state;
+  `eig_estimate` extracts the smallest positive eigenvalue of their
+  spectra less the identity's zero, and `lambda_fit_exponent` the growth
+  exponent of its reciprocal along a k-sweep (`suites.spectrum_job`);
 * `torus_orbit_rule` serves torus-invariant states, whose Gram is
   diagonal in the monomial basis: one node per torus orbit, at angle 0
   with the orbit's weight, exact because every integrand entry carries
@@ -42,8 +41,8 @@ Contents, bottom to top:
   `OrbitRule` is a `torus` state, whose Gram is N weights
   (`metrics.DiagonalGram`); `torus_invariance_guard` checks a matrix
   before a torus state keeps its diagonal, and `torus_rule_check`
-  re-integrates a torus state on three of its orbits, each on its full
-  angular grid (sized by D = `torus_degree`);
+  compares the moment, or `operator_entries`, with three of its orbits
+  on their full angular grids (sized by D = `torus_degree`);
 * `r_bounded_check` and `almost_balanced_check` are the acceptance gates:
   two-sided comparability of the embedding form of a state against that
   of a reference state, and decay-order classification of a moment
@@ -69,10 +68,10 @@ values, then one row per holomorphic direction, binomial shifts of one
 power table of the points, so no table takes a complex power.  The
 Gram's `frame` moves it to the orthonormal frame at once.  The
 determinant and `r_bounded_check`'s norms, eigenvalues and root are
-`kahler`'s kernels.  Both operator kernels, the general path's node sum
-and a torus state's charge blocks, take their tangent projector and rank
-decision from one per-node frame (`_normal_frame`: a Householder QR of the
-tangent columns, `_tangent_frame`).
+`kahler`'s kernels.  One kernel forms every block of the operator from
+any state's `_node_tables`, in node blocks of bounded bytes
+(`_charge_blocks`), on one per-node tangent frame (`_normal_frame`: a
+Householder QR of the tangent columns, `_tangent_frame`).
 
 A torus state factors no Gram and makes no `_fs_geometry` pass: its Gram
 is its weights c, and K, its gradient and the jet pairing are linear in
@@ -80,15 +79,10 @@ is its weights c, and K, its gradient and the jet pairing are linear in
 every `with_gram` copy) gives them in one GEMV (`_torus_geometry`), and
 the raw pairing diagonal and the density |s_p|^2 in a second.  The frame
 pairing is that diagonal times 1/c, the moment the frame pairing less
-V/N (its own spectrum), and every block of Q_E, Newton's Q_0 among them,
-one real batched product on the real tangent frame of the orbit nodes
-(`_charge_blocks`).  Any other Gram is factored once, by its
-`GramMatrix`: the guards and the whitener read one `eigh`, the det gauge
-is one LU and the moment one `eigvalsh`.
-
-A state's memo keeps, read-only, its `MomentValue`, both pairings and
-their node tables: `_fs_geometry`'s, or at a torus state
-`_torus_geometry`.
+V/N (its own spectrum), and Newton's Q_0 and every other block of Q_E
+real.  Any other Gram is factored once, by its `GramMatrix`: the guards
+and the whitener read one `eigh`, the det gauge is one LU and the moment
+one `eigvalsh`.
 
 All volumes are reduced by (2 pi)^dim as elsewhere in the package.
 """
@@ -120,6 +114,7 @@ __all__ = [
     "torus_orbit_rule",
     "torus_invariance_guard",
     "torus_check_angles",
+    "operator_entries",
     "torus_rule_check",
     "MomentValue",
     "moment_map",
@@ -622,15 +617,16 @@ class _NewtonStepper:
     per iteration.  The moment's Jacobian in x is -Q_0, the charge-0
     block of `_charge_blocks` (the N diagonal pairs), up to terms that
     vanish with it (Donaldson, J. Differential Geom. 59, 2001; Phong &
-    Sturm, Amer. J. Math. 126, 2004), and Q_0's kernel is exactly span{1, w}, w the torus weights
-    (`SectionBasis.chart_exponents`): the scale and the torus, which move
-    the image by automorphisms.  With P an orthonormal basis of it the
-    step solves (Q_0 + P P^T) delta = (I - P P^T) mu, so no singular value
-    is cut and x stays orthogonal to span{1, w}, the det gauge with it.  A
-    step that does not strictly lower the moment's Frobenius norm, or
-    trips a guard, is halved (`halved` counts such steps); one halved
-    until it no longer moves x raises `NumericalGuardError`, as at the
-    torus obstruction of P(O + O(1))."""
+    Sturm, Amer. J. Math. 126, 2004), and Q_0's kernel is exactly
+    span{1, w}, w the torus weights (`SectionBasis.chart_exponents`): the
+    scale and the torus, which move the image by automorphisms.  With P
+    an orthonormal basis of it the step solves (Q_0 + P P^T) delta =
+    (I - P P^T) mu, so no singular value is cut and x stays orthogonal to
+    span{1, w}, the det gauge with it.  A step that does not strictly
+    lower the moment's Frobenius norm, or trips a guard, is halved
+    (`halved` counts such steps); one halved until it no longer moves x
+    raises `NumericalGuardError`, as at the torus obstruction of
+    P(O + O(1))."""
 
     def __init__(self, basis):
         weights = basis.chart_exponents
@@ -643,7 +639,8 @@ class _NewtonStepper:
         mv, frame, _ = state._pairings
         p = self.kernel
         mu = frame - mv.d
-        [(_, [q0])], _ = _charge_blocks(state, [self.diagonal])
+        [(_, [q0])], _ = _charge_blocks(*_node_tables(state),
+                                        [self.diagonal])
         delta = np.linalg.solve(q0 + p @ p.T, mu - p @ (p.T @ mu))
         x = np.log(state.gram.weights)
         scale = 1.0
@@ -722,12 +719,11 @@ class SigmaZOperator:
     pulled-back volume.  `charges` are stacks (pairs (count, n), blocks
     (count, n, n)), one per block size, pair j N + i standing for E_ji: one
     real block per torus charge at a torus state, else one complex block
-    of all N^2 pairs.
-    `sectors` counts the blocks and `largest_sector` is the largest n.
-    `units` (Q_E itself) and `q_matrix` (Q in the generators, `su_basis`
-    unless others were given) are formed when first read.  `skipped`
-    counts nodes where the embedding jet dropped rank and no normal
-    projection exists.
+    of all N^2 pairs.  `sectors` counts the blocks, `largest_sector` is the
+    largest n, and `skipped` counts nodes where the embedding jet dropped
+    rank and no normal projection exists.  Only the tests and the
+    benchmark's tracer read `q_matrix`, Q in the generators (`su_basis`
+    unless others were given), assembled from Q_E (`units`) when read.
     """
 
     charges: tuple
@@ -745,7 +741,7 @@ class SigmaZOperator:
     def largest_sector(self):
         return max(q.shape[-1] for _, q in self.charges)
 
-    @cached_property
+    @property
     def units(self):
         """Q_E (N^2, N^2) from its blocks, 0 between sectors."""
         nsq = self.count ** 2
@@ -756,9 +752,13 @@ class SigmaZOperator:
 
     @cached_property
     def q_matrix(self):
+        """Q_ab = sum conj(xi_a[j, i]) Q_E[(j, i), (k, l)] xi_b[k, l], its
+        Hermitian part."""
         gens = self.generators
-        return _contract(self.units, su_basis(self.count) if gens is None
-                         else np.asarray(gens))
+        flat = (su_basis(self.count) if gens is None
+                else np.asarray(gens)).reshape(-1, self.count ** 2)
+        q = np.conj(flat) @ self.units @ flat.T
+        return 0.5 * (q + q.conj().T)
 
 
 def sigma_z_operator(state, generators=None):
@@ -774,18 +774,13 @@ def sigma_z_operator(state, generators=None):
     s_n = w_n / K_n, and no field is ever formed.  Rank-deficient nodes
     (branch points of the chosen sub-system), where the smallest singular
     value of the tangent columns is at most 1e-12 of the largest, get
-    weight zero, with a warning; both paths take U and that decision from
-    one per-node frame (`_normal_frame`).  P u = 0 at every node, so Q_E
-    annihilates the identity exactly.
-
-    Off the torus Q_E is one block, a node sum over all N^2 pairs
-    (`_node_sum`).  A `torus` state sums on its `torus_orbit_rule`
-    nodes and keeps only the entries whose torus character
-    W_j - W_i - W_k + W_l is 0 (W_p the weight of section p), so Q_E is
-    block diagonal by the charge W_j - W_i (`_charge_sectors`), and each
-    block is formed alone, real (`_charge_blocks`).
-    `generators` (`su_basis` by default) only shape
-    `SigmaZOperator.q_matrix`, when it is read.
+    weight zero, with a warning.  P u = 0 at every node, so Q_E
+    annihilates the identity exactly.  `_charge_blocks` forms every block:
+    off the torus, which only the tests reach, one of all N^2 pairs; at a
+    `torus` state, on its orbit nodes and in real arithmetic, one per
+    charge W_j - W_i (`_charge_sectors`, W_p the weight of section p),
+    keeping only the entries whose torus character W_j - W_i - W_k + W_l
+    is 0.  `generators` (`su_basis` by default) only shape `q_matrix`.
 
     Why the kept entries are exact.  A rotation theta of the chart angles
     acts on the sections by the diagonal unitary R = diag(chi_p(theta)),
@@ -799,17 +794,13 @@ def sigma_z_operator(state, generators=None):
     (D = `torus_degree`): an entry pairs four sections, so it has
     frequency at most 2 D in each base angle and 2 in each fiber angle,
     and the trapezoid rule on n angles integrates exp(i p theta) exactly
-    for |p| < n (Trefethen & Weideman, SIAM Review 56, 2014).  D + 1 base
-    angles would not do: on P^1 at k = 2, lambda_z then reads 3.96
-    instead of 2.5.  `torus_rule_check` compares the two."""
+    for |p| < n (Trefethen & Weideman, SIAM Review 56, 2014); on P^1 at
+    k = 2, D + 1 base angles read lambda_z 3.96 instead of 2.5.
+    `torus_rule_check` compares the two."""
     nn = state.count
-    if state.torus:
-        charges, valid = _charge_blocks(state, _charge_sectors(state.basis))
-        wq = state._torus_geometry[3]
-    else:
-        u, du, kk, grad, wq = state._geometry
-        m, valid = _node_sum(u, du, kk, grad, wq)
-        charges = ((np.arange(nn * nn)[None], m[None]),)
+    tables = _node_tables(state)
+    charges, valid = _charge_blocks(*tables, _charge_sectors(state.basis)
+                                    if state.torus else [np.arange(nn * nn)])
     skipped = int(np.count_nonzero(~valid))
     if skipped:
         logger.warning(
@@ -818,59 +809,45 @@ def sigma_z_operator(state, generators=None):
     return SigmaZOperator(
         charges=charges, count=nn, skipped=skipped,
         samples=int(np.count_nonzero(valid)),
-        volume=float(np.where(valid, wq, 0.0).sum()), generators=generators)
+        volume=float(np.where(valid, tables[4], 0.0).sum()),
+        generators=generators)
+
+
+def _node_tables(state):
+    """u (n, N), du (dim, n, N), K, its gradient and w dens at a state's
+    nodes: its `_geometry`, or at a torus state, real, `_torus_geometry`'s
+    with u, du the Gram's `frame` of the real jet."""
+    if not state.torus:
+        return state._geometry
+    kk, grad, _, wq = state._torus_geometry
+    mixed = state.gram.frame(state.jet.real)
+    return mixed[0], mixed[1:], kk, grad.real, wq
 
 
 def _normal_frame(u, du, kk, grad, wq):
     """Orthonormal tangent frames (n, N, dim) of the image at nodes, whether
     each node has one, and the weights w / K of the valid nodes, 0 at the
-    others: both operator kernels' one rank decision.  The tangent columns
-    are the jets projected off the cone, du_a - b_a u / K, and a node is
-    valid when their smallest singular value exceeds 1e-12 of the largest.
-    Real tables, a torus state's at its orbit nodes, give a real frame."""
+    others: the operator's one rank decision.  The tangent columns are the
+    jets projected off the cone, du_a - b_a u / K, and a node is valid when
+    their smallest singular value exceeds 1e-12 of the largest.  Real
+    tables, a torus state's at its orbit nodes, give a real frame."""
     tang = du - (grad / kk)[:, :, None] * u
     uf, smin, smax = _tangent_frame(tang)
     valid = smin > 1e-12 * np.maximum(smax, 1e-30)
     return uf, valid, np.where(valid, wq, 0.0) / kk
 
 
-# bytes of one (nodes, N, N) complex slab of the general path's node sum,
-# whose node blocks hold at most this many: the operator self-check of
-# `torus_rule_check` on P^2 x P^1 at k = 6 (3,375 nodes, N = 56) peaks at
-# 441 MiB resident with them and 716 MiB without
-_NODE_BLOCK_BYTES = 1 << 24
+# bytes of a node block of one group's rows in `_charge_blocks`, with their
+# conjugate when complex: P^2 x P^1 at k = 12 (N = 182, 512 nodes) traces
+# 31 MiB at 4 MiB and 53 MiB at 16 MiB, in the same time within noise
+_NODE_BLOCK_BYTES = 1 << 22
 
 
-def _node_sum(u, du, kk, grad, wq):
-    """Q_E (N^2, N^2) of the general path, with the nodes' valid mask:
-    M[(j, k), (i, l)] = sum_n s_n P_njk conj(u_ni) u_nl, one GEMM per node
-    block of `_NODE_BLOCK_BYTES`, then reordered to (j, i), (k, l)."""
-    nodes, nn = u.shape
-    step = max(1, _NODE_BLOCK_BYTES // (16 * nn * nn))
-    m = np.zeros((nn * nn, nn * nn), dtype=complex)
-    valid = np.empty(nodes, dtype=bool)
-    diag = np.arange(nn)
-    for lo in range(0, nodes, step):
-        block = slice(lo, lo + step)
-        ub, kb = u[block], kk[block]
-        uf, valid[block], scale = _normal_frame(
-            ub, du[:, block], kb, grad[:, block], wq[block])
-        proj = uf @ np.conj(np.swapaxes(uf, 1, 2))
-        proj += ub[:, :, None] * (np.conj(ub) / kb[:, None])[:, None, :]
-        proj *= -scale[:, None, None]
-        proj[:, diag, diag] += scale[:, None]
-        cone = np.conj(ub)[:, :, None] * ub[:, None, :]
-        m += proj.reshape(-1, nn * nn).T @ cone.reshape(-1, nn * nn)
-    return m.reshape(nn, nn, nn, nn).transpose(0, 2, 1, 3).reshape(
-        nn * nn, nn * nn), valid
-
-
-def _contract(m, gens):
-    """Q_ab = sum conj(xi_a[j, i]) Q_E[(j, i), (k, l)] xi_b[k, l], its
-    Hermitian part."""
-    flat = gens.reshape(gens.shape[0], -1)
-    q = np.conj(flat) @ m @ flat.T
-    return 0.5 * (q + q.conj().T)
+def _node_blocks(nodes, node_bytes):
+    """Slices of range(nodes), at least one node and at most
+    `_NODE_BLOCK_BYTES` at `node_bytes` per node each."""
+    step = max(1, _NODE_BLOCK_BYTES // node_bytes)
+    return [slice(lo, lo + step) for lo in range(0, nodes, step)]
 
 
 def _charge_sectors(basis):
@@ -889,42 +866,46 @@ def _charge_sectors(basis):
     return np.split(order, np.flatnonzero(np.diff(charge[order])) + 1)
 
 
-def _charge_blocks(state, sectors):
-    """A torus state's Q_E on each sector of pairs, as stacks (pairs
-    (count, n), blocks (count, n, n)), one per pair count n, and the
-    nodes' valid mask; on the N diagonal pairs, Newton's Q_0.
+def _charge_blocks(u, du, kk, grad, wq, sectors):
+    """Q_E on each sector of pairs from a state's `_node_tables`, as stacks
+    (pairs (count, n), blocks (count, n, n)), one per pair count n with the
+    sectors in their given order, and the nodes' valid mask: the one
+    kernel of every block of Q_E, Newton's Q_0 (a torus state's N diagonal
+    pairs) among them.
 
-    Q_E[(j, i), (k, l)] = delta_jk C_il - sum_r H_r,(j,i) H_r,(k,l) with
-    C = sum_n s_n u_n u_n^T and per node the rows sqrt(s / K) u_j u_i and
-    sqrt(s) e_ja u_i, e_a the columns of the node's tangent frame: a
-    diagonal minus a Gram, all real at the orbit nodes.  K, b and w dens
-    are `_torus_geometry`'s, u, du the Gram's `frame` of the real jet, and
-    the frame, the valid mask and s = w dens / K `_normal_frame`'s, the
-    general path's.  Within a sector j = k forces i = l, distinct sections
-    having distinct weights, so the delta term is the diagonal
-    sum_n s_n u_n,i^2."""
-    kk, grad, _, wq = state._torus_geometry
-    mixed = state.gram.frame(state.jet.real)
-    u = mixed[0]
-    frame, valid, scale = _normal_frame(u, mixed[1:], kk, grad.real, wq)
-    amp = np.concatenate([u[:, None, :] / np.sqrt(kk)[:, None, None],
-                          np.swapaxes(frame, 1, 2)], axis=1)
-    amp *= np.sqrt(scale)[:, None, None]
-    left = np.ascontiguousarray(amp.reshape(-1, state.count).T)
-    right = np.ascontiguousarray(np.repeat(u, amp.shape[1], axis=0).T)
-    diagonal = (u ** 2).T @ scale
+    Q_E[(j, i), (k, l)] = delta_jk C_il - sum_r h_r,(j,i) conj(h_r,(k,l))
+    with C = sum_n s_n conj(u_n) u_n^T and per node the rows
+    h_r,(j,i) = sqrt(s) A_jr conj(u_i), A = [u / sqrt(K), e_1 .. e_dim],
+    e_a the columns of `_normal_frame`, which gives s = w dens / K and the
+    valid mask too: the delta term less a Gram, real on real tables.  Each
+    group of equal-size sectors forms its rows in `_node_blocks`, one when
+    they fit.  In a torus sector j = k forces i = l, distinct sections
+    having distinct weights, so the delta term is the diagonal."""
+    nodes, count = u.shape
+    frame, valid, scale = _normal_frame(u, du, kk, grad, wq)
+    root = np.sqrt(scale)
+    left = np.empty((count, 1 + frame.shape[2], nodes), dtype=u.dtype)
+    left[:, 0] = (u * (root / np.sqrt(kk))[:, None]).T
+    np.multiply(frame.transpose(1, 2, 0), root, out=left[:, 1:])
+    right = np.ascontiguousarray(u.conj().T)
+    cone = (right * scale) @ u
+    # bytes of a pair's rows at one node, twice for complex rows, whose
+    # conjugate is a copy
+    row_bytes = left[0, :, 0].nbytes * (2 if np.iscomplexobj(u) else 1)
     by_count = {}
     for sector in sectors:
         by_count.setdefault(len(sector), []).append(sector)
     charges = []
     for group in by_count.values():
         pairs = np.array(group)
-        rows, cols = np.divmod(pairs, state.count)
-        h = left[rows]
-        h *= right[cols]
-        q = -(h @ np.swapaxes(h, 1, 2))
-        ii = np.arange(pairs.shape[1])
-        q[:, ii, ii] += diagonal[cols]
+        rows, cols = np.divmod(pairs, count)
+        q = np.where(rows[:, :, None] == rows[:, None, :],
+                     cone[cols[:, :, None], cols[:, None, :]], 0.0)
+        for block in _node_blocks(nodes, pairs.size * row_bytes):
+            h = left[:, :, block][rows]
+            h *= right[:, None, block][cols]
+            h = h.reshape(*pairs.shape, -1)
+            q -= h @ np.swapaxes(h.conj(), 1, 2)
         charges.append((pairs, q))
     return tuple(charges), valid
 
@@ -1083,8 +1064,9 @@ def torus_invariance_guard(gram, model, name):
 
 
 # largest move, relative to the volume, that `torus_rule_check` accepts:
-# 3.3e-14 or less when the orbit rule holds (P^2 x P^1, k = 6), 5e-3 or more
-# on each orbit of P^1 x P^1 alone (k = 3) with D = 0 or a wrong character
+# 3.3e-14 or less when the orbit rule holds (P^2 x P^1, k = 6); on each
+# orbit of P^1 x P^1 alone (k = 3) 5e-3 or more with D = 0 or a wrong
+# character, and 4e-9 or more with the charge-0 sector split in two
 _TORUS_CHECK_TOL = 1e-10
 
 
@@ -1104,11 +1086,26 @@ def torus_check_angles(state):
             "coordinate and from 1 to 5 per fiber coordinate")
 
 
+def operator_entries(state):
+    """What `torus_rule_check` compares of Q_E, flat: the blocks of
+    `_charge_sectors` and of one more sector, the first pair (smallest
+    j N + i) of each, whose entries across two charges the orbit rule
+    drops: set to 0 at a torus state, they vanish on the full angular rule
+    and catch a charge split in two."""
+    sectors = _charge_sectors(state.basis)
+    sample = [sector[0] for sector in sectors]
+    charges, _ = _charge_blocks(*_node_tables(state), [*sectors, sample])
+    if state.torus:  # the sample is the last block of its size
+        [cross] = [q[-1] for _, q in charges if q.shape[-1] == len(sample)]
+        cross[~np.eye(len(sample), dtype=bool)] = 0.0
+    return np.concatenate([q.ravel() for _, q in charges])
+
+
 def torus_rule_check(state, quantity):
     """Self-estimate of `torus_orbit_rule` at a torus state, on the orbits
     of `_checked_orbits` alone, since the character argument holds orbit by
     orbit: the largest entry move of `quantity` (the moment matrix, say, or
-    `SigmaZOperator.units`) from the torus state on those orbits to a
+    `operator_entries`) from the torus state on those orbits to a
     `GramMatrix` state, evaluated first, on their angular grids
     (`_orbit_angles`; every entry integrated), both with the state's Gram
     and basis, relative to the orbits' volume.  A move above 1e-10 raises

@@ -49,8 +49,8 @@ the level's largest `eigvalsh`, N or more (the charge-0 block).  The
 self-check (`balancing.torus_rule_check`, on three orbits) is the
 informational `torus-rule-degree` row, once per sweep at k_min, since the
 orbit rule's exactness does not depend on k: on the moment in `balance`,
-on the operator's matrix-unit entries in `moment-spectrum`, ahead of the
-level's own operator, so no run builds the su(N) basis.
+on `balancing.operator_entries` in `moment-spectrum`, so no run builds the
+su(N) basis, an N^2 x N^2 array or a second operator at a level.
 
 The seed drives every random input through a stdlib `random.Random`, one
 per draw site, seeded with `seed` for the round trip's Hermitian inputs
@@ -723,12 +723,12 @@ def spectrum_job(cfg, k):
     operator at the solved state, on the same rule."""
     _, report, fields = _balanced_level(cfg, k)
     # the orbit rule's exactness does not depend on k, so one check at the
-    # cheapest level, k_min, covers the sweep; it runs first, so the
-    # level's last operator call is the solved state's own
+    # cheapest level, k_min, covers the sweep; it forms blocks without
+    # `sigma_z_operator`, so the level's one operator call is its own
     torus_row = None
     if k == cfg.k_min:
         torus_row = _torus_row(report.state, "normal-action operator",
-                               lambda s: bal.sigma_z_operator(s).units)
+                               bal.operator_entries)
     op = bal.sigma_z_operator(report.state)
     est = bal.eig_estimate(op)
     logger.info("spectrum k=%d: lambda=%.6e kernel=%d converged=%s, "

@@ -1353,22 +1353,44 @@ class TestTorusRule:
             moduli, np.broadcast_to(orbits.points.real[:, None], moduli.shape),
             rtol=1e-15, atol=0.0)
 
-    @pytest.mark.parametrize("fault", ["degree-zero", "wrong-character"])
+    @pytest.mark.parametrize("fault", ["degree-zero", "wrong-character",
+                                       "split-charge"])
     def test_each_checked_orbit_trips_the_faults(self, monkeypatch,
                                                  torus_states, fault):
         # the character argument holds orbit by orbit, so each checked
-        # orbit alone sees either fault
+        # orbit alone sees each fault: a wrong degree in the moment, and in
+        # the operator's blocks a wrong character mask (one sector of all
+        # pairs) or a charge split across two sectors, which only the
+        # cross-charge sample sees
         solved = torus_states["p1xp1"][1]
         state = bal.embedding_state(
             solved.model, gram=solved.gram.matrix,
             rule=bal.torus_orbit_rule(solved.model, 6))
+        quantity = bal.operator_entries
         if fault == "degree-zero":
             monkeypatch.setattr(bal, "torus_degree", lambda model: 0)
             quantity = lambda s: bal.moment_map(s).matrix  # noqa: E731
-        else:
+        elif fault == "wrong-character":
             monkeypatch.setattr(bal, "_charge_sectors",
                                 lambda basis: [np.arange(basis.count ** 2)])
-            quantity = lambda s: bal.sigma_z_operator(s).units  # noqa: E731
+        else:
+            sectors = bal._charge_sectors
+
+            def split(basis):
+                each = sectors(basis)
+                [zero] = [i for i, sector in enumerate(each) if 0 in sector]
+                half = len(each[zero]) // 2
+                return [*each[:zero], each[zero][:half], each[zero][half:],
+                        *each[zero + 1:]]
+
+            def blocks(each):
+                charges, _ = bal._charge_blocks(*bal._node_tables(each),
+                                                split(each.basis))
+                return np.concatenate([q.ravel() for _, q in charges])
+
+            monkeypatch.setattr(bal, "_charge_sectors", split)
+            # the split blocks alone still match
+            assert bal.torus_rule_check(state, blocks) < 1e-13
         picks = bal._checked_orbits(state)
         assert picks == [0, 18, 35]
         for pick in picks:
@@ -1379,8 +1401,8 @@ class TestTorusRule:
                 bal.torus_rule_check(state, quantity)
 
     def test_spectrum_job_ends_on_the_solved_state(self, monkeypatch):
-        # the k_min self-check runs before the level's own operator, so
-        # the level's last operator call (the one the benchmark's tracer
+        # the k_min self-check forms its blocks without `sigma_z_operator`,
+        # so the level's one operator call (the one the benchmark's tracer
         # keeps per level) is on the solved state and the run's full
         # orbit rule, not on the check's three orbits
         calls = []
@@ -1393,15 +1415,13 @@ class TestTorusRule:
         monkeypatch.setattr(bal, "sigma_z_operator", spy)
         cfg = ExperimentConfig(kind="pm-trivial", k_min=2, k_max=3,
                                n_radial=6, balance_tol=1e-9)
-        suites.spectrum_job(cfg, 2)
-        assert len(calls) == 3
+        result = suites.spectrum_job(cfg, 2)
+        assert result["torus_row"] is not None
         full = bal.torus_orbit_rule(build_model(cfg, 2), 6)
-        last = calls[-1]
+        [last] = calls
         assert last.torus
         np.testing.assert_array_equal(last.rule.points, full.points)
         assert bal.moment_map(last).norm_op < 1e-9
-        assert [call.rule.points.shape[0] for call in calls[:2]] == [
-            3 * 7 * 5, 3]
 
 
 class TestTorusOrbitRule:
@@ -1766,20 +1786,20 @@ class TestNewton:
         TrivialBundleOverPm(2, 2, 3)], ids=lambda model: model.label)
     def test_q0_is_the_charge_zero_block(self, model):
         # the oracle is the general path on a plain copy of the same nodes
-        # and Gram: its one node sum, on the orthonormal tangent frame of
-        # each node, with the kernel and density summed on the frame too,
-        # holds every sector's block among its entries
+        # and Gram: its one complex block of all N^2 pairs, with the kernel
+        # and density summed on the frame, holds every sector's block among
+        # its entries
         state = orbit_state(model, "random-5")
         plain = bal.embedding_state(
             model, gram=state.gram.matrix, basis=state.basis,
             rule=ChartRule(state.rule.points, state.rule.weights))
-        whole = bal.sigma_z_operator(plain).units
+        [(_, [whole])] = bal.sigma_z_operator(plain).charges
         scale = np.max(np.abs(whole))
         op = bal.sigma_z_operator(state)
         for pairs, blocks in op.charges:
             want = whole[pairs[:, :, None], pairs[:, None, :]]
             assert np.max(np.abs(blocks - want)) <= 1e-13 * scale
-        [(_, [got])], valid = bal._charge_blocks(state,
+        [(_, [got])], valid = bal._charge_blocks(*bal._node_tables(state),
                                                  [diagonal_pairs(state)])
         assert valid.all()
         [block] = [q for pairs, blocks in op.charges
@@ -1856,7 +1876,7 @@ class TestNewton:
         sums = count_calls(monkeypatch, bal, "_frame_sums")
         seen = count_geometry_passes(monkeypatch)
         bal.moment_map(state)
-        bal._charge_blocks(state, [diagonal_pairs(state)])
+        bal._charge_blocks(*bal._node_tables(state), [diagonal_pairs(state)])
         bal.sigma_z_operator(state)
         bal.balanced_density_stats(state)
         assert len(pulls) == 1 and sums == [] and seen == []
@@ -1867,9 +1887,9 @@ class TestNewton:
         # what the benchmark's tracer counts as geometry passes: at k_min
         # of the bench configs the one `_fs_geometry` pass is the torus
         # self-check's full angular state, three orbits on 2 D + 3 = 7
-        # base and 5 fiber angles.  The tangent frame is the two paths'
-        # one formula: every `_charge_blocks` call takes one, and the
-        # general path's node sum takes one for the self-check alone
+        # base and 5 fiber angles.  The tangent frame is the operator's
+        # one formula: every `_charge_blocks` call takes one, and no other
+        # code does
         cfg = NEWTON_SWEEPS[f"bench-{job}"]
         seen = count_geometry_passes(monkeypatch)
         inside, frames, calls = [], [], collections.Counter()
@@ -1887,7 +1907,6 @@ class TestNewton:
 
             monkeypatch.setattr(bal, name, spy)
 
-        spying("_node_sum")
         spying("_charge_blocks")
         tangent_frame = bal._tangent_frame
 
@@ -1904,7 +1923,6 @@ class TestNewton:
         assert not state.torus
         assert state.rule.points.shape[0] == 3 * 7 * 5
         assert calls["_charge_blocks"] > 0
-        assert calls["_node_sum"] == (job == "spectrum")
         assert collections.Counter(frames) == calls
 
     def test_a_rank_deficient_orbit_node_is_skipped(self, caplog):
@@ -2013,10 +2031,12 @@ class TestTorusOperator:
             model, basis=state.basis, gram=random_spd(rng, state.count),
             rule=product_rule(base_rule(model, 3, n_angular=4),
                               fiber_rule(model, 3, n_angular=3)))
-        identity = np.eye(state.count).ravel()
         for each in (state, full, plain):
             op = bal.sigma_z_operator(each)
-            assert np.max(np.abs(op.units @ identity)) <= 1e-13 * op.volume
+            for pairs, q in op.charges:
+                rows, cols = np.divmod(pairs, each.count)
+                image = q @ (rows == cols)[:, :, None]
+                assert np.max(np.abs(image)) <= 1e-13 * op.volume
 
 
     @pytest.mark.parametrize("model, kernel", [
@@ -2121,7 +2141,6 @@ class TestChargeSectors:
             raise AssertionError("su(N) basis formed")
 
         monkeypatch.setattr(bal, "su_basis", refuse)
-        monkeypatch.setattr(bal, "_contract", refuse)
         cfg = ExperimentConfig(kind="pm-trivial", k_min=2, k_max=3,
                                n_radial=6, balance_tol=1e-9)
         result = suites.spectrum_job(cfg, 2)
@@ -2129,21 +2148,65 @@ class TestChargeSectors:
         assert result["dimension"] == 6 ** 2 - 1
 
     def test_general_path_in_node_blocks(self, monkeypatch):
-        # a budget of seven nodes per block moves the general path's Q by
-        # roundoff against one block of all 36
+        # a budget of seven nodes of the largest group's rows per block
+        # (each smaller group takes more nodes per block) moves every
+        # sector by roundoff against one block of all nodes: the general
+        # path's one sector of all 36 pairs, and a torus state's charge
+        # sectors
         rng = np.random.default_rng(71)
-        state = p1xp1_state(2, gram=random_spd(rng, 6), n_radial=2)
-        whole = bal.sigma_z_operator(state)
-        frames = count_calls(monkeypatch, bal, "_normal_frame")
-        monkeypatch.setattr(bal, "_NODE_BLOCK_BYTES", 16 * 36 * 7)
-        blocked = bal.sigma_z_operator(state)
-        nodes = state.rule.points.shape[0]
-        assert [len(args[0]) for args in frames] == [7] * (nodes // 7) + (
-            [nodes % 7] if nodes % 7 else [])
-        assert (blocked.samples, blocked.skipped, blocked.volume) == (
-            whole.samples, whole.skipped, whole.volume)
-        move = np.max(np.abs(blocked.q_matrix - whole.q_matrix))
-        assert move <= 1e-13 * whole.volume
+        blocks = count_calls(monkeypatch, bal, "_node_blocks")
+        for state in (p1xp1_state(2, gram=random_spd(rng, 6), n_radial=2),
+                      orbit_state(TrivialBundleOverPm(1, 2, 2), "random-71")):
+            monkeypatch.setattr(bal, "_NODE_BLOCK_BYTES", 1 << 40)
+            whole = bal.sigma_z_operator(state)
+            # bytes per node of each group's rows: real at a torus state,
+            # complex with a conjugate copy off the torus
+            itemsize = 8 if state.torus else 2 * 16
+            rows = [q.shape[0] * q.shape[1] * (1 + state.model.n) * itemsize
+                    for _, q in whole.charges]
+            monkeypatch.setattr(bal, "_NODE_BLOCK_BYTES", 7 * max(rows))
+            blocks.clear()
+            blocked = bal.sigma_z_operator(state)
+            nodes = state.rule.points.shape[0]
+            steps = [bal._NODE_BLOCK_BYTES // each for each in rows]
+            assert blocks == [(nodes, each) for each in rows]
+            assert min(steps) == 7 < nodes
+            assert (blocked.samples, blocked.skipped, blocked.volume) == (
+                whole.samples, whole.skipped, whole.volume)
+            for (pairs, q), (want_pairs, want) in zip(blocked.charges,
+                                                      whole.charges):
+                assert np.array_equal(pairs, want_pairs)
+                assert np.max(np.abs(q - want)) <= 1e-13 * whole.volume
+
+    def test_spectrum_job_reads_no_units(self, monkeypatch):
+        # the self-check at k_min compares charge blocks and a sample of
+        # cross-charge entries, never Q_E as one (N^2, N^2) array
+        def refuse(self):
+            raise AssertionError("Q_E formed as one array")
+
+        monkeypatch.setattr(bal.SigmaZOperator, "units", property(refuse))
+        cfg = ExperimentConfig(kind="pm-trivial", base_dim=2, k_min=3,
+                               k_max=4, n_radial=6, balance_tol=1e-9)
+        result = suites.spectrum_job(cfg, 3)
+        assert result["torus_row"]["value"] <= 1e-13
+
+    def test_self_check_memory_is_bounded(self):
+        # P^2 x P^1 at k = 4, N = 30: the check traces 18.8 MiB, the
+        # full angular state's tables and one node block of rows at a
+        # time; three (900, 900) complex arrays, as it once held, are
+        # 37 MiB alone (65 MiB traced in all)
+        model = TrivialBundleOverPm(2, 2, 4)
+        state = bal.balance_iterate(
+            bal.embedding_state(model, rule=bal.torus_orbit_rule(model, 6)),
+            tol=1e-10, max_iter=60).state
+        tracemalloc.start()
+        try:
+            move = bal.torus_rule_check(state, bal.operator_entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert move <= 1e-13
+        assert peak < 28 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
